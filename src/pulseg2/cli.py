@@ -40,7 +40,6 @@ def _add_common(sub):
     sub.add_argument("--state", help="state spec, e.g. thermal:0.5")
     sub.add_argument("--mode", help="mode spec, e.g. gauss:1e-9")
     sub.add_argument("--out", help="output path (simulate/analyze) or directory (figure)")
-    sub.add_argument("--threads", type=int, help="worker count for simulation")
     sub.add_argument("--bin-width", type=float, dest="bin_width")
     sub.add_argument("--max-tau", type=float, dest="max_tau")
 
@@ -69,7 +68,6 @@ def _load_config(args) -> ExperimentConfig:
         num_pulses=args.pulses,
         state_spec=args.state,
         mode_spec=args.mode,
-        workers=args.threads,
         bin_width=args.bin_width,
         max_tau=args.max_tau,
     )
@@ -82,7 +80,7 @@ def _cmd_simulate(args) -> int:
     detector = cfg.detector()
     if cfg.kind == "pulsed":
         stream = _sim.simulate_pulse_train(cfg.state(), detector, cfg.train(),
-                                           cfg.seed, workers=cfg.workers)
+                                           cfg.seed)
     else:
         stream = _sim.simulate_stationary_thermal(cfg.stationary(), detector, cfg.seed)
     write_stream(stream, out, fmt=cfg.stream_format,
@@ -307,11 +305,10 @@ def _selftest_checks(quick: bool):
 
     def check_determinism():
         a = _sim.simulate_pulse_train(_states.thermal(1.0), det, train, seed=3)
-        b = _sim.simulate_pulse_train(_states.thermal(1.0), det, train, seed=3,
-                                      workers=4)
+        b = _sim.simulate_pulse_train(_states.thermal(1.0), det, train, seed=3)
         same = np.array_equal(a.times, b.times) and \
             np.array_equal(a.pulse_index, b.pulse_index)
-        return same, "reruns and thread counts agree" if same else "streams differ"
+        return same, "reruns agree" if same else "streams differ"
 
     def check_stationary_peak():
         scfg = _sim.StationaryThermalConfig(1e5, 1e6, 0.4 if quick else 1.0)

@@ -32,7 +32,6 @@ def _opt_str(text):
 _SCHEMA = {
     ("run", "kind"): ("kind", str.strip),
     ("run", "seed"): ("seed", int),
-    ("run", "workers"): ("workers", int),
     ("state", "spec"): ("state_spec", str.strip),
     ("mode", "spec"): ("mode_spec", str.strip),
     ("detector", "efficiency"): ("efficiency", float),
@@ -62,7 +61,6 @@ _ATTR_TO_KEY = {attr: sk for sk, (attr, _) in _SCHEMA.items()}
 class ExperimentConfig:
     kind: str = "pulsed"
     seed: int = 1
-    workers: int = 1
     state_spec: str = "coherent:1"
     mode_spec: str = "gauss:1e-9"
     efficiency: float = 1.0
@@ -130,8 +128,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in ("pulsed", "stationary"):
             raise ConfigError("[run] kind: must be 'pulsed' or 'stationary'")
-        if self.workers < 1:
-            raise ConfigError("[run] workers: must be >= 1")
         if self.stream_format not in ("csv", "binary"):
             raise ConfigError("[output] format: must be 'csv' or 'binary'")
         if self.scope not in ("same_pulse", "all_pairs", "all_pairs_within_max_tau"):

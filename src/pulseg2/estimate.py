@@ -62,6 +62,8 @@ _SCOPE_ALIASES = {
     "all_pairs_within_max_tau": "all_pairs",
 }
 
+_BOOT_CHUNK = 1 << 20   # bootstrap block indices drawn per call
+
 
 @dataclass(frozen=True, eq=False)
 class TauHistogram:
@@ -98,41 +100,45 @@ class TauHistogram:
                            fmt=("%.12g", "%d", "%.12g"), delimiter=",")
 
 
-def _bin_pairs_same_pulse(pulse, times, edges):
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    order = np.lexsort((times, pulse))
-    t = times[order]
-    p = pulse[order]
-    nbins = counts.size
-    bw = edges[1] - edges[0]
+def _pairs(keys, reach=None):
+    """Yield ``(first, second)`` index arrays of click pairs, one lag at a time.
+
+    The pairs are every i < j of the sorted ``keys`` with
+    keys[j] < keys[i] + reach, or with keys[j] == keys[i] when ``reach``
+    is None (pulse indices of lexsorted clicks).  Pass d yields the pairs
+    (i, i + d) of the clicks that still have a partner d places ahead, so
+    memory stays O(clicks) per pass.
+    """
+    if reach is None:
+        end = np.searchsorted(keys, keys, side="right")
+    else:
+        end = np.searchsorted(keys, keys + reach)
+    first = np.arange(keys.size, dtype=np.int64)
     d = 1
-    while d < t.size:
-        same = p[d:] == p[:-d]
-        if not same.any():
-            break
-        dt = t[d:][same] - t[:-d][same]
-        k = (dt / bw).astype(np.int64)
-        k = k[(dt >= 0) & (k < nbins)]
-        counts += np.bincount(k, minlength=nbins)
+    while True:
+        first = first[end[first] > first + d]
+        if not first.size:
+            return
+        yield first, first + d
         d += 1
-    return counts
 
 
-def _bin_pairs_all(times, edges):
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    nbins = counts.size
-    bw = edges[1] - edges[0]
-    top = edges[-1]
-    d = 1
-    while d < times.size:
-        dt = times[d:] - times[:-d]
-        if dt.min() >= top:
-            break
-        k = (dt / bw).astype(np.int64)
-        k = k[k < nbins]
-        counts += np.bincount(k, minlength=nbins)
-        d += 1
-    return counts
+def _block_bootstrap(stats, n_boot, rng):
+    """Replicate sums of per-block statistics under block resampling.
+
+    ``stats`` is (k, n_blocks); the result is (k, n_boot), column r
+    summing the blocks in row r of ``rng.integers(0, n_blocks,
+    (n_boot, n_blocks))``.  The rows are drawn a chunk of about
+    ``_BOOT_CHUNK`` indices at a time, which gives the same indices as
+    the single draw without holding them all.
+    """
+    n_blocks = stats.shape[1]
+    rows = max(_BOOT_CHUNK // n_blocks, 1)
+    out = np.empty((stats.shape[0], n_boot))
+    for lo in range(0, n_boot, rows):
+        pick = rng.integers(0, n_blocks, size=(min(rows, n_boot - lo), n_blocks))
+        out[:, lo:lo + pick.shape[0]] = np.take(stats, pick, axis=1).sum(axis=2)
+    return out
 
 
 def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
@@ -153,13 +159,19 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     edges = np.arange(nbins + 1) * bin_width
     if scope == "same_pulse" and stream.n_clicks and stream.pulse_index.min() < 0:
         raise ValueError("same_pulse scope requires a pulsed stream")
-    if stream.n_clicks >= 2:
-        if scope == "same_pulse":
-            counts = _bin_pairs_same_pulse(stream.pulse_index, stream.times, edges)
-        else:
-            counts = _bin_pairs_all(stream.times, edges)
+    if scope == "same_pulse":
+        order = np.lexsort((stream.times, stream.pulse_index))
+        times = stream.times[order]
+        pairs = _pairs(stream.pulse_index[order])
     else:
-        counts = np.zeros(nbins, dtype=np.int64)
+        # one bin of slack past the top edge: the bin index decides
+        times = stream.times
+        pairs = _pairs(times, edges[-1] + bin_width)
+    counts = np.zeros(nbins, dtype=np.int64)
+    for i, j in pairs:
+        dt = times[j] - times[i]
+        k = (dt / bin_width).astype(np.int64)
+        counts += np.bincount(k[(dt >= 0) & (k < nbins)], minlength=nbins)
     num_pulses = stream.metadata.get("train", {}).get("num_pulses")
     return TauHistogram(edges, counts, scope, num_pulses, stream.n_clicks)
 
@@ -261,7 +273,8 @@ def recover_g2q_gaussian(stream: ClickStream, hist: TauHistogram,
     """g2q for Gaussian pulses: sqrt(2 pi) dt_p N D(0) / Ip^2.
 
     ``delta_tp`` may be omitted, in which case the width is fitted from
-    the histogram itself.
+    the histogram itself.  This is `recover_g2q_general` for the Gaussian
+    mode of that width.
     """
     if delta_tp is None:
         delta_tp = fit_pulse_width(hist)
@@ -269,16 +282,8 @@ def recover_g2q_gaussian(stream: ClickStream, hist: TauHistogram,
             raise EstimationError(
                 "pulse width could not be fitted from the histogram; pass "
                 "delta_tp or use recover_g2q_general with a known mode")
-    total = total_counts(stream)
-    if total == 0:
-        raise EstimationError("g2q recovery undefined: stream has no clicks")
-    d0, sd = estimate_D0(hist, _modes.gaussian_mode(delta_tp))
-    factor = math.sqrt(2.0 * math.pi) * delta_tp * num_pulses
-    val = factor * d0 / total**2
-    if not math.isfinite(sd):
-        return val, math.inf
-    sigma = factor * math.hypot(sd / total**2, 2.0 * d0 / (total**2 * math.sqrt(total)))
-    return val, sigma
+    return recover_g2q_general(stream, hist, num_pulses,
+                               _modes.gaussian_mode(delta_tp))
 
 
 def recover_g2q_general(stream: ClickStream, hist: TauHistogram,
@@ -357,27 +362,24 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     if stream.n_clicks and stream.pulse_index.min() < 0:
         raise ValueError("g2_sidepeak requires a pulsed stream")
 
-    central = np.zeros(n_pulses, dtype=np.int64)      # per-pulse central pairs
-    side = np.zeros((n_pulses, n_side), dtype=np.int64)
+    # pair counts per bootstrap block of the first click's pulse:
+    # row 0 central, row k side peak k
+    n_blocks = min(200, n_pulses)
     t = stream.times
     p = stream.pulse_index
-    top = n_side * period + window
-    d = 1
-    while d < t.size:
-        dt = t[d:] - t[:-d]
-        if dt.size == 0 or dt.min() >= top:
-            break
-        first = p[:-d]
-        in_central = (dt < window) & (p[d:] == first)
-        if in_central.any():
-            central += np.bincount(first[in_central], minlength=n_pulses)
+    block_of = p * n_blocks // n_pulses
+    stats = np.zeros((n_side + 1, n_blocks))
+    # one window of slack past the last side-peak window
+    for i, j in _pairs(t, n_side * period + 2.0 * window):
+        dt = t[j] - t[i]
+        first = block_of[i]
+        in_central = (dt < window) & (p[j] == p[i])
+        stats[0] += np.bincount(first[in_central], minlength=n_blocks)
         k = np.round(dt / period).astype(np.int64)
         in_side = (k >= 1) & (k <= n_side) & (np.abs(dt - k * period) < window)
-        if in_side.any():
-            flat = first[in_side] * n_side + (k[in_side] - 1)
-            side += np.bincount(flat, minlength=n_pulses * n_side) \
-                .reshape(n_pulses, n_side)
-        d += 1
+        flat = (k[in_side] - 1) * n_blocks + first[in_side]
+        stats[1:] += np.bincount(flat, minlength=n_side * n_blocks) \
+            .reshape(n_side, n_blocks)
 
     corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))
 
@@ -387,20 +389,13 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
             return math.nan
         return 2.0 * c_tot / s_mean
 
-    val = statistic(float(central.sum()), side.sum(axis=0).astype(float))
+    totals = stats.sum(axis=1)
+    val = statistic(float(totals[0]), totals[1:])
     if math.isnan(val):
         raise EstimationError("no side-peak pairs found; stream too sparse")
 
-    n_blocks = min(200, n_pulses)
-    block_of = (np.arange(n_pulses, dtype=np.int64) * n_blocks) // n_pulses
-    cb = np.bincount(block_of, weights=central, minlength=n_blocks)
-    sb = np.column_stack([
-        np.bincount(block_of, weights=side[:, j], minlength=n_blocks)
-        for j in range(n_side)])
-    rng = block_generator(derive_roots(seed)[3], 1)
-    pick = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
-    boot = np.array([statistic(cb[rows].sum(), sb[rows].sum(axis=0))
-                     for rows in pick])
+    reps = _block_bootstrap(stats, n_boot, block_generator(derive_roots(seed)[3], 1))
+    boot = np.array([statistic(c, s) for c, s in zip(reps[0], reps[1:].T)])
     boot = boot[np.isfinite(boot)]
     sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
     return val, sigma
@@ -465,28 +460,21 @@ def stationary_g2_zero(stream: ClickStream, bin_width: float, max_tau: float,
     n_blocks = max(int(math.ceil((t[-1] - t[0]) / block_length)), 1)
     block_of = np.minimum(((t - t[0]) / block_length).astype(np.int64), n_blocks - 1)
     k_base = max(int((max_tau - baseline_from) / bin_width), 1)
-    central = np.zeros(n_blocks)
-    base = np.zeros(n_blocks)
-    d = 1
-    while d < t.size:
-        dt = t[d:] - t[:-d]
-        if dt.min() >= max_tau:
-            break
-        first = block_of[:-d]
-        sel_c = dt < bin_width
-        if sel_c.any():
-            central += np.bincount(first[sel_c], minlength=n_blocks)
-        sel_b = (dt >= baseline_from) & (dt < baseline_from + k_base * bin_width)
-        if sel_b.any():
-            base += np.bincount(first[sel_b], minlength=n_blocks)
-        d += 1
+    base_top = baseline_from + k_base * bin_width
+    stats = np.zeros((2, n_blocks))      # central and baseline pairs per block
+    central, base = stats
+    # one bin of slack past the baseline window
+    for i, j in _pairs(t, base_top + bin_width):
+        dt = t[j] - t[i]
+        first = block_of[i]
+        central += np.bincount(first[dt < bin_width], minlength=n_blocks)
+        base += np.bincount(first[(dt >= baseline_from) & (dt < base_top)],
+                            minlength=n_blocks)
     if base.sum() <= 0:
         raise EstimationError("no baseline pairs; increase max_tau or duration")
     val = float(central.sum() * k_base / base.sum())
-    rng = block_generator(derive_roots(seed)[3], 2)
-    pick = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
-    c_rep = central[pick].sum(axis=1)
-    b_rep = base[pick].sum(axis=1)
+    c_rep, b_rep = _block_bootstrap(stats, n_boot,
+                                    block_generator(derive_roots(seed)[3], 2))
     good = b_rep > 0
     boot = c_rep[good] * k_base / b_rep[good]
     sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf

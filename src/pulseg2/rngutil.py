@@ -3,9 +3,9 @@
 Every stochastic routine in the package derives its generators here: a
 user seed is expanded into independent 64-bit roots, and each fixed block
 of work (a slab of pulses, a chunk of field samples) gets its own Philox
-generator keyed by (root, block index).  Because the partition into
-blocks never depends on the worker count, merged output is bit-identical
-whether blocks are processed serially or in parallel.
+generator keyed by (root, block index).  A block's draws therefore
+depend only on the seed and the block's position, never on how much
+other work the run contains.
 """
 
 from __future__ import annotations

@@ -37,13 +37,13 @@ bunching peak g2(0) = 2 of chaotic light with baseline 1.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config) gives a bit-identical
-stream for any worker count.
+stream; without dead time, the clicks of the first k * _PULSE_BLOCK
+pulses of a longer train are exactly the stream of the shorter train.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +71,13 @@ _PULSE_BLOCK = 1 << 14
 _FIELD_CHUNK = 1 << 20
 
 
+def _require_finite(obj, *names):
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Detection efficiency plus optional timing jitter and dead time.
@@ -84,6 +91,7 @@ class DetectorModel:
     dead_time: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "efficiency", "timing_jitter_sigma", "dead_time")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.timing_jitter_sigma < 0 or self.dead_time < 0:
@@ -104,6 +112,7 @@ class PulseTrainConfig:
     mode: _modes.TemporalMode
 
     def __post_init__(self):
+        _require_finite(self, "num_pulses", "repetition_period")
         if self.num_pulses < 1 or self.num_pulses != int(self.num_pulses):
             raise ValueError("num_pulses must be a positive integer")
         if not self.repetition_period > 0:
@@ -132,6 +141,8 @@ class StationaryThermalConfig:
     spectral_shape: str = "gaussian"
 
     def __post_init__(self):
+        _require_finite(self, "mean_rate", "spectral_bandwidth", "duration",
+                        "field_timestep")
         if self.mean_rate < 0 or self.spectral_bandwidth <= 0 or self.duration <= 0:
             raise ValueError("rate must be >= 0, bandwidth and duration positive")
         limit = 1.0 / (20.0 * self.spectral_bandwidth)
@@ -208,28 +219,19 @@ def _detector_dict(d: DetectorModel) -> dict:
 
 
 def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
-                         train: PulseTrainConfig, seed, workers: int = 1) -> ClickStream:
+                         train: PulseTrainConfig, seed) -> ClickStream:
     """Monte Carlo click stream for a pulse train.
 
     Work is split into fixed blocks of pulses, each with its own
-    counter-based substream, so the output is identical for any
-    ``workers`` value; the merged records are time sorted.
+    counter-based substream, so a block's clicks depend only on the seed
+    and the block index; the merged records are time sorted.
     """
     cdf = np.cumsum(state.pn)
     root = derive_roots(seed)[0]
-    n_blocks = (train.num_pulses + _PULSE_BLOCK - 1) // _PULSE_BLOCK
-
-    def run(block):
-        lo = block * _PULSE_BLOCK
-        hi = min(lo + _PULSE_BLOCK, train.num_pulses)
-        return _pulse_block(cdf, train.mode, detector, train.repetition_period,
-                            lo, hi, root, block)
-
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
-    else:
-        parts = [run(b) for b in range(n_blocks)]
+    parts = [_pulse_block(cdf, train.mode, detector, train.repetition_period,
+                          lo, min(lo + _PULSE_BLOCK, train.num_pulses), root,
+                          lo // _PULSE_BLOCK)
+             for lo in range(0, train.num_pulses, _PULSE_BLOCK)]
     pulse_idx = np.concatenate([p for p, _ in parts])
     times = np.concatenate([t for _, t in parts])
     order = np.argsort(times, kind="stable")

@@ -18,6 +18,7 @@ photon loss, which is why detector efficiency never biases it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,7 +306,8 @@ def parse_state_spec(spec: str) -> QuantumState:
             return from_pn(_load_pn_csv(rest), label=text)
         if head == "mix":
             weights, comps = [], []
-            for term in rest.split("+"):
+            # a '+' right after a mantissa's e/E is an exponent sign
+            for term in re.split(r"(?<![0-9.][eE])\+", rest):
                 wtxt, sep2, sub = term.partition("*")
                 if not sep2:
                     raise ValueError(f"mixture term {term!r} needs <weight>*<spec>")

@@ -16,6 +16,7 @@ sidecar   JSON next to either format with the seed and full generating
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,11 @@ def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
+    size = os.path.getsize(path)
+    if size % _BINARY_DTYPE.itemsize:
+        raise StreamFormatError(
+            f"{path}: {size} bytes is not a whole number of "
+            f"{_BINARY_DTYPE.itemsize}-byte records")
     rec = np.fromfile(path, dtype=_BINARY_DTYPE)
     idx = np.ascontiguousarray(rec["pulse_index"]).view(np.int64)
     return idx, rec["time_seconds"].astype(float)
@@ -165,6 +171,10 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
         raise StreamFormatError(f"{side}: invalid sidecar JSON: {exc}") from exc
     fmt = meta.get("format") or ("binary" if path.endswith(".bin") else "csv")
     idx, t = _read_binary(path) if fmt == "binary" else _read_csv(path)
+    if "n_clicks" in meta and meta["n_clicks"] != idx.size:
+        raise StreamFormatError(
+            f"{path}: {idx.size} records, but the sidecar {side} says "
+            f"n_clicks = {meta['n_clicks']}")
     try:
         return ClickStream(idx, t, meta)
     except ValueError as exc:

@@ -256,15 +256,18 @@ def test_criterion_6_property_suites(capsys):
                   for x in (0.7 * WIDTH, 2.3 * WIDTH))
         checks.append((f"{mode.label} symmetry", sym <= 1e-10 * eta0))
 
-    # determinism: reruns and worker counts cannot move a single bit
+    # determinism: reruns cannot move a single bit, and the whole pulse
+    # blocks at the head of a train click as a train of just those blocks
     train = sim.PulseTrainConfig(2 * 10**5, PERIOD, MODE)
     a = sim.simulate_pulse_train(st.thermal(1.0), DET, train, seed=SEED)
     b = sim.simulate_pulse_train(st.thermal(1.0), DET, train, seed=SEED)
-    c = sim.simulate_pulse_train(st.thermal(1.0), DET, train, seed=SEED, workers=4)
+    head = sim.PulseTrainConfig(7 * sim._PULSE_BLOCK, PERIOD, MODE)
+    c = sim.simulate_pulse_train(st.thermal(1.0), DET, head, seed=SEED)
+    keep = a.pulse_index < head.num_pulses
     checks.append(("bit-identical rerun", np.array_equal(a.times, b.times)
                    and np.array_equal(a.pulse_index, b.pulse_index)))
-    checks.append(("thread-count independence", np.array_equal(a.times, c.times)
-                   and np.array_equal(a.pulse_index, c.pulse_index)))
+    checks.append(("block-prefix invariance", np.array_equal(a.times[keep], c.times)
+                   and np.array_equal(a.pulse_index[keep], c.pulse_index)))
 
     # two-photon pulses: arrival times are independent draws from |v|^2
     n = 150000

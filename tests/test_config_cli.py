@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pulseg2.cli as cli
+from pulseg2 import simulate as sim
 from pulseg2.config import ExperimentConfig
 from pulseg2.errors import ConfigError
 
@@ -91,12 +92,18 @@ class TestSimulateCommand:
         # fock(1) thinned at s=0.5: binomial(500, 0.5), 5 sigma band
         assert abs(len(rows) - 1 - 250) < 5 * math.sqrt(500 * 0.25)
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    def test_longer_train_keeps_whole_block_records(self, tmp_path):
         _, path = write_cfg(tmp_path)
-        cli.main(["simulate", "--config", path, "--threads", "1"])
-        one = (tmp_path / "stream.csv").read_bytes()
-        cli.main(["simulate", "--config", path, "--threads", "4"])
-        assert (tmp_path / "stream.csv").read_bytes() == one
+        short, longer = tmp_path / "short.csv", tmp_path / "long.csv"
+        n = sim._PULSE_BLOCK
+        assert cli.main(["simulate", "--config", path, "--pulses", str(n),
+                         "--out", str(short)]) == 0
+        assert cli.main(["simulate", "--config", path, "--pulses", str(n + 3000),
+                         "--out", str(longer)]) == 0
+        rows = longer.read_text().splitlines()
+        head = [r for r in rows[1:] if int(r.split(",")[0]) < n]
+        assert 0 < len(head) < len(rows) - 1
+        assert head == short.read_text().splitlines()[1:]
 
 
 class TestAnalyzeCommand:
@@ -219,6 +226,17 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert cli.main(["transmogrify"]) == 1
+
+    @pytest.mark.parametrize("text,key", [
+        ("[detector]\ndead_time = nan\n", "dead_time"),
+        ("[pulsed]\nrepetition_period = inf\n", "repetition_period"),
+        ("[run]\nkind = stationary\n[stationary]\nmean_rate = nan\n", "mean_rate"),
+    ])
+    def test_non_finite_value_named(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main(["simulate", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_selftest_quick_passes(capsys):

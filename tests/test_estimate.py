@@ -208,6 +208,20 @@ class TestG2qRecovery:
         b, _ = est.recover_g2q_general(stream, hist, n, MODE)
         assert a == pytest.approx(b, rel=1e-8)
 
+    def test_gaussian_route_matches_closed_form(self):
+        # eta(0) = 1 / (sqrt(2 pi) dt_p): quadrature agrees to 1e-8 relative
+        n = 50000
+        stream, _ = run_train(st.thermal(1.0), n, seed=15)
+        hist = standard_hist(stream)
+        total = stream.n_clicks
+        d0, sd = est.estimate_D0(hist, MODE)
+        factor = math.sqrt(2.0 * math.pi) * WIDTH * n
+        want = (factor * d0 / total**2,
+                factor * math.hypot(sd / total**2,
+                                    2.0 * d0 / (total**2 * math.sqrt(total))))
+        got = est.recover_g2q_gaussian(stream, hist, n, WIDTH)
+        assert got == pytest.approx(want, rel=1e-8)
+
     def test_pulsed_bunching_identity_is_algebraic(self):
         n = 50000
         stream, _ = run_train(st.thermal(1.0), n, seed=16)

@@ -1,0 +1,327 @@
+"""The pair enumerator and block bootstrap against lag-walk references.
+
+The four ``_ref_*`` functions below are the lag walks the estimators used
+before they shared one pair enumerator and one bootstrap helper, kept
+verbatim.  Histogram counts, the side-peak (value, sigma) and the
+stationary g2(0) (value, sigma) must equal them exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from pulseg2 import estimate as est
+from pulseg2 import modes as md
+from pulseg2 import simulate as sim
+from pulseg2 import states as st
+from pulseg2.errors import EstimationError
+from pulseg2.rngutil import block_generator, derive_roots
+from pulseg2.streams import ClickStream
+
+PERIOD = 12.5e-9
+
+
+# ---------------------------------------------------------------------------
+# reference lag walks
+
+
+def _ref_bin_pairs_same_pulse(pulse, times, edges):
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    order = np.lexsort((times, pulse))
+    t = times[order]
+    p = pulse[order]
+    nbins = counts.size
+    bw = edges[1] - edges[0]
+    d = 1
+    while d < t.size:
+        same = p[d:] == p[:-d]
+        if not same.any():
+            break
+        dt = t[d:][same] - t[:-d][same]
+        k = (dt / bw).astype(np.int64)
+        k = k[(dt >= 0) & (k < nbins)]
+        counts += np.bincount(k, minlength=nbins)
+        d += 1
+    return counts
+
+
+def _ref_bin_pairs_all(times, edges):
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    nbins = counts.size
+    bw = edges[1] - edges[0]
+    top = edges[-1]
+    d = 1
+    while d < times.size:
+        dt = times[d:] - times[:-d]
+        if dt.min() >= top:
+            break
+        k = (dt / bw).astype(np.int64)
+        k = k[k < nbins]
+        counts += np.bincount(k, minlength=nbins)
+        d += 1
+    return counts
+
+
+def _ref_g2_sidepeak(stream, train, window, n_side=3, n_boot=300, seed=0):
+    period = train.repetition_period
+    n_pulses = train.num_pulses
+    if not 0 < window <= period / 2:
+        raise ValueError("window must lie in (0, repetition_period/2]")
+    if n_pulses < n_side + 1:
+        raise EstimationError(
+            f"train of {n_pulses} pulses is too short for {n_side} side peaks")
+    if stream.n_clicks and stream.pulse_index.min() < 0:
+        raise ValueError("g2_sidepeak requires a pulsed stream")
+
+    central = np.zeros(n_pulses, dtype=np.int64)      # per-pulse central pairs
+    side = np.zeros((n_pulses, n_side), dtype=np.int64)
+    t = stream.times
+    p = stream.pulse_index
+    top = n_side * period + window
+    d = 1
+    while d < t.size:
+        dt = t[d:] - t[:-d]
+        if dt.size == 0 or dt.min() >= top:
+            break
+        first = p[:-d]
+        in_central = (dt < window) & (p[d:] == first)
+        if in_central.any():
+            central += np.bincount(first[in_central], minlength=n_pulses)
+        k = np.round(dt / period).astype(np.int64)
+        in_side = (k >= 1) & (k <= n_side) & (np.abs(dt - k * period) < window)
+        if in_side.any():
+            flat = first[in_side] * n_side + (k[in_side] - 1)
+            side += np.bincount(flat, minlength=n_pulses * n_side) \
+                .reshape(n_pulses, n_side)
+        d += 1
+
+    corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))
+
+    def statistic(c_tot, s_tot):
+        s_mean = float(np.mean(s_tot * corr))
+        if s_mean <= 0:
+            return math.nan
+        return 2.0 * c_tot / s_mean
+
+    val = statistic(float(central.sum()), side.sum(axis=0).astype(float))
+    if math.isnan(val):
+        raise EstimationError("no side-peak pairs found; stream too sparse")
+
+    n_blocks = min(200, n_pulses)
+    block_of = (np.arange(n_pulses, dtype=np.int64) * n_blocks) // n_pulses
+    cb = np.bincount(block_of, weights=central, minlength=n_blocks)
+    sb = np.column_stack([
+        np.bincount(block_of, weights=side[:, j], minlength=n_blocks)
+        for j in range(n_side)])
+    rng = block_generator(derive_roots(seed)[3], 1)
+    pick = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
+    boot = np.array([statistic(cb[rows].sum(), sb[rows].sum(axis=0))
+                     for rows in pick])
+    boot = boot[np.isfinite(boot)]
+    sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
+    return val, sigma
+
+
+def _ref_stationary_g2_zero(stream, bin_width, max_tau, baseline_from,
+                            block_length=None, n_boot=300, seed=0):
+    if stream.n_clicks < 2:
+        raise EstimationError("g2(0) undefined: need at least two clicks")
+    if not 0 < bin_width <= baseline_from < max_tau:
+        raise ValueError("need bin_width <= baseline_from < max_tau")
+    if block_length is None:
+        bandwidth = stream.metadata.get("stationary", {}).get("spectral_bandwidth")
+        if not bandwidth:
+            raise ValueError("pass block_length (bandwidth unknown)")
+        block_length = 10.0 / bandwidth
+    t = stream.times
+    n_blocks = max(int(math.ceil((t[-1] - t[0]) / block_length)), 1)
+    block_of = np.minimum(((t - t[0]) / block_length).astype(np.int64), n_blocks - 1)
+    k_base = max(int((max_tau - baseline_from) / bin_width), 1)
+    central = np.zeros(n_blocks)
+    base = np.zeros(n_blocks)
+    d = 1
+    while d < t.size:
+        dt = t[d:] - t[:-d]
+        if dt.min() >= max_tau:
+            break
+        first = block_of[:-d]
+        sel_c = dt < bin_width
+        if sel_c.any():
+            central += np.bincount(first[sel_c], minlength=n_blocks)
+        sel_b = (dt >= baseline_from) & (dt < baseline_from + k_base * bin_width)
+        if sel_b.any():
+            base += np.bincount(first[sel_b], minlength=n_blocks)
+        d += 1
+    if base.sum() <= 0:
+        raise EstimationError("no baseline pairs; increase max_tau or duration")
+    val = float(central.sum() * k_base / base.sum())
+    rng = block_generator(derive_roots(seed)[3], 2)
+    pick = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
+    c_rep = central[pick].sum(axis=1)
+    b_rep = base[pick].sum(axis=1)
+    good = b_rep > 0
+    boot = c_rep[good] * k_base / b_rep[good]
+    sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
+    return val, sigma
+
+
+def _outcome(fn, *args, **kwargs):
+    """Return value, or the exception type and message, for exact comparison."""
+    try:
+        return fn(*args, **kwargs)
+    except (EstimationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+@pytest.fixture(scope="module")
+def jittered_thermal():
+    """Thermal Gaussian pulses whose 4 ns jitter moves clicks across slots."""
+    train = sim.PulseTrainConfig(20000, PERIOD, md.gaussian_mode(1e-9))
+    det = sim.DetectorModel(efficiency=0.5, timing_jitter_sigma=4e-9)
+    return sim.simulate_pulse_train(st.thermal(1.0), det, train, seed=21), train
+
+
+@pytest.fixture(scope="module")
+def sparse_hg1():
+    """A reduced-N version of the sparse coherent HG1 benchmark train."""
+    train = sim.PulseTrainConfig(400000, PERIOD, md.hermite_gauss_mode(1, 5e-10))
+    det = sim.DetectorModel(efficiency=0.5)
+    return sim.simulate_pulse_train(st.coherent(0.02), det, train, seed=22), train
+
+
+@pytest.fixture(scope="module", params=["gaussian", "lorentzian"])
+def stationary_stream(request):
+    cfg = sim.StationaryThermalConfig(2e5, 1e6, 0.02, spectral_shape=request.param)
+    return sim.simulate_stationary_thermal(cfg, sim.DetectorModel(), seed=23)
+
+
+def _tiny(times, pulses):
+    return ClickStream(np.asarray(pulses, dtype=np.int64),
+                       np.asarray(times, dtype=float), {"kind": "pulsed"})
+
+
+TINY = {
+    "none": _tiny([], []),
+    "one": _tiny([5e-9], [0]),
+    "two_same_pulse": _tiny([5e-9, 6e-9], [0, 0]),
+    "two_side_peak": _tiny([5e-9, 5e-9 + PERIOD], [0, 1]),
+}
+
+
+# ---------------------------------------------------------------------------
+# exact agreement with the references
+
+
+def _assert_histograms_match(stream, bin_width, max_tau,
+                             scopes=("same_pulse", "all_pairs")):
+    for scope in scopes:
+        hist = est.tau_histogram(stream, bin_width, max_tau, scope=scope)
+        if scope == "same_pulse":
+            ref = _ref_bin_pairs_same_pulse(stream.pulse_index, stream.times,
+                                            hist.bin_edges)
+        elif stream.n_clicks >= 2:
+            ref = _ref_bin_pairs_all(stream.times, hist.bin_edges)
+        else:
+            ref = np.zeros(hist.counts.size, dtype=np.int64)
+        assert hist.counts.dtype == ref.dtype
+        assert np.array_equal(hist.counts, ref), scope
+
+
+@pytest.mark.parametrize("bin_width,max_tau", [
+    (5e-11, 6e-9), (2e-10, 4 * PERIOD), (1e-9, 40 * PERIOD)])
+def test_histograms_jittered_thermal(jittered_thermal, bin_width, max_tau):
+    _assert_histograms_match(jittered_thermal[0], bin_width, max_tau)
+
+
+@pytest.mark.parametrize("bin_width,max_tau", [(2.5e-11, 3e-9), (5e-10, 4 * PERIOD)])
+def test_histograms_sparse_hg1(sparse_hg1, bin_width, max_tau):
+    _assert_histograms_match(sparse_hg1[0], bin_width, max_tau)
+
+
+def test_histograms_stationary(stationary_stream):
+    _assert_histograms_match(stationary_stream, 2e-8, 5e-6, scopes=("all_pairs",))
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_histograms_tiny_streams(name):
+    _assert_histograms_match(TINY[name], 1e-10, 2 * PERIOD)
+
+
+@pytest.mark.parametrize("window,n_side", [(3e-9, 3), (0.4 * PERIOD, 2), (PERIOD / 2, 5)])
+def test_sidepeak_jittered_thermal(jittered_thermal, window, n_side):
+    stream, train = jittered_thermal
+    got = est.g2_sidepeak(stream, train, window, n_side=n_side, seed=4)
+    assert got == _ref_g2_sidepeak(stream, train, window, n_side=n_side, seed=4)
+
+
+def test_sidepeak_sparse_hg1(sparse_hg1):
+    stream, train = sparse_hg1
+    got = est.g2_sidepeak(stream, train, 0.4 * PERIOD)
+    assert got == _ref_g2_sidepeak(stream, train, 0.4 * PERIOD)
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_sidepeak_tiny_streams(name):
+    train = sim.PulseTrainConfig(10, PERIOD, md.gaussian_mode(1e-10))
+    got = _outcome(est.g2_sidepeak, TINY[name], train, 3e-9)
+    assert got == _outcome(_ref_g2_sidepeak, TINY[name], train, 3e-9)
+
+
+@pytest.mark.parametrize("args", [
+    (2e-8, 5e-6, 3e-6, None, 300),
+    (1e-8, 2e-6, 1e-6, 3e-6, 57),
+    (5e-8, 8e-6, 6e-6, 2e-7, 300),      # about 1e5 blocks: several draw chunks
+])
+def test_g2_zero_stationary(stationary_stream, args):
+    bw, max_tau, base_from, block, n_boot = args
+    got = est.stationary_g2_zero(stationary_stream, bw, max_tau, base_from,
+                                 block_length=block, n_boot=n_boot, seed=6)
+    ref = _ref_stationary_g2_zero(stationary_stream, bw, max_tau, base_from,
+                                  block_length=block, n_boot=n_boot, seed=6)
+    assert got == ref
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_g2_zero_tiny_streams(name):
+    args = (TINY[name], 1e-10, 2e-8, 1e-8)
+    got = _outcome(est.stationary_g2_zero, *args, block_length=1e-8)
+    assert got == _outcome(_ref_stationary_g2_zero, *args, block_length=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the enumerator against brute force
+
+
+def _enumerated(keys, reach):
+    got = []
+    for first, second in est._pairs(keys, reach):
+        assert np.all(second - first == second[0] - first[0])   # one lag a pass
+        got.extend(zip(first.tolist(), second.tolist()))
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.lists(hs.integers(0, 30), max_size=40), hs.integers(0, 12))
+def test_pairs_within_reach_match_brute_force(values, reach):
+    # integer-valued times make t[i] + reach exact, ties included
+    t = np.sort(np.asarray(values, dtype=float))
+    want = {(i, j) for i in range(t.size) for j in range(i + 1, t.size)
+            if t[j] < t[i] + reach}
+    assert _enumerated(t, float(reach)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.lists(hs.integers(-3, 8), max_size=40))
+def test_pairs_in_group_match_brute_force(values):
+    g = np.sort(np.asarray(values, dtype=np.int64))
+    want = {(i, j) for i in range(g.size) for j in range(i + 1, g.size)
+            if g[j] == g[i]}
+    assert _enumerated(g, None) == want

@@ -39,12 +39,16 @@ class TestPulseTrain:
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.pulse_index, b.pulse_index)
 
-    def test_worker_count_does_not_change_stream(self):
-        train = sim.PulseTrainConfig(50000, PERIOD, MODE)
-        a = sim.simulate_pulse_train(st.thermal(1.0), IDEAL, train, seed=9, workers=1)
-        b = sim.simulate_pulse_train(st.thermal(1.0), IDEAL, train, seed=9, workers=4)
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.pulse_index, b.pulse_index)
+    def test_block_prefix_invariance(self):
+        # whole pulse blocks click the same whatever follows them
+        short = sim.PulseTrainConfig(2 * sim._PULSE_BLOCK, PERIOD, MODE)
+        longer = sim.PulseTrainConfig(3 * sim._PULSE_BLOCK + 5000, PERIOD, MODE)
+        a = sim.simulate_pulse_train(st.thermal(1.0), IDEAL, short, seed=9)
+        b = sim.simulate_pulse_train(st.thermal(1.0), IDEAL, longer, seed=9)
+        head = b.pulse_index < short.num_pulses
+        assert 0 < a.n_clicks < b.n_clicks
+        np.testing.assert_array_equal(a.times, b.times[head])
+        np.testing.assert_array_equal(a.pulse_index, b.pulse_index[head])
 
     def test_different_seeds_differ(self):
         train = sim.PulseTrainConfig(5000, PERIOD, MODE)
@@ -138,6 +142,16 @@ class TestDetectorValidation:
     def test_negative_jitter(self):
         with pytest.raises(ValueError):
             sim.DetectorModel(timing_jitter_sigma=-1.0)
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: sim.DetectorModel(dead_time=math.nan), "dead_time"),
+    (lambda: sim.PulseTrainConfig(100, math.inf, MODE), "repetition_period"),
+    (lambda: sim.StationaryThermalConfig(math.nan, 1e6, 1.0), "mean_rate"),
+])
+def test_non_finite_config_rejected(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make()
 
 
 class TestAnalyticCurves:

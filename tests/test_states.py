@@ -207,6 +207,7 @@ class TestSpecGrammar:
         ("thermal:1.25", 1.25),
         ("fock:2", 2.0),
         ("mix:0.5*fock:0+0.5*fock:2", 1.0),
+        ("mix:0.5*thermal:1e+0+0.5*coherent:1", 1.0),   # '+' in an exponent
     ])
     def test_parse_and_mean(self, spec, mean):
         state = st.parse_state_spec(spec)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,25 @@ def test_counts_per_pulse_checks_range():
         stream.counts_per_pulse(2)
     counts = stream.counts_per_pulse(5)
     assert counts.tolist() == [1, 0, 0, 1, 0]
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "s.bin"
+    write_stream(small_stream(), path, fmt="binary")
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 5)
+    with pytest.raises(StreamFormatError, match="16-byte records"):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_sidecar_click_count_checked(tmp_path, fmt):
+    stream = small_stream()
+    path = tmp_path / ("s.csv" if fmt == "csv" else "s.bin")
+    write_stream(stream, path, fmt=fmt)
+    side = tmp_path / (path.name + ".meta.json")
+    meta = json.loads(side.read_text())
+    meta["n_clicks"] += 1
+    side.write_text(json.dumps(meta))
+    with pytest.raises(StreamFormatError, match="n_clicks"):
+        read_stream(path)
