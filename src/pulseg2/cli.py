@@ -101,31 +101,28 @@ def _cmd_analyze(args) -> int:
 
     mode = _modes.parse_mode_spec(args.mode) if args.mode else \
         (cfg.mode() if cfg else None)
-    num_pulses = args.pulses or (cfg.num_pulses if cfg and args.config else None)
+    num_pulses = args.pulses or (cfg.num_pulses if cfg else None)
     report = _est.analyze_stream(stream, num_pulses=num_pulses, mode=mode,
                                  bin_width=bin_width, max_tau=max_tau)
     report.to_json(report_path)
     hist_path = cfg.out_histogram if cfg else "histogram.csv"
-    if hist_path and report.Ip > 0:
-        width = mode.width if mode is not None else report.fitted_width_seconds
-        if width:
-            hist = _est.tau_histogram(stream, bin_width or width / 20.0,
-                                      max_tau or 6.0 * width)
-            expected = _expected_counts(stream, hist, mode)
-            hist.to_csv(hist_path, expected=expected)
+    if hist_path and report.histogram is not None:
+        report.histogram.to_csv(hist_path,
+                                expected=_expected_counts(stream, report.histogram))
     print(f"wrote report to {report_path}")
     for line in json.loads(report.to_json()).items():
         print(f"  {line[0]} = {line[1]}")
     return 0
 
 
-def _expected_counts(stream, hist, mode):
+def _expected_counts(stream, hist):
     """Analytic overlay column when the generating config is in the sidecar."""
     meta = stream.metadata
-    if mode is None or not meta.get("state") or not meta.get("train"):
+    if not (meta.get("state") and meta.get("mode") and meta.get("train")):
         return None
     try:
         state = _states.parse_state_spec(meta["state"])
+        mode = _modes.parse_mode_spec(meta["mode"])
     except (ValueError, OSError):
         return None
     detector = _sim.DetectorModel(**meta.get("detector", {}))

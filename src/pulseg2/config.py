@@ -46,7 +46,6 @@ _SCHEMA = {
     ("stationary", "spectral_shape"): ("spectral_shape", str.strip),
     ("estimator", "bin_width"): ("bin_width", _opt_float),
     ("estimator", "max_tau"): ("max_tau", _opt_float),
-    ("estimator", "scope"): ("scope", str.strip),
     ("output", "stream"): ("out_stream", str.strip),
     ("output", "sidecar"): ("out_sidecar", _opt_str),
     ("output", "report"): ("out_report", str.strip),
@@ -75,7 +74,6 @@ class ExperimentConfig:
     spectral_shape: str = "gaussian"
     bin_width: float | None = None
     max_tau: float | None = None
-    scope: str = "same_pulse"
     out_stream: str = "stream.csv"
     out_sidecar: str | None = None
     out_report: str = "report.json"
@@ -130,8 +128,6 @@ class ExperimentConfig:
             raise ConfigError("[run] kind: must be 'pulsed' or 'stationary'")
         if self.stream_format not in ("csv", "binary"):
             raise ConfigError("[output] format: must be 'csv' or 'binary'")
-        if self.scope not in ("same_pulse", "all_pairs", "all_pairs_within_max_tau"):
-            raise ConfigError("[estimator] scope: unknown scope")
         # build every module-level object so bad values fail at load time
         self.state()
         self.mode()

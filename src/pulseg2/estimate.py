@@ -34,6 +34,7 @@ import numpy as np
 
 from . import modes as _modes
 from . import simulate as _simulate
+from . import states as _states
 from .errors import EstimationError
 from .rngutil import block_generator, derive_roots
 from .streams import ClickStream
@@ -55,12 +56,6 @@ __all__ = [
     "stationary_g2_zero",
     "analyze_stream",
 ]
-
-_SCOPE_ALIASES = {
-    "same_pulse": "same_pulse",
-    "all_pairs": "all_pairs",
-    "all_pairs_within_max_tau": "all_pairs",
-}
 
 _BOOT_CHUNK = 1 << 20   # bootstrap block indices drawn per call
 
@@ -150,8 +145,7 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     to max_tau (side peaks, stationary analysis).  An empty stream yields
     a valid all-zero histogram.
     """
-    scope = _SCOPE_ALIASES.get(scope)
-    if scope is None:
+    if scope not in ("same_pulse", "all_pairs"):
         raise ValueError("scope must be 'same_pulse' or 'all_pairs'")
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
@@ -219,8 +213,8 @@ def estimate_D0(hist: TauHistogram, mode_hint: _modes.TemporalMode | None = None
     c = hist.counts.astype(float)
     tau_c = hist.centers
     if mode_hint is not None:
-        shape = np.asarray(_modes.eta_numeric(mode_hint, tau_c))
-        eta0 = float(_modes.eta_numeric(mode_hint, 0.0))
+        eta = np.asarray(_modes.eta_numeric(mode_hint, np.concatenate([[0.0], tau_c])))
+        eta0, shape = float(eta[0]), eta[1:]
         denom = bw * float(shape @ shape)
         if denom <= 0:
             raise EstimationError("mode hint gives a degenerate fit shape")
@@ -249,6 +243,13 @@ def estimate_D0(hist: TauHistogram, mode_hint: _modes.TemporalMode | None = None
     return d0, sigma
 
 
+def _g2p_from_D0(d0, sd, total):
+    val = d0 / total**2
+    if not math.isfinite(sd):
+        return val, math.inf
+    return val, math.hypot(sd / total**2, 2.0 * val / math.sqrt(total))
+
+
 def g2p(stream: ClickStream, hist: TauHistogram,
         mode_hint: _modes.TemporalMode | None = None):
     """Pulsed bunching measure D(0)/Ip^2 in 1/seconds, with uncertainty.
@@ -260,12 +261,7 @@ def g2p(stream: ClickStream, hist: TauHistogram,
     total = total_counts(stream)
     if total == 0:
         raise EstimationError("g2p undefined: stream has no clicks")
-    d0, sd = estimate_D0(hist, mode_hint)
-    val = d0 / total**2
-    if not math.isfinite(sd):
-        return val, math.inf
-    sigma = math.hypot(sd / total**2, 2.0 * val / math.sqrt(total))
-    return val, sigma
+    return _g2p_from_D0(*estimate_D0(hist, mode_hint), total)
 
 
 def recover_g2q_gaussian(stream: ClickStream, hist: TauHistogram,
@@ -288,18 +284,13 @@ def recover_g2q_gaussian(stream: ClickStream, hist: TauHistogram,
 
 def recover_g2q_general(stream: ClickStream, hist: TauHistogram,
                         num_pulses: int, mode: _modes.TemporalMode):
-    """g2q for an arbitrary known mode: N D(0) / (Ip^2 eta(0))."""
-    total = total_counts(stream)
-    if total == 0:
-        raise EstimationError("g2q recovery undefined: stream has no clicks")
-    eta0 = float(_modes.eta_numeric(mode, 0.0))
-    d0, sd = estimate_D0(hist, mode)
-    val = num_pulses * d0 / (total**2 * eta0)
-    if not math.isfinite(sd):
-        return val, math.inf
-    sigma = (num_pulses / eta0) * math.hypot(
-        sd / total**2, 2.0 * d0 / (total**2 * math.sqrt(total)))
-    return val, sigma
+    """g2q for an arbitrary known mode: N g2p / eta(0) = N D(0) / (Ip^2 eta(0)).
+
+    Value and uncertainty are those of `g2p` rescaled by N / eta(0).
+    """
+    val, sigma = g2p(stream, hist, mode)
+    scale = num_pulses / float(_modes.eta_numeric(mode, 0.0))
+    return scale * val, scale * sigma
 
 
 def _num_pulses(train) -> int:
@@ -313,15 +304,20 @@ def pn_histogram_g2q(stream: ClickStream, train, n_boot: int = 300, seed: int = 
 
     Independent loss rescales the first and second factorial moments by s
     and s^2, so their ratio is the source g2q regardless of detector
-    efficiency.  The uncertainty is a bootstrap over pulses (multinomial
+    efficiency.  The histogram is counted over the clicks' pulse indices
+    (the empty pulses are the rest of N), so it costs O(clicks), not
+    O(pulses).  The uncertainty is a bootstrap over pulses (multinomial
     resampling of the histogram).
     """
     n_pulses = _num_pulses(train)
-    m = stream.counts_per_pulse(n_pulses)
-    total = int(m.sum())
-    if total == 0:
+    p = stream.pulse_index
+    if not p.size:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
+    if p.min() < 0 or p.max() >= n_pulses:
+        raise ValueError("pulse indices outside [0, num_pulses)")
+    m = np.unique(p, return_counts=True)[1]     # clicks of each non-empty pulse
     hist = np.bincount(m).astype(float)
+    hist[0] = n_pulses - m.size
     nn = np.arange(hist.size, dtype=float)
     pair_w = nn * (nn - 1.0)
 
@@ -520,7 +516,9 @@ class CoherenceReport:
     ``g2q_eta`` is the mode-corrected recovery N g2p / eta(0) (the
     dimensionless version of g2p), ``g2q_pn`` the photon-number-histogram
     route, ``g2q_analytic`` the exact value when the source state is
-    known.  g2p and D0 carry units of 1/seconds.
+    known.  g2p and D0 carry units of 1/seconds.  ``histogram`` is the
+    same-pulse histogram the report was computed from (None for an empty
+    stream); it is not part of the JSON.
     """
 
     N: int
@@ -537,6 +535,7 @@ class CoherenceReport:
     g2q_analytic: float | None
     fitted_width_seconds: float | None = None
     flags: list = field(default_factory=list)
+    histogram: TauHistogram | None = field(default=None, repr=False, compare=False)
 
     def to_json(self, path=None) -> str:
         def clean(x):
@@ -572,11 +571,16 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
                    max_tau: float | None = None, seed: int = 0) -> CoherenceReport:
     """Run the full pulsed estimation pipeline on one stream.
 
-    Missing arguments are filled from the stream's sidecar metadata where
-    possible.  An empty stream produces a flagged report rather than an
-    error.  A warning is emitted when the histogram's fitted width
-    disagrees with the mode hint by more than 10 percent, since the
-    eta-corrected g2q scales linearly with the assumed width.
+    Missing arguments are filled from the stream's sidecar metadata; a
+    sidecar mode or state label that does not parse is skipped and
+    flagged ``<key>_label_unparsed``.  One same-pulse histogram is built
+    and D(0) is fitted once, with the mode as the shape hint, else the
+    Gaussian of the fitted width, else none; g2q_eta is g2p and its sigma
+    rescaled by N / eta(0) of that hint.  An empty stream produces a
+    flagged report rather than an error.  A warning is emitted when the
+    fitted width disagrees with a Gaussian mode hint by more than 10
+    percent, since the eta-corrected g2q scales linearly with the
+    assumed width.
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -586,16 +590,16 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         num_pulses = meta.get("train", {}).get("num_pulses")
     if num_pulses is None:
         raise EstimationError("number of pulses unknown: pass num_pulses")
-    if mode is None and meta.get("mode"):
-        mode = _modes.parse_mode_spec(meta["mode"])
-    if state is None and meta.get("state"):
-        state = _states_parse(meta["state"])
-
     flags = []
+    if mode is None:
+        mode = _parse_sidecar_label(meta, "mode", _modes.parse_mode_spec, flags)
+    if state is None:
+        state = _parse_sidecar_label(meta, "state", _states.parse_state_spec, flags)
+
     g2q_analytic = None
     if state is not None:
         try:
-            g2q_analytic = _g2q_analytic(state)
+            g2q_analytic = _states.g2q_from_moments(state)
         except ValueError:
             flags.append("source_state_vacuum")
 
@@ -608,11 +612,12 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
                                g2q_eta_sigma=None, g2q_pn=None, g2q_pn_sigma=None,
                                g2q_analytic=g2q_analytic, flags=flags)
 
-    width_guess = mode.width if mode is not None else None
-    if bin_width is None:
-        bin_width = (width_guess or _within_pulse_spread(stream)) / 20.0
-    if max_tau is None:
-        max_tau = 6.0 * (width_guess or _within_pulse_spread(stream))
+    if bin_width is None or max_tau is None:
+        scale = mode.width if mode is not None else _within_pulse_spread(stream)
+        if bin_width is None:
+            bin_width = scale / 20.0
+        if max_tau is None:
+            max_tau = 6.0 * scale
     hist = tau_histogram(stream, bin_width, max_tau, scope="same_pulse")
 
     fitted = fit_pulse_width(hist)
@@ -624,23 +629,20 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
             "with the assumed width", stacklevel=2)
         flags.append("width_mismatch")
 
-    if mode is not None:
-        eta0 = float(_modes.eta_numeric(mode, 0.0))
-        g2q_eta_val = recover_g2q_general(stream, hist, num_pulses, mode)
-        d0 = estimate_D0(hist, mode)
-        g2p_val = g2p(stream, hist, mode)
-    elif math.isfinite(fitted) and fitted > 0:
-        eta0 = float(_modes.eta_gaussian(fitted, 0.0))
-        g2q_eta_val = recover_g2q_gaussian(stream, hist, num_pulses, None)
-        d0 = estimate_D0(hist, _modes.gaussian_mode(fitted))
-        g2p_val = g2p(stream, hist, _modes.gaussian_mode(fitted))
+    hint = mode
+    if hint is None and math.isfinite(fitted) and fitted > 0:
+        hint = _modes.gaussian_mode(fitted)
         flags.append("width_fitted_from_histogram")
-    else:
-        eta0 = None
-        d0 = estimate_D0(hist)
-        g2p_val = g2p(stream, hist)
-        g2q_eta_val = (None, None)
+    elif hint is None:
         flags.append("no_pairs_for_width_fit")
+
+    d0, sd = estimate_D0(hist, hint)
+    g2p_val = _g2p_from_D0(d0, sd, total)
+    eta0, g2q_eta_val = None, (None, None)
+    if hint is not None:
+        eta0 = float(_modes.eta_numeric(hint, 0.0))
+        scale = num_pulses / eta0
+        g2q_eta_val = (scale * g2p_val[0], scale * g2p_val[1])
 
     try:
         g2q_pn_val = pn_histogram_g2q(stream, num_pulses, seed=seed)
@@ -649,14 +651,14 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
 
     return CoherenceReport(
         N=int(num_pulses), Ip=float(total),
-        D0_per_second=d0[0], D0_sigma=d0[1],
+        D0_per_second=d0, D0_sigma=sd,
         eta0_per_second=eta0,
         g2p=g2p_val[0], g2p_sigma=g2p_val[1],
         g2q_eta=g2q_eta_val[0], g2q_eta_sigma=g2q_eta_val[1],
         g2q_pn=g2q_pn_val[0], g2q_pn_sigma=g2q_pn_val[1],
         g2q_analytic=g2q_analytic,
         fitted_width_seconds=fitted if math.isfinite(fitted) else None,
-        flags=flags)
+        flags=flags, histogram=hist)
 
 
 def _within_pulse_spread(stream: ClickStream) -> float:
@@ -671,14 +673,13 @@ def _within_pulse_spread(stream: ClickStream) -> float:
     return spread * math.sqrt(2.0)
 
 
-def _g2q_analytic(state) -> float:
-    from .states import g2q_from_moments
-    return g2q_from_moments(state)
-
-
-def _states_parse(label):
-    from .states import parse_state_spec
+def _parse_sidecar_label(meta, key, parse, flags):
+    """The object a sidecar spec label names, or None (flagged) if it does not parse."""
+    label = meta.get(key)
+    if not label:
+        return None
     try:
-        return parse_state_spec(label)
+        return parse(label)
     except (ValueError, OSError):
+        flags.append(f"{key}_label_unparsed")
         return None

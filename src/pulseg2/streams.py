@@ -109,7 +109,7 @@ def write_stream(stream: ClickStream, path, fmt: str = "csv",
 
 
 def _locate_bad_csv_record(path) -> int:
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for i, line in enumerate(fh):
             if i == 0:
                 continue
@@ -127,7 +127,8 @@ def _locate_bad_csv_record(path) -> int:
 
 
 def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
+    # undecodable bytes (a binary stream read as CSV) fail the header check
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip()
         has_rows = bool(fh.readline().strip())
     if header != _HEADER:

@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import pulseg2 as pg
 import pulseg2.cli as cli
+from pulseg2 import estimate as est
+from pulseg2 import modes as md
 from pulseg2 import simulate as sim
+from pulseg2 import states as st
 from pulseg2.config import ExperimentConfig
 from pulseg2.errors import ConfigError
 
@@ -160,6 +164,31 @@ class TestAnalyzeCommand:
         bad.write_text("pulse_index,time_seconds\n0,zzz\n")
         assert cli.main(["analyze", str(bad)]) == 2
 
+    @pytest.mark.parametrize("hint", [[], ["--mode", "gauss:1.05e-9"]],
+                             ids=["sidecar_mode", "off_hint"])
+    def test_histogram_csv_is_the_reports_histogram(self, tmp_path, monkeypatch, hint):
+        _, path = write_cfg(tmp_path, state_spec="thermal:0.5")
+        assert cli.main(["simulate", "--config", path]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", "stream.csv", *hint]) == 0
+        mode = md.parse_mode_spec(hint[1]) if hint else None
+        hist = est.analyze_stream(pg.read_stream("stream.csv"), mode=mode).histogram
+        data = np.loadtxt("histogram.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(data[:, 0], hist.centers, rtol=1e-11)
+        assert np.array_equal(data[:, 1], hist.counts)
+        # the analytic overlay follows the generating mode, not the hint
+        expected = sim.analytic_D(st.thermal(0.5), sim.DetectorModel(efficiency=0.5),
+                                  md.gaussian_mode(1e-9), 20000, hist.centers)
+        np.testing.assert_allclose(data[:, 2], expected * hist.bin_width, rtol=1e-11)
+
+    def test_binary_stream_without_sidecar_is_io_error(self, tmp_path, capsys):
+        _, path = write_cfg(tmp_path, stream_format="binary")
+        assert cli.main(["simulate", "--config", path]) == 0
+        bare = tmp_path / "bare.dat"
+        bare.write_bytes((tmp_path / "stream.csv").read_bytes())
+        assert cli.main(["analyze", str(bare)]) == 2
+        assert str(bare) in capsys.readouterr().err
+
     def test_stationary_stream_summary(self, tmp_path):
         cfg, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5,
                               duration=0.2, num_pulses=1000)
@@ -226,6 +255,15 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert cli.main(["transmogrify"]) == 1
+
+    @pytest.mark.parametrize("text", ["[estimator]\nscope = same_pulse\n",
+                                      "[run]\nworkers = 2\n"],
+                             ids=["scope", "workers"])
+    def test_deleted_key_is_unknown(self, tmp_path, capsys, text):
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        assert cli.main(["simulate", "--config", str(path)]) == 1
+        assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,key", [
         ("[detector]\ndead_time = nan\n", "dead_time"),

@@ -11,6 +11,7 @@ from pulseg2 import modes as md
 from pulseg2 import simulate as sim
 from pulseg2 import states as st
 from pulseg2.errors import EstimationError
+from pulseg2.rngutil import block_generator, derive_roots
 
 WIDTH = 1e-9
 PERIOD = 12.5e-9
@@ -73,9 +74,10 @@ class TestTauHistogram:
             est.tau_histogram(stream, 1e-8, 1e-6, scope="same_pulse")
 
     def test_scope_alias(self):
+        # the all_pairs_within_max_tau alias is gone; it is one more unknown scope
         stream, _ = run_train(st.coherent(0.5), 1000, seed=4)
-        h = est.tau_histogram(stream, 1e-9, 50e-9, scope="all_pairs_within_max_tau")
-        assert h.pairing_scope == "all_pairs"
+        with pytest.raises(ValueError):
+            est.tau_histogram(stream, 1e-9, 50e-9, scope="all_pairs_within_max_tau")
 
     def test_bad_scope_rejected(self):
         stream, _ = run_train(st.coherent(0.5), 100, seed=4)
@@ -376,6 +378,17 @@ class TestAnalyzeStream:
         assert bias == pytest.approx(2.0 * math.sqrt(0.4), rel=1e-3)
         assert report.g2q_eta == pytest.approx(bias, rel=0.05)
 
+    def test_unparsed_sidecar_mode_label_flagged(self):
+        # an API-built sampled mode is labelled "sampled:<array>"
+        t = np.linspace(-8e-9, 8e-9, 1601)
+        mode = md.sampled_mode(t, np.exp(-t**2 / (2 * WIDTH**2)))
+        stream, _ = run_train(st.coherent(1.0), 20000, seed=31, mode=mode,
+                              period=40e-9)
+        report = est.analyze_stream(stream)
+        assert "mode_label_unparsed" in report.flags
+        assert "width_fitted_from_histogram" in report.flags
+        assert abs(report.g2q_eta - 1.0) < 4 * report.g2q_eta_sigma
+
     def test_round_trip_from_disk(self, tmp_path):
         n = 50000
         stream, _ = run_train(st.coherent(1.0), n, seed=30, s=0.6)
@@ -384,6 +397,79 @@ class TestAnalyzeStream:
         back = pg.read_stream(path)
         report = est.analyze_stream(back)
         assert abs(report.g2q_eta - 1.0) < 3.5 * report.g2q_eta_sigma
+
+
+def composed_report(stream, n, mode, bin_width, max_tau, seed=0):
+    """The report's numbers from public calls on the formulas of the
+    separate routes: D(0) fitted per route, g2q_eta = N D0 / (Ip^2 eta(0)),
+    the pn histogram from per-pulse counts, eta(0) of a fitted width in
+    closed form."""
+    hist = est.tau_histogram(stream, bin_width, max_tau)
+    fitted = est.fit_pulse_width(hist)
+    hint = mode or md.gaussian_mode(fitted)
+    # estimate_D0 evaluates eta once on [0, centers...]; equal to two calls
+    assert np.array_equal(
+        md.eta_numeric(hint, np.concatenate([[0.0], hist.centers])),
+        np.concatenate([[md.eta_numeric(hint, 0.0)], md.eta_numeric(hint, hist.centers)]))
+    d0, sd = est.estimate_D0(hist, hint)
+    total = stream.n_clicks
+    g2p = d0 / total**2
+    g2p_sigma = math.hypot(sd / total**2, 2.0 * g2p / math.sqrt(total))
+    eta0 = md.eta_numeric(hint, 0.0)
+    g2q_eta = n * d0 / (total**2 * eta0)
+    g2q_eta_sigma = (n / eta0) * math.hypot(
+        sd / total**2, 2.0 * d0 / (total**2 * math.sqrt(total)))
+    m = stream.counts_per_pulse(n)
+    h = np.bincount(m).astype(float)
+    nn = np.arange(h.size, dtype=float)
+    pair_w = nn * (nn - 1.0)
+    pn = float((pair_w @ h) / n / ((nn @ h) / n) ** 2)
+    rng = block_generator(derive_roots(seed)[3], 0)
+    reps = rng.multinomial(n, h / n, size=300).astype(float)
+    means = nn @ reps.T
+    good = means > 0
+    boot = (pair_w @ reps.T)[good] * n / means[good] ** 2
+    return dict(hist=hist, D0=(d0, sd), g2p=(g2p, g2p_sigma),
+                g2q_eta=(g2q_eta, g2q_eta_sigma), pn=(pn, float(np.std(boot, ddof=1))),
+                eta0=eta0 if mode else md.eta_gaussian(fitted, 0.0))
+
+
+class TestAnalyzeStreamReference:
+    """analyze_stream fits D(0) once and rescales g2p for g2q_eta; the
+    composed routes give the same numbers."""
+
+    def check(self, report, ref, eta0_rel):
+        assert np.array_equal(report.histogram.bin_edges, ref["hist"].bin_edges)
+        assert np.array_equal(report.histogram.counts, ref["hist"].counts)
+        assert (report.D0_per_second, report.D0_sigma) == ref["D0"]
+        assert (report.g2p, report.g2p_sigma) == ref["g2p"]
+        assert (report.g2q_pn, report.g2q_pn_sigma) == ref["pn"]
+        assert (report.g2q_eta, report.g2q_eta_sigma) == pytest.approx(
+            ref["g2q_eta"], rel=1e-12)
+        assert report.eta0_per_second == pytest.approx(ref["eta0"], rel=eta0_rel, abs=0)
+
+    def test_thermal_gaussian(self):
+        n = 50000
+        stream, _ = run_train(st.thermal(0.5), n, seed=40, s=0.5)
+        report = est.analyze_stream(stream)
+        self.check(report, composed_report(stream, n, MODE, WIDTH / 20.0, 6.0 * WIDTH), 0)
+
+    def test_coherent_hermite_gauss(self):
+        n = 50000
+        mode = md.hermite_gauss_mode(1, WIDTH)
+        stream, _ = run_train(st.coherent(1.0), n, seed=41, period=25e-9, mode=mode)
+        report = est.analyze_stream(stream)
+        self.check(report, composed_report(stream, n, mode, WIDTH / 20.0, 6.0 * WIDTH), 0)
+
+    def test_fitted_width_without_mode(self):
+        n = 50000
+        stream, _ = run_train(st.thermal(0.5), n, seed=42, s=0.5)
+        meta = {k: v for k, v in stream.metadata.items() if k != "mode"}
+        bare = pg.ClickStream(stream.pulse_index, stream.times, meta)
+        report = est.analyze_stream(bare, bin_width=WIDTH / 20.0, max_tau=6.0 * WIDTH)
+        assert "width_fitted_from_histogram" in report.flags
+        self.check(report, composed_report(bare, n, None, WIDTH / 20.0, 6.0 * WIDTH),
+                   1e-8)
 
 
 class TestStationaryCurve:
