@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Simulating detector click streams for a pulse train.
 
-Per pulse: draw a photon number from P_n, thin it by the detector
-efficiency, and give each surviving photon an arrival time drawn from the
-pulse intensity profile.  The script compares the resulting count records
-for thermal versus coherent light, then checks the time-difference
-histogram against its closed-form density.
+Per block of pulses: draw which pulses hold photons (empty pulses cost
+nothing), draw each occupied pulse's photon number from P_n given n >= 1,
+thin it by the detector efficiency, and give each surviving photon an
+arrival time drawn from the pulse intensity profile.  The script compares
+the resulting count records for thermal versus coherent light, then
+checks the time-difference histogram against its closed-form density.
 """
 
 import numpy as np

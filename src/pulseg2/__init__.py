@@ -67,4 +67,4 @@ from .states import (
 )
 from .streams import ClickStream, read_stream, write_stream
 
-__version__ = "0.1.0"
+from ._version import __version__

@@ -28,6 +28,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import eval_hermite
 
+from .streams import _read_table
+
 __all__ = [
     "TemporalMode",
     "EtaProfile",
@@ -244,24 +246,6 @@ def autocorrelation_width(mode: TemporalMode) -> float:
     return eta_profile(mode).rms_width()
 
 
-def _load_mode_csv(path: str):
-    with open(path) as fh:
-        first = fh.readline()
-    skip = 0
-    try:
-        float(first.split(",")[0])
-    except ValueError:
-        skip = 1
-    rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    if rows.shape[1] < 2:
-        raise ValueError(f"{path}: expected columns t,Re(v)[,Im(v)]")
-    t = rows[:, 0]
-    v = rows[:, 1].astype(complex)
-    if rows.shape[1] >= 3:
-        v = v + 1j * rows[:, 2]
-    return t, v
-
-
 def parse_mode_spec(spec: str) -> TemporalMode:
     """Parse a mode spec string.
 
@@ -275,8 +259,9 @@ def parse_mode_spec(spec: str) -> TemporalMode:
     head = head.lower()
     try:
         if head == "sampled":
-            t, v = _load_mode_csv(rest)
-            return sampled_mode(t, v, label=text)
+            rows = _read_table(rest, "t,Re(v)[,Im(v)]")
+            v = rows[:, 1] + 1j * (rows[:, 2] if rows.shape[1] >= 3 else 0.0)
+            return sampled_mode(rows[:, 0], v, label=text)
         body, _, t0 = rest.partition("@")
         center = float(t0) if t0 else 0.0
         if head == "gauss":

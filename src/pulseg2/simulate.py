@@ -7,16 +7,21 @@ factorizes: measuring photons at times t_1..t_n has density proportional
 to the pair/triple/... factorial moment of the photon-number distribution
 times the product |v(t_1)|^2 ... |v(t_n)|^2.  Conditional on the photon
 number, arrival times therefore carry no information about the state and
-are i.i.d. draws from the intensity profile |v(t)|^2.  That gives the
-sampling oracle used here, pulse by pulse:
+are i.i.d. draws from the intensity profile |v(t)|^2, and the sampler
+spends its work on photons, not pulses.  Per block of B pulses it
 
-1. draw n from P_n,
-2. keep each photon independently with the detector efficiency s
+1. draws how many pulses hold photons, Binomial(B, 1 - P_0), and which
+   ones, as a uniform subset; empty pulses cost nothing,
+2. draws each occupied pulse's photon number from P_n given n >= 1,
+3. keeps each photon independently with the detector efficiency s
    (binomial thinning),
-3. give each kept photon an arrival time drawn i.i.d. from |v(t)|^2
-   centered in the pulse slot,
-4. optionally blur times with Gaussian jitter and apply non-paralyzable
-   dead-time removal.
+4. gives each kept photon an arrival time drawn i.i.d. from |v(t)|^2
+   centered in the pulse slot (an exact inverse CDF for Gaussian modes,
+   else rejection under an envelope built once per train).
+
+Every source then ends in one finisher: optional Gaussian timing jitter,
+a stable time sort, non-paralyzable dead-time removal and the sidecar
+metadata, which records the package version that made the stream.
 
 The matching analytic curves are
 
@@ -36,15 +41,17 @@ by the squared field magnitude (a Cox process).  That reproduces the
 bunching peak g2(0) = 2 of chaotic light with baseline 1.
 
 Determinism: all randomness flows from the seed through fixed-size work
-blocks (`rngutil`), so identical (seed, config) gives a bit-identical
-stream; without dead time, the clicks of the first k * _PULSE_BLOCK
-pulses of a longer train are exactly the stream of the shorter train.
+blocks (`rngutil`), so identical (seed, config, package version) gives a
+bit-identical stream.  Jitter is drawn from its own substream over the
+clicks in block order, so without dead time the clicks of the first
+k * _PULSE_BLOCK pulses of a longer train are exactly the stream of the
+shorter train, with or without jitter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.signal import oaconvolve
@@ -52,6 +59,7 @@ from scipy.special import ndtri
 
 from . import modes as _modes
 from . import states as _states
+from ._version import __version__
 from .rngutil import block_generator, derive_roots
 from .streams import ClickStream
 
@@ -161,41 +169,47 @@ class StationaryThermalConfig:
 # pulsed simulation
 
 
-def _sample_arrival_offsets(mode, count, rng):
-    """Arrival times relative to the pulse center, i.i.d. from |v(t)|^2."""
-    if count == 0:
-        return np.empty(0)
+def _arrival_sampler(mode):
+    """Arrival times relative to the pulse center, i.i.d. from |v(t)|^2.
+
+    Built once per train, with the rejection envelope of a non-Gaussian
+    mode (grid, intensity bound and acceptance rate).
+    """
     if mode.kind == "gaussian":
         # |v|^2 is Gaussian with s.d. width/sqrt(2); inverse CDF is exact
         sigma = mode.width / math.sqrt(2.0)
-        return mode.center + ndtri(rng.random(count)) * sigma
+        return lambda count, rng: mode.center + ndtri(rng.random(count)) * sigma
     t, _ = _modes._grid(mode)
     lo, hi = float(t[0]), float(t[-1])
     bound = float(np.max(_modes.intensity_profile(mode, t))) * 1.001
     accept_rate = max(1.0 / ((hi - lo) * bound), 1e-3)
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        m = max(1024, int(1.5 * (count - filled) / accept_rate))
-        cand = lo + (hi - lo) * rng.random(m)
-        keep = rng.random(m) * bound <= _modes.intensity_profile(mode, cand)
-        good = cand[keep]
-        take = min(good.size, count - filled)
-        out[filled:filled + take] = good[:take]
-        filled += take
-    return out
+
+    def sample(count, rng):
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            m = max(1024, int(1.5 * (count - filled) / accept_rate))
+            cand = lo + (hi - lo) * rng.random(m)
+            keep = rng.random(m) * bound <= _modes.intensity_profile(mode, cand)
+            good = cand[keep]
+            take = min(good.size, count - filled)
+            out[filled:filled + take] = good[:take]
+            filled += take
+        return out
+    return sample
 
 
-def _pulse_block(cdf, mode, detector, period, lo, hi, root, block):
+def _pulse_block(cdf, sample_offsets, efficiency, period, lo, hi, root, block):
+    """Clicks of pulses [lo, hi); only the pulses that hold photons are drawn."""
     rng = block_generator(root, block)
-    n = np.searchsorted(cdf, rng.random(hi - lo), side="right")
-    n = np.minimum(n, cdf.size - 1)
-    kept = rng.binomial(n, detector.efficiency) if detector.efficiency < 1.0 else n
-    total = int(kept.sum())
-    pulse_idx = np.repeat(np.arange(lo, hi, dtype=np.int64), kept)
-    times = (pulse_idx + 0.5) * period + _sample_arrival_offsets(mode, total, rng)
-    if detector.timing_jitter_sigma > 0 and total:
-        times = times + ndtri(rng.random(total)) * detector.timing_jitter_sigma
+    occupied = cdf[-1] - cdf[0]
+    k = rng.binomial(hi - lo, min(occupied, 1.0))
+    pulses = lo + np.sort(rng.choice(hi - lo, k, replace=False))
+    # photon number given n >= 1: inverse CDF at u uniform on [cdf[0], cdf[-1])
+    n = np.searchsorted(cdf, cdf[0] + rng.random(k) * occupied, side="right")
+    kept = rng.binomial(np.minimum(n, cdf.size - 1), efficiency)
+    pulse_idx = np.repeat(pulses, kept)
+    times = (pulse_idx + 0.5) * period + sample_offsets(pulse_idx.size, rng)
     return pulse_idx, times
 
 
@@ -212,10 +226,20 @@ def _dead_time_filter(pulse_idx, times, dead):
     return pulse_idx[keep], times[keep]
 
 
-def _detector_dict(d: DetectorModel) -> dict:
-    return {"efficiency": d.efficiency,
-            "timing_jitter_sigma": d.timing_jitter_sigma,
-            "dead_time": d.dead_time}
+def _finish_stream(pulse_idx, times, detector, seed, kind, state, mode, **config):
+    """Jitter, stable time sort and dead time for every source, plus metadata.
+
+    Jitter is drawn from its own root over the clicks in generation order.
+    """
+    if detector.timing_jitter_sigma > 0:
+        rng = block_generator(derive_roots(seed)[3], 0)
+        times = times + ndtri(rng.random(times.size)) * detector.timing_jitter_sigma
+    order = np.argsort(times, kind="stable")
+    pulse_idx, times = _dead_time_filter(pulse_idx[order], times[order],
+                                         detector.dead_time)
+    meta = {"kind": kind, "seed": int(seed), "state": state, "mode": mode,
+            "detector": asdict(detector), **config, "pulseg2": __version__}
+    return ClickStream(pulse_idx, times, meta)
 
 
 def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
@@ -227,26 +251,18 @@ def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
     and the block index; the merged records are time sorted.
     """
     cdf = np.cumsum(state.pn)
+    sample_offsets = _arrival_sampler(train.mode)
     root = derive_roots(seed)[0]
-    parts = [_pulse_block(cdf, train.mode, detector, train.repetition_period,
-                          lo, min(lo + _PULSE_BLOCK, train.num_pulses), root,
+    parts = [_pulse_block(cdf, sample_offsets, detector.efficiency,
+                          train.repetition_period, lo,
+                          min(lo + _PULSE_BLOCK, train.num_pulses), root,
                           lo // _PULSE_BLOCK)
              for lo in range(0, train.num_pulses, _PULSE_BLOCK)]
-    pulse_idx = np.concatenate([p for p, _ in parts])
-    times = np.concatenate([t for _, t in parts])
-    order = np.argsort(times, kind="stable")
-    pulse_idx, times = pulse_idx[order], times[order]
-    pulse_idx, times = _dead_time_filter(pulse_idx, times, detector.dead_time)
-    meta = {
-        "kind": "pulsed",
-        "seed": int(seed),
-        "state": state.label,
-        "mode": train.mode.label,
-        "detector": _detector_dict(detector),
-        "train": {"num_pulses": int(train.num_pulses),
-                  "repetition_period": train.repetition_period},
-    }
-    return ClickStream(pulse_idx, times, meta)
+    return _finish_stream(
+        np.concatenate([p for p, _ in parts]), np.concatenate([t for _, t in parts]),
+        detector, seed, "pulsed", state.label, train.mode.label,
+        train={"num_pulses": int(train.num_pulses),
+               "repetition_period": train.repetition_period})
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +335,14 @@ def simulate_stationary_thermal(cfg: StationaryThermalConfig,
             cell = np.repeat(np.arange(intensity.size), counts)
             all_times.append((lo + cell + rng.random(total)) * dt)
     times = np.concatenate(all_times) if all_times else np.empty(0)
-    if detector.timing_jitter_sigma > 0 and times.size:
-        rng = block_generator(roots[3], 0)
-        times = times + ndtri(rng.random(times.size)) * detector.timing_jitter_sigma
-    times = np.sort(times)
-    idx = np.full(times.size, -1, dtype=np.int64)
-    idx, times = _dead_time_filter(idx, times, detector.dead_time)
-    meta = {
-        "kind": "stationary",
-        "seed": int(seed),
-        "state": None,
-        "mode": None,
-        "detector": _detector_dict(detector),
-        "stationary": {"mean_rate": cfg.mean_rate,
-                       "spectral_bandwidth": cfg.spectral_bandwidth,
-                       "duration": cfg.duration,
-                       "field_timestep": cfg.field_timestep,
-                       "spectral_shape": cfg.spectral_shape},
-    }
-    return ClickStream(idx, times, meta)
+    return _finish_stream(
+        np.full(times.size, -1, dtype=np.int64), times, detector, seed,
+        "stationary", None, None,
+        stationary={"mean_rate": cfg.mean_rate,
+                    "spectral_bandwidth": cfg.spectral_bandwidth,
+                    "duration": cfg.duration,
+                    "field_timestep": cfg.field_timestep,
+                    "spectral_shape": cfg.spectral_shape})
 
 
 def simulate_stationary_poisson(mean_rate: float, duration: float, seed,
@@ -345,21 +350,15 @@ def simulate_stationary_poisson(mean_rate: float, duration: float, seed,
     """Constant-rate control source (no intensity fluctuations, flat g2)."""
     if mean_rate < 0 or duration <= 0:
         raise ValueError("rate must be >= 0 and duration positive")
-    s = detector.efficiency if detector is not None else 1.0
+    detector = detector or DetectorModel()
     rng = block_generator(derive_roots(seed)[0], 0)
-    total = int(rng.poisson(mean_rate * s * duration))
-    times = np.sort(rng.random(total)) * duration
-    meta = {
-        "kind": "stationary",
-        "seed": int(seed),
-        "state": None,
-        "mode": None,
-        "detector": _detector_dict(detector or DetectorModel()),
-        "stationary": {"mean_rate": mean_rate, "spectral_bandwidth": None,
-                       "duration": duration, "field_timestep": None,
-                       "spectral_shape": "flat"},
-    }
-    return ClickStream(np.full(total, -1, dtype=np.int64), times, meta)
+    total = int(rng.poisson(mean_rate * detector.efficiency * duration))
+    return _finish_stream(
+        np.full(total, -1, dtype=np.int64), rng.random(total) * duration,
+        detector, seed, "stationary", None, None,
+        stationary={"mean_rate": mean_rate, "spectral_bandwidth": None,
+                    "duration": duration, "field_timestep": None,
+                    "spectral_shape": "flat"})
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _stats
 
+from .streams import _read_table
+
 __all__ = [
     "QuantumState",
     "coherent",
@@ -266,16 +268,7 @@ def apply_loss(state: QuantumState, survival: float) -> QuantumState:
 
 
 def _load_pn_csv(path: str) -> np.ndarray:
-    with open(path) as fh:
-        first = fh.readline()
-    skip = 0
-    try:
-        float(first.split(",")[0])
-    except ValueError:
-        skip = 1
-    rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    if rows.shape[1] < 2:
-        raise ValueError(f"{path}: expected two columns n,P_n")
+    rows = _read_table(path, "n,P_n")
     ns = rows[:, 0]
     if np.any(ns < 0) or np.any(ns != np.round(ns)):
         raise ValueError(f"{path}: photon numbers must be nonnegative integers")

@@ -9,8 +9,9 @@ Formats
 CSV       header ``pulse_index,time_seconds``; stationary records write -1.
 binary    packed little-endian records (u64 pulse index, f64 time);
           stationary records store 2**64 - 1 as the index sentinel.
-sidecar   JSON next to either format with the seed and full generating
-          configuration, default path ``<stream>.meta.json``.
+sidecar   JSON next to either format with the seed, the full generating
+          configuration and the package version, default path
+          ``<stream>.meta.json``.
 """
 
 from __future__ import annotations
@@ -145,6 +146,21 @@ def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if data.shape[1] != 2:
         raise StreamFormatError(f"{path}: record 0: expected 2 columns")
     return data[:, 0].astype(np.int64), data[:, 1]
+
+
+def _read_table(path, columns: str) -> np.ndarray:
+    """Rows of a numeric CSV table of at least two ``columns``, header optional."""
+    with open(path) as fh:
+        first = fh.readline()
+    try:
+        float(first.split(",")[0])
+        skip = 0
+    except ValueError:
+        skip = 1
+    rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    if rows.shape[1] < 2:
+        raise ValueError(f"{path}: expected columns {columns}")
+    return rows
 
 
 def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:

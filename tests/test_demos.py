@@ -3,15 +3,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_recovering_state_coherence_demo_runs(tmp_path):
-    # the demo asserts its own consistency between g2p and the recovery routes
+@pytest.mark.parametrize("name", [
+    "03_simulated_click_streams.py",
+    "04_recovering_state_coherence.py",
+])
+def test_demo_runs(tmp_path, name):
+    # demo 04 asserts its own consistency between g2p and the recovery routes
     env = dict(os.environ, MPLBACKEND="Agg")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    demo = ROOT / "demos" / "04_recovering_state_coherence.py"
+    demo = ROOT / "demos" / name
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,34 @@ import pulseg2 as pg
 from pulseg2 import modes as md
 from pulseg2 import simulate as sim
 from pulseg2 import states as st
+from pulseg2.rngutil import block_generator, derive_roots
 
 WIDTH = 1e-9
 PERIOD = 12.5e-9
 MODE = md.gaussian_mode(WIDTH)
 IDEAL = sim.DetectorModel()
+JITTERED = sim.DetectorModel(efficiency=0.8, timing_jitter_sigma=0.3e-9)
+
+
+def _chisquare_pvalue(obs, exp):
+    """Chi-square p-value over click numbers, bins pooled so each expects >= 5.
+
+    Bins expecting fewer than 5 counts are pooled; a pool still below 5
+    joins the last well-filled bin.
+    """
+    assert not np.any(obs[exp == 0])
+    big = np.flatnonzero(exp >= 5)
+    f_obs, f_exp = obs[big].astype(float), exp[big]
+    small = exp < 5
+    if exp[small].sum() >= 5:
+        f_obs = np.append(f_obs, obs[small].sum())
+        f_exp = np.append(f_exp, exp[small].sum())
+    else:
+        f_obs[-1] += obs[small].sum()
+        f_exp[-1] += exp[small].sum()
+    if f_exp.size < 2:  # a single outcome: every pulse must show it
+        return float(f_obs[0] == round(f_exp[0]))
+    return sps.chisquare(f_obs, f_exp).pvalue
 
 
 class TestPulseTrain:
@@ -21,6 +45,42 @@ class TestPulseTrain:
         stream = sim.simulate_pulse_train(st.fock(1), IDEAL, train, seed=1)
         assert stream.n_clicks == 20000
         assert np.all(stream.counts_per_pulse(20000) == 1)
+
+    @pytest.mark.parametrize("spec", [
+        "thermal:1", "coherent:0.5", "fock:3", "mix:0.3*thermal:0.5+0.7*fock:2"])
+    @pytest.mark.parametrize("s", [0.3, 1.0])
+    def test_click_numbers_follow_thinned_distribution(self, spec, s):
+        # clicks per pulse are distributed as P_n behind a binomial loss s
+        n = 60000
+        state = st.parse_state_spec(spec)
+        train = sim.PulseTrainConfig(n, PERIOD, MODE)
+        stream = sim.simulate_pulse_train(state, sim.DetectorModel(efficiency=s),
+                                          train, seed=1)
+        expected = n * st.binomial_loss_pn(state.pn, s)
+        obs = np.bincount(stream.counts_per_pulse(n), minlength=expected.size)
+        assert obs.size == expected.size
+        assert _chisquare_pvalue(obs, expected) > 0.01
+
+    @pytest.mark.parametrize("state,det,per_pulse", [
+        (st.thermal(2.0), sim.DetectorModel(efficiency=0.0), 0),
+        (st.fock(0), IDEAL, 0),
+        (st.fock(2), IDEAL, 2),
+    ], ids=["efficiency0", "fock0", "fock2"])
+    def test_exact_clicks_per_pulse(self, state, det, per_pulse):
+        n = 3 * sim._PULSE_BLOCK
+        train = sim.PulseTrainConfig(n, PERIOD, MODE)
+        stream = sim.simulate_pulse_train(state, det, train, seed=4)
+        assert np.all(stream.counts_per_pulse(n) == per_pulse)
+
+    def test_arrival_envelope_built_once_per_train(self, monkeypatch):
+        calls = []
+        grid = md._grid
+        monkeypatch.setattr(md, "_grid", lambda mode: calls.append(mode) or grid(mode))
+        mode = md.hermite_gauss_mode(1, WIDTH)
+        train = sim.PulseTrainConfig(3 * sim._PULSE_BLOCK, 25e-9, mode)
+        stream = sim.simulate_pulse_train(st.coherent(0.5), IDEAL, train, seed=2)
+        assert stream.n_clicks > 0
+        assert len(calls) == 1
 
     def test_total_counts_band(self):
         # binomially thinned Poisson: mean N s mu, checked at 5 sigma over seeds
@@ -39,12 +99,13 @@ class TestPulseTrain:
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.pulse_index, b.pulse_index)
 
-    def test_block_prefix_invariance(self):
+    @pytest.mark.parametrize("det", [IDEAL, JITTERED], ids=["ideal", "jittered"])
+    def test_block_prefix_invariance(self, det):
         # whole pulse blocks click the same whatever follows them
         short = sim.PulseTrainConfig(2 * sim._PULSE_BLOCK, PERIOD, MODE)
         longer = sim.PulseTrainConfig(3 * sim._PULSE_BLOCK + 5000, PERIOD, MODE)
-        a = sim.simulate_pulse_train(st.thermal(1.0), IDEAL, short, seed=9)
-        b = sim.simulate_pulse_train(st.thermal(1.0), IDEAL, longer, seed=9)
+        a = sim.simulate_pulse_train(st.thermal(1.0), det, short, seed=9)
+        b = sim.simulate_pulse_train(st.thermal(1.0), det, longer, seed=9)
         head = b.pulse_index < short.num_pulses
         assert 0 < a.n_clicks < b.n_clicks
         np.testing.assert_array_equal(a.times, b.times[head])
@@ -130,6 +191,40 @@ class TestPulseTrain:
         assert meta["state"] == "coherent:0.5"
         assert meta["mode"] == MODE.label
         assert meta["train"] == {"num_pulses": 100, "repetition_period": PERIOD}
+
+
+class TestStationaryPoisson:
+    def test_dead_time_and_jitter_applied(self):
+        det = sim.DetectorModel(timing_jitter_sigma=1e-9, dead_time=1e-6)
+        stream = sim.simulate_stationary_poisson(1e6, 0.01, seed=3, detector=det)
+        assert stream.n_clicks > 1000
+        assert np.min(np.diff(stream.times)) >= 1e-6
+        assert stream.metadata["detector"] == {
+            "efficiency": 1.0, "timing_jitter_sigma": 1e-9, "dead_time": 1e-6}
+
+    @pytest.mark.parametrize("det", [None, IDEAL, sim.DetectorModel(efficiency=0.3)])
+    def test_ideal_timing_stream_unchanged(self, det):
+        # the stream before the shared finisher: one Poisson total, sorted uniforms
+        rng = block_generator(derive_roots(7)[0], 0)
+        s = det.efficiency if det is not None else 1.0
+        total = int(rng.poisson(1e5 * s * 0.1))
+        reference = np.sort(rng.random(total)) * 0.1
+        stream = sim.simulate_stationary_poisson(1e5, 0.1, seed=7, detector=det)
+        np.testing.assert_array_equal(stream.times, reference)
+        assert np.all(stream.pulse_index == -1)
+
+
+def test_sidecar_records_package_version(tmp_path):
+    train = sim.PulseTrainConfig(100, PERIOD, MODE)
+    stream = sim.simulate_pulse_train(st.coherent(0.5), IDEAL, train, seed=8)
+    pg.write_stream(stream, tmp_path / "s.bin", fmt="binary")
+    assert pg.read_stream(tmp_path / "s.bin").metadata["pulseg2"] == pg.__version__
+
+
+def test_package_version_matches_project():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == pg.__version__
 
 
 class TestDetectorValidation:

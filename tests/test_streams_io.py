@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,3 +107,15 @@ def test_sidecar_click_count_checked(tmp_path, fmt):
     side.write_text(json.dumps(meta))
     with pytest.raises(StreamFormatError, match="n_clicks"):
         read_stream(path)
+
+
+@pytest.mark.parametrize("parse,prefix", [
+    (pg.parse_state_spec, "pn:"),
+    (pg.parse_mode_spec, "sampled:"),
+])
+def test_one_column_table_names_its_path(tmp_path, parse, prefix):
+    # pn: and sampled: specs share one CSV table reader
+    path = tmp_path / "table.csv"
+    path.write_text("x\n0\n1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected columns")):
+        parse(f"{prefix}{path}")
