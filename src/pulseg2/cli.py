@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ from . import estimate as _est
 from . import modes as _modes
 from . import simulate as _sim
 from . import states as _states
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_settings
 from .errors import ConfigError, EstimationError, StreamFormatError
 from .streams import read_stream, sidecar_path, write_stream
 
@@ -91,23 +92,26 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     stream = read_stream(args.stream, sidecar=getattr(args, "sidecar", None))
-    cfg = ExperimentConfig.from_file(args.config) if args.config else None
-    bin_width = args.bin_width or (cfg.bin_width if cfg else None)
-    max_tau = args.max_tau or (cfg.max_tau if cfg else None)
-    report_path = args.out or (cfg.out_report if cfg else "report.json")
+    # the keys a file or flag sets override the sidecar; defaults never do
+    given = read_settings(args.config) if args.config else {}
+    flags = {"mode_spec": args.mode, "num_pulses": args.pulses}
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = ExperimentConfig(**given)
+    cfg.validate()
+    bin_width = args.bin_width or cfg.bin_width
+    max_tau = args.max_tau or cfg.max_tau
+    report_path = args.out or cfg.out_report
 
     if not stream.is_pulsed:
-        return _analyze_stationary(stream, bin_width, max_tau, report_path, cfg)
+        return _analyze_stationary(stream, bin_width, max_tau, report_path,
+                                   given.get("spectral_bandwidth"))
 
-    mode = _modes.parse_mode_spec(args.mode) if args.mode else \
-        (cfg.mode() if cfg else None)
-    num_pulses = args.pulses or (cfg.num_pulses if cfg else None)
-    report = _est.analyze_stream(stream, num_pulses=num_pulses, mode=mode,
-                                 bin_width=bin_width, max_tau=max_tau)
+    mode = cfg.mode() if "mode_spec" in given else None
+    report = _est.analyze_stream(stream, num_pulses=given.get("num_pulses"),
+                                 mode=mode, bin_width=bin_width, max_tau=max_tau)
     report.to_json(report_path)
-    hist_path = cfg.out_histogram if cfg else "histogram.csv"
-    if hist_path and report.histogram is not None:
-        report.histogram.to_csv(hist_path,
+    if cfg.out_histogram and report.histogram is not None:
+        report.histogram.to_csv(cfg.out_histogram,
                                 expected=_expected_counts(stream, report.histogram))
     print(f"wrote report to {report_path}")
     for line in json.loads(report.to_json()).items():
@@ -130,9 +134,9 @@ def _expected_counts(stream, hist):
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
-def _analyze_stationary(stream, bin_width, max_tau, report_path, cfg) -> int:
+def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> int:
     meta = stream.metadata.get("stationary", {})
-    bandwidth = meta.get("spectral_bandwidth") or (cfg.spectral_bandwidth if cfg else None)
+    bandwidth = meta.get("spectral_bandwidth") or bandwidth
     if bin_width is None:
         if bandwidth is None:
             raise EstimationError("stationary analysis needs --bin-width "
@@ -147,12 +151,12 @@ def _analyze_stationary(stream, bin_width, max_tau, report_path, cfg) -> int:
             stream, bin_width, max_tau, base_from,
             block_length=None if bandwidth else 50 * bin_width)
     except EstimationError:
-        g2_zero, g2_sigma = curve.peak_to_baseline(base_from), None
+        g2_zero, g2_sigma = curve.peak_to_baseline(base_from), math.inf
     summary = {
         "pc_peak_per_second": float(curve.pc[0]),
         "pc_baseline_per_second": curve.baseline(base_from),
         "g2_zero": g2_zero,
-        "g2_zero_sigma": g2_sigma,
+        "g2_zero_sigma": g2_sigma if math.isfinite(g2_sigma) else None,
         "excess_fwhm_seconds": curve.excess_fwhm(base_from),
         "total_clicks": curve.total_clicks,
     }

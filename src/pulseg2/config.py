@@ -17,7 +17,7 @@ from . import states as _states
 from .errors import ConfigError
 from .simulate import DetectorModel, PulseTrainConfig, StationaryThermalConfig
 
-__all__ = ["ExperimentConfig"]
+__all__ = ["ExperimentConfig", "read_settings"]
 
 
 def _opt_float(text):
@@ -56,6 +56,31 @@ _SCHEMA = {
 _ATTR_TO_KEY = {attr: sk for sk, (attr, _) in _SCHEMA.items()}
 
 
+def read_settings(path) -> dict:
+    """Parsed values of the keys an INI file sets, by attribute name.
+
+    Keys the file leaves out are absent, unlike in `ExperimentConfig.from_file`.
+    """
+    parser = configparser.ConfigParser()
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    values = {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            entry = _SCHEMA.get((section, key))
+            if entry is None:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            attr, parse = entry
+            try:
+                values[attr] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     kind: str = "pulsed"
@@ -82,23 +107,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        try:
-            with open(path) as fh:
-                parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        cfg = cls()
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                entry = _SCHEMA.get((section, key))
-                if entry is None:
-                    raise ConfigError(f"[{section}] {key}: unknown key")
-                attr, parse = entry
-                try:
-                    setattr(cfg, attr, parse(raw))
-                except ValueError as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        cfg = cls(**read_settings(path))
         cfg.validate()
         return cfg
 

@@ -36,7 +36,6 @@ from . import modes as _modes
 from . import simulate as _simulate
 from . import states as _states
 from .errors import EstimationError
-from .rngutil import block_generator, derive_roots
 from .streams import ClickStream
 
 __all__ = [
@@ -56,9 +55,6 @@ __all__ = [
     "stationary_g2_zero",
     "analyze_stream",
 ]
-
-_BOOT_CHUNK = 1 << 20   # bootstrap block indices drawn per call
-
 
 @dataclass(frozen=True, eq=False)
 class TauHistogram:
@@ -118,22 +114,24 @@ def _pairs(keys, reach=None):
         d += 1
 
 
-def _block_bootstrap(stats, n_boot, rng):
-    """Replicate sums of per-block statistics under block resampling.
+def _linearized_sigma(grad, stats, weights=None):
+    """One-sigma spread of R = f(T), T the column sums of ``stats``.
 
-    ``stats`` is (k, n_blocks); the result is (k, n_boot), column r
-    summing the blocks in row r of ``rng.integers(0, n_blocks,
-    (n_boot, n_blocks))``.  The rows are drawn a chunk of about
-    ``_BOOT_CHUNK`` indices at a time, which gives the same indices as
-    the single draw without holding them all.
+    ``stats`` is (k, units) with one column per independent unit (a
+    pulse, a block of pulses, a time block), optionally ``weights``
+    copies of each column, and ``grad`` is the gradient of f at the
+    observed T.  The result, sqrt(sum_u w_u (grad . (x_u - x_mean))^2),
+    is the root of the delta-method (infinitesimal-jackknife) variance
+    that resampling the units estimates by Monte Carlo.  Fewer than two
+    units give inf.
     """
-    n_blocks = stats.shape[1]
-    rows = max(_BOOT_CHUNK // n_blocks, 1)
-    out = np.empty((stats.shape[0], n_boot))
-    for lo in range(0, n_boot, rows):
-        pick = rng.integers(0, n_blocks, size=(min(rows, n_boot - lo), n_blocks))
-        out[:, lo:lo + pick.shape[0]] = np.take(stats, pick, axis=1).sum(axis=2)
-    return out
+    w = np.ones(stats.shape[1]) if weights is None else weights
+    n_units = float(w.sum())
+    if n_units < 2:
+        return math.inf
+    proj = np.asarray(grad) @ stats
+    dev = proj - float(w @ proj) / n_units
+    return math.sqrt(float(w @ dev**2))
 
 
 def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
@@ -293,50 +291,39 @@ def recover_g2q_general(stream: ClickStream, hist: TauHistogram,
     return scale * val, scale * sigma
 
 
-def _num_pulses(train) -> int:
-    if isinstance(train, _simulate.PulseTrainConfig):
-        return train.num_pulses
-    return int(train)
-
-
-def pn_histogram_g2q(stream: ClickStream, train, n_boot: int = 300, seed: int = 0):
+def pn_histogram_g2q(stream: ClickStream, train):
     """g2q from the per-pulse click-number histogram.
 
     Independent loss rescales the first and second factorial moments by s
     and s^2, so their ratio is the source g2q regardless of detector
     efficiency.  The histogram is counted over the clicks' pulse indices
     (the empty pulses are the rest of N), so it costs O(clicks), not
-    O(pulses).  The uncertainty is a bootstrap over pulses (multinomial
-    resampling of the histogram).
+    O(pulses).  The estimate is N F / M^2 with F the summed m(m-1) and M
+    the summed m over the pulses' click numbers m; its uncertainty is the
+    linearized spread of that ratio over independent pulses.
     """
-    n_pulses = _num_pulses(train)
+    n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
+                else int(train))
     p = stream.pulse_index
     if not p.size:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
     if p.min() < 0 or p.max() >= n_pulses:
-        raise ValueError("pulse indices outside [0, num_pulses)")
+        raise EstimationError(
+            f"pulse indices span [{p.min()}, {p.max()}], outside [0, N) "
+            f"for N = {n_pulses} pulses")
     m = np.unique(p, return_counts=True)[1]     # clicks of each non-empty pulse
     hist = np.bincount(m).astype(float)
     hist[0] = n_pulses - m.size
     nn = np.arange(hist.size, dtype=float)
     pair_w = nn * (nn - 1.0)
-
-    def ratio(h):
-        nbar = (nn @ h.T) / n_pulses
-        return (pair_w @ h.T) / n_pulses / nbar**2
-
-    val = float(ratio(hist))
-    rng = block_generator(derive_roots(seed)[3], 0)
-    reps = rng.multinomial(n_pulses, hist / n_pulses, size=n_boot).astype(float)
-    means = nn @ reps.T
-    good = means > 0
-    boot = (pair_w @ reps.T)[good] * n_pulses / means[good] ** 2
-    sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
-    return val, sigma
+    pairs, clicks = pair_w @ hist, nn @ hist
+    val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
+    grad = (n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
+    return val, _linearized_sigma(grad, np.vstack([pair_w, nn]), hist)
 
 
 def g2_sidepeak(stream: ClickStream, train, window: float,
-                n_side: int = 3, n_boot: int = 300, seed: int = 0):
+                n_side: int = 3):
     """g2q from side-peak normalization of a pulse-train pair histogram.
 
     The central coincidence count (unordered same-pulse pairs with
@@ -344,7 +331,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     k * repetition_period for k = 1..n_side.  For statistically
     independent pulses the expectation is exactly g2q; the factor 2 and
     the N/(N-k) weights compensate the unordered-pair convention and the
-    finite train length.  Uncertainty via block bootstrap over pulses.
+    finite train length.  The uncertainty is the linearized spread of
+    that ratio over at most 200 contiguous blocks of pulses.
     """
     if not isinstance(train, _simulate.PulseTrainConfig):
         raise TypeError("g2_sidepeak needs the PulseTrainConfig of the stream")
@@ -358,7 +346,7 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     if stream.n_clicks and stream.pulse_index.min() < 0:
         raise ValueError("g2_sidepeak requires a pulsed stream")
 
-    # pair counts per bootstrap block of the first click's pulse:
+    # pair counts per block of the first click's pulse:
     # row 0 central, row k side peak k
     n_blocks = min(200, n_pulses)
     t = stream.times
@@ -378,23 +366,13 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
             .reshape(n_side, n_blocks)
 
     corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))
-
-    def statistic(c_tot, s_tot):
-        s_mean = float(np.mean(s_tot * corr))
-        if s_mean <= 0:
-            return math.nan
-        return 2.0 * c_tot / s_mean
-
     totals = stats.sum(axis=1)
-    val = statistic(float(totals[0]), totals[1:])
-    if math.isnan(val):
+    s_mean = float(np.mean(totals[1:] * corr))
+    if s_mean <= 0:
         raise EstimationError("no side-peak pairs found; stream too sparse")
-
-    reps = _block_bootstrap(stats, n_boot, block_generator(derive_roots(seed)[3], 1))
-    boot = np.array([statistic(c, s) for c, s in zip(reps[0], reps[1:].T)])
-    boot = boot[np.isfinite(boot)]
-    sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
-    return val, sigma
+    val = 2.0 * float(totals[0]) / s_mean
+    grad = np.concatenate([[2.0 / s_mean], -val * corr / (n_side * s_mean)])
+    return val, _linearized_sigma(grad, stats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,16 +410,16 @@ class ConditionalProbabilityCurve:
 
 
 def stationary_g2_zero(stream: ClickStream, bin_width: float, max_tau: float,
-                       baseline_from: float, block_length: float | None = None,
-                       n_boot: int = 300, seed: int = 0):
-    """g2(0) of a stationary stream with a block-bootstrap uncertainty.
+                       baseline_from: float, block_length: float | None = None):
+    """g2(0) of a stationary stream with a block-linearized uncertainty.
 
     The estimate is the central-bin pair density over the mean baseline
     density, which reduces to C0 * K / B with C0 the pairs below
     ``bin_width``, B the pairs with lag in [baseline_from, max_tau) and K
-    the number of baseline bins.  Blocks of ``block_length`` (default ten
-    field correlation times, read from the stream metadata) are resampled
-    to get an uncertainty that respects the intensity correlations.
+    the number of baseline bins.  The uncertainty is the linearized
+    spread of that ratio over time blocks of ``block_length`` (default ten
+    field correlation times, read from the stream metadata), so it
+    respects the intensity correlations; a single block gives inf.
     """
     if stream.n_clicks < 2:
         raise EstimationError("g2(0) undefined: need at least two clicks")
@@ -469,12 +447,7 @@ def stationary_g2_zero(stream: ClickStream, bin_width: float, max_tau: float,
     if base.sum() <= 0:
         raise EstimationError("no baseline pairs; increase max_tau or duration")
     val = float(central.sum() * k_base / base.sum())
-    c_rep, b_rep = _block_bootstrap(stats, n_boot,
-                                    block_generator(derive_roots(seed)[3], 2))
-    good = b_rep > 0
-    boot = c_rep[good] * k_base / b_rep[good]
-    sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
-    return val, sigma
+    return val, _linearized_sigma((k_base / base.sum(), -val / base.sum()), stats)
 
 
 def stationary_conditional_probability(stream: ClickStream, bin_width: float,
@@ -568,7 +541,7 @@ class CoherenceReport:
 def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
                    mode: _modes.TemporalMode | None = None,
                    state=None, bin_width: float | None = None,
-                   max_tau: float | None = None, seed: int = 0) -> CoherenceReport:
+                   max_tau: float | None = None) -> CoherenceReport:
     """Run the full pulsed estimation pipeline on one stream.
 
     Missing arguments are filled from the stream's sidecar metadata; a
@@ -644,10 +617,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         scale = num_pulses / eta0
         g2q_eta_val = (scale * g2p_val[0], scale * g2p_val[1])
 
-    try:
-        g2q_pn_val = pn_histogram_g2q(stream, num_pulses, seed=seed)
-    except EstimationError:
-        g2q_pn_val = (None, None)
+    g2q_pn, g2q_pn_sigma = pn_histogram_g2q(stream, num_pulses)
 
     return CoherenceReport(
         N=int(num_pulses), Ip=float(total),
@@ -655,7 +625,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         eta0_per_second=eta0,
         g2p=g2p_val[0], g2p_sigma=g2p_val[1],
         g2q_eta=g2q_eta_val[0], g2q_eta_sigma=g2q_eta_val[1],
-        g2q_pn=g2q_pn_val[0], g2q_pn_sigma=g2q_pn_val[1],
+        g2q_pn=g2q_pn, g2q_pn_sigma=g2q_pn_sigma,
         g2q_analytic=g2q_analytic,
         fitted_width_seconds=fitted if math.isfinite(fitted) else None,
         flags=flags, histogram=hist)

@@ -6,6 +6,10 @@ of work (a slab of pulses, a chunk of field samples) gets its own Philox
 generator keyed by (root, block index).  A block's draws therefore
 depend only on the seed and the block's position, never on how much
 other work the run contains.
+
+Root 0 drives the pulse blocks and the Poisson control source, roots 1
+and 2 the stationary field noise and its clicks, and root 3 the timing
+jitter only.  The estimators draw no random numbers.
 """
 
 from __future__ import annotations

@@ -216,13 +216,17 @@ def _pulse_block(cdf, sample_offsets, efficiency, period, lo, hi, root, block):
 def _dead_time_filter(pulse_idx, times, dead):
     if dead <= 0 or times.size == 0:
         return pulse_idx, times
+    # a click `dead` or more after its predecessor is always kept: walk the rest
     keep = np.ones(times.size, dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times):
-        if t - last < dead:
+    prev = -1
+    for i in (np.flatnonzero(np.diff(times) < dead) + 1).tolist():
+        if i - 1 != prev:           # click i - 1 opens the run and is kept
+            last = times[i - 1]
+        if times[i] - last < dead:
             keep[i] = False
         else:
-            last = t
+            last = times[i]
+        prev = i
     return pulse_idx[keep], times[keep]
 
 

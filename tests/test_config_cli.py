@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,59 @@ class TestAnalyzeCommand:
         assert summary["g2_zero"] == pytest.approx(2.0, abs=0.35)
         curve = (tmp_path / "summary_pc.csv").read_text().splitlines()
         assert curve[0] == "tau_seconds,pc_per_second"
+
+
+class TestAnalyzeConfigAndSidecar:
+    """An analyze config fills in only the keys it sets; the sidecar the rest."""
+
+    @pytest.fixture
+    def hg1_stream(self, tmp_path, monkeypatch):
+        _, path = write_cfg(tmp_path, state_spec="coherent:0.1", mode_spec="hg:1:5e-10",
+                            num_pulses=300000, stream_format="binary",
+                            out_stream=str(tmp_path / "stream.bin"))
+        assert cli.main(["simulate", "--config", path]) == 0
+        output_only = tmp_path / "output.ini"
+        output_only.write_text(f"[output]\nreport = {tmp_path / 'out.json'}\n")
+        monkeypatch.chdir(tmp_path)
+        return str(tmp_path / "stream.bin"), str(output_only)
+
+    def test_output_only_config_keeps_sidecar_pulses_and_mode(self, hg1_stream):
+        stream, ini = hg1_stream
+        assert cli.main(["analyze", stream, "--config", ini]) == 0
+        report = json.loads(open("out.json").read())
+        assert report["N"] == 300000
+        eta0 = md.eta_numeric(md.hermite_gauss_mode(1, 5e-10), 0.0)
+        assert report["eta0_per_second"] == pytest.approx(eta0, rel=1e-12)
+
+    def test_flags_still_override(self, hg1_stream):
+        stream, ini = hg1_stream
+        assert cli.main(["analyze", stream, "--config", ini, "--pulses", "400000",
+                         "--mode", "hg:1:6e-10"]) == 0
+        report = json.loads(open("out.json").read())
+        assert report["N"] == 400000
+        eta0 = md.eta_numeric(md.hermite_gauss_mode(1, 6e-10), 0.0)
+        assert report["eta0_per_second"] == pytest.approx(eta0, rel=1e-12)
+
+    def test_too_few_pulses_is_estimation_error(self, hg1_stream, capsys):
+        stream, ini = hg1_stream
+        assert cli.main(["analyze", stream, "--config", ini, "--pulses", "1000"]) == 3
+        assert "N = 1000 " in capsys.readouterr().err
+
+    def test_bad_mode_flag_is_config_error(self, hg1_stream, capsys):
+        stream, ini = hg1_stream
+        assert cli.main(["analyze", stream, "--config", ini, "--mode", "gauss:abc"]) == 1
+        assert "gauss:abc" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "pulseg2", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: pulseg2")
 
 
 class TestFigureCommand:

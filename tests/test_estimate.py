@@ -11,7 +11,6 @@ from pulseg2 import modes as md
 from pulseg2 import simulate as sim
 from pulseg2 import states as st
 from pulseg2.errors import EstimationError
-from pulseg2.rngutil import block_generator, derive_roots
 
 WIDTH = 1e-9
 PERIOD = 12.5e-9
@@ -293,6 +292,16 @@ class TestPnHistogram:
         with pytest.raises(EstimationError):
             est.pn_histogram_g2q(stream, 100)
 
+    def test_single_pulse_sigma_is_infinite(self):
+        stream = pg.ClickStream(np.zeros(3, np.int64), np.array([1e-9, 2e-9, 3e-9]),
+                                {"kind": "pulsed"})
+        assert est.pn_histogram_g2q(stream, 1) == (6.0 / 9.0, math.inf)
+
+    def test_index_beyond_train_names_n(self):
+        stream, _ = run_train(st.coherent(1.0), 5000, seed=22)
+        with pytest.raises(EstimationError, match="N = 1000 "):
+            est.pn_histogram_g2q(stream, 1000)
+
 
 class TestSidePeak:
     def test_coherent(self):
@@ -317,6 +326,25 @@ class TestSidePeak:
         stream, train = run_train(st.coherent(1.0), 3, seed=26)
         with pytest.raises(EstimationError, match="side"):
             est.g2_sidepeak(stream, train, window=3e-9, n_side=3)
+
+
+class TestCoverage:
+    """Pulls (estimate - truth) / sigma over seeds: calibrated sigmas give
+    mean ~ 0 and standard deviation ~ 1."""
+
+    @pytest.mark.parametrize("spec,truth", [("thermal:0.5", 2.0), ("coherent:1", 1.0)])
+    def test_pn_and_sidepeak_pulls(self, spec, truth):
+        state = st.parse_state_spec(spec)
+        pulls = {"pn": [], "sidepeak": []}
+        for seed in range(100):
+            stream, train = run_train(state, 100000, seed=seed, s=0.5)
+            val, sig = est.pn_histogram_g2q(stream, train)
+            pulls["pn"].append((val - truth) / sig)
+            val, sig = est.g2_sidepeak(stream, train, window=3e-9)
+            pulls["sidepeak"].append((val - truth) / sig)
+        for route, p in pulls.items():
+            assert abs(np.mean(p)) < 0.3, route
+            assert 0.8 <= np.std(p, ddof=1) <= 1.2, route
 
 
 class TestOrdering:
@@ -399,11 +427,12 @@ class TestAnalyzeStream:
         assert abs(report.g2q_eta - 1.0) < 3.5 * report.g2q_eta_sigma
 
 
-def composed_report(stream, n, mode, bin_width, max_tau, seed=0):
+def composed_report(stream, n, mode, bin_width, max_tau):
     """The report's numbers from public calls on the formulas of the
     separate routes: D(0) fitted per route, g2q_eta = N D0 / (Ip^2 eta(0)),
-    the pn histogram from per-pulse counts, eta(0) of a fitted width in
-    closed form."""
+    the pn histogram from per-pulse counts and its sigma as the
+    delta-method spread of N F / M^2 over those pulses, eta(0) of a fitted
+    width in closed form."""
     hist = est.tau_histogram(stream, bin_width, max_tau)
     fitted = est.fit_pulse_width(hist)
     hint = mode or md.gaussian_mode(fitted)
@@ -424,13 +453,12 @@ def composed_report(stream, n, mode, bin_width, max_tau, seed=0):
     nn = np.arange(h.size, dtype=float)
     pair_w = nn * (nn - 1.0)
     pn = float((pair_w @ h) / n / ((nn @ h) / n) ** 2)
-    rng = block_generator(derive_roots(seed)[3], 0)
-    reps = rng.multinomial(n, h / n, size=300).astype(float)
-    means = nn @ reps.T
-    good = means > 0
-    boot = (pair_w @ reps.T)[good] * n / means[good] ** 2
+    f, mm = float(np.sum(m * (m - 1.0))), float(np.sum(m))
+    per_pulse = np.column_stack([m * (m - 1.0), m])
+    centred = per_pulse - per_pulse.mean(axis=0)
+    lin = centred @ np.array([n / mm**2, -2.0 * n * f / mm**3])
     return dict(hist=hist, D0=(d0, sd), g2p=(g2p, g2p_sigma),
-                g2q_eta=(g2q_eta, g2q_eta_sigma), pn=(pn, float(np.std(boot, ddof=1))),
+                g2q_eta=(g2q_eta, g2q_eta_sigma), pn=(pn, math.sqrt(np.sum(lin**2))),
                 eta0=eta0 if mode else md.eta_gaussian(fitted, 0.0))
 
 
@@ -443,7 +471,8 @@ class TestAnalyzeStreamReference:
         assert np.array_equal(report.histogram.counts, ref["hist"].counts)
         assert (report.D0_per_second, report.D0_sigma) == ref["D0"]
         assert (report.g2p, report.g2p_sigma) == ref["g2p"]
-        assert (report.g2q_pn, report.g2q_pn_sigma) == ref["pn"]
+        assert report.g2q_pn == ref["pn"][0]
+        assert report.g2q_pn_sigma == pytest.approx(ref["pn"][1], rel=1e-12)
         assert (report.g2q_eta, report.g2q_eta_sigma) == pytest.approx(
             ref["g2q_eta"], rel=1e-12)
         assert report.eta0_per_second == pytest.approx(ref["eta0"], rel=eta0_rel, abs=0)

@@ -1,9 +1,12 @@
-"""The pair enumerator and block bootstrap against lag-walk references.
+"""The pair enumerator and the linearized sigmas against references.
 
 The four ``_ref_*`` functions below are the lag walks the estimators used
-before they shared one pair enumerator and one bootstrap helper, kept
-verbatim.  Histogram counts, the side-peak (value, sigma) and the
-stationary g2(0) (value, sigma) must equal them exactly.
+before they shared one pair enumerator, kept verbatim up to their value
+and per-block pair counts.  Histogram counts and the side-peak and
+stationary g2(0) values must equal them exactly; each sigma must equal
+the delta-method spread recomputed here from the reference's per-block
+counts, and agree with a many-replicate block bootstrap of the same
+blocks.
 """
 
 import math
@@ -18,7 +21,6 @@ from pulseg2 import modes as md
 from pulseg2 import simulate as sim
 from pulseg2 import states as st
 from pulseg2.errors import EstimationError
-from pulseg2.rngutil import block_generator, derive_roots
 from pulseg2.streams import ClickStream
 
 PERIOD = 12.5e-9
@@ -65,7 +67,7 @@ def _ref_bin_pairs_all(times, edges):
     return counts
 
 
-def _ref_g2_sidepeak(stream, train, window, n_side=3, n_boot=300, seed=0):
+def _ref_g2_sidepeak(stream, train, window, n_side=3):
     period = train.repetition_period
     n_pulses = train.num_pulses
     if not 0 < window <= period / 2:
@@ -116,17 +118,11 @@ def _ref_g2_sidepeak(stream, train, window, n_side=3, n_boot=300, seed=0):
     sb = np.column_stack([
         np.bincount(block_of, weights=side[:, j], minlength=n_blocks)
         for j in range(n_side)])
-    rng = block_generator(derive_roots(seed)[3], 1)
-    pick = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
-    boot = np.array([statistic(cb[rows].sum(), sb[rows].sum(axis=0))
-                     for rows in pick])
-    boot = boot[np.isfinite(boot)]
-    sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
-    return val, sigma
+    return val, cb, sb, corr
 
 
 def _ref_stationary_g2_zero(stream, bin_width, max_tau, baseline_from,
-                            block_length=None, n_boot=300, seed=0):
+                            block_length=None):
     if stream.n_clicks < 2:
         raise EstimationError("g2(0) undefined: need at least two clicks")
     if not 0 < bin_width <= baseline_from < max_tau:
@@ -158,20 +154,55 @@ def _ref_stationary_g2_zero(stream, bin_width, max_tau, baseline_from,
     if base.sum() <= 0:
         raise EstimationError("no baseline pairs; increase max_tau or duration")
     val = float(central.sum() * k_base / base.sum())
-    rng = block_generator(derive_roots(seed)[3], 2)
-    pick = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
-    c_rep = central[pick].sum(axis=1)
-    b_rep = base[pick].sum(axis=1)
-    good = b_rep > 0
-    boot = c_rep[good] * k_base / b_rep[good]
-    sigma = float(np.std(boot, ddof=1)) if boot.size > 1 else math.inf
-    return val, sigma
+    return val, central, base, k_base
+
+
+# ---------------------------------------------------------------------------
+# the two ways of spreading a ratio over blocks
+
+
+def _delta_sigma(grad, blocks):
+    """sqrt(sum over blocks of (grad . (x_b - mean x))^2), blocks as rows."""
+    centred = blocks - blocks.mean(axis=0)
+    return math.sqrt(float(np.sum((centred @ np.asarray(grad)) ** 2)))
+
+
+def _bootstrap_sigma(ratio, blocks, n_boot=4000, seed=0):
+    """Standard deviation of ``ratio`` over block-resampled column sums."""
+    rng = np.random.default_rng(seed)
+    n = blocks.shape[0]
+    reps = np.concatenate([
+        blocks[rng.integers(0, n, size=(250, n))].sum(axis=1)
+        for _ in range(n_boot // 250)])
+    return float(np.std(ratio(reps.T), ddof=1))
+
+
+def _sidepeak_ref_sigma(stream, train, window, n_side=3, bootstrap=False):
+    """The side-peak value and a sigma from the reference's block counts."""
+    val, cb, sb, corr = _ref_g2_sidepeak(stream, train, window, n_side=n_side)
+    blocks = np.column_stack([cb, sb])
+    if bootstrap:
+        return val, _bootstrap_sigma(
+            lambda x: 2.0 * x[0] / np.mean(x[1:] * corr[:, None], axis=0), blocks)
+    s_bar = float(np.mean(sb.sum(axis=0) * corr))
+    grad = np.concatenate([[2.0 / s_bar], -2.0 * cb.sum() * corr / (n_side * s_bar**2)])
+    return val, _delta_sigma(grad, blocks)
+
+
+def _g2_zero_ref_sigma(*args, bootstrap=False, **kwargs):
+    """The stationary g2(0) and a sigma from the reference's block counts."""
+    val, central, base, k_base = _ref_stationary_g2_zero(*args, **kwargs)
+    blocks = np.column_stack([central, base])
+    if bootstrap:
+        return val, _bootstrap_sigma(lambda x: x[0] * k_base / x[1], blocks)
+    c, b = central.sum(), base.sum()
+    return val, _delta_sigma((k_base / b, -c * k_base / b**2), blocks)
 
 
 def _outcome(fn, *args, **kwargs):
-    """Return value, or the exception type and message, for exact comparison."""
+    """First returned value, or the exception type and message."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args, **kwargs)[0]
     except (EstimationError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -254,17 +285,29 @@ def test_histograms_tiny_streams(name):
     _assert_histograms_match(TINY[name], 1e-10, 2 * PERIOD)
 
 
+def _assert_value_and_sigma(got, ref):
+    assert got[0] == ref[0]
+    assert got[1] == pytest.approx(ref[1], rel=1e-12)
+
+
 @pytest.mark.parametrize("window,n_side", [(3e-9, 3), (0.4 * PERIOD, 2), (PERIOD / 2, 5)])
 def test_sidepeak_jittered_thermal(jittered_thermal, window, n_side):
     stream, train = jittered_thermal
-    got = est.g2_sidepeak(stream, train, window, n_side=n_side, seed=4)
-    assert got == _ref_g2_sidepeak(stream, train, window, n_side=n_side, seed=4)
+    _assert_value_and_sigma(est.g2_sidepeak(stream, train, window, n_side=n_side),
+                            _sidepeak_ref_sigma(stream, train, window, n_side=n_side))
 
 
 def test_sidepeak_sparse_hg1(sparse_hg1):
     stream, train = sparse_hg1
-    got = est.g2_sidepeak(stream, train, 0.4 * PERIOD)
-    assert got == _ref_g2_sidepeak(stream, train, 0.4 * PERIOD)
+    _assert_value_and_sigma(est.g2_sidepeak(stream, train, 0.4 * PERIOD),
+                            _sidepeak_ref_sigma(stream, train, 0.4 * PERIOD))
+
+
+def test_sidepeak_sigma_matches_bootstrap(jittered_thermal):
+    stream, train = jittered_thermal
+    got = est.g2_sidepeak(stream, train, 3e-9)
+    ref = _sidepeak_ref_sigma(stream, train, 3e-9, bootstrap=True)
+    assert got[1] == pytest.approx(ref[1], rel=0.1)
 
 
 @pytest.mark.parametrize("name", sorted(TINY))
@@ -275,17 +318,31 @@ def test_sidepeak_tiny_streams(name):
 
 
 @pytest.mark.parametrize("args", [
-    (2e-8, 5e-6, 3e-6, None, 300),
-    (1e-8, 2e-6, 1e-6, 3e-6, 57),
-    (5e-8, 8e-6, 6e-6, 2e-7, 300),      # about 1e5 blocks: several draw chunks
+    (2e-8, 5e-6, 3e-6, None),
+    (1e-8, 2e-6, 1e-6, 3e-6),
+    (5e-8, 8e-6, 6e-6, 2e-7),      # about 1e5 blocks
 ])
 def test_g2_zero_stationary(stationary_stream, args):
-    bw, max_tau, base_from, block, n_boot = args
+    bw, max_tau, base_from, block = args
     got = est.stationary_g2_zero(stationary_stream, bw, max_tau, base_from,
-                                 block_length=block, n_boot=n_boot, seed=6)
-    ref = _ref_stationary_g2_zero(stationary_stream, bw, max_tau, base_from,
-                                  block_length=block, n_boot=n_boot, seed=6)
-    assert got == ref
+                                 block_length=block)
+    ref = _g2_zero_ref_sigma(stationary_stream, bw, max_tau, base_from,
+                             block_length=block)
+    _assert_value_and_sigma(got, ref)
+
+
+def test_g2_zero_sigma_matches_bootstrap(stationary_stream):
+    got = est.stationary_g2_zero(stationary_stream, 2e-8, 5e-6, 3e-6)
+    ref = _g2_zero_ref_sigma(stationary_stream, 2e-8, 5e-6, 3e-6, bootstrap=True)
+    assert got[1] == pytest.approx(ref[1], rel=0.1)
+
+
+def test_g2_zero_single_block_sigma_is_infinite(stationary_stream):
+    val, sigma = est.stationary_g2_zero(stationary_stream, 2e-8, 5e-6, 3e-6,
+                                        block_length=1.0)
+    assert val == _ref_stationary_g2_zero(stationary_stream, 2e-8, 5e-6, 3e-6,
+                                          block_length=1.0)[0]
+    assert sigma == math.inf
 
 
 @pytest.mark.parametrize("name", sorted(TINY))

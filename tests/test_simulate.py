@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import stats as sps
 
 import pulseg2 as pg
@@ -191,6 +193,34 @@ class TestPulseTrain:
         assert meta["state"] == "coherent:0.5"
         assert meta["mode"] == MODE.label
         assert meta["train"] == {"num_pulses": 100, "repetition_period": PERIOD}
+
+
+def _ref_dead_time_filter(pulse_idx, times, dead):
+    """The per-click walk the simulator used before it skipped wide gaps."""
+    if dead <= 0 or times.size == 0:
+        return pulse_idx, times
+    keep = np.ones(times.size, dtype=bool)
+    last = -math.inf
+    for i, t in enumerate(times):
+        if t - last < dead:
+            keep[i] = False
+        else:
+            last = t
+    return pulse_idx[keep], times[keep]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(hs.one_of(hs.integers(0, 40).map(float),
+                          hs.floats(0.0, 40.0, allow_subnormal=False)), max_size=60),
+       hs.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 7.0, 1e-9]))
+def test_dead_time_filter_matches_per_click_walk(values, dead):
+    # integer-valued times give ties and gaps exactly equal to the dead time
+    times = np.sort(np.asarray(values, dtype=float))
+    pulse_idx = np.arange(times.size, dtype=np.int64)
+    got = sim._dead_time_filter(pulse_idx, times, dead)
+    want = _ref_dead_time_filter(pulse_idx, times, dead)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 class TestStationaryPoisson:
