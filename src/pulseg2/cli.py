@@ -21,7 +21,7 @@ from . import estimate as _est
 from . import modes as _modes
 from . import simulate as _sim
 from . import states as _states
-from .config import ExperimentConfig, read_settings
+from .config import ExperimentConfig, _read_settings
 from .errors import ConfigError, EstimationError, StreamFormatError
 from .streams import read_stream, sidecar_path, write_stream
 
@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     stream = read_stream(args.stream, sidecar=getattr(args, "sidecar", None))
     # the keys a file or flag sets override the sidecar; defaults never do
-    given = read_settings(args.config) if args.config else {}
+    given = _read_settings(args.config) if args.config else {}
     flags = {"mode_spec": args.mode, "num_pulses": args.pulses}
     given.update((key, value) for key, value in flags.items() if value is not None)
     cfg = ExperimentConfig(**given)

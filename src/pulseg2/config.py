@@ -17,7 +17,7 @@ from . import states as _states
 from .errors import ConfigError
 from .simulate import DetectorModel, PulseTrainConfig, StationaryThermalConfig
 
-__all__ = ["ExperimentConfig", "read_settings"]
+__all__ = ["ExperimentConfig"]
 
 
 def _opt_float(text):
@@ -56,7 +56,7 @@ _SCHEMA = {
 _ATTR_TO_KEY = {attr: sk for sk, (attr, _) in _SCHEMA.items()}
 
 
-def read_settings(path) -> dict:
+def _read_settings(path) -> dict:
     """Parsed values of the keys an INI file sets, by attribute name.
 
     Keys the file leaves out are absent, unlike in `ExperimentConfig.from_file`.
@@ -107,7 +107,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cfg = cls(**read_settings(path))
+        cfg = cls(**_read_settings(path))
         cfg.validate()
         return cfg
 

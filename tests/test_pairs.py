@@ -162,7 +162,12 @@ def _ref_stationary_g2_zero(stream, bin_width, max_tau, baseline_from,
 
 
 def _delta_sigma(grad, blocks):
-    """sqrt(sum over blocks of (grad . (x_b - mean x))^2), blocks as rows."""
+    """sqrt(sum over blocks of (grad . (x_b - mean x))^2), blocks as rows.
+
+    A single block has no spread to measure: its sigma is inf.
+    """
+    if blocks.shape[0] < 2:
+        return math.inf
     centred = blocks - blocks.mean(axis=0)
     return math.sqrt(float(np.sum((centred @ np.asarray(grad)) ** 2)))
 
@@ -200,9 +205,9 @@ def _g2_zero_ref_sigma(*args, bootstrap=False, **kwargs):
 
 
 def _outcome(fn, *args, **kwargs):
-    """First returned value, or the exception type and message."""
+    """The returned (value, sigma), or the exception type and message."""
     try:
-        return fn(*args, **kwargs)[0]
+        return fn(*args, **kwargs)
     except (EstimationError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -243,6 +248,9 @@ TINY = {
     "one": _tiny([5e-9], [0]),
     "two_same_pulse": _tiny([5e-9, 6e-9], [0, 0]),
     "two_side_peak": _tiny([5e-9, 5e-9 + PERIOD], [0, 1]),
+    "pairs_in_two_blocks": _tiny(
+        [5e-9, 5.05e-9, 5e-9 + PERIOD, 5e-9 + 3 * PERIOD, 5e-9 + 4 * PERIOD],
+        [0, 0, 1, 3, 4]),
 }
 
 
@@ -290,6 +298,14 @@ def _assert_value_and_sigma(got, ref):
     assert got[1] == pytest.approx(ref[1], rel=1e-12)
 
 
+def _assert_same_outcome(got, ref):
+    """Equal value and sigma, or the same exception (see ``_outcome``)."""
+    if isinstance(ref[0], type):
+        assert got == ref
+    else:
+        _assert_value_and_sigma(got, ref)
+
+
 @pytest.mark.parametrize("window,n_side", [(3e-9, 3), (0.4 * PERIOD, 2), (PERIOD / 2, 5)])
 def test_sidepeak_jittered_thermal(jittered_thermal, window, n_side):
     stream, train = jittered_thermal
@@ -313,8 +329,8 @@ def test_sidepeak_sigma_matches_bootstrap(jittered_thermal):
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_sidepeak_tiny_streams(name):
     train = sim.PulseTrainConfig(10, PERIOD, md.gaussian_mode(1e-10))
-    got = _outcome(est.g2_sidepeak, TINY[name], train, 3e-9)
-    assert got == _outcome(_ref_g2_sidepeak, TINY[name], train, 3e-9)
+    _assert_same_outcome(_outcome(est.g2_sidepeak, TINY[name], train, 3e-9),
+                         _outcome(_sidepeak_ref_sigma, TINY[name], train, 3e-9))
 
 
 @pytest.mark.parametrize("args", [
@@ -348,8 +364,9 @@ def test_g2_zero_single_block_sigma_is_infinite(stationary_stream):
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_g2_zero_tiny_streams(name):
     args = (TINY[name], 1e-10, 2e-8, 1e-8)
-    got = _outcome(est.stationary_g2_zero, *args, block_length=1e-8)
-    assert got == _outcome(_ref_stationary_g2_zero, *args, block_length=1e-8)
+    _assert_same_outcome(
+        _outcome(est.stationary_g2_zero, *args, block_length=1e-8),
+        _outcome(_g2_zero_ref_sigma, *args, block_length=1e-8))
 
 
 # ---------------------------------------------------------------------------
