@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_float(text):
+    """argparse type of the estimator flags: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="experiment config file")
     sub.add_argument("--seed", type=int)
@@ -41,8 +49,8 @@ def _add_common(sub):
     sub.add_argument("--state", help="state spec, e.g. thermal:0.5")
     sub.add_argument("--mode", help="mode spec, e.g. gauss:1e-9")
     sub.add_argument("--out", help="output path (simulate/analyze) or directory (figure)")
-    sub.add_argument("--bin-width", type=float, dest="bin_width")
-    sub.add_argument("--max-tau", type=float, dest="max_tau")
+    sub.add_argument("--bin-width", type=_positive_float, dest="bin_width")
+    sub.add_argument("--max-tau", type=_positive_float, dest="max_tau")
 
 
 def _build_parser() -> _Parser:

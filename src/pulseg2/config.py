@@ -10,6 +10,7 @@ identity (floats are written with repr precision).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from . import modes as _modes
@@ -137,6 +138,11 @@ class ExperimentConfig:
             raise ConfigError("[run] kind: must be 'pulsed' or 'stationary'")
         if self.stream_format not in ("csv", "binary"):
             raise ConfigError("[output] format: must be 'csv' or 'binary'")
+        for attr in ("bin_width", "max_tau"):
+            value = getattr(self, attr)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"[estimator] {attr}: must be a finite number > 0, "
+                                  f"got {value!r}")
         # build every module-level object so bad values fail at load time
         self.state()
         self.mode()

@@ -17,6 +17,10 @@ v(t) ~ exp(-t^2 / 2 dt_p^2)), has the closed form
 eta(0) is the effective inverse pulse width; shrinking the pulse raises
 it, which is exactly the pulse-shape bunching the estimators in
 `estimate` have to divide out.
+
+Every parametric mode gets eta exactly from a small Gauss-Hermite rule
+(see `eta_numeric`); only sampled modes integrate on their sample grid,
+by composite Simpson's rule.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import eval_hermite
 
 from .streams import _read_table
 
@@ -45,9 +47,8 @@ __all__ = [
     "parse_mode_spec",
 ]
 
-# Quadrature grid: this step keeps composite-Simpson errors on smooth
-# Gaussian-type integrands a couple of orders below the 1e-8 relative
-# target for eta.
+# Grid of a parametric mode: the rejection envelope of the arrival sampler
+# and the tau range of `eta_profile`; no eta is integrated on it.
 _POINTS_PER_WIDTH = 400
 _REACH_WIDTHS = 8.0
 _MAX_HG_ORDER = 30
@@ -125,13 +126,13 @@ def sampled_mode(t, v, label: str | None = None) -> TemporalMode:
     if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
         raise ValueError("samples must be finite")
     intensity = np.abs(v) ** 2
-    norm = simpson(intensity, dx=h)
+    norm = _simpson(intensity, dx=h)
     if not norm > 0:
         raise ValueError("mode has zero energy")
     v = v / math.sqrt(norm)
     intensity = intensity / norm
-    mean = simpson(t * intensity, dx=h)
-    rms = math.sqrt(max(simpson((t - mean) ** 2 * intensity, dx=h), 0.0))
+    mean = _simpson(t * intensity, dx=h)
+    rms = math.sqrt(max(_simpson((t - mean) ** 2 * intensity, dx=h), 0.0))
     if rms <= 0:
         raise ValueError("degenerate intensity profile")
     if h > rms / 50.0:
@@ -154,14 +155,45 @@ def amplitude(mode: TemporalMode, t):
         im = np.interp(flat, mode.grid_t, mode.grid_v.imag, left=0.0, right=0.0)
         out = (re + 1j * im).reshape(arr.shape)
         return out if arr.ndim else complex(out)
-    x = (arr - mode.center) / mode.width
-    if mode.kind == "gaussian":
-        out = (math.pi * mode.width**2) ** (-0.25) * np.exp(-0.5 * x * x)
-    else:
-        norm = 1.0 / math.sqrt(2.0**mode.order * math.factorial(mode.order)
-                               * math.sqrt(math.pi) * mode.width)
-        out = norm * eval_hermite(mode.order, x) * np.exp(-0.5 * x * x)
+    out = _hg_amplitude(mode, (arr - mode.center) / mode.width)
     return out if arr.ndim else float(out)
+
+
+def _hermite(order: int, x):
+    """Physicists' Hermite polynomial H_order(x) = 2^(order/2) He_order(sqrt(2) x).
+
+    He is summed by its three-term recurrence from the top order down, the
+    order scipy.special.eval_hermite uses, so the values agree bit for bit.
+    """
+    y = math.sqrt(2.0) * np.asarray(x, dtype=float)
+    if order == 0:
+        return np.ones_like(y)
+    lower, upper = np.zeros_like(y), np.ones_like(y)
+    for k in range(order, 1, -1):
+        lower, upper = upper, y * upper - k * lower
+    return (y * upper - lower) * 2.0 ** (order / 2.0)
+
+
+def _gauss_hermite(m: int):
+    """Nodes and weights of the m-point rule for int f(u) exp(-u^2) du.
+
+    Golub & Welsch (Math. Comp. 23, 221 (1969)): the nodes are the
+    eigenvalues of the Jacobi matrix of the Hermite recurrence, polished by
+    one Newton step on H_m; the weights are 2^(m-1) m! sqrt(pi) / (m H_(m-1))^2.
+    """
+    off = np.sqrt(np.arange(1, m) / 2.0)
+    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    u -= _hermite(m, u) / (2.0 * m * _hermite(m - 1, u))
+    return u, 2.0 ** (m - 1) * math.factorial(m) * math.sqrt(math.pi) \
+        / (m * _hermite(m - 1, u)) ** 2
+
+
+def _hg_amplitude(mode: TemporalMode, x):
+    """Amplitude of a parametric mode at x = (t - center) / width."""
+    x = np.clip(x, -1e3, 1e3)  # exp(-x^2/2) is already 0 there; H stays finite
+    norm = 1.0 / math.sqrt(2.0**mode.order * math.factorial(mode.order)
+                           * math.sqrt(math.pi) * mode.width)
+    return norm * _hermite(mode.order, x) * np.exp(-0.5 * x * x)
 
 
 def intensity_profile(mode: TemporalMode, t):
@@ -172,7 +204,7 @@ def intensity_profile(mode: TemporalMode, t):
 
 
 def _grid(mode: TemporalMode):
-    """Uniform quadrature grid covering all the mode's intensity."""
+    """Uniform grid covering all the mode's intensity (a sampled mode's own samples)."""
     if mode.kind == "sampled":
         h = float(mode.grid_t[1] - mode.grid_t[0])
         return mode.grid_t, h
@@ -182,19 +214,62 @@ def _grid(mode: TemporalMode):
     return t, mode.width / _POINTS_PER_WIDTH
 
 
+def _simpson(y, dx=1.0, x=None):
+    """Composite Simpson's rule along the last axis, as scipy.integrate.simpson.
+
+    Samples are ``dx`` apart, or at the points ``x``.  An even number of
+    samples takes Simpson's rule on all but the last interval plus
+    Cartwright's three-point correction for that one.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
+    h = np.diff(x) if x is not None else np.full(max(n - 1, 0), float(dx))
+    w = np.zeros(n)
+    if n == 2:
+        w[:] = 0.5 * h[0]
+    else:
+        m = n - 1 if n % 2 else n - 2        # the panels cover intervals [0, m)
+        h0, h1 = h[0:m:2], h[1:m:2]
+        hs = h0 + h1
+        w[0:m:2] += hs / 6.0 * (2.0 - h1 / h0)
+        w[1:m:2] += hs / 6.0 * (hs * hs / (h0 * h1))
+        w[2:m + 1:2] += hs / 6.0 * (2.0 - h0 / h1)
+        if n % 2 == 0:
+            a, b = h[-2], h[-1]
+            w[-1] += (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b))
+            w[-2] += (b * b + 3.0 * a * b) / (6.0 * a)
+            w[-3] -= b**3 / (6.0 * a * (a + b))
+    return y @ w
+
+
 def eta_numeric(mode: TemporalMode, tau):
-    """Quadrature evaluation of eta(tau); accepts scalar or array tau."""
-    t, h = _grid(mode)
-    base = intensity_profile(mode, t)
-    denom = float(simpson(base, dx=h)) ** 2
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.empty(taus.size)
-    for i in range(0, taus.size, 256):
-        block = taus[i:i + 256, None] + t[None, :]
-        shifted = intensity_profile(mode, block)
-        out[i:i + 256] = simpson(shifted * base[None, :], dx=h, axis=-1)
-    out /= denom
-    return out if np.ndim(tau) else float(out[0])
+    """eta(tau) for scalar or array tau.
+
+    Exact for parametric modes: with x = (t - center)/width and
+    a = tau/width, |v(t)|^2 |v(t+tau)|^2 of an order-j mode is a polynomial
+    of degree 4j in u = sqrt(2)(x + a/2) times exp(-u^2 - a^2/2), so the
+    (2j+1)-node Gauss-Hermite rule in u integrates it exactly.  Sampled
+    modes integrate on their sample grid by Simpson's rule.
+    """
+    taus = np.asarray(tau, dtype=float)
+    if mode.kind == "sampled":
+        t, h = _grid(mode)
+        base = intensity_profile(mode, t)
+        flat = taus.ravel()
+        out = np.empty(flat.size)
+        for i in range(0, flat.size, 256):
+            shifted = intensity_profile(mode, flat[i:i + 256, None] + t[None, :])
+            out[i:i + 256] = _simpson(shifted * base, dx=h)
+        out = (out / _simpson(base, dx=h) ** 2).reshape(taus.shape)
+    else:
+        u, weights = _gauss_hermite(2 * mode.order + 1)
+        a = taus[..., None] / mode.width
+        x = u / math.sqrt(2.0) - a / 2.0
+        # each amplitude carries its own Gaussian factor, so the rule's weight
+        # exp(-u^2) is divided back out; every factor stays finite at any tau
+        pair = _hg_amplitude(mode, x) * _hg_amplitude(mode, x + a)
+        out = (pair * pair) @ (weights * np.exp(u * u)) * (mode.width / math.sqrt(2.0))
+    return out if taus.ndim else float(out)
 
 
 def eta_gaussian(delta_tp: float, tau):
@@ -215,11 +290,11 @@ class EtaProfile:
     eta: np.ndarray
 
     def integral(self) -> float:
-        return float(simpson(self.eta, x=self.tau))
+        return float(_simpson(self.eta, x=self.tau))
 
     def rms_width(self) -> float:
         # eta is symmetric about tau = 0, so no centering term
-        return math.sqrt(float(simpson(self.tau**2 * self.eta, x=self.tau))
+        return math.sqrt(float(_simpson(self.tau**2 * self.eta, x=self.tau))
                          / self.integral())
 
     def to_csv(self, path):

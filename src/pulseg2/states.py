@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
 from .streams import _read_table
 
@@ -115,7 +114,10 @@ def coherent(mean_n: float, label: str | None = None) -> QuantumState:
     else:
         hi = int(math.ceil(mean_n + 12.0 * math.sqrt(mean_n + 1.0) + 30.0))
         while True:
-            pn_full = _stats.poisson.pmf(np.arange(hi + 1), mean_n)
+            # Poisson pmf from its logarithm, so no factor overflows
+            n = np.arange(hi + 1, dtype=float)
+            log_n_factorial = np.array([math.lgamma(k + 1.0) for k in n])
+            pn_full = np.exp(n * math.log(mean_n) - log_n_factorial - mean_n)
             if (hi * hi + 1.0) * pn_full[-1] * hi < _TAIL_BUDGET * 1e-2:
                 break
             hi *= 2
@@ -249,15 +251,28 @@ def sample_photon_number(state: QuantumState, rng, size=None):
 
 
 def binomial_loss_pn(p, survival: float) -> np.ndarray:
-    """Distribution after each photon independently survives with probability ``survival``."""
+    """Distribution after each photon independently survives with probability ``survival``.
+
+    Sums P_k times the Binomial(k, s) pmf B_k over k, s = ``survival``.
+    B_k is stepped by Pascal's rule, B_{k+1}(m) = (1 - s) B_k(m) +
+    s B_k(m - 1), a convex combination, so no product like
+    C(k, m) (1 - s)^(k - m) is formed whose factors over- and underflow.
+    Only the window of B_k above 1e-300 is kept, so memory is O(size).
+    """
     if not 0.0 <= survival <= 1.0:
         raise ValueError("survival probability must lie in [0, 1]")
     p = np.asarray(p, dtype=float).ravel()
-    n = np.arange(p.size)
-    # mat[m, k] = P(m survivors | k photons); strictly lower-triangular in m > k
-    mat = _stats.binom.pmf(n[:, None], n[None, :], survival)
-    out = mat @ p
-    out = np.clip(out, 0.0, None)
+    out = np.zeros(p.size)
+    pmf, lo = np.ones(1), 0          # Binomial(k, survival) on lo .. lo + pmf.size - 1
+    for pk in p:
+        if pk:
+            out[lo:lo + pmf.size] += pk * pmf
+        step = np.zeros(pmf.size + 1)
+        step[:-1] = pmf * (1.0 - survival)
+        step[1:] += pmf * survival
+        keep = np.flatnonzero(step > 1e-300)
+        lo += keep[0]
+        pmf = step[keep[0]:keep[-1] + 1]
     return out / out.sum()
 
 

@@ -247,6 +247,56 @@ class TestAnalyzeConfigAndSidecar:
         assert "gauss:abc" in capsys.readouterr().err
 
 
+class TestAnalyzeEstimatorSettings:
+    """Bin width and max tau are finite and positive, from a flag or the INI."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("estimator")
+        _, path = write_cfg(tmp_path, num_pulses=2000)
+        assert cli.main(["simulate", "--config", path]) == 0
+        return str(tmp_path / "stream.csv")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--bin-width", "-1e-10"),
+        ("--bin-width", "0"),
+        ("--bin-width", "inf"),
+        ("--max-tau", "-1"),
+        ("--max-tau", "0"),
+        ("--max-tau", "nan"),
+    ])
+    def test_bad_flag_named(self, stream, tmp_path, capsys, flag, value):
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", stream, f"{flag}={value}", "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,key", [
+        ("bin_width = -1e-10", "bin_width"),
+        ("bin_width = 0", "bin_width"),
+        ("bin_width = nan", "bin_width"),
+        ("max_tau = -1", "max_tau"),
+        ("max_tau = 0", "max_tau"),
+        ("max_tau = inf", "max_tau"),
+    ])
+    def test_bad_ini_key_named(self, stream, tmp_path, capsys, text, key):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[estimator]\n{text}\n")
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", stream, "--config", str(ini), "--out", str(out)]) == 1
+        assert f"[estimator] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_good_values_still_used(self, stream, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # the default histogram CSV goes to the cwd
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", stream, "--bin-width", "1e-10", "--max-tau", "4e-9",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["N"] == 2000
+        centers = np.loadtxt(tmp_path / "histogram.csv", delimiter=",", skiprows=1)[:, 0]
+        assert centers[0] == pytest.approx(5e-11) and centers[-1] < 4e-9
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

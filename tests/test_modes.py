@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
+from scipy.special import eval_hermite
 
 from pulseg2 import modes as md
 
@@ -198,3 +199,81 @@ def test_eta_profile_csv_export(tmp_path):
     assert header == "tau_seconds,eta_per_second"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (101, 2)
+
+
+def simpson_eta_reference(mode, tau):
+    """The 256-tau Simpson sweep that computed eta before the Gauss-Hermite rule."""
+    t, h = md._grid(mode)
+    base = md.intensity_profile(mode, t)
+    denom = float(simpson(base, dx=h)) ** 2
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    out = np.empty(taus.size)
+    for i in range(0, taus.size, 256):
+        block = taus[i:i + 256, None] + t[None, :]
+        shifted = md.intensity_profile(mode, block)
+        out[i:i + 256] = simpson(shifted * base[None, :], dx=h, axis=-1)
+    out /= denom
+    return out if np.ndim(tau) else float(out[0])
+
+
+class TestGaussHermiteEta:
+    @pytest.mark.parametrize("mode", [
+        md.gaussian_mode(1e-9),
+        md.gaussian_mode(5e-10, center=2e-9),
+        md.hermite_gauss_mode(0, 1e-9),
+        md.hermite_gauss_mode(1, 5e-10),
+        md.hermite_gauss_mode(2, 1e-9, center=-3e-9),
+        md.hermite_gauss_mode(3, 0.7),
+        md.hermite_gauss_mode(7, 1e-9),
+        md.hermite_gauss_mode(30, 2e-10, center=1e-9),
+    ], ids=lambda m: m.label)
+    def test_matches_simpson_reference(self, mode):
+        t, _ = md._grid(mode)
+        span = t[-1] - t[0]
+        spread = mode.width * math.sqrt(2 * mode.order + 1)
+        tau = np.concatenate([np.linspace(-5 * spread, 5 * spread, 121),
+                              [0.3 * span, -0.6 * span, 0.95 * span]])
+        eta0 = simpson_eta_reference(mode, 0.0)
+        got = md.eta_numeric(mode, tau)
+        assert np.max(np.abs(got - simpson_eta_reference(mode, tau))) <= 1e-12 * eta0
+        assert md.eta_numeric(mode, 0.0) == pytest.approx(eta0, rel=1e-12)
+
+    def test_shape_follows_tau(self):
+        mode = md.hermite_gauss_mode(2, 1.0)
+        tau = np.linspace(-3, 3, 12).reshape(3, 4)
+        np.testing.assert_array_equal(md.eta_numeric(mode, tau),
+                                      md.eta_numeric(mode, tau.ravel()).reshape(3, 4))
+        assert isinstance(md.eta_numeric(mode, 0.5), float)
+
+    def test_far_tail_is_zero_not_nan(self):
+        mode = md.hermite_gauss_mode(30, 1.0)
+        far = md.eta_numeric(mode, np.array([50.0, 1e3, 1e5, 1e11]))
+        assert np.all(np.isfinite(far)) and np.all(far >= 0)
+        assert np.all(far[1:] == 0.0)
+        assert np.all(md.amplitude(mode, np.array([1e11, -1e300])) == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 15, 61])
+    def test_rule_matches_numpy_hermgauss(self, m):
+        u, w = md._gauss_hermite(m)
+        ref_u, ref_w = np.polynomial.hermite.hermgauss(m)
+        np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 30])
+    def test_hermite_matches_scipy(self, order):
+        x = np.concatenate([np.linspace(-40, 40, 2001),
+                            np.random.default_rng(order).normal(0, 3, 2000)])
+        np.testing.assert_array_equal(md._hermite(order, x), eval_hermite(order, x))
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 100, 101])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=(3, n)) + 2.0
+        x = np.cumsum(rng.uniform(0.5, 1.5, n))
+        for got, ref in [(md._simpson(y, dx=0.3), simpson(y, dx=0.3, axis=-1)),
+                         (md._simpson(y, x=x), simpson(y, x=x, axis=-1)),
+                         (md._simpson(y[0], x=np.linspace(-1, 2, n)),
+                          simpson(y[0], x=np.linspace(-1, 2, n)))]:
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)

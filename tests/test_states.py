@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from pulseg2 import states as st
 from pulseg2.rngutil import block_generator, derive_roots
@@ -245,3 +246,47 @@ def test_apply_loss_matches_binomial_oracle():
     lost = st.apply_loss(st.fock(3), s)
     expect = np.array([math.comb(3, m) * s**m * (1 - s) ** (3 - m) for m in range(4)])
     np.testing.assert_allclose(lost.pn, expect, rtol=1e-12)
+
+
+def dense_loss_reference(p, s):
+    """The dense (size x size) binomial matrix the thinning used to build."""
+    n = np.arange(p.size)
+    out = sps.binom.pmf(n[:, None], n[None, :], s) @ p
+    return out / out.sum()
+
+
+class TestBinomialLoss:
+    @pytest.mark.parametrize("state", [
+        st.thermal(1.0), st.coherent(3.0), st.fock(5),
+        st.parse_state_spec("mix:0.3*thermal:0.5+0.7*fock:2"),
+    ], ids=lambda s: s.label)
+    @pytest.mark.parametrize("s", [0.0, 1e-3, 0.3, 0.5, 0.999, 1.0])
+    def test_matches_dense_reference(self, state, s):
+        got = st.binomial_loss_pn(state.pn, s)
+        np.testing.assert_allclose(got, dense_loss_reference(state.pn, s),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [st.thermal, st.coherent], ids=["thermal", "coherent"])
+    @pytest.mark.parametrize("mean,s", [(0.5, 0.3), (4.0, 0.7), (30.0, 0.1)])
+    def test_thinned_family_stays_in_family(self, make, mean, s):
+        got = st.binomial_loss_pn(make(mean).pn, s)
+        ref = make(s * mean).pn
+        m = min(got.size, ref.size)
+        np.testing.assert_allclose(got[:m], ref[:m], rtol=0, atol=1e-10)
+        assert got[m:].sum() < 1e-10 and ref[m:].sum() < 1e-10
+
+    def test_thermal_1000_in_linear_memory(self):
+        pn = st.thermal(1000.0).pn
+        assert pn.size > 50000        # the dense matrix would need ~20 GiB
+        got = st.binomial_loss_pn(pn, 0.2)
+        ref = st.thermal(200.0).pn
+        np.testing.assert_allclose(got[:ref.size], ref, rtol=0, atol=1e-10)
+        assert st.g2q_from_pn(got) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("mean", [1e-3, 0.02, 0.5, 1.0, 3.0, 12.5, 100.0, 2500.0])
+def test_coherent_pn_matches_scipy_poisson(mean):
+    pn = st.coherent(mean).pn
+    ref = sps.poisson.pmf(np.arange(pn.size), mean)
+    np.testing.assert_allclose(pn, ref / ref.sum(), rtol=1e-10, atol=1e-300)
+    assert 1.0 - sps.poisson.cdf(pn.size - 1, mean) < 1e-13

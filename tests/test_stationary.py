@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import oaconvolve
 
 import pulseg2 as pg
 from pulseg2 import estimate as est
 from pulseg2 import simulate as sim
+from pulseg2.rngutil import block_generator, derive_roots
 
 BANDWIDTH = 1e6  # 1 MHz -> 1 us correlation time
 
@@ -132,3 +134,56 @@ class TestPoissonControl:
     def test_counts(self):
         stream = pg.simulate_stationary_poisson(1e4, 1.0, seed=46)
         assert abs(stream.n_clicks - 1e4) < 5 * math.sqrt(1e4)
+
+
+def oaconvolve_intensity_chunks(kernel, root_noise, n_grid):
+    """The field generator as it was with scipy.signal.oaconvolve."""
+    carry = np.zeros(kernel.size - 1, dtype=complex)
+    for c in range(0, (n_grid + sim._FIELD_CHUNK - 1) // sim._FIELD_CHUNK):
+        lo = c * sim._FIELD_CHUNK
+        length = min(sim._FIELD_CHUNK, n_grid - lo)
+        rng = block_generator(root_noise, c)
+        noise = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        y = oaconvolve(noise, kernel, mode="full")
+        if carry.size:
+            y[:carry.size] += carry
+        carry = y[length:]
+        seg = y[:length]
+        yield lo, (seg.real**2 + seg.imag**2)
+
+
+# default Gaussian and Lorentzian kernels, and one too long for the default FFT size
+FILTER_KERNELS = pytest.mark.parametrize(
+    "shape,timestep", [("gaussian", None), ("lorentzian", None), ("gaussian", 1e-9)],
+    ids=["gaussian", "lorentzian", "long_kernel"])
+
+
+class TestOverlapAddFilter:
+    @FILTER_KERNELS
+    @pytest.mark.parametrize("length", [50, 4000, 123457])
+    def test_matches_oaconvolve(self, shape, timestep, length):
+        cfg = sim.StationaryThermalConfig(1e5, BANDWIDTH, 1.0, field_timestep=timestep,
+                                          spectral_shape=shape)
+        kernel = sim._field_kernel(cfg, cfg.field_timestep)
+        nfft = 1 << (4 * kernel.size).bit_length()   # many blocks for short kernels
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        got = sim._overlap_add(x, np.fft.fft(kernel, nfft), kernel.size)
+        ref = oaconvolve(x, kernel, mode="full")
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    @FILTER_KERNELS
+    def test_chunks_match_oaconvolve_with_partial_last_chunk(self, monkeypatch, shape,
+                                                             timestep):
+        monkeypatch.setattr(sim, "_FIELD_CHUNK", 5000)
+        cfg = sim.StationaryThermalConfig(1e5, BANDWIDTH, 1.0, field_timestep=timestep,
+                                          spectral_shape=shape)
+        kernel = sim._field_kernel(cfg, cfg.field_timestep)
+        root = derive_roots(17)[1]
+        got = list(sim._field_intensity_chunks(cfg, kernel, root, 12345))
+        ref = list(oaconvolve_intensity_chunks(kernel, root, 12345))
+        assert [lo for lo, _ in got] == [lo for lo, _ in ref] == [0, 5000, 10000]
+        assert got[-1][1].size == 2345
+        for (_, a), (_, b) in zip(got, ref):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
