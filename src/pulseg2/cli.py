@@ -99,7 +99,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    stream = read_stream(args.stream, sidecar=getattr(args, "sidecar", None))
+    side = getattr(args, "sidecar", None) or sidecar_path(args.stream)
+    stream = read_stream(args.stream, sidecar=side)
     # the keys a file or flag sets override the sidecar; defaults never do
     given = _read_settings(args.config) if args.config else {}
     flags = {"mode_spec": args.mode, "num_pulses": args.pulses}
@@ -117,17 +118,18 @@ def _cmd_analyze(args) -> int:
     mode = cfg.mode() if "mode_spec" in given else None
     report = _est.analyze_stream(stream, num_pulses=given.get("num_pulses"),
                                  mode=mode, bin_width=bin_width, max_tau=max_tau)
-    report.to_json(report_path)
+    # the histogram first: a bad sidecar detector then leaves no report behind
     if cfg.out_histogram and report.histogram is not None:
         report.histogram.to_csv(cfg.out_histogram,
-                                expected=_expected_counts(stream, report.histogram))
+                                expected=_expected_counts(stream, report.histogram, side))
+    report.to_json(report_path)
     print(f"wrote report to {report_path}")
     for line in json.loads(report.to_json()).items():
         print(f"  {line[0]} = {line[1]}")
     return 0
 
 
-def _expected_counts(stream, hist):
+def _expected_counts(stream, hist, side):
     """Analytic overlay column when the generating config is in the sidecar."""
     meta = stream.metadata
     if not (meta.get("state") and meta.get("mode") and meta.get("train")):
@@ -137,7 +139,10 @@ def _expected_counts(stream, hist):
         mode = _modes.parse_mode_spec(meta["mode"])
     except (ValueError, OSError):
         return None
-    detector = _sim.DetectorModel(**meta.get("detector", {}))
+    try:
+        detector = _sim.DetectorModel(**meta.get("detector", {}))
+    except (TypeError, ValueError) as exc:
+        raise StreamFormatError(f"{side}: detector: {exc}") from exc
     n = meta["train"]["num_pulses"]
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 

@@ -66,7 +66,7 @@ def _read_settings(path) -> dict:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     values = {}
     for section in parser.sections():

@@ -58,13 +58,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TauHistogram:
-    """Uniformly binned counts of unordered click-pair time differences."""
+    """Uniformly binned counts of unordered click-pair time differences;
+    ``block_counts`` (blocks, bins) and ``block_clicks`` are each pulse
+    block's pairs and clicks (one block for ``all_pairs``), and ``counts``
+    is the sum of ``block_counts`` over blocks."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
     pairing_scope: str
     num_pulses: int | None
     total_clicks: int
+    block_counts: np.ndarray
+    block_clicks: np.ndarray
 
     @property
     def bin_width(self) -> float:
@@ -80,15 +85,12 @@ class TauHistogram:
 
     def to_csv(self, path, expected=None):
         """Write ``tau_seconds,count[,expected_analytic]`` rows."""
+        head, cols, fmt = "tau_seconds,count", [self.centers, self.counts], ["%.12g", "%d"]
+        if expected is not None:
+            head, cols, fmt = head + ",expected_analytic", cols + [expected], fmt + ["%.12g"]
         with open(path, "w") as fh:
-            if expected is None:
-                fh.write("tau_seconds,count\n")
-                np.savetxt(fh, np.column_stack([self.centers, self.counts]),
-                           fmt=("%.12g", "%d"), delimiter=",")
-            else:
-                fh.write("tau_seconds,count,expected_analytic\n")
-                np.savetxt(fh, np.column_stack([self.centers, self.counts, expected]),
-                           fmt=("%.12g", "%d", "%.12g"), delimiter=",")
+            fh.write(head + "\n")
+            np.savetxt(fh, np.column_stack(cols), fmt=fmt, delimiter=",")
 
 
 def _pairs(keys, reach=None):
@@ -134,6 +136,12 @@ def _linearized_sigma(grad, stats, weights=None):
     return math.sqrt(float(w @ dev**2))
 
 
+def _pulse_blocks(pulse_index, n_pulses):
+    """Block of each pulse index, at most 200 contiguous blocks, and their count."""
+    n_blocks = min(200, n_pulses)
+    return pulse_index * n_blocks // n_pulses, n_blocks
+
+
 def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
                   scope: str = "same_pulse") -> TauHistogram:
     """Histogram unordered pair time differences on tau in [0, max_tau).
@@ -141,7 +149,8 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     ``same_pulse`` pairs clicks sharing a pulse index (the D(tau)
     estimator); ``all_pairs`` pairs every click with every later click up
     to max_tau (side peaks, stationary analysis).  An empty stream yields
-    a valid all-zero histogram.
+    a valid all-zero histogram.  Same-pulse counts are also kept per pulse
+    block of the sidecar's ``num_pulses`` (else the largest index + 1).
     """
     if scope not in ("same_pulse", "all_pairs"):
         raise ValueError("scope must be 'same_pulse' or 'all_pairs'")
@@ -151,21 +160,30 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     edges = np.arange(nbins + 1) * bin_width
     if scope == "same_pulse" and stream.n_clicks and stream.pulse_index.min() < 0:
         raise ValueError("same_pulse scope requires a pulsed stream")
+    num_pulses = stream.metadata.get("train", {}).get("num_pulses")
     if scope == "same_pulse":
         order = np.lexsort((stream.times, stream.pulse_index))
-        times = stream.times[order]
-        pairs = _pairs(stream.pulse_index[order])
+        times, p = stream.times[order], stream.pulse_index[order]
+        n_pulses = max(num_pulses or 1, int(p.max(initial=0)) + 1)
+        block_of, n_blocks = _pulse_blocks(p, n_pulses)
+        block_clicks = np.bincount(block_of, minlength=n_blocks)
+        del block_of            # a click-sized array less during the pair walk
+        pairs = _pairs(p)
     else:
         # one bin of slack past the top edge: the bin index decides
-        times = stream.times
+        times, n_pulses, block_clicks = stream.times, None, np.array([stream.n_clicks])
         pairs = _pairs(times, edges[-1] + bin_width)
-    counts = np.zeros(nbins, dtype=np.int64)
+    flat = np.zeros(block_clicks.size * nbins, dtype=np.int64)
     for i, j in pairs:
         dt = times[j] - times[i]
         k = (dt / bin_width).astype(np.int64)
-        counts += np.bincount(k[(dt >= 0) & (k < nbins)], minlength=nbins)
-    num_pulses = stream.metadata.get("train", {}).get("num_pulses")
-    return TauHistogram(edges, counts, scope, num_pulses, stream.n_clicks)
+        keep = (dt >= 0) & (k < nbins)
+        if n_pulses is not None:        # the pulse block of a same-pulse pair
+            k += _pulse_blocks(p[i], n_pulses)[0] * nbins
+        flat += np.bincount(k[keep], minlength=flat.size)
+    block_counts = flat.reshape(block_clicks.size, nbins)
+    return TauHistogram(edges, block_counts.sum(axis=0), scope, num_pulses,
+                        stream.n_clicks, block_counts, block_clicks)
 
 
 def total_counts(stream: ClickStream) -> int:
@@ -188,64 +206,43 @@ def fit_pulse_width(hist: TauHistogram) -> float:
     return math.sqrt(max(m2, 0.0))
 
 
-def _quasi_poisson_dispersion(counts, fitted):
-    resid = (counts - fitted) ** 2 / np.maximum(fitted, 1.0)
-    dof = max(counts.size - 1, 1)
-    return max(float(resid.sum()) / dof, 1.0)
+def _eta_route(hist: TauHistogram, mode_hint, total):
+    """(D(0), sigma), (g2p, sigma) and eta(0) from one fit of the hint's
+    eta shape (else the Gaussian of the fitted width), Ip = ``total``.
+
+    D(0) = eta(0) shape.c / (bw shape.shape) is linear in the counts, so
+    the pulse blocks' shares of it sum to it, and both sigmas are the
+    linearized spreads over the blocks' (share, clicks).  An all-zero
+    histogram gives zeros with sigma inf, and eta(0) only with a hint.
+    """
+    if hist.pairing_scope != "same_pulse":
+        raise ValueError("estimate_D0 requires a same_pulse histogram")
+    if hist.is_empty:
+        eta0 = None if mode_hint is None else float(_modes.eta_numeric(mode_hint, 0.0))
+        return (0.0, math.inf), (0.0, math.inf), eta0
+    if mode_hint is None:
+        mode_hint = _modes.gaussian_mode(fit_pulse_width(hist))
+    eta = np.asarray(_modes.eta_numeric(mode_hint, np.concatenate([[0.0], hist.centers])))
+    eta0, shape = float(eta[0]), eta[1:]
+    denom = hist.bin_width * float(shape @ shape)
+    if denom <= 0:
+        raise EstimationError("mode hint gives a degenerate fit shape")
+    d0 = float(shape @ hist.counts.astype(float)) / denom * eta0
+    stats = np.vstack([(hist.block_counts @ shape) * (eta0 / denom), hist.block_clicks])
+    val = d0 / total**2
+    return ((d0, _linearized_sigma((1.0, 0.0), stats)),
+            (val, _linearized_sigma((1.0 / total**2, -2.0 * val / total), stats)), eta0)
 
 
 def estimate_D0(hist: TauHistogram, mode_hint: _modes.TemporalMode | None = None):
     """Pair density at zero time difference, (value, one-sigma uncertainty).
 
-    With a mode hint the known eta shape is least-squares fitted to the
-    histogram and evaluated at tau = 0; without one a quadratic in tau^2
-    is fitted to the innermost bins (the central-bin density with its
-    O(bin_width^2) bias removed).  An all-zero histogram returns
-    (0.0, inf), the infinite-relative-uncertainty flag.
+    The eta shape of the mode hint, else the Gaussian of the histogram's
+    fitted width, is least-squares fitted and read off at tau = 0.  The
+    sigma is the linearized spread over the histogram's pulse blocks (one
+    block gives inf); an all-zero histogram returns (0.0, inf).
     """
-    if hist.pairing_scope != "same_pulse":
-        raise ValueError("estimate_D0 requires a same_pulse histogram")
-    if hist.is_empty:
-        return 0.0, math.inf
-    bw = hist.bin_width
-    c = hist.counts.astype(float)
-    tau_c = hist.centers
-    if mode_hint is not None:
-        eta = np.asarray(_modes.eta_numeric(mode_hint, np.concatenate([[0.0], tau_c])))
-        eta0, shape = float(eta[0]), eta[1:]
-        denom = bw * float(shape @ shape)
-        if denom <= 0:
-            raise EstimationError("mode hint gives a degenerate fit shape")
-        amp = float(shape @ c) / denom
-        fitted = amp * shape * bw
-        var_amp = float((shape * shape) @ np.maximum(c, 1.0)) / denom**2
-        var_amp *= _quasi_poisson_dispersion(c, fitted)
-        return amp * eta0, math.sqrt(var_amp) * eta0
-    # fallback: weighted quadratic in tau^2 over the innermost bins
-    width = fit_pulse_width(hist)
-    k = int(np.searchsorted(tau_c, 0.6 * width)) if math.isfinite(width) else 0
-    k = min(max(k, 6), tau_c.size)
-    if k < 3:  # too few bins to resolve curvature: plain central-bin density
-        return c[0] / bw, math.sqrt(max(c[0], 1.0)) / bw
-    x = tau_c[:k] ** 2
-    y = c[:k] / bw
-    w = bw**2 / np.maximum(c[:k], 1.0)      # inverse variance of the densities
-    design = np.column_stack([np.ones(k), x])
-    wd = design * w[:, None]
-    cov = np.linalg.inv(design.T @ wd)
-    coef = cov @ (wd.T @ y)
-    fitted = (design @ coef) * bw
-    phi = _quasi_poisson_dispersion(c[:k], fitted)
-    d0 = float(coef[0])
-    sigma = math.sqrt(max(cov[0, 0] * phi, 0.0))
-    return d0, sigma
-
-
-def _g2p_from_D0(d0, sd, total):
-    val = d0 / total**2
-    if not math.isfinite(sd):
-        return val, math.inf
-    return val, math.hypot(sd / total**2, 2.0 * val / math.sqrt(total))
+    return _eta_route(hist, mode_hint, 1)[0]        # Ip does not enter D(0)
 
 
 def g2p(stream: ClickStream, hist: TauHistogram,
@@ -254,12 +251,14 @@ def g2p(stream: ClickStream, hist: TauHistogram,
 
     This is the correlation actually measured on a pulsed source; it is
     NOT the state coherence g2q but g2q * eta(0) / N, so it grows as the
-    pulses shrink and falls as the record gets longer.
+    pulses shrink and falls as the record gets longer.  D(0) is fitted as
+    in `estimate_D0`; the sigma spreads the ratio over the pulse blocks'
+    D(0) shares and clicks together, so it carries their correlation.
     """
     total = total_counts(stream)
     if total == 0:
         raise EstimationError("g2p undefined: stream has no clicks")
-    return _g2p_from_D0(*estimate_D0(hist, mode_hint), total)
+    return _eta_route(hist, mode_hint, total)[1]
 
 
 def recover_g2q_gaussian(stream: ClickStream, hist: TauHistogram,
@@ -348,10 +347,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
 
     # pair counts per block of the first click's pulse:
     # row 0 central, row k side peak k
-    n_blocks = min(200, n_pulses)
-    t = stream.times
-    p = stream.pulse_index
-    block_of = p * n_blocks // n_pulses
+    t, p = stream.times, stream.pulse_index
+    block_of, n_blocks = _pulse_blocks(p, n_pulses)
     stats = np.zeros((n_side + 1, n_blocks))
     # one window of slack past the last side-peak window
     for i, j in _pairs(t, n_side * period + 2.0 * window):
@@ -511,26 +508,14 @@ class CoherenceReport:
     histogram: TauHistogram | None = field(default=None, repr=False, compare=False)
 
     def to_json(self, path=None) -> str:
-        def clean(x):
-            if x is None or (isinstance(x, float) and not math.isfinite(x)):
-                return None
-            return x
-        payload = {
-            "g2q_analytic": clean(self.g2q_analytic),
-            "g2q_eta": clean(self.g2q_eta),
-            "g2q_eta_sigma": clean(self.g2q_eta_sigma),
-            "g2q_pn": clean(self.g2q_pn),
-            "g2q_pn_sigma": clean(self.g2q_pn_sigma),
-            "g2p": clean(self.g2p),
-            "g2p_sigma": clean(self.g2p_sigma),
-            "eta0_per_second": clean(self.eta0_per_second),
-            "Ip": self.Ip,
-            "N": self.N,
-            "D0_per_second": clean(self.D0_per_second),
-            "D0_sigma": clean(self.D0_sigma),
-            "fitted_width_seconds": clean(self.fitted_width_seconds),
-            "flags": list(self.flags),
-        }
+        keys = ("g2q_analytic", "g2q_eta", "g2q_eta_sigma", "g2q_pn", "g2q_pn_sigma",
+                "g2p", "g2p_sigma", "eta0_per_second", "Ip", "N", "D0_per_second",
+                "D0_sigma", "fitted_width_seconds")
+        values = {key: getattr(self, key) for key in keys}
+        # non-finite floats become null
+        payload = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for key, v in values.items()}
+        payload["flags"] = list(self.flags)
         text = json.dumps(payload, indent=2) + "\n"
         if path is not None:
             with open(path, "w") as fh:
@@ -548,12 +533,13 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     sidecar mode or state label that does not parse is skipped and
     flagged ``<key>_label_unparsed``.  One same-pulse histogram is built
     and D(0) is fitted once, with the mode as the shape hint, else the
-    Gaussian of the fitted width, else none; g2q_eta is g2p and its sigma
-    rescaled by N / eta(0) of that hint.  An empty stream produces a
-    flagged report rather than an error.  A warning is emitted when the
-    fitted width disagrees with a Gaussian mode hint by more than 10
-    percent, since the eta-corrected g2q scales linearly with the
-    assumed width.
+    Gaussian of the fitted width; the fit also gives eta(0), and the D(0)
+    and g2p sigmas spread over its pulse blocks.  g2q_eta is g2p and its
+    sigma rescaled by N / eta(0); a histogram without pairs gives zeros
+    with sigma inf.  An empty stream produces a flagged report rather
+    than an error.  A warning is emitted when the fitted width disagrees
+    with a Gaussian mode hint by more than 10 percent, since the
+    eta-corrected g2q scales linearly with the assumed width.
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -602,27 +588,18 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
             "with the assumed width", stacklevel=2)
         flags.append("width_mismatch")
 
-    hint = mode
-    if hint is None and math.isfinite(fitted) and fitted > 0:
-        hint = _modes.gaussian_mode(fitted)
-        flags.append("width_fitted_from_histogram")
-    elif hint is None:
-        flags.append("no_pairs_for_width_fit")
-
-    d0, sd = estimate_D0(hist, hint)
-    g2p_val = _g2p_from_D0(d0, sd, total)
-    eta0, g2q_eta_val = None, (None, None)
-    if hint is not None:
-        eta0 = float(_modes.eta_numeric(hint, 0.0))
-        scale = num_pulses / eta0
-        g2q_eta_val = (scale * g2p_val[0], scale * g2p_val[1])
+    if mode is None:
+        flags.append("no_pairs_for_width_fit" if hist.is_empty
+                     else "width_fitted_from_histogram")
+    (d0, sd), g2p_val, eta0 = _eta_route(hist, mode, total)
+    g2q_eta_val = (None, None) if eta0 is None else \
+        tuple(num_pulses / eta0 * v for v in g2p_val)
 
     g2q_pn, g2q_pn_sigma = pn_histogram_g2q(stream, num_pulses)
 
     return CoherenceReport(
         N=int(num_pulses), Ip=float(total),
-        D0_per_second=d0, D0_sigma=sd,
-        eta0_per_second=eta0,
+        D0_per_second=d0, D0_sigma=sd, eta0_per_second=eta0,
         g2p=g2p_val[0], g2p_sigma=g2p_val[1],
         g2q_eta=g2q_eta_val[0], g2q_eta_sigma=g2q_eta_val[1],
         g2q_pn=g2q_pn, g2q_pn_sigma=g2q_pn_sigma,

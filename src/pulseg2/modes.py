@@ -98,12 +98,9 @@ def hermite_gauss_mode(order: int, width: float, center: float = 0.0) -> Tempora
     """
     if order != int(order) or not 0 <= int(order) <= _MAX_HG_ORDER:
         raise ValueError(f"order must be an integer in [0, {_MAX_HG_ORDER}]")
-    width = float(width)
-    if not math.isfinite(width) or width <= 0:
-        raise ValueError("pulse width must be positive")
-    order = int(order)
-    lab = f"hg:{order}:{width:g}" + (f"@{center:g}" if center else "")
-    return TemporalMode("hermite_gauss", width, float(center), order, label=lab)
+    base = gaussian_mode(width, center)         # checks the width
+    return TemporalMode("hermite_gauss", base.width, base.center, int(order),
+                        label=_param_label(f"hg:{int(order)}", base.width, center))
 
 
 def sampled_mode(t, v, label: str | None = None) -> TemporalMode:

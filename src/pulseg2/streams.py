@@ -33,7 +33,15 @@ __all__ = [
 
 _HEADER = "pulse_index,time_seconds"
 _BINARY_DTYPE = np.dtype([("pulse_index", "<u8"), ("time_seconds", "<f8")])
-
+# the sidecar keys the readers use: the JSON types each may have, by name
+_NULL = type(None)
+_SIDECAR_TYPES = {
+    **dict.fromkeys(("train", "detector", "stationary"), (dict, "an object")),
+    **dict.fromkeys(("state", "mode"), ((str, _NULL), "a string or null")),
+    "train.num_pulses": ((int, _NULL), "an integer or null"),
+    **dict.fromkeys(("train.repetition_period", "stationary.spectral_bandwidth"),
+                    ((int, float, _NULL), "a number or null")),
+}
 
 @dataclass(frozen=True, eq=False)
 class ClickStream:
@@ -174,6 +182,17 @@ def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
     return idx, rec["time_seconds"].astype(float)
 
 
+def _check_sidecar(meta, side) -> None:
+    if not isinstance(meta, dict):
+        raise StreamFormatError(f"{side}: the sidecar must be a JSON object")
+    for key, (kind, name) in _SIDECAR_TYPES.items():
+        section, _, leaf = key.rpartition(".")
+        table = meta.get(section, {}) if section else meta
+        value = table.get(leaf)
+        if leaf in table and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise StreamFormatError(f"{side}: {key} must be {name}, got {json.dumps(value)}")
+
+
 def read_stream(path, sidecar: str | None = None) -> ClickStream:
     """Read a stream written by `write_stream`; the sidecar is optional."""
     path = str(path)
@@ -186,6 +205,7 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
         pass
     except json.JSONDecodeError as exc:
         raise StreamFormatError(f"{side}: invalid sidecar JSON: {exc}") from exc
+    _check_sidecar(meta, side)
     fmt = meta.get("format") or ("binary" if path.endswith(".bin") else "csv")
     idx, t = _read_binary(path) if fmt == "binary" else _read_csv(path)
     if "n_clicks" in meta and meta["n_clicks"] != idx.size:

@@ -348,6 +348,61 @@ class TestFigureCommand:
         np.testing.assert_allclose(ratio, expect, rtol=1e-10)
 
 
+class TestMalformedSidecar:
+    """A sidecar of the wrong shape exits 2 naming the sidecar and the key,
+    before any output is written."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("sidecar")
+        _, path = write_cfg(tmp_path)
+        assert cli.main(["simulate", "--config", path]) == 0
+        return tmp_path / "stream.csv"
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda m: [m], "JSON object"),
+        (lambda m: {**m, "train": None}, "train"),
+        (lambda m: {**m, "train": {**m["train"], "num_pulses": "20000"}},
+         "train.num_pulses"),
+        (lambda m: {**m, "detector": "x"}, "detector"),
+        (lambda m: {**m, "detector": {**m["detector"], "gain": 1.0}}, "gain"),
+        (lambda m: {**m, "detector": {**m["detector"], "efficiency": 2}}, "efficiency"),
+    ], ids=["list", "train_null", "num_pulses_string", "detector_string",
+            "detector_unknown_key", "efficiency_above_one"])
+    def test_exit_2_names_sidecar_and_key(self, stream, tmp_path, monkeypatch, capsys,
+                                          edit, key):
+        meta = json.loads(Path(str(stream) + ".meta.json").read_text())
+        bad = tmp_path / "bad.meta.json"
+        bad.write_text(json.dumps(edit(meta)))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", str(stream), "--sidecar", str(bad),
+                         "--out", "report.json"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "histogram.csv").exists()
+
+
+class TestUndecodableConfig:
+    """An INI file that is not UTF-8 text is a config error naming its path."""
+
+    def test_simulate(self, tmp_path, capsys):
+        path = tmp_path / "bytes.ini"
+        path.write_bytes(b"[run]\nseed = 1\n\xff\xfe\n")
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "s.csv")]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_analyze(self, tmp_path, capsys):
+        _, good = write_cfg(tmp_path, num_pulses=2000)
+        assert cli.main(["simulate", "--config", good]) == 0
+        path = tmp_path / "bytes.ini"
+        path.write_bytes(b"[output]\nreport = r.json\n\xff\xfe\n")
+        assert cli.main(["analyze", str(tmp_path / "stream.csv"), "--config",
+                         str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_bad_config_file(self, tmp_path):
         path = tmp_path / "bad.ini"

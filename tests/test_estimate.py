@@ -28,6 +28,37 @@ def standard_hist(stream, mode=MODE):
     return est.tau_histogram(stream, mode.width / 20.0, 6.0 * mode.width)
 
 
+def block_sums(stream, n, bin_width, max_tau):
+    """Same-pulse pair counts per bin and clicks of the min(200, N)
+    contiguous pulse blocks, each block histogrammed from its own clicks."""
+    n_blocks = min(200, n)
+    block = stream.pulse_index * n_blocks // n
+    pairs = np.array([est.tau_histogram(
+        pg.ClickStream(stream.pulse_index[block == b], stream.times[block == b],
+                       {"kind": "pulsed"}), bin_width, max_tau).counts
+        for b in range(n_blocks)])
+    return pairs, np.bincount(block, minlength=n_blocks)
+
+
+def delta_sigma(grad, columns):
+    """sqrt(sum_u (grad . (x_u - mean x))^2) over the unit columns."""
+    lin = np.asarray(grad) @ (columns - columns.mean(axis=1, keepdims=True))
+    return math.sqrt(float(lin @ lin))
+
+
+def eta_route_sigmas(stream, n, hist, shape, eta0):
+    """D(0) and g2p sigmas of the shape fit, spread over the pulse blocks'
+    shape-weighted pair sums and clicks."""
+    pairs, clicks = block_sums(stream, n, hist.bin_width, hist.bin_edges[-1])
+    assert np.array_equal(pairs.sum(axis=0), hist.counts)
+    gain = eta0 / (hist.bin_width * float(shape @ shape))
+    total = stream.n_clicks
+    g2p = gain * float(shape @ hist.counts) / total**2
+    stats = np.vstack([pairs @ shape, clicks])
+    return (delta_sigma([gain, 0.0], stats),
+            delta_sigma([gain / total**2, -2.0 * g2p / total], stats))
+
+
 class TestTauHistogram:
     def test_single_photon_pulses_give_empty_histogram(self):
         stream, _ = run_train(st.fock(1), 20000, seed=1)
@@ -114,7 +145,8 @@ def analytic_filled_histogram(state, n, mode=MODE, bw=WIDTH / 20.0, max_tau=6.0 
     edges = np.arange(nbins + 1) * bw
     centers = 0.5 * (edges[:-1] + edges[1:])
     counts = sim.analytic_D(state, IDEAL, mode, n, centers) * bw
-    return est.TauHistogram(edges, counts, "same_pulse", n, 0)
+    return est.TauHistogram(edges, counts, "same_pulse", n, 0, counts[None],
+                            np.zeros(1, dtype=np.int64))
 
 
 class TestEstimateD0:
@@ -124,7 +156,8 @@ class TestEstimateD0:
         truth = float(sim.analytic_D(st.thermal(1.0), IDEAL, MODE, 1000, 0.0))
         assert d0 == pytest.approx(truth, rel=1e-6)
 
-    def test_fallback_quadratic_close_on_analytic_fill(self):
+    def test_hintless_fit_close_on_analytic_fill(self):
+        # no hint: the Gaussian of the histogram's fitted width
         hist = analytic_filled_histogram(st.thermal(1.0), 1000)
         d0, _ = est.estimate_D0(hist)
         truth = float(sim.analytic_D(st.thermal(1.0), IDEAL, MODE, 1000, 0.0))
@@ -215,11 +248,12 @@ class TestG2qRecovery:
         stream, _ = run_train(st.thermal(1.0), n, seed=15)
         hist = standard_hist(stream)
         total = stream.n_clicks
-        d0, sd = est.estimate_D0(hist, MODE)
-        factor = math.sqrt(2.0 * math.pi) * WIDTH * n
-        want = (factor * d0 / total**2,
-                factor * math.hypot(sd / total**2,
-                                    2.0 * d0 / (total**2 * math.sqrt(total))))
+        d0, _ = est.estimate_D0(hist, MODE)
+        eta0 = 1.0 / (math.sqrt(2.0 * math.pi) * WIDTH)
+        _, g2p_sigma = eta_route_sigmas(stream, n, hist,
+                                        md.eta_gaussian(WIDTH, hist.centers), eta0)
+        factor = n / eta0
+        want = (factor * d0 / total**2, factor * g2p_sigma)
         got = est.recover_g2q_gaussian(stream, hist, n, WIDTH)
         assert got == pytest.approx(want, rel=1e-8)
 
@@ -330,18 +364,20 @@ class TestSidePeak:
 
 class TestCoverage:
     """Pulls (estimate - truth) / sigma over seeds: calibrated sigmas give
-    mean ~ 0 and standard deviation ~ 1."""
+    mean ~ 0 and standard deviation ~ 1, on the pn, side-peak and eta routes."""
 
     @pytest.mark.parametrize("spec,truth", [("thermal:0.5", 2.0), ("coherent:1", 1.0)])
     def test_pn_and_sidepeak_pulls(self, spec, truth):
         state = st.parse_state_spec(spec)
-        pulls = {"pn": [], "sidepeak": []}
+        pulls = {"pn": [], "sidepeak": [], "eta": []}
         for seed in range(100):
             stream, train = run_train(state, 100000, seed=seed, s=0.5)
             val, sig = est.pn_histogram_g2q(stream, train)
             pulls["pn"].append((val - truth) / sig)
             val, sig = est.g2_sidepeak(stream, train, window=3e-9)
             pulls["sidepeak"].append((val - truth) / sig)
+            val, sig = est.recover_g2q_general(stream, standard_hist(stream), 100000, MODE)
+            pulls["eta"].append((val - truth) / sig)
         for route, p in pulls.items():
             assert abs(np.mean(p)) < 0.3, route
             assert 0.8 <= np.std(p, ddof=1) <= 1.2, route
@@ -430,9 +466,10 @@ class TestAnalyzeStream:
 def composed_report(stream, n, mode, bin_width, max_tau):
     """The report's numbers from public calls on the formulas of the
     separate routes: D(0) fitted per route, g2q_eta = N D0 / (Ip^2 eta(0)),
-    the pn histogram from per-pulse counts and its sigma as the
-    delta-method spread of N F / M^2 over those pulses, eta(0) of a fitted
-    width in closed form."""
+    the D(0) and g2p sigmas as delta-method spreads over the pulse blocks'
+    shape-weighted pairs and clicks, the pn histogram from per-pulse
+    counts and its sigma as the delta-method spread of N F / M^2 over
+    those pulses, eta(0) of a fitted width in closed form."""
     hist = est.tau_histogram(stream, bin_width, max_tau)
     fitted = est.fit_pulse_width(hist)
     hint = mode or md.gaussian_mode(fitted)
@@ -440,14 +477,14 @@ def composed_report(stream, n, mode, bin_width, max_tau):
     assert np.array_equal(
         md.eta_numeric(hint, np.concatenate([[0.0], hist.centers])),
         np.concatenate([[md.eta_numeric(hint, 0.0)], md.eta_numeric(hint, hist.centers)]))
-    d0, sd = est.estimate_D0(hist, hint)
+    d0, _ = est.estimate_D0(hist, hint)
     total = stream.n_clicks
     g2p = d0 / total**2
-    g2p_sigma = math.hypot(sd / total**2, 2.0 * g2p / math.sqrt(total))
     eta0 = md.eta_numeric(hint, 0.0)
+    sd, g2p_sigma = eta_route_sigmas(stream, n, hist,
+                                     md.eta_numeric(hint, hist.centers), eta0)
     g2q_eta = n * d0 / (total**2 * eta0)
-    g2q_eta_sigma = (n / eta0) * math.hypot(
-        sd / total**2, 2.0 * d0 / (total**2 * math.sqrt(total)))
+    g2q_eta_sigma = (n / eta0) * g2p_sigma
     m = stream.counts_per_pulse(n)
     h = np.bincount(m).astype(float)
     nn = np.arange(h.size, dtype=float)
@@ -469,8 +506,10 @@ class TestAnalyzeStreamReference:
     def check(self, report, ref, eta0_rel):
         assert np.array_equal(report.histogram.bin_edges, ref["hist"].bin_edges)
         assert np.array_equal(report.histogram.counts, ref["hist"].counts)
-        assert (report.D0_per_second, report.D0_sigma) == ref["D0"]
-        assert (report.g2p, report.g2p_sigma) == ref["g2p"]
+        assert report.D0_per_second == ref["D0"][0]
+        assert report.D0_sigma == pytest.approx(ref["D0"][1], rel=1e-12)
+        assert report.g2p == ref["g2p"][0]
+        assert report.g2p_sigma == pytest.approx(ref["g2p"][1], rel=1e-12)
         assert report.g2q_pn == ref["pn"][0]
         assert report.g2q_pn_sigma == pytest.approx(ref["pn"][1], rel=1e-12)
         assert (report.g2q_eta, report.g2q_eta_sigma) == pytest.approx(
