@@ -160,11 +160,10 @@ def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> i
     curve = _est.stationary_conditional_probability(stream, bin_width, max_tau)
     base_from = (3.0 / bandwidth) if bandwidth else max_tau / 2.0
     try:
-        g2_zero, g2_sigma = _est.stationary_g2_zero(
-            stream, bin_width, max_tau, base_from,
-            block_length=None if bandwidth else 50 * bin_width)
-    except EstimationError:
-        g2_zero, g2_sigma = curve.peak_to_baseline(base_from), math.inf
+        g2_zero, g2_sigma = curve.g2_zero(base_from)
+    except ValueError as exc:
+        raise ConfigError(f"bin width {bin_width:g} s, max tau {max_tau:g} s: "
+                          f"baseline from {base_from:g} s: {exc}") from exc
     summary = {
         "pc_peak_per_second": float(curve.pc[0]),
         "pc_baseline_per_second": curve.baseline(base_from),

@@ -25,6 +25,7 @@ pulses is N s^2 F2 / 2 (each unordered pair counted once).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -59,9 +60,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class TauHistogram:
     """Uniformly binned counts of unordered click-pair time differences;
-    ``block_counts`` (blocks, bins) and ``block_clicks`` are each pulse
-    block's pairs and clicks (one block for ``all_pairs``), and ``counts``
-    is the sum of ``block_counts`` over blocks."""
+    ``block_counts`` (blocks, bins) and ``block_clicks`` are each block's
+    pairs and clicks (pulse blocks for ``same_pulse``, else time blocks),
+    and ``counts`` is the sum of ``block_counts`` over blocks."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -136,10 +137,10 @@ def _linearized_sigma(grad, stats, weights=None):
     return math.sqrt(float(w @ dev**2))
 
 
-def _pulse_blocks(pulse_index, n_pulses):
-    """Block of each pulse index, at most 200 contiguous blocks, and their count."""
-    n_blocks = min(200, n_pulses)
-    return pulse_index * n_blocks // n_pulses, n_blocks
+def _blocks(unit_index, n_units):
+    """Block of each unit index, at most 200 contiguous blocks, and their count."""
+    n_blocks = min(200, n_units)
+    return unit_index * n_blocks // n_units, n_blocks
 
 
 def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
@@ -147,15 +148,18 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     """Histogram unordered pair time differences on tau in [0, max_tau).
 
     ``same_pulse`` pairs clicks sharing a pulse index (the D(tau)
-    estimator); ``all_pairs`` pairs every click with every later click up
-    to max_tau (side peaks, stationary analysis).  An empty stream yields
-    a valid all-zero histogram.  Same-pulse counts are also kept per pulse
-    block of the sidecar's ``num_pulses`` (else the largest index + 1).
+    estimator), ``all_pairs`` every click with every later click up to
+    max_tau, ``start_stop`` each click with the next (the walk's first
+    pass).  Counts are also kept per block: of pulses (the sidecar's
+    ``num_pulses``, else the largest index + 1) for ``same_pulse``, else
+    of whole max_tau slices from the first click, the last taking the
+    remainder, so a time block outlasts every lag.  An empty stream
+    yields a valid all-zero histogram.
     """
-    if scope not in ("same_pulse", "all_pairs"):
-        raise ValueError("scope must be 'same_pulse' or 'all_pairs'")
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
+    if scope not in ("same_pulse", "all_pairs", "start_stop"):
+        raise ValueError("scope must be 'same_pulse', 'all_pairs' or 'start_stop'")
+    if not (bin_width > 0 and max_tau > 0):
+        raise ValueError("bin_width and max_tau must be positive")
     nbins = max(int(math.ceil(max_tau / bin_width - 1e-9)), 1)
     edges = np.arange(nbins + 1) * bin_width
     if scope == "same_pulse" and stream.n_clicks and stream.pulse_index.min() < 0:
@@ -163,25 +167,29 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     num_pulses = stream.metadata.get("train", {}).get("num_pulses")
     if scope == "same_pulse":
         order = np.lexsort((stream.times, stream.pulse_index))
-        times, p = stream.times[order], stream.pulse_index[order]
-        n_pulses = max(num_pulses or 1, int(p.max(initial=0)) + 1)
-        block_of, n_blocks = _pulse_blocks(p, n_pulses)
-        block_clicks = np.bincount(block_of, minlength=n_blocks)
-        del block_of            # a click-sized array less during the pair walk
-        pairs = _pairs(p)
+        times, unit = stream.times[order], stream.pulse_index[order]
+        n_units = max(num_pulses or 1, int(unit.max(initial=0)) + 1)
+        pairs = _pairs(unit)
     else:
+        times = stream.times
+        unit = ((times - times[:1]) / max_tau).astype(np.int64)
+        n_units = max(int(unit.max(initial=0)), 1)
+        np.minimum(unit, n_units - 1, out=unit)
         # one bin of slack past the top edge: the bin index decides
-        times, n_pulses, block_clicks = stream.times, None, np.array([stream.n_clicks])
         pairs = _pairs(times, edges[-1] + bin_width)
-    flat = np.zeros(block_clicks.size * nbins, dtype=np.int64)
+        if scope == "start_stop":
+            pairs = itertools.islice(pairs, 1)
+    block_of, n_blocks = _blocks(unit, n_units)
+    block_clicks = np.bincount(block_of, minlength=n_blocks)
+    del block_of            # a click-sized array less during the pair walk
+    flat = np.zeros(n_blocks * nbins, dtype=np.int64)
     for i, j in pairs:
         dt = times[j] - times[i]
         k = (dt / bin_width).astype(np.int64)
         keep = (dt >= 0) & (k < nbins)
-        if n_pulses is not None:        # the pulse block of a same-pulse pair
-            k += _pulse_blocks(p[i], n_pulses)[0] * nbins
+        k += _blocks(unit[i], n_units)[0] * nbins       # the block of the pair
         flat += np.bincount(k[keep], minlength=flat.size)
-    block_counts = flat.reshape(block_clicks.size, nbins)
+    block_counts = flat.reshape(n_blocks, nbins)
     return TauHistogram(edges, block_counts.sum(axis=0), scope, num_pulses,
                         stream.n_clicks, block_counts, block_clicks)
 
@@ -290,6 +298,14 @@ def recover_g2q_general(stream: ClickStream, hist: TauHistogram,
     return scale * val, scale * sigma
 
 
+def _check_pulse_range(p, n_pulses):
+    """Raise EstimationError unless every pulse index lies in [0, n_pulses)."""
+    if p.size and (p.min() < 0 or p.max() >= n_pulses):
+        raise EstimationError(
+            f"pulse indices span [{p.min()}, {p.max()}], outside [0, N) "
+            f"for N = {n_pulses} pulses")
+
+
 def pn_histogram_g2q(stream: ClickStream, train):
     """g2q from the per-pulse click-number histogram.
 
@@ -306,10 +322,7 @@ def pn_histogram_g2q(stream: ClickStream, train):
     p = stream.pulse_index
     if not p.size:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
-    if p.min() < 0 or p.max() >= n_pulses:
-        raise EstimationError(
-            f"pulse indices span [{p.min()}, {p.max()}], outside [0, N) "
-            f"for N = {n_pulses} pulses")
+    _check_pulse_range(p, n_pulses)
     m = np.unique(p, return_counts=True)[1]     # clicks of each non-empty pulse
     hist = np.bincount(m).astype(float)
     hist[0] = n_pulses - m.size
@@ -344,11 +357,12 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
             f"train of {n_pulses} pulses is too short for {n_side} side peaks")
     if stream.n_clicks and stream.pulse_index.min() < 0:
         raise ValueError("g2_sidepeak requires a pulsed stream")
+    _check_pulse_range(stream.pulse_index, n_pulses)
 
     # pair counts per block of the first click's pulse:
     # row 0 central, row k side peak k
     t, p = stream.times, stream.pulse_index
-    block_of, n_blocks = _pulse_blocks(p, n_pulses)
+    block_of, n_blocks = _blocks(p, n_pulses)
     stats = np.zeros((n_side + 1, n_blocks))
     # one window of slack past the last side-peak window
     for i, j in _pairs(t, n_side * period + 2.0 * window):
@@ -374,22 +388,43 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
 
 @dataclass(frozen=True, eq=False)
 class ConditionalProbabilityCurve:
-    """Stationary conditional click rate pc(tau) in 1/seconds on tau >= 0."""
+    """Stationary conditional click rate pc(tau) in 1/seconds on tau >= 0,
+    and its histogram's pair counts per time block, (blocks, bins)."""
 
     tau: np.ndarray
     pc: np.ndarray
     total_clicks: int
     bin_width: float
+    block_counts: np.ndarray = field(repr=False)
 
-    def baseline(self, tau_from: float) -> float:
+    def _baseline_bins(self, tau_from: float) -> np.ndarray:
         sel = self.tau >= tau_from
         if not sel.any():
             raise ValueError("no bins beyond tau_from")
-        return float(self.pc[sel].mean())
+        return sel
+
+    def baseline(self, tau_from: float) -> float:
+        """Mean pc over the bins whose centres are >= tau_from."""
+        return float(self.pc[self._baseline_bins(tau_from)].mean())
+
+    def g2_zero(self, baseline_from: float):
+        """(g2(0), sigma): C0 K / B, C0 the pairs in bin 0 and B those in the
+        K bins whose centres are >= ``baseline_from`` (the `baseline` rule),
+        and its linearized spread over the time blocks (one block: inf)."""
+        if not baseline_from >= self.bin_width:
+            raise ValueError("need bin_width <= baseline_from")
+        sel = self._baseline_bins(baseline_from)
+        stats = np.vstack([self.block_counts[:, 0], self.block_counts[:, sel].sum(axis=1)])
+        central, base = stats.sum(axis=1).astype(float)
+        if base <= 0:
+            raise EstimationError("no baseline pairs; increase max_tau or duration")
+        k_base = int(sel.sum())
+        val = float(central * k_base / base)
+        return val, _linearized_sigma((k_base / base, -val / base), stats)
 
     def peak_to_baseline(self, tau_from: float) -> float:
-        """Peak over large-tau baseline; estimates g2(0)."""
-        return float(self.pc[0]) / self.baseline(tau_from)
+        """Peak over large-tau baseline; estimates g2(0) (see `g2_zero`)."""
+        return self.g2_zero(tau_from)[0]
 
     def excess_fwhm(self, tau_from: float) -> float:
         """Full width at half maximum of the bunching excess above baseline."""
@@ -407,44 +442,15 @@ class ConditionalProbabilityCurve:
 
 
 def stationary_g2_zero(stream: ClickStream, bin_width: float, max_tau: float,
-                       baseline_from: float, block_length: float | None = None):
-    """g2(0) of a stationary stream with a block-linearized uncertainty.
-
-    The estimate is the central-bin pair density over the mean baseline
-    density, which reduces to C0 * K / B with C0 the pairs below
-    ``bin_width``, B the pairs with lag in [baseline_from, max_tau) and K
-    the number of baseline bins.  The uncertainty is the linearized
-    spread of that ratio over time blocks of ``block_length`` (default ten
-    field correlation times, read from the stream metadata), so it
-    respects the intensity correlations; a single block gives inf.
-    """
+                       baseline_from: float):
+    """g2(0) of a stationary stream and its sigma over time blocks: the
+    `ConditionalProbabilityCurve.g2_zero` of its all-pairs curve."""
     if stream.n_clicks < 2:
         raise EstimationError("g2(0) undefined: need at least two clicks")
     if not 0 < bin_width <= baseline_from < max_tau:
         raise ValueError("need bin_width <= baseline_from < max_tau")
-    if block_length is None:
-        bandwidth = stream.metadata.get("stationary", {}).get("spectral_bandwidth")
-        if not bandwidth:
-            raise ValueError("pass block_length (bandwidth unknown)")
-        block_length = 10.0 / bandwidth
-    t = stream.times
-    n_blocks = max(int(math.ceil((t[-1] - t[0]) / block_length)), 1)
-    block_of = np.minimum(((t - t[0]) / block_length).astype(np.int64), n_blocks - 1)
-    k_base = max(int((max_tau - baseline_from) / bin_width), 1)
-    base_top = baseline_from + k_base * bin_width
-    stats = np.zeros((2, n_blocks))      # central and baseline pairs per block
-    central, base = stats
-    # one bin of slack past the baseline window
-    for i, j in _pairs(t, base_top + bin_width):
-        dt = t[j] - t[i]
-        first = block_of[i]
-        central += np.bincount(first[dt < bin_width], minlength=n_blocks)
-        base += np.bincount(first[(dt >= baseline_from) & (dt < base_top)],
-                            minlength=n_blocks)
-    if base.sum() <= 0:
-        raise EstimationError("no baseline pairs; increase max_tau or duration")
-    val = float(central.sum() * k_base / base.sum())
-    return val, _linearized_sigma((k_base / base.sum(), -val / base.sum()), stats)
+    return stationary_conditional_probability(stream, bin_width, max_tau) \
+        .g2_zero(baseline_from)
 
 
 def stationary_conditional_probability(stream: ClickStream, bin_width: float,
@@ -460,23 +466,17 @@ def stationary_conditional_probability(stream: ClickStream, bin_width: float,
     interval-timing hardware: it coincides with the all-pairs curve only
     while rate * tau << 1 and is biased low at larger lags (for a
     constant-rate source it decays as exp(-rate * tau) rather than
-    staying flat).
+    staying flat).  Both come from one pair walk, the start-stop curve
+    from its first pass.
     """
     if stream.n_clicks == 0:
         raise EstimationError("conditional probability undefined: empty stream")
-    if method == "all_pairs":
-        hist = tau_histogram(stream, bin_width, max_tau, scope="all_pairs")
-        counts = hist.counts
-        centers = hist.centers
-    elif method == "start_stop":
-        nbins = max(int(math.ceil(max_tau / bin_width - 1e-9)), 1)
-        edges = np.arange(nbins + 1) * bin_width
-        counts, _ = np.histogram(np.diff(stream.times), edges)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-    else:
+    if method not in ("all_pairs", "start_stop"):
         raise ValueError("method must be 'all_pairs' or 'start_stop'")
-    pc = counts / (stream.n_clicks * bin_width)
-    return ConditionalProbabilityCurve(centers, pc, stream.n_clicks, bin_width)
+    hist = tau_histogram(stream, bin_width, max_tau, scope=method)
+    pc = hist.counts / (stream.n_clicks * bin_width)
+    return ConditionalProbabilityCurve(hist.centers, pc, stream.n_clicks, bin_width,
+                                       hist.block_counts)
 
 
 @dataclass
@@ -495,14 +495,14 @@ class CoherenceReport:
     Ip: float
     D0_per_second: float
     D0_sigma: float
-    eta0_per_second: float | None
-    g2p: float | None
-    g2p_sigma: float | None
-    g2q_eta: float | None
-    g2q_eta_sigma: float | None
-    g2q_pn: float | None
-    g2q_pn_sigma: float | None
-    g2q_analytic: float | None
+    eta0_per_second: float | None = None
+    g2p: float | None = None
+    g2p_sigma: float | None = None
+    g2q_eta: float | None = None
+    g2q_eta_sigma: float | None = None
+    g2q_pn: float | None = None
+    g2q_pn_sigma: float | None = None
+    g2q_analytic: float | None = None
     fitted_width_seconds: float | None = None
     flags: list = field(default_factory=list)
     histogram: TauHistogram | None = field(default=None, repr=False, compare=False)
@@ -565,10 +565,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     total = total_counts(stream)
     if total == 0:
         flags.append("empty_stream")
-        return CoherenceReport(N=num_pulses, Ip=0.0, D0_per_second=0.0,
-                               D0_sigma=math.inf, eta0_per_second=None,
-                               g2p=None, g2p_sigma=None, g2q_eta=None,
-                               g2q_eta_sigma=None, g2q_pn=None, g2q_pn_sigma=None,
+        return CoherenceReport(N=num_pulses, Ip=0.0, D0_per_second=0.0, D0_sigma=math.inf,
                                g2q_analytic=g2q_analytic, flags=flags)
 
     if bin_width is None or max_tau is None:

@@ -85,9 +85,9 @@ _FIELD_CHUNK = 1 << 20
 _FILTER_FFT = 1 << 12
 
 
-def _require_finite(obj, *names):
+def _require_finite(values, *names):
     for name in names:
-        value = getattr(obj, name)
+        value = values[name]
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -105,7 +105,7 @@ class DetectorModel:
     dead_time: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "efficiency", "timing_jitter_sigma", "dead_time")
+        _require_finite(vars(self), "efficiency", "timing_jitter_sigma", "dead_time")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.timing_jitter_sigma < 0 or self.dead_time < 0:
@@ -126,7 +126,7 @@ class PulseTrainConfig:
     mode: _modes.TemporalMode
 
     def __post_init__(self):
-        _require_finite(self, "num_pulses", "repetition_period")
+        _require_finite(vars(self), "num_pulses", "repetition_period")
         if self.num_pulses < 1 or self.num_pulses != int(self.num_pulses):
             raise ValueError("num_pulses must be a positive integer")
         if not self.repetition_period > 0:
@@ -155,7 +155,7 @@ class StationaryThermalConfig:
     spectral_shape: str = "gaussian"
 
     def __post_init__(self):
-        _require_finite(self, "mean_rate", "spectral_bandwidth", "duration",
+        _require_finite(vars(self), "mean_rate", "spectral_bandwidth", "duration",
                         "field_timestep")
         if self.mean_rate < 0 or self.spectral_bandwidth <= 0 or self.duration <= 0:
             raise ValueError("rate must be >= 0, bandwidth and duration positive")
@@ -381,6 +381,7 @@ def simulate_stationary_thermal(cfg: StationaryThermalConfig,
 def simulate_stationary_poisson(mean_rate: float, duration: float, seed,
                                 detector: DetectorModel | None = None) -> ClickStream:
     """Constant-rate control source (no intensity fluctuations, flat g2)."""
+    _require_finite(locals(), "mean_rate", "duration")
     if mean_rate < 0 or duration <= 0:
         raise ValueError("rate must be >= 0 and duration positive")
     detector = detector or DetectorModel()

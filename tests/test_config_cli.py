@@ -204,6 +204,39 @@ class TestAnalyzeCommand:
         curve = (tmp_path / "summary_pc.csv").read_text().splitlines()
         assert curve[0] == "tau_seconds,pc_per_second"
 
+    def test_stationary_analysis_walks_the_pairs_once(self, tmp_path, monkeypatch):
+        _, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5, duration=0.05)
+        assert cli.main(["simulate", "--config", path]) == 0
+        walks = []
+        enumerate_pairs = est._pairs
+
+        def counted(*args):
+            walks.append(args)
+            return enumerate_pairs(*args)
+
+        monkeypatch.setattr(est, "_pairs", counted)
+        assert cli.main(["analyze", str(tmp_path / "stream.csv"),
+                         "--out", str(tmp_path / "summary.json")]) == 0
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("times", [[0.1], [0.1, 0.9]], ids=["one_click", "far_apart"])
+    def test_stationary_stream_without_baseline_pairs(self, tmp_path, capsys, times):
+        stream = pg.ClickStream(np.full(len(times), -1, np.int64), np.array(times),
+                                {"kind": "stationary",
+                                 "stationary": {"spectral_bandwidth": 1e6}})
+        path = str(tmp_path / "s.csv")
+        pg.write_stream(stream, path, sidecar=path + ".meta.json")
+        assert cli.main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 3
+        assert "no baseline pairs" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_stationary_max_tau_below_baseline_is_config_error(self, tmp_path, capsys):
+        _, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5, duration=0.02)
+        assert cli.main(["simulate", "--config", path]) == 0
+        assert cli.main(["analyze", str(tmp_path / "stream.csv"), "--max-tau", "2e-6",
+                         "--out", str(tmp_path / "r.json")]) == 1
+        assert "baseline from 3e-06 s" in capsys.readouterr().err
+
 
 class TestAnalyzeConfigAndSidecar:
     """An analyze config fills in only the keys it sets; the sidecar the rest."""

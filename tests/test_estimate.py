@@ -361,6 +361,12 @@ class TestSidePeak:
         with pytest.raises(EstimationError, match="side"):
             est.g2_sidepeak(stream, train, window=3e-9, n_side=3)
 
+    def test_index_beyond_train_names_n(self):
+        stream, _ = run_train(st.coherent(1.0), 5000, seed=22)
+        short = sim.PulseTrainConfig(1000, PERIOD, MODE)
+        with pytest.raises(EstimationError, match="N = 1000 "):
+            est.g2_sidepeak(stream, short, window=3e-9)
+
 
 class TestCoverage:
     """Pulls (estimate - truth) / sigma over seeds: calibrated sigmas give
@@ -381,6 +387,18 @@ class TestCoverage:
         for route, p in pulls.items():
             assert abs(np.mean(p)) < 0.3, route
             assert 0.8 <= np.std(p, ddof=1) <= 1.2, route
+
+    def test_stationary_g2_zero_pulls(self):
+        # chaotic light: g2(0) = 2; sigmas spread over the time blocks
+        pulls = []
+        for seed in range(60):
+            cfg = sim.StationaryThermalConfig(5e5, 1e6, 0.02)
+            stream = sim.simulate_stationary_thermal(cfg, IDEAL, seed=seed)
+            val, sig = est.stationary_conditional_probability(stream, 2e-8, 5e-6) \
+                .g2_zero(3e-6)
+            pulls.append((val - 2.0) / sig)
+        assert abs(np.mean(pulls)) < 0.3
+        assert 0.8 <= np.std(pulls, ddof=1) <= 1.2
 
 
 class TestOrdering:
@@ -553,6 +571,27 @@ class TestStationaryCurve:
                                 {"kind": "stationary"})
         with pytest.raises(EstimationError):
             est.stationary_conditional_probability(stream, 1e-8, 1e-6)
+
+    def test_peak_to_baseline_is_the_g2_zero_value(self):
+        stream = pg.simulate_stationary_poisson(2e5, 0.05, seed=35)
+        curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)
+        for tau_from in (2e-6, 3e-6, 4.5e-6):
+            assert curve.peak_to_baseline(tau_from) == curve.g2_zero(tau_from)[0]
+
+    def test_zero_baseline_is_estimation_error(self):
+        stream = pg.ClickStream(np.full(2, -1, np.int64), np.array([0.1, 0.9]),
+                                {"kind": "stationary"})
+        curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)
+        with pytest.raises(EstimationError, match="baseline"):
+            curve.peak_to_baseline(3e-6)
+        with pytest.raises(EstimationError, match="baseline"):
+            curve.g2_zero(3e-6)
+
+    def test_baseline_must_start_past_bin_zero(self):
+        stream = pg.simulate_stationary_poisson(2e5, 0.01, seed=36)
+        curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)
+        with pytest.raises(ValueError, match="baseline_from"):
+            curve.g2_zero(1e-8)
 
     def test_start_stop_mode_shows_exponential_bias(self):
         # adjacent gaps of a constant-rate process have density

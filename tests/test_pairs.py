@@ -1,12 +1,14 @@
 """The pair enumerator and the linearized sigmas against references.
 
-The four ``_ref_*`` functions below are the lag walks the estimators used
-before they shared one pair enumerator, kept verbatim up to their value
-and per-block pair counts.  Histogram counts and the side-peak and
-stationary g2(0) values must equal them exactly; each sigma must equal
-the delta-method spread recomputed here from the reference's per-block
-counts, and agree with a many-replicate block bootstrap of the same
-blocks.
+The four lag-walk ``_ref_*`` functions below are the walks the estimators
+used before they shared one pair enumerator, kept verbatim up to their
+value and per-block pair counts; the all-pairs and stationary g2(0) walks
+count into the time blocks of ``_ref_time_blocks``, and the g2(0) walk
+takes its baseline from the bins whose centres lie at or past
+baseline_from.  Histogram counts and the side-peak and stationary g2(0)
+values must equal them exactly; each sigma must equal the delta-method
+spread recomputed here from the reference's per-block counts, and agree
+with a many-replicate block bootstrap of the same blocks.
 """
 
 import math
@@ -50,9 +52,11 @@ def _ref_bin_pairs_same_pulse(pulse, times, edges):
     return counts
 
 
-def _ref_bin_pairs_all(times, edges):
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    nbins = counts.size
+def _ref_bin_pairs_all(times, edges, max_tau):
+    """All-pairs counts per time block of the first click, (blocks, bins)."""
+    block_of, n_blocks = _ref_time_blocks(times, max_tau)
+    nbins = edges.size - 1
+    counts = np.zeros((n_blocks, nbins), dtype=np.int64)
     bw = edges[1] - edges[0]
     top = edges[-1]
     d = 1
@@ -61,8 +65,9 @@ def _ref_bin_pairs_all(times, edges):
         if dt.min() >= top:
             break
         k = (dt / bw).astype(np.int64)
-        k = k[k < nbins]
-        counts += np.bincount(k, minlength=nbins)
+        keep = k < nbins
+        flat = block_of[:-d][keep] * nbins + k[keep]
+        counts += np.bincount(flat, minlength=counts.size).reshape(n_blocks, nbins)
         d += 1
     return counts
 
@@ -121,33 +126,39 @@ def _ref_g2_sidepeak(stream, train, window, n_side=3):
     return val, cb, sb, corr
 
 
-def _ref_stationary_g2_zero(stream, bin_width, max_tau, baseline_from,
-                            block_length=None):
+def _ref_time_blocks(t, max_tau):
+    """Block of each click: whole max_tau slices from the first click (the
+    last slice takes the remainder), grouped into at most 200 blocks."""
+    n_slices = max(int((t[-1] - t[0]) / max_tau), 1) if t.size else 1
+    slice_of = np.minimum(((t - t[:1]) / max_tau).astype(np.int64), n_slices - 1)
+    n_blocks = min(200, n_slices)
+    return slice_of * n_blocks // n_slices, n_blocks
+
+
+def _ref_stationary_g2_zero(stream, bin_width, max_tau, baseline_from):
     if stream.n_clicks < 2:
         raise EstimationError("g2(0) undefined: need at least two clicks")
     if not 0 < bin_width <= baseline_from < max_tau:
         raise ValueError("need bin_width <= baseline_from < max_tau")
-    if block_length is None:
-        bandwidth = stream.metadata.get("stationary", {}).get("spectral_bandwidth")
-        if not bandwidth:
-            raise ValueError("pass block_length (bandwidth unknown)")
-        block_length = 10.0 / bandwidth
     t = stream.times
-    n_blocks = max(int(math.ceil((t[-1] - t[0]) / block_length)), 1)
-    block_of = np.minimum(((t - t[0]) / block_length).astype(np.int64), n_blocks - 1)
-    k_base = max(int((max_tau - baseline_from) / bin_width), 1)
+    block_of, n_blocks = _ref_time_blocks(t, max_tau)
+    nbins = max(int(math.ceil(max_tau / bin_width - 1e-9)), 1)
+    edges = np.arange(nbins + 1) * bin_width
+    in_base = 0.5 * (edges[:-1] + edges[1:]) >= baseline_from   # bin centres
+    k_base = int(in_base.sum())
     central = np.zeros(n_blocks)
     base = np.zeros(n_blocks)
     d = 1
     while d < t.size:
         dt = t[d:] - t[:-d]
-        if dt.min() >= max_tau:
+        if dt.min() >= edges[-1]:
             break
+        k = (dt / bin_width).astype(np.int64)
         first = block_of[:-d]
-        sel_c = dt < bin_width
+        sel_c = k == 0
         if sel_c.any():
             central += np.bincount(first[sel_c], minlength=n_blocks)
-        sel_b = (dt >= baseline_from) & (dt < baseline_from + k_base * bin_width)
+        sel_b = (k < nbins) & in_base[np.minimum(k, nbins - 1)]
         if sel_b.any():
             base += np.bincount(first[sel_b], minlength=n_blocks)
         d += 1
@@ -265,10 +276,10 @@ def _assert_histograms_match(stream, bin_width, max_tau,
         if scope == "same_pulse":
             ref = _ref_bin_pairs_same_pulse(stream.pulse_index, stream.times,
                                             hist.bin_edges)
-        elif stream.n_clicks >= 2:
-            ref = _ref_bin_pairs_all(stream.times, hist.bin_edges)
         else:
-            ref = np.zeros(hist.counts.size, dtype=np.int64)
+            blocks = _ref_bin_pairs_all(stream.times, hist.bin_edges, max_tau)
+            assert np.array_equal(hist.block_counts, blocks)
+            ref = blocks.sum(axis=0)
         assert hist.counts.dtype == ref.dtype
         assert np.array_equal(hist.counts, ref), scope
 
@@ -334,17 +345,14 @@ def test_sidepeak_tiny_streams(name):
 
 
 @pytest.mark.parametrize("args", [
-    (2e-8, 5e-6, 3e-6, None),
-    (1e-8, 2e-6, 1e-6, 3e-6),
-    (5e-8, 8e-6, 6e-6, 2e-7),      # about 1e5 blocks
+    (2e-8, 5e-6, 3e-6),
+    (1e-8, 2e-6, 1e-6),
+    (5e-8, 8e-6, 6e-6),            # 40 baseline bins; int((8e-6 - 6e-6) / 5e-8) is 39
+    (1e-6, 3e-4, 1e-4),            # 66 slices, one block each
 ])
 def test_g2_zero_stationary(stationary_stream, args):
-    bw, max_tau, base_from, block = args
-    got = est.stationary_g2_zero(stationary_stream, bw, max_tau, base_from,
-                                 block_length=block)
-    ref = _g2_zero_ref_sigma(stationary_stream, bw, max_tau, base_from,
-                             block_length=block)
-    _assert_value_and_sigma(got, ref)
+    got = est.stationary_g2_zero(stationary_stream, *args)
+    _assert_value_and_sigma(got, _g2_zero_ref_sigma(stationary_stream, *args))
 
 
 def test_g2_zero_sigma_matches_bootstrap(stationary_stream):
@@ -354,19 +362,30 @@ def test_g2_zero_sigma_matches_bootstrap(stationary_stream):
 
 
 def test_g2_zero_single_block_sigma_is_infinite(stationary_stream):
-    val, sigma = est.stationary_g2_zero(stationary_stream, 2e-8, 5e-6, 3e-6,
-                                        block_length=1.0)
-    assert val == _ref_stationary_g2_zero(stationary_stream, 2e-8, 5e-6, 3e-6,
-                                          block_length=1.0)[0]
+    # a record shorter than 2 max_tau is one slice, so one block
+    max_tau = 2e-3
+    t = stationary_stream.times
+    cut = t < t[0] + 1.9 * max_tau
+    short = ClickStream(stationary_stream.pulse_index[cut], t[cut],
+                        stationary_stream.metadata)
+    val, sigma = est.stationary_g2_zero(short, 2e-5, max_tau, 1e-3)
+    assert val == _ref_stationary_g2_zero(short, 2e-5, max_tau, 1e-3)[0]
     assert sigma == math.inf
 
 
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_g2_zero_tiny_streams(name):
     args = (TINY[name], 1e-10, 2e-8, 1e-8)
-    _assert_same_outcome(
-        _outcome(est.stationary_g2_zero, *args, block_length=1e-8),
-        _outcome(_g2_zero_ref_sigma, *args, block_length=1e-8))
+    _assert_same_outcome(_outcome(est.stationary_g2_zero, *args),
+                         _outcome(_g2_zero_ref_sigma, *args))
+
+
+def test_start_stop_is_the_adjacent_gaps(stationary_stream):
+    bw, max_tau = 5e-7, 2e-5
+    hist = est.tau_histogram(stationary_stream, bw, max_tau, scope="start_stop")
+    ref = np.histogram(np.diff(stationary_stream.times), hist.bin_edges)[0]
+    assert np.array_equal(hist.counts, ref)
+    assert np.array_equal(hist.block_counts.sum(axis=0), hist.counts)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,10 @@ class TestDetectorValidation:
     (lambda: sim.DetectorModel(dead_time=math.nan), "dead_time"),
     (lambda: sim.PulseTrainConfig(100, math.inf, MODE), "repetition_period"),
     (lambda: sim.StationaryThermalConfig(math.nan, 1e6, 1.0), "mean_rate"),
+    pytest.param(lambda: sim.simulate_stationary_poisson(math.inf, 1.0, seed=0),
+                 "mean_rate", id="poisson-mean_rate"),
+    pytest.param(lambda: sim.simulate_stationary_poisson(1e5, math.nan, seed=0),
+                 "duration", id="poisson-duration"),
 ])
 def test_non_finite_config_rejected(make, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

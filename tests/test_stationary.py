@@ -112,16 +112,15 @@ class TestG2ZeroWithUncertainty:
     def test_poisson_control(self):
         stream = pg.simulate_stationary_poisson(3e5, 1.0, seed=48)
         val, sig = est.stationary_g2_zero(stream, 1.0 / (50 * BANDWIDTH),
-                                          5.0 / BANDWIDTH, 3.0 / BANDWIDTH,
-                                          block_length=1e-5)
+                                          5.0 / BANDWIDTH, 3.0 / BANDWIDTH)
         assert abs(val - 1.0) < 4 * sig
 
     def test_validation(self):
         stream = pg.simulate_stationary_poisson(3e5, 0.01, seed=49)
         with pytest.raises(ValueError, match="baseline"):
-            est.stationary_g2_zero(stream, 1e-6, 5e-6, 1e-7, block_length=1e-5)
-        with pytest.raises(ValueError, match="block_length"):
-            est.stationary_g2_zero(stream, 2e-8, 5e-6, 3e-6)  # no bandwidth meta
+            est.stationary_g2_zero(stream, 1e-6, 5e-6, 1e-7)
+        with pytest.raises(ValueError, match="baseline"):
+            est.stationary_g2_zero(stream, 2e-8, 5e-6, 5e-6)
 
 
 class TestPoissonControl:
