@@ -315,7 +315,9 @@ def pn_histogram_g2q(stream: ClickStream, train):
     (the empty pulses are the rest of N), so it costs O(clicks), not
     O(pulses).  The estimate is N F / M^2 with F the summed m(m-1) and M
     the summed m over the pulses' click numbers m; its uncertainty is the
-    linearized spread of that ratio over independent pulses.
+    linearized spread of that ratio over independent pulses; with no pairs
+    it is 2N/M^2, the value one pair gives (one count being the 63 %
+    Poisson upper limit on zero observed).
     """
     n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
                 else int(train))
@@ -330,6 +332,8 @@ def pn_histogram_g2q(stream: ClickStream, train):
     pair_w = nn * (nn - 1.0)
     pairs, clicks = pair_w @ hist, nn @ hist
     val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
+    if not pairs:
+        return val, 2.0 * n_pulses / clicks**2
     grad = (n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
     return val, _linearized_sigma(grad, np.vstack([pair_w, nn]), hist)
 
@@ -344,7 +348,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     independent pulses the expectation is exactly g2q; the factor 2 and
     the N/(N-k) weights compensate the unordered-pair convention and the
     finite train length.  The uncertainty is the linearized spread of
-    that ratio over at most 200 contiguous blocks of pulses.
+    that ratio over at most 200 contiguous blocks of pulses; with no
+    central pair it is 2/S, the value one pair gives, as in `pn_histogram_g2q`.
     """
     if not isinstance(train, _simulate.PulseTrainConfig):
         raise TypeError("g2_sidepeak needs the PulseTrainConfig of the stream")
@@ -382,6 +387,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     if s_mean <= 0:
         raise EstimationError("no side-peak pairs found; stream too sparse")
     val = 2.0 * float(totals[0]) / s_mean
+    if not totals[0]:
+        return val, 2.0 / s_mean
     grad = np.concatenate([[2.0 / s_mean], -val * corr / (n_side * s_mean)])
     return val, _linearized_sigma(grad, stats)
 

@@ -7,9 +7,9 @@ generator keyed by (root, block index).  A block's draws therefore
 depend only on the seed and the block's position, never on how much
 other work the run contains.
 
-Root 0 drives the pulse blocks and the Poisson control source, roots 1
-and 2 the stationary field noise and its clicks, and root 3 the timing
-jitter only.  The estimators draw no random numbers.
+Root 0 drives the pulse blocks and the Poisson control source, root 1
+the stationary field noise, root 2 its clicks (one Poisson total and its
+uniforms per field chunk), root 3 the timing jitter.  Estimators draw none.
 """
 
 from __future__ import annotations

@@ -38,19 +38,20 @@ A complex circular-Gaussian field is synthesized by filtering white noise
 with a kernel whose correlation time is 1/bandwidth (integrated-|g1|^2
 convention); clicks then come from an inhomogeneous Poisson process driven
 by the squared field magnitude (a Cox process).  That reproduces the
-bunching peak g2(0) = 2 of chaotic light with baseline 1.  The filter is
-a numpy FFT overlap-add over chunks of the field grid, with the kernel's
-transform computed once per run and the convolution tail carried from
-chunk to chunk.  Only the Gaussian arrival sampler and timing jitter
-import scipy (`scipy.special.ndtri`), so the stationary source and
-non-Gaussian pulse modes run on numpy alone.
+bunching peak g2(0) = 2 of chaotic light with baseline 1.  Each chunk of
+the field grid takes one pass: a numpy FFT overlap-add filter (kernel
+transform computed once per run, convolution tail carried to the next
+chunk), then one Poisson click total placed through the cumulative
+intensity.  Only the Gaussian arrival sampler and timing jitter import
+scipy (`scipy.special.ndtri`), so the stationary source and non-Gaussian
+pulse modes run on numpy alone.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config, package version) gives a
 bit-identical stream.  Jitter is drawn from its own substream over the
 clicks in block order, so without dead time the clicks of the first
-k * _PULSE_BLOCK pulses of a longer train are exactly the stream of the
-shorter train, with or without jitter.
+k * _PULSE_BLOCK pulses (or k field chunks) of a longer train (or
+stationary record) are exactly the stream of the shorter one.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ __all__ = [
 
 _PULSE_BLOCK = 1 << 14
 _FIELD_CHUNK = 1 << 20
-# FFT length of the overlap-add field filter, raised for kernels longer
-# than a quarter of it
+# FFT length of the overlap-add field filter, raised for kernels over 1/4 of it
 _FILTER_FFT = 1 << 12
 
 
@@ -302,80 +302,73 @@ def _field_kernel(cfg: StationaryThermalConfig, dt: float) -> np.ndarray:
     return ker / math.sqrt(float(np.sum(ker**2)))
 
 
-def _overlap_add(x, kernel_fft, taps):
-    """Full linear convolution of ``x`` with the ``taps``-tap kernel whose FFT is given.
+def _field_intensity_chunks(kernel, root_noise, n_grid):
+    """Yield (first cell, |E|^2) per chunk of the field grid.
 
-    ``x`` is cut into blocks of nfft - taps + 1 samples; each block's
-    circular convolution is linear, and its last taps - 1 outputs spill
-    into the next block.
+    A chunk is whole rows of nfft - taps + 1 cells.  Its noise is one real
+    normal draw viewed as complex; each row is filtered by FFT, product
+    with the kernel's transform and inverse FFT in place, and its last
+    taps - 1 outputs add into the next row's head (the last row's into
+    the next chunk's).  E|E|^2 = 2 (unit-power kernel, unit-variance noise).
     """
-    nfft = kernel_fft.size
+    taps = kernel.size
+    nfft = max(_FILTER_FFT, 1 << (4 * taps).bit_length())
     step = nfft - taps + 1
-    n_blocks = -(-x.size // step)
-    blocks = np.zeros((n_blocks, step), dtype=complex)
-    blocks.reshape(-1)[:x.size] = x
-    y = np.fft.ifft(np.fft.fft(blocks, nfft, axis=-1) * kernel_fft, axis=-1)
-    out = np.zeros((n_blocks + 1) * step, dtype=complex)
-    out[:n_blocks * step] = y[:, :step].ravel()
-    out[step:].reshape(n_blocks, step)[:, :taps - 1] += y[:, step:]
-    return out[:x.size + taps - 1]
-
-
-def _field_intensity_chunks(cfg, kernel, root_noise, n_grid):
-    """Yield |E|^2 per chunk with exact convolution carry across chunks.
-
-    The kernel has unit power and the white noise unit variance per
-    quadrature pair, so |E|^2 has ensemble mean 2; chunk content depends
-    only on (root, chunk index), never on how chunks are scheduled.
-    """
-    nfft = max(_FILTER_FFT, 1 << (4 * kernel.size).bit_length())
+    chunk = max(_FIELD_CHUNK // step, 1) * step
     kernel_fft = np.fft.fft(kernel, nfft)
-    carry = np.zeros(kernel.size - 1, dtype=complex)
-    for c in range(0, (n_grid + _FIELD_CHUNK - 1) // _FIELD_CHUNK):
-        lo = c * _FIELD_CHUNK
-        length = min(_FIELD_CHUNK, n_grid - lo)
-        rng = block_generator(root_noise, c)
-        noise = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        y = _overlap_add(noise, kernel_fft, kernel.size)
-        if carry.size:
-            y[:carry.size] += carry
-        carry = y[length:]
-        seg = y[:length]
-        yield lo, (seg.real**2 + seg.imag**2)
+    carry = np.zeros(taps - 1, dtype=complex)
+    for c, lo in enumerate(range(0, n_grid, chunk)):
+        length = min(chunk, n_grid - lo)
+        noise = np.zeros((-(-length // step), step), complex)   # last row padded
+        block_generator(root_noise, c).standard_normal(
+            2 * length, out=noise.reshape(-1)[:length].view(np.float64))
+        y = np.fft.fft(noise, nfft)
+        del noise
+        y *= kernel_fft
+        np.fft.ifft(y, out=y)
+        y[1:, :taps - 1] += y[:-1, step:]
+        y[0, :taps - 1] += carry
+        carry = y[-1, step:].copy()
+        intensity = np.square(y[:, :step].real)
+        intensity += np.square(y[:, :step].imag)
+        yield lo, intensity.reshape(-1)[:length]
+
+
+def _chunk_clicks(intensity, mean_per_cell, rng):
+    """Sorted click positions, in cells, for the rate mean_per_cell * intensity.
+
+    One Poisson total and sorted uniforms on [0, sum I) inverted through
+    cumsum(I) are, in distribution, a Poisson count per cell placed
+    uniformly in it (Lewis & Shedler 1979).  Cell i takes
+    cum[i] <= u < cum[i + 1], never a zero-intensity cell.  No clip is
+    needed: u = r * sum I with r <= 1 - 2^-53 rounds below sum I.
+    """
+    cum = np.concatenate(([0.0], np.cumsum(intensity)))
+    u = np.sort(rng.random(rng.poisson(mean_per_cell * cum[-1]))) * cum[-1]
+    cell = np.searchsorted(cum, u, "right") - 1
+    left = cum[cell]
+    return cell + (u - left) / (cum[cell + 1] - left)
 
 
 def simulate_stationary_thermal(cfg: StationaryThermalConfig,
                                 detector: DetectorModel, seed) -> ClickStream:
     """Cox-process click stream for stationary chaotic light.
 
-    The instantaneous rate is |E(t)|^2 scaled so its ensemble mean equals
-    efficiency * mean_rate; clicks are Poisson within each field timestep
-    and placed uniformly inside it.
+    The rate is |E(t)|^2, constant over each field timestep and scaled so
+    its ensemble mean is efficiency * mean_rate; each field chunk draws
+    its clicks by `_chunk_clicks`, from root 2 keyed by the chunk index.
     """
     dt = cfg.field_timestep
-    n_grid = int(round(cfg.duration / dt))
     kernel = _field_kernel(cfg, dt)
     roots = derive_roots(seed)
-    # unit-power kernel and unit-variance complex noise give E|E|^2 = 2
-    scale = detector.efficiency * cfg.mean_rate / 2.0
-
-    all_times = []
-    for lo, intensity in _field_intensity_chunks(cfg, kernel, roots[1], n_grid):
-        rng = block_generator(roots[2], lo // _FIELD_CHUNK)
-        counts = rng.poisson(intensity * (scale * dt))
-        total = int(counts.sum())
-        if total:
-            cell = np.repeat(np.arange(intensity.size), counts)
-            all_times.append((lo + cell + rng.random(total)) * dt)
-    times = np.concatenate(all_times) if all_times else np.empty(0)
+    scale = detector.efficiency * cfg.mean_rate / 2.0       # E|E|^2 = 2
+    chunks = _field_intensity_chunks(kernel, roots[1], int(round(cfg.duration / dt)))
+    times = np.concatenate([
+        (lo + _chunk_clicks(intensity, scale * dt, block_generator(roots[2], c))) * dt
+        for c, (lo, intensity) in enumerate(chunks)])
     return _finish_stream(
         np.full(times.size, -1, dtype=np.int64), times, detector, seed,
-        "stationary", None, None,
-        stationary={"mean_rate": cfg.mean_rate,
-                    "spectral_bandwidth": cfg.spectral_bandwidth,
-                    "duration": cfg.duration,
-                    "field_timestep": cfg.field_timestep,
-                    "spectral_shape": cfg.spectral_shape})
+        "stationary", None, None, stationary=asdict(cfg))
 
 
 def simulate_stationary_poisson(mean_rate: float, duration: float, seed,

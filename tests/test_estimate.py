@@ -300,6 +300,8 @@ class TestPnHistogram:
         val, sig = est.pn_histogram_g2q(stream, n)
         assert val == 0.0
         assert sig <= 0.01
+        # no pair: the sigma is the value one pair would give, 2N/M^2
+        assert 0.0 < sig == pytest.approx(2.0 * n / stream.n_clicks**2, rel=1e-12)
 
     def test_loss_does_not_bias_thermal(self):
         n = 200000
@@ -350,6 +352,9 @@ class TestSidePeak:
         val, sig = est.g2_sidepeak(stream, train, window=3e-9)
         assert val == 0.0
         assert sig <= 0.01
+        # no central pair: the sigma is the value one pair would give, 2/S
+        # with S ~ N s^2 = N/4 side-peak pairs
+        assert 0.0 < sig == pytest.approx(8.0 / n, rel=0.03)
 
     def test_window_validation(self):
         stream, train = run_train(st.coherent(1.0), 1000, seed=25)

@@ -201,6 +201,8 @@ def _sidepeak_ref_sigma(stream, train, window, n_side=3, bootstrap=False):
         return val, _bootstrap_sigma(
             lambda x: 2.0 * x[0] / np.mean(x[1:] * corr[:, None], axis=0), blocks)
     s_bar = float(np.mean(sb.sum(axis=0) * corr))
+    if not cb.sum():            # no central pair: the value one pair would give
+        return val, 2.0 / s_bar
     grad = np.concatenate([[2.0 / s_bar], -2.0 * cb.sum() * corr / (n_side * s_bar**2)])
     return val, _delta_sigma(grad, blocks)
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import oaconvolve
 
 import pulseg2 as pg
 from pulseg2 import estimate as est
@@ -135,20 +134,20 @@ class TestPoissonControl:
         assert abs(stream.n_clicks - 1e4) < 5 * math.sqrt(1e4)
 
 
-def oaconvolve_intensity_chunks(kernel, root_noise, n_grid):
-    """The field generator as it was with scipy.signal.oaconvolve."""
-    carry = np.zeros(kernel.size - 1, dtype=complex)
-    for c in range(0, (n_grid + sim._FIELD_CHUNK - 1) // sim._FIELD_CHUNK):
-        lo = c * sim._FIELD_CHUNK
-        length = min(sim._FIELD_CHUNK, n_grid - lo)
-        rng = block_generator(root_noise, c)
-        noise = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        y = oaconvolve(noise, kernel, mode="full")
-        if carry.size:
-            y[:carry.size] += carry
-        carry = y[length:]
-        seg = y[:length]
-        yield lo, (seg.real**2 + seg.imag**2)
+def convolved_intensity(chunks, kernel, root_noise):
+    """|E|^2 of the whole record from one direct np.convolve of its noise,
+    each chunk's drawn as one real normal array viewed as complex."""
+    noise = np.concatenate([
+        block_generator(root_noise, c).standard_normal(2 * part.size).view(complex)
+        for c, (_, part) in enumerate(chunks)])
+    y = np.convolve(noise, kernel)[:noise.size]
+    return y.real**2 + y.imag**2
+
+
+def field_kernel(shape, timestep):
+    cfg = sim.StationaryThermalConfig(1e5, BANDWIDTH, 1.0, field_timestep=timestep,
+                                      spectral_shape=shape)
+    return sim._field_kernel(cfg, cfg.field_timestep)
 
 
 # default Gaussian and Lorentzian kernels, and one too long for the default FFT size
@@ -158,31 +157,113 @@ FILTER_KERNELS = pytest.mark.parametrize(
 
 
 class TestOverlapAddFilter:
+    """The chunked FFT overlap-add filter against the full linear
+    convolution (scipy's `oaconvolve` in the test names), here computed
+    directly by np.convolve over the whole record."""
+
     @FILTER_KERNELS
     @pytest.mark.parametrize("length", [50, 4000, 123457])
     def test_matches_oaconvolve(self, shape, timestep, length):
-        cfg = sim.StationaryThermalConfig(1e5, BANDWIDTH, 1.0, field_timestep=timestep,
-                                          spectral_shape=shape)
-        kernel = sim._field_kernel(cfg, cfg.field_timestep)
-        nfft = 1 << (4 * kernel.size).bit_length()   # many blocks for short kernels
-        rng = np.random.default_rng(length)
-        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        got = sim._overlap_add(x, np.fft.fft(kernel, nfft), kernel.size)
-        ref = oaconvolve(x, kernel, mode="full")
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) < 1e-13
+        kernel = field_kernel(shape, timestep)
+        root = derive_roots(length)[1]
+        got = list(sim._field_intensity_chunks(kernel, root, length))
+        assert [(lo, part.size) for lo, part in got] == [(0, length)]
+        np.testing.assert_allclose(got[0][1], convolved_intensity(got, kernel, root),
+                                   rtol=1e-12, atol=1e-14)
 
     @FILTER_KERNELS
     def test_chunks_match_oaconvolve_with_partial_last_chunk(self, monkeypatch, shape,
                                                              timestep):
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 5000)
-        cfg = sim.StationaryThermalConfig(1e5, BANDWIDTH, 1.0, field_timestep=timestep,
-                                          spectral_shape=shape)
-        kernel = sim._field_kernel(cfg, cfg.field_timestep)
+        kernel = field_kernel(shape, timestep)
         root = derive_roots(17)[1]
-        got = list(sim._field_intensity_chunks(cfg, kernel, root, 12345))
-        ref = list(oaconvolve_intensity_chunks(kernel, root, 12345))
-        assert [lo for lo, _ in got] == [lo for lo, _ in ref] == [0, 5000, 10000]
-        assert got[-1][1].size == 2345
-        for (_, a), (_, b) in zip(got, ref):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+        got = list(sim._field_intensity_chunks(kernel, root, 61234))
+        sizes = [part.size for _, part in got]
+        # whole chunks of one size, a shorter last one, laid end to end
+        assert len(sizes) >= 3 and set(sizes[:-1]) == {sizes[0]} and sizes[-1] < sizes[0]
+        assert [lo for lo, _ in got] == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == 61234
+        np.testing.assert_allclose(np.concatenate([part for _, part in got]),
+                                   convolved_intensity(got, kernel, root),
+                                   rtol=1e-12, atol=1e-14)
+
+
+class _TopUniform:
+    """A generator stand-in whose uniforms are all numpy's largest, 1 - 2^-53."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def poisson(self, lam):
+        return self.count
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+class TestChunkClicks:
+    # a zero run, a ramp, zeros, a step and trailing zeros
+    INTENSITY = np.concatenate([np.zeros(5), np.linspace(0.1, 2.0, 40), np.zeros(5),
+                                np.full(30, 0.5), np.full(30, 3.0), np.zeros(5)])
+    MEAN_PER_CELL = 0.4
+    SEEDS = 2000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return [sim._chunk_clicks(self.INTENSITY, self.MEAN_PER_CELL,
+                                  np.random.default_rng(seed))
+                for seed in range(self.SEEDS)]
+
+    def test_sorted_and_never_in_zero_cells(self, draws):
+        for pos in draws:
+            assert np.all(np.diff(pos) >= 0)
+            assert np.all(self.INTENSITY[np.floor(pos).astype(np.int64)] > 0)
+
+    def test_cell_totals_match_rate(self, draws):
+        counts = sum(np.bincount(np.floor(pos).astype(np.int64),
+                                 minlength=self.INTENSITY.size) for pos in draws)
+        lam = self.SEEDS * self.MEAN_PER_CELL * self.INTENSITY
+        live = lam > 0
+        chi2 = float(np.sum((counts[live] - lam[live]) ** 2 / lam[live]))
+        dof = int(live.sum())
+        assert chi2 < dof + 5.0 * math.sqrt(2.0 * dof)
+
+    def test_counts_per_cell_are_poisson(self, draws):
+        # the step's high cells, 30 per seed, each Poisson(1.2) on its own
+        mean = self.MEAN_PER_CELL * 3.0
+        high = np.concatenate([
+            np.bincount(np.floor(pos).astype(np.int64), minlength=self.INTENSITY.size)[80:110]
+            for pos in draws])
+        k_max = 5                      # k >= k_max pooled into the last class
+        observed = np.bincount(np.minimum(high, k_max), minlength=k_max + 1)
+        pmf = np.array([math.exp(-mean) * mean**k / math.factorial(k) for k in range(k_max)])
+        expected = high.size * np.append(pmf, 1.0 - pmf.sum())
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 < k_max + 5.0 * math.sqrt(2.0 * k_max)
+
+    def test_positions_uniform_within_cells(self, draws):
+        pos = np.concatenate(draws)
+        frac = np.sort(pos - np.floor(pos))
+        n = frac.size
+        ks = max(np.max(np.arange(1, n + 1) / n - frac), np.max(frac - np.arange(n) / n))
+        assert ks < 1.95 / math.sqrt(n)            # p ~ 0.001
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 3.0, 7.77, 1e6, 1e300])
+    def test_largest_uniform_stays_in_last_live_cell(self, scale):
+        intensity = np.array([0.0, 2.0, 1.0, 0.0, 0.0]) * scale
+        pos = sim._chunk_clicks(intensity, 1.0, _TopUniform(3))
+        assert np.all((pos >= 2.0) & (pos <= 3.0))
+
+
+def test_stationary_chunk_prefix_invariance(monkeypatch):
+    # the clicks of the first k whole chunks of a longer record are the
+    # stream of the k-chunk record, bit for bit
+    monkeypatch.setattr(sim, "_FIELD_CHUNK", 20000)
+    dt = 1.0 / (20 * BANDWIDTH)
+    kernel = field_kernel("gaussian", None)
+    chunk = next(sim._field_intensity_chunks(kernel, derive_roots(0)[1], 10**9))[1].size
+    short = thermal_stream(duration=3 * chunk * dt, seed=50)
+    longer = thermal_stream(duration=5.5 * chunk * dt, seed=50)
+    prefix = longer.times[longer.times < 3 * chunk * dt]
+    assert short.n_clicks > 1000 and longer.n_clicks > prefix.size
+    assert np.array_equal(short.times, prefix)
