@@ -417,7 +417,8 @@ class ConditionalProbabilityCurve:
     def g2_zero(self, baseline_from: float):
         """(g2(0), sigma): C0 K / B, C0 the pairs in bin 0 and B those in the
         K bins whose centres are >= ``baseline_from`` (the `baseline` rule),
-        and its linearized spread over the time blocks (one block: inf)."""
+        and its linearized spread over the time blocks (one block: inf); with
+        bin 0 empty it is K/B, the value one pair gives (`pn_histogram_g2q`)."""
         if not baseline_from >= self.bin_width:
             raise ValueError("need bin_width <= baseline_from")
         sel = self._baseline_bins(baseline_from)
@@ -427,6 +428,8 @@ class ConditionalProbabilityCurve:
             raise EstimationError("no baseline pairs; increase max_tau or duration")
         k_base = int(sel.sum())
         val = float(central * k_base / base)
+        if not central:
+            return val, float(k_base / base)
         return val, _linearized_sigma((k_base / base, -val / base), stats)
 
     def peak_to_baseline(self, tau_from: float) -> float:

@@ -9,7 +9,9 @@ other work the run contains.
 
 Root 0 drives the pulse blocks and the Poisson control source, root 1
 the stationary field noise, root 2 its clicks (one Poisson total and its
-uniforms per field chunk), root 3 the timing jitter.  Estimators draw none.
+uniforms per field chunk), root 3 the timing jitter and root 4 the
+arrival offsets of a pulse train (one stream over its clicks in block
+order).  Estimators draw none.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 __all__ = ["derive_roots", "block_generator"]
 
 
-def derive_roots(seed, count: int = 4) -> np.ndarray:
+def derive_roots(seed, count: int = 5) -> np.ndarray:
     """Expand a user seed into ``count`` independent uint64 stream roots."""
     ss = np.random.SeedSequence(seed)
     return ss.generate_state(count, dtype=np.uint64)

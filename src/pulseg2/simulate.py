@@ -15,9 +15,9 @@ spends its work on photons, not pulses.  Per block of B pulses it
 2. draws each occupied pulse's photon number from P_n given n >= 1,
 3. keeps each photon independently with the detector efficiency s
    (binomial thinning),
-4. gives each kept photon an arrival time drawn i.i.d. from |v(t)|^2
-   centered in the pulse slot (an exact inverse CDF for Gaussian modes,
-   else rejection under an envelope built once per train).
+4. after the blocks, gives every kept photon an arrival time i.i.d. from
+   |v(t)|^2 in its pulse slot, by exact rejection under a piecewise-
+   constant envelope built once per train (one sampler for every mode).
 
 Every source then ends in one finisher: optional Gaussian timing jitter,
 a stable time sort, non-paralyzable dead-time removal and the sidecar
@@ -42,16 +42,14 @@ bunching peak g2(0) = 2 of chaotic light with baseline 1.  Each chunk of
 the field grid takes one pass: a numpy FFT overlap-add filter (kernel
 transform computed once per run, convolution tail carried to the next
 chunk), then one Poisson click total placed through the cumulative
-intensity.  Only the Gaussian arrival sampler and timing jitter import
-scipy (`scipy.special.ndtri`), so the stationary source and non-Gaussian
-pulse modes run on numpy alone.
+intensity.  The module needs numpy alone.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config, package version) gives a
-bit-identical stream.  Jitter is drawn from its own substream over the
-clicks in block order, so without dead time the clicks of the first
-k * _PULSE_BLOCK pulses (or k field chunks) of a longer train (or
-stationary record) are exactly the stream of the shorter one.
+bit-identical stream.  Arrival offsets and jitter each come from their
+own substream over the clicks in block order, so without dead time the
+clicks of the first k * _PULSE_BLOCK pulses (or k field chunks) of a
+longer train (or stationary record) are exactly the stream of the shorter one.
 """
 
 from __future__ import annotations
@@ -175,39 +173,38 @@ class StationaryThermalConfig:
 # pulsed simulation
 
 
-def _arrival_sampler(mode):
-    """Arrival times relative to the pulse center, i.i.d. from |v(t)|^2.
-
-    Built once per train, with the rejection envelope of a non-Gaussian
-    mode (grid, intensity bound and acceptance rate).
-    """
-    if mode.kind == "gaussian":
-        from scipy.special import ndtri
-        # |v|^2 is Gaussian with s.d. width/sqrt(2); inverse CDF is exact
-        sigma = mode.width / math.sqrt(2.0)
-        return lambda count, rng: mode.center + ndtri(rng.random(count)) * sigma
+def _arrival_envelope(mode):
+    """The mode's grid t, its cell widths and I = |v|^2 bounded on cell i by
+    1.001 max(I[i], I[i+1]), above I everywhere inside the cell."""
     t, _ = _modes._grid(mode)
-    lo, hi = float(t[0]), float(t[-1])
-    bound = float(np.max(_modes.intensity_profile(mode, t))) * 1.001
-    accept_rate = max(1.0 / ((hi - lo) * bound), 1e-3)
-
-    def sample(count, rng):
-        out = np.empty(count)
-        filled = 0
-        while filled < count:
-            m = max(1024, int(1.5 * (count - filled) / accept_rate))
-            cand = lo + (hi - lo) * rng.random(m)
-            keep = rng.random(m) * bound <= _modes.intensity_profile(mode, cand)
-            good = cand[keep]
-            take = min(good.size, count - filled)
-            out[filled:filled + take] = good[:take]
-            filled += take
-        return out
-    return sample
+    intensity = _modes.intensity_profile(mode, t)
+    return t, np.diff(t), 1.001 * np.maximum(intensity[:-1], intensity[1:])
 
 
-def _pulse_block(cdf, sample_offsets, efficiency, period, lo, hi, root, block):
-    """Clicks of pulses [lo, hi); only the pulses that hold photons are drawn."""
+def _arrival_sampler(mode, count, rng):
+    """``count`` arrival times from the pulse slot center, i.i.d. from |v|^2.
+
+    Exact rejection under `_arrival_envelope` (Devroye 1986, II.3), accepting
+    over 99 %.  A candidate is a row of three uniforms: a cell picked by bound,
+    a uniform place in it, acceptance against |v|^2.  Rows are drawn in order,
+    at most _PULSE_BLOCK at a time; photon k takes the k-th accepted row."""
+    t, step, bound = _arrival_envelope(mode)
+    cum = np.cumsum(bound * step)
+    out = np.empty(count)
+    filled = 0
+    while filled < count:
+        u = rng.random((min(_PULSE_BLOCK, int((count - filled) * cum[-1]) + 64), 3))
+        cell = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
+        cand = t[cell] + u[:, 1] * step[cell]
+        good = cand[u[:, 2] * bound[cell] < _modes.intensity_profile(mode, cand)]
+        take = min(good.size, count - filled)
+        out[filled:filled + take] = good[:take]
+        filled += take
+    return out
+
+
+def _pulse_block(cdf, efficiency, lo, hi, root, block):
+    """Pulse index of each click in pulses [lo, hi); only occupied pulses are drawn."""
     rng = block_generator(root, block)
     occupied = cdf[-1] - cdf[0]
     k = rng.binomial(hi - lo, min(occupied, 1.0))
@@ -215,9 +212,7 @@ def _pulse_block(cdf, sample_offsets, efficiency, period, lo, hi, root, block):
     # photon number given n >= 1: inverse CDF at u uniform on [cdf[0], cdf[-1])
     n = np.searchsorted(cdf, cdf[0] + rng.random(k) * occupied, side="right")
     kept = rng.binomial(np.minimum(n, cdf.size - 1), efficiency)
-    pulse_idx = np.repeat(pulses, kept)
-    times = (pulse_idx + 0.5) * period + sample_offsets(pulse_idx.size, rng)
-    return pulse_idx, times
+    return np.repeat(pulses, kept)
 
 
 def _dead_time_filter(pulse_idx, times, dead):
@@ -243,9 +238,8 @@ def _finish_stream(pulse_idx, times, detector, seed, kind, state, mode, **config
     Jitter is drawn from its own root over the clicks in generation order.
     """
     if detector.timing_jitter_sigma > 0:
-        from scipy.special import ndtri
         rng = block_generator(derive_roots(seed)[3], 0)
-        times = times + ndtri(rng.random(times.size)) * detector.timing_jitter_sigma
+        times = times + rng.standard_normal(times.size) * detector.timing_jitter_sigma
     order = np.argsort(times, kind="stable")
     pulse_idx, times = _dead_time_filter(pulse_idx[order], times[order],
                                          detector.dead_time)
@@ -263,15 +257,14 @@ def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
     and the block index; the merged records are time sorted.
     """
     cdf = np.cumsum(state.pn)
-    sample_offsets = _arrival_sampler(train.mode)
-    root = derive_roots(seed)[0]
-    parts = [_pulse_block(cdf, sample_offsets, detector.efficiency,
-                          train.repetition_period, lo,
-                          min(lo + _PULSE_BLOCK, train.num_pulses), root,
-                          lo // _PULSE_BLOCK)
-             for lo in range(0, train.num_pulses, _PULSE_BLOCK)]
+    roots = derive_roots(seed)
+    pulse_idx = np.concatenate([
+        _pulse_block(cdf, detector.efficiency, lo, min(lo + _PULSE_BLOCK, train.num_pulses),
+                     roots[0], lo // _PULSE_BLOCK)
+        for lo in range(0, train.num_pulses, _PULSE_BLOCK)])
+    offsets = _arrival_sampler(train.mode, pulse_idx.size, block_generator(roots[4], 0))
     return _finish_stream(
-        np.concatenate([p for p, _ in parts]), np.concatenate([t for _, t in parts]),
+        pulse_idx, (pulse_idx + 0.5) * train.repetition_period + offsets,
         detector, seed, "pulsed", state.label, train.mode.label,
         train={"num_pulses": int(train.num_pulses),
                "repetition_period": train.repetition_period})

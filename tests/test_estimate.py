@@ -592,6 +592,18 @@ class TestStationaryCurve:
         with pytest.raises(EstimationError, match="baseline"):
             curve.g2_zero(3e-6)
 
+    def test_no_central_pair_sigma_is_the_one_pair_value(self):
+        # 1,910 clicks at 2e3/s leave the 10 ns bin 0 empty: the sigma is K/B,
+        # the value one pair gives, as on the pn and side-peak routes
+        stream = pg.simulate_stationary_poisson(2e3, 1.0, seed=5)
+        val, sig = est.stationary_g2_zero(stream, 1e-8, 1e-4, 5e-5)
+        curve = est.stationary_conditional_probability(stream, 1e-8, 1e-4)
+        sel = curve.tau >= 5e-5
+        assert val == 0.0
+        assert math.isfinite(sig) and sig > 0
+        k_over_b = sel.sum() / curve.block_counts[:, sel].sum()
+        assert sig == pytest.approx(k_over_b, rel=1e-12)
+
     def test_baseline_must_start_past_bin_zero(self):
         stream = pg.simulate_stationary_poisson(2e5, 0.01, seed=36)
         curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)

@@ -1,4 +1,4 @@
-"""The package and both workload paths run on numpy alone."""
+"""The package, both workload paths and every simulator path run on numpy alone."""
 
 import os
 import subprocess
@@ -28,6 +28,9 @@ SCRIPT = textwrap.dedent("""
     report = pg.analyze_stream(stream)
     assert report.g2q_eta > 0
     pg.g2_sidepeak(stream, cfg.train(), 0.4 * cfg.repetition_period)
+    jittered = sim.DetectorModel(timing_jitter_sigma=1e-10)
+    gauss = sim.PulseTrainConfig(40000, 12.5e-9, pg.gaussian_mode(5e-10))
+    assert sim.simulate_pulse_train(cfg.state(), jittered, gauss, 4).n_clicks > 0
     scfg = sim.StationaryThermalConfig(2e5, 1e6, 0.02)
     assert sim.simulate_stationary_thermal(scfg, sim.DetectorModel(), 5).n_clicks > 0
     with open("stationary.ini", "w") as fh:

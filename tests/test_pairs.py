@@ -214,6 +214,8 @@ def _g2_zero_ref_sigma(*args, bootstrap=False, **kwargs):
     if bootstrap:
         return val, _bootstrap_sigma(lambda x: x[0] * k_base / x[1], blocks)
     c, b = central.sum(), base.sum()
+    if not c:                   # no central pair: the value one pair would give
+        return val, k_base / b
     return val, _delta_sigma((k_base / b, -c * k_base / b**2), blocks)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy import stats as sps
+from scipy.integrate import simpson
 
 import pulseg2 as pg
 from pulseg2 import modes as md
@@ -18,6 +19,13 @@ PERIOD = 12.5e-9
 MODE = md.gaussian_mode(WIDTH)
 IDEAL = sim.DetectorModel()
 JITTERED = sim.DetectorModel(efficiency=0.8, timing_jitter_sigma=0.3e-9)
+HG1 = md.hermite_gauss_mode(1, WIDTH)
+_X = np.linspace(-6.0, 8.0, 1401)
+# asymmetric and complex: a Gaussian plus a narrower quadrature bump at +2 widths
+SAMPLED = md.sampled_mode(_X * WIDTH,
+                          np.exp(-_X**2 / 2) + 0.6j * np.exp(-2 * (_X - 2)**2))
+ARRIVAL_MODES = {"gauss": MODE, "hg1": HG1, "hg3": md.hermite_gauss_mode(3, WIDTH),
+                 "sampled": SAMPLED}
 
 
 def _chisquare_pvalue(obs, exp):
@@ -101,11 +109,15 @@ class TestPulseTrain:
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.pulse_index, b.pulse_index)
 
-    @pytest.mark.parametrize("det", [IDEAL, JITTERED], ids=["ideal", "jittered"])
-    def test_block_prefix_invariance(self, det):
+    @pytest.mark.parametrize("mode,det", [
+        (MODE, IDEAL), (MODE, JITTERED), (HG1, IDEAL), (HG1, JITTERED),
+        (SAMPLED, IDEAL), (SAMPLED, JITTERED),
+    ], ids=["ideal", "jittered", "hg1-ideal", "hg1-jittered", "sampled-ideal",
+            "sampled-jittered"])
+    def test_block_prefix_invariance(self, mode, det):
         # whole pulse blocks click the same whatever follows them
-        short = sim.PulseTrainConfig(2 * sim._PULSE_BLOCK, PERIOD, MODE)
-        longer = sim.PulseTrainConfig(3 * sim._PULSE_BLOCK + 5000, PERIOD, MODE)
+        short = sim.PulseTrainConfig(2 * sim._PULSE_BLOCK, 50e-9, mode)
+        longer = sim.PulseTrainConfig(3 * sim._PULSE_BLOCK + 5000, 50e-9, mode)
         a = sim.simulate_pulse_train(st.thermal(1.0), det, short, seed=9)
         b = sim.simulate_pulse_train(st.thermal(1.0), det, longer, seed=9)
         head = b.pulse_index < short.num_pulses
@@ -147,22 +159,39 @@ class TestPulseTrain:
         f_exp = n * np.append(probs, 1.0 - probs.sum())
         assert sps.chisquare(f_obs, f_exp).pvalue > 0.01
 
-    def test_hermite_gauss_rejection_sampler(self):
-        # one-click pulses land with density |v(t)|^2 for the j=1 mode
-        mode = md.hermite_gauss_mode(1, WIDTH)
-        n = 80000
-        period = 25e-9  # j=1 intensity is sqrt(3) wider than the envelope
+    @pytest.mark.parametrize("mode", ARRIVAL_MODES.values(), ids=ARRIVAL_MODES.keys())
+    def test_arrival_offsets_follow_intensity(self, mode):
+        # one-click pulses land with density |v(t)|^2 on the mode's grid: each
+        # bin's probability is a Simpson integral over 128 sub-intervals, exact
+        # far below the counting noise (the midpoint rule is up to 24 % low
+        # near the zero of hg:1)
+        n, period = 80000, 50e-9
         train = sim.PulseTrainConfig(n, period, mode)
         stream = sim.simulate_pulse_train(st.fock(1), IDEAL, train, seed=23)
         offs = stream.times - (stream.pulse_index + 0.5) * period
-        bw = WIDTH / 5.0
-        edges = np.arange(-4e-9, 4e-9 + bw / 2, bw)
+        t, _ = md._grid(mode)
+        edges = np.linspace(t[0], t[-1], int((t[-1] - t[0]) / (WIDTH / 5.0)) + 1)
+        fine = np.linspace(edges[:-1], edges[1:], 129, axis=1)
+        mass = simpson(md.intensity_profile(mode, fine), x=fine, axis=1)
         obs, _ = np.histogram(offs, edges)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        probs = md.intensity_profile(mode, centers) * bw
-        f_obs = np.append(obs, n - obs.sum())
-        f_exp = n * np.append(probs, max(1.0 - probs.sum(), 1e-12))
-        assert sps.chisquare(f_obs, f_exp).pvalue > 0.01
+        assert obs.sum() == n
+        assert _chisquare_pvalue(obs, n * mass / mass.sum()) > 0.01
+
+    @pytest.mark.parametrize("mode", [*ARRIVAL_MODES.values(),
+                                      md.hermite_gauss_mode(30, WIDTH)],
+                             ids=[*ARRIVAL_MODES.keys(), "hg30"])
+    def test_arrival_envelope_bounds_intensity(self, mode):
+        # |v|^2 at 64 points inside each grid cell stays under the cell's bound;
+        # a sampled mode's interpolated |v|^2 is convex in each cell, so the
+        # larger endpoint alone bounds it
+        t, step, bound = sim._arrival_envelope(mode)
+        inside = t[:-1, None] + step[:, None] * (np.arange(1, 65) / 65.0)
+        values = md.intensity_profile(mode, inside)
+        assert np.all(values <= bound[:, None])
+        if mode.kind == "sampled":
+            ends = md.intensity_profile(mode, t)
+            larger = np.maximum(ends[:-1], ends[1:])
+            assert np.all(values <= larger[:, None] * (1 + 1e-12))
 
     def test_jitter_broadens_in_quadrature(self):
         jitter = 1e-9
