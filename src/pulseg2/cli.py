@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
             p.add_argument("stream", help="click-stream file to analyze")
             p.add_argument("--sidecar", help="metadata sidecar path")
         if name == "figure":
-            p.add_argument("figure_id", help="figure number, 1-4")
+            p.add_argument("figure_id", choices=("1", "2", "3", "4"), help="figure number")
         if name == "selftest":
             p.add_argument("--quick", action="store_true",
                            help="smallest run sizes (seconds, looser bands)")
@@ -147,18 +147,23 @@ def _expected_counts(stream, hist, side):
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
+def _stationary_binning(bandwidth):
+    """Default (bin width, max_tau, baseline start) for spectral bandwidth B."""
+    return 1.0 / (50.0 * bandwidth), 5.0 / bandwidth, 3.0 / bandwidth
+
+
 def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> int:
     meta = stream.metadata.get("stationary", {})
     bandwidth = meta.get("spectral_bandwidth") or bandwidth
-    if bin_width is None:
-        if bandwidth is None:
-            raise EstimationError("stationary analysis needs --bin-width "
-                                  "(bandwidth unknown)")
-        bin_width = 1.0 / (50.0 * bandwidth)
-    if max_tau is None:
-        max_tau = (5.0 / bandwidth) if bandwidth else 500.0 * bin_width
+    if not bandwidth and bin_width is None:
+        raise EstimationError("stationary analysis needs --bin-width "
+                              "(bandwidth unknown)")
+    # no bandwidth: 500 bins, the baseline from the middle on
+    bw, tau, base_from = (_stationary_binning(bandwidth) if bandwidth
+                          else (bin_width, 500.0 * bin_width, None))
+    bin_width, max_tau = bin_width or bw, max_tau or tau
+    base_from = base_from or max_tau / 2.0
     curve = _est.stationary_conditional_probability(stream, bin_width, max_tau)
-    base_from = (3.0 / bandwidth) if bandwidth else max_tau / 2.0
     try:
         g2_zero, g2_sigma = curve.g2_zero(base_from)
     except ValueError as exc:
@@ -215,10 +220,10 @@ def _fig2(outdir, cfg) -> list:
         mean_rate=cfg.mean_rate, spectral_bandwidth=cfg.spectral_bandwidth,
         duration=min(cfg.duration, 2.0), spectral_shape=cfg.spectral_shape)
     stream = _sim.simulate_stationary_thermal(scfg, cfg.detector(), cfg.seed)
-    bw = cfg.bin_width or 1.0 / (50.0 * scfg.spectral_bandwidth)
-    max_tau = cfg.max_tau or 5.0 / scfg.spectral_bandwidth
-    curve = _est.stationary_conditional_probability(stream, bw, max_tau)
-    base = curve.baseline(3.0 / scfg.spectral_bandwidth)
+    bw, max_tau, base_from = _stationary_binning(scfg.spectral_bandwidth)
+    curve = _est.stationary_conditional_probability(stream, cfg.bin_width or bw,
+                                                    cfg.max_tau or max_tau)
+    base = curve.baseline(base_from)
     path = os.path.join(outdir, "figure2_stationary_pc.csv")
     with open(path, "w") as fh:
         fh.write("tau_seconds,pc_per_second,pc_normalized\n")
@@ -261,16 +266,10 @@ def _fig4(outdir, cfg) -> list:
 
 
 def _cmd_figure(args) -> int:
-    try:
-        fig_id = int(args.figure_id)
-    except ValueError:
-        raise ConfigError(f"figure id must be 1-4, got {args.figure_id!r}")
-    if fig_id not in (1, 2, 3, 4):
-        raise ConfigError(f"figure id must be 1-4, got {fig_id}")
     cfg = _load_config(args)
     outdir = args.out or "figures"
     os.makedirs(outdir, exist_ok=True)
-    paths = {1: _fig1, 2: _fig2, 3: _fig3, 4: _fig4}[fig_id](outdir, cfg)
+    paths = {"1": _fig1, "2": _fig2, "3": _fig3, "4": _fig4}[args.figure_id](outdir, cfg)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -326,9 +325,9 @@ def _selftest_checks(quick: bool):
     def check_stationary_peak():
         scfg = _sim.StationaryThermalConfig(1e5, 1e6, 0.4 if quick else 1.0)
         stream = _sim.simulate_stationary_thermal(scfg, _sim.DetectorModel(), seed=5)
-        curve = _est.stationary_conditional_probability(
-            stream, 1.0 / (50e6), 5e-6)
-        ratio = curve.peak_to_baseline(3e-6)
+        bw, max_tau, base_from = _stationary_binning(scfg.spectral_bandwidth)
+        curve = _est.stationary_conditional_probability(stream, bw, max_tau)
+        ratio = curve.peak_to_baseline(base_from)
         band = 0.25 if quick else 0.15
         return abs(ratio - 2.0) < band, f"peak/baseline {ratio:.3f} (want 2 +- {band})"
 

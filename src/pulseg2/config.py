@@ -136,6 +136,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in ("pulsed", "stationary"):
             raise ConfigError("[run] kind: must be 'pulsed' or 'stationary'")
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed: must be an integer >= 0, got {self.seed!r}")
         if self.stream_format not in ("csv", "binary"):
             raise ConfigError("[output] format: must be 'csv' or 'binary'")
         for attr in ("bin_width", "max_tau"):

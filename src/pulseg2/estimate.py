@@ -94,27 +94,35 @@ class TauHistogram:
             np.savetxt(fh, np.column_stack(cols), fmt=fmt, delimiter=",")
 
 
-def _pairs(keys, reach=None):
+def _pairs(times, reach):
     """Yield ``(first, second)`` index arrays of click pairs, one lag at a time.
 
-    The pairs are every i < j of the sorted ``keys`` with
-    keys[j] < keys[i] + reach, or with keys[j] == keys[i] when ``reach``
-    is None (pulse indices of lexsorted clicks).  Pass d yields the pairs
-    (i, i + d) of the clicks that still have a partner d places ahead, so
-    memory stays O(clicks) per pass.
+    The pairs are every i < j of the sorted ``times`` with
+    times[j] < times[i] + reach.  Pass d yields the pairs (i, i + d) of
+    the clicks that still have a partner d places ahead, so memory stays
+    O(clicks) per pass.
     """
-    if reach is None:
-        end = np.searchsorted(keys, keys, side="right")
-    else:
-        end = np.searchsorted(keys, keys + reach)
-    first = np.arange(keys.size, dtype=np.int64)
-    d = 1
-    while True:
+    end = np.searchsorted(times, times + reach)
+    first = np.arange(times.size, dtype=np.int64)
+    for d in itertools.count(1):
         first = first[end[first] > first + d]
         if not first.size:
             return
         yield first, first + d
-        d += 1
+
+
+def _pair_counts(times, reach, unit, n_units, nbins, bin_of, passes=None):
+    """Counts of the `_pairs` within ``reach`` (the first ``passes`` passes)
+    per `_blocks` block of the first click's ``unit``, (blocks, bins) int64;
+    ``bin_of(i, j, dt)`` bins each pair and a bin outside [0, nbins) drops it."""
+    n_blocks = _blocks(0, n_units)[1]
+    flat = np.zeros(n_blocks * nbins, dtype=np.int64)
+    for i, j in itertools.islice(_pairs(times, reach), passes):
+        k = bin_of(i, j, times[j] - times[i])
+        keep = (k >= 0) & (k < nbins)
+        flat += np.bincount(_blocks(unit[i[keep]], n_units)[0] * nbins + k[keep],
+                            minlength=flat.size)
+    return flat.reshape(n_blocks, nbins)
 
 
 def _linearized_sigma(grad, stats, weights=None):
@@ -147,10 +155,11 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
                   scope: str = "same_pulse") -> TauHistogram:
     """Histogram unordered pair time differences on tau in [0, max_tau).
 
-    ``same_pulse`` pairs clicks sharing a pulse index (the D(tau)
-    estimator), ``all_pairs`` every click with every later click up to
-    max_tau, ``start_stop`` each click with the next (the walk's first
-    pass).  Counts are also kept per block: of pulses (the sidecar's
+    One time-sorted pair walk up to max_tau: ``all_pairs`` keeps every
+    pair, ``start_stop`` the walk's first pass (each click with the next)
+    and ``same_pulse`` the pairs sharing a pulse index (the D(tau)
+    estimator), so a max_tau past the pulse walks cross-pulse pairs only to
+    drop them.  Counts are also kept per block: of pulses (the sidecar's
     ``num_pulses``, else the largest index + 1) for ``same_pulse``, else
     of whole max_tau slices from the first click, the last taking the
     remainder, so a time block outlasts every lag.  An empty stream
@@ -158,38 +167,31 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     """
     if scope not in ("same_pulse", "all_pairs", "start_stop"):
         raise ValueError("scope must be 'same_pulse', 'all_pairs' or 'start_stop'")
-    if not (bin_width > 0 and max_tau > 0):
-        raise ValueError("bin_width and max_tau must be positive")
+    for name, value in (("bin_width", bin_width), ("max_tau", max_tau)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     nbins = max(int(math.ceil(max_tau / bin_width - 1e-9)), 1)
     edges = np.arange(nbins + 1) * bin_width
     if scope == "same_pulse" and stream.n_clicks and stream.pulse_index.min() < 0:
         raise ValueError("same_pulse scope requires a pulsed stream")
     num_pulses = stream.metadata.get("train", {}).get("num_pulses")
+    times = stream.times
     if scope == "same_pulse":
-        order = np.lexsort((stream.times, stream.pulse_index))
-        times, unit = stream.times[order], stream.pulse_index[order]
+        unit = stream.pulse_index
         n_units = max(num_pulses or 1, int(unit.max(initial=0)) + 1)
-        pairs = _pairs(unit)
     else:
-        times = stream.times
         unit = ((times - times[:1]) / max_tau).astype(np.int64)
         n_units = max(int(unit.max(initial=0)), 1)
         np.minimum(unit, n_units - 1, out=unit)
-        # one bin of slack past the top edge: the bin index decides
-        pairs = _pairs(times, edges[-1] + bin_width)
-        if scope == "start_stop":
-            pairs = itertools.islice(pairs, 1)
-    block_of, n_blocks = _blocks(unit, n_units)
-    block_clicks = np.bincount(block_of, minlength=n_blocks)
-    del block_of            # a click-sized array less during the pair walk
-    flat = np.zeros(n_blocks * nbins, dtype=np.int64)
-    for i, j in pairs:
-        dt = times[j] - times[i]
+
+    def bin_of(i, j, dt):
         k = (dt / bin_width).astype(np.int64)
-        keep = (dt >= 0) & (k < nbins)
-        k += _blocks(unit[i], n_units)[0] * nbins       # the block of the pair
-        flat += np.bincount(k[keep], minlength=flat.size)
-    block_counts = flat.reshape(n_blocks, nbins)
+        return np.where(unit[j] == unit[i], k, -1) if scope == "same_pulse" else k
+
+    # one bin of slack past the top edge: the bin index decides
+    block_counts = _pair_counts(times, edges[-1] + bin_width, unit, n_units, nbins,
+                                bin_of, 1 if scope == "start_stop" else None)
+    block_clicks = np.bincount(_blocks(unit, n_units)[0], minlength=block_counts.shape[0])
     return TauHistogram(edges, block_counts.sum(axis=0), scope, num_pulses,
                         stream.n_clicks, block_counts, block_clicks)
 
@@ -357,29 +359,26 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     n_pulses = train.num_pulses
     if not 0 < window <= period / 2:
         raise ValueError("window must lie in (0, repetition_period/2]")
+    if not (isinstance(n_side, (int, np.integer)) and n_side >= 1):
+        raise ValueError(f"n_side must be a positive integer, got {n_side!r}")
     if n_pulses < n_side + 1:
         raise EstimationError(
             f"train of {n_pulses} pulses is too short for {n_side} side peaks")
-    if stream.n_clicks and stream.pulse_index.min() < 0:
+    p = stream.pulse_index
+    if p.size and p.min() < 0:
         raise ValueError("g2_sidepeak requires a pulsed stream")
-    _check_pulse_range(stream.pulse_index, n_pulses)
+    _check_pulse_range(p, n_pulses)
 
-    # pair counts per block of the first click's pulse:
-    # row 0 central, row k side peak k
-    t, p = stream.times, stream.pulse_index
-    block_of, n_blocks = _blocks(p, n_pulses)
-    stats = np.zeros((n_side + 1, n_blocks))
-    # one window of slack past the last side-peak window
-    for i, j in _pairs(t, n_side * period + 2.0 * window):
-        dt = t[j] - t[i]
-        first = block_of[i]
-        in_central = (dt < window) & (p[j] == p[i])
-        stats[0] += np.bincount(first[in_central], minlength=n_blocks)
+    def peak_of(i, j, dt):
+        # row 0 the central peak, of same-pulse pairs only; row k side peak k
         k = np.round(dt / period).astype(np.int64)
-        in_side = (k >= 1) & (k <= n_side) & (np.abs(dt - k * period) < window)
-        flat = (k[in_side] - 1) * n_blocks + first[in_side]
-        stats[1:] += np.bincount(flat, minlength=n_side * n_blocks) \
-            .reshape(n_side, n_blocks)
+        keep = (np.abs(dt - k * period) < window) & ((k > 0) | (p[j] == p[i]))
+        return np.where(keep, k, -1)
+
+    # one window of slack past the last side-peak window
+    counts = _pair_counts(stream.times, n_side * period + 2.0 * window, p, n_pulses,
+                          n_side + 1, peak_of)
+    stats = np.ascontiguousarray(counts.T, dtype=float)
 
     corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))
     totals = stats.sum(axis=1)

@@ -137,8 +137,7 @@ def sampled_mode(t, v, label: str | None = None) -> TemporalMode:
             f"sample spacing {h:g} too coarse for r.m.s. width {rms:g}; need <= width/50")
     t = t.copy()
     t.setflags(write=False)
-    v = v.copy()
-    v.setflags(write=False)
+    v.setflags(write=False)         # v / sqrt(norm) above is already a copy
     return TemporalMode("sampled", math.sqrt(2.0) * rms, float(mean),
                         grid_t=t, grid_v=v, label=label or "sampled:<array>")
 

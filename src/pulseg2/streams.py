@@ -81,8 +81,7 @@ class ClickStream:
         if self.n_clicks and (self.pulse_index.min() < 0
                               or self.pulse_index.max() >= num_pulses):
             raise ValueError("pulse indices outside [0, num_pulses)")
-        return np.bincount(self.pulse_index, minlength=num_pulses) if self.n_clicks \
-            else np.zeros(num_pulses, dtype=np.int64)
+        return np.bincount(self.pulse_index, minlength=num_pulses)
 
     def __repr__(self):
         return f"ClickStream(n_clicks={self.n_clicks}, kind={self.metadata.get('kind')!r})"

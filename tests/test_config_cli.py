@@ -67,6 +67,19 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
 
+@pytest.mark.parametrize("argv,ini_seed", [
+    (["simulate", "--seed", "-1"], 101),
+    (["simulate"], -5),
+    (["figure", "1", "--seed", "-3"], 101),
+], ids=["simulate_flag", "ini", "figure_flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, argv, ini_seed):
+    _, path = write_cfg(tmp_path, seed=ini_seed)
+    assert cli.main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "[run] seed" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulateCommand:
     def test_writes_stream_with_expected_counts(self, tmp_path):
         cfg, path = write_cfg(tmp_path)

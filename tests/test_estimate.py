@@ -114,6 +114,15 @@ class TestTauHistogram:
         with pytest.raises(ValueError):
             est.tau_histogram(stream, 1e-9, 1e-8, scope="adjacent")
 
+    @pytest.mark.parametrize("name,args", [
+        ("bin_width", (math.inf, 1e-8)), ("bin_width", (math.nan, 1e-8)),
+        ("max_tau", (1e-9, math.inf)), ("max_tau", (1e-9, math.nan)),
+        ("max_tau", (1e-9, -1e-8))])
+    def test_non_finite_binning_names_it(self, name, args):
+        stream, _ = run_train(st.coherent(0.5), 100, seed=4)
+        with pytest.raises(ValueError, match=name):
+            est.tau_histogram(stream, *args)
+
     def test_csv_export_with_expected_column(self, tmp_path):
         stream, _ = run_train(st.thermal(0.7), 5000, seed=5)
         hist = standard_hist(stream)
@@ -360,6 +369,12 @@ class TestSidePeak:
         stream, train = run_train(st.coherent(1.0), 1000, seed=25)
         with pytest.raises(ValueError):
             est.g2_sidepeak(stream, train, window=10e-9)  # > period/2
+
+    @pytest.mark.parametrize("n_side", [0, -1, 2.5, 3.0, "3", None])
+    def test_n_side_must_be_a_positive_integer(self, n_side):
+        stream, train = run_train(st.coherent(1.0), 1000, seed=25)
+        with pytest.raises(ValueError, match="n_side"):
+            est.g2_sidepeak(stream, train, window=3e-9, n_side=n_side)
 
     def test_short_train_rejected(self):
         stream, train = run_train(st.coherent(1.0), 3, seed=26)
@@ -626,6 +641,11 @@ class TestStationaryCurve:
         ap = est.stationary_conditional_probability(stream, bw, max_tau)
         assert ap.pc[sel].mean() == pytest.approx(rate, rel=0.02)
         assert ss.pc[-1] < 0.1 * ap.pc[-1]
+
+    def test_infinite_max_tau_names_it(self):
+        stream = pg.simulate_stationary_poisson(1e4, 0.01, seed=34)
+        with pytest.raises(ValueError, match="max_tau"):
+            est.stationary_g2_zero(stream, 1e-7, math.inf, 1e-6)
 
     def test_unknown_method_rejected(self):
         stream = pg.simulate_stationary_poisson(1e4, 0.01, seed=34)

@@ -2,11 +2,13 @@
 
 The four lag-walk ``_ref_*`` functions below are the walks the estimators
 used before they shared one pair enumerator, kept verbatim up to their
-value and per-block pair counts; the all-pairs and stationary g2(0) walks
-count into the time blocks of ``_ref_time_blocks``, and the g2(0) walk
-takes its baseline from the bins whose centres lie at or past
-baseline_from.  Histogram counts and the side-peak and stationary g2(0)
-values must equal them exactly; each sigma must equal the delta-method
+value and per-block pair counts; the same-pulse walk pairs the lexsorted
+clicks of each pulse, apart from the estimators' one time-sorted walk,
+the all-pairs and stationary g2(0) walks count into the time blocks of
+``_ref_time_blocks``, and the g2(0) walk takes its baseline from the bins
+whose centres lie at or past baseline_from.  Histogram counts, per-block
+counts and block clicks and the side-peak and stationary g2(0) values
+must equal them exactly; each sigma must equal the delta-method
 spread recomputed here from the reference's per-block counts, and agree
 with a many-replicate block bootstrap of the same blocks.
 """
@@ -32,12 +34,19 @@ PERIOD = 12.5e-9
 # reference lag walks
 
 
-def _ref_bin_pairs_same_pulse(pulse, times, edges):
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
+def _ref_bin_pairs_same_pulse(pulse, times, edges, num_pulses):
+    """Same-pulse counts per pulse block, (blocks, bins), and the clicks of
+    each block: at most 200 contiguous blocks of max(num_pulses, largest
+    index + 1) pulses.  It walks the lexsorted clicks of each pulse."""
+    n_pulses = max(num_pulses or 1, int(pulse.max(initial=0)) + 1)
+    n_blocks = min(200, n_pulses)
+    block_of = pulse * n_blocks // n_pulses
+    nbins = edges.size - 1
+    counts = np.zeros((n_blocks, nbins), dtype=np.int64)
     order = np.lexsort((times, pulse))
     t = times[order]
     p = pulse[order]
-    nbins = counts.size
+    b = block_of[order]
     bw = edges[1] - edges[0]
     d = 1
     while d < t.size:
@@ -46,10 +55,11 @@ def _ref_bin_pairs_same_pulse(pulse, times, edges):
             break
         dt = t[d:][same] - t[:-d][same]
         k = (dt / bw).astype(np.int64)
-        k = k[(dt >= 0) & (k < nbins)]
-        counts += np.bincount(k, minlength=nbins)
+        keep = (dt >= 0) & (k < nbins)
+        flat = b[:-d][same][keep] * nbins + k[keep]
+        counts += np.bincount(flat, minlength=counts.size).reshape(n_blocks, nbins)
         d += 1
-    return counts
+    return counts, np.bincount(block_of, minlength=n_blocks)
 
 
 def _ref_bin_pairs_all(times, edges, max_tau):
@@ -278,12 +288,16 @@ def _assert_histograms_match(stream, bin_width, max_tau,
     for scope in scopes:
         hist = est.tau_histogram(stream, bin_width, max_tau, scope=scope)
         if scope == "same_pulse":
-            ref = _ref_bin_pairs_same_pulse(stream.pulse_index, stream.times,
-                                            hist.bin_edges)
+            blocks, clicks = _ref_bin_pairs_same_pulse(
+                stream.pulse_index, stream.times, hist.bin_edges,
+                stream.metadata.get("train", {}).get("num_pulses"))
         else:
             blocks = _ref_bin_pairs_all(stream.times, hist.bin_edges, max_tau)
-            assert np.array_equal(hist.block_counts, blocks)
-            ref = blocks.sum(axis=0)
+            block_of, n_blocks = _ref_time_blocks(stream.times, max_tau)
+            clicks = np.bincount(block_of, minlength=n_blocks)
+        assert np.array_equal(hist.block_counts, blocks), scope
+        assert np.array_equal(hist.block_clicks, clicks), scope
+        ref = blocks.sum(axis=0)
         assert hist.counts.dtype == ref.dtype
         assert np.array_equal(hist.counts, ref), scope
 
@@ -413,12 +427,3 @@ def test_pairs_within_reach_match_brute_force(values, reach):
     want = {(i, j) for i in range(t.size) for j in range(i + 1, t.size)
             if t[j] < t[i] + reach}
     assert _enumerated(t, float(reach)) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(hs.lists(hs.integers(-3, 8), max_size=40))
-def test_pairs_in_group_match_brute_force(values):
-    g = np.sort(np.asarray(values, dtype=np.int64))
-    want = {(i, j) for i in range(g.size) for j in range(i + 1, g.size)
-            if g[j] == g[i]}
-    assert _enumerated(g, None) == want
