@@ -7,15 +7,16 @@ factorizes: measuring photons at times t_1..t_n has density proportional
 to the pair/triple/... factorial moment of the photon-number distribution
 times the product |v(t_1)|^2 ... |v(t_n)|^2.  Conditional on the photon
 number, arrival times therefore carry no information about the state and
-are i.i.d. draws from the intensity profile |v(t)|^2, and the sampler
-spends its work on photons, not pulses.  Per block of B pulses it
+are i.i.d. draws from the intensity profile |v(t)|^2.  Efficiency s keeps
+each photon independently, so a pulse's clicks follow the thinned P'_m =
+sum_n P_n Binomial(n, s)(m), built once per train, and the sampler spends
+its work on clicks, not pulses.  Per block of B pulses (one Philox per
+train, re-keyed per block) it
 
-1. draws how many pulses hold photons, Binomial(B, 1 - P_0), and which
-   ones, as a uniform subset; empty pulses cost nothing,
-2. draws each occupied pulse's photon number from P_n given n >= 1,
-3. keeps each photon independently with the detector efficiency s
-   (binomial thinning),
-4. after the blocks, gives every kept photon an arrival time i.i.d. from
+1. draws how many pulses click, Binomial(B, 1 - P'_0), and which ones,
+   as a sorted uniform subset; pulses without clicks cost nothing,
+2. draws each one's click number from P'_m given m >= 1 (inverse CDF),
+3. after the blocks, gives every click an arrival time i.i.d. from
    |v(t)|^2 in its pulse slot, by exact rejection under a piecewise-
    constant envelope built once per train (one sampler for every mode).
 
@@ -62,7 +63,7 @@ import numpy as np
 from . import modes as _modes
 from . import states as _states
 from ._version import __version__
-from .rngutil import block_generator, derive_roots
+from .rngutil import block_generator, block_generators, derive_roots
 from .streams import ClickStream
 
 __all__ = [
@@ -203,16 +204,15 @@ def _arrival_sampler(mode, count, rng):
     return out
 
 
-def _pulse_block(cdf, efficiency, lo, hi, root, block):
-    """Pulse index of each click in pulses [lo, hi); only occupied pulses are drawn."""
-    rng = block_generator(root, block)
-    occupied = cdf[-1] - cdf[0]
-    k = rng.binomial(hi - lo, min(occupied, 1.0))
-    pulses = lo + np.sort(rng.choice(hi - lo, k, replace=False))
-    # photon number given n >= 1: inverse CDF at u uniform on [cdf[0], cdf[-1])
-    n = np.searchsorted(cdf, cdf[0] + rng.random(k) * occupied, side="right")
-    kept = rng.binomial(np.minimum(n, cdf.size - 1), efficiency)
-    return np.repeat(pulses, kept)
+def _pulse_block(cdf, lo, hi, rng):
+    """Pulse index of each click in pulses [lo, hi); only pulses with clicks are drawn."""
+    clicked = cdf[-1] - cdf[0]
+    k = rng.binomial(hi - lo, min(clicked, 1.0))
+    pulses = lo + np.sort(rng.choice(hi - lo, k, replace=False, shuffle=False))
+    # clicks given m >= 1: inverse CDF at u uniform on [cdf[0], cdf[-1]), or at
+    # cdf[-1] if the product rounds up, which the clamp catches
+    m = np.searchsorted(cdf, cdf[0] + rng.random(k) * clicked, side="right")
+    return np.repeat(pulses, np.minimum(m, cdf.size - 1))
 
 
 def _dead_time_filter(pulse_idx, times, dead):
@@ -256,11 +256,12 @@ def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
     counter-based substream, so a block's clicks depend only on the seed
     and the block index; the merged records are time sorted.
     """
-    cdf = np.cumsum(state.pn)
+    cdf = np.cumsum(_states.binomial_loss_pn(state.pn, detector.efficiency))
     roots = derive_roots(seed)
+    block_rng = block_generators(roots[0])
     pulse_idx = np.concatenate([
-        _pulse_block(cdf, detector.efficiency, lo, min(lo + _PULSE_BLOCK, train.num_pulses),
-                     roots[0], lo // _PULSE_BLOCK)
+        _pulse_block(cdf, lo, min(lo + _PULSE_BLOCK, train.num_pulses),
+                     block_rng(lo // _PULSE_BLOCK))
         for lo in range(0, train.num_pulses, _PULSE_BLOCK)])
     offsets = _arrival_sampler(train.mode, pulse_idx.size, block_generator(roots[4], 0))
     return _finish_stream(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,12 @@ def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
     # undecodable bytes (a binary stream read as CSV) fail the header check
     with open(path, errors="replace") as fh:
         header = fh.readline().strip()
-        has_rows = bool(fh.readline().strip())
     if header != _HEADER:
         raise StreamFormatError(f"{path}: record -1 (header) must be {_HEADER!r}")
-    if not has_rows:
-        return np.empty(0, dtype=np.int64), np.empty(0)
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():     # a header alone is an empty stream
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise StreamFormatError(
             f"{path}: record {_locate_bad_csv_record(path)} is malformed") from exc

@@ -93,30 +93,30 @@ RATIOS = {
                                                         2e-8, 5e-6, 3e-6),
 }
 
-MADE_WITH = {"pulseg2": "0.5.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.6.0", "numpy": "2.4.6"}
 
 DIGESTS = {
-    "gauss-ideal": "da6d5ae66573d55a3e52090e3f04dc4ee31e7adac6c83930326619c914797642",
-    "gauss-jitter": "35140df09e7abbe814e9c3834e0c300dff6776cbee1c7f1cdb1b2fbeff411c04",
-    "gauss-dead": "17a6de2189b40d6c10f1c7b7d4ec1e23309b921b7ebfaf8dadff9572234a19ee",
-    "hg1-ideal": "e290b0e04bb29d703537dec11197259d5100443e9e256b79efc3294044483c8e",
-    "hg1-jitter-dead": "d7aca2bdcf52594dfc873805e2e77b8bbc6fd34545c61db869aad0b82f924c94",
-    "hg3-ideal": "d896c2d2b18e4130ed15da81f6c9bc835ec680d3ca0eb2648df6fc3861672f01",
-    "sampled-ideal": "f6e9dd9e4684d49281ff3d1c9836bab16ae0f870648aad48a6926cdd687c718d",
-    "sampled-jitter-dead": "133c38b63e24a10e0c24954aa7d2a013a5d0a5e03a7a4f590a4ccc3ad3a08fb9",
+    "gauss-ideal": "4c59a88ff95cbf092df76c96d6be25bd77d89f9516e4157ede6d56bf8b91c079",
+    "gauss-jitter": "1f93f2f2867a4db9abe6757164940b7076c618259c01b09497eab631cd23ed56",
+    "gauss-dead": "eedd7e158b29f3e6d6467d487915c8b19a39f979cc9844e64bd083e43652f26f",
+    "hg1-ideal": "eb9abda7859fc16ee0d5be04bedc3c9bc6a35495ec6b10df4fc57fe2c54007f1",
+    "hg1-jitter-dead": "28fd6fcb9c40c9acc86c5f07b0c01012f50638e8b12bdf832cd329faf9dce586",
+    "hg3-ideal": "31c1c6ffa973f2cc15060aa1f67f93044367ae5e6d79f69be149942db14e4304",
+    "sampled-ideal": "67a3c7bf992e75a39975124c4608945249ed0e15f88693e03c2364d43ac83533",
+    "sampled-jitter-dead": "6d2e4d1c08310556a719445b4213ca4f620af63e7e319ed4ddcc42315a42d564",
     "stationary-gaussian": "17afc62250532a51e830f3ddc17aae3cf4bc10e60195bdab4424c8409f6a3563",
     "stationary-lorentzian": "1d9320fdf80ad0aa9ff323d0e47a5f28a98366b367f1fca658cfad55b82b6370",
     "stationary-jitter-dead": "f906cab94417bff80958a5199f3c5353a8ab75cdd9768e8c2b975ff84c26b72a",
     "poisson": "2ca8c4c023df2b37b8314b63e6e89d063b05ec4c3bf6835bdb003bb53175b8b4",
-    "same-pulse-default": "8c5f2c82bd57c10a5b9a0f6f5ea8e2daf63d6ad4cc47959eaf98d181eb6569b4",
-    "same-pulse-wide": "1a3178d9e4307391a633dabd218844fb9e0b1505defd59b48a878813c1473e8d",
-    "same-pulse-hg1": "164645243dbb70b279c06992bc950a0666bb15a06a73de6849781ce84be5baa5",
-    "all-pairs-pulsed": "cc7879b55c4db131598014180a4b9c3e3e76d1d00e92322b6515c04df8cca312",
+    "same-pulse-default": "161e661ddb26499f9427c2d6448cd2260f96c5a23c38c3cdb330f4b22ad8634f",
+    "same-pulse-wide": "3bf169fc2fc18314bfa0d1b98fb3e58f80a882c207106f9a3799b12018edc0f7",
+    "same-pulse-hg1": "5078717fef7e09885aa603650ec9f1af23729261da8fe85b4c708318a06c991d",
+    "all-pairs-pulsed": "d1ad9fd65cbaa0e87dc0e612453ec33f10f4bab83edc55e33eb977575e0405a5",
     "all-pairs-stationary": "14a478009be156cf3edc54e95cd9db02ead5622907d20996b6184cb4fa6e012c",
     "start-stop-stationary": "0445da64303f317cfbf3d92114bde3db48163f3ef5b2267efbe94dbdaf935b9c",
-    "sidepeak-jitter": "3574815fa2a28fd1a26fc4ced13488deb158d59af752207ae2aa8538cbe90f8d",
-    "sidepeak-jitter-wide": "28a923487e486ab563e8fe4e7882c3fd38a53367d1ea30ffcf8c79ddf659c26c",
-    "sidepeak-dead": "caeb6cd62f99ba391478e2f66e5dfbf46fd667dbbf38a7ac3b4e55ab3d4851e5",
+    "sidepeak-jitter": "24648e91fbcd930e8d720c0d5d0e5a5b9cfcfdb61f258d5f0046ea4ee73835bb",
+    "sidepeak-jitter-wide": "4f6e0b6d51d0788a80342fea4539e1068809e98651a79f6877c63a6e06c31364",
+    "sidepeak-dead": "836a6f82103fa9573385bd9768e73c3305368fd9675e7a50f56213d2b972bb69",
     "g2-zero-stationary": "1dd4f1a782752751b4f0a47d7f26f886aa246d7321cf8491500cd4d484ec5601",
 }
 

@@ -396,7 +396,7 @@ class TestCoverage:
     def test_pn_and_sidepeak_pulls(self, spec, truth):
         state = st.parse_state_spec(spec)
         pulls = {"pn": [], "sidepeak": [], "eta": []}
-        for seed in range(100):
+        for seed in range(400):
             stream, train = run_train(state, 100000, seed=seed, s=0.5)
             val, sig = est.pn_histogram_g2q(stream, train)
             pulls["pn"].append((val - truth) / sig)

@@ -12,7 +12,7 @@ import pulseg2 as pg
 from pulseg2 import modes as md
 from pulseg2 import simulate as sim
 from pulseg2 import states as st
-from pulseg2.rngutil import block_generator, derive_roots
+from pulseg2.rngutil import block_generator, block_generators, derive_roots
 
 WIDTH = 1e-9
 PERIOD = 12.5e-9
@@ -60,13 +60,15 @@ class TestPulseTrain:
         "thermal:1", "coherent:0.5", "fock:3", "mix:0.3*thermal:0.5+0.7*fock:2"])
     @pytest.mark.parametrize("s", [0.3, 1.0])
     def test_click_numbers_follow_thinned_distribution(self, spec, s):
-        # clicks per pulse are distributed as P_n behind a binomial loss s
+        # clicks per pulse are distributed as P_n behind a binomial loss s:
+        # P'_m = sum_n P_n Binomial(n, s)(m), from scipy, not the simulator's pmf
         n = 60000
         state = st.parse_state_spec(spec)
         train = sim.PulseTrainConfig(n, PERIOD, MODE)
         stream = sim.simulate_pulse_train(state, sim.DetectorModel(efficiency=s),
                                           train, seed=1)
-        expected = n * st.binomial_loss_pn(state.pn, s)
+        photons = np.arange(state.pn.size)
+        expected = n * state.pn @ sps.binom.pmf(photons, photons[:, None], s)
         obs = np.bincount(stream.counts_per_pulse(n), minlength=expected.size)
         assert obs.size == expected.size
         assert _chisquare_pvalue(obs, expected) > 0.01
@@ -91,6 +93,27 @@ class TestPulseTrain:
         stream = sim.simulate_pulse_train(st.coherent(0.5), IDEAL, train, seed=2)
         assert stream.n_clicks > 0
         assert len(calls) == 1
+
+    def test_one_philox_for_all_pulse_blocks(self, monkeypatch):
+        calls = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *a, **k: calls.append(k) or philox(*a, **k))
+        train = sim.PulseTrainConfig(4 * sim._PULSE_BLOCK, PERIOD, MODE)
+        stream = sim.simulate_pulse_train(st.coherent(0.5), IDEAL, train, seed=2)
+        assert stream.n_clicks > 0
+        assert len(calls) == 2          # one re-keyed for the blocks, one for arrivals
+
+    def test_click_pmf_built_once_per_train(self, monkeypatch):
+        calls = []
+        thin = st.binomial_loss_pn
+        monkeypatch.setattr(st, "binomial_loss_pn",
+                            lambda pn, s: calls.append(s) or thin(pn, s))
+        train = sim.PulseTrainConfig(3 * sim._PULSE_BLOCK, PERIOD, MODE)
+        det = sim.DetectorModel(efficiency=0.5)
+        stream = sim.simulate_pulse_train(st.thermal(1.0), det, train, seed=2)
+        assert stream.n_clicks > 0
+        assert calls == [0.5]
 
     def test_total_counts_band(self):
         # binomially thinned Poisson: mean N s mu, checked at 5 sigma over seeds
@@ -236,6 +259,27 @@ def _ref_dead_time_filter(pulse_idx, times, dead):
         else:
             last = t
     return pulse_idx[keep], times[keep]
+
+
+def _draws(rng):
+    return [rng.integers(2**32, size=3, dtype=np.uint32), rng.random(5),
+            rng.binomial(16384, 0.01, 4), rng.choice(16384, 40, replace=False),
+            rng.choice(100, 60, replace=False, shuffle=False),
+            rng.standard_normal(7)]
+
+
+@pytest.mark.parametrize("block", [0, 1, 77, 12345])
+def test_rekeyed_generator_draws_as_a_new_one(block):
+    root = derive_roots(31)[0]
+    at = block_generators(root)
+    rng = at(block + 5)
+    rng.integers(2**32, dtype=np.uint32)    # leaves a buffered uint32 half
+    rng.standard_normal()                   # and a partly used Philox output
+    got = _draws(at(block))
+    fresh = np.random.Generator(np.random.Philox(key=np.array([root, block], np.uint64)))
+    for want in (_draws(fresh), _draws(block_generator(root, block))):
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
 
 
 @settings(max_examples=300, deadline=None)

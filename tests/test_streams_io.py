@@ -47,6 +47,18 @@ def test_empty_stream_round_trip(tmp_path):
     assert back.n_clicks == 0
 
 
+@pytest.mark.parametrize("text", [
+    "pulse_index,time_seconds\n\n0,1e-9\n1,2e-8\n",
+    "pulse_index,time_seconds\n0,1e-9\n\n1,2e-8\n",
+], ids=["after_header", "between_records"])
+def test_blank_line_skipped_wherever_it_stands(tmp_path, text):
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    back = read_stream(path)
+    np.testing.assert_array_equal(back.pulse_index, [0, 1])
+    np.testing.assert_array_equal(back.times, [1e-9, 2e-8])
+
+
 def test_malformed_record_named(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("pulse_index,time_seconds\n0,1e-9\n1,not_a_number\n")
