@@ -10,6 +10,7 @@ format error, 3 estimation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -45,9 +46,9 @@ def _positive_float(text):
 def _add_common(sub):
     sub.add_argument("--config", help="experiment config file")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--pulses", type=int, help="override pulse count")
-    sub.add_argument("--state", help="state spec, e.g. thermal:0.5")
-    sub.add_argument("--mode", help="mode spec, e.g. gauss:1e-9")
+    sub.add_argument("--pulses", type=int, dest="num_pulses", help="override pulse count")
+    sub.add_argument("--state", dest="state_spec", help="state spec, e.g. thermal:0.5")
+    sub.add_argument("--mode", dest="mode_spec", help="mode spec, e.g. gauss:1e-9")
     sub.add_argument("--out", help="output path (simulate/analyze) or directory (figure)")
     sub.add_argument("--bin-width", type=_positive_float, dest="bin_width")
     sub.add_argument("--max-tau", type=_positive_float, dest="max_tau")
@@ -70,21 +71,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    cfg.apply_overrides(
-        seed=args.seed,
-        num_pulses=args.pulses,
-        state_spec=args.state,
-        mode_spec=args.mode,
-        bin_width=args.bin_width,
-        max_tau=args.max_tau,
-    )
+def _settings(args) -> dict:
+    """The keys the INI file sets, by attribute, overlaid by every flag set
+    (each flag's dest is the attribute it sets)."""
+    given = _read_settings(args.config) if args.config else {}
+    for attr in ("seed", "num_pulses", "state_spec", "mode_spec", "bin_width", "max_tau"):
+        if getattr(args, attr) is not None:
+            given[attr] = getattr(args, attr)
+    return given
+
+
+def _load_config(given) -> ExperimentConfig:
+    """The validated config of the ``given`` settings, defaults for the rest."""
+    cfg = ExperimentConfig(**given)
+    cfg.validate()
     return cfg
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(_settings(args))
     out = args.out or cfg.out_stream
     detector = cfg.detector()
     if cfg.kind == "pulsed":
@@ -99,25 +104,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    # the keys a file or flag sets override the sidecar; defaults never do
+    given = _settings(args)
+    cfg = _load_config(given)
     side = getattr(args, "sidecar", None) or sidecar_path(args.stream)
     stream = read_stream(args.stream, sidecar=side)
-    # the keys a file or flag sets override the sidecar; defaults never do
-    given = _read_settings(args.config) if args.config else {}
-    flags = {"mode_spec": args.mode, "num_pulses": args.pulses}
-    given.update((key, value) for key, value in flags.items() if value is not None)
-    cfg = ExperimentConfig(**given)
-    cfg.validate()
-    bin_width = args.bin_width or cfg.bin_width
-    max_tau = args.max_tau or cfg.max_tau
     report_path = args.out or cfg.out_report
 
     if not stream.is_pulsed:
-        return _analyze_stationary(stream, bin_width, max_tau, report_path,
+        return _analyze_stationary(stream, cfg.bin_width, cfg.max_tau, report_path,
                                    given.get("spectral_bandwidth"))
 
-    mode = cfg.mode() if "mode_spec" in given else None
-    report = _est.analyze_stream(stream, num_pulses=given.get("num_pulses"),
-                                 mode=mode, bin_width=bin_width, max_tau=max_tau)
+    report = _est.analyze_stream(
+        stream, num_pulses=given.get("num_pulses"),
+        mode=cfg.mode() if "mode_spec" in given else None,
+        state=cfg.state() if "state_spec" in given else None,
+        bin_width=cfg.bin_width, max_tau=cfg.max_tau)
     # the histogram first: a bad sidecar detector then leaves no report behind
     if cfg.out_histogram and report.histogram is not None:
         report.histogram.to_csv(cfg.out_histogram,
@@ -169,17 +171,14 @@ def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> i
     except ValueError as exc:
         raise ConfigError(f"bin width {bin_width:g} s, max tau {max_tau:g} s: "
                           f"baseline from {base_from:g} s: {exc}") from exc
-    summary = {
+    _est._report_json({
         "pc_peak_per_second": float(curve.pc[0]),
         "pc_baseline_per_second": curve.baseline(base_from),
         "g2_zero": g2_zero,
-        "g2_zero_sigma": g2_sigma if math.isfinite(g2_sigma) else None,
+        "g2_zero_sigma": g2_sigma,
         "excess_fwhm_seconds": curve.excess_fwhm(base_from),
         "total_clicks": curve.total_clicks,
-    }
-    with open(report_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    }, report_path)
     curve_path = os.path.splitext(report_path)[0] + "_pc.csv"
     with open(curve_path, "w") as fh:
         fh.write("tau_seconds,pc_per_second\n")
@@ -195,20 +194,17 @@ def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> i
 
 def _fig1(outdir, cfg) -> list:
     """Counts per pulse slot for thermal vs coherent trains of equal mean."""
-    n = min(cfg.num_pulses, 400)
-    period = cfg.repetition_period
-    mode = cfg.mode()
-    det = _sim.DetectorModel()
-    train = _sim.PulseTrainConfig(n, period, mode)
+    train = dataclasses.replace(cfg.train(), num_pulses=min(cfg.num_pulses, 400))
+    n = train.num_pulses
     rows = {}
     for name, state in (("thermal", _states.thermal(4.0)),
                         ("coherent", _states.coherent(4.0))):
-        stream = _sim.simulate_pulse_train(state, det, train, cfg.seed)
+        stream = _sim.simulate_pulse_train(state, _sim.DetectorModel(), train, cfg.seed)
         rows[name] = stream.counts_per_pulse(n)
     path = os.path.join(outdir, "figure1_count_records.csv")
     with open(path, "w") as fh:
         fh.write("time_seconds,counts_thermal,counts_coherent\n")
-        t = (np.arange(n) + 0.5) * period
+        t = (np.arange(n) + 0.5) * train.repetition_period
         np.savetxt(fh, np.column_stack([t, rows["thermal"], rows["coherent"]]),
                    fmt=("%.12g", "%d", "%d"), delimiter=",")
     return [path]
@@ -216,9 +212,7 @@ def _fig1(outdir, cfg) -> list:
 
 def _fig2(outdir, cfg) -> list:
     """Stationary thermal conditional probability (the bunching peak)."""
-    scfg = _sim.StationaryThermalConfig(
-        mean_rate=cfg.mean_rate, spectral_bandwidth=cfg.spectral_bandwidth,
-        duration=min(cfg.duration, 2.0), spectral_shape=cfg.spectral_shape)
+    scfg = dataclasses.replace(cfg.stationary(), duration=min(cfg.duration, 2.0))
     stream = _sim.simulate_stationary_thermal(scfg, cfg.detector(), cfg.seed)
     bw, max_tau, base_from = _stationary_binning(scfg.spectral_bandwidth)
     curve = _est.stationary_conditional_probability(stream, cfg.bin_width or bw,
@@ -236,15 +230,13 @@ def _fig3(outdir, cfg) -> list:
     """Time-difference histogram with the analytic density overlay."""
     state = cfg.state() if cfg.state_spec != ExperimentConfig.state_spec else \
         _states.thermal(1.0)
-    mode = cfg.mode()
     det = cfg.detector()
-    n = min(cfg.num_pulses, 200000)
-    train = _sim.PulseTrainConfig(n, cfg.repetition_period, mode)
+    train = dataclasses.replace(cfg.train(), num_pulses=min(cfg.num_pulses, 200000))
     stream = _sim.simulate_pulse_train(state, det, train, cfg.seed)
-    bw = cfg.bin_width or mode.width / 20.0
-    max_tau = cfg.max_tau or 5.0 * mode.width
-    hist = _est.tau_histogram(stream, bw, max_tau)
-    expected = _sim.analytic_D(state, det, mode, n, hist.centers) * bw
+    bw, max_tau = _est._pulsed_binning(train.mode.width)
+    hist = _est.tau_histogram(stream, cfg.bin_width or bw, cfg.max_tau or max_tau)
+    expected = _sim.analytic_D(state, det, train.mode, train.num_pulses,
+                               hist.centers) * hist.bin_width
     path = os.path.join(outdir, "figure3_time_differences.csv")
     hist.to_csv(path, expected=expected)
     return [path]
@@ -266,7 +258,7 @@ def _fig4(outdir, cfg) -> list:
 
 
 def _cmd_figure(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(_settings(args))
     outdir = args.out or "figures"
     os.makedirs(outdir, exist_ok=True)
     paths = {"1": _fig1, "2": _fig2, "3": _fig3, "4": _fig4}[args.figure_id](outdir, cfg)
@@ -305,14 +297,14 @@ def _selftest_checks(quick: bool):
 
     def recovery(state, expect):
         stream = _sim.simulate_pulse_train(state, det, train, seed=7)
-        hist = _est.tau_histogram(stream, width / 20.0, 6.0 * width)
+        hist = _est.tau_histogram(stream, *_est._pulsed_binning(width))
         val, sig = _est.recover_g2q_gaussian(stream, hist, n_pulses, width)
         ok = abs(val - expect) < max(4.0 * sig, 0.02)
         return ok, f"recovered {val:.3f} +- {sig:.3f}, expected {expect:g}"
 
     def check_fock1_silence():
         stream = _sim.simulate_pulse_train(_states.fock(1), det, train, seed=11)
-        hist = _est.tau_histogram(stream, width / 20.0, 6.0 * width)
+        hist = _est.tau_histogram(stream, *_est._pulsed_binning(width))
         return hist.is_empty, f"{int(hist.counts.sum())} same-pulse pairs (want 0)"
 
     def check_determinism():

@@ -54,8 +54,6 @@ _SCHEMA = {
     ("output", "format"): ("stream_format", str.strip),
 }
 
-_ATTR_TO_KEY = {attr: sk for sk, (attr, _) in _SCHEMA.items()}
-
 
 def _read_settings(path) -> dict:
     """Parsed values of the keys an INI file sets, by attribute name.
@@ -123,16 +121,6 @@ class ExperimentConfig:
         with open(path, "w") as fh:
             parser.write(fh)
 
-    def apply_overrides(self, **overrides) -> "ExperimentConfig":
-        for attr, value in overrides.items():
-            if value is None:
-                continue
-            if attr not in _ATTR_TO_KEY:
-                raise ConfigError(f"unknown config attribute {attr!r}")
-            setattr(self, attr, value)
-        self.validate()
-        return self
-
     def validate(self) -> None:
         if self.kind not in ("pulsed", "stationary"):
             raise ConfigError("[run] kind: must be 'pulsed' or 'stationary'")
@@ -155,35 +143,29 @@ class ExperimentConfig:
             self.stationary()
 
     def state(self) -> _states.QuantumState:
-        try:
-            return _states.parse_state_spec(self.state_spec)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"[state] spec: {exc}") from exc
+        return _build("[state] spec", _states.parse_state_spec, self.state_spec)
 
     def mode(self) -> _modes.TemporalMode:
-        try:
-            return _modes.parse_mode_spec(self.mode_spec)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"[mode] spec: {exc}") from exc
+        return _build("[mode] spec", _modes.parse_mode_spec, self.mode_spec)
 
     def detector(self) -> DetectorModel:
-        try:
-            return DetectorModel(self.efficiency, self.timing_jitter_sigma,
-                                 self.dead_time)
-        except ValueError as exc:
-            raise ConfigError(f"[detector]: {exc}") from exc
+        return _build("[detector]", DetectorModel, self.efficiency,
+                      self.timing_jitter_sigma, self.dead_time)
 
     def train(self) -> PulseTrainConfig:
-        try:
-            return PulseTrainConfig(self.num_pulses, self.repetition_period,
-                                    self.mode())
-        except ValueError as exc:
-            raise ConfigError(f"[pulsed]: {exc}") from exc
+        return _build("[pulsed]", PulseTrainConfig, self.num_pulses,
+                      self.repetition_period, self.mode())
 
     def stationary(self) -> StationaryThermalConfig:
-        try:
-            return StationaryThermalConfig(self.mean_rate, self.spectral_bandwidth,
-                                           self.duration, self.field_timestep,
-                                           self.spectral_shape)
-        except ValueError as exc:
-            raise ConfigError(f"[stationary]: {exc}") from exc
+        return _build("[stationary]", StationaryThermalConfig, self.mean_rate,
+                      self.spectral_bandwidth, self.duration, self.field_timestep,
+                      self.spectral_shape)
+
+
+def _build(where, make, *args):
+    """``make(*args)``, a ValueError or OSError raised as a ConfigError naming
+    the section ``where``."""
+    try:
+        return make(*args)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc

@@ -521,15 +521,24 @@ class CoherenceReport:
                 "g2p", "g2p_sigma", "eta0_per_second", "Ip", "N", "D0_per_second",
                 "D0_sigma", "fitted_width_seconds")
         values = {key: getattr(self, key) for key in keys}
-        # non-finite floats become null
-        payload = {key: None if isinstance(v, float) and not math.isfinite(v) else v
-                   for key, v in values.items()}
-        payload["flags"] = list(self.flags)
-        text = json.dumps(payload, indent=2) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        values["flags"] = list(self.flags)
+        return _report_json(values, path)
+
+
+def _report_json(values, path=None) -> str:
+    """JSON text of a report's ``values``, non-finite floats as null, written
+    to ``path`` when given."""
+    text = json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for key, v in values.items()}, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
+def _pulsed_binning(width):
+    """Default (bin width, max_tau) of a pulsed histogram for pulse width dt_p."""
+    return width / 20.0, 6.0 * width
 
 
 def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
@@ -546,7 +555,8 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     and g2p sigmas spread over its pulse blocks.  g2q_eta is g2p and its
     sigma rescaled by N / eta(0); a histogram without pairs gives zeros
     with sigma inf.  An empty stream produces a flagged report rather
-    than an error.  A warning is emitted when the fitted width disagrees
+    than an error; a pulse index outside [0, N) is an EstimationError,
+    raised before the histogram is built.  A warning is emitted when the fitted width disagrees
     with a Gaussian mode hint by more than 10 percent, since the
     eta-corrected g2q scales linearly with the assumed width.
     """
@@ -577,12 +587,12 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         return CoherenceReport(N=num_pulses, Ip=0.0, D0_per_second=0.0, D0_sigma=math.inf,
                                g2q_analytic=g2q_analytic, flags=flags)
 
+    _check_pulse_range(stream.pulse_index, num_pulses)
     if bin_width is None or max_tau is None:
-        scale = mode.width if mode is not None else _within_pulse_spread(stream)
-        if bin_width is None:
-            bin_width = scale / 20.0
-        if max_tau is None:
-            max_tau = 6.0 * scale
+        bw, tau = _pulsed_binning(mode.width if mode is not None
+                                  else _within_pulse_spread(stream))
+        bin_width = bw if bin_width is None else bin_width
+        max_tau = tau if max_tau is None else max_tau
     hist = tau_histogram(stream, bin_width, max_tau, scope="same_pulse")
 
     fitted = fit_pulse_width(hist)

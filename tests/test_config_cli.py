@@ -71,9 +71,12 @@ class TestConfig:
     (["simulate", "--seed", "-1"], 101),
     (["simulate"], -5),
     (["figure", "1", "--seed", "-3"], 101),
-], ids=["simulate_flag", "ini", "figure_flag"])
-def test_negative_seed_is_config_error(tmp_path, capsys, argv, ini_seed):
+    (["analyze", "stream.csv", "--seed", "-2"], 101),
+], ids=["simulate_flag", "ini", "figure_flag", "analyze_flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, argv, ini_seed):
+    # analyze checks its settings before it reads the (here missing) stream
     _, path = write_cfg(tmp_path, seed=ini_seed)
+    monkeypatch.chdir(tmp_path)
     assert cli.main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "[run] seed" in err and "Traceback" not in err
@@ -293,6 +296,87 @@ class TestAnalyzeConfigAndSidecar:
         assert "gauss:abc" in capsys.readouterr().err
 
 
+class TestAnalyzeState:
+    """A state set by flag or INI overrides the sidecar's, as the mode and N do."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("state")
+        _, path = write_cfg(tmp_path, num_pulses=2000)      # coherent:1
+        assert cli.main(["simulate", "--config", path]) == 0
+        (tmp_path / "state.ini").write_text("[state]\nspec = thermal:1\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("extra,g2q", [
+        ([], 1.0),
+        (["--state", "thermal:1"], 2.0),
+        (["--config", "state.ini"], 2.0),
+    ], ids=["sidecar", "flag", "ini"])
+    def test_state_sets_g2q_analytic(self, stream, monkeypatch, extra, g2q):
+        monkeypatch.chdir(stream)
+        assert cli.main(["analyze", "stream.csv", *extra, "--out", "r.json"]) == 0
+        report = json.loads((stream / "r.json").read_text())
+        assert report["g2q_analytic"] == pytest.approx(g2q, rel=1e-12)
+
+    def test_bad_state_flag_is_config_error(self, stream, monkeypatch, capsys):
+        monkeypatch.chdir(stream)
+        assert cli.main(["analyze", "stream.csv", "--state", "squeezed:2",
+                         "--out", "bad.json"]) == 1
+        assert "[state] spec" in capsys.readouterr().err
+        assert not (stream / "bad.json").exists()
+
+
+class TestPulseRange:
+    """Pulse indices outside [0, N) exit 3 naming N, before the pair walk."""
+
+    @pytest.fixture
+    def stream(self, tmp_path, monkeypatch):
+        _, path = write_cfg(tmp_path, num_pulses=2000)
+        assert cli.main(["simulate", "--config", path]) == 0
+        walks = []
+        enumerate_pairs = est._pairs
+
+        def counted(*args):
+            walks.append(args)
+            return enumerate_pairs(*args)
+
+        monkeypatch.setattr(est, "_pairs", counted)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path, walks
+
+    def test_negative_index_in_pulsed_stream(self, stream, capsys):
+        tmp_path, walks = stream
+        rows = (tmp_path / "stream.csv").read_text().splitlines()
+        rows[1] = "-1," + rows[1].split(",")[1]
+        (tmp_path / "stream.csv").write_text("\n".join(rows) + "\n")
+        assert cli.main(["analyze", "stream.csv", "--out", "r.json"]) == 3
+        err = capsys.readouterr().err
+        assert "N = 2000 " in err and "Traceback" not in err
+        assert not walks and not (tmp_path / "r.json").exists()
+
+    def test_too_few_pulses_fails_before_the_walk(self, stream, capsys):
+        tmp_path, walks = stream
+        assert cli.main(["analyze", "stream.csv", "--pulses", "1000",
+                         "--out", "r.json"]) == 3
+        assert "N = 1000 " in capsys.readouterr().err
+        assert not walks
+
+
+def test_stationary_report_writes_non_finite_as_null(tmp_path, monkeypatch):
+    flat = sim.simulate_stationary_poisson(2e5, 1.0, seed=3)    # no excess: nan width
+    pg.write_stream(flat, str(tmp_path / "flat.csv"),
+                    sidecar=str(tmp_path / "flat.csv.meta.json"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "flat.csv", "--bin-width", "1e-7", "--out", "r.json"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+    assert summary["excess_fwhm_seconds"] is None
+    assert summary["g2_zero"] == pytest.approx(1.0, abs=0.1)
+
+
 class TestAnalyzeEstimatorSettings:
     """Bin width and max tau are finite and positive, from a flag or the INI."""
 
@@ -384,6 +468,22 @@ class TestFigureCommand:
         # moment fit of the analytic overlay: standard deviation = 1 ns
         sd = math.sqrt(float((expected * tau**2).sum() / expected.sum()))
         assert sd == pytest.approx(1e-9, rel=0.01)
+        # the default max_tau is analyze's, 6 dt_p
+        assert 5e-9 < tau[-1] < 6e-9
+
+    @pytest.mark.parametrize("figure,text,section", [
+        ("2", "[stationary]\nmean_rate = nan\n", "[stationary]"),
+        ("1", "[run]\nkind = stationary\n[pulsed]\nrepetition_period = inf\n",
+         "[pulsed]"),
+    ], ids=["figure2_stationary", "figure1_pulsed"])
+    def test_bad_section_of_other_kind_is_config_error(self, tmp_path, capsys,
+                                                       figure, text, section):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main(["figure", figure, "--config", str(path),
+                         "--out", str(tmp_path / "figs")]) == 1
+        err = capsys.readouterr().err
+        assert section in err and "Traceback" not in err
 
     def test_figure4_closed_form_column(self, tmp_path):
         assert cli.main(["figure", "4", "--out", str(tmp_path)]) == 0
