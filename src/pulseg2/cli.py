@@ -24,7 +24,7 @@ from . import simulate as _sim
 from . import states as _states
 from .config import ExperimentConfig, _read_settings
 from .errors import ConfigError, EstimationError, StreamFormatError
-from .streams import read_stream, sidecar_path, write_stream
+from .streams import _write_json, _write_table, read_stream, sidecar_path, write_stream
 
 __all__ = ["main", "entrypoint"]
 
@@ -57,17 +57,16 @@ def _add_common(sub):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pulseg2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "analyze", "figure", "selftest"):
+    for name in ("simulate", "analyze", "figure"):
         p = sub.add_parser(name)
         _add_common(p)
         if name == "analyze":
             p.add_argument("stream", help="click-stream file to analyze")
             p.add_argument("--sidecar", help="metadata sidecar path")
         if name == "figure":
-            p.add_argument("figure_id", choices=("1", "2", "3", "4"), help="figure number")
-        if name == "selftest":
-            p.add_argument("--quick", action="store_true",
-                           help="smallest run sizes (seconds, looser bands)")
+            p.add_argument("figure_id", choices=sorted(_FIGURES), help="figure number")
+    sub.add_parser("selftest").add_argument(
+        "--quick", action="store_true", help="smallest run sizes (seconds, looser bands)")
     return parser
 
 
@@ -149,29 +148,29 @@ def _expected_counts(stream, hist, side):
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
-def _stationary_binning(bandwidth):
-    """Default (bin width, max_tau, baseline start) for spectral bandwidth B."""
-    return 1.0 / (50.0 * bandwidth), 5.0 / bandwidth, 3.0 / bandwidth
-
-
-def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> int:
-    meta = stream.metadata.get("stationary", {})
-    bandwidth = meta.get("spectral_bandwidth") or bandwidth
+def _stationary_curve(stream, bandwidth, bin_width=None, max_tau=None):
+    """(pc curve, baseline start, (g2(0), sigma)) of a stationary stream.
+    Unset binning for spectral bandwidth B: bins of 1/(50 B) out to 5/B, the
+    baseline from 3/B; no B: 500 bins, the baseline from the middle on."""
     if not bandwidth and bin_width is None:
         raise EstimationError("stationary analysis needs --bin-width "
                               "(bandwidth unknown)")
-    # no bandwidth: 500 bins, the baseline from the middle on
-    bw, tau, base_from = (_stationary_binning(bandwidth) if bandwidth
-                          else (bin_width, 500.0 * bin_width, None))
-    bin_width, max_tau = bin_width or bw, max_tau or tau
-    base_from = base_from or max_tau / 2.0
+    bin_width = bin_width or 1.0 / (50.0 * bandwidth)
+    max_tau = max_tau or (5.0 / bandwidth if bandwidth else 500.0 * bin_width)
+    base_from = 3.0 / bandwidth if bandwidth else max_tau / 2.0
     curve = _est.stationary_conditional_probability(stream, bin_width, max_tau)
     try:
-        g2_zero, g2_sigma = curve.g2_zero(base_from)
+        return curve, base_from, curve.g2_zero(base_from)
     except ValueError as exc:
         raise ConfigError(f"bin width {bin_width:g} s, max tau {max_tau:g} s: "
                           f"baseline from {base_from:g} s: {exc}") from exc
-    _est._report_json({
+
+
+def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> int:
+    bandwidth = stream.metadata.get("stationary", {}).get("spectral_bandwidth") or bandwidth
+    curve, base_from, (g2_zero, g2_sigma) = _stationary_curve(stream, bandwidth,
+                                                              bin_width, max_tau)
+    _write_json({
         "pc_peak_per_second": float(curve.pc[0]),
         "pc_baseline_per_second": curve.baseline(base_from),
         "g2_zero": g2_zero,
@@ -180,90 +179,74 @@ def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> i
         "total_clicks": curve.total_clicks,
     }, report_path)
     curve_path = os.path.splitext(report_path)[0] + "_pc.csv"
-    with open(curve_path, "w") as fh:
-        fh.write("tau_seconds,pc_per_second\n")
-        np.savetxt(fh, np.column_stack([curve.tau, curve.pc]),
-                   fmt="%.12g", delimiter=",")
+    _write_table(curve_path, "tau_seconds,pc_per_second", [curve.tau, curve.pc])
     print(f"wrote report to {report_path} and curve to {curve_path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# figure datasets
+# figure datasets: each returns its table (file name, header, columns, formats)
 
 
-def _fig1(outdir, cfg) -> list:
+def _fig1(cfg):
     """Counts per pulse slot for thermal vs coherent trains of equal mean."""
     train = dataclasses.replace(cfg.train(), num_pulses=min(cfg.num_pulses, 400))
     n = train.num_pulses
-    rows = {}
-    for name, state in (("thermal", _states.thermal(4.0)),
-                        ("coherent", _states.coherent(4.0))):
-        stream = _sim.simulate_pulse_train(state, _sim.DetectorModel(), train, cfg.seed)
-        rows[name] = stream.counts_per_pulse(n)
-    path = os.path.join(outdir, "figure1_count_records.csv")
-    with open(path, "w") as fh:
-        fh.write("time_seconds,counts_thermal,counts_coherent\n")
-        t = (np.arange(n) + 0.5) * train.repetition_period
-        np.savetxt(fh, np.column_stack([t, rows["thermal"], rows["coherent"]]),
-                   fmt=("%.12g", "%d", "%d"), delimiter=",")
-    return [path]
+    counts = [_sim.simulate_pulse_train(state, _sim.DetectorModel(), train, cfg.seed)
+              .counts_per_pulse(n)
+              for state in (_states.thermal(4.0), _states.coherent(4.0))]
+    t = (np.arange(n) + 0.5) * train.repetition_period
+    return ("figure1_count_records.csv", "time_seconds,counts_thermal,counts_coherent",
+            [t, *counts], ("%.12g", "%d", "%d"))
 
 
-def _fig2(outdir, cfg) -> list:
+def _fig2(cfg):
     """Stationary thermal conditional probability (the bunching peak)."""
     scfg = dataclasses.replace(cfg.stationary(), duration=min(cfg.duration, 2.0))
     stream = _sim.simulate_stationary_thermal(scfg, cfg.detector(), cfg.seed)
-    bw, max_tau, base_from = _stationary_binning(scfg.spectral_bandwidth)
-    curve = _est.stationary_conditional_probability(stream, cfg.bin_width or bw,
-                                                    cfg.max_tau or max_tau)
+    curve, base_from, _ = _stationary_curve(stream, scfg.spectral_bandwidth,
+                                            cfg.bin_width, cfg.max_tau)
     base = curve.baseline(base_from)
-    path = os.path.join(outdir, "figure2_stationary_pc.csv")
-    with open(path, "w") as fh:
-        fh.write("tau_seconds,pc_per_second,pc_normalized\n")
-        np.savetxt(fh, np.column_stack([curve.tau, curve.pc, curve.pc / base]),
-                   fmt="%.12g", delimiter=",")
-    return [path]
+    return ("figure2_stationary_pc.csv", "tau_seconds,pc_per_second,pc_normalized",
+            [curve.tau, curve.pc, curve.pc / base], "%.12g")
 
 
-def _fig3(outdir, cfg) -> list:
+def _fig3(cfg):
     """Time-difference histogram with the analytic density overlay."""
-    state = cfg.state() if cfg.state_spec != ExperimentConfig.state_spec else \
-        _states.thermal(1.0)
-    det = cfg.detector()
+    state, det = cfg.state(), cfg.detector()
     train = dataclasses.replace(cfg.train(), num_pulses=min(cfg.num_pulses, 200000))
     stream = _sim.simulate_pulse_train(state, det, train, cfg.seed)
     bw, max_tau = _est._pulsed_binning(train.mode.width)
     hist = _est.tau_histogram(stream, cfg.bin_width or bw, cfg.max_tau or max_tau)
     expected = _sim.analytic_D(state, det, train.mode, train.num_pulses,
                                hist.centers) * hist.bin_width
-    path = os.path.join(outdir, "figure3_time_differences.csv")
-    hist.to_csv(path, expected=expected)
-    return [path]
+    return ("figure3_time_differences.csv", *hist._table(expected))
 
 
-def _fig4(outdir, cfg) -> list:
+def _fig4(cfg):
     """Pulse-shape bunching ratio g2p/g2q = eta(0)/N versus pulse width."""
-    period = cfg.repetition_period
-    widths = np.geomspace(1e-12, period / 10.0, 25)
-    pulses = [100, 10000, 1000000]
-    path = os.path.join(outdir, "figure4_g2p_over_g2q.csv")
-    with open(path, "w") as fh:
-        fh.write("delta_tp_seconds,num_pulses,g2p_over_g2q\n")
-        for n in pulses:
-            ratio = _modes.eta_gaussian(1.0, 0.0) / (widths * n)
-            np.savetxt(fh, np.column_stack([widths, np.full(widths.size, n), ratio]),
-                       fmt=("%.12g", "%d", "%.12g"), delimiter=",")
-    return [path]
+    widths = np.geomspace(1e-12, cfg.repetition_period / 10.0, 25)
+    pulses = np.repeat([100, 10000, 1000000], widths.size)
+    widths = np.tile(widths, 3)
+    ratio = _modes.eta_gaussian(1.0, 0.0) / (widths * pulses)
+    return ("figure4_g2p_over_g2q.csv", "delta_tp_seconds,num_pulses,g2p_over_g2q",
+            [widths, pulses, ratio], ("%.12g", "%d", "%.12g"))
+
+
+_FIGURES = {"1": _fig1, "2": _fig2, "3": _fig3, "4": _fig4}
 
 
 def _cmd_figure(args) -> int:
-    cfg = _load_config(_settings(args))
+    given = _settings(args)
+    if args.figure_id == "3":
+        given.setdefault("state_spec", "thermal:1")     # a bunched state unless set
+    # the table first: a failing figure leaves no directory behind
+    name, *table = _FIGURES[args.figure_id](_load_config(given))
     outdir = args.out or "figures"
     os.makedirs(outdir, exist_ok=True)
-    paths = {"1": _fig1, "2": _fig2, "3": _fig3, "4": _fig4}[args.figure_id](outdir, cfg)
-    for p in paths:
-        print(f"wrote {p}")
+    path = os.path.join(outdir, name)
+    _write_table(path, *table)
+    print(f"wrote {path}")
     return 0
 
 
@@ -317,9 +300,7 @@ def _selftest_checks(quick: bool):
     def check_stationary_peak():
         scfg = _sim.StationaryThermalConfig(1e5, 1e6, 0.4 if quick else 1.0)
         stream = _sim.simulate_stationary_thermal(scfg, _sim.DetectorModel(), seed=5)
-        bw, max_tau, base_from = _stationary_binning(scfg.spectral_bandwidth)
-        curve = _est.stationary_conditional_probability(stream, bw, max_tau)
-        ratio = curve.peak_to_baseline(base_from)
+        ratio = _stationary_curve(stream, scfg.spectral_bandwidth)[2][0]
         band = 0.25 if quick else 0.15
         return abs(ratio - 2.0) < band, f"peak/baseline {ratio:.3f} (want 2 +- {band})"
 
@@ -336,7 +317,7 @@ def _selftest_checks(quick: bool):
 
 def _cmd_selftest(args) -> int:
     failures = 0
-    for name, fn in _selftest_checks(bool(getattr(args, "quick", False))):
+    for name, fn in _selftest_checks(args.quick):
         ok, detail = fn()
         print(f"selftest {name}: {'PASS' if ok else 'FAIL'} ({detail})")
         if not ok:

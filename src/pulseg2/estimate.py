@@ -26,7 +26,6 @@ pulses is N s^2 F2 / 2 (each unordered pair counted once).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from . import modes as _modes
 from . import simulate as _simulate
 from . import states as _states
 from .errors import EstimationError
-from .streams import ClickStream
+from .streams import ClickStream, _write_json, _write_table
 
 __all__ = [
     "TauHistogram",
@@ -84,14 +83,16 @@ class TauHistogram:
     def is_empty(self) -> bool:
         return int(self.counts.sum()) == 0
 
+    def _table(self, expected=None):
+        """(header, columns, formats) of the table `to_csv` writes."""
+        head, cols, fmt = "tau_seconds,count", [self.centers, self.counts], ["%.12g", "%d"]
+        if expected is None:
+            return head, cols, fmt
+        return head + ",expected_analytic", cols + [expected], fmt + ["%.12g"]
+
     def to_csv(self, path, expected=None):
         """Write ``tau_seconds,count[,expected_analytic]`` rows."""
-        head, cols, fmt = "tau_seconds,count", [self.centers, self.counts], ["%.12g", "%d"]
-        if expected is not None:
-            head, cols, fmt = head + ",expected_analytic", cols + [expected], fmt + ["%.12g"]
-        with open(path, "w") as fh:
-            fh.write(head + "\n")
-            np.savetxt(fh, np.column_stack(cols), fmt=fmt, delimiter=",")
+        _write_table(path, *self._table(expected))
 
 
 def _pairs(times, reach):
@@ -522,18 +523,7 @@ class CoherenceReport:
                 "D0_sigma", "fitted_width_seconds")
         values = {key: getattr(self, key) for key in keys}
         values["flags"] = list(self.flags)
-        return _report_json(values, path)
-
-
-def _report_json(values, path=None) -> str:
-    """JSON text of a report's ``values``, non-finite floats as null, written
-    to ``path`` when given."""
-    text = json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
-                       for key, v in values.items()}, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return _write_json(values, path)
 
 
 def _pulsed_binning(width):

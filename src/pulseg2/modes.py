@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _read_table
+from .streams import _read_table, _write_table
 
 __all__ = [
     "TemporalMode",
@@ -294,10 +294,7 @@ class EtaProfile:
                          / self.integral())
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("tau_seconds,eta_per_second\n")
-            np.savetxt(fh, np.column_stack([self.tau, self.eta]),
-                       fmt="%.12g", delimiter=",")
+        _write_table(path, "tau_seconds,eta_per_second", [self.tau, self.eta])
 
 
 def eta_profile(mode: TemporalMode, max_tau: float | None = None,

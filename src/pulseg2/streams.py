@@ -12,11 +12,15 @@ binary    packed little-endian records (u64 pulse index, f64 time);
 sidecar   JSON next to either format with the seed, the full generating
           configuration and the package version, default path
           ``<stream>.meta.json``.
+
+Every CSV table and JSON document the package writes goes through
+`_write_table` or `_write_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -92,16 +96,32 @@ def sidecar_path(path) -> str:
     return str(path) + ".meta.json"
 
 
+def _write_table(path, header: str, columns, fmt="%.12g") -> None:
+    """Write a CSV table: the ``header`` line, then one row per entry of the
+    ``columns`` (an empty column writes the header alone)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",")
+
+
+def _write_json(values: dict, path=None) -> str:
+    """JSON text of ``values``, non-finite top-level floats as null, written
+    to ``path`` when given."""
+    text = json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for key, v in values.items()}, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
 def write_stream(stream: ClickStream, path, fmt: str = "csv",
                  sidecar: str | None = None) -> None:
     """Write records in ``fmt`` ("csv" or "binary") plus the JSON sidecar."""
     path = str(path)
     if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(_HEADER + "\n")
-            if stream.n_clicks:
-                np.savetxt(fh, np.column_stack([stream.pulse_index, stream.times]),
-                           fmt=("%d", "%.17g"), delimiter=",")
+        _write_table(path, _HEADER, [stream.pulse_index, stream.times],
+                     fmt=("%d", "%.17g"))
     elif fmt == "binary":
         rec = np.empty(stream.n_clicks, dtype=_BINARY_DTYPE)
         rec["pulse_index"] = stream.pulse_index.view(np.uint64)
@@ -109,12 +129,8 @@ def write_stream(stream: ClickStream, path, fmt: str = "csv",
         rec.tofile(path)
     else:
         raise ValueError(f"unknown stream format {fmt!r}")
-    meta = dict(stream.metadata)
-    meta["format"] = fmt
-    meta["n_clicks"] = int(stream.n_clicks)
-    with open(sidecar or sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_json({**stream.metadata, "format": fmt, "n_clicks": int(stream.n_clicks)},
+                sidecar or sidecar_path(path))
 
 
 def _locate_bad_csv_record(path) -> int:

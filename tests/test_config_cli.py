@@ -485,6 +485,33 @@ class TestFigureCommand:
         err = capsys.readouterr().err
         assert section in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,text,code,kind", [
+        ([], "[stationary]\nmean_rate = nan\n", 1, "config error"),
+        (["--max-tau", "1e-6"], "", 1, "config error"),
+        ([], "[stationary]\nmean_rate = 10\n", 3, "estimation error"),
+    ], ids=["bad_section", "no_baseline_bins", "no_baseline_pairs"])
+    def test_failing_figure_leaves_no_directory(self, tmp_path, capsys, argv, text,
+                                                code, kind):
+        path = tmp_path / "given.ini"
+        path.write_text(text)
+        out = tmp_path / "figs"
+        assert cli.main(["figure", "2", "--config", str(path), "--out", str(out),
+                         *argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(kind) and "Traceback" not in err
+        assert not out.exists()
+
+    def test_figure3_state_flag_is_used(self, tmp_path):
+        def figure3(*flags):
+            out = tmp_path / "-".join(("figs",) + flags)
+            assert cli.main(["figure", "3", "--seed", "5", "--pulses", "20000",
+                             "--out", str(out), *flags]) == 0
+            return (out / "figure3_time_differences.csv").read_bytes()
+
+        # thermal:1 is figure 3's default; an explicit coherent:1 replaces it
+        assert figure3() == figure3("--state", "thermal:1")
+        assert figure3("--state", "coherent:1") != figure3()
+
     def test_figure4_closed_form_column(self, tmp_path):
         assert cli.main(["figure", "4", "--out", str(tmp_path)]) == 0
         data = np.loadtxt(str(tmp_path / "figure4_g2p_over_g2q.csv"),
@@ -583,6 +610,12 @@ class TestExitCodes:
         path.write_text(text)
         assert cli.main(["simulate", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--seed", "3"], ["--out", "d"], ["--pulses", "10"]])
+def test_selftest_takes_no_run_flags(capsys, argv):
+    assert cli.main(["selftest", "--quick", *argv]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_selftest_quick_passes(capsys):

@@ -8,10 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", [
-    "03_simulated_click_streams.py",
-    "04_recovering_state_coherence.py",
-])
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(tmp_path, name):
     # demo 04 asserts its own consistency between g2p and the recovery routes
     env = dict(os.environ, MPLBACKEND="Agg")
