@@ -80,15 +80,8 @@ def _settings(args) -> dict:
     return given
 
 
-def _load_config(given) -> ExperimentConfig:
-    """The validated config of the ``given`` settings, defaults for the rest."""
-    cfg = ExperimentConfig(**given)
-    cfg.validate()
-    return cfg
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(_settings(args))
+    cfg = ExperimentConfig(**_settings(args)).validate()
     out = args.out or cfg.out_stream
     detector = cfg.detector()
     if cfg.kind == "pulsed":
@@ -105,14 +98,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     # the keys a file or flag sets override the sidecar; defaults never do
     given = _settings(args)
-    cfg = _load_config(given)
+    cfg = ExperimentConfig(**given).validate()
     side = getattr(args, "sidecar", None) or sidecar_path(args.stream)
     stream = read_stream(args.stream, sidecar=side)
     report_path = args.out or cfg.out_report
 
     if not stream.is_pulsed:
-        return _analyze_stationary(stream, cfg.bin_width, cfg.max_tau, report_path,
-                                   given.get("spectral_bandwidth"))
+        return _analyze_stationary(stream, cfg, given, report_path)
 
     report = _est.analyze_stream(
         stream, num_pulses=given.get("num_pulses"),
@@ -133,18 +125,15 @@ def _cmd_analyze(args) -> int:
 def _expected_counts(stream, hist, side):
     """Analytic overlay column when the generating config is in the sidecar."""
     meta = stream.metadata
-    if not (meta.get("state") and meta.get("mode") and meta.get("train")):
-        return None
-    try:
-        state = _states.parse_state_spec(meta["state"])
-        mode = _modes.parse_mode_spec(meta["mode"])
-    except (ValueError, OSError):
+    n = meta.get("train", {}).get("num_pulses")
+    state = _est._parse_sidecar_label(meta, "state", _states.parse_state_spec, [])
+    mode = _est._parse_sidecar_label(meta, "mode", _modes.parse_mode_spec, [])
+    if state is None or mode is None or n is None:
         return None
     try:
         detector = _sim.DetectorModel(**meta.get("detector", {}))
     except (TypeError, ValueError) as exc:
         raise StreamFormatError(f"{side}: detector: {exc}") from exc
-    n = meta["train"]["num_pulses"]
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
@@ -166,10 +155,11 @@ def _stationary_curve(stream, bandwidth, bin_width=None, max_tau=None):
                           f"baseline from {base_from:g} s: {exc}") from exc
 
 
-def _analyze_stationary(stream, bin_width, max_tau, report_path, bandwidth) -> int:
-    bandwidth = stream.metadata.get("stationary", {}).get("spectral_bandwidth") or bandwidth
+def _analyze_stationary(stream, cfg, given, report_path) -> int:
+    bandwidth = (cfg.stationary().spectral_bandwidth if "spectral_bandwidth" in given
+                 else stream.metadata.get("stationary", {}).get("spectral_bandwidth"))
     curve, base_from, (g2_zero, g2_sigma) = _stationary_curve(stream, bandwidth,
-                                                              bin_width, max_tau)
+                                                              cfg.bin_width, cfg.max_tau)
     _write_json({
         "pc_peak_per_second": float(curve.pc[0]),
         "pc_baseline_per_second": curve.baseline(base_from),
@@ -241,7 +231,7 @@ def _cmd_figure(args) -> int:
     if args.figure_id == "3":
         given.setdefault("state_spec", "thermal:1")     # a bunched state unless set
     # the table first: a failing figure leaves no directory behind
-    name, *table = _FIGURES[args.figure_id](_load_config(given))
+    name, *table = _FIGURES[args.figure_id](ExperimentConfig(**given).validate())
     outdir = args.out or "figures"
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)

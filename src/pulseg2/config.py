@@ -21,12 +21,8 @@ from .simulate import DetectorModel, PulseTrainConfig, StationaryThermalConfig
 __all__ = ["ExperimentConfig"]
 
 
-def _opt_float(text):
-    return None if text.strip().lower() == "none" else float(text)
-
-
-def _opt_str(text):
-    return None if text.strip().lower() == "none" else text.strip()
+def _opt(parse):
+    return lambda text: None if text.strip().lower() == "none" else parse(text)
 
 
 # (section, key) -> (attribute, parser)
@@ -43,14 +39,14 @@ _SCHEMA = {
     ("stationary", "mean_rate"): ("mean_rate", float),
     ("stationary", "spectral_bandwidth"): ("spectral_bandwidth", float),
     ("stationary", "duration"): ("duration", float),
-    ("stationary", "field_timestep"): ("field_timestep", _opt_float),
+    ("stationary", "field_timestep"): ("field_timestep", _opt(float)),
     ("stationary", "spectral_shape"): ("spectral_shape", str.strip),
-    ("estimator", "bin_width"): ("bin_width", _opt_float),
-    ("estimator", "max_tau"): ("max_tau", _opt_float),
+    ("estimator", "bin_width"): ("bin_width", _opt(float)),
+    ("estimator", "max_tau"): ("max_tau", _opt(float)),
     ("output", "stream"): ("out_stream", str.strip),
-    ("output", "sidecar"): ("out_sidecar", _opt_str),
+    ("output", "sidecar"): ("out_sidecar", _opt(str.strip)),
     ("output", "report"): ("out_report", str.strip),
-    ("output", "histogram"): ("out_histogram", _opt_str),
+    ("output", "histogram"): ("out_histogram", _opt(str.strip)),
     ("output", "format"): ("stream_format", str.strip),
 }
 
@@ -106,9 +102,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cfg = cls(**_read_settings(path))
-        cfg.validate()
-        return cfg
+        return cls(**_read_settings(path)).validate()
 
     def to_file(self, path) -> None:
         parser = configparser.ConfigParser()
@@ -121,7 +115,8 @@ class ExperimentConfig:
         with open(path, "w") as fh:
             parser.write(fh)
 
-    def validate(self) -> None:
+    def validate(self) -> "ExperimentConfig":
+        """This config, once every value is checked and every object builds."""
         if self.kind not in ("pulsed", "stationary"):
             raise ConfigError("[run] kind: must be 'pulsed' or 'stationary'")
         if self.seed < 0:
@@ -141,6 +136,7 @@ class ExperimentConfig:
             self.train()
         else:
             self.stationary()
+        return self
 
     def state(self) -> _states.QuantumState:
         return _build("[state] spec", _states.parse_state_spec, self.state_spec)

@@ -50,6 +50,10 @@ _TAIL_BUDGET = 1e-13
 
 _NORM_TOL = 1e-12
 
+# Largest photon number a stored distribution may reach (thermal:1000 needs
+# 51,705 entries, coherent:1e5 103,173); larger states fail before allocating.
+_MAX_PHOTONS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
@@ -93,6 +97,13 @@ class QuantumState:
         return f"QuantumState({self.label!r})"
 
 
+def _bounded(n):
+    """``n``, or a ValueError when photon numbers up to ``n`` pass the bound."""
+    if n > _MAX_PHOTONS:
+        raise ValueError(f"photon numbers up to {n:g} exceed the bound {_MAX_PHOTONS}")
+    return n
+
+
 def _truncate(pn_full: np.ndarray) -> np.ndarray:
     """Shortest head of ``pn_full`` whose weighted tail is negligible."""
     n = np.arange(pn_full.size, dtype=float)
@@ -115,7 +126,7 @@ def coherent(mean_n: float, label: str | None = None) -> QuantumState:
         hi = int(math.ceil(mean_n + 12.0 * math.sqrt(mean_n + 1.0) + 30.0))
         while True:
             # Poisson pmf from its logarithm, so no factor overflows
-            n = np.arange(hi + 1, dtype=float)
+            n = np.arange(_bounded(hi) + 1, dtype=float)
             log_n_factorial = np.array([math.lgamma(k + 1.0) for k in n])
             pn_full = np.exp(n * math.log(mean_n) - log_n_factorial - mean_n)
             if (hi * hi + 1.0) * pn_full[-1] * hi < _TAIL_BUDGET * 1e-2:
@@ -133,11 +144,11 @@ def thermal(mean_n: float, label: str | None = None) -> QuantumState:
     if mean_n == 0.0:
         pn = np.array([1.0])
     else:
-        q = mean_n / (1.0 + mean_n)
+        q = _bounded(mean_n) / (1.0 + mean_n)      # bounded, so q < 1
         hi = 64
         while (hi * hi + 1.0) * q**hi / (1.0 - q) >= _TAIL_BUDGET * 1e-2:
             hi *= 2
-        n = np.arange(hi + 1, dtype=float)
+        n = np.arange(_bounded(hi) + 1, dtype=float)
         pn = _truncate((1.0 - q) * q**n)
     return QuantumState("thermal", pn, label or f"thermal:{mean_n:g}")
 
@@ -147,7 +158,7 @@ def fock(n: int, label: str | None = None) -> QuantumState:
     if n != int(n) or n < 0:
         raise ValueError("Fock index must be a nonnegative integer")
     n = int(n)
-    pn = np.zeros(n + 1)
+    pn = np.zeros(_bounded(n) + 1)
     pn[n] = 1.0
     return QuantumState("fock", pn, label or f"fock:{n}")
 
@@ -287,7 +298,7 @@ def _load_pn_csv(path: str) -> np.ndarray:
     ns = rows[:, 0]
     if np.any(ns < 0) or np.any(ns != np.round(ns)):
         raise ValueError(f"{path}: photon numbers must be nonnegative integers")
-    vec = np.zeros(int(ns.max()) + 1)
+    vec = np.zeros(int(_bounded(ns.max(initial=0))) + 1)
     vec[ns.astype(int)] = rows[:, 1]
     return vec
 

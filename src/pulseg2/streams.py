@@ -14,11 +14,13 @@ sidecar   JSON next to either format with the seed, the full generating
           ``<stream>.meta.json``.
 
 Every CSV table and JSON document the package writes goes through
-`_write_table` or `_write_json`.
+`_write_table` or `_write_json`, and every CSV table it reads through
+`_read_table`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,14 +40,16 @@ __all__ = [
 
 _HEADER = "pulse_index,time_seconds"
 _BINARY_DTYPE = np.dtype([("pulse_index", "<u8"), ("time_seconds", "<f8")])
-# the sidecar keys the readers use: the JSON types each may have, by name
+# the sidecar keys the readers use: the JSON types each may have, the test
+# a non-null value must pass, and both by name
 _NULL = type(None)
-_SIDECAR_TYPES = {
-    **dict.fromkeys(("train", "detector", "stationary"), (dict, "an object")),
-    **dict.fromkeys(("state", "mode"), ((str, _NULL), "a string or null")),
-    "train.num_pulses": ((int, _NULL), "an integer or null"),
+_SIDECAR_RULES = {
+    **dict.fromkeys(("train", "detector", "stationary"), (dict, None, "an object")),
+    **dict.fromkeys(("state", "mode"), ((str, _NULL), None, "a string or null")),
+    "train.num_pulses": ((int, _NULL), lambda v: v >= 1, "an integer >= 1 or null"),
     **dict.fromkeys(("train.repetition_period", "stationary.spectral_bandwidth"),
-                    ((int, float, _NULL), "a number or null")),
+                    ((int, float, _NULL), lambda v: math.isfinite(v) and v > 0,
+                     "a finite number > 0 or null")),
 }
 
 @dataclass(frozen=True, eq=False)
@@ -133,54 +137,38 @@ def write_stream(stream: ClickStream, path, fmt: str = "csv",
                 sidecar or sidecar_path(path))
 
 
-def _locate_bad_csv_record(path) -> int:
-    with open(path, errors="replace") as fh:
-        for i, line in enumerate(fh):
-            if i == 0:
-                continue
-            parts = line.strip().split(",")
-            if not line.strip():
-                continue
-            try:
-                int(parts[0])
-                float(parts[1])
-                if len(parts) != 2:
-                    raise ValueError
-            except (ValueError, IndexError):
-                return i - 1
-    return -1
+def _width(line) -> int:
+    """Fields of a CSV line: 0 if blank or a comment, -1 if one is not a number."""
+    text = line.partition("#")[0].strip()
+    try:
+        return len([float(field) for field in text.split(",")]) if text else 0
+    except ValueError:
+        return -1
 
 
-def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_table(path, columns: str, header: str | None = None) -> np.ndarray:
+    """Rows of a numeric CSV table of at least two ``columns``. A ``header``
+    must be the first line; else the first line is skipped unless its first
+    field is a number. A ValueError names the first record (from 0, blank
+    lines not counted) that does not parse or changes width."""
     # undecodable bytes (a binary stream read as CSV) fail the header check
     with open(path, errors="replace") as fh:
-        header = fh.readline().strip()
-    if header != _HEADER:
-        raise StreamFormatError(f"{path}: record -1 (header) must be {_HEADER!r}")
-    try:
-        with warnings.catch_warnings():     # a header alone is an empty stream
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise StreamFormatError(
-            f"{path}: record {_locate_bad_csv_record(path)} is malformed") from exc
-    if data.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    if data.shape[1] != 2:
-        raise StreamFormatError(f"{path}: record 0: expected 2 columns")
-    return data[:, 0].astype(np.int64), data[:, 1]
-
-
-def _read_table(path, columns: str) -> np.ndarray:
-    """Rows of a numeric CSV table of at least two ``columns``, header optional."""
-    with open(path) as fh:
         first = fh.readline()
+    if header is not None and first.strip() != header:
+        raise ValueError(f"{path}: record -1 (header) must be {header!r}")
+    skip = int(header is not None or _width(first.split(",")[0]) <= 0)
     try:
-        float(first.split(",")[0])
-        skip = 0
-    except ValueError:
-        skip = 1
-    rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        with warnings.catch_warnings():     # a header alone is an empty table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        with open(path, errors="replace") as fh:
+            widths = [w for w in map(_width, itertools.islice(fh, skip, None)) if w]
+        bad = next((i for i, w in enumerate(widths) if w < 0 or w != widths[0]), None)
+        raise ValueError(f"{path}: {exc}" if bad is None
+                         else f"{path}: record {bad} is malformed") from exc
+    if rows.size == 0:
+        return np.empty((0, 2))
     if rows.shape[1] < 2:
         raise ValueError(f"{path}: expected columns {columns}")
     return rows
@@ -200,11 +188,12 @@ def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
 def _check_sidecar(meta, side) -> None:
     if not isinstance(meta, dict):
         raise StreamFormatError(f"{side}: the sidecar must be a JSON object")
-    for key, (kind, name) in _SIDECAR_TYPES.items():
+    for key, (kind, test, name) in _SIDECAR_RULES.items():
         section, _, leaf = key.rpartition(".")
         table = meta.get(section, {}) if section else meta
         value = table.get(leaf)
-        if leaf in table and (isinstance(value, bool) or not isinstance(value, kind)):
+        if leaf in table and (isinstance(value, bool) or not isinstance(value, kind)
+                              or test and value is not None and not test(value)):
             raise StreamFormatError(f"{side}: {key} must be {name}, got {json.dumps(value)}")
 
 
@@ -222,7 +211,20 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
         raise StreamFormatError(f"{side}: invalid sidecar JSON: {exc}") from exc
     _check_sidecar(meta, side)
     fmt = meta.get("format") or ("binary" if path.endswith(".bin") else "csv")
-    idx, t = _read_binary(path) if fmt == "binary" else _read_csv(path)
+    if fmt == "binary":
+        idx, t = _read_binary(path)
+    else:
+        try:
+            rows = _read_table(path, _HEADER, header=_HEADER)
+        except ValueError as exc:
+            raise StreamFormatError(str(exc)) from exc
+        pulse, t = rows[:, 0], rows[:, 1]
+        bad = [0] if rows.shape[1] != 2 else np.flatnonzero(
+            (pulse != np.round(pulse)) | ~(np.abs(pulse) < 2.0**63))
+        if len(bad):
+            raise StreamFormatError(f"{path}: record {bad[0]}: expected 2 columns, "
+                                    "the first a 64-bit integer")
+        idx = pulse.astype(np.int64)
     if "n_clicks" in meta and meta["n_clicks"] != idx.size:
         raise StreamFormatError(
             f"{path}: {idx.size} records, but the sidecar {side} says "

@@ -83,6 +83,19 @@ def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, argv, ini_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec", ["fock:1000000000000000", "pn:huge.csv",
+                                  "coherent:1e15", "thermal:1e15"],
+                         ids=["fock", "pn_row", "coherent", "thermal"])
+def test_huge_photon_number_is_config_error(tmp_path, capsys, monkeypatch, spec):
+    # the photon-number bound fails before the vector is allocated
+    monkeypatch.chdir(tmp_path)
+    Path("huge.csv").write_text("n,P_n\n0,0.5\n1000000000000000,0.5\n")
+    assert cli.main(["simulate", "--state", spec, "--out", "s.csv"]) == 1
+    err = capsys.readouterr().err
+    assert spec in err and "exceed the bound" in err and "Traceback" not in err
+    assert not Path("s.csv").exists()
+
+
 class TestSimulateCommand:
     def test_writes_stream_with_expected_counts(self, tmp_path):
         cfg, path = write_cfg(tmp_path)
@@ -201,6 +214,21 @@ class TestAnalyzeCommand:
                                   md.gaussian_mode(1e-9), 20000, hist.centers)
         np.testing.assert_allclose(data[:, 2], expected * hist.bin_width, rtol=1e-11)
 
+    @pytest.mark.parametrize("edit", [
+        lambda train: {**train, "num_pulses": None},
+        lambda train: {k: v for k, v in train.items() if k != "num_pulses"},
+    ], ids=["null", "missing"])
+    def test_overlay_needs_the_sidecar_pulse_count(self, tmp_path, monkeypatch, edit):
+        _, path = write_cfg(tmp_path, num_pulses=2000)
+        assert cli.main(["simulate", "--config", path]) == 0
+        side = tmp_path / "stream.csv.meta.json"
+        meta = json.loads(side.read_text())
+        side.write_text(json.dumps({**meta, "train": edit(meta["train"])}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", "stream.csv", "--pulses", "2000", "--out", "r.json"]) == 0
+        assert json.loads(Path("r.json").read_text())["N"] == 2000
+        assert Path("histogram.csv").read_text().splitlines()[0] == "tau_seconds,count"
+
     def test_binary_stream_without_sidecar_is_io_error(self, tmp_path, capsys):
         _, path = write_cfg(tmp_path, stream_format="binary")
         assert cli.main(["simulate", "--config", path]) == 0
@@ -219,6 +247,20 @@ class TestAnalyzeCommand:
         assert summary["g2_zero"] == pytest.approx(2.0, abs=0.35)
         curve = (tmp_path / "summary_pc.csv").read_text().splitlines()
         assert curve[0] == "tau_seconds,pc_per_second"
+
+    @pytest.mark.parametrize("ini,bin_width", [
+        ("", 2e-8),
+        ("[stationary]\nspectral_bandwidth = 2e5\n", 1e-7),
+    ], ids=["sidecar", "ini"])
+    def test_bandwidth_sets_the_stationary_bins(self, tmp_path, ini, bin_width):
+        # bins of 1/(50 B): the INI's B over the sidecar's 1e6
+        _, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5, duration=0.05)
+        assert cli.main(["simulate", "--config", path]) == 0
+        (tmp_path / "b.ini").write_text(ini)
+        assert cli.main(["analyze", str(tmp_path / "stream.csv"), "--config",
+                         str(tmp_path / "b.ini"), "--out", str(tmp_path / "r.json")]) == 0
+        tau = np.loadtxt(tmp_path / "r_pc.csv", delimiter=",", skiprows=1)[:, 0]
+        np.testing.assert_allclose(np.diff(tau), bin_width, rtol=1e-9)
 
     def test_stationary_analysis_walks_the_pairs_once(self, tmp_path, monkeypatch):
         _, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5, duration=0.05)
@@ -540,8 +582,15 @@ class TestMalformedSidecar:
         (lambda m: {**m, "detector": "x"}, "detector"),
         (lambda m: {**m, "detector": {**m["detector"], "gain": 1.0}}, "gain"),
         (lambda m: {**m, "detector": {**m["detector"], "efficiency": 2}}, "efficiency"),
+        (lambda m: {**m, "train": {**m["train"], "num_pulses": 0}}, "train.num_pulses"),
+        (lambda m: {**m, "kind": "stationary", "stationary": {"spectral_bandwidth": -1e6}},
+         "stationary.spectral_bandwidth"),
+        (lambda m: {**m, "kind": "stationary",
+                    "stationary": {"spectral_bandwidth": float("nan")}},
+         "stationary.spectral_bandwidth"),
     ], ids=["list", "train_null", "num_pulses_string", "detector_string",
-            "detector_unknown_key", "efficiency_above_one"])
+            "detector_unknown_key", "efficiency_above_one", "num_pulses_zero",
+            "bandwidth_negative", "bandwidth_nan"])
     def test_exit_2_names_sidecar_and_key(self, stream, tmp_path, monkeypatch, capsys,
                                           edit, key):
         meta = json.loads(Path(str(stream) + ".meta.json").read_text())

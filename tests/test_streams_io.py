@@ -66,6 +66,18 @@ def test_malformed_record_named(tmp_path):
         read_stream(path)
 
 
+@pytest.mark.parametrize("text", [
+    "pulse_index,time_seconds\n0,1e-9\n1.7,2e-9\n",
+    "pulse_index,time_seconds\n0,1e-9\n\n1,not_a_number\n",
+], ids=["fractional_pulse_index", "blank_line_before"])
+def test_bad_record_numbered_from_first_row(tmp_path, text):
+    # record 0 is the first row after the header; blank lines are not records
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(StreamFormatError, match=re.escape(f"{path}: record 1")):
+        read_stream(path)
+
+
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1e-9\n")
@@ -121,13 +133,21 @@ def test_sidecar_click_count_checked(tmp_path, fmt):
         read_stream(path)
 
 
-@pytest.mark.parametrize("parse,prefix", [
-    (pg.parse_state_spec, "pn:"),
-    (pg.parse_mode_spec, "sampled:"),
+@pytest.mark.parametrize("parse,prefix,text,message", [
+    pytest.param(pg.parse_state_spec, "pn:", "x\n0\n1\n", "expected columns",
+                 id="parse_state_spec-pn:"),
+    pytest.param(pg.parse_mode_spec, "sampled:", "x\n0\n1\n", "expected columns",
+                 id="parse_mode_spec-sampled:"),
+    pytest.param(pg.parse_state_spec, "pn:", "n,P_n\n0,0.5\n\n1,x\n",
+                 "record 1 is malformed", id="pn_bad_record"),
+    pytest.param(pg.parse_state_spec, "pn:", "0,abc\n1,1.0\n",
+                 "record 0 is malformed", id="pn_bad_first_row"),
+    pytest.param(pg.parse_mode_spec, "sampled:", "0,1\n1e-9,1,0\n",
+                 "record 1 is malformed", id="sampled_bad_record"),
 ])
-def test_one_column_table_names_its_path(tmp_path, parse, prefix):
-    # pn: and sampled: specs share one CSV table reader
+def test_one_column_table_names_its_path(tmp_path, parse, prefix, text, message):
+    # pn: and sampled: specs share the stream's CSV table reader
     path = tmp_path / "table.csv"
-    path.write_text("x\n0\n1\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: expected columns")):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         parse(f"{prefix}{path}")
