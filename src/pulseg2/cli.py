@@ -114,7 +114,7 @@ def _cmd_analyze(args) -> int:
     # the histogram first: a bad sidecar detector then leaves no report behind
     if cfg.out_histogram and report.histogram is not None:
         report.histogram.to_csv(cfg.out_histogram,
-                                expected=_expected_counts(stream, report.histogram, side))
+                                expected=_expected_counts(stream, report, given, side))
     report.to_json(report_path)
     print(f"wrote report to {report_path}")
     for line in json.loads(report.to_json()).items():
@@ -122,18 +122,24 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _expected_counts(stream, hist, side):
-    """Analytic overlay column when the generating config is in the sidecar."""
+def _expected_counts(stream, report, given, side):
+    """Analytic overlay column when the generating config is in the sidecar.
+
+    Each sidecar label is parsed once: the report holds the state and mode
+    `analyze_stream` parsed from it, unless a key or flag overrode them."""
     meta = stream.metadata
     n = meta.get("train", {}).get("num_pulses")
-    state = _est._parse_sidecar_label(meta, "state", _states.parse_state_spec, [])
-    mode = _est._parse_sidecar_label(meta, "mode", _modes.parse_mode_spec, [])
+    state = report.state if "state_spec" not in given else _est._parse_sidecar_label(
+        meta, "state", _states.parse_state_spec, [])
+    mode = report.mode if "mode_spec" not in given else _est._parse_sidecar_label(
+        meta, "mode", _modes.parse_mode_spec, [])
     if state is None or mode is None or n is None:
         return None
     try:
         detector = _sim.DetectorModel(**meta.get("detector", {}))
     except (TypeError, ValueError) as exc:
         raise StreamFormatError(f"{side}: detector: {exc}") from exc
+    hist = report.histogram
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 

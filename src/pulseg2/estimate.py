@@ -99,14 +99,15 @@ def _pairs(times, reach):
     """Yield ``(first, second)`` index arrays of click pairs, one lag at a time.
 
     The pairs are every i < j of the sorted ``times`` with
-    times[j] < times[i] + reach.  Pass d yields the pairs (i, i + d) of
-    the clicks that still have a partner d places ahead, so memory stays
-    O(clicks) per pass.
+    times[j] < times[i] + reach.  Pass d keeps the clicks of pass d - 1
+    with times[i + d] < times[i] + reach and yields their pairs (i, i + d),
+    so memory stays O(clicks) per pass.
     """
-    end = np.searchsorted(times, times + reach)
     first = np.arange(times.size, dtype=np.int64)
     for d in itertools.count(1):
-        first = first[end[first] > first + d]
+        if first.size and first[-1] + d == times.size:     # no click d places on
+            first = first[:-1]
+        first = first[times[first + d] < times[first] + reach]
         if not first.size:
             return
         yield first, first + d
@@ -498,7 +499,9 @@ class CoherenceReport:
     route, ``g2q_analytic`` the exact value when the source state is
     known.  g2p and D0 carry units of 1/seconds.  ``histogram`` is the
     same-pulse histogram the report was computed from (None for an empty
-    stream); it is not part of the JSON.
+    stream), and ``state`` and ``mode`` the objects it was analyzed with,
+    given or parsed from the sidecar (None if neither); none of the three
+    is part of the JSON.
     """
 
     N: int
@@ -516,6 +519,8 @@ class CoherenceReport:
     fitted_width_seconds: float | None = None
     flags: list = field(default_factory=list)
     histogram: TauHistogram | None = field(default=None, repr=False, compare=False)
+    state: _states.QuantumState | None = field(default=None, repr=False, compare=False)
+    mode: _modes.TemporalMode | None = field(default=None, repr=False, compare=False)
 
     def to_json(self, path=None) -> str:
         keys = ("g2q_analytic", "g2q_eta", "g2q_eta_sigma", "g2q_pn", "g2q_pn_sigma",
@@ -575,7 +580,8 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     if total == 0:
         flags.append("empty_stream")
         return CoherenceReport(N=num_pulses, Ip=0.0, D0_per_second=0.0, D0_sigma=math.inf,
-                               g2q_analytic=g2q_analytic, flags=flags)
+                               g2q_analytic=g2q_analytic, flags=flags, state=state,
+                               mode=mode)
 
     _check_pulse_range(stream.pulse_index, num_pulses)
     if bin_width is None or max_tau is None:
@@ -611,7 +617,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         g2q_pn=g2q_pn, g2q_pn_sigma=g2q_pn_sigma,
         g2q_analytic=g2q_analytic,
         fitted_width_seconds=fitted if math.isfinite(fitted) else None,
-        flags=flags, histogram=hist)
+        flags=flags, histogram=hist, state=state, mode=mode)
 
 
 def _within_pulse_spread(stream: ClickStream) -> float:

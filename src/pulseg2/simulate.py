@@ -39,11 +39,14 @@ A complex circular-Gaussian field is synthesized by filtering white noise
 with a kernel whose correlation time is 1/bandwidth (integrated-|g1|^2
 convention); clicks then come from an inhomogeneous Poisson process driven
 by the squared field magnitude (a Cox process).  That reproduces the
-bunching peak g2(0) = 2 of chaotic light with baseline 1.  Each chunk of
-the field grid takes one pass: a numpy FFT overlap-add filter (kernel
-transform computed once per run, convolution tail carried to the next
-chunk), then one Poisson click total placed through the cumulative
-intensity.  The module needs numpy alone.
+bunching peak g2(0) = 2 of chaotic light with baseline 1.  The field
+grid is filtered by numpy FFT overlap-add (kernel transform computed once
+per run, convolution tail carried row to row), one row group of
+`_FIELD_GROUP` cells at a time in one preallocated buffer: the group's
+white noise is drawn into the buffer and filtered there in place.  Each
+chunk's noise stays one Philox draw, so the stream does not depend on
+the group size.  Each chunk's clicks are then one Poisson total placed
+through the cumulative intensity.  The module needs numpy alone.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config, package version) gives a
@@ -80,6 +83,8 @@ __all__ = [
 
 _PULSE_BLOCK = 1 << 14
 _FIELD_CHUNK = 1 << 20
+# cells per row group of the field filter; not part of the RNG layout
+_FIELD_GROUP = 1 << 18
 # FFT length of the overlap-add field filter, raised for kernels over 1/4 of it
 _FILTER_FFT = 1 << 12
 
@@ -299,33 +304,49 @@ def _field_kernel(cfg: StationaryThermalConfig, dt: float) -> np.ndarray:
 def _field_intensity_chunks(kernel, root_noise, n_grid):
     """Yield (first cell, |E|^2) per chunk of the field grid.
 
-    A chunk is whole rows of nfft - taps + 1 cells.  Its noise is one real
-    normal draw viewed as complex; each row is filtered by FFT, product
-    with the kernel's transform and inverse FFT in place, and its last
-    taps - 1 outputs add into the next row's head (the last row's into
-    the next chunk's).  E|E|^2 = 2 (unit-power kernel, unit-variance noise).
+    A chunk is whole rows of nfft - taps + 1 cells, filtered in groups of
+    `_FIELD_GROUP` cells (whole rows) in one (rows, nfft) buffer.  A
+    group's noise, real normals viewed as complex, is drawn row by row
+    into the buffer, continuing the chunk's generator, so a chunk's draws
+    are one `standard_normal` of twice its length; the rest of each row is
+    zeroed.  FFT, product with the kernel's transform and inverse FFT then
+    run in place.  Each row's last taps - 1 outputs add into the next
+    row's head, across groups and chunks alike, and |E|^2 goes into the
+    chunk's intensity array.  The field does not depend on the group size.
+    E|E|^2 = 2 (unit-power kernel, unit-variance noise).
     """
     taps = kernel.size
     nfft = max(_FILTER_FFT, 1 << (4 * taps).bit_length())
     step = nfft - taps + 1
     chunk = max(_FIELD_CHUNK // step, 1) * step
+    span = max(_FIELD_GROUP // step, 1) * step
     kernel_fft = np.fft.fft(kernel, nfft)
+    y = np.empty((span // step, nfft), complex)
     carry = np.zeros(taps - 1, dtype=complex)
+    at = block_generators(root_noise)
     for c, lo in enumerate(range(0, n_grid, chunk)):
         length = min(chunk, n_grid - lo)
-        noise = np.zeros((-(-length // step), step), complex)   # last row padded
-        block_generator(root_noise, c).standard_normal(
-            2 * length, out=noise.reshape(-1)[:length].view(np.float64))
-        y = np.fft.fft(noise, nfft)
-        del noise
-        y *= kernel_fft
-        np.fft.ifft(y, out=y)
-        y[1:, :taps - 1] += y[:-1, step:]
-        y[0, :taps - 1] += carry
-        carry = y[-1, step:].copy()
-        intensity = np.square(y[:, :step].real)
-        intensity += np.square(y[:, :step].imag)
-        yield lo, intensity.reshape(-1)[:length]
+        rng = at(c)
+        intensity = np.empty(-(-length // step) * step)
+        for start in range(0, length, span):
+            cells = min(span, length - start)
+            rows = -(-cells // step)
+            out = y[:rows]
+            for r in range(rows):
+                row = out[r, :min(step, cells - r * step)]
+                rng.standard_normal(2 * row.size, out=row.view(np.float64))
+                out[r, row.size:] = 0
+            np.fft.fft(out, out=out)
+            out *= kernel_fft
+            np.fft.ifft(out, out=out)
+            out[1:, :taps - 1] += out[:-1, step:]
+            out[0, :taps - 1] += carry
+            carry[:] = out[-1, step:]
+            field = out[:, :step].view(np.float64)     # re, im interleaved
+            np.square(field, out=field)
+            np.add(field[:, 0::2], field[:, 1::2],
+                   out=intensity[start:start + rows * step].reshape(rows, step))
+        yield lo, intensity[:length]
 
 
 def _chunk_clicks(intensity, mean_per_cell, rng):
@@ -337,7 +358,8 @@ def _chunk_clicks(intensity, mean_per_cell, rng):
     cum[i] <= u < cum[i + 1], never a zero-intensity cell.  No clip is
     needed: u = r * sum I with r <= 1 - 2^-53 rounds below sum I.
     """
-    cum = np.concatenate(([0.0], np.cumsum(intensity)))
+    cum = np.zeros(intensity.size + 1)
+    np.cumsum(intensity, out=cum[1:])
     u = np.sort(rng.random(rng.poisson(mean_per_cell * cum[-1]))) * cum[-1]
     cell = np.searchsorted(cum, u, "right") - 1
     left = cum[cell]

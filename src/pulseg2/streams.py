@@ -232,5 +232,8 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
     try:
         return ClickStream(idx, t, meta)
     except ValueError as exc:
-        bad = int(np.argmin(np.diff(t))) + 1 if t.size > 1 else 0
+        # the first non-finite time, else the later click of the largest step back
+        finite = np.isfinite(t)
+        bad = (np.argmin(finite) if not finite.all()
+               else np.argmin(np.diff(t)) + 1 if t.size > 1 else 0)
         raise StreamFormatError(f"{path}: record {bad}: {exc}") from exc

@@ -180,6 +180,28 @@ class TestAnalyzeCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert abs(report["g2q_eta"] - 0.6) < 4 * report["g2q_eta_sigma"]
 
+    def test_sidecar_pn_table_read_once(self, tmp_path, monkeypatch):
+        # analyze parses the sidecar's state label once, for the report and
+        # the histogram's analytic overlay alike
+        csv = tmp_path / "pn.csv"
+        csv.write_text("n,P_n\n0,0.3\n1,0.4\n2,0.3\n")
+        _, path = write_cfg(tmp_path, state_spec=f"pn:{csv}", num_pulses=20000)
+        assert cli.main(["simulate", "--config", path]) == 0
+        reads = []
+        real = st._read_table
+
+        def counted(table, *args, **kwargs):
+            reads.append(Path(table).name)
+            return real(table, *args, **kwargs)
+
+        for module in (pg.streams, st, md):
+            monkeypatch.setattr(module, "_read_table", counted)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", "stream.csv"]) == 0
+        assert sorted(reads) == ["pn.csv", "stream.csv"]
+        assert Path("histogram.csv").read_text().splitlines()[0] == \
+            "tau_seconds,count,expected_analytic"
+
     def test_empty_stream_exits_zero_with_flags(self, tmp_path):
         _, path = write_cfg(tmp_path, efficiency=0.0)
         cli.main(["simulate", "--config", path])

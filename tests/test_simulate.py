@@ -330,6 +330,15 @@ def test_package_version_matches_project():
         assert tomllib.load(fh)["project"]["version"] == pg.__version__
 
 
+def test_numpy_floor_has_fft_out():
+    # the field filter's np.fft.fft/ifft(..., out=) needs numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    floor = [d[len("numpy>="):] for d in deps if d.startswith("numpy>=")]
+    assert len(floor) == 1 and int(floor[0].split(".")[0]) >= 2
+
+
 class TestDetectorValidation:
     def test_efficiency_range(self):
         with pytest.raises(ValueError):

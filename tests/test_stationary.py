@@ -188,6 +188,58 @@ class TestOverlapAddFilter:
                                    rtol=1e-12, atol=1e-14)
 
 
+def reference_intensity_chunks(kernel, root_noise, n_grid):
+    """The filter in one batch per chunk, the reference for the grouped one:
+    each chunk's noise in one draw, then all its rows filtered at once."""
+    taps = kernel.size
+    nfft = max(sim._FILTER_FFT, 1 << (4 * taps).bit_length())
+    step = nfft - taps + 1
+    chunk = max(sim._FIELD_CHUNK // step, 1) * step
+    kernel_fft = np.fft.fft(kernel, nfft)
+    carry = np.zeros(taps - 1, dtype=complex)
+    for c, lo in enumerate(range(0, n_grid, chunk)):
+        length = min(chunk, n_grid - lo)
+        noise = np.zeros((-(-length // step), step), complex)   # last row padded
+        block_generator(root_noise, c).standard_normal(
+            2 * length, out=noise.reshape(-1)[:length].view(np.float64))
+        y = np.fft.fft(noise, nfft)
+        del noise
+        y *= kernel_fft
+        np.fft.ifft(y, out=y)
+        y[1:, :taps - 1] += y[:-1, step:]
+        y[0, :taps - 1] += carry
+        carry = y[-1, step:].copy()
+        intensity = np.square(y[:, :step].real)
+        intensity += np.square(y[:, :step].imag)
+        yield lo, intensity.reshape(-1)[:length]
+
+
+class TestGroupedFilter:
+    """Filtering a chunk in row groups, noise drawn row by row into the
+    group's buffer, changes no bit of the field."""
+
+    CHUNK = 1 << 17
+
+    @FILTER_KERNELS
+    @pytest.mark.parametrize("rows", [1, 7, "chunk", "beyond_chunk"])
+    def test_groups_match_one_batch_filter(self, monkeypatch, shape, timestep, rows):
+        kernel = field_kernel(shape, timestep)
+        step = max(sim._FILTER_FFT, 1 << (4 * kernel.size).bit_length()) - kernel.size + 1
+        monkeypatch.setattr(sim, "_FIELD_CHUNK", self.CHUNK)
+        monkeypatch.setattr(sim, "_FIELD_GROUP", {"chunk": self.CHUNK,
+                                                  "beyond_chunk": 4 * self.CHUNK
+                                                  }.get(rows, rows * step))
+        chunk = self.CHUNK // step * step
+        # the last chunk ends a third into a row, inside a group
+        n_grid = 2 * chunk + chunk // 2 + step // 3
+        root = derive_roots(61)[1]
+        got = list(sim._field_intensity_chunks(kernel, root, n_grid))
+        want = list(reference_intensity_chunks(kernel, root, n_grid))
+        assert [lo for lo, _ in got] == [lo for lo, _ in want] == [0, chunk, 2 * chunk]
+        for (_, part), (_, ref) in zip(got, want):
+            assert np.array_equal(part, ref)
+
+
 class _TopUniform:
     """A generator stand-in whose uniforms are all numpy's largest, 1 - 2^-53."""
 

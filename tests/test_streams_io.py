@@ -78,6 +78,20 @@ def test_bad_record_numbered_from_first_row(tmp_path, text):
         read_stream(path)
 
 
+@pytest.mark.parametrize("rows,record,message", [
+    ("0,inf\n1,2e-9\n", 0, "finite"),
+    ("0,1e-9\n1,nan\n2,3e-9\n", 1, "finite"),
+    ("0,2e-9\n1,3e-9\n2,1e-9\n", 2, "nondecreasing"),
+], ids=["inf_first", "nan_between", "unsorted"])
+def test_bad_click_time_record_named(tmp_path, rows, record, message):
+    # a non-finite time names its own record, an unsorted pair the later one
+    path = tmp_path / "bad.csv"
+    path.write_text("pulse_index,time_seconds\n" + rows)
+    with pytest.raises(StreamFormatError,
+                       match=re.escape(f"{path}: record {record}: ") + f".*{message}"):
+        read_stream(path)
+
+
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1e-9\n")
