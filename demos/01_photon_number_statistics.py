@@ -36,7 +36,8 @@ print("this is why detector efficiency never biases state identification.")
 print()
 print("=== sampling ===")
 rng = np.random.default_rng(1)
-draws = pg.sample_photon_number(pg.thermal(2.0), rng, size=200000)
+state = pg.thermal(2.0)
+draws = rng.choice(state.pn.size, size=200000, p=state.pn)
 hist = np.bincount(draws).astype(float) / draws.size
 print(f"200k draws from thermal(2): mean {draws.mean():.3f}, "
       f"empirical g2q {pg.g2q_from_pn(hist):.3f}")

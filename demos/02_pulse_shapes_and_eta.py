@@ -26,7 +26,6 @@ print(f"eta(0) closed form : {pg.eta_gaussian(DT, 0.0):.6e} 1/s")
 print(f"max relative error over +-5 widths: {np.max(np.abs(numeric - closed) / closed):.2e}")
 profile = pg.eta_profile(mode)
 print(f"integral of eta over tau: {profile.integral():.9f} (exactly 1 in the continuum)")
-print(f"r.m.s. width of eta: {pg.autocorrelation_width(mode):.4e} s (the pulse width)")
 
 print()
 print("=== width scaling ===")

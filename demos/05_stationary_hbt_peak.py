@@ -25,12 +25,12 @@ print(f"simulated {stream.n_clicks} clicks over {DURATION} s "
 curve = pg.stationary_conditional_probability(stream, 1 / (50 * BW), 5 / BW)
 base = curve.baseline(3 / BW)
 print(f"baseline rate : {base:.4g} 1/s (mean detected rate {RATE:.4g})")
-print(f"peak/baseline : {curve.peak_to_baseline(3 / BW):.3f} (chaotic light: 2)")
+print(f"peak/baseline : {curve.g2_zero(3 / BW)[0]:.3f} (chaotic light: 2)")
 print(f"excess fwhm   : {curve.excess_fwhm(3 / BW):.3e} s (correlation time {1 / BW:.0e} s)")
 
 control = pg.simulate_stationary_poisson(RATE, DURATION, seed=22)
 flat = pg.stationary_conditional_probability(control, 1 / (50 * BW), 5 / BW)
-print(f"poisson control peak/baseline: {flat.peak_to_baseline(3 / BW):.3f} (flat: 1)")
+print(f"poisson control peak/baseline: {flat.g2_zero(3 / BW)[0]:.3f} (flat: 1)")
 
 print()
 print("key contrast with pulses: measuring a stationary source longer")

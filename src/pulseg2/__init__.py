@@ -23,12 +23,10 @@ from .estimate import (
     stationary_conditional_probability,
     stationary_g2_zero,
     tau_histogram,
-    total_counts,
 )
 from .modes import (
     EtaProfile,
     TemporalMode,
-    autocorrelation_width,
     eta_gaussian,
     eta_numeric,
     eta_profile,
@@ -44,14 +42,12 @@ from .simulate import (
     StationaryThermalConfig,
     analytic_D,
     analytic_Ip,
-    analytic_pc,
     simulate_pulse_train,
     simulate_stationary_poisson,
     simulate_stationary_thermal,
 )
 from .states import (
     QuantumState,
-    apply_loss,
     binomial_loss_pn,
     coherent,
     fock,
@@ -61,7 +57,6 @@ from .states import (
     mean_photon_number,
     mixture,
     parse_state_spec,
-    sample_photon_number,
     second_factorial_moment,
     thermal,
 )

@@ -43,7 +43,6 @@ __all__ = [
     "CoherenceReport",
     "ConditionalProbabilityCurve",
     "tau_histogram",
-    "total_counts",
     "estimate_D0",
     "fit_pulse_width",
     "g2p",
@@ -136,9 +135,13 @@ def _linearized_sigma(grad, stats, weights=None):
     observed T.  The result, sqrt(sum_u w_u (grad . (x_u - x_mean))^2),
     is the root of the delta-method (infinitesimal-jackknife) variance
     that resampling the units estimates by Monte Carlo.  Fewer than two
-    units give inf.
+    units give inf.  A first statistic that counts pairs and sums to 0
+    gives grad[0], the value one pair gives (one count being the 63 %
+    Poisson upper limit on zero observed).
     """
     w = np.ones(stats.shape[1]) if weights is None else weights
+    if not w @ stats[0]:
+        return float(grad[0])
     n_units = float(w.sum())
     if n_units < 2:
         return math.inf
@@ -196,11 +199,6 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     block_clicks = np.bincount(_blocks(unit, n_units)[0], minlength=block_counts.shape[0])
     return TauHistogram(edges, block_counts.sum(axis=0), scope, num_pulses,
                         stream.n_clicks, block_counts, block_clicks)
-
-
-def total_counts(stream: ClickStream) -> int:
-    """Total click count, the estimator of Ip(N)."""
-    return stream.n_clicks
 
 
 def fit_pulse_width(hist: TauHistogram) -> float:
@@ -267,7 +265,7 @@ def g2p(stream: ClickStream, hist: TauHistogram,
     in `estimate_D0`; the sigma spreads the ratio over the pulse blocks'
     D(0) shares and clicks together, so it carries their correlation.
     """
-    total = total_counts(stream)
+    total = stream.n_clicks
     if total == 0:
         raise EstimationError("g2p undefined: stream has no clicks")
     return _eta_route(hist, mode_hint, total)[1]
@@ -319,9 +317,8 @@ def pn_histogram_g2q(stream: ClickStream, train):
     (the empty pulses are the rest of N), so it costs O(clicks), not
     O(pulses).  The estimate is N F / M^2 with F the summed m(m-1) and M
     the summed m over the pulses' click numbers m; its uncertainty is the
-    linearized spread of that ratio over independent pulses; with no pairs
-    it is 2N/M^2, the value one pair gives (one count being the 63 %
-    Poisson upper limit on zero observed).
+    linearized spread of that ratio over independent pulses, whose pairs
+    m(m-1)/2 and clicks m are the statistics.
     """
     n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
                 else int(train))
@@ -336,10 +333,8 @@ def pn_histogram_g2q(stream: ClickStream, train):
     pair_w = nn * (nn - 1.0)
     pairs, clicks = pair_w @ hist, nn @ hist
     val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
-    if not pairs:
-        return val, 2.0 * n_pulses / clicks**2
-    grad = (n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
-    return val, _linearized_sigma(grad, np.vstack([pair_w, nn]), hist)
+    grad = (2.0 * n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
+    return val, _linearized_sigma(grad, np.vstack([pair_w / 2.0, nn]), hist)
 
 
 def g2_sidepeak(stream: ClickStream, train, window: float,
@@ -352,8 +347,7 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     independent pulses the expectation is exactly g2q; the factor 2 and
     the N/(N-k) weights compensate the unordered-pair convention and the
     finite train length.  The uncertainty is the linearized spread of
-    that ratio over at most 200 contiguous blocks of pulses; with no
-    central pair it is 2/S, the value one pair gives, as in `pn_histogram_g2q`.
+    that ratio over at most 200 contiguous blocks of pulses.
     """
     if not isinstance(train, _simulate.PulseTrainConfig):
         raise TypeError("g2_sidepeak needs the PulseTrainConfig of the stream")
@@ -388,8 +382,6 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     if s_mean <= 0:
         raise EstimationError("no side-peak pairs found; stream too sparse")
     val = 2.0 * float(totals[0]) / s_mean
-    if not totals[0]:
-        return val, 2.0 / s_mean
     grad = np.concatenate([[2.0 / s_mean], -val * corr / (n_side * s_mean)])
     return val, _linearized_sigma(grad, stats)
 
@@ -418,8 +410,7 @@ class ConditionalProbabilityCurve:
     def g2_zero(self, baseline_from: float):
         """(g2(0), sigma): C0 K / B, C0 the pairs in bin 0 and B those in the
         K bins whose centres are >= ``baseline_from`` (the `baseline` rule),
-        and its linearized spread over the time blocks (one block: inf); with
-        bin 0 empty it is K/B, the value one pair gives (`pn_histogram_g2q`)."""
+        and its linearized spread over the time blocks (one block: inf)."""
         if not baseline_from >= self.bin_width:
             raise ValueError("need bin_width <= baseline_from")
         sel = self._baseline_bins(baseline_from)
@@ -429,13 +420,7 @@ class ConditionalProbabilityCurve:
             raise EstimationError("no baseline pairs; increase max_tau or duration")
         k_base = int(sel.sum())
         val = float(central * k_base / base)
-        if not central:
-            return val, float(k_base / base)
         return val, _linearized_sigma((k_base / base, -val / base), stats)
-
-    def peak_to_baseline(self, tau_from: float) -> float:
-        """Peak over large-tau baseline; estimates g2(0) (see `g2_zero`)."""
-        return self.g2_zero(tau_from)[0]
 
     def excess_fwhm(self, tau_from: float) -> float:
         """Full width at half maximum of the bunching excess above baseline."""
@@ -576,7 +561,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         except ValueError:
             flags.append("source_state_vacuum")
 
-    total = total_counts(stream)
+    total = stream.n_clicks
     if total == 0:
         flags.append("empty_stream")
         return CoherenceReport(N=num_pulses, Ip=0.0, D0_per_second=0.0, D0_sigma=math.inf,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _read_table, _write_table
+from .streams import _read_table
 
 __all__ = [
     "TemporalMode",
@@ -43,7 +43,6 @@ __all__ = [
     "eta_numeric",
     "eta_gaussian",
     "eta_profile",
-    "autocorrelation_width",
     "parse_mode_spec",
 ]
 
@@ -210,16 +209,16 @@ def _grid(mode: TemporalMode):
     return t, mode.width / _POINTS_PER_WIDTH
 
 
-def _simpson(y, dx=1.0, x=None):
+def _simpson(y, dx=1.0):
     """Composite Simpson's rule along the last axis, as scipy.integrate.simpson.
 
-    Samples are ``dx`` apart, or at the points ``x``.  An even number of
-    samples takes Simpson's rule on all but the last interval plus
-    Cartwright's three-point correction for that one.
+    Samples are ``dx`` apart.  An even number of samples takes Simpson's
+    rule on all but the last interval plus Cartwright's three-point
+    correction for that one.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
-    h = np.diff(x) if x is not None else np.full(max(n - 1, 0), float(dx))
+    h = np.full(max(n - 1, 0), float(dx))
     w = np.zeros(n)
     if n == 2:
         w[:] = 0.5 * h[0]
@@ -286,15 +285,9 @@ class EtaProfile:
     eta: np.ndarray
 
     def integral(self) -> float:
-        return float(_simpson(self.eta, x=self.tau))
-
-    def rms_width(self) -> float:
-        # eta is symmetric about tau = 0, so no centering term
-        return math.sqrt(float(_simpson(self.tau**2 * self.eta, x=self.tau))
-                         / self.integral())
-
-    def to_csv(self, path):
-        _write_table(path, "tau_seconds,eta_per_second", [self.tau, self.eta])
+        # the grid is a linspace; its mean step, not tau[1] - tau[0]
+        dx = (self.tau[-1] - self.tau[0]) / (self.tau.size - 1)
+        return float(_simpson(self.eta, dx=dx))
 
 
 def eta_profile(mode: TemporalMode, max_tau: float | None = None,
@@ -307,11 +300,6 @@ def eta_profile(mode: TemporalMode, max_tau: float | None = None,
         num += 1
     tau = np.linspace(-max_tau, max_tau, num)
     return EtaProfile(tau, np.asarray(eta_numeric(mode, tau)))
-
-
-def autocorrelation_width(mode: TemporalMode) -> float:
-    """R.m.s. width of eta; equals dt_p exactly for a Gaussian mode."""
-    return eta_profile(mode).rms_width()
 
 
 def parse_mode_spec(spec: str) -> TemporalMode:

@@ -24,10 +24,9 @@ import numpy as np
 __all__ = ["derive_roots", "block_generators", "block_generator"]
 
 
-def derive_roots(seed, count: int = 5) -> np.ndarray:
-    """Expand a user seed into ``count`` independent uint64 stream roots."""
-    ss = np.random.SeedSequence(seed)
-    return ss.generate_state(count, dtype=np.uint64)
+def derive_roots(seed) -> np.ndarray:
+    """Expand a user seed into the five independent uint64 stream roots."""
+    return np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
 
 
 def block_generators(root: np.uint64):

@@ -26,7 +26,6 @@ metadata, which records the package version that made the stream.
 
 The matching analytic curves are
 
-    pc(t) = s * (F2 / nbar) * |v(t)|^2        per-pulse conditional rate
     D(tau) = N s^2 F2 * eta(tau)              pair time-difference density
     Ip(N) = N s nbar                          expected total clicks
 
@@ -76,7 +75,6 @@ __all__ = [
     "simulate_pulse_train",
     "simulate_stationary_thermal",
     "simulate_stationary_poisson",
-    "analytic_pc",
     "analytic_D",
     "analytic_Ip",
 ]
@@ -406,19 +404,6 @@ def simulate_stationary_poisson(mean_rate: float, duration: float, seed,
 
 # ---------------------------------------------------------------------------
 # closed-form expectations
-
-
-def analytic_pc(state, detector, mode, t_plus_tau):
-    """Conditional click rate within one pulse, s * (F2/nbar) * |v(t)|^2.
-
-    Depends on the first-click time t and the delay tau only through the
-    sum t + tau (measured from the pulse center).
-    """
-    nbar = _states.mean_photon_number(state)
-    if nbar <= 0:
-        raise ValueError("conditional probability undefined for vacuum")
-    f2 = _states.second_factorial_moment(state)
-    return detector.efficiency * (f2 / nbar) * _modes.intensity_profile(mode, t_plus_tau)
 
 
 def analytic_D(state, detector, mode, num_pulses, tau):

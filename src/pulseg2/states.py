@@ -36,9 +36,7 @@ __all__ = [
     "second_factorial_moment",
     "g2q_from_moments",
     "g2q_from_pn",
-    "sample_photon_number",
     "binomial_loss_pn",
-    "apply_loss",
     "parse_state_spec",
 ]
 
@@ -64,7 +62,7 @@ class QuantumState:
     kind:
         One of "coherent", "thermal", "fock", "mixture", "custom".
     pn:
-        Probability of finding n photons, n = 0 .. truncation_cutoff.
+        Probability of finding n photons, n = 0 .. pn.size - 1.
         Normalized to unit sum, entries nonnegative, read-only.
     label:
         Canonical spec string, see `parse_state_spec`.
@@ -87,11 +85,6 @@ class QuantumState:
             raise ValueError("pn must sum to one")
         pn.setflags(write=False)
         object.__setattr__(self, "pn", pn)
-
-    @property
-    def truncation_cutoff(self) -> int:
-        """Largest photon number retained in the stored distribution."""
-        return self.pn.size - 1
 
     def __repr__(self):  # labels are canonical and short
         return f"QuantumState({self.label!r})"
@@ -220,10 +213,7 @@ def second_factorial_moment(state: QuantumState) -> float:
 
 def g2q_from_moments(state: QuantumState) -> float:
     """State second-order coherence, pair moment over squared mean."""
-    nbar = mean_photon_number(state)
-    if nbar <= 0.0:
-        raise ValueError("g2 undefined for vacuum")
-    return second_factorial_moment(state) / nbar**2
+    return g2q_from_pn(state.pn)
 
 
 def g2q_from_pn(p) -> float:
@@ -243,22 +233,6 @@ def g2q_from_pn(p) -> float:
     if nbar <= 0.0:
         raise ValueError("g2 undefined for vacuum")
     return float((n * (n - 1.0)) @ p) / nbar**2
-
-
-def sample_photon_number(state: QuantumState, rng, size=None):
-    """Draw photon numbers from P_n by inverse-CDF lookup.
-
-    ``rng`` is a `numpy.random.Generator`; passing it explicitly keeps all
-    randomness caller-controlled.  With ``size=None`` a single int is
-    returned, otherwise an int64 array.
-    """
-    cdf = np.cumsum(state.pn)
-    u = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, state.pn.size - 1)
-    if size is None:
-        return int(idx)
-    return idx.astype(np.int64)
 
 
 def binomial_loss_pn(p, survival: float) -> np.ndarray:
@@ -285,12 +259,6 @@ def binomial_loss_pn(p, survival: float) -> np.ndarray:
         lo += keep[0]
         pmf = step[keep[0]:keep[-1] + 1]
     return out / out.sum()
-
-
-def apply_loss(state: QuantumState, survival: float) -> QuantumState:
-    """State seen behind a lossy channel of transmission ``survival``."""
-    pn = binomial_loss_pn(state.pn, survival)
-    return from_pn(pn, label=f"loss({survival:g})*{state.label}")
 
 
 def _load_pn_csv(path: str) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_criterion_5_stationary_baseline(capsys):
     stream = sim.simulate_stationary_thermal(cfg, sim.DetectorModel(), seed=SEED)
     curve = est.stationary_conditional_probability(
         stream, 1.0 / (50 * bandwidth), 5.0 / bandwidth)
-    ratio = curve.peak_to_baseline(3.0 / bandwidth)
+    ratio = curve.g2_zero(3.0 / bandwidth)[0]
     tail = float(curve.pc[curve.tau > 3.5 / bandwidth].mean()) \
         / curve.baseline(2.5 / bandwidth)
     fwhm = curve.excess_fwhm(3.0 / bandwidth)
@@ -199,7 +199,7 @@ def test_criterion_5_stationary_baseline(capsys):
     control = pg.simulate_stationary_poisson(5e5, 3.0, seed=SEED)
     flat = est.stationary_conditional_probability(
         control, 1.0 / (50 * bandwidth), 5.0 / bandwidth)
-    flat_ratio = flat.peak_to_baseline(3.0 / bandwidth)
+    flat_ratio = flat.g2_zero(3.0 / bandwidth)[0]
     elapsed = time.perf_counter() - t0
 
     checks = [

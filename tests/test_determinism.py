@@ -93,7 +93,7 @@ RATIOS = {
                                                         2e-8, 5e-6, 3e-6),
 }
 
-MADE_WITH = {"pulseg2": "0.6.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.7.0", "numpy": "2.4.6"}
 
 DIGESTS = {
     "gauss-ideal": "4c59a88ff95cbf092df76c96d6be25bd77d89f9516e4157ede6d56bf8b91c079",

@@ -138,15 +138,15 @@ class TestTauHistogram:
 class TestTotalCounts:
     def test_empty(self):
         stream = pg.ClickStream(np.empty(0, np.int64), np.empty(0), {"kind": "pulsed"})
-        assert est.total_counts(stream) == 0
+        assert stream.n_clicks == 0
 
     def test_deterministic_source(self):
         stream, _ = run_train(st.fock(1), 100, seed=1)
-        assert est.total_counts(stream) == 100
+        assert stream.n_clicks == 100
 
     def test_binomial_band(self):
         stream, _ = run_train(st.coherent(1.0), 10**5, seed=2, s=0.3)
-        assert abs(est.total_counts(stream) - 3e4) < 5 * math.sqrt(3e4)
+        assert abs(stream.n_clicks - 3e4) < 5 * math.sqrt(3e4)
 
 
 def analytic_filled_histogram(state, n, mode=MODE, bw=WIDTH / 20.0, max_tau=6.0 * WIDTH):
@@ -582,7 +582,7 @@ class TestStationaryCurve:
     def test_poisson_control_is_flat(self):
         stream = pg.simulate_stationary_poisson(2e5, 1.0, seed=31)
         curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)
-        ratio = curve.peak_to_baseline(2e-6)
+        ratio = curve.g2_zero(2e-6)[0]
         assert abs(ratio - 1.0) < 0.05
         assert curve.baseline(2e-6) == pytest.approx(2e5, rel=0.02)
 
@@ -596,14 +596,13 @@ class TestStationaryCurve:
         stream = pg.simulate_stationary_poisson(2e5, 0.05, seed=35)
         curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)
         for tau_from in (2e-6, 3e-6, 4.5e-6):
-            assert curve.peak_to_baseline(tau_from) == curve.g2_zero(tau_from)[0]
+            peak_to_baseline = curve.pc[0] / curve.baseline(tau_from)
+            assert curve.g2_zero(tau_from)[0] == pytest.approx(peak_to_baseline, rel=1e-12)
 
     def test_zero_baseline_is_estimation_error(self):
         stream = pg.ClickStream(np.full(2, -1, np.int64), np.array([0.1, 0.9]),
                                 {"kind": "stationary"})
         curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)
-        with pytest.raises(EstimationError, match="baseline"):
-            curve.peak_to_baseline(3e-6)
         with pytest.raises(EstimationError, match="baseline"):
             curve.g2_zero(3e-6)
 

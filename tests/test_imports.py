@@ -1,10 +1,17 @@
-"""The package, both workload paths and every simulator path run on numpy alone."""
+"""The package's public surface, and that both workload paths and every
+simulator path run on numpy alone."""
 
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+import pulseg2 as pg
+from pulseg2.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +58,74 @@ def test_workload_paths_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
+
+
+MODULES = ["states", "modes", "simulate", "estimate", "streams", "rngutil", "config", "cli"]
+
+# names of the modules the package re-exports, minus the ones kept module-only
+REEXPORTED = ["states", "modes", "simulate", "estimate", "streams"]
+MODULE_ONLY = {"modes": {"amplitude"}, "streams": {"sidecar_path"}}
+
+REMOVED = {
+    "states": ["sample_photon_number", "apply_loss"],
+    "estimate": ["total_counts"],
+    "simulate": ["analytic_pc"],
+    "modes": ["autocorrelation_width"],
+}
+
+# what perfbench/worker.py calls or wraps; a missing name fails every benchmark run
+BENCHMARKED = {
+    "estimate": ["tau_histogram", "estimate_D0", "pn_histogram_g2q", "analyze_stream",
+                 "g2_sidepeak", "stationary_conditional_probability",
+                 "stationary_g2_zero"],
+    "modes": ["eta_numeric"],
+    "simulate": ["simulate_pulse_train", "simulate_stationary_thermal",
+                 "_PULSE_BLOCK", "_FIELD_CHUNK"],
+    "streams": ["read_stream", "write_stream", "sidecar_path"],
+    "cli": ["read_stream", "write_stream", "main"],
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"pulseg2.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", REEXPORTED)
+def test_package_reexports_module_names(module):
+    mod = importlib.import_module(f"pulseg2.{module}")
+    missing = {name for name in mod.__all__ if getattr(pg, name, None) is not getattr(mod, name)}
+    assert missing == MODULE_ONLY.get(module, set())
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(f"pulseg2.{module}")
+    for name in REMOVED[module]:
+        assert not hasattr(mod, name) and not hasattr(pg, name)
+        assert name not in mod.__all__
+
+
+@pytest.mark.parametrize("cls,name", [
+    (pg.QuantumState, "truncation_cutoff"),
+    (pg.ConditionalProbabilityCurve, "peak_to_baseline"),
+    (pg.EtaProfile, "rms_width"),
+    (pg.EtaProfile, "to_csv"),
+])
+def test_removed_attributes_are_gone(cls, name):
+    assert not hasattr(cls, name)
+
+
+@pytest.mark.parametrize("module", sorted(BENCHMARKED))
+def test_benchmarked_names_exist(module):
+    mod = importlib.import_module(f"pulseg2.{module}")
+    assert [name for name in BENCHMARKED[module] if not hasattr(mod, name)] == []
+
+
+def test_benchmarked_config_surface():
+    for name in ("from_file", "state", "mode", "train", "stationary", "detector"):
+        assert callable(getattr(ExperimentConfig, name))
+    cfg = ExperimentConfig()
+    for name in ("kind", "seed", "num_pulses", "out_stream", "out_report"):
+        assert hasattr(cfg, name)

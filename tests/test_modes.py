@@ -130,19 +130,6 @@ class TestEta:
             md.eta_gaussian(-1.0, 1.0)
 
 
-class TestAutocorrelationWidth:
-    def test_gaussian_widths(self):
-        assert md.autocorrelation_width(md.gaussian_mode(1.0)) == pytest.approx(1.0, abs=1e-6)
-        assert md.autocorrelation_width(md.gaussian_mode(3.0)) == pytest.approx(3.0, abs=3e-6)
-
-    def test_sampled_copy_of_gaussian(self):
-        h = 0.01
-        t = np.arange(-8, 8 + h / 2, h)
-        v = np.exp(-t**2 / 2.0).astype(complex)
-        mode = md.sampled_mode(t, v)
-        assert md.autocorrelation_width(mode) == pytest.approx(1.0, abs=1e-3)
-
-
 class TestSampledValidation:
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
@@ -189,16 +176,6 @@ class TestSpecGrammar:
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             md.parse_mode_spec(bad)
-
-
-def test_eta_profile_csv_export(tmp_path):
-    profile = md.eta_profile(md.gaussian_mode(1.0), max_tau=4.0, num=101)
-    path = tmp_path / "eta.csv"
-    profile.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "tau_seconds,eta_per_second"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (101, 2)
 
 
 def simpson_eta_reference(mode, tau):
@@ -271,9 +248,6 @@ class TestSimpson:
     def test_matches_scipy(self, n):
         rng = np.random.default_rng(n)
         y = rng.normal(size=(3, n)) + 2.0
-        x = np.cumsum(rng.uniform(0.5, 1.5, n))
         for got, ref in [(md._simpson(y, dx=0.3), simpson(y, dx=0.3, axis=-1)),
-                         (md._simpson(y, x=x), simpson(y, x=x, axis=-1)),
-                         (md._simpson(y[0], x=np.linspace(-1, 2, n)),
-                          simpson(y[0], x=np.linspace(-1, 2, n)))]:
+                         (md._simpson(y[0], dx=0.7), simpson(y[0], dx=0.7))]:
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)

@@ -366,22 +366,6 @@ def test_non_finite_config_rejected(make, name):
 
 
 class TestAnalyticCurves:
-    def test_pc_thermal_at_peak(self):
-        val = sim.analytic_pc(st.thermal(1.0), IDEAL, MODE, 0.0)
-        assert val == pytest.approx(2.0 * md.intensity_profile(MODE, 0.0), rel=1e-10)
-
-    def test_pc_single_photon_is_zero(self):
-        assert sim.analytic_pc(st.fock(1), IDEAL, MODE, 0.3e-9) == 0.0
-
-    def test_pc_coherent(self):
-        det = sim.DetectorModel(efficiency=0.4)
-        val = sim.analytic_pc(st.coherent(1.7), det, MODE, 0.0)
-        assert val == pytest.approx(0.4 * 1.7 * md.intensity_profile(MODE, 0.0), rel=1e-10)
-
-    def test_pc_vacuum_rejected(self):
-        with pytest.raises(ValueError):
-            sim.analytic_pc(st.fock(0), IDEAL, MODE, 0.0)
-
     def test_pair_density_identity(self):
         # D(tau) must equal Ip^2 g2q eta(tau) / N bin for bin
         state = st.thermal(0.8)

@@ -152,32 +152,9 @@ class TestInvariants:
 
     def test_truncation_keeps_tail_tiny(self):
         state = st.coherent(5.0)
-        c = state.truncation_cutoff
+        c = state.pn.size - 1
         oracle = brute_poisson_pn(5.0, c + 200)
         assert oracle[c + 1:].sum() < 1e-12
-
-
-class TestSampling:
-    def test_fock_is_deterministic(self):
-        rng = block_generator(derive_roots(7)[0], 0)
-        draws = st.sample_photon_number(st.fock(1), rng, size=1000)
-        assert np.all(draws == 1)
-
-    def test_coherent_sample_mean(self):
-        rng = block_generator(derive_roots(11)[0], 0)
-        draws = st.sample_photon_number(st.coherent(1.0), rng, size=10**6)
-        # 3 sigma of the Poisson standard error 1/sqrt(1e6)
-        assert abs(draws.mean() - 1.0) < 0.003
-
-    def test_thermal_empirical_g2(self):
-        rng = block_generator(derive_roots(13)[0], 0)
-        draws = st.sample_photon_number(st.thermal(2.0), rng, size=10**6)
-        hist = np.bincount(draws) / draws.size
-        assert st.g2q_from_pn(hist) == pytest.approx(2.0, abs=0.02)
-
-    def test_scalar_draw(self):
-        rng = block_generator(derive_roots(17)[0], 0)
-        assert isinstance(st.sample_photon_number(st.coherent(0.5), rng), int)
 
 
 class TestCustomStates:
@@ -243,9 +220,9 @@ class TestSpecGrammar:
 def test_apply_loss_matches_binomial_oracle():
     # thin fock(3) by hand: P(m) = C(3,m) s^m (1-s)^(3-m)
     s = 0.4
-    lost = st.apply_loss(st.fock(3), s)
+    lost = st.binomial_loss_pn(st.fock(3).pn, s)
     expect = np.array([math.comb(3, m) * s**m * (1 - s) ** (3 - m) for m in range(4)])
-    np.testing.assert_allclose(lost.pn, expect, rtol=1e-12)
+    np.testing.assert_allclose(lost, expect, rtol=1e-12)
 
 
 def dense_loss_reference(p, s):

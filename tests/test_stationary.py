@@ -63,7 +63,7 @@ def curve():
 
 class TestBunchingPeak:
     def test_peak_to_baseline_is_two(self, curve):
-        assert curve.peak_to_baseline(3.0 / BANDWIDTH) == pytest.approx(2.0, abs=0.05)
+        assert curve.g2_zero(3.0 / BANDWIDTH)[0] == pytest.approx(2.0, abs=0.05)
 
     def test_long_lag_ratio_is_one(self, curve):
         tail = curve.pc[curve.tau > 3.5 / BANDWIDTH]
@@ -127,7 +127,7 @@ class TestPoissonControl:
         stream = pg.simulate_stationary_poisson(5e5, 2.0, seed=45)
         curve = est.stationary_conditional_probability(
             stream, 1.0 / (50 * BANDWIDTH), 5.0 / BANDWIDTH)
-        assert curve.peak_to_baseline(3.0 / BANDWIDTH) == pytest.approx(1.0, abs=0.03)
+        assert curve.g2_zero(3.0 / BANDWIDTH)[0] == pytest.approx(1.0, abs=0.03)
 
     def test_counts(self):
         stream = pg.simulate_stationary_poisson(1e4, 1.0, seed=46)
