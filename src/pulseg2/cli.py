@@ -125,14 +125,16 @@ def _cmd_analyze(args) -> int:
 def _expected_counts(stream, report, given, side):
     """Analytic overlay column when the generating config is in the sidecar.
 
-    Each sidecar label is parsed once: the report holds the state and mode
-    `analyze_stream` parsed from it, unless a key or flag overrode them."""
+    Each sidecar label is parsed at most once: the report holds the state
+    and mode `analyze_stream` parsed from it, or the ones a key or flag gave,
+    which stand for it when their spec is the label's text."""
     meta = stream.metadata
     n = meta.get("train", {}).get("num_pulses")
-    state = report.state if "state_spec" not in given else _est._parse_sidecar_label(
-        meta, "state", _states.parse_state_spec, [])
-    mode = report.mode if "mode_spec" not in given else _est._parse_sidecar_label(
-        meta, "mode", _modes.parse_mode_spec, [])
+    state, mode = (
+        getattr(report, key) if given.get(f"{key}_spec", meta.get(key)) == meta.get(key)
+        else _est._parse_sidecar_label(meta, key, parse, [])
+        for key, parse in (("state", _states.parse_state_spec),
+                           ("mode", _modes.parse_mode_spec)))
     if state is None or mode is None or n is None:
         return None
     try:

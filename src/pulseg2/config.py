@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import modes as _modes
 from . import states as _states
@@ -99,6 +99,7 @@ class ExperimentConfig:
     out_report: str = "report.json"
     out_histogram: str | None = "histogram.csv"
     stream_format: str = "csv"
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -139,29 +140,31 @@ class ExperimentConfig:
         return self
 
     def state(self) -> _states.QuantumState:
-        return _build("[state] spec", _states.parse_state_spec, self.state_spec)
+        return self._build("[state] spec", _states.parse_state_spec, self.state_spec)
 
     def mode(self) -> _modes.TemporalMode:
-        return _build("[mode] spec", _modes.parse_mode_spec, self.mode_spec)
+        return self._build("[mode] spec", _modes.parse_mode_spec, self.mode_spec)
 
     def detector(self) -> DetectorModel:
-        return _build("[detector]", DetectorModel, self.efficiency,
-                      self.timing_jitter_sigma, self.dead_time)
+        return self._build("[detector]", DetectorModel, self.efficiency,
+                           self.timing_jitter_sigma, self.dead_time)
 
     def train(self) -> PulseTrainConfig:
-        return _build("[pulsed]", PulseTrainConfig, self.num_pulses,
-                      self.repetition_period, self.mode())
+        return self._build("[pulsed]", PulseTrainConfig, self.num_pulses,
+                           self.repetition_period, self.mode())
 
     def stationary(self) -> StationaryThermalConfig:
-        return _build("[stationary]", StationaryThermalConfig, self.mean_rate,
-                      self.spectral_bandwidth, self.duration, self.field_timestep,
-                      self.spectral_shape)
+        return self._build("[stationary]", StationaryThermalConfig, self.mean_rate,
+                           self.spectral_bandwidth, self.duration, self.field_timestep,
+                           self.spectral_shape)
 
-
-def _build(where, make, *args):
-    """``make(*args)``, a ValueError or OSError raised as a ConfigError naming
-    the section ``where``."""
-    try:
-        return make(*args)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    def _build(self, where, make, *args):
+        """``make(*args)``, once per argument tuple; a ValueError or OSError
+        raised as a ConfigError naming the section ``where``."""
+        key = (where, *args)
+        if key not in self._built:
+            try:
+                self._built[key] = make(*args)
+            except (ValueError, OSError) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+        return self._built[key]

@@ -223,7 +223,8 @@ def _eta_route(hist: TauHistogram, mode_hint, total):
     D(0) = eta(0) shape.c / (bw shape.shape) is linear in the counts, so
     the pulse blocks' shares of it sum to it, and both sigmas are the
     linearized spreads over the blocks' (share, clicks).  An all-zero
-    histogram gives zeros with sigma inf, and eta(0) only with a hint.
+    histogram (eta(0) only with a hint), or a D(0) of exactly 0, gives
+    zeros with sigma inf.
     """
     if hist.pairing_scope != "same_pulse":
         raise ValueError("estimate_D0 requires a same_pulse histogram")
@@ -238,6 +239,8 @@ def _eta_route(hist: TauHistogram, mode_hint, total):
     if denom <= 0:
         raise EstimationError("mode hint gives a degenerate fit shape")
     d0 = float(shape @ hist.counts.astype(float)) / denom * eta0
+    if d0 == 0:
+        return (0.0, math.inf), (0.0, math.inf), eta0
     stats = np.vstack([(hist.block_counts @ shape) * (eta0 / denom), hist.block_clicks])
     val = d0 / total**2
     return ((d0, _linearized_sigma((1.0, 0.0), stats)),
@@ -250,7 +253,7 @@ def estimate_D0(hist: TauHistogram, mode_hint: _modes.TemporalMode | None = None
     The eta shape of the mode hint, else the Gaussian of the histogram's
     fitted width, is least-squares fitted and read off at tau = 0.  The
     sigma is the linearized spread over the histogram's pulse blocks (one
-    block gives inf); an all-zero histogram returns (0.0, inf).
+    block gives inf); an all-zero histogram or a fit of 0 gives (0.0, inf).
     """
     return _eta_route(hist, mode_hint, 1)[0]        # Ip does not enter D(0)
 

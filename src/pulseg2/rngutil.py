@@ -11,10 +11,11 @@ A run over many blocks of one root re-keys one Philox per block
 (`block_generators`): the same stream as a new one, at a tenth of the cost.
 
 Root 0 drives the pulse blocks and the Poisson control source, root 1
-the stationary field noise, root 2 its clicks (one Poisson total and its
-uniforms per field chunk), root 3 the timing jitter and root 4 the
-arrival offsets of a pulse train (one stream over its clicks in block
-order).  Estimators draw none.
+the stationary field noise (2 ceil(n / m) normals per chunk of n cells,
+m = 4 on the default Gaussian grid), root 2 its clicks (one Poisson
+total and its uniforms per field chunk), root 3 the timing jitter and
+root 4 the arrival offsets of a pulse train (one stream over its clicks
+in block order).  Estimators draw none.
 """
 
 from __future__ import annotations

@@ -38,14 +38,15 @@ A complex circular-Gaussian field is synthesized by filtering white noise
 with a kernel whose correlation time is 1/bandwidth (integrated-|g1|^2
 convention); clicks then come from an inhomogeneous Poisson process driven
 by the squared field magnitude (a Cox process).  That reproduces the
-bunching peak g2(0) = 2 of chaotic light with baseline 1.  The field
-grid is filtered by numpy FFT overlap-add (kernel transform computed once
-per run, convolution tail carried row to row), one row group of
-`_FIELD_GROUP` cells at a time in one preallocated buffer: the group's
-white noise is drawn into the buffer and filtered there in place.  Each
-chunk's noise stays one Philox draw, so the stream does not depend on
-the group size.  Each chunk's clicks are then one Poisson total placed
-through the cumulative intensity.  The module needs numpy alone.
+bunching peak g2(0) = 2 of chaotic light with baseline 1.  The noise,
+one complex sample per m cells (4 on the default Gaussian grid, 1 for
+the Lorentzian), is filtered polyphase by numpy FFT overlap-add (kernel
+transform computed once per run, convolution tail carried row to row),
+one row group of `_FIELD_GROUP` cells at a time in one preallocated
+buffer: the group's noise is drawn into the buffer and filtered there in
+place.  Each chunk's noise stays one Philox draw, so the stream does not
+depend on the group size.  Each chunk's clicks are then one Poisson
+total placed through the cumulative intensity.  The module needs numpy alone.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config, package version) gives a
@@ -299,28 +300,40 @@ def _field_kernel(cfg: StationaryThermalConfig, dt: float) -> np.ndarray:
     return ker / math.sqrt(float(np.sum(ker**2)))
 
 
-def _field_intensity_chunks(kernel, root_noise, n_grid):
+def _field_decimation(cfg: StationaryThermalConfig, dt: float) -> int:
+    """Field cells per noise sample, m: for the Gaussian kernel the largest
+    power of two <= pi sigma_h / (6 dt), so its aliasing, exp(-pi^2 sigma_h^2
+    / (m dt)^2) <= e^-36, stays below its 6 sigma cut; else 1 (no band limit)."""
+    if cfg.spectral_shape != "gaussian":
+        return 1
+    sigma_h = 1.0 / (math.sqrt(2.0 * math.pi) * cfg.spectral_bandwidth)
+    return 1 << (int(math.pi * sigma_h / (6.0 * dt)).bit_length() - 1)
+
+
+def _field_intensity_chunks(kernel, m, root_noise, n_grid):
     """Yield (first cell, |E|^2) per chunk of the field grid.
 
-    A chunk is whole rows of nfft - taps + 1 cells, filtered in groups of
-    `_FIELD_GROUP` cells (whole rows) in one (rows, nfft) buffer.  A
-    group's noise, real normals viewed as complex, is drawn row by row
-    into the buffer, continuing the chunk's generator, so a chunk's draws
-    are one `standard_normal` of twice its length; the rest of each row is
-    zeroed.  FFT, product with the kernel's transform and inverse FFT then
-    run in place.  Each row's last taps - 1 outputs add into the next
-    row's head, across groups and chunks alike, and |E|^2 goes into the
-    chunk's intensity array.  The field does not depend on the group size.
-    E|E|^2 = 2 (unit-power kernel, unit-variance noise).
+    The noise, one complex sample at every m-th cell and zeros between, is
+    filtered by sqrt(m) times the kernel (polyphase interpolation; Crochiere
+    & Rabiner 1983).  A chunk is whole rows of step cells, step a multiple
+    of m, filtered in groups of `_FIELD_GROUP` cells (whole rows) in one
+    (rows, nfft) buffer.  A row's step / m samples, real normals viewed as
+    complex, are drawn into its head, continuing the chunk's generator, so
+    n cells draw one `standard_normal` of 2 ceil(n / m); the rest of the
+    row's first nfft / m cells is zeroed.  Their FFT, tiled m times, is the
+    zero-stuffed row's; the kernel product and inverse FFT run in place.
+    Each row's outputs past step add into the next row's head, across
+    groups and chunks alike, and |E|^2 goes into the chunk's intensity
+    array.  E|E|^2 = 2 (unit-power kernel, unit-variance noise).
     """
     taps = kernel.size
     nfft = max(_FILTER_FFT, 1 << (4 * taps).bit_length())
-    step = nfft - taps + 1
+    step = (nfft - taps + 1) // m * m
     chunk = max(_FIELD_CHUNK // step, 1) * step
     span = max(_FIELD_GROUP // step, 1) * step
-    kernel_fft = np.fft.fft(kernel, nfft)
+    kernel_fft = np.fft.fft(kernel * math.sqrt(m), nfft).reshape(m, -1)
     y = np.empty((span // step, nfft), complex)
-    carry = np.zeros(taps - 1, dtype=complex)
+    carry = np.zeros(nfft - step, dtype=complex)
     at = block_generators(root_noise)
     for c, lo in enumerate(range(0, n_grid, chunk)):
         length = min(chunk, n_grid - lo)
@@ -330,15 +343,17 @@ def _field_intensity_chunks(kernel, root_noise, n_grid):
             cells = min(span, length - start)
             rows = -(-cells // step)
             out = y[:rows]
+            coarse = out[:, :nfft // m]
             for r in range(rows):
-                row = out[r, :min(step, cells - r * step)]
+                row = coarse[r, :-(-min(step, cells - r * step) // m)]
                 rng.standard_normal(2 * row.size, out=row.view(np.float64))
-                out[r, row.size:] = 0
-            np.fft.fft(out, out=out)
-            out *= kernel_fft
+                coarse[r, row.size:] = 0
+            np.fft.fft(coarse, out=coarse)      # tiled m times: the zero-stuffed row's
+            np.multiply(coarse[:, None], kernel_fft[1:], out=out.reshape(rows, m, -1)[:, 1:])
+            coarse *= kernel_fft[0]
             np.fft.ifft(out, out=out)
-            out[1:, :taps - 1] += out[:-1, step:]
-            out[0, :taps - 1] += carry
+            out[1:, :nfft - step] += out[:-1, step:]
+            out[0, :nfft - step] += carry
             carry[:] = out[-1, step:]
             field = out[:, :step].view(np.float64)     # re, im interleaved
             np.square(field, out=field)
@@ -376,7 +391,8 @@ def simulate_stationary_thermal(cfg: StationaryThermalConfig,
     kernel = _field_kernel(cfg, dt)
     roots = derive_roots(seed)
     scale = detector.efficiency * cfg.mean_rate / 2.0       # E|E|^2 = 2
-    chunks = _field_intensity_chunks(kernel, roots[1], int(round(cfg.duration / dt)))
+    chunks = _field_intensity_chunks(kernel, _field_decimation(cfg, dt), roots[1],
+                                     int(round(cfg.duration / dt)))
     times = np.concatenate([
         (lo + _chunk_clicks(intensity, scale * dt, block_generator(roots[2], c))) * dt
         for c, (lo, intensity) in enumerate(chunks)])

@@ -202,6 +202,27 @@ class TestAnalyzeCommand:
         assert Path("histogram.csv").read_text().splitlines()[0] == \
             "tau_seconds,count,expected_analytic"
 
+    def test_config_pn_table_read_once(self, tmp_path, monkeypatch):
+        # with --config, validating the config, the report and the overlay
+        # share the one state the config's pn: spec built
+        csv = tmp_path / "pn.csv"
+        csv.write_text("n,P_n\n0,0.3\n1,0.4\n2,0.3\n")
+        _, path = write_cfg(tmp_path, state_spec=f"pn:{csv}", num_pulses=20000)
+        assert cli.main(["simulate", "--config", path]) == 0
+        reads = []
+        real = st._read_table
+
+        def counted(table, *args, **kwargs):
+            reads.append(Path(table).name)
+            return real(table, *args, **kwargs)
+
+        for module in (pg.streams, st, md):
+            monkeypatch.setattr(module, "_read_table", counted)
+        assert cli.main(["analyze", str(tmp_path / "stream.csv"), "--config", path]) == 0
+        assert sorted(reads) == ["pn.csv", "stream.csv"]
+        assert (tmp_path / "hist.csv").read_text().splitlines()[0] == \
+            "tau_seconds,count,expected_analytic"
+
     def test_empty_stream_exits_zero_with_flags(self, tmp_path):
         _, path = write_cfg(tmp_path, efficiency=0.0)
         cli.main(["simulate", "--config", path])

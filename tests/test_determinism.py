@@ -93,7 +93,7 @@ RATIOS = {
                                                         2e-8, 5e-6, 3e-6),
 }
 
-MADE_WITH = {"pulseg2": "0.7.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.8.0", "numpy": "2.4.6"}
 
 DIGESTS = {
     "gauss-ideal": "4c59a88ff95cbf092df76c96d6be25bd77d89f9516e4157ede6d56bf8b91c079",
@@ -104,20 +104,20 @@ DIGESTS = {
     "hg3-ideal": "31c1c6ffa973f2cc15060aa1f67f93044367ae5e6d79f69be149942db14e4304",
     "sampled-ideal": "67a3c7bf992e75a39975124c4608945249ed0e15f88693e03c2364d43ac83533",
     "sampled-jitter-dead": "6d2e4d1c08310556a719445b4213ca4f620af63e7e319ed4ddcc42315a42d564",
-    "stationary-gaussian": "17afc62250532a51e830f3ddc17aae3cf4bc10e60195bdab4424c8409f6a3563",
+    "stationary-gaussian": "c1994985c3b6869d9c6f08d03b9f3141172a4399f36550edfd3c458055ecdc70",
     "stationary-lorentzian": "1d9320fdf80ad0aa9ff323d0e47a5f28a98366b367f1fca658cfad55b82b6370",
-    "stationary-jitter-dead": "f906cab94417bff80958a5199f3c5353a8ab75cdd9768e8c2b975ff84c26b72a",
+    "stationary-jitter-dead": "85be1bc4e5e0290bb58474c2272fca261a73a99d7334389fe4141b565982d875",
     "poisson": "2ca8c4c023df2b37b8314b63e6e89d063b05ec4c3bf6835bdb003bb53175b8b4",
     "same-pulse-default": "161e661ddb26499f9427c2d6448cd2260f96c5a23c38c3cdb330f4b22ad8634f",
     "same-pulse-wide": "3bf169fc2fc18314bfa0d1b98fb3e58f80a882c207106f9a3799b12018edc0f7",
     "same-pulse-hg1": "5078717fef7e09885aa603650ec9f1af23729261da8fe85b4c708318a06c991d",
     "all-pairs-pulsed": "d1ad9fd65cbaa0e87dc0e612453ec33f10f4bab83edc55e33eb977575e0405a5",
-    "all-pairs-stationary": "14a478009be156cf3edc54e95cd9db02ead5622907d20996b6184cb4fa6e012c",
+    "all-pairs-stationary": "bc4c891eeeee82e4ec39252900f58c61709d1b259b0f7d5cfcf8a89a7232cc35",
     "start-stop-stationary": "0445da64303f317cfbf3d92114bde3db48163f3ef5b2267efbe94dbdaf935b9c",
     "sidepeak-jitter": "24648e91fbcd930e8d720c0d5d0e5a5b9cfcfdb61f258d5f0046ea4ee73835bb",
     "sidepeak-jitter-wide": "4f6e0b6d51d0788a80342fea4539e1068809e98651a79f6877c63a6e06c31364",
     "sidepeak-dead": "836a6f82103fa9573385bd9768e73c3305368fd9675e7a50f56213d2b972bb69",
-    "g2-zero-stationary": "1dd4f1a782752751b4f0a47d7f26f886aa246d7321cf8491500cd4d484ec5601",
+    "g2-zero-stationary": "f425f45be3ffd651eab7b53b07452c82f89a89d08815912c8b389eacb883652e",
 }
 
 

@@ -184,6 +184,16 @@ class TestEstimateD0:
         d0, sig = est.estimate_D0(standard_hist(stream))
         assert d0 == 0.0 and math.isinf(sig)
 
+    def test_zero_fit_on_pairs_has_infinite_uncertainty(self):
+        # a hint 1000x too narrow: every pair sits where its eta underflows,
+        # so D(0) is exactly 0 on a nonempty histogram
+        stream, _ = run_train(st.thermal(0.3), 200, seed=4)
+        hist = est.tau_histogram(stream, 5e-11, 6e-9)
+        hint = md.gaussian_mode(1e-12)
+        assert hist.counts.sum() > 0
+        assert est.estimate_D0(hist, hint) == (0.0, math.inf)
+        assert est.g2p(stream, hist, hint) == (0.0, math.inf)
+
     def test_requires_same_pulse_scope(self):
         stream, _ = run_train(st.coherent(1.0), 1000, seed=8)
         hist = est.tau_histogram(stream, 1e-9, 50e-9, scope="all_pairs")

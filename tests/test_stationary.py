@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import oaconvolve
 
 import pulseg2 as pg
 from pulseg2 import estimate as est
@@ -144,9 +145,13 @@ def convolved_intensity(chunks, kernel, root_noise):
     return y.real**2 + y.imag**2
 
 
+def field_config(bandwidth=BANDWIDTH, timestep=None, shape="gaussian"):
+    return sim.StationaryThermalConfig(1e5, bandwidth, 1.0, field_timestep=timestep,
+                                       spectral_shape=shape)
+
+
 def field_kernel(shape, timestep):
-    cfg = sim.StationaryThermalConfig(1e5, BANDWIDTH, 1.0, field_timestep=timestep,
-                                      spectral_shape=shape)
+    cfg = field_config(timestep=timestep, shape=shape)
     return sim._field_kernel(cfg, cfg.field_timestep)
 
 
@@ -166,7 +171,7 @@ class TestOverlapAddFilter:
     def test_matches_oaconvolve(self, shape, timestep, length):
         kernel = field_kernel(shape, timestep)
         root = derive_roots(length)[1]
-        got = list(sim._field_intensity_chunks(kernel, root, length))
+        got = list(sim._field_intensity_chunks(kernel, 1, root, length))
         assert [(lo, part.size) for lo, part in got] == [(0, length)]
         np.testing.assert_allclose(got[0][1], convolved_intensity(got, kernel, root),
                                    rtol=1e-12, atol=1e-14)
@@ -177,7 +182,7 @@ class TestOverlapAddFilter:
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 5000)
         kernel = field_kernel(shape, timestep)
         root = derive_roots(17)[1]
-        got = list(sim._field_intensity_chunks(kernel, root, 61234))
+        got = list(sim._field_intensity_chunks(kernel, 1, root, 61234))
         sizes = [part.size for _, part in got]
         # whole chunks of one size, a shorter last one, laid end to end
         assert len(sizes) >= 3 and set(sizes[:-1]) == {sizes[0]} and sizes[-1] < sizes[0]
@@ -233,7 +238,7 @@ class TestGroupedFilter:
         # the last chunk ends a third into a row, inside a group
         n_grid = 2 * chunk + chunk // 2 + step // 3
         root = derive_roots(61)[1]
-        got = list(sim._field_intensity_chunks(kernel, root, n_grid))
+        got = list(sim._field_intensity_chunks(kernel, 1, root, n_grid))
         want = list(reference_intensity_chunks(kernel, root, n_grid))
         assert [lo for lo, _ in got] == [lo for lo, _ in want] == [0, chunk, 2 * chunk]
         for (_, part), (_, ref) in zip(got, want):
@@ -309,13 +314,94 @@ class TestChunkClicks:
 
 def test_stationary_chunk_prefix_invariance(monkeypatch):
     # the clicks of the first k whole chunks of a longer record are the
-    # stream of the k-chunk record, bit for bit
+    # stream of the k-chunk record, bit for bit, with the noise on the
+    # 4x coarser grid of the default Gaussian field
     monkeypatch.setattr(sim, "_FIELD_CHUNK", 20000)
-    dt = 1.0 / (20 * BANDWIDTH)
+    cfg = field_config()
+    dt = cfg.field_timestep
+    m = sim._field_decimation(cfg, dt)
+    assert m == 4
     kernel = field_kernel("gaussian", None)
-    chunk = next(sim._field_intensity_chunks(kernel, derive_roots(0)[1], 10**9))[1].size
+    chunk = next(sim._field_intensity_chunks(kernel, m, derive_roots(0)[1], 10**9))[1].size
     short = thermal_stream(duration=3 * chunk * dt, seed=50)
     longer = thermal_stream(duration=5.5 * chunk * dt, seed=50)
     prefix = longer.times[longer.times < 3 * chunk * dt]
     assert short.n_clicks > 1000 and longer.n_clicks > prefix.size
     assert np.array_equal(short.times, prefix)
+
+
+class TestFieldDecimation:
+    """m, the fine cells per white-noise sample, follows from the kernel."""
+
+    @pytest.mark.parametrize("bandwidth,timestep,shape,want", [
+        (BANDWIDTH, None, "gaussian", 4), (BANDWIDTH, 1e-9, "gaussian", 128),
+        (3e5, 23e-9, "gaussian", 16), (1e7, None, "gaussian", 4),
+        (BANDWIDTH, None, "lorentzian", 1), (BANDWIDTH, 1e-9, "lorentzian", 1)])
+    def test_power_of_two_dividing_the_fft(self, bandwidth, timestep, shape, want):
+        cfg = field_config(bandwidth, timestep, shape)
+        dt = cfg.field_timestep
+        m = sim._field_decimation(cfg, dt)
+        taps = sim._field_kernel(cfg, dt).size
+        assert m == want and m & (m - 1) == 0
+        assert max(sim._FILTER_FFT, 1 << (4 * taps).bit_length()) % m == 0
+        if shape == "gaussian":
+            # the largest power of two with m dt <= pi sigma_h / 6
+            sigma_h = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
+            assert m * dt <= math.pi * sigma_h / 6.0 < 2 * m * dt
+
+    @pytest.mark.parametrize("bandwidth,timestep", [(BANDWIDTH, None), (BANDWIDTH, 1e-9),
+                                                    (3e5, 23e-9)],
+                             ids=["default", "fine_grid", "bandwidth_3e5"])
+    def test_phase_covariance_matches_kernel_autocorrelation(self, bandwidth, timestep):
+        # a cell of phase p = n mod m sees the taps j = p (mod m) of g =
+        # sqrt(m) h, so its lag-l covariance is 2 sum_k g[p+mk] g[p+mk+l]; the
+        # noise on the fine grid gives 2 sum_j h[j] h[j+l] at every phase
+        cfg = field_config(bandwidth, timestep)
+        h = sim._field_kernel(cfg, cfg.field_timestep)
+        m = sim._field_decimation(cfg, cfg.field_timestep)
+        g = math.sqrt(m) * h
+        want = np.correlate(h, h, "full")[h.size - 1:]
+        for lag in range(h.size):
+            phases = np.bincount(np.arange(h.size - lag) % m,
+                                 weights=g[:h.size - lag] * g[lag:], minlength=m)
+            np.testing.assert_allclose(phases, want[lag], rtol=0, atol=1e-8)
+
+
+class TestPolyphaseFilter:
+    """Noise drawn at every m-th cell: the chunks are the zero-stuffed
+    noise convolved with sqrt(m) times the kernel."""
+
+    N_GRID = 223457         # the last chunk ends between two noise samples
+
+    @FILTER_KERNELS
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_chunks_match_oaconvolve_of_zero_stuffed_noise(self, monkeypatch, shape,
+                                                            timestep, m):
+        monkeypatch.setattr(sim, "_FIELD_CHUNK", 50000)
+        monkeypatch.setattr(sim, "_FIELD_GROUP", 20000)
+        kernel = field_kernel(shape, timestep)
+        root = derive_roots(23)[1]
+        got = list(sim._field_intensity_chunks(kernel, m, root, self.N_GRID))
+        sizes = [part.size for _, part in got]
+        assert len(sizes) >= 3 and sum(sizes) == self.N_GRID and sizes[-1] % m
+        stuffed = np.zeros(self.N_GRID, complex)
+        for c, (lo, part) in enumerate(got):
+            stuffed[lo:lo + part.size:m] = block_generator(root, c).standard_normal(
+                2 * -(-part.size // m)).view(complex)
+        y = oaconvolve(stuffed, math.sqrt(m) * kernel)[:self.N_GRID]
+        np.testing.assert_allclose(np.concatenate([part for _, part in got]),
+                                   y.real**2 + y.imag**2, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_field_does_not_depend_on_group_size(self, monkeypatch, rows):
+        # 16-row chunks in groups of 1 or 7 rows, against one group per chunk
+        kernel = field_kernel("gaussian", None)
+        root = derive_roots(29)[1]
+        monkeypatch.setattr(sim, "_FIELD_CHUNK", 1 << 16)
+        want = list(sim._field_intensity_chunks(kernel, 4, root, 150001))
+        group = rows * (sim._FILTER_FFT - kernel.size + 1)
+        monkeypatch.setattr(sim, "_FIELD_GROUP", group)
+        got = list(sim._field_intensity_chunks(kernel, 4, root, 150001))
+        assert len(got) == len(want) == 3
+        for (lo, part), (lo_ref, ref) in zip(got, want):
+            assert lo == lo_ref and np.array_equal(part, ref)
