@@ -76,8 +76,13 @@ class TemporalMode:
 
 
 def _param_label(prefix: str, width: float, center: float) -> str:
-    lab = f"{prefix}:{width:g}"
-    return lab + (f"@{center:g}" if center else "")
+    """``prefix:width[@center]``, each number as short as `%g` where that
+    reads back exactly, else with `repr` precision, so the label parses
+    back to the same mode."""
+    def num(x):
+        short = f"{x:g}"
+        return short if float(short) == x else repr(float(x))
+    return f"{prefix}:{num(width)}" + (f"@{num(center)}" if center else "")
 
 
 def gaussian_mode(width: float, center: float = 0.0) -> TemporalMode:

@@ -15,7 +15,9 @@ the stationary field noise (2 ceil(n / m) normals per chunk of n cells,
 m = 4 on the default Gaussian grid), root 2 its clicks (one Poisson
 total and its uniforms per field chunk), root 3 the timing jitter and
 root 4 the arrival offsets of a pulse train (one stream over its clicks
-in block order).  Estimators draw none.
+in block order, three uniforms per candidate: alias cell pick, place in
+the cell, acceptance).  Pulse blocks are 2^17 pulses, field chunks 2^20
+cells.  Estimators draw none.
 """
 
 from __future__ import annotations

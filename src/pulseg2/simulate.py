@@ -10,15 +10,16 @@ number, arrival times therefore carry no information about the state and
 are i.i.d. draws from the intensity profile |v(t)|^2.  Efficiency s keeps
 each photon independently, so a pulse's clicks follow the thinned P'_m =
 sum_n P_n Binomial(n, s)(m), built once per train, and the sampler spends
-its work on clicks, not pulses.  Per block of B pulses (one Philox per
-train, re-keyed per block) it
+its work on clicks, not pulses.  Per block of B = 2^17 pulses (one Philox
+per train, re-keyed per block) it
 
 1. draws how many pulses click, Binomial(B, 1 - P'_0), and which ones,
    as a sorted uniform subset; pulses without clicks cost nothing,
 2. draws each one's click number from P'_m given m >= 1 (inverse CDF),
 3. after the blocks, gives every click an arrival time i.i.d. from
    |v(t)|^2 in its pulse slot, by exact rejection under a piecewise-
-   constant envelope built once per train (one sampler for every mode).
+   constant envelope built once per train (one sampler for every mode),
+   each candidate's cell picked in O(1) from the envelope's alias table.
 
 Every source then ends in one finisher: optional Gaussian timing jitter,
 a stable time sort, non-paralyzable dead-time removal and the sidecar
@@ -80,7 +81,9 @@ __all__ = [
     "analytic_Ip",
 ]
 
-_PULSE_BLOCK = 1 << 14
+_PULSE_BLOCK = 1 << 17
+# candidate rows per draw of the arrival sampler; not part of the RNG layout
+_ARRIVAL_ROWS = 1 << 14
 _FIELD_CHUNK = 1 << 20
 # cells per row group of the field filter; not part of the RNG layout
 _FIELD_GROUP = 1 << 18
@@ -186,20 +189,55 @@ def _arrival_envelope(mode):
     return t, np.diff(t), 1.001 * np.maximum(intensity[:-1], intensity[1:])
 
 
+def _alias_table(mass):
+    """Walker's alias table for picking cell i with probability mass[i] / sum.
+
+    Cell i keeps itself with probability prob[i], else gives alias[i]
+    (Walker 1977; Vose 1991).  Built as Vose's pairing in bulk rounds:
+    each round a cell at or above the mean (prob >= 1) offers floor(prob)
+    slots, since that many cells of deficit 1 - prob <= 1 leave it >= 0,
+    and the cells under the mean fill the slots in order.  A donor left
+    under the mean joins the next round's cells to place; cells left over
+    hold the mean up to rounding: prob 1."""
+    prob = mass * (mass.size / mass.sum())
+    alias = np.arange(mass.size)
+    small, large = np.flatnonzero(prob < 1.0), np.flatnonzero(prob >= 1.0)
+    while small.size and large.size:
+        slots = np.repeat(np.arange(large.size), prob[large].astype(np.intp))
+        k = min(small.size, slots.size)
+        s, to = small[:k], slots[:k]
+        alias[s] = large[to]
+        prob[large] = ((prob[large] + np.bincount(to, prob[s], large.size))
+                       - np.bincount(to, minlength=large.size))
+        under = prob[large] < 1.0
+        small = np.concatenate([small[k:], large[under]])
+        large = large[~under]
+    prob[small] = 1.0
+    prob[large] = 1.0
+    return prob, alias
+
+
 def _arrival_sampler(mode, count, rng):
     """``count`` arrival times from the pulse slot center, i.i.d. from |v|^2.
 
     Exact rejection under `_arrival_envelope` (Devroye 1986, II.3), accepting
-    over 99 %.  A candidate is a row of three uniforms: a cell picked by bound,
-    a uniform place in it, acceptance against |v|^2.  Rows are drawn in order,
-    at most _PULSE_BLOCK at a time; photon k takes the k-th accepted row."""
+    over 99 %.  A candidate is a row of three uniforms: a cell picked by bound
+    in O(1) from `_alias_table` (u0 n is the column, clamped to n - 1 as
+    n (1 - 2^-53) may round to n, and its fraction the coin), a uniform
+    place in it, acceptance against |v|^2.
+    Rows are drawn in order, at most _ARRIVAL_ROWS at a time; photon k takes
+    the k-th accepted row, so the offsets do not depend on _ARRIVAL_ROWS."""
     t, step, bound = _arrival_envelope(mode)
-    cum = np.cumsum(bound * step)
+    mass = bound * step
+    prob, alias = _alias_table(mass)
+    n, total = mass.size, mass.sum()
     out = np.empty(count)
     filled = 0
     while filled < count:
-        u = rng.random((min(_PULSE_BLOCK, int((count - filled) * cum[-1]) + 64), 3))
-        cell = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
+        u = rng.random((min(_ARRIVAL_ROWS, int((count - filled) * total) + 64), 3))
+        x = u[:, 0] * n
+        column = np.minimum(x.astype(np.intp), n - 1)
+        cell = np.where(x - column < prob[column], column, alias[column])
         cand = t[cell] + u[:, 1] * step[cell]
         good = cand[u[:, 2] * bound[cell] < _modes.intensity_profile(mode, cand)]
         take = min(good.size, count - filled)
@@ -316,8 +354,9 @@ def _field_intensity_chunks(kernel, m, root_noise, n_grid):
     The noise, one complex sample at every m-th cell and zeros between, is
     filtered by sqrt(m) times the kernel (polyphase interpolation; Crochiere
     & Rabiner 1983).  A chunk is whole rows of step cells, step a multiple
-    of m, filtered in groups of `_FIELD_GROUP` cells (whole rows) in one
-    (rows, nfft) buffer.  A row's step / m samples, real normals viewed as
+    of m, filtered in groups of `_FIELD_GROUP` cells (whole rows, at most
+    the chunk or the record rounded up to a row) in one (rows, nfft)
+    buffer.  A row's step / m samples, real normals viewed as
     complex, are drawn into its head, continuing the chunk's generator, so
     n cells draw one `standard_normal` of 2 ceil(n / m); the rest of the
     row's first nfft / m cells is zeroed.  Their FFT, tiled m times, is the
@@ -330,7 +369,7 @@ def _field_intensity_chunks(kernel, m, root_noise, n_grid):
     nfft = max(_FILTER_FFT, 1 << (4 * taps).bit_length())
     step = (nfft - taps + 1) // m * m
     chunk = max(_FIELD_CHUNK // step, 1) * step
-    span = max(_FIELD_GROUP // step, 1) * step
+    span = min(max(_FIELD_GROUP // step, 1) * step, chunk, -(-n_grid // step) * step)
     kernel_fft = np.fft.fft(kernel * math.sqrt(m), nfft).reshape(m, -1)
     y = np.empty((span // step, nfft), complex)
     carry = np.zeros(nfft - step, dtype=complex)

@@ -44,9 +44,9 @@ def _stationary(shape, seed, **detector):
 
 
 # every source, every mode kind, with and without jitter and dead time;
-# 40,000 pulses span three pulse blocks, 0.06 s of field two chunks
+# 300,000 pulses span three pulse blocks, 0.06 s of field two chunks
 STREAMS = {
-    "gauss-ideal": lambda: _pulsed(st.coherent(1.0), md.gaussian_mode(WIDTH), 40000, 1),
+    "gauss-ideal": lambda: _pulsed(st.coherent(1.0), md.gaussian_mode(WIDTH), 300000, 1),
     "gauss-jitter": lambda: _pulsed(st.thermal(1.0), md.gaussian_mode(WIDTH), 20000, 2,
                                     efficiency=0.5, timing_jitter_sigma=4e-9),
     "gauss-dead": lambda: _pulsed(st.thermal(3.0), md.gaussian_mode(WIDTH), 20000, 3,
@@ -93,30 +93,30 @@ RATIOS = {
                                                         2e-8, 5e-6, 3e-6),
 }
 
-MADE_WITH = {"pulseg2": "0.8.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.9.0", "numpy": "2.4.6"}
 
 DIGESTS = {
-    "gauss-ideal": "4c59a88ff95cbf092df76c96d6be25bd77d89f9516e4157ede6d56bf8b91c079",
-    "gauss-jitter": "1f93f2f2867a4db9abe6757164940b7076c618259c01b09497eab631cd23ed56",
-    "gauss-dead": "eedd7e158b29f3e6d6467d487915c8b19a39f979cc9844e64bd083e43652f26f",
-    "hg1-ideal": "eb9abda7859fc16ee0d5be04bedc3c9bc6a35495ec6b10df4fc57fe2c54007f1",
-    "hg1-jitter-dead": "28fd6fcb9c40c9acc86c5f07b0c01012f50638e8b12bdf832cd329faf9dce586",
-    "hg3-ideal": "31c1c6ffa973f2cc15060aa1f67f93044367ae5e6d79f69be149942db14e4304",
-    "sampled-ideal": "67a3c7bf992e75a39975124c4608945249ed0e15f88693e03c2364d43ac83533",
-    "sampled-jitter-dead": "6d2e4d1c08310556a719445b4213ca4f620af63e7e319ed4ddcc42315a42d564",
+    "gauss-ideal": "30f65fcb08cae091003b449649efe6bb62fce5c81401405b0b651a9e92de830d",
+    "gauss-jitter": "514eb4f1d9e16b63757b80cecd2cfcdd9bceca505ba3c26f5185dd02738499c5",
+    "gauss-dead": "1e3f4481f1dac043e0a185f83b0e2c944760a74724f46339775a0adaa1af7565",
+    "hg1-ideal": "488b658c1f2a50b620ad0d955f901da9bece9f4fed64c3d160f0300b5b7abbe6",
+    "hg1-jitter-dead": "8fde2ae5e7a7a11ec0af0d0be08669349ba045df11f7e981aeef8282e9e41c59",
+    "hg3-ideal": "77eeaa5b9e9b64b17987bafc8d86a06e5022d6699e248f4acded5ce07617160b",
+    "sampled-ideal": "5168b3c183bfde3738119cc56311f66e3b856f4daff6ed2cc888a28eea8d3189",
+    "sampled-jitter-dead": "2062861204159f8392f350e682aa9b4c746bd65955795a7ddf6cf7709ddee7e2",
     "stationary-gaussian": "c1994985c3b6869d9c6f08d03b9f3141172a4399f36550edfd3c458055ecdc70",
     "stationary-lorentzian": "1d9320fdf80ad0aa9ff323d0e47a5f28a98366b367f1fca658cfad55b82b6370",
     "stationary-jitter-dead": "85be1bc4e5e0290bb58474c2272fca261a73a99d7334389fe4141b565982d875",
     "poisson": "2ca8c4c023df2b37b8314b63e6e89d063b05ec4c3bf6835bdb003bb53175b8b4",
-    "same-pulse-default": "161e661ddb26499f9427c2d6448cd2260f96c5a23c38c3cdb330f4b22ad8634f",
-    "same-pulse-wide": "3bf169fc2fc18314bfa0d1b98fb3e58f80a882c207106f9a3799b12018edc0f7",
-    "same-pulse-hg1": "5078717fef7e09885aa603650ec9f1af23729261da8fe85b4c708318a06c991d",
-    "all-pairs-pulsed": "d1ad9fd65cbaa0e87dc0e612453ec33f10f4bab83edc55e33eb977575e0405a5",
+    "same-pulse-default": "84b955df8a6eab74c19c6ec0d8f4dd13e7e130621ec252014eb1cddac634f755",
+    "same-pulse-wide": "e830f49561defb6f462c0a178bd64fcf1370acc0e9a844477d932c19d27f20e4",
+    "same-pulse-hg1": "9e8ef631046b642ec4694e699a487e96f2af7bc379952383d3880f9bdfd76466",
+    "all-pairs-pulsed": "d6903ee4009ddf341e72b0eecba9bdfdfab01e11557b3ae8529f9e4be2a8701e",
     "all-pairs-stationary": "bc4c891eeeee82e4ec39252900f58c61709d1b259b0f7d5cfcf8a89a7232cc35",
     "start-stop-stationary": "0445da64303f317cfbf3d92114bde3db48163f3ef5b2267efbe94dbdaf935b9c",
-    "sidepeak-jitter": "24648e91fbcd930e8d720c0d5d0e5a5b9cfcfdb61f258d5f0046ea4ee73835bb",
-    "sidepeak-jitter-wide": "4f6e0b6d51d0788a80342fea4539e1068809e98651a79f6877c63a6e06c31364",
-    "sidepeak-dead": "836a6f82103fa9573385bd9768e73c3305368fd9675e7a50f56213d2b972bb69",
+    "sidepeak-jitter": "87e7a8336ad0594888a244414a220d6fb9120bb9aa0607e335a5fe660ff61fdc",
+    "sidepeak-jitter-wide": "39ffa3e0d7d381b4eec0aeb248438cf523226d225ba3fc102f50ef769cadc93d",
+    "sidepeak-dead": "b4162b1c4654273e455849148e93dc695c7303d36d4231a4151035b417f8a8b7",
     "g2-zero-stationary": "f425f45be3ffd651eab7b53b07452c82f89a89d08815912c8b389eacb883652e",
 }
 

@@ -186,8 +186,12 @@ class TestEstimateD0:
 
     def test_zero_fit_on_pairs_has_infinite_uncertainty(self):
         # a hint 1000x too narrow: every pair sits where its eta underflows,
-        # so D(0) is exactly 0 on a nonempty histogram
-        stream, _ = run_train(st.thermal(0.3), 200, seed=4)
+        # so D(0) is exactly 0 on a nonempty histogram: three pulses of one
+        # pair each, 1 ns apart, where the 1 ps hint's eta is 0
+        pulse = np.repeat(np.arange(3), 2)
+        times = (pulse + 0.5) * PERIOD + np.tile([0.0, 1e-9], 3)
+        stream = pg.ClickStream(pulse, times, {"kind": "pulsed",
+                                               "train": {"num_pulses": 3}})
         hist = est.tau_histogram(stream, 5e-11, 6e-9)
         hint = md.gaussian_mode(1e-12)
         assert hist.counts.sum() > 0

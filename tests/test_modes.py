@@ -172,6 +172,22 @@ class TestSpecGrammar:
         assert mode.kind == "sampled"
         assert md.eta_numeric(mode, 0.0) == pytest.approx(md.eta_gaussian(1.0, 0.0), rel=1e-4)
 
+    @pytest.mark.parametrize("spec,label", [
+        ("gauss:1.0000001e-9", "gauss:1.0000001e-09"),
+        ("gauss:1e-9@3.0000000001e-10", "gauss:1e-09@3.0000000001e-10"),
+        ("hg:3:0.1@0.30000000000000004", "hg:3:0.1@0.30000000000000004"),
+        ("hg:1:5e-10", "hg:1:5e-10"),
+        ("gauss:2e-9@5e-9", "gauss:2e-09@5e-09"),
+        ("gauss:1", "gauss:1"),
+    ])
+    def test_label_parses_back_to_the_mode(self, spec, label):
+        # widths and centres keep every digit; round ones keep their short form
+        mode = md.parse_mode_spec(spec)
+        back = md.parse_mode_spec(mode.label)
+        assert mode.label == label
+        assert (back.kind, back.order, back.width, back.center) == (
+            mode.kind, mode.order, mode.width, mode.center)
+
     @pytest.mark.parametrize("bad", ["gauss", "gauss:-1", "hg:1", "box:1", "hg:a:1"])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,47 @@ class TestPulseTrain:
         assert meta["state"] == "coherent:0.5"
         assert meta["mode"] == MODE.label
         assert meta["train"] == {"num_pulses": 100, "repetition_period": PERIOD}
+
+
+# a 150-sample pulse on a 20,001-sample grid: few cells above the mean
+_SPIKE = np.arange(-10000, 10001)
+SPARSE = md.sampled_mode(_SPIKE * 1e-12, np.exp(-(_SPIKE / 150.0)**2 / 2) + 0j)
+
+
+class TestArrivalSampler:
+    @pytest.mark.parametrize("mode", [MODE, HG1, md.hermite_gauss_mode(30, WIDTH),
+                                      SAMPLED, SPARSE],
+                             ids=["gauss", "hg1", "hg30", "sampled", "sparse"])
+    def test_alias_table_implies_the_cell_masses(self, mode):
+        # cell i is picked with prob[i] / n directly and (1 - prob[j]) / n
+        # from every column j aliased to it
+        t, step, bound = sim._arrival_envelope(mode)
+        mass = bound * step
+        prob, alias = sim._alias_table(mass)
+        assert np.all((prob >= 0) & (prob <= 1))
+        implied = (prob + np.bincount(alias, 1.0 - prob, mass.size)) / mass.size
+        np.testing.assert_allclose(implied, mass / mass.sum(), rtol=1e-12, atol=0)
+
+    def test_offsets_do_not_depend_on_the_row_chunk(self, monkeypatch):
+        # 50,000 offsets take 4 chunks of 2^14 rows or about 100 of 2^9
+        root = derive_roots(41)[4]
+        want = sim._arrival_sampler(HG1, 50000, block_generator(root, 0))
+        monkeypatch.setattr(sim, "_ARRIVAL_ROWS", 1 << 9)
+        got = sim._arrival_sampler(HG1, 50000, block_generator(root, 0))
+        assert np.array_equal(got, want)
+
+    def test_sparse_train_peak_allocation(self):
+        # the sparse benchmark train (2e7 pulses, ~2e5 clicks): the arrival
+        # rows stay at _ARRIVAL_ROWS, not _PULSE_BLOCK (9.3 MB against 16.5 MB)
+        train = sim.PulseTrainConfig(20_000_000, PERIOD, md.parse_mode_spec("hg:1:5e-10"))
+        det = sim.DetectorModel(efficiency=0.5)
+        tracemalloc.start()
+        try:
+            sim.simulate_pulse_train(st.coherent(0.02), det, train, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 def _ref_dead_time_filter(pulse_idx, times, dead):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,22 @@ class TestGroupedFilter:
         assert [lo for lo, _ in got] == [lo for lo, _ in want] == [0, chunk, 2 * chunk]
         for (_, part), (_, ref) in zip(got, want):
             assert np.array_equal(part, ref)
+
+
+def test_short_record_allocates_one_row():
+    # the row group is capped by the record: 50 cells take one (1, nfft) row,
+    # not the 65 rows of a _FIELD_GROUP group (4.2 MB)
+    kernel = field_kernel("gaussian", None)
+    root = derive_roots(5)[1]
+    list(sim._field_intensity_chunks(kernel, 4, root, 50))      # warms numpy's FFT
+    tracemalloc.start()
+    try:
+        got = list(sim._field_intensity_chunks(kernel, 4, root, 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(lo, part.size) for lo, part in got] == [(0, 50)]
+    assert peak < 2**19
 
 
 class _TopUniform:
