@@ -94,15 +94,20 @@ class TauHistogram:
         _write_table(path, *self._table(expected))
 
 
-def _pairs(times, reach):
+# first clicks per slice of the pair walk: its scratch memory is this
+# many indices, whatever the click count
+_PAIR_SLICE = 1 << 16
+
+
+def _pairs(times, reach, lo=0, hi=None):
     """Yield ``(first, second)`` index arrays of click pairs, one lag at a time.
 
-    The pairs are every i < j of the sorted ``times`` with
-    times[j] < times[i] + reach.  Pass d keeps the clicks of pass d - 1
-    with times[i + d] < times[i] + reach and yields their pairs (i, i + d),
-    so memory stays O(clicks) per pass.
+    The pairs are every i < j of the sorted ``times`` with lo <= i < hi
+    and times[j] < times[i] + reach.  Pass d keeps the clicks of pass
+    d - 1 with times[i + d] < times[i] + reach and yields their pairs
+    (i, i + d), so memory stays O(hi - lo) per pass.
     """
-    first = np.arange(times.size, dtype=np.int64)
+    first = np.arange(lo, times.size if hi is None else hi, dtype=np.int64)
     for d in itertools.count(1):
         if first.size and first[-1] + d == times.size:     # no click d places on
             first = first[:-1]
@@ -112,18 +117,27 @@ def _pairs(times, reach):
         yield first, first + d
 
 
-def _pair_counts(times, reach, unit, n_units, nbins, bin_of, passes=None):
-    """Counts of the `_pairs` within ``reach`` (the first ``passes`` passes)
-    per `_blocks` block of the first click's ``unit``, (blocks, bins) int64;
-    ``bin_of(i, j, dt)`` bins each pair and a bin outside [0, nbins) drops it."""
+def _pair_counts(times, reach, unit_of, n_units, nbins, bin_of, passes=None):
+    """Counts of the `_pairs` within ``reach`` per `_blocks` block of the
+    first click's unit, (blocks, bins) int64, and each block's clicks.
+
+    The walk takes `_PAIR_SLICE` first clicks at a time, each slice its
+    own lag passes (at most ``passes`` of them); ``unit_of(i)`` is the
+    unit of clicks i, and ``bin_of(i, j, dt)`` bins each pair, a bin
+    outside [0, nbins) dropping it."""
     n_blocks = _blocks(0, n_units)[1]
     flat = np.zeros(n_blocks * nbins, dtype=np.int64)
-    for i, j in itertools.islice(_pairs(times, reach), passes):
-        k = bin_of(i, j, times[j] - times[i])
-        keep = (k >= 0) & (k < nbins)
-        flat += np.bincount(_blocks(unit[i[keep]], n_units)[0] * nbins + k[keep],
-                            minlength=flat.size)
-    return flat.reshape(n_blocks, nbins)
+    clicks = np.zeros(n_blocks, dtype=np.int64)
+    for lo in range(0, times.size, _PAIR_SLICE):
+        hi = min(lo + _PAIR_SLICE, times.size)
+        clicks += np.bincount(_blocks(unit_of(np.arange(lo, hi)), n_units)[0],
+                              minlength=n_blocks)
+        for i, j in itertools.islice(_pairs(times, reach, lo, hi), passes):
+            k = bin_of(i, j, times[j] - times[i])
+            keep = (k >= 0) & (k < nbins)
+            add = np.bincount(_blocks(unit_of(i[keep]), n_units)[0] * nbins + k[keep])
+            flat[:add.size] += add
+    return flat.reshape(n_blocks, nbins), clicks
 
 
 def _linearized_sigma(grad, stats, weights=None):
@@ -182,21 +196,28 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     num_pulses = stream.metadata.get("train", {}).get("num_pulses")
     times = stream.times
     if scope == "same_pulse":
-        unit = stream.pulse_index
-        n_units = max(num_pulses or 1, int(unit.max(initial=0)) + 1)
-    else:
-        unit = ((times - times[:1]) / max_tau).astype(np.int64)
-        n_units = max(int(unit.max(initial=0)), 1)
-        np.minimum(unit, n_units - 1, out=unit)
+        pulse = stream.pulse_index
+        n_units = max(num_pulses or 1, int(pulse.max(initial=0)) + 1)
+        unit_of = pulse.__getitem__
 
-    def bin_of(i, j, dt):
-        k = (dt / bin_width).astype(np.int64)
-        return np.where(unit[j] == unit[i], k, -1) if scope == "same_pulse" else k
+        def bin_of(i, j, dt):
+            return np.where(pulse[j] == pulse[i], (dt / bin_width).astype(np.int64), -1)
+    else:
+        # times are sorted: the last click's max_tau slice is the largest
+        t0, t1 = (times[0], times[-1]) if times.size else (0.0, 0.0)
+        n_units = max(int((t1 - t0) / max_tau), 1)
+
+        def unit_of(i):
+            unit = ((times[i] - t0) / max_tau).astype(np.int64)
+            return np.minimum(unit, n_units - 1, out=unit)
+
+        def bin_of(i, j, dt):
+            return (dt / bin_width).astype(np.int64)
 
     # one bin of slack past the top edge: the bin index decides
-    block_counts = _pair_counts(times, edges[-1] + bin_width, unit, n_units, nbins,
-                                bin_of, 1 if scope == "start_stop" else None)
-    block_clicks = np.bincount(_blocks(unit, n_units)[0], minlength=block_counts.shape[0])
+    block_counts, block_clicks = _pair_counts(times, edges[-1] + bin_width, unit_of,
+                                              n_units, nbins, bin_of,
+                                              1 if scope == "start_stop" else None)
     return TauHistogram(edges, block_counts.sum(axis=0), scope, num_pulses,
                         stream.n_clicks, block_counts, block_clicks)
 
@@ -311,6 +332,24 @@ def _check_pulse_range(p, n_pulses):
             f"for N = {n_pulses} pulses")
 
 
+def _click_number_histogram(pulse):
+    """Pulses by click number m (index m >= 1, int64), from the pulse index
+    of each click: the runs of equal sorted indices, `_PAIR_SLICE` at a time."""
+    if np.any(pulse[1:] < pulse[:-1]):
+        pulse = np.sort(pulse)
+    counts, start = [], 0                       # start: first click of the open run
+    for lo in range(1, pulse.size, _PAIR_SLICE):
+        hi = min(lo + _PAIR_SLICE, pulse.size)
+        starts = lo + np.flatnonzero(pulse[lo:hi] != pulse[lo - 1:hi - 1])
+        counts.append(np.bincount(np.diff(starts, prepend=start)))
+        start = starts[-1] if starts.size else start
+    counts.append(np.bincount([pulse.size - start]))
+    hist = np.zeros(max(c.size for c in counts), dtype=np.int64)
+    for c in counts:
+        hist[:c.size] += c
+    return hist
+
+
 def pn_histogram_g2q(stream: ClickStream, train):
     """g2q from the per-pulse click-number histogram.
 
@@ -318,10 +357,11 @@ def pn_histogram_g2q(stream: ClickStream, train):
     and s^2, so their ratio is the source g2q regardless of detector
     efficiency.  The histogram is counted over the clicks' pulse indices
     (the empty pulses are the rest of N), so it costs O(clicks), not
-    O(pulses).  The estimate is N F / M^2 with F the summed m(m-1) and M
-    the summed m over the pulses' click numbers m; its uncertainty is the
-    linearized spread of that ratio over independent pulses, whose pairs
-    m(m-1)/2 and clicks m are the statistics.
+    O(pulses), and scratch memory of a slice (plus one sorted copy of the
+    indices if jitter put them out of order).  The estimate is N F / M^2
+    with F the summed m(m-1) and M the summed m over the pulses' click
+    numbers m; its uncertainty is the linearized spread of that ratio over
+    independent pulses, whose pairs m(m-1)/2 and clicks m are the statistics.
     """
     n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
                 else int(train))
@@ -329,9 +369,8 @@ def pn_histogram_g2q(stream: ClickStream, train):
     if not p.size:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
     _check_pulse_range(p, n_pulses)
-    m = np.unique(p, return_counts=True)[1]     # clicks of each non-empty pulse
-    hist = np.bincount(m).astype(float)
-    hist[0] = n_pulses - m.size
+    hist = _click_number_histogram(p).astype(float)
+    hist[0] = n_pulses - hist.sum()
     nn = np.arange(hist.size, dtype=float)
     pair_w = nn * (nn - 1.0)
     pairs, clicks = pair_w @ hist, nn @ hist
@@ -375,8 +414,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
         return np.where(keep, k, -1)
 
     # one window of slack past the last side-peak window
-    counts = _pair_counts(stream.times, n_side * period + 2.0 * window, p, n_pulses,
-                          n_side + 1, peak_of)
+    counts = _pair_counts(stream.times, n_side * period + 2.0 * window, p.__getitem__,
+                          n_pulses, n_side + 1, peak_of)[0]
     stats = np.ascontiguousarray(counts.T, dtype=float)
 
     corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))

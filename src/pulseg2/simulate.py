@@ -22,8 +22,11 @@ per train, re-keyed per block) it
    each candidate's cell picked in O(1) from the envelope's alias table.
 
 Every source then ends in one finisher: optional Gaussian timing jitter,
-a stable time sort, non-paralyzable dead-time removal and the sidecar
-metadata, which records the package version that made the stream.
+a stable time sort (skipped when the times are in order already),
+non-paralyzable dead-time removal and the sidecar metadata, which
+records the package version that made the stream.  Each stage holds the
+clicks about once: the blocks write into one array, the times are formed
+in place and the finisher releases each array once its sorted copy exists.
 
 The matching analytic curves are
 
@@ -46,8 +49,10 @@ transform computed once per run, convolution tail carried row to row),
 one row group of `_FIELD_GROUP` cells at a time in one preallocated
 buffer: the group's noise is drawn into the buffer and filtered there in
 place.  Each chunk's noise stays one Philox draw, so the stream does not
-depend on the group size.  Each chunk's clicks are then one Poisson
-total placed through the cumulative intensity.  The module needs numpy alone.
+depend on the group size.  |E|^2 goes into one chunk buffer that every
+chunk reuses, and each chunk's clicks are one Poisson total placed
+through the cumulative intensity, summed in place in that buffer.  The
+module needs numpy alone.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config, package version) gives a
@@ -257,6 +262,28 @@ def _pulse_block(cdf, lo, hi, rng):
     return np.repeat(pulses, np.minimum(m, cdf.size - 1))
 
 
+def _pulse_indices(pmf, num_pulses, block_rng):
+    """Pulse index of each click of the train, its `_pulse_block` blocks
+    written in turn into one array.  The array holds the expected clicks
+    plus 8 standard deviations and grows if a train draws more, so the
+    blocks need no list and no concatenated copy."""
+    m = np.arange(pmf.size)
+    mean = float(pmf @ m)
+    var = max(float(pmf @ m**2) - mean**2, 0.0)
+    out = np.empty(int(num_pulses * mean + 8.0 * math.sqrt(num_pulses * var)) + 64,
+                   dtype=np.int64)
+    cdf = np.cumsum(pmf)
+    n = 0
+    for lo in range(0, num_pulses, _PULSE_BLOCK):
+        block = _pulse_block(cdf, lo, min(lo + _PULSE_BLOCK, num_pulses),
+                             block_rng(lo // _PULSE_BLOCK))
+        if n + block.size > out.size:
+            out = np.concatenate([out[:n], np.empty(out.size + block.size, np.int64)])
+        out[n:n + block.size] = block
+        n += block.size
+    return out[:n]
+
+
 def _dead_time_filter(pulse_idx, times, dead):
     if dead <= 0 or times.size == 0:
         return pulse_idx, times
@@ -274,17 +301,26 @@ def _dead_time_filter(pulse_idx, times, dead):
     return pulse_idx[keep], times[keep]
 
 
-def _finish_stream(pulse_idx, times, detector, seed, kind, state, mode, **config):
+def _finish_stream(clicks, detector, seed, kind, state, mode, **config):
     """Jitter, stable time sort and dead time for every source, plus metadata.
 
+    ``clicks`` is the list [pulse_idx, times], which the finisher empties,
+    so that each array is released as soon as its sorted copy is made.
     Jitter is drawn from its own root over the clicks in generation order.
+    Times already in order (stationary light without jitter) are kept as
+    they are: the stable sort would not move them.
     """
+    pulse_idx, times = clicks
+    clicks.clear()
     if detector.timing_jitter_sigma > 0:
         rng = block_generator(derive_roots(seed)[3], 0)
         times = times + rng.standard_normal(times.size) * detector.timing_jitter_sigma
-    order = np.argsort(times, kind="stable")
-    pulse_idx, times = _dead_time_filter(pulse_idx[order], times[order],
-                                         detector.dead_time)
+    if np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        pulse_idx = pulse_idx[order]
+        times = times[order]
+        del order
+    pulse_idx, times = _dead_time_filter(pulse_idx, times, detector.dead_time)
     meta = {"kind": kind, "seed": int(seed), "state": state, "mode": mode,
             "detector": asdict(detector), **config, "pulseg2": __version__}
     return ClickStream(pulse_idx, times, meta)
@@ -298,17 +334,15 @@ def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
     counter-based substream, so a block's clicks depend only on the seed
     and the block index; the merged records are time sorted.
     """
-    cdf = np.cumsum(_states.binomial_loss_pn(state.pn, detector.efficiency))
+    pmf = _states.binomial_loss_pn(state.pn, detector.efficiency)
     roots = derive_roots(seed)
-    block_rng = block_generators(roots[0])
-    pulse_idx = np.concatenate([
-        _pulse_block(cdf, lo, min(lo + _PULSE_BLOCK, train.num_pulses),
-                     block_rng(lo // _PULSE_BLOCK))
-        for lo in range(0, train.num_pulses, _PULSE_BLOCK)])
-    offsets = _arrival_sampler(train.mode, pulse_idx.size, block_generator(roots[4], 0))
+    pulse_idx = _pulse_indices(pmf, train.num_pulses, block_generators(roots[0]))
+    times = _arrival_sampler(train.mode, pulse_idx.size, block_generator(roots[4], 0))
+    times += (pulse_idx + 0.5) * train.repetition_period    # in place in the offsets
+    clicks = [pulse_idx, times]
+    del pulse_idx, times                # the finisher holds the only references
     return _finish_stream(
-        pulse_idx, (pulse_idx + 0.5) * train.repetition_period + offsets,
-        detector, seed, "pulsed", state.label, train.mode.label,
+        clicks, detector, seed, "pulsed", state.label, train.mode.label,
         train={"num_pulses": int(train.num_pulses),
                "repetition_period": train.repetition_period})
 
@@ -349,7 +383,7 @@ def _field_decimation(cfg: StationaryThermalConfig, dt: float) -> int:
 
 
 def _field_intensity_chunks(kernel, m, root_noise, n_grid):
-    """Yield (first cell, |E|^2) per chunk of the field grid.
+    """Yield (first cell, [0, |E|^2 ...]) per chunk of the field grid.
 
     The noise, one complex sample at every m-th cell and zeros between, is
     filtered by sqrt(m) times the kernel (polyphase interpolation; Crochiere
@@ -362,8 +396,10 @@ def _field_intensity_chunks(kernel, m, root_noise, n_grid):
     row's first nfft / m cells is zeroed.  Their FFT, tiled m times, is the
     zero-stuffed row's; the kernel product and inverse FFT run in place.
     Each row's outputs past step add into the next row's head, across
-    groups and chunks alike, and |E|^2 goes into the chunk's intensity
-    array.  E|E|^2 = 2 (unit-power kernel, unit-variance noise).
+    groups and chunks alike, and |E|^2 goes into the chunk buffer after
+    its leading 0.  All chunks share that one buffer: a chunk's values
+    last until the next chunk is drawn, and `_chunk_clicks` sums them in
+    place.  E|E|^2 = 2 (unit-power kernel, unit-variance noise).
     """
     taps = kernel.size
     nfft = max(_FILTER_FFT, 1 << (4 * taps).bit_length())
@@ -372,12 +408,13 @@ def _field_intensity_chunks(kernel, m, root_noise, n_grid):
     span = min(max(_FIELD_GROUP // step, 1) * step, chunk, -(-n_grid // step) * step)
     kernel_fft = np.fft.fft(kernel * math.sqrt(m), nfft).reshape(m, -1)
     y = np.empty((span // step, nfft), complex)
+    cum = np.empty(-(-min(chunk, n_grid) // step) * step + 1)
     carry = np.zeros(nfft - step, dtype=complex)
     at = block_generators(root_noise)
     for c, lo in enumerate(range(0, n_grid, chunk)):
         length = min(chunk, n_grid - lo)
         rng = at(c)
-        intensity = np.empty(-(-length // step) * step)
+        cum[0] = 0.0
         for start in range(0, length, span):
             cells = min(span, length - start)
             rows = -(-cells // step)
@@ -397,21 +434,21 @@ def _field_intensity_chunks(kernel, m, root_noise, n_grid):
             field = out[:, :step].view(np.float64)     # re, im interleaved
             np.square(field, out=field)
             np.add(field[:, 0::2], field[:, 1::2],
-                   out=intensity[start:start + rows * step].reshape(rows, step))
-        yield lo, intensity[:length]
+                   out=cum[1 + start:1 + start + rows * step].reshape(rows, step))
+        yield lo, cum[:length + 1]
 
 
-def _chunk_clicks(intensity, mean_per_cell, rng):
-    """Sorted click positions, in cells, for the rate mean_per_cell * intensity.
+def _chunk_clicks(cum, mean_per_cell, rng):
+    """Sorted click positions, in cells, for the rate mean_per_cell * I.
 
-    One Poisson total and sorted uniforms on [0, sum I) inverted through
-    cumsum(I) are, in distribution, a Poisson count per cell placed
-    uniformly in it (Lewis & Shedler 1979).  Cell i takes
-    cum[i] <= u < cum[i + 1], never a zero-intensity cell.  No clip is
-    needed: u = r * sum I with r <= 1 - 2^-53 rounds below sum I.
+    ``cum`` is 0 followed by the cells' intensities I; it is summed in
+    place into cum = [0, cumsum(I)].  One Poisson total and sorted
+    uniforms on [0, sum I) inverted through cum are, in distribution, a
+    Poisson count per cell placed uniformly in it (Lewis & Shedler 1979).
+    Cell i takes cum[i] <= u < cum[i + 1], never a zero-intensity cell.
+    No clip is needed: u = r * sum I with r <= 1 - 2^-53 rounds below sum I.
     """
-    cum = np.zeros(intensity.size + 1)
-    np.cumsum(intensity, out=cum[1:])
+    np.cumsum(cum, out=cum)
     u = np.sort(rng.random(rng.poisson(mean_per_cell * cum[-1]))) * cum[-1]
     cell = np.searchsorted(cum, u, "right") - 1
     left = cum[cell]
@@ -433,10 +470,10 @@ def simulate_stationary_thermal(cfg: StationaryThermalConfig,
     chunks = _field_intensity_chunks(kernel, _field_decimation(cfg, dt), roots[1],
                                      int(round(cfg.duration / dt)))
     times = np.concatenate([
-        (lo + _chunk_clicks(intensity, scale * dt, block_generator(roots[2], c))) * dt
-        for c, (lo, intensity) in enumerate(chunks)])
+        (lo + _chunk_clicks(cum, scale * dt, block_generator(roots[2], c))) * dt
+        for c, (lo, cum) in enumerate(chunks)])
     return _finish_stream(
-        np.full(times.size, -1, dtype=np.int64), times, detector, seed,
+        [np.full(times.size, -1, dtype=np.int64), times], detector, seed,
         "stationary", None, None, stationary=asdict(cfg))
 
 
@@ -450,7 +487,7 @@ def simulate_stationary_poisson(mean_rate: float, duration: float, seed,
     rng = block_generator(derive_roots(seed)[0], 0)
     total = int(rng.poisson(mean_rate * detector.efficiency * duration))
     return _finish_stream(
-        np.full(total, -1, dtype=np.int64), rng.random(total) * duration,
+        [np.full(total, -1, dtype=np.int64), rng.random(total) * duration],
         detector, seed, "stationary", None, None,
         stationary={"mean_rate": mean_rate, "spectral_bandwidth": None,
                     "duration": duration, "field_timestep": None,

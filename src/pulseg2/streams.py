@@ -9,6 +9,9 @@ Formats
 CSV       header ``pulse_index,time_seconds``; stationary records write -1.
 binary    packed little-endian records (u64 pulse index, f64 time);
           stationary records store 2**64 - 1 as the index sentinel.
+          Both directions go `_IO_SLICE` records at a time through one
+          slice-sized record buffer, so besides the stream they hold one
+          slice (1 MiB); the bytes do not depend on the slice.
 sidecar   JSON next to either format with the seed, the full generating
           configuration and the package version, default path
           ``<stream>.meta.json``.
@@ -40,6 +43,8 @@ __all__ = [
 
 _HEADER = "pulse_index,time_seconds"
 _BINARY_DTYPE = np.dtype([("pulse_index", "<u8"), ("time_seconds", "<f8")])
+# records per slice of the binary write and read
+_IO_SLICE = 1 << 16
 # the sidecar keys the readers use: the JSON types each may have, the test
 # a non-null value must pass, and both by name
 _NULL = type(None)
@@ -67,7 +72,7 @@ class ClickStream:
             raise ValueError("pulse_index and times must be matching 1-D arrays")
         if t.size and not np.all(np.isfinite(t)):
             raise ValueError("click times must be finite")
-        if t.size > 1 and np.any(np.diff(t) < 0):
+        if t.size > 1 and np.any(t[1:] < t[:-1]):
             raise ValueError("click times must be nondecreasing")
         idx.setflags(write=False)
         t.setflags(write=False)
@@ -127,10 +132,13 @@ def write_stream(stream: ClickStream, path, fmt: str = "csv",
         _write_table(path, _HEADER, [stream.pulse_index, stream.times],
                      fmt=("%d", "%.17g"))
     elif fmt == "binary":
-        rec = np.empty(stream.n_clicks, dtype=_BINARY_DTYPE)
-        rec["pulse_index"] = stream.pulse_index.view(np.uint64)
-        rec["time_seconds"] = stream.times
-        rec.tofile(path)
+        rec = np.empty(min(stream.n_clicks, _IO_SLICE), dtype=_BINARY_DTYPE)
+        with open(path, "wb") as fh:
+            for lo in range(0, stream.n_clicks, _IO_SLICE):
+                part = rec[:min(_IO_SLICE, stream.n_clicks - lo)]
+                part["pulse_index"] = stream.pulse_index[lo:lo + part.size].view(np.uint64)
+                part["time_seconds"] = stream.times[lo:lo + part.size]
+                part.tofile(fh)
     else:
         raise ValueError(f"unknown stream format {fmt!r}")
     _write_json({**stream.metadata, "format": fmt, "n_clicks": int(stream.n_clicks)},
@@ -174,15 +182,26 @@ def _read_table(path, columns: str, header: str | None = None) -> np.ndarray:
     return rows
 
 
-def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_binary(path, check_count) -> tuple[np.ndarray, np.ndarray]:
+    """The pulse indices and times of a binary stream; its record count,
+    from the file size, passes ``check_count`` before a record is read."""
     size = os.path.getsize(path)
     if size % _BINARY_DTYPE.itemsize:
         raise StreamFormatError(
             f"{path}: {size} bytes is not a whole number of "
             f"{_BINARY_DTYPE.itemsize}-byte records")
-    rec = np.fromfile(path, dtype=_BINARY_DTYPE)
-    idx = np.ascontiguousarray(rec["pulse_index"]).view(np.int64)
-    return idx, rec["time_seconds"].astype(float)
+    n = size // _BINARY_DTYPE.itemsize
+    check_count(n)
+    idx, t = np.empty(n, dtype=np.int64), np.empty(n)
+    rec = np.empty(min(n, _IO_SLICE), dtype=_BINARY_DTYPE)
+    with open(path, "rb") as fh:
+        for lo in range(0, n, _IO_SLICE):
+            part = rec[:min(_IO_SLICE, n - lo)]
+            if fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise StreamFormatError(f"{path}: file shorter than {n} records")
+            idx[lo:lo + part.size] = part["pulse_index"].view(np.int64)
+            t[lo:lo + part.size] = part["time_seconds"]
+    return idx, t
 
 
 def _check_sidecar(meta, side) -> None:
@@ -211,8 +230,15 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
         raise StreamFormatError(f"{side}: invalid sidecar JSON: {exc}") from exc
     _check_sidecar(meta, side)
     fmt = meta.get("format") or ("binary" if path.endswith(".bin") else "csv")
+
+    def check_count(n):
+        if "n_clicks" in meta and meta["n_clicks"] != n:
+            raise StreamFormatError(
+                f"{path}: {n} records, but the sidecar {side} says "
+                f"n_clicks = {meta['n_clicks']}")
+
     if fmt == "binary":
-        idx, t = _read_binary(path)
+        idx, t = _read_binary(path, check_count)
     else:
         try:
             rows = _read_table(path, _HEADER, header=_HEADER)
@@ -225,10 +251,7 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
             raise StreamFormatError(f"{path}: record {bad[0]}: expected 2 columns, "
                                     "the first a 64-bit integer")
         idx = pulse.astype(np.int64)
-    if "n_clicks" in meta and meta["n_clicks"] != idx.size:
-        raise StreamFormatError(
-            f"{path}: {idx.size} records, but the sidecar {side} says "
-            f"n_clicks = {meta['n_clicks']}")
+        check_count(idx.size)
     try:
         return ClickStream(idx, t, meta)
     except ValueError as exc:

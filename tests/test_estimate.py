@@ -361,6 +361,31 @@ class TestPnHistogram:
         with pytest.raises(EstimationError, match="N = 1000 "):
             est.pn_histogram_g2q(stream, 1000)
 
+    @staticmethod
+    def reference(stream, n_pulses):
+        """The route with the click numbers from np.unique's counts."""
+        m = np.unique(stream.pulse_index, return_counts=True)[1]
+        hist = np.bincount(m).astype(float)
+        hist[0] = n_pulses - m.size
+        nn = np.arange(hist.size, dtype=float)
+        pair_w = nn * (nn - 1.0)
+        pairs, clicks = pair_w @ hist, nn @ hist
+        val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
+        grad = (2.0 * n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
+        return val, est._linearized_sigma(grad, np.vstack([pair_w / 2.0, nn]), hist)
+
+    @pytest.mark.parametrize("slice_len", [1, 7, 64, None])
+    @pytest.mark.parametrize("jitter", [0.0, 4e-9], ids=["sorted", "jittered"])
+    def test_runs_in_slices_match_unique_counts(self, monkeypatch, slice_len, jitter):
+        # 4 ns jitter reorders the pulse indices of a 12.5 ns train
+        train = sim.PulseTrainConfig(20000, PERIOD, MODE)
+        det = sim.DetectorModel(efficiency=0.5, timing_jitter_sigma=jitter)
+        stream = sim.simulate_pulse_train(st.thermal(2.0), det, train, seed=23)
+        assert (np.any(np.diff(stream.pulse_index) < 0)) == (jitter > 0)
+        if slice_len is not None:
+            monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+        assert est.pn_histogram_g2q(stream, train) == self.reference(stream, 20000)
+
 
 class TestSidePeak:
     def test_coherent(self):

@@ -1,0 +1,107 @@
+"""Memory guards: each stage holds the stream once plus slice-sized scratch.
+
+tracemalloc sees numpy's array buffers, so a traced peak is the arrays a
+call holds at once.  The stream here has ~1e6 clicks (16 MB of records);
+a single whole-stream temporary (8 MB) breaks every bound below except
+the read's, whose bound is the two output arrays plus one slice.
+"""
+
+import json
+import tracemalloc
+
+import pytest
+
+from pulseg2 import estimate as est
+from pulseg2 import modes as md
+from pulseg2 import simulate as sim
+from pulseg2 import states as st
+from pulseg2 import streams
+from pulseg2.errors import StreamFormatError
+
+PERIOD = 12.5e-9
+SLACK = 1 << 16         # interpreter and small numpy objects
+
+
+@pytest.fixture(scope="module")
+def pulsed():
+    train = sim.PulseTrainConfig(10**6, PERIOD, md.gaussian_mode(1e-9))
+    stream = sim.simulate_pulse_train(st.coherent(1.0), sim.DetectorModel(), train, 2)
+    assert stream.n_clicks > 900_000
+    return stream, train
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes ``fn`` holds at its peak, after one untraced warm-up call."""
+    fn(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_binary_write_holds_one_slice(pulsed, tmp_path):
+    path = tmp_path / "s.bin"
+    peak = traced_peak(streams.write_stream, pulsed[0], path, fmt="binary")
+    assert peak <= streams._IO_SLICE * streams._BINARY_DTYPE.itemsize + SLACK
+
+
+def test_binary_read_holds_the_stream_and_one_slice(pulsed, tmp_path):
+    stream = pulsed[0]
+    path = tmp_path / "s.bin"
+    streams.write_stream(stream, path, fmt="binary")
+    peak = traced_peak(streams.read_stream, path)
+    record = streams._BINARY_DTYPE.itemsize
+    assert peak <= (stream.n_clicks + streams._IO_SLICE) * record + SLACK
+
+
+def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):
+    # a sidecar n_clicks that the file size contradicts fails before the
+    # output arrays are allocated
+    path = tmp_path / "s.bin"
+    streams.write_stream(pulsed[0], path, fmt="binary")
+    side = tmp_path / "s.bin.meta.json"
+    meta = json.loads(side.read_text())
+    meta["n_clicks"] -= 1
+    side.write_text(json.dumps(meta))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamFormatError, match="n_clicks"):
+            streams.read_stream(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SLACK
+
+
+@pytest.mark.parametrize("estimator", ["all_pairs", "sidepeak", "pn"])
+def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
+    # a walk pass holds a few slice-long index, time and bin arrays, and the
+    # counts of at most 200 blocks; nothing of the click count
+    monkeypatch.setattr(est, "_PAIR_SLICE", 1 << 14)
+    stream, train = pulsed
+    calls = {
+        "all_pairs": lambda: est.tau_histogram(stream, 1e-9, 4 * PERIOD, "all_pairs"),
+        "sidepeak": lambda: est.g2_sidepeak(stream, train, 3e-9),
+        "pn": lambda: est.pn_histogram_g2q(stream, train),
+    }
+    counts = 200 * 50 * 8
+    assert traced_peak(calls[estimator]) <= 12 * 8 * est._PAIR_SLICE + 2 * counts + SLACK
+
+
+def test_stationary_simulation_holds_one_field_chunk():
+    # 1 s of light at 5e5 clicks/s: the filter's (65, 4096) complex rows
+    # (4.3 MB), the one chunk buffer (1,048,001 cells, 8.4 MB) and the
+    # clicks (4 MB) come to 16.9 MB; a second chunk-sized array or a time
+    # sort of the finished clicks would pass the bound
+    cfg = sim.StationaryThermalConfig(1e6, 1e6, 1.0)
+    det = sim.DetectorModel(efficiency=0.5)
+    tracemalloc.start()
+    try:
+        stream = sim.simulate_stationary_thermal(cfg, det, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.n_clicks > 450_000
+    assert peak <= 20 * 2**20

@@ -407,6 +407,41 @@ def test_start_stop_is_the_adjacent_gaps(stationary_stream):
 
 
 # ---------------------------------------------------------------------------
+# the walk in slices of first clicks
+
+
+def _assert_start_stop_match(stream, bin_width, max_tau):
+    # each click with the next; the blocks as the walk in one slice counts them
+    hist = est.tau_histogram(stream, bin_width, max_tau, scope="start_stop")
+    assert np.array_equal(hist.counts, np.histogram(np.diff(stream.times), hist.bin_edges)[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(est, "_PAIR_SLICE", stream.n_clicks + 1)
+        whole = est.tau_histogram(stream, bin_width, max_tau, scope="start_stop")
+    assert np.array_equal(hist.block_counts, whole.block_counts)
+    assert np.array_equal(hist.block_clicks, whole.block_clicks)
+
+
+@pytest.mark.parametrize("slice_len", [7, 64])
+def test_sliced_walk_jittered_thermal(monkeypatch, jittered_thermal, slice_len):
+    # adjacent pulses interleave, so pairs cross every slice boundary
+    monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+    stream, train = jittered_thermal
+    _assert_histograms_match(stream, 2e-10, 4 * PERIOD)
+    _assert_start_stop_match(stream, 2e-10, 4 * PERIOD)
+    _assert_value_and_sigma(est.g2_sidepeak(stream, train, 3e-9),
+                            _sidepeak_ref_sigma(stream, train, 3e-9))
+
+
+@pytest.mark.parametrize("slice_len", [7, 64])
+def test_sliced_walk_stationary(monkeypatch, stationary_stream, slice_len):
+    monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+    _assert_histograms_match(stationary_stream, 2e-8, 5e-6, scopes=("all_pairs",))
+    _assert_start_stop_match(stationary_stream, 2e-8, 5e-6)
+    _assert_value_and_sigma(est.stationary_g2_zero(stationary_stream, 2e-8, 5e-6, 3e-6),
+                            _g2_zero_ref_sigma(stationary_stream, 2e-8, 5e-6, 3e-6))
+
+
+# ---------------------------------------------------------------------------
 # the enumerator against brute force
 
 

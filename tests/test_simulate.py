@@ -116,6 +116,21 @@ class TestPulseTrain:
         assert stream.n_clicks > 0
         assert calls == [0.5]
 
+    def test_pulse_index_array_grows_past_its_estimate(self, monkeypatch):
+        # blocks that draw 3x the clicks expected overrun the array sized for
+        # the expectation: it grows and keeps every block, in order
+        block = sim._pulse_block
+        monkeypatch.setattr(sim, "_pulse_block", lambda *args: np.repeat(block(*args), 3))
+        pmf = st.binomial_loss_pn(st.coherent(0.5).pn, 1.0)
+        n = 3 * sim._PULSE_BLOCK + 5
+        got = sim._pulse_indices(pmf, n, block_generators(derive_roots(4)[0]))
+        rng = block_generators(derive_roots(4)[0])
+        want = np.concatenate([
+            sim._pulse_block(np.cumsum(pmf), lo, min(lo + sim._PULSE_BLOCK, n),
+                             rng(lo // sim._PULSE_BLOCK))
+            for lo in range(0, n, sim._PULSE_BLOCK)])
+        assert want.size > 2.5 * n * 0.5 and np.array_equal(got, want)
+
     def test_total_counts_band(self):
         # binomially thinned Poisson: mean N s mu, checked at 5 sigma over seeds
         n, s, mu = 10**5, 0.5, 0.2

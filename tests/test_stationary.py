@@ -136,6 +136,12 @@ class TestPoissonControl:
         assert abs(stream.n_clicks - 1e4) < 5 * math.sqrt(1e4)
 
 
+def field_chunks(kernel, m, root_noise, n_grid):
+    """(first cell, |E|^2) of each chunk, copied out of the filter's one buffer."""
+    return [(lo, cum[1:].copy())
+            for lo, cum in sim._field_intensity_chunks(kernel, m, root_noise, n_grid)]
+
+
 def convolved_intensity(chunks, kernel, root_noise):
     """|E|^2 of the whole record from one direct np.convolve of its noise,
     each chunk's drawn as one real normal array viewed as complex."""
@@ -172,7 +178,7 @@ class TestOverlapAddFilter:
     def test_matches_oaconvolve(self, shape, timestep, length):
         kernel = field_kernel(shape, timestep)
         root = derive_roots(length)[1]
-        got = list(sim._field_intensity_chunks(kernel, 1, root, length))
+        got = field_chunks(kernel, 1, root, length)
         assert [(lo, part.size) for lo, part in got] == [(0, length)]
         np.testing.assert_allclose(got[0][1], convolved_intensity(got, kernel, root),
                                    rtol=1e-12, atol=1e-14)
@@ -183,7 +189,7 @@ class TestOverlapAddFilter:
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 5000)
         kernel = field_kernel(shape, timestep)
         root = derive_roots(17)[1]
-        got = list(sim._field_intensity_chunks(kernel, 1, root, 61234))
+        got = field_chunks(kernel, 1, root, 61234)
         sizes = [part.size for _, part in got]
         # whole chunks of one size, a shorter last one, laid end to end
         assert len(sizes) >= 3 and set(sizes[:-1]) == {sizes[0]} and sizes[-1] < sizes[0]
@@ -239,7 +245,7 @@ class TestGroupedFilter:
         # the last chunk ends a third into a row, inside a group
         n_grid = 2 * chunk + chunk // 2 + step // 3
         root = derive_roots(61)[1]
-        got = list(sim._field_intensity_chunks(kernel, 1, root, n_grid))
+        got = field_chunks(kernel, 1, root, n_grid)
         want = list(reference_intensity_chunks(kernel, root, n_grid))
         assert [lo for lo, _ in got] == [lo for lo, _ in want] == [0, chunk, 2 * chunk]
         for (_, part), (_, ref) in zip(got, want):
@@ -251,10 +257,10 @@ def test_short_record_allocates_one_row():
     # not the 65 rows of a _FIELD_GROUP group (4.2 MB)
     kernel = field_kernel("gaussian", None)
     root = derive_roots(5)[1]
-    list(sim._field_intensity_chunks(kernel, 4, root, 50))      # warms numpy's FFT
+    field_chunks(kernel, 4, root, 50)      # warms numpy's FFT
     tracemalloc.start()
     try:
-        got = list(sim._field_intensity_chunks(kernel, 4, root, 50))
+        got = field_chunks(kernel, 4, root, 50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,7 +290,7 @@ class TestChunkClicks:
 
     @pytest.fixture(scope="class")
     def draws(self):
-        return [sim._chunk_clicks(self.INTENSITY, self.MEAN_PER_CELL,
+        return [sim._chunk_clicks(np.append(0.0, self.INTENSITY), self.MEAN_PER_CELL,
                                   np.random.default_rng(seed))
                 for seed in range(self.SEEDS)]
 
@@ -325,7 +331,7 @@ class TestChunkClicks:
     @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 3.0, 7.77, 1e6, 1e300])
     def test_largest_uniform_stays_in_last_live_cell(self, scale):
         intensity = np.array([0.0, 2.0, 1.0, 0.0, 0.0]) * scale
-        pos = sim._chunk_clicks(intensity, 1.0, _TopUniform(3))
+        pos = sim._chunk_clicks(np.append(0.0, intensity), 1.0, _TopUniform(3))
         assert np.all((pos >= 2.0) & (pos <= 3.0))
 
 
@@ -339,7 +345,8 @@ def test_stationary_chunk_prefix_invariance(monkeypatch):
     m = sim._field_decimation(cfg, dt)
     assert m == 4
     kernel = field_kernel("gaussian", None)
-    chunk = next(sim._field_intensity_chunks(kernel, m, derive_roots(0)[1], 10**9))[1].size
+    chunk = next(sim._field_intensity_chunks(kernel, m, derive_roots(0)[1],
+                                             10**9))[1].size - 1
     short = thermal_stream(duration=3 * chunk * dt, seed=50)
     longer = thermal_stream(duration=5.5 * chunk * dt, seed=50)
     prefix = longer.times[longer.times < 3 * chunk * dt]
@@ -398,7 +405,7 @@ class TestPolyphaseFilter:
         monkeypatch.setattr(sim, "_FIELD_GROUP", 20000)
         kernel = field_kernel(shape, timestep)
         root = derive_roots(23)[1]
-        got = list(sim._field_intensity_chunks(kernel, m, root, self.N_GRID))
+        got = field_chunks(kernel, m, root, self.N_GRID)
         sizes = [part.size for _, part in got]
         assert len(sizes) >= 3 and sum(sizes) == self.N_GRID and sizes[-1] % m
         stuffed = np.zeros(self.N_GRID, complex)
@@ -415,10 +422,10 @@ class TestPolyphaseFilter:
         kernel = field_kernel("gaussian", None)
         root = derive_roots(29)[1]
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 1 << 16)
-        want = list(sim._field_intensity_chunks(kernel, 4, root, 150001))
+        want = field_chunks(kernel, 4, root, 150001)
         group = rows * (sim._FILTER_FFT - kernel.size + 1)
         monkeypatch.setattr(sim, "_FIELD_GROUP", group)
-        got = list(sim._field_intensity_chunks(kernel, 4, root, 150001))
+        got = field_chunks(kernel, 4, root, 150001)
         assert len(got) == len(want) == 3
         for (lo, part), (lo_ref, ref) in zip(got, want):
             assert lo == lo_ref and np.array_equal(part, ref)
