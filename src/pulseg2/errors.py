@@ -6,7 +6,8 @@ class ConfigError(ValueError):
 
 
 class StreamFormatError(RuntimeError):
-    """A stream file or its sidecar could not be parsed."""
+    """A stream file or its sidecar could not be parsed, or a simulated
+    stream could not be written in time order."""
 
 
 class EstimationError(RuntimeError):

@@ -16,17 +16,23 @@ per train, re-keyed per block) it
 1. draws how many pulses click, Binomial(B, 1 - P'_0), and which ones,
    as a sorted uniform subset; pulses without clicks cost nothing,
 2. draws each one's click number from P'_m given m >= 1 (inverse CDF),
-3. after the blocks, gives every click an arrival time i.i.d. from
-   |v(t)|^2 in its pulse slot, by exact rejection under a piecewise-
-   constant envelope built once per train (one sampler for every mode),
-   each candidate's cell picked in O(1) from the envelope's alias table.
+3. after the blocks of a slice, gives each of its clicks an arrival time
+   i.i.d. from |v(t)|^2 in its pulse slot, by exact rejection under a
+   piecewise-constant envelope built once per train (one sampler for
+   every mode), each candidate's cell picked in O(1) from the envelope's
+   alias table.
 
-Every source then ends in one finisher: optional Gaussian timing jitter,
-a stable time sort (skipped when the times are in order already),
-non-paralyzable dead-time removal and the sidecar metadata, which
-records the package version that made the stream.  Each stage holds the
-clicks about once: the blocks write into one array, the times are formed
-in place and the finisher releases each array once its sorted copy exists.
+Every source yields its clicks in slices, `_SLICE_BLOCKS` pulse blocks or
+one field chunk each, to one finisher (`_ordered_slices`): optional
+Gaussian timing jitter, a stable time sort of the slice after the clicks
+held back from the slice before, the emission of the clicks that no
+later slice can precede, non-paralyzable dead time carried across slices
+and the sidecar metadata, which records the package version that made
+the stream.  The slices are exactly the stream one global stable sort
+would make, or the finisher raises.  Each stage holds one slice, so
+`pulseg2 simulate`, which writes each slice as it comes, holds memory
+that does not grow with the record; `simulate_*` gathers the slices into
+one `ClickStream`.
 
 The matching analytic curves are
 
@@ -72,8 +78,9 @@ import numpy as np
 from . import modes as _modes
 from . import states as _states
 from ._version import __version__
+from .errors import StreamFormatError
 from .rngutil import block_generator, block_generators, derive_roots
-from .streams import ClickStream
+from .streams import ClickStream, _stream
 
 __all__ = [
     "DetectorModel",
@@ -87,11 +94,15 @@ __all__ = [
 ]
 
 _PULSE_BLOCK = 1 << 17
+# pulse blocks per slice of the stream; not part of the RNG layout
+_SLICE_BLOCKS = 8
+# clicks held back at a slice boundary, in jitter sigmas (see `_ordered_slices`)
+_JITTER_MARGIN = 40.0
 # candidate rows per draw of the arrival sampler; not part of the RNG layout
 _ARRIVAL_ROWS = 1 << 14
 _FIELD_CHUNK = 1 << 20
 # cells per row group of the field filter; not part of the RNG layout
-_FIELD_GROUP = 1 << 18
+_FIELD_GROUP = 1 << 16
 # FFT length of the overlap-add field filter, raised for kernels over 1/4 of it
 _FILTER_FFT = 1 << 12
 
@@ -222,33 +233,44 @@ def _alias_table(mass):
     return prob, alias
 
 
-def _arrival_sampler(mode, count, rng):
-    """``count`` arrival times from the pulse slot center, i.i.d. from |v|^2.
+def _arrival_sampler(mode, rng):
+    """``(draw, earliest)``: ``draw(count)`` gives the next ``count`` arrival
+    times from the pulse slot center, i.i.d. from |v|^2, none below ``earliest``.
 
     Exact rejection under `_arrival_envelope` (Devroye 1986, II.3), accepting
     over 99 %.  A candidate is a row of three uniforms: a cell picked by bound
     in O(1) from `_alias_table` (u0 n is the column, clamped to n - 1 as
     n (1 - 2^-53) may round to n, and its fraction the coin), a uniform
     place in it, acceptance against |v|^2.
-    Rows are drawn in order, at most _ARRIVAL_ROWS at a time; photon k takes
-    the k-th accepted row, so the offsets do not depend on _ARRIVAL_ROWS."""
+    Rows are drawn in order, _ARRIVAL_ROWS at a time, and accepted rows
+    left over from one draw serve the next: photon k takes the k-th
+    accepted row, so the offsets do not depend on _ARRIVAL_ROWS or on how
+    the photons are split between draws."""
     t, step, bound = _arrival_envelope(mode)
     mass = bound * step
     prob, alias = _alias_table(mass)
-    n, total = mass.size, mass.sum()
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        u = rng.random((min(_ARRIVAL_ROWS, int((count - filled) * total) + 64), 3))
-        x = u[:, 0] * n
-        column = np.minimum(x.astype(np.intp), n - 1)
-        cell = np.where(x - column < prob[column], column, alias[column])
-        cand = t[cell] + u[:, 1] * step[cell]
-        good = cand[u[:, 2] * bound[cell] < _modes.intensity_profile(mode, cand)]
-        take = min(good.size, count - filled)
-        out[filled:filled + take] = good[:take]
-        filled += take
-    return out
+    n = mass.size
+    surplus = np.empty(0)
+
+    def draw(count):
+        nonlocal surplus
+        out = np.empty(count)
+        filled = min(surplus.size, count)
+        out[:filled] = surplus[:filled]
+        surplus = surplus[filled:]
+        while filled < count:
+            u = rng.random((_ARRIVAL_ROWS, 3))
+            x = u[:, 0] * n
+            column = np.minimum(x.astype(np.intp), n - 1)
+            cell = np.where(x - column < prob[column], column, alias[column])
+            cand = t[cell] + u[:, 1] * step[cell]
+            good = cand[u[:, 2] * bound[cell] < _modes.intensity_profile(mode, cand)]
+            take = min(good.size, count - filled)
+            out[filled:filled + take] = good[:take]
+            filled += take
+            surplus = good[take:]
+        return out
+    return draw, float(t[0])
 
 
 def _pulse_block(cdf, lo, hi, rng):
@@ -262,68 +284,33 @@ def _pulse_block(cdf, lo, hi, rng):
     return np.repeat(pulses, np.minimum(m, cdf.size - 1))
 
 
-def _pulse_indices(pmf, num_pulses, block_rng):
-    """Pulse index of each click of the train, its `_pulse_block` blocks
-    written in turn into one array.  The array holds the expected clicks
-    plus 8 standard deviations and grows if a train draws more, so the
-    blocks need no list and no concatenated copy."""
-    m = np.arange(pmf.size)
-    mean = float(pmf @ m)
-    var = max(float(pmf @ m**2) - mean**2, 0.0)
-    out = np.empty(int(num_pulses * mean + 8.0 * math.sqrt(num_pulses * var)) + 64,
-                   dtype=np.int64)
-    cdf = np.cumsum(pmf)
-    n = 0
-    for lo in range(0, num_pulses, _PULSE_BLOCK):
-        block = _pulse_block(cdf, lo, min(lo + _PULSE_BLOCK, num_pulses),
-                             block_rng(lo // _PULSE_BLOCK))
-        if n + block.size > out.size:
-            out = np.concatenate([out[:n], np.empty(out.size + block.size, np.int64)])
-        out[n:n + block.size] = block
-        n += block.size
-    return out[:n]
+def _pulse_train_slices(state, detector, train, seed):
+    """The train's stream as `_ordered_slices` of `_SLICE_BLOCKS` pulse blocks.
 
-
-def _dead_time_filter(pulse_idx, times, dead):
-    if dead <= 0 or times.size == 0:
-        return pulse_idx, times
-    # a click `dead` or more after its predecessor is always kept: walk the rest
-    keep = np.ones(times.size, dtype=bool)
-    prev = -1
-    for i in (np.flatnonzero(np.diff(times) < dead) + 1).tolist():
-        if i - 1 != prev:           # click i - 1 opens the run and is kept
-            last = times[i - 1]
-        if times[i] - last < dead:
-            keep[i] = False
-        else:
-            last = times[i]
-        prev = i
-    return pulse_idx[keep], times[keep]
-
-
-def _finish_stream(clicks, detector, seed, kind, state, mode, **config):
-    """Jitter, stable time sort and dead time for every source, plus metadata.
-
-    ``clicks`` is the list [pulse_idx, times], which the finisher empties,
-    so that each array is released as soon as its sorted copy is made.
-    Jitter is drawn from its own root over the clicks in generation order.
-    Times already in order (stationary light without jitter) are kept as
-    they are: the stable sort would not move them.
+    A slice draws its blocks' pulse indices in turn, the next offsets of
+    the train's one arrival sampler and its times in place in them.  A
+    later slice's pulses start at its first pulse, so none of its times
+    lies below that pulse's slot center plus the sampler's earliest offset.
     """
-    pulse_idx, times = clicks
-    clicks.clear()
-    if detector.timing_jitter_sigma > 0:
-        rng = block_generator(derive_roots(seed)[3], 0)
-        times = times + rng.standard_normal(times.size) * detector.timing_jitter_sigma
-    if np.any(times[1:] < times[:-1]):
-        order = np.argsort(times, kind="stable")
-        pulse_idx = pulse_idx[order]
-        times = times[order]
-        del order
-    pulse_idx, times = _dead_time_filter(pulse_idx, times, detector.dead_time)
-    meta = {"kind": kind, "seed": int(seed), "state": state, "mode": mode,
-            "detector": asdict(detector), **config, "pulseg2": __version__}
-    return ClickStream(pulse_idx, times, meta)
+    pmf = _states.binomial_loss_pn(state.pn, detector.efficiency)
+    cdf = np.cumsum(pmf)
+    roots = derive_roots(seed)
+    block_rng = block_generators(roots[0])
+    arrivals, earliest = _arrival_sampler(train.mode, block_generator(roots[4], 0))
+    n, period = train.num_pulses, train.repetition_period
+    span = _SLICE_BLOCKS * _PULSE_BLOCK
+
+    def raw(lo):
+        hi = min(lo + span, n)
+        pulse_idx = np.concatenate([
+            _pulse_block(cdf, b, min(b + _PULSE_BLOCK, hi), block_rng(b // _PULSE_BLOCK))
+            for b in range(lo, hi, _PULSE_BLOCK)])
+        times = arrivals(pulse_idx.size)
+        times += (pulse_idx + 0.5) * period
+        return pulse_idx, times, earliest + (hi + 0.5) * period if hi < n else math.inf
+    slices = (raw(lo) for lo in range(0, n, span))
+    return _ordered_slices(slices, detector, seed, "pulsed", state.label, train.mode.label,
+                           train={"num_pulses": int(n), "repetition_period": period})
 
 
 def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
@@ -332,19 +319,131 @@ def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
 
     Work is split into fixed blocks of pulses, each with its own
     counter-based substream, so a block's clicks depend only on the seed
-    and the block index; the merged records are time sorted.
+    and the block index; the time-sorted slices of `_pulse_train_slices`
+    are gathered into one stream.
     """
-    pmf = _states.binomial_loss_pn(state.pn, detector.efficiency)
-    roots = derive_roots(seed)
-    pulse_idx = _pulse_indices(pmf, train.num_pulses, block_generators(roots[0]))
-    times = _arrival_sampler(train.mode, pulse_idx.size, block_generator(roots[4], 0))
-    times += (pulse_idx + 0.5) * train.repetition_period    # in place in the offsets
-    clicks = [pulse_idx, times]
-    del pulse_idx, times                # the finisher holds the only references
-    return _finish_stream(
-        clicks, detector, seed, "pulsed", state.label, train.mode.label,
-        train={"num_pulses": int(train.num_pulses),
-               "repetition_period": train.repetition_period})
+    return _gather(_pulse_train_slices(state, detector, train, seed))
+
+
+# ---------------------------------------------------------------------------
+# the finisher: jitter, time order across slices, dead time
+
+
+def _dead_time_end(last, dead):
+    """Per entry of ``last``, the smallest double t with t - last >= dead as
+    floating point computes it: last + dead, moved by the ulp or so by
+    which its rounding may miss."""
+    end = last + dead
+    while np.any(short := end - last < dead):
+        end[short] = np.nextafter(end[short], np.inf)
+    while np.any(fits := np.nextafter(end, -np.inf) - last >= dead):
+        end[fits] = np.nextafter(end[fits], -np.inf)
+    return end
+
+
+def _dead_time_filter(pulse_idx, times, dead, last=-math.inf):
+    """Non-paralyzable dead time on sorted times: the kept pulse_idx (None
+    stays None) and times, and the last kept time.
+
+    A click is dropped when it lies less than ``dead`` after the last kept
+    one, ``last`` before the first click.  A click ``dead`` or more after
+    its predecessor is always kept; the clicks closer to theirs form runs,
+    each after the kept click that opens it.  Every run advances at once
+    to its next kept click, the first at or past `_dead_time_end` of its
+    last (`searchsorted`), until that passes the run's end: one vectorized
+    step per kept click of the longest run.
+    """
+    if dead <= 0 or times.size == 0:
+        return pulse_idx, times, times[-1] if times.size else last
+    keep = np.empty(times.size, dtype=bool)
+    keep[0] = times[0] - last >= dead
+    np.greater_equal(np.diff(times), dead, out=keep[1:])
+    closed = np.flatnonzero(~keep)      # in runs, each after the click opening it
+    if closed.size:
+        first = np.flatnonzero(np.diff(closed, prepend=-2) != 1)
+        end = closed[np.append(first[1:], closed.size) - 1] + 1
+        prev = times[closed[first] - 1]
+        if closed[0] == 0:              # the first clicks continue the carried run
+            prev[0] = last
+        while prev.size:
+            nxt = np.searchsorted(times, _dead_time_end(prev, dead))
+            live = nxt < end
+            nxt, end = nxt[live], end[live]
+            keep[nxt] = True
+            prev = times[nxt]
+    times = times[keep]
+    return (None if pulse_idx is None else pulse_idx[keep], times,
+            times[-1] if times.size else last)
+
+
+def _ordered_slices(raw, detector, seed, kind, state, mode, **config):
+    """Yield a source's stream as time-ordered `ClickStream` slices.
+
+    ``raw`` yields (pulse_idx or None for stationary light, times, floor) per
+    slice in generation order; floor is a lower bound of every later
+    slice's times before jitter (inf after the last).  Jitter continues
+    one root-3 stream over the clicks in generation order.  The clicks
+    held back so far and the new slice are stably sorted together, which
+    is the global stable sort restricted to them, so each slice sorts on
+    its own; index-free times sort alone, and times in order not at all.
+    The clicks at or below floor - _JITTER_MARGIN sigma are emitted, the
+    rest held back.  A later click precedes an emitted one only if its
+    jitter lies below -_JITTER_MARGIN sigma: a chance under n_clicks
+    Phi(-40) < 1e-340 per stream.  Each slice is checked against the last
+    emitted click, and one that would precede it raises StreamFormatError
+    rather than change the stream; a failed check is the only way the
+    slices can differ from the whole stream sorted at once.  Dead time
+    carries the last kept time across the slices.  Every slice carries the
+    sidecar metadata, which records the package version; the last raw
+    slice always yields, so there is at least one.
+    """
+    meta = {"kind": kind, "seed": int(seed), "state": state, "mode": mode,
+            "detector": asdict(detector), **config, "pulseg2": __version__}
+    sigma, dead = detector.timing_jitter_sigma, detector.dead_time
+    jitter = block_generator(derive_roots(seed)[3], 0) if sigma > 0 else None
+    held_idx, held = None, np.empty(0)
+    emitted = kept = -math.inf
+    for pulse_idx, times, floor in raw:
+        if jitter is not None:
+            times += jitter.standard_normal(times.size) * sigma
+        if times.size and times.min() < emitted:
+            raise StreamFormatError(
+                f"a click at {times.min()!r} s precedes one already emitted at "
+                f"{emitted!r} s: its jitter passed {_JITTER_MARGIN:g} sigma")
+        if held.size:
+            times = np.concatenate([held, times])
+            if pulse_idx is not None:
+                pulse_idx = np.concatenate([held_idx, pulse_idx])
+        if np.any(times[1:] < times[:-1]):
+            if pulse_idx is None:
+                times.sort()
+            else:
+                order = np.argsort(times, kind="stable")
+                pulse_idx = pulse_idx[order]
+                times = times[order]
+                del order
+        cut = int(np.searchsorted(times, floor - _JITTER_MARGIN * sigma, "right"))
+        held = times[cut:].copy()
+        held_idx = None if pulse_idx is None else pulse_idx[cut:].copy()
+        if cut or floor == math.inf:
+            emitted = times[cut - 1] if cut else emitted
+            out_idx, out, kept = _dead_time_filter(
+                None if pulse_idx is None else pulse_idx[:cut], times[:cut], dead, kept)
+            del pulse_idx, times        # the slice alone holds what it keeps
+            yield _stream(out_idx, out, meta)
+            del out_idx, out
+
+
+def _gather(slices) -> ClickStream:
+    """One `ClickStream` of a source's slices."""
+    parts = list(slices)
+    if len(parts) == 1:
+        return parts[0]
+    meta = parts[0].metadata
+    times = np.concatenate([part.times for part in parts])
+    pulse_idx = (None if meta["kind"] == "stationary"
+                 else np.concatenate([part.pulse_index for part in parts]))
+    return _stream(pulse_idx, times, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -455,43 +554,58 @@ def _chunk_clicks(cum, mean_per_cell, rng):
     return cell + (u - left) / (cum[cell + 1] - left)
 
 
+def _stationary_thermal_slices(cfg: StationaryThermalConfig, detector: DetectorModel,
+                               seed):
+    """The record's stream as `_ordered_slices` of one field chunk each:
+    a chunk's clicks lie at or past its first cell, so at or past the
+    next chunk's start for every later one."""
+    dt = cfg.field_timestep
+    kernel = _field_kernel(cfg, dt)
+    roots = derive_roots(seed)
+    scale = detector.efficiency * cfg.mean_rate / 2.0       # E|E|^2 = 2
+    n_grid = int(round(cfg.duration / dt))
+    chunks = _field_intensity_chunks(kernel, _field_decimation(cfg, dt), roots[1], n_grid)
+
+    def raw(c, chunk):
+        lo, cum = chunk
+        times = _chunk_clicks(cum, scale * dt, block_generator(roots[2], c))
+        times += lo
+        times *= dt
+        hi = lo + cum.size - 1
+        return None, times, hi * dt if hi < n_grid else math.inf
+    slices = (raw(c, chunk) for c, chunk in enumerate(chunks))
+    return _ordered_slices(slices, detector, seed, "stationary", None, None,
+                           stationary=asdict(cfg))
+
+
 def simulate_stationary_thermal(cfg: StationaryThermalConfig,
                                 detector: DetectorModel, seed) -> ClickStream:
     """Cox-process click stream for stationary chaotic light.
 
     The rate is |E(t)|^2, constant over each field timestep and scaled so
     its ensemble mean is efficiency * mean_rate; each field chunk draws
-    its clicks by `_chunk_clicks`, from root 2 keyed by the chunk index.
+    its clicks by `_chunk_clicks`, from root 2 keyed by the chunk index,
+    and is one slice of `_stationary_thermal_slices`.
     """
-    dt = cfg.field_timestep
-    kernel = _field_kernel(cfg, dt)
-    roots = derive_roots(seed)
-    scale = detector.efficiency * cfg.mean_rate / 2.0       # E|E|^2 = 2
-    chunks = _field_intensity_chunks(kernel, _field_decimation(cfg, dt), roots[1],
-                                     int(round(cfg.duration / dt)))
-    times = np.concatenate([
-        (lo + _chunk_clicks(cum, scale * dt, block_generator(roots[2], c))) * dt
-        for c, (lo, cum) in enumerate(chunks)])
-    return _finish_stream(
-        [np.full(times.size, -1, dtype=np.int64), times], detector, seed,
-        "stationary", None, None, stationary=asdict(cfg))
+    return _gather(_stationary_thermal_slices(cfg, detector, seed))
 
 
 def simulate_stationary_poisson(mean_rate: float, duration: float, seed,
                                 detector: DetectorModel | None = None) -> ClickStream:
-    """Constant-rate control source (no intensity fluctuations, flat g2)."""
+    """Constant-rate control source (no intensity fluctuations, flat g2):
+    one slice of uniform times, sorted alone."""
     _require_finite(locals(), "mean_rate", "duration")
     if mean_rate < 0 or duration <= 0:
         raise ValueError("rate must be >= 0 and duration positive")
     detector = detector or DetectorModel()
     rng = block_generator(derive_roots(seed)[0], 0)
     total = int(rng.poisson(mean_rate * detector.efficiency * duration))
-    return _finish_stream(
-        [np.full(total, -1, dtype=np.int64), rng.random(total) * duration],
-        detector, seed, "stationary", None, None,
+    return _gather(_ordered_slices(
+        [(None, rng.random(total) * duration, math.inf)], detector, seed,
+        "stationary", None, None,
         stationary={"mean_rate": mean_rate, "spectral_bandwidth": None,
                     "duration": duration, "field_timestep": None,
-                    "spectral_shape": "flat"})
+                    "spectral_shape": "flat"}))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,28 @@
 
 A click stream is the simulated experiment output: time-ordered detection
 records, each carrying the index of the pulse that produced it (or -1 for
-stationary runs where no pulse clock exists).
+stationary runs where no pulse clock exists, held as one zero-stride
+read-only view, not a click-long array).
+
+`write_stream` takes a whole stream or the time-ordered slices of one,
+writing each slice as it comes: the simulator's slices go to disk without
+the whole stream ever being held.  The bytes do not depend on the slices.
 
 Formats
 -------
 CSV       header ``pulse_index,time_seconds``; stationary records write -1.
+          Written one slice at a time.
 binary    packed little-endian records (u64 pulse index, f64 time);
           stationary records store 2**64 - 1 as the index sentinel.
           Both directions go `_IO_SLICE` records at a time through one
-          slice-sized record buffer, so besides the stream they hold one
-          slice (1 MiB); the bytes do not depend on the slice.
+          slice-sized record buffer, so besides the stream (or the
+          written slice) they hold one slice (1 MiB); the bytes do not
+          depend on the slice.  The read allocates an index array only
+          once a record is not the sentinel.
 sidecar   JSON next to either format with the seed, the full generating
-          configuration and the package version, default path
-          ``<stream>.meta.json``.
+          configuration, the package version and the counted
+          ``n_clicks``, default path ``<stream>.meta.json``; written
+          after the records, so a failed write leaves none.
 
 Every CSV table and JSON document the package writes goes through
 `_write_table` or `_write_json`, and every CSV table it reads through
@@ -23,11 +32,13 @@ Every CSV table and JSON document the package writes goes through
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +116,23 @@ def sidecar_path(path) -> str:
     return str(path) + ".meta.json"
 
 
+def _stream(pulse_index, times, metadata) -> ClickStream:
+    """A `ClickStream`; a None ``pulse_index`` is the stationary -1, held
+    as one zero-stride read-only view rather than a click-long array."""
+    if pulse_index is None:
+        pulse_index = np.broadcast_to(np.int64(-1), np.shape(times))
+    return ClickStream(pulse_index, times, metadata)
+
+
 def _write_table(path, header: str, columns, fmt="%.12g") -> None:
     """Write a CSV table: the ``header`` line, then one row per entry of the
-    ``columns`` (an empty column writes the header alone)."""
+    ``columns`` (an empty column writes the header alone).  ``columns``
+    may also be an iterator of column lists, whose rows follow in turn."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",")
+        for part in columns if iter(columns) is columns else [columns]:
+            np.savetxt(fh, np.column_stack(part), fmt=fmt, delimiter=",")
+            del part
 
 
 def _write_json(values: dict, path=None) -> str:
@@ -124,25 +146,46 @@ def _write_json(values: dict, path=None) -> str:
     return text
 
 
-def write_stream(stream: ClickStream, path, fmt: str = "csv",
-                 sidecar: str | None = None) -> None:
-    """Write records in ``fmt`` ("csv" or "binary") plus the JSON sidecar."""
+def write_stream(stream: ClickStream | Iterable[ClickStream], path, fmt: str = "csv",
+                 sidecar: str | None = None) -> int:
+    """Write records in ``fmt`` ("csv" or "binary") plus the JSON sidecar;
+    return the number of records.
+
+    ``stream`` is a `ClickStream` or an iterable of the time-ordered
+    `ClickStream` slices of one stream, each written as it comes (a whole
+    stream is the one-slice case).  An old sidecar is removed first and
+    the new one, with the metadata and the counted ``n_clicks``, is
+    written last, so a write that fails leaves no sidecar.
+    """
     path = str(path)
-    if fmt == "csv":
-        _write_table(path, _HEADER, [stream.pulse_index, stream.times],
-                     fmt=("%d", "%.17g"))
-    elif fmt == "binary":
-        rec = np.empty(min(stream.n_clicks, _IO_SLICE), dtype=_BINARY_DTYPE)
-        with open(path, "wb") as fh:
-            for lo in range(0, stream.n_clicks, _IO_SLICE):
-                part = rec[:min(_IO_SLICE, stream.n_clicks - lo)]
-                part["pulse_index"] = stream.pulse_index[lo:lo + part.size].view(np.uint64)
-                part["time_seconds"] = stream.times[lo:lo + part.size]
-                part.tofile(fh)
-    else:
+    side = sidecar or sidecar_path(path)
+    if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown stream format {fmt!r}")
-    _write_json({**stream.metadata, "format": fmt, "n_clicks": int(stream.n_clicks)},
-                sidecar or sidecar_path(path))
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(side)
+    meta, count = {}, 0
+
+    def columns():
+        nonlocal meta, count
+        for part in [stream] if isinstance(stream, ClickStream) else stream:
+            meta, count = part.metadata, count + part.n_clicks
+            yield part.pulse_index, part.times
+            del part                # hold no slice while the next one is made
+
+    if fmt == "csv":
+        _write_table(path, _HEADER, columns(), fmt=("%d", "%.17g"))
+    else:
+        rec = np.empty(_IO_SLICE, dtype=_BINARY_DTYPE)
+        with open(path, "wb") as fh:
+            for pulse, times in columns():
+                for lo in range(0, times.size, _IO_SLICE):
+                    out = rec[:min(_IO_SLICE, times.size - lo)]
+                    out["pulse_index"] = pulse[lo:lo + out.size].view(np.uint64)
+                    out["time_seconds"] = times[lo:lo + out.size]
+                    fh.write(out.view(np.uint8))
+                del pulse, times
+    _write_json({**meta, "format": fmt, "n_clicks": count}, side)
+    return count
 
 
 def _width(line) -> int:
@@ -182,9 +225,10 @@ def _read_table(path, columns: str, header: str | None = None) -> np.ndarray:
     return rows
 
 
-def _read_binary(path, check_count) -> tuple[np.ndarray, np.ndarray]:
+def _read_binary(path, check_count) -> tuple[np.ndarray | None, np.ndarray]:
     """The pulse indices and times of a binary stream; its record count,
-    from the file size, passes ``check_count`` before a record is read."""
+    from the file size, passes ``check_count`` before a record is read.
+    The indices are None until a record is not the stationary sentinel."""
     size = os.path.getsize(path)
     if size % _BINARY_DTYPE.itemsize:
         raise StreamFormatError(
@@ -192,14 +236,19 @@ def _read_binary(path, check_count) -> tuple[np.ndarray, np.ndarray]:
             f"{_BINARY_DTYPE.itemsize}-byte records")
     n = size // _BINARY_DTYPE.itemsize
     check_count(n)
-    idx, t = np.empty(n, dtype=np.int64), np.empty(n)
+    idx, t = None, np.empty(n)
     rec = np.empty(min(n, _IO_SLICE), dtype=_BINARY_DTYPE)
     with open(path, "rb") as fh:
         for lo in range(0, n, _IO_SLICE):
             part = rec[:min(_IO_SLICE, n - lo)]
             if fh.readinto(part.view(np.uint8)) != part.nbytes:
                 raise StreamFormatError(f"{path}: file shorter than {n} records")
-            idx[lo:lo + part.size] = part["pulse_index"].view(np.int64)
+            pulse = part["pulse_index"].view(np.int64)
+            if idx is None and np.any(pulse != -1):
+                idx = np.empty(n, dtype=np.int64)
+                idx[:lo] = -1
+            if idx is not None:
+                idx[lo:lo + part.size] = pulse
             t[lo:lo + part.size] = part["time_seconds"]
     return idx, t
 
@@ -250,10 +299,10 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
         if len(bad):
             raise StreamFormatError(f"{path}: record {bad[0]}: expected 2 columns, "
                                     "the first a 64-bit integer")
-        idx = pulse.astype(np.int64)
-        check_count(idx.size)
+        idx = None if np.all(pulse == -1) else pulse.astype(np.int64)
+        check_count(t.size)
     try:
-        return ClickStream(idx, t, meta)
+        return _stream(idx, t, meta)
     except ValueError as exc:
         # the first non-finite time, else the later click of the largest step back
         finite = np.isfinite(t)

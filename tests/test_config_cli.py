@@ -117,6 +117,42 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path]) == 0
         assert (tmp_path / "stream.csv").read_text() == "pulse_index,time_seconds\n"
 
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("kind", ["pulsed", "stationary"])
+    def test_sliced_write_is_the_whole_stream_written(self, tmp_path, monkeypatch, fmt,
+                                                      kind):
+        # slices of one pulse block (3 of them) or one field chunk (2),
+        # jittered and dead-time filtered, written as they come
+        monkeypatch.setattr(sim, "_SLICE_BLOCKS", 1)
+        cfg, path = write_cfg(tmp_path, kind=kind, num_pulses=3 * sim._PULSE_BLOCK - 7,
+                              mean_rate=2e5, duration=0.06, stream_format=fmt,
+                              timing_jitter_sigma=2e-9, dead_time=1e-9)
+        assert cli.main(["simulate", "--config", path]) == 0
+        if kind == "pulsed":
+            whole = sim.simulate_pulse_train(cfg.state(), cfg.detector(), cfg.train(), 101)
+        else:
+            whole = sim.simulate_stationary_thermal(cfg.stationary(), cfg.detector(), 101)
+        pg.write_stream(whole, tmp_path / "whole", fmt=fmt)
+        stream = Path(cfg.out_stream)
+        assert whole.n_clicks > 1000
+        assert stream.read_bytes() == (tmp_path / "whole").read_bytes()
+        assert (Path(f"{stream}.meta.json").read_bytes()
+                == (tmp_path / "whole.meta.json").read_bytes())
+
+    def test_failed_slice_leaves_no_sidecar(self, tmp_path, monkeypatch, capsys):
+        # a click jittered past an emitted one stops the write with exit 2,
+        # and the sidecar of an earlier run is gone
+        _, path = write_cfg(tmp_path, num_pulses=3 * sim._PULSE_BLOCK,
+                            timing_jitter_sigma=6e-8, stream_format="binary")
+        assert cli.main(["simulate", "--config", path, "--pulses", "100"]) == 0
+        side = tmp_path / "stream.csv.meta.json"
+        assert side.exists()
+        monkeypatch.setattr(sim, "_SLICE_BLOCKS", 1)
+        monkeypatch.setattr(sim, "_JITTER_MARGIN", 0.0)
+        assert cli.main(["simulate", "--config", path]) == 2
+        assert "precedes" in capsys.readouterr().err
+        assert not side.exists()
+
     def test_flag_overrides(self, tmp_path):
         _, path = write_cfg(tmp_path)
         out = tmp_path / "other.csv"

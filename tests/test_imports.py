@@ -107,6 +107,20 @@ def test_removed_names_are_gone(module):
         assert name not in mod.__all__
 
 
+# the simulator's slices and their writer stay private names
+PUBLIC = {
+    "simulate": ["DetectorModel", "PulseTrainConfig", "StationaryThermalConfig",
+                 "simulate_pulse_train", "simulate_stationary_thermal",
+                 "simulate_stationary_poisson", "analytic_D", "analytic_Ip"],
+    "streams": ["ClickStream", "write_stream", "read_stream", "sidecar_path"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_public_names_are_pinned(module):
+    assert importlib.import_module(f"pulseg2.{module}").__all__ == PUBLIC[module]
+
+
 @pytest.mark.parametrize("cls,name", [
     (pg.QuantumState, "truncation_cutoff"),
     (pg.ConditionalProbabilityCurve, "peak_to_baseline"),

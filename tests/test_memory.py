@@ -1,4 +1,5 @@
-"""Memory guards: each stage holds the stream once plus slice-sized scratch.
+"""Memory guards: each stage holds the stream once plus slice-sized scratch,
+and the sliced simulate-and-write not even the stream.
 
 tracemalloc sees numpy's array buffers, so a traced peak is the arrays a
 call holds at once.  The stream here has ~1e6 clicks (16 MB of records);
@@ -9,6 +10,7 @@ the read's, whose bound is the two output arrays plus one slice.
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pulseg2 import estimate as est
@@ -56,6 +58,40 @@ def test_binary_read_holds_the_stream_and_one_slice(pulsed, tmp_path):
     assert peak <= (stream.n_clicks + streams._IO_SLICE) * record + SLACK
 
 
+def test_stationary_binary_read_holds_the_times_and_one_slice(tmp_path):
+    # the -1 index is a zero-stride view: no click-long index array, only
+    # the times, one slice of records and its sentinel test (a byte each)
+    stream = sim.simulate_stationary_poisson(1e6, 1.0, seed=5)
+    path = tmp_path / "s.bin"
+    streams.write_stream(stream, path, fmt="binary")
+    peak = traced_peak(streams.read_stream, path)
+    back = streams.read_stream(path)
+    assert back.n_clicks > 990_000 and back.pulse_index.strides == (0,)
+    assert np.array_equal(back.times, stream.times) and np.all(back.pulse_index == -1)
+    record = streams._BINARY_DTYPE.itemsize
+    assert peak <= stream.n_clicks * 8 + streams._IO_SLICE * (record + 1) + SLACK
+
+
+def test_sliced_simulate_and_write_holds_a_few_slices(tmp_path):
+    # ~1e6 clicks (15.5 MB of records) in slices of ~1e5 clicks, jittered
+    # and dead-time filtered: a few slice-long arrays, the record buffer
+    # and the arrival rows, nothing of the stream
+    train = sim.PulseTrainConfig(10**7, PERIOD, md.gaussian_mode(1e-9))
+    det = sim.DetectorModel(timing_jitter_sigma=5e-11, dead_time=1e-9)
+    path = tmp_path / "s.bin"
+
+    def simulate_and_write():
+        return streams.write_stream(sim._pulse_train_slices(st.coherent(0.1), det, train, 2),
+                                    path, fmt="binary")
+    peak = traced_peak(simulate_and_write)
+    clicks = simulate_and_write()
+    assert clicks > 900_000
+    slice_clicks = 0.1 * sim._SLICE_BLOCKS * sim._PULSE_BLOCK * 1.05
+    rows = 3 * 8 * sim._ARRIVAL_ROWS
+    io = streams._IO_SLICE * streams._BINARY_DTYPE.itemsize
+    assert peak <= 6 * 8 * slice_clicks + io + rows + SLACK < clicks * 16 / 2
+
+
 def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):
     # a sidecar n_clicks that the file size contradicts fails before the
     # output arrays are allocated
@@ -91,10 +127,11 @@ def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
 
 
 def test_stationary_simulation_holds_one_field_chunk():
-    # 1 s of light at 5e5 clicks/s: the filter's (65, 4096) complex rows
-    # (4.3 MB), the one chunk buffer (1,048,001 cells, 8.4 MB) and the
-    # clicks (4 MB) come to 16.9 MB; a second chunk-sized array or a time
-    # sort of the finished clicks would pass the bound
+    # 1 s of light at 5e5 clicks/s: the filter's (17, 4096) complex rows
+    # (1.1 MB), the one chunk buffer (1,048,001 cells, 8.4 MB) and the
+    # clicks (4 MB) come to 13.5 MB; a second chunk-sized array, a
+    # click-long index or a time sort of the finished clicks would pass
+    # the bound
     cfg = sim.StationaryThermalConfig(1e6, 1e6, 1.0)
     det = sim.DetectorModel(efficiency=0.5)
     tracemalloc.start()
@@ -104,4 +141,4 @@ def test_stationary_simulation_holds_one_field_chunk():
     finally:
         tracemalloc.stop()
     assert stream.n_clicks > 450_000
-    assert peak <= 20 * 2**20
+    assert peak <= 15 * 2**20

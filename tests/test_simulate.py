@@ -116,21 +116,6 @@ class TestPulseTrain:
         assert stream.n_clicks > 0
         assert calls == [0.5]
 
-    def test_pulse_index_array_grows_past_its_estimate(self, monkeypatch):
-        # blocks that draw 3x the clicks expected overrun the array sized for
-        # the expectation: it grows and keeps every block, in order
-        block = sim._pulse_block
-        monkeypatch.setattr(sim, "_pulse_block", lambda *args: np.repeat(block(*args), 3))
-        pmf = st.binomial_loss_pn(st.coherent(0.5).pn, 1.0)
-        n = 3 * sim._PULSE_BLOCK + 5
-        got = sim._pulse_indices(pmf, n, block_generators(derive_roots(4)[0]))
-        rng = block_generators(derive_roots(4)[0])
-        want = np.concatenate([
-            sim._pulse_block(np.cumsum(pmf), lo, min(lo + sim._PULSE_BLOCK, n),
-                             rng(lo // sim._PULSE_BLOCK))
-            for lo in range(0, n, sim._PULSE_BLOCK)])
-        assert want.size > 2.5 * n * 0.5 and np.array_equal(got, want)
-
     def test_total_counts_band(self):
         # binomially thinned Poisson: mean N s mu, checked at 5 sigma over seeds
         n, s, mu = 10**5, 0.5, 0.2
@@ -285,10 +270,19 @@ class TestArrivalSampler:
     def test_offsets_do_not_depend_on_the_row_chunk(self, monkeypatch):
         # 50,000 offsets take 4 chunks of 2^14 rows or about 100 of 2^9
         root = derive_roots(41)[4]
-        want = sim._arrival_sampler(HG1, 50000, block_generator(root, 0))
+        want = sim._arrival_sampler(HG1, block_generator(root, 0))[0](50000)
         monkeypatch.setattr(sim, "_ARRIVAL_ROWS", 1 << 9)
-        got = sim._arrival_sampler(HG1, 50000, block_generator(root, 0))
+        got = sim._arrival_sampler(HG1, block_generator(root, 0))[0](50000)
         assert np.array_equal(got, want)
+
+    def test_offsets_do_not_depend_on_the_draws(self):
+        # rows accepted past one draw's count serve the next draw first
+        root = derive_roots(41)[4]
+        want = sim._arrival_sampler(HG1, block_generator(root, 0))[0](50000)
+        draw, earliest = sim._arrival_sampler(HG1, block_generator(root, 0))
+        got = np.concatenate([draw(k) for k in (1, 0, 7000, 3, 20000, 22996)])
+        assert np.array_equal(got, want)
+        assert want.min() >= earliest
 
     def test_sparse_train_peak_allocation(self):
         # the sparse benchmark train (2e7 pulses, ~2e5 clicks): the arrival
@@ -353,6 +347,111 @@ def test_dead_time_filter_matches_per_click_walk(values, dead):
     assert np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("last,dead", [(1.0, 1e-17), (0.1, 0.2), (3.0, 1e-9),
+                                       (1e-20, 1.0), (7.0, 0.1), (0.7, 0.3)])
+def test_dead_time_filter_rounds_as_the_walk(last, dead):
+    # times a few ulps around last + dead, where t - last >= dead and
+    # t >= last + dead may differ by rounding: the walk's test decides
+    near = (last + dead) + np.arange(-3, 4) * np.spacing(last + dead)
+    times = np.concatenate([[last], near[near >= last]])
+    pulse_idx = np.arange(times.size, dtype=np.int64)
+    got = sim._dead_time_filter(pulse_idx, times, dead)
+    want = _ref_dead_time_filter(pulse_idx, times, dead)
+    assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("dead", [0.5, 1.0, 3.0, 1e-9])
+@pytest.mark.parametrize("carried", [-1.0, 2.0, 2.5, 4.0])
+def test_dead_time_filter_carries_the_last_kept_time(dead, carried):
+    # a carried last kept time drops the clicks closer to it than the dead
+    # time, as if the walk had kept it just before the first click
+    times = np.array([4.0, 4.0, 4.25, 4.5, 5.0, 6.0, 6.0, 7.5, 9.0, 9.2])
+    pulse_idx = np.arange(times.size, dtype=np.int64)
+    got = sim._dead_time_filter(pulse_idx, times, dead, carried)
+    want = _ref_dead_time_filter(np.append(-1, pulse_idx), np.append(carried, times), dead)
+    assert np.array_equal(got[0], want[0][1:])
+    assert np.array_equal(got[1], want[1][1:])
+    assert got[2] == want[1][-1]
+    # None indices stay None, and a piece with nothing kept carries the last
+    assert sim._dead_time_filter(None, times, dead, carried)[0] is None
+    _, kept, last = sim._dead_time_filter(None, times[:1], 10.0, 3.9)
+    assert kept.size == 0 and last == 3.9
+
+
+class TestSlices:
+    """The sliced stream is the whole train sorted at once."""
+
+    def _train(self, monkeypatch, blocks, detector):
+        monkeypatch.setattr(sim, "_SLICE_BLOCKS", blocks)
+        train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
+        return sim.simulate_pulse_train(st.thermal(2.0), detector, train, seed=13)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.4e-9, sim._PULSE_BLOCK * PERIOD],
+                             ids=["ideal", "jitter", "slice-wide"])
+    def test_one_block_slices_give_the_one_slice_stream(self, monkeypatch, jitter):
+        # 300,000 pulses are 3 blocks; the widest jitter is one block's span
+        det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=jitter, dead_time=1.5e-9)
+        whole = self._train(monkeypatch, 3, det)
+        sliced = self._train(monkeypatch, 1, det)
+        assert sliced.n_clicks == whole.n_clicks > 150_000
+        assert np.array_equal(sliced.pulse_index, whole.pulse_index)
+        assert np.array_equal(sliced.times, whole.times)
+        assert sliced.metadata == whole.metadata
+
+    def test_slices_are_the_global_stable_sort(self, monkeypatch):
+        # the whole train's clicks in generation order, jittered, stably
+        # sorted and filtered at once, as the simulator did before slices
+        monkeypatch.setattr(sim, "_SLICE_BLOCKS", 1)
+        det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=0.4e-9, dead_time=1.5e-9)
+        train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
+        roots = derive_roots(13)
+        cdf = np.cumsum(st.binomial_loss_pn(st.thermal(2.0).pn, det.efficiency))
+        at = block_generators(roots[0])
+        idx = np.concatenate([sim._pulse_block(cdf, lo, min(lo + sim._PULSE_BLOCK, 300_000),
+                                               at(lo // sim._PULSE_BLOCK))
+                              for lo in range(0, 300_000, sim._PULSE_BLOCK)])
+        times = sim._arrival_sampler(MODE, block_generator(roots[4], 0))[0](idx.size)
+        times += (idx + 0.5) * PERIOD
+        times = times + block_generator(roots[3], 0).standard_normal(idx.size) * 0.4e-9
+        order = np.argsort(times, kind="stable")
+        want = _ref_dead_time_filter(idx[order], times[order], det.dead_time)
+        got = sim.simulate_pulse_train(st.thermal(2.0), det, train, seed=13)
+        assert np.array_equal(got.pulse_index, want[0])
+        assert np.array_equal(got.times, want[1])
+
+    def test_held_clicks_go_before_tied_later_ones(self):
+        # a held click and a later slice's click at the same time keep
+        # generation order, as the global stable sort does
+        raw = iter([(np.array([0, 1]), np.array([1.0, 3.0]), 2.0),
+                    (np.array([2]), np.array([3.0]), math.inf)])
+        parts = list(sim._ordered_slices(raw, IDEAL, 0, "pulsed", None, None))
+        assert [part.pulse_index.tolist() for part in parts] == [[0], [1, 2]]
+
+    def test_a_click_before_an_emitted_one_stops_the_stream(self, monkeypatch):
+        # with no margin, a jittered click of the next slice lands before
+        # the last click emitted: the slices raise instead of reordering
+        monkeypatch.setattr(sim, "_JITTER_MARGIN", 0.0)
+        with pytest.raises(pg.StreamFormatError, match="precedes"):
+            self._train(monkeypatch, 1, sim.DetectorModel(timing_jitter_sigma=5 * PERIOD))
+
+    def test_stationary_chunks_are_slices(self):
+        # 0.06 s of field is two chunks, each one slice; a 5 us dead time
+        # (5 mean gaps) carried across them gives the per-click walk's
+        # result on the whole jittered stream (on this seed the carried
+        # time drops the first click after the boundary)
+        cfg = sim.StationaryThermalConfig(1e6, 1e6, 0.06)
+        det = sim.DetectorModel(timing_jitter_sigma=1e-8, dead_time=5e-6)
+        parts = list(sim._stationary_thermal_slices(cfg, det, 11))
+        free = sim.simulate_stationary_thermal(
+            cfg, sim.DetectorModel(timing_jitter_sigma=1e-8), 11)
+        want = _ref_dead_time_filter(free.pulse_index, free.times, 5e-6)[1]
+        assert len(parts) == 2 and want.size < 0.2 * free.n_clicks
+        assert np.array_equal(np.concatenate([p.times for p in parts]), want)
+        for stream in (*parts, free):
+            assert stream.pulse_index.strides == (0,) and stream.pulse_index[0] == -1
+            assert not stream.pulse_index.flags.writeable
+
+
 class TestStationaryPoisson:
     def test_dead_time_and_jitter_applied(self):
         det = sim.DetectorModel(timing_jitter_sigma=1e-9, dead_time=1e-6)
@@ -371,7 +470,18 @@ class TestStationaryPoisson:
         reference = np.sort(rng.random(total)) * 0.1
         stream = sim.simulate_stationary_poisson(1e5, 0.1, seed=7, detector=det)
         np.testing.assert_array_equal(stream.times, reference)
-        assert np.all(stream.pulse_index == -1)
+        assert np.all(stream.pulse_index == -1) and stream.pulse_index.strides == (0,)
+
+    def test_times_sort_alone(self):
+        # 1e6 clicks: the times (8 MB) and the sort's scratch, no index array
+        tracemalloc.start()
+        try:
+            stream = sim.simulate_stationary_poisson(1e6, 1.0, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.n_clicks > 990_000
+        assert peak <= 1.3 * stream.n_clicks * 8
 
 
 def test_sidecar_records_package_version(tmp_path):

@@ -254,7 +254,7 @@ class TestGroupedFilter:
 
 def test_short_record_allocates_one_row():
     # the row group is capped by the record: 50 cells take one (1, nfft) row,
-    # not the 65 rows of a _FIELD_GROUP group (4.2 MB)
+    # not the 17 rows of a _FIELD_GROUP group (1.1 MB)
     kernel = field_kernel("gaussian", None)
     root = derive_roots(5)[1]
     field_chunks(kernel, 4, root, 50)      # warms numpy's FFT

@@ -6,7 +6,7 @@ import pytest
 
 import pulseg2 as pg
 from pulseg2.errors import StreamFormatError
-from pulseg2.streams import ClickStream, read_stream, sidecar_path, write_stream
+from pulseg2.streams import _IO_SLICE, ClickStream, read_stream, sidecar_path, write_stream
 
 
 def small_stream():
@@ -36,6 +36,21 @@ def test_stationary_sentinel_round_trip(tmp_path):
     assert back.n_clicks == stream.n_clicks
     assert np.all(back.pulse_index == -1)
     assert not back.is_pulsed
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_readers_hold_the_sentinel_as_a_view(tmp_path, fmt):
+    # all -1: a zero-stride view; a record past the first binary slice that
+    # is not the sentinel makes a whole index array, -1 before it
+    n = _IO_SLICE + 10
+    for tail in (-1, 7):
+        idx = np.full(n, -1, dtype=np.int64)
+        idx[-3:] = tail
+        path = tmp_path / f"s{tail}"
+        write_stream(ClickStream(idx, np.arange(n) * 1e-6, {}), path, fmt=fmt)
+        back = read_stream(path)
+        np.testing.assert_array_equal(back.pulse_index, idx)
+        assert (back.pulse_index.strides == (0,)) == (tail == -1)
 
 
 def test_empty_stream_round_trip(tmp_path):
