@@ -22,8 +22,9 @@ per train, re-keyed per block) it
    every mode), each candidate's cell picked in O(1) from the envelope's
    alias table.
 
-Every source yields its clicks in slices, `_SLICE_BLOCKS` pulse blocks or
-one field chunk each, to one finisher (`_ordered_slices`): optional
+Every source yields its clicks in slices, whole pulse blocks up to
+`_SLICE_BLOCKS` of them or `_SLICE_CLICKS` clicks, or one field chunk
+each, to one finisher (`_ordered_slices`): optional
 Gaussian timing jitter, a stable time sort of the slice after the clicks
 held back from the slice before, the emission of the clicks that no
 later slice can precede, non-paralyzable dead time carried across slices
@@ -50,15 +51,16 @@ convention); clicks then come from an inhomogeneous Poisson process driven
 by the squared field magnitude (a Cox process).  That reproduces the
 bunching peak g2(0) = 2 of chaotic light with baseline 1.  The noise,
 one complex sample per m cells (4 on the default Gaussian grid, 1 for
-the Lorentzian), is filtered polyphase by numpy FFT overlap-add (kernel
-transform computed once per run, convolution tail carried row to row),
-one row group of `_FIELD_GROUP` cells at a time in one preallocated
-buffer: the group's noise is drawn into the buffer and filtered there in
-place.  Each chunk's noise stays one Philox draw, so the stream does not
-depend on the group size.  |E|^2 goes into one chunk buffer that every
-chunk reuses, and each chunk's clicks are one Poisson total placed
-through the cumulative intensity, summed in place in that buffer.  The
-module needs numpy alone.
+the Lorentzian), is drawn in polar form, sqrt(2X) e^(2 pi i U) with
+X ~ Exp(1) and U uniform (Box & Muller 1958), in float32, and filtered
+polyphase by numpy FFT overlap-add in complex64 (kernel transform
+computed once per run, convolution tail carried row to row), one row
+group of `_FIELD_GROUP` cells at a time in preallocated buffers.  Each
+chunk's powers and phases continue one Philox stream each, so the field
+does not depend on the group size.  |E|^2 goes into one float64 chunk
+buffer that every chunk reuses, and each chunk's clicks are one Poisson
+total placed through the cumulative intensity, summed in place in that
+buffer in float64.  The module needs numpy alone.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config, package version) gives a
@@ -94,8 +96,10 @@ __all__ = [
 ]
 
 _PULSE_BLOCK = 1 << 17
-# pulse blocks per slice of the stream; not part of the RNG layout
+# a slice of the stream ends after _SLICE_BLOCKS pulse blocks or the first
+# block at which it holds _SLICE_CLICKS clicks; not part of the RNG layout
 _SLICE_BLOCKS = 8
+_SLICE_CLICKS = 1 << 18
 # clicks held back at a slice boundary, in jitter sigmas (see `_ordered_slices`)
 _JITTER_MARGIN = 40.0
 # candidate rows per draw of the arrival sampler; not part of the RNG layout
@@ -285,12 +289,14 @@ def _pulse_block(cdf, lo, hi, rng):
 
 
 def _pulse_train_slices(state, detector, train, seed):
-    """The train's stream as `_ordered_slices` of `_SLICE_BLOCKS` pulse blocks.
+    """The train's stream as `_ordered_slices` of whole pulse blocks.
 
-    A slice draws its blocks' pulse indices in turn, the next offsets of
-    the train's one arrival sampler and its times in place in them.  A
-    later slice's pulses start at its first pulse, so none of its times
-    lies below that pulse's slot center plus the sampler's earliest offset.
+    A slice draws its blocks' pulse indices in turn until it holds
+    `_SLICE_BLOCKS` blocks or `_SLICE_CLICKS` clicks, so a dense train's
+    slices stay near that many clicks; then the next offsets of the
+    train's one arrival sampler and its times in place in them.  A later
+    slice's pulses start at its first pulse, so none of its times lies
+    below that pulse's slot center plus the sampler's earliest offset.
     """
     pmf = _states.binomial_loss_pn(state.pn, detector.efficiency)
     cdf = np.cumsum(pmf)
@@ -298,18 +304,21 @@ def _pulse_train_slices(state, detector, train, seed):
     block_rng = block_generators(roots[0])
     arrivals, earliest = _arrival_sampler(train.mode, block_generator(roots[4], 0))
     n, period = train.num_pulses, train.repetition_period
-    span = _SLICE_BLOCKS * _PULSE_BLOCK
 
-    def raw(lo):
-        hi = min(lo + span, n)
-        pulse_idx = np.concatenate([
-            _pulse_block(cdf, b, min(b + _PULSE_BLOCK, hi), block_rng(b // _PULSE_BLOCK))
-            for b in range(lo, hi, _PULSE_BLOCK)])
-        times = arrivals(pulse_idx.size)
-        times += (pulse_idx + 0.5) * period
-        return pulse_idx, times, earliest + (hi + 0.5) * period if hi < n else math.inf
-    slices = (raw(lo) for lo in range(0, n, span))
-    return _ordered_slices(slices, detector, seed, "pulsed", state.label, train.mode.label,
+    def raw():
+        blocks, clicks = [], 0
+        for lo in range(0, n, _PULSE_BLOCK):
+            hi = min(lo + _PULSE_BLOCK, n)
+            blocks.append(_pulse_block(cdf, lo, hi, block_rng(lo // _PULSE_BLOCK)))
+            clicks += blocks[-1].size
+            if hi < n and len(blocks) < _SLICE_BLOCKS and clicks < _SLICE_CLICKS:
+                continue
+            pulse_idx = np.concatenate(blocks)
+            blocks, clicks = [], 0
+            times = arrivals(pulse_idx.size)
+            times += (pulse_idx + 0.5) * period
+            yield pulse_idx, times, earliest + (hi + 0.5) * period if hi < n else math.inf
+    return _ordered_slices(raw(), detector, seed, "pulsed", state.label, train.mode.label,
                            train={"num_pulses": int(n), "repetition_period": period})
 
 
@@ -481,56 +490,78 @@ def _field_decimation(cfg: StationaryThermalConfig, dt: float) -> int:
     return 1 << (int(math.pi * sigma_h / (6.0 * dt)).bit_length() - 1)
 
 
-def _field_intensity_chunks(kernel, m, root_noise, n_grid):
+def _polar_noise(power, phase, z):
+    """Fill complex64 ``z`` with circular Gaussian samples sqrt(2X) e^(2 pi i U)
+    (Box & Muller 1958): X ~ Exp(1) from ``power``, U ~ U[0, 1) from
+    ``phase``, each one float32 draw.  Re and Im are independent unit normals."""
+    radius = power.standard_exponential(z.size, dtype=np.float32)
+    angle = phase.random(z.size, dtype=np.float32)
+    radius += radius
+    np.sqrt(radius, out=radius)
+    angle *= np.float32(2.0 * math.pi)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    z.real *= radius
+    z.imag *= radius
+
+
+def _field_intensity_chunks(kernel, m, roots, n_grid):
     """Yield (first cell, [0, |E|^2 ...]) per chunk of the field grid.
 
     The noise, one complex sample at every m-th cell and zeros between, is
     filtered by sqrt(m) times the kernel (polyphase interpolation; Crochiere
     & Rabiner 1983).  A chunk is whole rows of step cells, step a multiple
     of m, filtered in groups of `_FIELD_GROUP` cells (whole rows, at most
-    the chunk or the record rounded up to a row) in one (rows, nfft)
-    buffer.  A row's step / m samples, real normals viewed as
-    complex, are drawn into its head, continuing the chunk's generator, so
-    n cells draw one `standard_normal` of 2 ceil(n / m); the rest of the
-    row's first nfft / m cells is zeroed.  Their FFT, tiled m times, is the
-    zero-stuffed row's; the kernel product and inverse FFT run in place.
-    Each row's outputs past step add into the next row's head, across
-    groups and chunks alike, and |E|^2 goes into the chunk buffer after
-    its leading 0.  All chunks share that one buffer: a chunk's values
-    last until the next chunk is drawn, and `_chunk_clicks` sums them in
-    place.  E|E|^2 = 2 (unit-power kernel, unit-variance noise).
+    the chunk or the record rounded up to a row) in one complex64 (rows,
+    nfft) buffer.  A group's ceil(cells / m) samples are one `_polar_noise`
+    draw into a (rows, step / m) buffer, zero past the record, continuing
+    the chunk's generators (root 1 the powers, root 5 the phases), so n
+    cells draw ceil(n / m) of each whatever the group size.  Their FFT,
+    zero-padded to nfft / m and tiled m times, is the zero-stuffed row's;
+    it goes into the row heads, and the kernel product and inverse FFT run
+    in place.  Each row's outputs past step add into the next row's head,
+    across groups and chunks alike, and |E|^2, squared in float32, goes
+    into the float64 chunk buffer after its leading 0.  All chunks share
+    that one buffer: a chunk's values last until the next chunk is drawn,
+    and `_chunk_clicks` sums them in place.  E|E|^2 = 2 (unit-power kernel,
+    unit-variance noise).
     """
     taps = kernel.size
     nfft = max(_FILTER_FFT, 1 << (4 * taps).bit_length())
     step = (nfft - taps + 1) // m * m
     chunk = max(_FIELD_CHUNK // step, 1) * step
     span = min(max(_FIELD_GROUP // step, 1) * step, chunk, -(-n_grid // step) * step)
-    kernel_fft = np.fft.fft(kernel * math.sqrt(m), nfft).reshape(m, -1)
-    y = np.empty((span // step, nfft), complex)
+    # the forward FFT's 1/(nfft/m), a power of two, is undone exactly here
+    kernel_fft = np.fft.fft(kernel * (math.sqrt(m) * (nfft // m)), nfft)
+    kernel_fft = kernel_fft.astype(np.complex64).reshape(m, -1)
+    y = np.empty((span // step, nfft), np.complex64)
+    noise = np.empty((span // step, step // m), np.complex64)
     cum = np.empty(-(-min(chunk, n_grid) // step) * step + 1)
-    carry = np.zeros(nfft - step, dtype=complex)
-    at = block_generators(root_noise)
+    carry = np.zeros(nfft - step, dtype=np.complex64)
+    power_at, phase_at = block_generators(roots[1]), block_generators(roots[5])
     for c, lo in enumerate(range(0, n_grid, chunk)):
         length = min(chunk, n_grid - lo)
-        rng = at(c)
+        power, phase = power_at(c), phase_at(c)
         cum[0] = 0.0
         for start in range(0, length, span):
             cells = min(span, length - start)
             rows = -(-cells // step)
+            samples = noise[:rows].reshape(-1)
+            drawn = -(-cells // m)
+            _polar_noise(power, phase, samples[:drawn])
+            samples[drawn:] = 0
             out = y[:rows]
             coarse = out[:, :nfft // m]
-            for r in range(rows):
-                row = coarse[r, :-(-min(step, cells - r * step) // m)]
-                rng.standard_normal(2 * row.size, out=row.view(np.float64))
-                coarse[r, row.size:] = 0
-            np.fft.fft(coarse, out=coarse)      # tiled m times: the zero-stuffed row's
+            # tiled m times: the zero-stuffed row's; norm="forward" keeps numpy's
+            # complex64 loop, which its default unit factor does not pick
+            np.fft.fft(noise[:rows], nfft // m, norm="forward", out=coarse)
             np.multiply(coarse[:, None], kernel_fft[1:], out=out.reshape(rows, m, -1)[:, 1:])
             coarse *= kernel_fft[0]
             np.fft.ifft(out, out=out)
             out[1:, :nfft - step] += out[:-1, step:]
             out[0, :nfft - step] += carry
             carry[:] = out[-1, step:]
-            field = out[:, :step].view(np.float64)     # re, im interleaved
+            field = out[:, :step].view(np.float32)     # re, im interleaved
             np.square(field, out=field)
             np.add(field[:, 0::2], field[:, 1::2],
                    out=cum[1 + start:1 + start + rows * step].reshape(rows, step))
@@ -564,7 +595,7 @@ def _stationary_thermal_slices(cfg: StationaryThermalConfig, detector: DetectorM
     roots = derive_roots(seed)
     scale = detector.efficiency * cfg.mean_rate / 2.0       # E|E|^2 = 2
     n_grid = int(round(cfg.duration / dt))
-    chunks = _field_intensity_chunks(kernel, _field_decimation(cfg, dt), roots[1], n_grid)
+    chunks = _field_intensity_chunks(kernel, _field_decimation(cfg, dt), roots, n_grid)
 
     def raw(c, chunk):
         lo, cum = chunk

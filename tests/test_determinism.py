@@ -93,7 +93,7 @@ RATIOS = {
                                                         2e-8, 5e-6, 3e-6),
 }
 
-MADE_WITH = {"pulseg2": "0.9.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.10.0", "numpy": "2.4.6"}
 
 DIGESTS = {
     "gauss-ideal": "30f65fcb08cae091003b449649efe6bb62fce5c81401405b0b651a9e92de830d",
@@ -104,20 +104,20 @@ DIGESTS = {
     "hg3-ideal": "77eeaa5b9e9b64b17987bafc8d86a06e5022d6699e248f4acded5ce07617160b",
     "sampled-ideal": "5168b3c183bfde3738119cc56311f66e3b856f4daff6ed2cc888a28eea8d3189",
     "sampled-jitter-dead": "2062861204159f8392f350e682aa9b4c746bd65955795a7ddf6cf7709ddee7e2",
-    "stationary-gaussian": "c1994985c3b6869d9c6f08d03b9f3141172a4399f36550edfd3c458055ecdc70",
-    "stationary-lorentzian": "1d9320fdf80ad0aa9ff323d0e47a5f28a98366b367f1fca658cfad55b82b6370",
-    "stationary-jitter-dead": "85be1bc4e5e0290bb58474c2272fca261a73a99d7334389fe4141b565982d875",
+    "stationary-gaussian": "fbed87148a1bb57b7a1a4673f27fe5b695ee7c86a6ea7dc6415b73ca0f1450df",
+    "stationary-lorentzian": "63e4b5542d0305ba990d46d8c92d94bd69a49db799bebd76e848bb0cf38d168b",
+    "stationary-jitter-dead": "dbafd0a0f2d3f63ee647cad7d1d5381c29942d117831cae7aea26063a5f598db",
     "poisson": "2ca8c4c023df2b37b8314b63e6e89d063b05ec4c3bf6835bdb003bb53175b8b4",
     "same-pulse-default": "84b955df8a6eab74c19c6ec0d8f4dd13e7e130621ec252014eb1cddac634f755",
     "same-pulse-wide": "e830f49561defb6f462c0a178bd64fcf1370acc0e9a844477d932c19d27f20e4",
     "same-pulse-hg1": "9e8ef631046b642ec4694e699a487e96f2af7bc379952383d3880f9bdfd76466",
     "all-pairs-pulsed": "d6903ee4009ddf341e72b0eecba9bdfdfab01e11557b3ae8529f9e4be2a8701e",
-    "all-pairs-stationary": "bc4c891eeeee82e4ec39252900f58c61709d1b259b0f7d5cfcf8a89a7232cc35",
-    "start-stop-stationary": "0445da64303f317cfbf3d92114bde3db48163f3ef5b2267efbe94dbdaf935b9c",
+    "all-pairs-stationary": "2999f011e6460900bd91efe6d895b136bd4bb9eae2a40311f50b38432595939c",
+    "start-stop-stationary": "f35986c75fd0abc3a068751613b8b08db19c576bf96ec784185d1c6870ab5cfc",
     "sidepeak-jitter": "87e7a8336ad0594888a244414a220d6fb9120bb9aa0607e335a5fe660ff61fdc",
     "sidepeak-jitter-wide": "39ffa3e0d7d381b4eec0aeb248438cf523226d225ba3fc102f50ef769cadc93d",
     "sidepeak-dead": "b4162b1c4654273e455849148e93dc695c7303d36d4231a4151035b417f8a8b7",
-    "g2-zero-stationary": "f425f45be3ffd651eab7b53b07452c82f89a89d08815912c8b389eacb883652e",
+    "g2-zero-stationary": "dbfcc7b6cd0327bdfd2c3e13f6f9fec29d8dd389b4d1e5e3ff5d68605b6f2df8",
 }
 
 

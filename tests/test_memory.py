@@ -92,6 +92,26 @@ def test_sliced_simulate_and_write_holds_a_few_slices(tmp_path):
     assert peak <= 6 * 8 * slice_clicks + io + rows + SLACK < clicks * 16 / 2
 
 
+def test_dense_train_slices_hold_the_click_budget(tmp_path):
+    # thermal:3 at s = 0.5 makes ~1.5 clicks per pulse, ~197,000 per block:
+    # a slice ends at the block that brings it to _SLICE_CLICKS, not after
+    # _SLICE_BLOCKS blocks (~1.6e6 clicks, a 50 MB peak), so the 2 ns dead
+    # time filter and the write hold a few arrays of two blocks' clicks
+    train = sim.PulseTrainConfig(2 * 10**6, PERIOD, md.gaussian_mode(1e-9))
+    det = sim.DetectorModel(efficiency=0.5, dead_time=2e-9)
+    path = tmp_path / "s.bin"
+
+    def simulate_and_write():
+        return streams.write_stream(sim._pulse_train_slices(st.thermal(3.0), det, train, 2),
+                                    path, fmt="binary")
+    peak = traced_peak(simulate_and_write)
+    assert simulate_and_write() > 1_000_000
+    slice_clicks = (sim._SLICE_CLICKS + 1.5 * sim._PULSE_BLOCK) * 1.05
+    rows = 3 * 8 * sim._ARRIVAL_ROWS
+    io = streams._IO_SLICE * streams._BINARY_DTYPE.itemsize
+    assert peak <= 6 * 8 * slice_clicks + io + rows + SLACK
+
+
 def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):
     # a sidecar n_clicks that the file size contradicts fails before the
     # output arrays are allocated
@@ -127,11 +147,13 @@ def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
 
 
 def test_stationary_simulation_holds_one_field_chunk():
-    # 1 s of light at 5e5 clicks/s: the filter's (17, 4096) complex rows
-    # (1.1 MB), the one chunk buffer (1,048,001 cells, 8.4 MB) and the
-    # clicks (4 MB) come to 13.5 MB; a second chunk-sized array, a
-    # click-long index or a time sort of the finished clicks would pass
-    # the bound
+    # 1 s of light at 5e5 clicks/s: the filter's (16, 4096) complex64 rows
+    # (0.52 MB), the (16, 1000) complex64 noise buffer and a group's float32
+    # powers and phases (0.13 MB each), the one chunk buffer (1,048,001
+    # cells, 8.4 MB) and the clicks (4 MB) come to 13.2 MB; the traced
+    # peak is 15.0 MB against the bound's 15.7 MB.  A second chunk-sized
+    # array, a click-long index or a time sort of the finished clicks
+    # would pass the bound
     cfg = sim.StationaryThermalConfig(1e6, 1e6, 1.0)
     det = sim.DetectorModel(efficiency=0.5)
     tracemalloc.start()

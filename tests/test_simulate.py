@@ -382,7 +382,9 @@ class TestSlices:
     """The sliced stream is the whole train sorted at once."""
 
     def _train(self, monkeypatch, blocks, detector):
+        # slices of ``blocks`` blocks each, whatever their clicks
         monkeypatch.setattr(sim, "_SLICE_BLOCKS", blocks)
+        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1 << 62)
         train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
         return sim.simulate_pulse_train(st.thermal(2.0), detector, train, seed=13)
 
@@ -397,6 +399,20 @@ class TestSlices:
         assert np.array_equal(sliced.pulse_index, whole.pulse_index)
         assert np.array_equal(sliced.times, whole.times)
         assert sliced.metadata == whole.metadata
+
+    @pytest.mark.parametrize("clicks,slices", [(1 << 17, 3), (1 << 18, 2), (1 << 20, 1)])
+    def test_click_budget_ends_a_slice_after_its_block(self, monkeypatch, clicks, slices):
+        # ~157,000 clicks per block: a slice ends after the first block that
+        # brings it to the budget, and the stream stays the one-slice one
+        det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=0.4e-9, dead_time=1.5e-9)
+        whole = self._train(monkeypatch, 3, det)
+        monkeypatch.setattr(sim, "_SLICE_CLICKS", clicks)
+        train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
+        parts = list(sim._pulse_train_slices(st.thermal(2.0), det, train, 13))
+        assert len(parts) == slices
+        assert np.array_equal(np.concatenate([p.pulse_index for p in parts]),
+                              whole.pulse_index)
+        assert np.array_equal(np.concatenate([p.times for p in parts]), whole.times)
 
     def test_slices_are_the_global_stable_sort(self, monkeypatch):
         # the whole train's clicks in generation order, jittered, stably

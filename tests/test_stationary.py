@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.signal import oaconvolve
 
 import pulseg2 as pg
@@ -136,18 +137,69 @@ class TestPoissonControl:
         assert abs(stream.n_clicks - 1e4) < 5 * math.sqrt(1e4)
 
 
-def field_chunks(kernel, m, root_noise, n_grid):
+def field_chunks(kernel, m, roots, n_grid):
     """(first cell, |E|^2) of each chunk, copied out of the filter's one buffer."""
     return [(lo, cum[1:].copy())
-            for lo, cum in sim._field_intensity_chunks(kernel, m, root_noise, n_grid)]
+            for lo, cum in sim._field_intensity_chunks(kernel, m, roots, n_grid)]
 
 
-def convolved_intensity(chunks, kernel, root_noise):
-    """|E|^2 of the whole record from one direct np.convolve of its noise,
-    each chunk's drawn as one real normal array viewed as complex."""
-    noise = np.concatenate([
-        block_generator(root_noise, c).standard_normal(2 * part.size).view(complex)
-        for c, (_, part) in enumerate(chunks)])
+def polar_noise(roots, c, count):
+    """Chunk c's first ``count`` noise samples as the layout defines them,
+    sqrt(2X) e^(2 pi i U) in double precision: X one float32 Exp(1) draw of
+    root 1, U one float32 uniform draw of root 5, both keyed by the chunk."""
+    x = block_generator(roots[1], c).standard_exponential(count, dtype=np.float32)
+    u = block_generator(roots[5], c).random(count, dtype=np.float32)
+    return np.sqrt(2.0 * x) * np.exp(2j * np.pi * u.astype(np.float64))
+
+
+def assert_intensity_close(got, want):
+    """|E|^2 of the complex64 filter within its float32 rounding of a
+    double-precision reference: 1e-5 of the mean intensity E|E|^2 = 2,
+    the scale of the rows' rounding even where the field is still rising
+    from the record's start (up to 5e-6 seen)."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * 2.0)
+
+
+class TestPolarNoise:
+    """The field noise sqrt(2X) e^(2 pi i U): a circular complex Gaussian
+    whose Re and Im are independent unit normals."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class", params=[3, 4, 5])
+    def noise(self, request):
+        roots = derive_roots(request.param)
+        z = np.empty(self.N, np.complex64)
+        sim._polar_noise(block_generator(roots[1], 0), block_generator(roots[5], 0), z)
+        # the layout's draws, to float32 rounding of the angle and radius
+        np.testing.assert_allclose(z, polar_noise(roots, 0, self.N), rtol=1e-6, atol=0)
+        return z.real.astype(np.float64), z.imag.astype(np.float64)
+
+    def test_unit_variance_uncorrelated_quadratures(self, noise):
+        re, im = noise
+        # sd of the mean of x^2 is sqrt(2 / N) for a unit normal, of re im sqrt(1 / N)
+        assert abs(np.mean(re**2) - 1.0) < 5 * math.sqrt(2.0 / self.N)
+        assert abs(np.mean(im**2) - 1.0) < 5 * math.sqrt(2.0 / self.N)
+        assert abs(np.mean(re * im)) < 5 * math.sqrt(1.0 / self.N)
+
+    def test_power_is_exponential_and_phase_uniform(self, noise):
+        re, im = noise
+        assert stats.kstest((re**2 + im**2) / 2.0, "expon").pvalue > 1e-3
+        phase = np.mod(np.arctan2(im, re), 2.0 * math.pi)
+        assert stats.kstest(phase, "uniform", args=(0.0, 2.0 * math.pi)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7])
+    def test_phase_root_leaves_the_first_five_roots(self, seed):
+        roots = derive_roots(seed)
+        first = np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
+        assert roots.size == 6 and np.array_equal(roots[:5], first)
+
+
+def convolved_intensity(chunks, kernel, roots):
+    """|E|^2 of the whole record from one direct np.convolve of its noise."""
+    noise = np.concatenate([polar_noise(roots, c, part.size)
+                            for c, (_, part) in enumerate(chunks)])
     y = np.convolve(noise, kernel)[:noise.size]
     return y.real**2 + y.imag**2
 
@@ -177,32 +229,31 @@ class TestOverlapAddFilter:
     @pytest.mark.parametrize("length", [50, 4000, 123457])
     def test_matches_oaconvolve(self, shape, timestep, length):
         kernel = field_kernel(shape, timestep)
-        root = derive_roots(length)[1]
-        got = field_chunks(kernel, 1, root, length)
+        roots = derive_roots(length)
+        got = field_chunks(kernel, 1, roots, length)
         assert [(lo, part.size) for lo, part in got] == [(0, length)]
-        np.testing.assert_allclose(got[0][1], convolved_intensity(got, kernel, root),
-                                   rtol=1e-12, atol=1e-14)
+        assert_intensity_close(got[0][1], convolved_intensity(got, kernel, roots))
 
     @FILTER_KERNELS
     def test_chunks_match_oaconvolve_with_partial_last_chunk(self, monkeypatch, shape,
                                                              timestep):
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 5000)
         kernel = field_kernel(shape, timestep)
-        root = derive_roots(17)[1]
-        got = field_chunks(kernel, 1, root, 61234)
+        roots = derive_roots(17)
+        got = field_chunks(kernel, 1, roots, 61234)
         sizes = [part.size for _, part in got]
         # whole chunks of one size, a shorter last one, laid end to end
         assert len(sizes) >= 3 and set(sizes[:-1]) == {sizes[0]} and sizes[-1] < sizes[0]
         assert [lo for lo, _ in got] == list(np.cumsum([0] + sizes[:-1]))
         assert sum(sizes) == 61234
-        np.testing.assert_allclose(np.concatenate([part for _, part in got]),
-                                   convolved_intensity(got, kernel, root),
-                                   rtol=1e-12, atol=1e-14)
+        assert_intensity_close(np.concatenate([part for _, part in got]),
+                               convolved_intensity(got, kernel, roots))
 
 
-def reference_intensity_chunks(kernel, root_noise, n_grid):
-    """The filter in one batch per chunk, the reference for the grouped one:
-    each chunk's noise in one draw, then all its rows filtered at once."""
+def reference_intensity_chunks(kernel, roots, n_grid):
+    """The filter in one batch per chunk and in double precision, the
+    reference for the grouped one: each chunk's noise in one draw, then all
+    its rows filtered at once."""
     taps = kernel.size
     nfft = max(sim._FILTER_FFT, 1 << (4 * taps).bit_length())
     step = nfft - taps + 1
@@ -212,8 +263,7 @@ def reference_intensity_chunks(kernel, root_noise, n_grid):
     for c, lo in enumerate(range(0, n_grid, chunk)):
         length = min(chunk, n_grid - lo)
         noise = np.zeros((-(-length // step), step), complex)   # last row padded
-        block_generator(root_noise, c).standard_normal(
-            2 * length, out=noise.reshape(-1)[:length].view(np.float64))
+        noise.reshape(-1)[:length] = polar_noise(roots, c, length)
         y = np.fft.fft(noise, nfft)
         del noise
         y *= kernel_fft
@@ -227,8 +277,9 @@ def reference_intensity_chunks(kernel, root_noise, n_grid):
 
 
 class TestGroupedFilter:
-    """Filtering a chunk in row groups, noise drawn row by row into the
-    group's buffer, changes no bit of the field."""
+    """Filtering a chunk in row groups, each group's noise one draw into the
+    group's buffer, changes no bit of the field, and matches the one-batch
+    filter to float32 rounding."""
 
     CHUNK = 1 << 17
 
@@ -238,29 +289,32 @@ class TestGroupedFilter:
         kernel = field_kernel(shape, timestep)
         step = max(sim._FILTER_FFT, 1 << (4 * kernel.size).bit_length()) - kernel.size + 1
         monkeypatch.setattr(sim, "_FIELD_CHUNK", self.CHUNK)
+        # the last chunk ends a third into a row, inside a group
+        chunk = self.CHUNK // step * step
+        n_grid = 2 * chunk + chunk // 2 + step // 3
+        roots = derive_roots(61)
+        monkeypatch.setattr(sim, "_FIELD_GROUP", self.CHUNK)
+        one_group = field_chunks(kernel, 1, roots, n_grid)
         monkeypatch.setattr(sim, "_FIELD_GROUP", {"chunk": self.CHUNK,
                                                   "beyond_chunk": 4 * self.CHUNK
                                                   }.get(rows, rows * step))
-        chunk = self.CHUNK // step * step
-        # the last chunk ends a third into a row, inside a group
-        n_grid = 2 * chunk + chunk // 2 + step // 3
-        root = derive_roots(61)[1]
-        got = field_chunks(kernel, 1, root, n_grid)
-        want = list(reference_intensity_chunks(kernel, root, n_grid))
+        got = field_chunks(kernel, 1, roots, n_grid)
+        want = list(reference_intensity_chunks(kernel, roots, n_grid))
         assert [lo for lo, _ in got] == [lo for lo, _ in want] == [0, chunk, 2 * chunk]
-        for (_, part), (_, ref) in zip(got, want):
-            assert np.array_equal(part, ref)
+        for (_, part), (_, one), (_, ref) in zip(got, one_group, want):
+            assert np.array_equal(part, one)
+            assert_intensity_close(part, ref)
 
 
 def test_short_record_allocates_one_row():
     # the row group is capped by the record: 50 cells take one (1, nfft) row,
-    # not the 17 rows of a _FIELD_GROUP group (1.1 MB)
+    # not the 17 rows of a _FIELD_GROUP group (0.55 MB in complex64)
     kernel = field_kernel("gaussian", None)
-    root = derive_roots(5)[1]
-    field_chunks(kernel, 4, root, 50)      # warms numpy's FFT
+    roots = derive_roots(5)
+    field_chunks(kernel, 4, roots, 50)      # warms numpy's FFT
     tracemalloc.start()
     try:
-        got = field_chunks(kernel, 4, root, 50)
+        got = field_chunks(kernel, 4, roots, 50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,7 +399,7 @@ def test_stationary_chunk_prefix_invariance(monkeypatch):
     m = sim._field_decimation(cfg, dt)
     assert m == 4
     kernel = field_kernel("gaussian", None)
-    chunk = next(sim._field_intensity_chunks(kernel, m, derive_roots(0)[1],
+    chunk = next(sim._field_intensity_chunks(kernel, m, derive_roots(0),
                                              10**9))[1].size - 1
     short = thermal_stream(duration=3 * chunk * dt, seed=50)
     longer = thermal_stream(duration=5.5 * chunk * dt, seed=50)
@@ -404,28 +458,27 @@ class TestPolyphaseFilter:
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 50000)
         monkeypatch.setattr(sim, "_FIELD_GROUP", 20000)
         kernel = field_kernel(shape, timestep)
-        root = derive_roots(23)[1]
-        got = field_chunks(kernel, m, root, self.N_GRID)
+        roots = derive_roots(23)
+        got = field_chunks(kernel, m, roots, self.N_GRID)
         sizes = [part.size for _, part in got]
         assert len(sizes) >= 3 and sum(sizes) == self.N_GRID and sizes[-1] % m
         stuffed = np.zeros(self.N_GRID, complex)
         for c, (lo, part) in enumerate(got):
-            stuffed[lo:lo + part.size:m] = block_generator(root, c).standard_normal(
-                2 * -(-part.size // m)).view(complex)
+            stuffed[lo:lo + part.size:m] = polar_noise(roots, c, -(-part.size // m))
         y = oaconvolve(stuffed, math.sqrt(m) * kernel)[:self.N_GRID]
-        np.testing.assert_allclose(np.concatenate([part for _, part in got]),
-                                   y.real**2 + y.imag**2, rtol=1e-12, atol=1e-14)
+        assert_intensity_close(np.concatenate([part for _, part in got]),
+                               y.real**2 + y.imag**2)
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_field_does_not_depend_on_group_size(self, monkeypatch, rows):
         # 16-row chunks in groups of 1 or 7 rows, against one group per chunk
         kernel = field_kernel("gaussian", None)
-        root = derive_roots(29)[1]
+        roots = derive_roots(29)
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 1 << 16)
-        want = field_chunks(kernel, 4, root, 150001)
+        want = field_chunks(kernel, 4, roots, 150001)
         group = rows * (sim._FILTER_FFT - kernel.size + 1)
         monkeypatch.setattr(sim, "_FIELD_GROUP", group)
-        got = field_chunks(kernel, 4, root, 150001)
+        got = field_chunks(kernel, 4, roots, 150001)
         assert len(got) == len(want) == 3
         for (lo, part), (lo_ref, ref) in zip(got, want):
             assert lo == lo_ref and np.array_equal(part, ref)
