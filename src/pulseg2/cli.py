@@ -2,10 +2,9 @@
 
 Subcommands: ``simulate`` (config in, stream files out), ``analyze``
 (stream in, report JSON + histogram CSV out), ``figure`` (CSV datasets
-for the four standard plots), ``selftest`` (reduced-size end-to-end
-checks).  Exit codes: 0 success, 1 config/usage error, 2 I/O or stream
-format error (a simulated stream that fails its time-order check
-included; it leaves no sidecar), 3 estimation failure.
+for the four standard plots).  Exit codes: 0 success, 1 config/usage
+error, 2 I/O or stream format error (a simulated stream that fails its
+time-order check included; it leaves no sidecar), 3 estimation failure.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--sidecar", help="metadata sidecar path")
         if name == "figure":
             p.add_argument("figure_id", choices=sorted(_FIGURES), help="figure number")
-    sub.add_parser("selftest").add_argument(
-        "--quick", action="store_true", help="smallest run sizes (seconds, looser bands)")
     return parser
 
 
@@ -249,88 +246,10 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def _selftest_checks(quick: bool):
-    n_pulses = 20000 if quick else 100000
-    period, width, s = 12.5e-9, 1e-9, 0.5
-    mode = _modes.gaussian_mode(width)
-    det = _sim.DetectorModel(efficiency=s)
-    train = _sim.PulseTrainConfig(n_pulses, period, mode)
-
-    def check_eta_closed_form():
-        tau = np.linspace(-5 * width, 5 * width, 101)
-        num = np.asarray(_modes.eta_numeric(mode, tau))
-        ref = np.asarray(_modes.eta_gaussian(width, tau))
-        err = float(np.max(np.abs(num - ref) / ref))
-        return err < 1e-8, f"max relative error {err:.2e}"
-
-    def check_pair_density_identity():
-        state = _states.thermal(0.7)
-        tau = np.linspace(-4 * width, 4 * width, 41)
-        lhs = _sim.analytic_D(state, det, mode, n_pulses, tau)
-        ip = _sim.analytic_Ip(state, det, n_pulses)
-        rhs = ip**2 * _states.g2q_from_moments(state) \
-            * np.asarray(_modes.eta_numeric(mode, tau)) / n_pulses
-        err = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
-        return err < 1e-10, f"max relative error {err:.2e}"
-
-    def recovery(state, expect):
-        stream = _sim.simulate_pulse_train(state, det, train, seed=7)
-        hist = _est.tau_histogram(stream, *_est._pulsed_binning(width))
-        val, sig = _est.recover_g2q_gaussian(stream, hist, n_pulses, width)
-        ok = abs(val - expect) < max(4.0 * sig, 0.02)
-        return ok, f"recovered {val:.3f} +- {sig:.3f}, expected {expect:g}"
-
-    def check_fock1_silence():
-        stream = _sim.simulate_pulse_train(_states.fock(1), det, train, seed=11)
-        hist = _est.tau_histogram(stream, *_est._pulsed_binning(width))
-        return hist.is_empty, f"{int(hist.counts.sum())} same-pulse pairs (want 0)"
-
-    def check_determinism():
-        a = _sim.simulate_pulse_train(_states.thermal(1.0), det, train, seed=3)
-        b = _sim.simulate_pulse_train(_states.thermal(1.0), det, train, seed=3)
-        same = np.array_equal(a.times, b.times) and \
-            np.array_equal(a.pulse_index, b.pulse_index)
-        return same, "reruns agree" if same else "streams differ"
-
-    def check_stationary_peak():
-        scfg = _sim.StationaryThermalConfig(1e5, 1e6, 0.4 if quick else 1.0)
-        stream = _sim.simulate_stationary_thermal(scfg, _sim.DetectorModel(), seed=5)
-        ratio = _stationary_curve(stream, scfg.spectral_bandwidth)[2][0]
-        band = 0.25 if quick else 0.15
-        return abs(ratio - 2.0) < band, f"peak/baseline {ratio:.3f} (want 2 +- {band})"
-
-    return [
-        ("eta quadrature vs closed form", check_eta_closed_form),
-        ("pair density identity", check_pair_density_identity),
-        ("thermal recovery", lambda: recovery(_states.thermal(0.5), 2.0)),
-        ("coherent recovery", lambda: recovery(_states.coherent(1.0), 1.0)),
-        ("single-photon silence", check_fock1_silence),
-        ("determinism", check_determinism),
-        ("stationary bunching peak", check_stationary_peak),
-    ]
-
-
-def _cmd_selftest(args) -> int:
-    failures = 0
-    for name, fn in _selftest_checks(args.quick):
-        ok, detail = fn()
-        print(f"selftest {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        if not ok:
-            failures += 1
-    if failures:
-        raise EstimationError(f"{failures} selftest check(s) failed")
-    return 0
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "analyze": _cmd_analyze,
     "figure": _cmd_figure,
-    "selftest": _cmd_selftest,
 }
 
 

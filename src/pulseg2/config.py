@@ -25,6 +25,13 @@ def _opt(parse):
     return lambda text: None if text.strip().lower() == "none" else parse(text)
 
 
+def _whole(text):
+    value = float(text)
+    if not value.is_integer():      # false for inf and nan too
+        raise ValueError(f"must be a finite whole number, got {text.strip()!r}")
+    return int(value)
+
+
 # (section, key) -> (attribute, parser)
 _SCHEMA = {
     ("run", "kind"): ("kind", str.strip),
@@ -34,7 +41,7 @@ _SCHEMA = {
     ("detector", "efficiency"): ("efficiency", float),
     ("detector", "timing_jitter_sigma"): ("timing_jitter_sigma", float),
     ("detector", "dead_time"): ("dead_time", float),
-    ("pulsed", "num_pulses"): ("num_pulses", lambda s: int(float(s))),
+    ("pulsed", "num_pulses"): ("num_pulses", _whole),
     ("pulsed", "repetition_period"): ("repetition_period", float),
     ("stationary", "mean_rate"): ("mean_rate", float),
     ("stationary", "spectral_bandwidth"): ("spectral_bandwidth", float),

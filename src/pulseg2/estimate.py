@@ -482,7 +482,10 @@ class ConditionalProbabilityCurve:
 def stationary_g2_zero(stream: ClickStream, bin_width: float, max_tau: float,
                        baseline_from: float):
     """g2(0) of a stationary stream and its sigma over time blocks: the
-    `ConditionalProbabilityCurve.g2_zero` of its all-pairs curve."""
+    `ConditionalProbabilityCurve.g2_zero` of its all-pairs curve.  Lorentzian
+    light reads low (pulls -0.54 / 1.00, Gaussian -0.05 / 1.01; 5e5 /s, 1 MHz,
+    0.3 s): bin 0 averages the cusp |g1|^2 = exp(-2 bw tau), ~2 % below the
+    peak at bins of 1/(50 bw), and a baseline from 3/bw keeps e^-6 of the excess."""
     if stream.n_clicks < 2:
         raise EstimationError("g2(0) undefined: need at least two clicks")
     if not 0 < bin_width <= baseline_from < max_tau:
