@@ -102,10 +102,10 @@ def _cmd_analyze(args) -> int:
     report_path = args.out or cfg.out_report
 
     if not stream.is_pulsed:
-        return _analyze_stationary(stream, cfg, given, report_path)
+        return _analyze_stationary(stream, cfg, given, report_path, side)
 
-    report = _est.analyze_stream(
-        stream, num_pulses=given.get("num_pulses"),
+    report = _binned(
+        _est.analyze_stream, stream, num_pulses=given.get("num_pulses"),
         mode=cfg.mode() if "mode_spec" in given else None,
         state=cfg.state() if "state_spec" in given else None,
         bin_width=cfg.bin_width, max_tau=cfg.max_tau)
@@ -143,29 +143,45 @@ def _expected_counts(stream, report, given, side):
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
-def _stationary_curve(stream, bandwidth, bin_width=None, max_tau=None):
+def _binned(estimate, *args, **kwargs):
+    """``estimate(*args, **kwargs)`` on a pulsed stream; its one ValueError is
+    `tau_histogram`'s, a binning whose bin width and max tau passed their
+    own checks but that no histogram holds."""
+    try:
+        return estimate(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError("--bin-width / --max-tau ([estimator] bin_width / "
+                          f"[estimator] max_tau): {exc}") from exc
+
+
+def _stationary_curve(stream, bandwidth, cfg):
     """(pc curve, baseline start, (g2(0), sigma)) of a stationary stream.
-    Unset binning for spectral bandwidth B: bins of 1/(50 B) out to 5/B, the
-    baseline from 3/B; no B: 500 bins, the baseline from the middle on."""
-    if not bandwidth and bin_width is None:
+    Binning that ``cfg`` leaves unset, for spectral bandwidth B: bins of
+    1/(50 B) out to 5/B, the baseline from 3/B; no B: 500 bins, the
+    baseline from the middle on."""
+    if not bandwidth and cfg.bin_width is None:
         raise EstimationError("stationary analysis needs --bin-width "
                               "(bandwidth unknown)")
-    bin_width = bin_width or 1.0 / (50.0 * bandwidth)
-    max_tau = max_tau or (5.0 / bandwidth if bandwidth else 500.0 * bin_width)
+    bin_width = cfg.bin_width or 1.0 / (50.0 * bandwidth)
+    max_tau = cfg.max_tau or (5.0 / bandwidth if bandwidth else 500.0 * bin_width)
     base_from = 3.0 / bandwidth if bandwidth else max_tau / 2.0
-    curve = _est.stationary_conditional_probability(stream, bin_width, max_tau)
     try:
+        curve = _est.stationary_conditional_probability(stream, bin_width, max_tau)
         return curve, base_from, curve.g2_zero(base_from)
     except ValueError as exc:
-        raise ConfigError(f"bin width {bin_width:g} s, max tau {max_tau:g} s: "
+        raise ConfigError(f"bin width {bin_width:g} s, max tau {max_tau:g} s, "
                           f"baseline from {base_from:g} s: {exc}") from exc
 
 
-def _analyze_stationary(stream, cfg, given, report_path) -> int:
+def _analyze_stationary(stream, cfg, given, report_path, side) -> int:
     bandwidth = (cfg.stationary().spectral_bandwidth if "spectral_bandwidth" in given
                  else stream.metadata.get("stationary", {}).get("spectral_bandwidth"))
-    curve, base_from, (g2_zero, g2_sigma) = _stationary_curve(stream, bandwidth,
-                                                              cfg.bin_width, cfg.max_tau)
+    try:
+        curve, base_from, (g2_zero, g2_sigma) = _stationary_curve(stream, bandwidth, cfg)
+    except ConfigError as exc:      # a binning the sidecar's bandwidth alone set
+        if given.keys() & {"spectral_bandwidth", "bin_width", "max_tau"}:
+            raise
+        raise StreamFormatError(f"{side}: stationary.spectral_bandwidth: {exc}") from exc
     _write_json({
         "pc_peak_per_second": float(curve.pc[0]),
         "pc_baseline_per_second": curve.baseline(base_from),
@@ -200,8 +216,7 @@ def _fig2(cfg):
     """Stationary thermal conditional probability (the bunching peak)."""
     scfg = dataclasses.replace(cfg.stationary(), duration=min(cfg.duration, 2.0))
     stream = _sim.simulate_stationary_thermal(scfg, cfg.detector(), cfg.seed)
-    curve, base_from, _ = _stationary_curve(stream, scfg.spectral_bandwidth,
-                                            cfg.bin_width, cfg.max_tau)
+    curve, base_from, _ = _stationary_curve(stream, scfg.spectral_bandwidth, cfg)
     base = curve.baseline(base_from)
     return ("figure2_stationary_pc.csv", "tau_seconds,pc_per_second,pc_normalized",
             [curve.tau, curve.pc, curve.pc / base], "%.12g")
@@ -213,7 +228,7 @@ def _fig3(cfg):
     train = dataclasses.replace(cfg.train(), num_pulses=min(cfg.num_pulses, 200000))
     stream = _sim.simulate_pulse_train(state, det, train, cfg.seed)
     bw, max_tau = _est._pulsed_binning(train.mode.width)
-    hist = _est.tau_histogram(stream, cfg.bin_width or bw, cfg.max_tau or max_tau)
+    hist = _binned(_est.tau_histogram, stream, cfg.bin_width or bw, cfg.max_tau or max_tau)
     expected = _sim.analytic_D(state, det, train.mode, train.num_pulses,
                                hist.centers) * hist.bin_width
     return ("figure3_time_differences.csv", *hist._table(expected))

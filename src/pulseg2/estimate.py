@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +64,6 @@ class TauHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     pairing_scope: str
-    num_pulses: int | None
-    total_clicks: int
     block_counts: np.ndarray
     block_clicks: np.ndarray
 
@@ -97,6 +94,8 @@ class TauHistogram:
 # first clicks per slice of the pair walk: its scratch memory is this
 # many indices, whatever the click count
 _PAIR_SLICE = 1 << 16
+# bins of a pair histogram; its (<= 200 blocks, bins) counts stay <= 26 MB
+_MAX_BINS = 1 << 14
 
 
 def _pairs(times, reach, lo=0, hi=None):
@@ -182,21 +181,25 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     ``num_pulses``, else the largest index + 1) for ``same_pulse``, else
     of whole max_tau slices from the first click, the last taking the
     remainder, so a time block outlasts every lag.  An empty stream
-    yields a valid all-zero histogram.
+    yields a valid all-zero histogram, and over `_MAX_BINS` bins a ValueError.
     """
     if scope not in ("same_pulse", "all_pairs", "start_stop"):
         raise ValueError("scope must be 'same_pulse', 'all_pairs' or 'start_stop'")
     for name, value in (("bin_width", bin_width), ("max_tau", max_tau)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    nbins = max(int(math.ceil(max_tau / bin_width - 1e-9)), 1)
+    bins = max_tau / bin_width - 1e-9
+    if not bins <= _MAX_BINS:
+        raise ValueError(f"max_tau {max_tau:g} s over bin_width {bin_width:g} s is "
+                         f"{bins:.3g} bins, more than {_MAX_BINS}")
+    nbins = max(math.ceil(bins), 1)
     edges = np.arange(nbins + 1) * bin_width
     if scope == "same_pulse" and stream.n_clicks and stream.pulse_index.min() < 0:
         raise ValueError("same_pulse scope requires a pulsed stream")
-    num_pulses = stream.metadata.get("train", {}).get("num_pulses")
     times = stream.times
     if scope == "same_pulse":
         pulse = stream.pulse_index
+        num_pulses = stream.metadata.get("train", {}).get("num_pulses")
         n_units = max(num_pulses or 1, int(pulse.max(initial=0)) + 1)
         unit_of = pulse.__getitem__
 
@@ -218,8 +221,7 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     block_counts, block_clicks = _pair_counts(times, edges[-1] + bin_width, unit_of,
                                               n_units, nbins, bin_of,
                                               1 if scope == "start_stop" else None)
-    return TauHistogram(edges, block_counts.sum(axis=0), scope, num_pulses,
-                        stream.n_clicks, block_counts, block_clicks)
+    return TauHistogram(edges, block_counts.sum(axis=0), scope, block_counts, block_clicks)
 
 
 def fit_pulse_width(hist: TauHistogram) -> float:
@@ -495,26 +497,18 @@ def stationary_g2_zero(stream: ClickStream, bin_width: float, max_tau: float,
 
 
 def stationary_conditional_probability(stream: ClickStream, bin_width: float,
-                                       max_tau: float,
-                                       method: str = "all_pairs") -> ConditionalProbabilityCurve:
-    """Conditional probability estimate: pair histogram / (total * bin width).
+                                       max_tau: float) -> ConditionalProbabilityCurve:
+    """Conditional probability estimate: all-pairs histogram / (total * bin width).
 
-    The default uses all pairs (every click against every later click),
-    matching the definition of pc as a rate given a click at any earlier
-    time; the large-tau baseline then equals the mean detected rate and
-    peak/baseline estimates g2(0).  ``method="start_stop"`` histograms
-    only adjacent-click gaps instead, for comparison with legacy
-    interval-timing hardware: it coincides with the all-pairs curve only
-    while rate * tau << 1 and is biased low at larger lags (for a
-    constant-rate source it decays as exp(-rate * tau) rather than
-    staying flat).  Both come from one pair walk, the start-stop curve
-    from its first pass.
+    Every click counts against every later click, matching the definition
+    of pc as a rate given a click at any earlier time; the large-tau
+    baseline then equals the mean detected rate and peak/baseline
+    estimates g2(0).  The adjacent-click gaps of interval-timing hardware
+    are `tau_histogram`'s ``start_stop`` scope.
     """
     if stream.n_clicks == 0:
         raise EstimationError("conditional probability undefined: empty stream")
-    if method not in ("all_pairs", "start_stop"):
-        raise ValueError("method must be 'all_pairs' or 'start_stop'")
-    hist = tau_histogram(stream, bin_width, max_tau, scope=method)
+    hist = tau_histogram(stream, bin_width, max_tau, scope="all_pairs")
     pc = hist.counts / (stream.n_clicks * bin_width)
     return ConditionalProbabilityCurve(hist.centers, pc, stream.n_clicks, bin_width,
                                        hist.block_counts)
@@ -581,9 +575,9 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     sigma rescaled by N / eta(0); a histogram without pairs gives zeros
     with sigma inf.  An empty stream produces a flagged report rather
     than an error; a pulse index outside [0, N) is an EstimationError,
-    raised before the histogram is built.  A warning is emitted when the fitted width disagrees
-    with a Gaussian mode hint by more than 10 percent, since the
-    eta-corrected g2q scales linearly with the assumed width.
+    raised before the histogram is built.  A fitted width more than 10
+    percent off a Gaussian mode hint is flagged ``width_mismatch``, since
+    the eta-corrected g2q scales linearly with the assumed width.
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -624,10 +618,6 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     fitted = fit_pulse_width(hist)
     if (mode is not None and mode.kind == "gaussian" and math.isfinite(fitted)
             and abs(fitted - mode.width) > 0.1 * mode.width):
-        warnings.warn(
-            f"fitted pulse width {fitted:.3g}s disagrees with the mode hint "
-            f"{mode.width:.3g}s by more than 10%; eta-corrected g2q scales "
-            "with the assumed width", stacklevel=2)
         flags.append("width_mismatch")
 
     if mode is None:

@@ -214,31 +214,28 @@ def _grid(mode: TemporalMode):
     return t, mode.width / _POINTS_PER_WIDTH
 
 
-def _simpson(y, dx=1.0):
+def _simpson(y, dx):
     """Composite Simpson's rule along the last axis, as scipy.integrate.simpson.
 
-    Samples are ``dx`` apart.  An even number of samples takes Simpson's
-    rule on all but the last interval plus Cartwright's three-point
-    correction for that one.
+    Samples are ``dx`` apart: weights dx/3 (1, 4, 2, 4, ..., 4, 1).  An
+    even number of samples takes Simpson's rule on all but the last
+    interval plus Cartwright's three-point correction for that one.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
-    h = np.full(max(n - 1, 0), float(dx))
     w = np.zeros(n)
     if n == 2:
-        w[:] = 0.5 * h[0]
-    else:
+        w[:] = 0.5 * dx
+    elif n > 2:
         m = n - 1 if n % 2 else n - 2        # the panels cover intervals [0, m)
-        h0, h1 = h[0:m:2], h[1:m:2]
-        hs = h0 + h1
-        w[0:m:2] += hs / 6.0 * (2.0 - h1 / h0)
-        w[1:m:2] += hs / 6.0 * (hs * hs / (h0 * h1))
-        w[2:m + 1:2] += hs / 6.0 * (2.0 - h0 / h1)
-        if n % 2 == 0:
-            a, b = h[-2], h[-1]
-            w[-1] += (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b))
-            w[-2] += (b * b + 3.0 * a * b) / (6.0 * a)
-            w[-3] -= b**3 / (6.0 * a * (a + b))
+        third = 2.0 * dx / 6.0
+        w[0:m + 1:2] = 2.0 * third
+        w[1:m:2] = 4.0 * third
+        w[0] = w[m] = third
+        if n % 2 == 0:      # Cartwright's weights at a = b = dx, rounded as for any a, b
+            w[-1] += (2.0 * dx * dx + 3.0 * dx * dx) / (6.0 * (dx + dx))
+            w[-2] += (dx * dx + 3.0 * dx * dx) / (6.0 * dx)
+            w[-3] -= dx**3 / (6.0 * dx * (dx + dx))
     return y @ w
 
 
@@ -295,15 +292,11 @@ class EtaProfile:
         return float(_simpson(self.eta, dx=dx))
 
 
-def eta_profile(mode: TemporalMode, max_tau: float | None = None,
-                num: int = 4001) -> EtaProfile:
-    """Tabulate eta on a symmetric grid wide enough to hold all its mass."""
-    if max_tau is None:
-        t, _ = _grid(mode)
-        max_tau = float(t[-1] - t[0])
-    if num % 2 == 0:
-        num += 1
-    tau = np.linspace(-max_tau, max_tau, num)
+def eta_profile(mode: TemporalMode) -> EtaProfile:
+    """Tabulate eta at 4001 points on a symmetric grid wide enough to hold all its mass."""
+    t, _ = _grid(mode)
+    reach = float(t[-1] - t[0])
+    tau = np.linspace(-reach, reach, 4001)
     return EtaProfile(tau, np.asarray(eta_numeric(mode, tau)))
 
 

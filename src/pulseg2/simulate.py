@@ -22,18 +22,17 @@ per train, re-keyed per block) it
    every mode), each candidate's cell picked in O(1) from the envelope's
    alias table.
 
-Every source yields its clicks in slices, whole pulse blocks up to
-`_SLICE_BLOCKS` of them or `_SLICE_CLICKS` clicks, or one field chunk
-each, to one finisher (`_ordered_slices`): optional
-Gaussian timing jitter, a stable time sort of the slice after the clicks
-held back from the slice before, the emission of the clicks that no
-later slice can precede, non-paralyzable dead time carried across slices
-and the sidecar metadata, which records the package version that made
-the stream.  The slices are exactly the stream one global stable sort
-would make, or the finisher raises.  Each stage holds one slice, so
-`pulseg2 simulate`, which writes each slice as it comes, holds memory
-that does not grow with the record; `simulate_*` gathers the slices into
-one `ClickStream`.
+Every source yields its clicks in slices, whole pulse blocks until the
+slice holds `_SLICE_CLICKS` clicks or one field chunk each, to one
+finisher (`_ordered_slices`): optional Gaussian timing jitter, a stable
+time sort of the slice after the clicks held back from the slice before,
+the emission of the clicks that no later slice can precede,
+non-paralyzable dead time carried across slices and the sidecar
+metadata, which records the package version that made the stream.  The
+slices are exactly the stream one global stable sort would make, or the
+finisher raises.  Each stage holds one slice, so `pulseg2 simulate`,
+which writes each slice as it comes, holds memory that does not grow
+with the record; `simulate_*` gathers the slices into one `ClickStream`.
 
 The matching analytic curves are
 
@@ -82,7 +81,7 @@ from . import states as _states
 from ._version import __version__
 from .errors import StreamFormatError
 from .rngutil import block_generator, block_generators, derive_roots
-from .streams import ClickStream, _stream
+from .streams import _MAX_PULSES, ClickStream, _stream
 
 __all__ = [
     "DetectorModel",
@@ -96,10 +95,9 @@ __all__ = [
 ]
 
 _PULSE_BLOCK = 1 << 17
-# a slice of the stream ends after _SLICE_BLOCKS pulse blocks or the first
-# block at which it holds _SLICE_CLICKS clicks; not part of the RNG layout
-_SLICE_BLOCKS = 8
-_SLICE_CLICKS = 1 << 18
+# a slice of the stream ends at the first pulse block at which it holds
+# _SLICE_CLICKS clicks; not part of the RNG layout
+_SLICE_CLICKS = 1 << 14
 # clicks held back at a slice boundary, in jitter sigmas (see `_ordered_slices`)
 _JITTER_MARGIN = 40.0
 # candidate rows per draw of the arrival sampler; not part of the RNG layout
@@ -153,8 +151,8 @@ class PulseTrainConfig:
 
     def __post_init__(self):
         _require_finite(vars(self), "num_pulses", "repetition_period")
-        if self.num_pulses < 1 or self.num_pulses != int(self.num_pulses):
-            raise ValueError("num_pulses must be a positive integer")
+        if not 1 <= self.num_pulses <= _MAX_PULSES or self.num_pulses != int(self.num_pulses):
+            raise ValueError(f"num_pulses must be an integer in [1, {_MAX_PULSES}]")
         if not self.repetition_period > 0:
             raise ValueError("repetition_period must be positive")
         spread = self.mode.width * math.sqrt(2.0 * self.mode.order + 1.0)
@@ -292,11 +290,11 @@ def _pulse_train_slices(state, detector, train, seed):
     """The train's stream as `_ordered_slices` of whole pulse blocks.
 
     A slice draws its blocks' pulse indices in turn until it holds
-    `_SLICE_BLOCKS` blocks or `_SLICE_CLICKS` clicks, so a dense train's
-    slices stay near that many clicks; then the next offsets of the
-    train's one arrival sampler and its times in place in them.  A later
-    slice's pulses start at its first pulse, so none of its times lies
-    below that pulse's slot center plus the sampler's earliest offset.
+    `_SLICE_CLICKS` clicks, so it holds fewer than that many plus one
+    block's; then the next offsets of the train's one arrival sampler and
+    its times in place in them.  A later slice's pulses start at its first
+    pulse, so none of its times lies below that pulse's slot center plus
+    the sampler's earliest offset.
     """
     pmf = _states.binomial_loss_pn(state.pn, detector.efficiency)
     cdf = np.cumsum(pmf)
@@ -311,7 +309,7 @@ def _pulse_train_slices(state, detector, train, seed):
             hi = min(lo + _PULSE_BLOCK, n)
             blocks.append(_pulse_block(cdf, lo, hi, block_rng(lo // _PULSE_BLOCK)))
             clicks += blocks[-1].size
-            if hi < n and len(blocks) < _SLICE_BLOCKS and clicks < _SLICE_CLICKS:
+            if hi < n and clicks < _SLICE_CLICKS:
                 continue
             pulse_idx = np.concatenate(blocks)
             blocks, clicks = [], 0

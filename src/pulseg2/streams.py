@@ -56,13 +56,16 @@ _HEADER = "pulse_index,time_seconds"
 _BINARY_DTYPE = np.dtype([("pulse_index", "<u8"), ("time_seconds", "<f8")])
 # records per slice of the binary write and read
 _IO_SLICE = 1 << 16
+# a pulse index times the estimators' at most 200 pulse blocks stays an int64
+_MAX_PULSES = (2**63 - 1) // 200
 # the sidecar keys the readers use: the JSON types each may have, the test
 # a non-null value must pass, and both by name
 _NULL = type(None)
 _SIDECAR_RULES = {
     **dict.fromkeys(("train", "detector", "stationary"), (dict, None, "an object")),
     **dict.fromkeys(("state", "mode"), ((str, _NULL), None, "a string or null")),
-    "train.num_pulses": ((int, _NULL), lambda v: v >= 1, "an integer >= 1 or null"),
+    "train.num_pulses": ((int, _NULL), lambda v: 1 <= v <= _MAX_PULSES,
+                         f"an integer in [1, {_MAX_PULSES}] or null"),
     **dict.fromkeys(("train.repetition_period", "stationary.spectral_bandwidth"),
                     ((int, float, _NULL), lambda v: math.isfinite(v) and v > 0,
                      "a finite number > 0 or null")),

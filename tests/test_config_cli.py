@@ -121,9 +121,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("kind", ["pulsed", "stationary"])
     def test_sliced_write_is_the_whole_stream_written(self, tmp_path, monkeypatch, fmt,
                                                       kind):
-        # slices of one pulse block (3 of them) or one field chunk (2),
-        # jittered and dead-time filtered, written as they come
-        monkeypatch.setattr(sim, "_SLICE_BLOCKS", 1)
+        # slices of one pulse block (3 of them, a one-click budget each) or
+        # one field chunk (2), jittered and dead-time filtered, written as
+        # they come
+        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1)
         cfg, path = write_cfg(tmp_path, kind=kind, num_pulses=3 * sim._PULSE_BLOCK - 7,
                               mean_rate=2e5, duration=0.06, stream_format=fmt,
                               timing_jitter_sigma=2e-9, dead_time=1e-9)
@@ -147,7 +148,7 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path, "--pulses", "100"]) == 0
         side = tmp_path / "stream.csv.meta.json"
         assert side.exists()
-        monkeypatch.setattr(sim, "_SLICE_BLOCKS", 1)
+        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1)
         monkeypatch.setattr(sim, "_JITTER_MARGIN", 0.0)
         assert cli.main(["simulate", "--config", path]) == 2
         assert "precedes" in capsys.readouterr().err
@@ -515,6 +516,8 @@ class TestAnalyzeEstimatorSettings:
         ("--max-tau", "-1"),
         ("--max-tau", "0"),
         ("--max-tau", "nan"),
+        ("--bin-width", "1e-30"),       # 6e21 bins
+        ("--max-tau", "1e300"),         # inf bins
     ])
     def test_bad_flag_named(self, stream, tmp_path, capsys, flag, value):
         out = tmp_path / "report.json"
@@ -529,6 +532,8 @@ class TestAnalyzeEstimatorSettings:
         ("max_tau = -1", "max_tau"),
         ("max_tau = 0", "max_tau"),
         ("max_tau = inf", "max_tau"),
+        ("bin_width = 1e-30", "bin_width"),
+        ("max_tau = 1e300", "max_tau"),
     ])
     def test_bad_ini_key_named(self, stream, tmp_path, capsys, text, key):
         ini = tmp_path / "bad.ini"
@@ -662,14 +667,18 @@ class TestMalformedSidecar:
         (lambda m: {**m, "detector": {**m["detector"], "gain": 1.0}}, "gain"),
         (lambda m: {**m, "detector": {**m["detector"], "efficiency": 2}}, "efficiency"),
         (lambda m: {**m, "train": {**m["train"], "num_pulses": 0}}, "train.num_pulses"),
+        (lambda m: {**m, "train": {**m["train"], "num_pulses": 10**30}}, "train.num_pulses"),
         (lambda m: {**m, "kind": "stationary", "stationary": {"spectral_bandwidth": -1e6}},
          "stationary.spectral_bandwidth"),
         (lambda m: {**m, "kind": "stationary",
                     "stationary": {"spectral_bandwidth": float("nan")}},
          "stationary.spectral_bandwidth"),
+        # passes the rule, but the bins of 1/(50 B) it sets are inf
+        (lambda m: {**m, "kind": "stationary", "stationary": {"spectral_bandwidth": 1e-310}},
+         "stationary.spectral_bandwidth"),
     ], ids=["list", "train_null", "num_pulses_string", "detector_string",
             "detector_unknown_key", "efficiency_above_one", "num_pulses_zero",
-            "bandwidth_negative", "bandwidth_nan"])
+            "num_pulses_huge", "bandwidth_negative", "bandwidth_nan", "bandwidth_tiny"])
     def test_exit_2_names_sidecar_and_key(self, stream, tmp_path, monkeypatch, capsys,
                                           edit, key):
         meta = json.loads(Path(str(stream) + ".meta.json").read_text())
@@ -734,6 +743,8 @@ class TestExitCodes:
         ("[run]\nkind = stationary\n[stationary]\nmean_rate = nan\n", "mean_rate"),
         ("[pulsed]\nnum_pulses = inf\n", "[pulsed] num_pulses"),
         ("[pulsed]\nnum_pulses = 1000.7\n", "[pulsed] num_pulses"),
+        # a pulse index times 200 blocks would leave int64
+        ("[pulsed]\nnum_pulses = 1e17\n", "num_pulses must be an integer in [1, "),
     ])
     def test_non_finite_value_named(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.ini"

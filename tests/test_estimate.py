@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,14 @@ class TestTauHistogram:
         with pytest.raises(ValueError, match=name):
             est.tau_histogram(stream, *args)
 
+    @pytest.mark.parametrize("bin_width,max_tau", [(1e-30, 6e-9), (5e-11, 1e300),
+                                                   (1.0, est._MAX_BINS + 1.0)])
+    def test_bin_count_above_the_cap_rejected(self, bin_width, max_tau):
+        stream, _ = run_train(st.coherent(0.5), 100, seed=4)
+        assert est.tau_histogram(stream, 1.0, est._MAX_BINS).counts.size == est._MAX_BINS
+        with pytest.raises(ValueError, match=f"more than {est._MAX_BINS}"):
+            est.tau_histogram(stream, bin_width, max_tau)
+
     def test_csv_export_with_expected_column(self, tmp_path):
         stream, _ = run_train(st.thermal(0.7), 5000, seed=5)
         hist = standard_hist(stream)
@@ -154,7 +163,7 @@ def analytic_filled_histogram(state, n, mode=MODE, bw=WIDTH / 20.0, max_tau=6.0 
     edges = np.arange(nbins + 1) * bw
     centers = 0.5 * (edges[:-1] + edges[1:])
     counts = sim.analytic_D(state, IDEAL, mode, n, centers) * bw
-    return est.TauHistogram(edges, counts, "same_pulse", n, 0, counts[None],
+    return est.TauHistogram(edges, counts, "same_pulse", counts[None],
                             np.zeros(1, dtype=np.int64))
 
 
@@ -501,12 +510,13 @@ class TestAnalyzeStream:
         assert report.g2p is None
         json.loads(report.to_json())  # serializable with nulls
 
-    def test_wrong_width_hint_warns_and_biases(self):
+    def test_wrong_width_hint_flags_and_biases(self):
         from scipy.integrate import quad
         n = 100000
         stream, _ = run_train(st.coherent(1.0), n, seed=29)
         wrong = md.gaussian_mode(2.0 * WIDTH)
-        with pytest.warns(UserWarning, match="width"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the flag is the only report
             report = est.analyze_stream(stream, mode=wrong)
         assert "width_mismatch" in report.flags
         # a wrong hint corrupts g2q_eta multiplicatively: the least-squares
@@ -670,23 +680,18 @@ class TestStationaryCurve:
         rate = 2e5
         stream = pg.simulate_stationary_poisson(rate, 2.0, seed=33)
         bw, max_tau = 2e-7, 2e-5
-        ss = est.stationary_conditional_probability(stream, bw, max_tau,
-                                                    method="start_stop")
-        expect = rate * np.exp(-rate * ss.tau)
+        ss = est.tau_histogram(stream, bw, max_tau, scope="start_stop")
+        ss_pc = ss.counts / (stream.n_clicks * bw)
+        expect = rate * np.exp(-rate * ss.centers)
         sigma = np.sqrt(expect / (bw * stream.n_clicks))  # Poisson bin errors
         sel = expect * bw * stream.n_clicks > 100
-        assert np.all(np.abs(ss.pc[sel] - expect[sel]) < 5 * sigma[sel])
+        assert np.all(np.abs(ss_pc[sel] - expect[sel]) < 5 * sigma[sel])
         ap = est.stationary_conditional_probability(stream, bw, max_tau)
         assert ap.pc[sel].mean() == pytest.approx(rate, rel=0.02)
-        assert ss.pc[-1] < 0.1 * ap.pc[-1]
+        assert ss_pc[-1] < 0.1 * ap.pc[-1]
 
     def test_infinite_max_tau_names_it(self):
         stream = pg.simulate_stationary_poisson(1e4, 0.01, seed=34)
         with pytest.raises(ValueError, match="max_tau"):
             est.stationary_g2_zero(stream, 1e-7, math.inf, 1e-6)
 
-    def test_unknown_method_rejected(self):
-        stream = pg.simulate_stationary_poisson(1e4, 0.01, seed=34)
-        with pytest.raises(ValueError, match="method"):
-            est.stationary_conditional_probability(stream, 1e-7, 1e-5,
-                                                   method="adjacent")

@@ -1,7 +1,9 @@
 """The package's public surface, and that both workload paths and every
 simulator path run on numpy alone."""
 
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -129,6 +131,17 @@ def test_public_names_are_pinned(module):
 ])
 def test_removed_attributes_are_gone(cls, name):
     assert not hasattr(cls, name)
+
+
+def test_removed_parameters_fields_and_slice_cap_are_gone():
+    # start-stop is tau_histogram's scope, eta_profile has one grid, and a
+    # click budget alone ends a simulator slice
+    assert list(inspect.signature(pg.stationary_conditional_probability).parameters) == [
+        "stream", "bin_width", "max_tau"]
+    assert list(inspect.signature(pg.eta_profile).parameters) == ["mode"]
+    assert [f.name for f in dataclasses.fields(pg.TauHistogram)] == [
+        "bin_edges", "counts", "pairing_scope", "block_counts", "block_clicks"]
+    assert not hasattr(importlib.import_module("pulseg2.simulate"), "_SLICE_BLOCKS")
 
 
 @pytest.mark.parametrize("module", sorted(BENCHMARKED))

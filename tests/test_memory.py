@@ -72,10 +72,15 @@ def test_stationary_binary_read_holds_the_times_and_one_slice(tmp_path):
     assert peak <= stream.n_clicks * 8 + streams._IO_SLICE * (record + 1) + SLACK
 
 
+# the arrival sampler's candidate rows and the row-long temporaries of one draw
+ROWS = 16 * 8 * sim._ARRIVAL_ROWS
+
+
 def test_sliced_simulate_and_write_holds_a_few_slices(tmp_path):
-    # ~1e6 clicks (15.5 MB of records) in slices of ~1e5 clicks, jittered
-    # and dead-time filtered: a few slice-long arrays, the record buffer
-    # and the arrival rows, nothing of the stream
+    # ~1e6 clicks (15.5 MB of records), ~13,000 a block, in slices of two
+    # blocks, the first at which a slice holds _SLICE_CLICKS, jittered and
+    # dead-time filtered: a few slice-long arrays, the record buffer and
+    # the arrival rows, nothing of the stream
     train = sim.PulseTrainConfig(10**7, PERIOD, md.gaussian_mode(1e-9))
     det = sim.DetectorModel(timing_jitter_sigma=5e-11, dead_time=1e-9)
     path = tmp_path / "s.bin"
@@ -86,17 +91,15 @@ def test_sliced_simulate_and_write_holds_a_few_slices(tmp_path):
     peak = traced_peak(simulate_and_write)
     clicks = simulate_and_write()
     assert clicks > 900_000
-    slice_clicks = 0.1 * sim._SLICE_BLOCKS * sim._PULSE_BLOCK * 1.05
-    rows = 3 * 8 * sim._ARRIVAL_ROWS
+    slice_clicks = (sim._SLICE_CLICKS + 0.1 * sim._PULSE_BLOCK) * 1.05
     io = streams._IO_SLICE * streams._BINARY_DTYPE.itemsize
-    assert peak <= 6 * 8 * slice_clicks + io + rows + SLACK < clicks * 16 / 2
+    assert peak <= 6 * 8 * slice_clicks + io + ROWS + SLACK < clicks * 16 / 2
 
 
 def test_dense_train_slices_hold_the_click_budget(tmp_path):
-    # thermal:3 at s = 0.5 makes ~1.5 clicks per pulse, ~197,000 per block:
-    # a slice ends at the block that brings it to _SLICE_CLICKS, not after
-    # _SLICE_BLOCKS blocks (~1.6e6 clicks, a 50 MB peak), so the 2 ns dead
-    # time filter and the write hold a few arrays of two blocks' clicks
+    # thermal:3 at s = 0.5 makes ~1.5 clicks per pulse, ~197,000 per block,
+    # so each block ends a slice at _SLICE_CLICKS, and the 2 ns dead time
+    # filter and the write hold a few arrays of one block's clicks
     train = sim.PulseTrainConfig(2 * 10**6, PERIOD, md.gaussian_mode(1e-9))
     det = sim.DetectorModel(efficiency=0.5, dead_time=2e-9)
     path = tmp_path / "s.bin"
@@ -107,9 +110,8 @@ def test_dense_train_slices_hold_the_click_budget(tmp_path):
     peak = traced_peak(simulate_and_write)
     assert simulate_and_write() > 1_000_000
     slice_clicks = (sim._SLICE_CLICKS + 1.5 * sim._PULSE_BLOCK) * 1.05
-    rows = 3 * 8 * sim._ARRIVAL_ROWS
     io = streams._IO_SLICE * streams._BINARY_DTYPE.itemsize
-    assert peak <= 6 * 8 * slice_clicks + io + rows + SLACK
+    assert peak <= 6 * 8 * slice_clicks + io + ROWS + SLACK
 
 
 def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):

@@ -381,10 +381,9 @@ def test_dead_time_filter_carries_the_last_kept_time(dead, carried):
 class TestSlices:
     """The sliced stream is the whole train sorted at once."""
 
-    def _train(self, monkeypatch, blocks, detector):
-        # slices of ``blocks`` blocks each, whatever their clicks
-        monkeypatch.setattr(sim, "_SLICE_BLOCKS", blocks)
-        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1 << 62)
+    def _train(self, monkeypatch, clicks, detector):
+        # a slice ends at the first block at which it holds ``clicks`` clicks
+        monkeypatch.setattr(sim, "_SLICE_CLICKS", clicks)
         train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
         return sim.simulate_pulse_train(st.thermal(2.0), detector, train, seed=13)
 
@@ -393,7 +392,7 @@ class TestSlices:
     def test_one_block_slices_give_the_one_slice_stream(self, monkeypatch, jitter):
         # 300,000 pulses are 3 blocks; the widest jitter is one block's span
         det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=jitter, dead_time=1.5e-9)
-        whole = self._train(monkeypatch, 3, det)
+        whole = self._train(monkeypatch, 1 << 62, det)
         sliced = self._train(monkeypatch, 1, det)
         assert sliced.n_clicks == whole.n_clicks > 150_000
         assert np.array_equal(sliced.pulse_index, whole.pulse_index)
@@ -405,7 +404,7 @@ class TestSlices:
         # ~157,000 clicks per block: a slice ends after the first block that
         # brings it to the budget, and the stream stays the one-slice one
         det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=0.4e-9, dead_time=1.5e-9)
-        whole = self._train(monkeypatch, 3, det)
+        whole = self._train(monkeypatch, 1 << 62, det)
         monkeypatch.setattr(sim, "_SLICE_CLICKS", clicks)
         train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
         parts = list(sim._pulse_train_slices(st.thermal(2.0), det, train, 13))
@@ -417,7 +416,7 @@ class TestSlices:
     def test_slices_are_the_global_stable_sort(self, monkeypatch):
         # the whole train's clicks in generation order, jittered, stably
         # sorted and filtered at once, as the simulator did before slices
-        monkeypatch.setattr(sim, "_SLICE_BLOCKS", 1)
+        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1)
         det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=0.4e-9, dead_time=1.5e-9)
         train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
         roots = derive_roots(13)
