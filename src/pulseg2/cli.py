@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``simulate`` (config in, stream files out), ``analyze``
-(stream in, report JSON + histogram CSV out), ``figure`` (CSV datasets
-for the four standard plots).  Exit codes: 0 success, 1 config/usage
-error, 2 I/O or stream format error (a simulated stream that fails its
-time-order check included; it leaves no sidecar), 3 estimation failure.
+(stream in, report JSON out, plus the pulsed histogram CSV with its
+analytic overlay or the stationary pc curve CSV), ``figure`` (the CSV
+datasets no other command writes: 1, count records; 4, eta(0)/N against
+pulse width).  Each command takes only the flags it reads; one INI file
+drives them all.  Exit codes: 0 success, 1 config/usage error, 2 I/O or
+stream format error (a simulated stream that fails its time-order check
+included; it leaves no sidecar), 3 estimation failure.
 """
 
 from __future__ import annotations
@@ -43,23 +46,33 @@ def _positive_float(text):
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="experiment config file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--pulses", type=int, dest="num_pulses", help="override pulse count")
-    sub.add_argument("--state", dest="state_spec", help="state spec, e.g. thermal:0.5")
-    sub.add_argument("--mode", dest="mode_spec", help="mode spec, e.g. gauss:1e-9")
-    sub.add_argument("--out", help="output path (simulate/analyze) or directory (figure)")
-    sub.add_argument("--bin-width", type=_positive_float, dest="bin_width")
-    sub.add_argument("--max-tau", type=_positive_float, dest="max_tau")
+# the settings flags, by name; each dest is the attribute it sets
+_FLAGS = {
+    "--seed": {"type": int, "dest": "seed"},
+    "--pulses": {"type": int, "dest": "num_pulses", "help": "override pulse count"},
+    "--state": {"dest": "state_spec", "help": "state spec, e.g. thermal:0.5"},
+    "--mode": {"dest": "mode_spec", "help": "mode spec, e.g. gauss:1e-9"},
+    "--bin-width": {"type": _positive_float, "dest": "bin_width"},
+    "--max-tau": {"type": _positive_float, "dest": "max_tau"},
+}
+# the settings flags each command reads
+_READS = {
+    "simulate": ("--seed", "--pulses", "--state", "--mode"),
+    "analyze": ("--pulses", "--state", "--mode", "--bin-width", "--max-tau"),
+    "figure": ("--seed", "--pulses", "--mode"),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pulseg2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "analyze", "figure"):
+    for name, flags in _READS.items():
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", help="experiment config file")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--out", help="output directory" if name == "figure"
+                       else "output path")
         if name == "analyze":
             p.add_argument("stream", help="click-stream file to analyze")
             p.add_argument("--sidecar", help="metadata sidecar path")
@@ -69,12 +82,11 @@ def _build_parser() -> _Parser:
 
 
 def _settings(args) -> dict:
-    """The keys the INI file sets, by attribute, overlaid by every flag set
-    (each flag's dest is the attribute it sets)."""
+    """The keys the INI file sets, by attribute, overlaid by every flag set."""
     given = _read_settings(args.config) if args.config else {}
-    for attr in ("seed", "num_pulses", "state_spec", "mode_spec", "bin_width", "max_tau"):
-        if getattr(args, attr) is not None:
-            given[attr] = getattr(args, attr)
+    for spec in _FLAGS.values():
+        if getattr(args, spec["dest"], None) is not None:
+            given[spec["dest"]] = getattr(args, spec["dest"])
     return given
 
 
@@ -97,18 +109,23 @@ def _cmd_analyze(args) -> int:
     # the keys a file or flag sets override the sidecar; defaults never do
     given = _settings(args)
     cfg = ExperimentConfig(**given).validate()
-    side = getattr(args, "sidecar", None) or sidecar_path(args.stream)
+    side = args.sidecar or sidecar_path(args.stream)
     stream = read_stream(args.stream, sidecar=side)
     report_path = args.out or cfg.out_report
 
     if not stream.is_pulsed:
         return _analyze_stationary(stream, cfg, given, report_path, side)
 
-    report = _binned(
-        _est.analyze_stream, stream, num_pulses=given.get("num_pulses"),
-        mode=cfg.mode() if "mode_spec" in given else None,
-        state=cfg.state() if "state_spec" in given else None,
-        bin_width=cfg.bin_width, max_tau=cfg.max_tau)
+    try:
+        report = _est.analyze_stream(
+            stream, num_pulses=given.get("num_pulses"),
+            mode=cfg.mode() if "mode_spec" in given else None,
+            state=cfg.state() if "state_spec" in given else None,
+            bin_width=cfg.bin_width, max_tau=cfg.max_tau)
+    except ValueError as exc:
+        # tau_histogram's: a bin width and max tau that each pass but no histogram holds
+        raise ConfigError("--bin-width / --max-tau ([estimator] bin_width / "
+                          f"[estimator] max_tau): {exc}") from exc
     # the histogram first: a bad sidecar detector then leaves no report behind
     if cfg.out_histogram and report.histogram is not None:
         report.histogram.to_csv(cfg.out_histogram,
@@ -143,22 +160,12 @@ def _expected_counts(stream, report, given, side):
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
-def _binned(estimate, *args, **kwargs):
-    """``estimate(*args, **kwargs)`` on a pulsed stream; its one ValueError is
-    `tau_histogram`'s, a binning whose bin width and max tau passed their
-    own checks but that no histogram holds."""
-    try:
-        return estimate(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError("--bin-width / --max-tau ([estimator] bin_width / "
-                          f"[estimator] max_tau): {exc}") from exc
-
-
-def _stationary_curve(stream, bandwidth, cfg):
-    """(pc curve, baseline start, (g2(0), sigma)) of a stationary stream.
-    Binning that ``cfg`` leaves unset, for spectral bandwidth B: bins of
+def _analyze_stationary(stream, cfg, given, report_path, side) -> int:
+    """Binning that ``cfg`` leaves unset, for spectral bandwidth B: bins of
     1/(50 B) out to 5/B, the baseline from 3/B; no B: 500 bins, the
     baseline from the middle on."""
+    bandwidth = (cfg.stationary().spectral_bandwidth if "spectral_bandwidth" in given
+                 else stream.metadata.get("stationary", {}).get("spectral_bandwidth"))
     if not bandwidth and cfg.bin_width is None:
         raise EstimationError("stationary analysis needs --bin-width "
                               "(bandwidth unknown)")
@@ -167,21 +174,14 @@ def _stationary_curve(stream, bandwidth, cfg):
     base_from = 3.0 / bandwidth if bandwidth else max_tau / 2.0
     try:
         curve = _est.stationary_conditional_probability(stream, bin_width, max_tau)
-        return curve, base_from, curve.g2_zero(base_from)
+        g2_zero, g2_sigma = curve.g2_zero(base_from)
     except ValueError as exc:
-        raise ConfigError(f"bin width {bin_width:g} s, max tau {max_tau:g} s, "
-                          f"baseline from {base_from:g} s: {exc}") from exc
-
-
-def _analyze_stationary(stream, cfg, given, report_path, side) -> int:
-    bandwidth = (cfg.stationary().spectral_bandwidth if "spectral_bandwidth" in given
-                 else stream.metadata.get("stationary", {}).get("spectral_bandwidth"))
-    try:
-        curve, base_from, (g2_zero, g2_sigma) = _stationary_curve(stream, bandwidth, cfg)
-    except ConfigError as exc:      # a binning the sidecar's bandwidth alone set
+        binning = (f"bin width {bin_width:g} s, max tau {max_tau:g} s, "
+                   f"baseline from {base_from:g} s: {exc}")
         if given.keys() & {"spectral_bandwidth", "bin_width", "max_tau"}:
-            raise
-        raise StreamFormatError(f"{side}: stationary.spectral_bandwidth: {exc}") from exc
+            raise ConfigError(binning) from exc
+        # a binning the sidecar's bandwidth alone set
+        raise StreamFormatError(f"{side}: stationary.spectral_bandwidth: {binning}") from exc
     _write_json({
         "pc_peak_per_second": float(curve.pc[0]),
         "pc_baseline_per_second": curve.baseline(base_from),
@@ -212,28 +212,6 @@ def _fig1(cfg):
             [t, *counts], ("%.12g", "%d", "%d"))
 
 
-def _fig2(cfg):
-    """Stationary thermal conditional probability (the bunching peak)."""
-    scfg = dataclasses.replace(cfg.stationary(), duration=min(cfg.duration, 2.0))
-    stream = _sim.simulate_stationary_thermal(scfg, cfg.detector(), cfg.seed)
-    curve, base_from, _ = _stationary_curve(stream, scfg.spectral_bandwidth, cfg)
-    base = curve.baseline(base_from)
-    return ("figure2_stationary_pc.csv", "tau_seconds,pc_per_second,pc_normalized",
-            [curve.tau, curve.pc, curve.pc / base], "%.12g")
-
-
-def _fig3(cfg):
-    """Time-difference histogram with the analytic density overlay."""
-    state, det = cfg.state(), cfg.detector()
-    train = dataclasses.replace(cfg.train(), num_pulses=min(cfg.num_pulses, 200000))
-    stream = _sim.simulate_pulse_train(state, det, train, cfg.seed)
-    bw, max_tau = _est._pulsed_binning(train.mode.width)
-    hist = _binned(_est.tau_histogram, stream, cfg.bin_width or bw, cfg.max_tau or max_tau)
-    expected = _sim.analytic_D(state, det, train.mode, train.num_pulses,
-                               hist.centers) * hist.bin_width
-    return ("figure3_time_differences.csv", *hist._table(expected))
-
-
 def _fig4(cfg):
     """Pulse-shape bunching ratio g2p/g2q = eta(0)/N versus pulse width."""
     widths = np.geomspace(1e-12, cfg.repetition_period / 10.0, 25)
@@ -244,15 +222,12 @@ def _fig4(cfg):
             [widths, pulses, ratio], ("%.12g", "%d", "%.12g"))
 
 
-_FIGURES = {"1": _fig1, "2": _fig2, "3": _fig3, "4": _fig4}
+_FIGURES = {"1": _fig1, "4": _fig4}
 
 
 def _cmd_figure(args) -> int:
-    given = _settings(args)
-    if args.figure_id == "3":
-        given.setdefault("state_spec", "thermal:1")     # a bunched state unless set
     # the table first: a failing figure leaves no directory behind
-    name, *table = _FIGURES[args.figure_id](ExperimentConfig(**given).validate())
+    name, *table = _FIGURES[args.figure_id](ExperimentConfig(**_settings(args)).validate())
     outdir = args.out or "figures"
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)

@@ -35,7 +35,7 @@ from . import modes as _modes
 from . import simulate as _simulate
 from . import states as _states
 from .errors import EstimationError
-from .streams import ClickStream, _write_json, _write_table
+from .streams import _MAX_PULSES, ClickStream, _write_json, _write_table
 
 __all__ = [
     "TauHistogram",
@@ -79,16 +79,12 @@ class TauHistogram:
     def is_empty(self) -> bool:
         return int(self.counts.sum()) == 0
 
-    def _table(self, expected=None):
-        """(header, columns, formats) of the table `to_csv` writes."""
-        head, cols, fmt = "tau_seconds,count", [self.centers, self.counts], ["%.12g", "%d"]
-        if expected is None:
-            return head, cols, fmt
-        return head + ",expected_analytic", cols + [expected], fmt + ["%.12g"]
-
     def to_csv(self, path, expected=None):
         """Write ``tau_seconds,count[,expected_analytic]`` rows."""
-        _write_table(path, *self._table(expected))
+        head, cols, fmt = "tau_seconds,count", [self.centers, self.counts], ["%.12g", "%d"]
+        if expected is not None:
+            head, cols, fmt = head + ",expected_analytic", cols + [expected], fmt + ["%.12g"]
+        _write_table(path, head, cols, fmt)
 
 
 # first clicks per slice of the pair walk: its scratch memory is this
@@ -123,7 +119,10 @@ def _pair_counts(times, reach, unit_of, n_units, nbins, bin_of, passes=None):
     The walk takes `_PAIR_SLICE` first clicks at a time, each slice its
     own lag passes (at most ``passes`` of them); ``unit_of(i)`` is the
     unit of clicks i, and ``bin_of(i, j, dt)`` bins each pair, a bin
-    outside [0, nbins) dropping it."""
+    outside [0, nbins) dropping it.  Over `_MAX_PULSES` units a ValueError:
+    a unit index times the blocks would leave int64."""
+    if n_units > _MAX_PULSES:
+        raise ValueError(f"{n_units} pulse or time units, more than {_MAX_PULSES}")
     n_blocks = _blocks(0, n_units)[1]
     flat = np.zeros(n_blocks * nbins, dtype=np.int64)
     clicks = np.zeros(n_blocks, dtype=np.int64)
@@ -181,7 +180,8 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     ``num_pulses``, else the largest index + 1) for ``same_pulse``, else
     of whole max_tau slices from the first click, the last taking the
     remainder, so a time block outlasts every lag.  An empty stream
-    yields a valid all-zero histogram, and over `_MAX_BINS` bins a ValueError.
+    yields a valid all-zero histogram; over `_MAX_BINS` bins, or over
+    `_MAX_PULSES` pulses or max_tau slices, a ValueError.
     """
     if scope not in ("same_pulse", "all_pairs", "start_stop"):
         raise ValueError("scope must be 'same_pulse', 'all_pairs' or 'start_stop'")
@@ -206,9 +206,10 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
         def bin_of(i, j, dt):
             return np.where(pulse[j] == pulse[i], (dt / bin_width).astype(np.int64), -1)
     else:
-        # times are sorted: the last click's max_tau slice is the largest
+        # times are sorted: the last click's max_tau slice is the largest;
+        # an inf slice count stays an int for the `_pair_counts` bound
         t0, t1 = (times[0], times[-1]) if times.size else (0.0, 0.0)
-        n_units = max(int((t1 - t0) / max_tau), 1)
+        n_units = max(int(min(float(t1 - t0) / max_tau, 2.0**63)), 1)
 
         def unit_of(i):
             unit = ((times[i] - t0) / max_tau).astype(np.int64)

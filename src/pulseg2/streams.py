@@ -12,7 +12,8 @@ the whole stream ever being held.  The bytes do not depend on the slices.
 Formats
 -------
 CSV       header ``pulse_index,time_seconds``; stationary records write -1.
-          Written one slice at a time.
+          Written one slice at a time; read back, a pulse index of
+          magnitude 2**53 or more is an error, as float parsing may round it.
 binary    packed little-endian records (u64 pulse index, f64 time);
           stationary records store 2**64 - 1 as the index sentinel.
           Both directions go `_IO_SLICE` records at a time through one
@@ -298,10 +299,10 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
             raise StreamFormatError(str(exc)) from exc
         pulse, t = rows[:, 0], rows[:, 1]
         bad = [0] if rows.shape[1] != 2 else np.flatnonzero(
-            (pulse != np.round(pulse)) | ~(np.abs(pulse) < 2.0**63))
+            (pulse != np.round(pulse)) | ~(np.abs(pulse) < 2.0**53))
         if len(bad):
             raise StreamFormatError(f"{path}: record {bad[0]}: expected 2 columns, "
-                                    "the first a 64-bit integer")
+                                    "the first an integer of magnitude below 2**53")
         idx = None if np.all(pulse == -1) else pulse.astype(np.int64)
         check_count(t.size)
     try:

@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,19 +69,21 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
 
-@pytest.mark.parametrize("argv,ini_seed", [
-    (["simulate", "--seed", "-1"], 101),
-    (["simulate"], -5),
-    (["figure", "1", "--seed", "-3"], 101),
-    (["analyze", "stream.csv", "--seed", "-2"], 101),
+@pytest.mark.parametrize("argv,ini_seed,message", [
+    (["simulate", "--seed", "-1"], 101, "[run] seed"),
+    (["simulate"], -5, "[run] seed"),
+    (["figure", "1", "--seed", "-3"], 101, "[run] seed"),
+    # analyze draws no random numbers, so it takes no --seed
+    (["analyze", "stream.csv", "--seed", "-2"], 101, "unrecognized arguments: --seed"),
 ], ids=["simulate_flag", "ini", "figure_flag", "analyze_flag"])
-def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, argv, ini_seed):
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, argv, ini_seed,
+                                       message):
     # analyze checks its settings before it reads the (here missing) stream
     _, path = write_cfg(tmp_path, seed=ini_seed)
     monkeypatch.chdir(tmp_path)
     assert cli.main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "[run] seed" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -277,6 +281,48 @@ class TestAnalyzeCommand:
         bad.write_text("pulse_index,time_seconds\n0,zzz\n")
         assert cli.main(["analyze", str(bad)]) == 2
 
+    def test_csv_pulse_index_past_float_precision_is_io_error(self, tmp_path, capsys):
+        # 2**53 + 1 parses as the float 2**53: the index would change unseen
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"pulse_index,time_seconds\n0,1e-9\n{2**53 + 1},2e-9\n")
+        assert cli.main(["analyze", str(bad), "--pulses", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: record 1" in err and "2**53" in err and "Traceback" not in err
+
+    def test_histogram_csv_is_tau_histogram_with_analytic_overlay(self, tmp_path,
+                                                                  monkeypatch):
+        # the paper's time-difference histogram: simulate, then analyze
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--seed", "5", "--pulses", "20000",
+                         "--state", "thermal:1"]) == 0
+        assert cli.main(["analyze", "stream.csv"]) == 0
+        state, det, mode = st.thermal(1.0), sim.DetectorModel(), md.gaussian_mode(1e-9)
+        stream = sim.simulate_pulse_train(state, det, sim.PulseTrainConfig(
+            20000, 12.5e-9, mode), 5)
+        hist = est.tau_histogram(stream, mode.width / 20.0, 6.0 * mode.width)
+        expected = sim.analytic_D(state, det, mode, 20000, hist.centers) * hist.bin_width
+        rows = io.StringIO()
+        np.savetxt(rows, np.column_stack([hist.centers, hist.counts, expected]),
+                   fmt=["%.12g", "%d", "%.12g"], delimiter=",")
+        assert Path("histogram.csv").read_text() == \
+            "tau_seconds,count,expected_analytic\n" + rows.getvalue()
+        # moment fit of the analytic overlay: standard deviation = the 1 ns mode width
+        tau = hist.centers
+        assert math.sqrt(float((expected * tau**2).sum() / expected.sum())) == \
+            pytest.approx(1e-9, rel=0.01)
+        assert 5e-9 < tau[-1] < 6e-9
+
+    def test_pc_curve_peaks_at_twice_its_baseline(self, tmp_path, monkeypatch):
+        # the paper's stationary conditional probability: simulate, then analyze
+        monkeypatch.chdir(tmp_path)
+        Path("stationary.ini").write_text("[run]\nkind = stationary\n")
+        assert cli.main(["simulate", "--config", "stationary.ini", "--seed", "4"]) == 0
+        assert cli.main(["analyze", "stream.csv"]) == 0
+        baseline = json.loads(Path("report.json").read_text())["pc_baseline_per_second"]
+        normalized = np.loadtxt("report_pc.csv", delimiter=",", skiprows=1)[:, 1] / baseline
+        assert normalized[0] == pytest.approx(2.0, abs=0.25)
+        assert normalized[-20:].mean() == pytest.approx(1.0, abs=0.1)
+
     @pytest.mark.parametrize("hint", [[], ["--mode", "gauss:1.05e-9"]],
                              ids=["sidecar_mode", "off_hint"])
     def test_histogram_csv_is_the_reports_histogram(self, tmp_path, monkeypatch, hint):
@@ -367,6 +413,17 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 3
         assert "no baseline pairs" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("max_tau", ["1e-15", "1e-310"])
+    def test_stationary_slice_count_past_the_bound_is_config_error(self, tmp_path, capsys,
+                                                                    max_tau):
+        # 1000 s in max_tau slices: 1e18, or inf, time blocks
+        path = tmp_path / "s.csv"
+        path.write_text("pulse_index,time_seconds\n-1,0\n-1,1000\n")
+        assert cli.main(["analyze", str(path), "--max-tau", max_tau,
+                         "--bin-width", f"{float(max_tau) / 10}"]) == 1
+        err = capsys.readouterr().err
+        assert "pulse or time units, more than" in err and "Traceback" not in err
 
     def test_stationary_max_tau_below_baseline_is_config_error(self, tmp_path, capsys):
         _, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5, duration=0.02)
@@ -565,9 +622,13 @@ def test_python_dash_m_runs_the_cli():
 
 
 class TestFigureCommand:
-    def test_unknown_figure_is_usage_error(self, tmp_path):
-        assert cli.main(["figure", "9", "--out", str(tmp_path)]) == 1
-        assert cli.main(["figure", "one", "--out", str(tmp_path)]) == 1
+    def test_unknown_figure_is_usage_error(self, tmp_path, capsys):
+        # the datasets of figures 2 and 3 are `simulate` then `analyze`
+        for figure in ("2", "3", "9", "one"):
+            assert cli.main(["figure", figure, "--out", str(tmp_path / "figs")]) == 1
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and "Traceback" not in err
+        assert not (tmp_path / "figs").exists()
 
     def test_figure1_columns(self, tmp_path):
         assert cli.main(["figure", "1", "--out", str(tmp_path), "--seed", "3"]) == 0
@@ -578,30 +639,13 @@ class TestFigureCommand:
         assert data[:, 1].mean() == pytest.approx(data[:, 2].mean(), rel=0.2)
         assert data[:, 1].var() > 1.5 * data[:, 2].var()
 
-    def test_figure2_peak(self, tmp_path):
-        assert cli.main(["figure", "2", "--out", str(tmp_path), "--seed", "4"]) == 0
-        data = np.loadtxt(str(tmp_path / "figure2_stationary_pc.csv"),
-                          delimiter=",", skiprows=1)
-        normalized = data[:, 2]
-        assert normalized[0] == pytest.approx(2.0, abs=0.25)
-        assert normalized[-20:].mean() == pytest.approx(1.0, abs=0.1)
-
-    def test_figure3_analytic_column_is_gaussian_with_mode_width(self, tmp_path):
-        assert cli.main(["figure", "3", "--out", str(tmp_path), "--seed", "5"]) == 0
-        data = np.loadtxt(str(tmp_path / "figure3_time_differences.csv"),
-                          delimiter=",", skiprows=1)
-        tau, expected = data[:, 0], data[:, 2]
-        # moment fit of the analytic overlay: standard deviation = 1 ns
-        sd = math.sqrt(float((expected * tau**2).sum() / expected.sum()))
-        assert sd == pytest.approx(1e-9, rel=0.01)
-        # the default max_tau is analyze's, 6 dt_p
-        assert 5e-9 < tau[-1] < 6e-9
-
     @pytest.mark.parametrize("figure,text,section", [
-        ("2", "[stationary]\nmean_rate = nan\n", "[stationary]"),
+        # figure 1 reads [pulsed]; a stationary config is still validated in full
+        ("1", "[run]\nkind = stationary\n[stationary]\nmean_rate = nan\n",
+         "[stationary]"),
         ("1", "[run]\nkind = stationary\n[pulsed]\nrepetition_period = inf\n",
          "[pulsed]"),
-    ], ids=["figure2_stationary", "figure1_pulsed"])
+    ], ids=["figure1_stationary", "figure1_pulsed"])
     def test_bad_section_of_other_kind_is_config_error(self, tmp_path, capsys,
                                                        figure, text, section):
         path = tmp_path / "bad.ini"
@@ -611,32 +655,21 @@ class TestFigureCommand:
         err = capsys.readouterr().err
         assert section in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv,text,code,kind", [
-        ([], "[stationary]\nmean_rate = nan\n", 1, "config error"),
-        (["--max-tau", "1e-6"], "", 1, "config error"),
-        ([], "[stationary]\nmean_rate = 10\n", 3, "estimation error"),
-    ], ids=["bad_section", "no_baseline_bins", "no_baseline_pairs"])
-    def test_failing_figure_leaves_no_directory(self, tmp_path, capsys, argv, text,
-                                                code, kind):
+    @pytest.mark.parametrize("argv,text", [
+        ([], "[pulsed]\nrepetition_period = inf\n"),
+        # validation builds [stationary] only; figure 1 then builds [pulsed]
+        ([], "[run]\nkind = stationary\n[pulsed]\nrepetition_period = inf\n"),
+        (["--max-tau", "1e-6"], ""),
+    ], ids=["bad_section", "bad_section_built_by_the_figure", "unread_flag"])
+    def test_failing_figure_leaves_no_directory(self, tmp_path, capsys, argv, text):
         path = tmp_path / "given.ini"
         path.write_text(text)
         out = tmp_path / "figs"
-        assert cli.main(["figure", "2", "--config", str(path), "--out", str(out),
-                         *argv]) == code
+        assert cli.main(["figure", "1", "--config", str(path), "--out", str(out),
+                         *argv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(kind) and "Traceback" not in err
+        assert err.startswith("config error") and "Traceback" not in err
         assert not out.exists()
-
-    def test_figure3_state_flag_is_used(self, tmp_path):
-        def figure3(*flags):
-            out = tmp_path / "-".join(("figs",) + flags)
-            assert cli.main(["figure", "3", "--seed", "5", "--pulses", "20000",
-                             "--out", str(out), *flags]) == 0
-            return (out / "figure3_time_differences.csv").read_bytes()
-
-        # thermal:1 is figure 3's default; an explicit coherent:1 replaces it
-        assert figure3() == figure3("--state", "thermal:1")
-        assert figure3("--state", "coherent:1") != figure3()
 
     def test_figure4_closed_form_column(self, tmp_path):
         assert cli.main(["figure", "4", "--out", str(tmp_path)]) == 0
@@ -753,6 +786,24 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--bin-width", "1e-10"],
+    ["simulate", "--max-tau", "6e-9"],
+    ["analyze", "stream.csv", "--seed", "1"],
+    ["figure", "1", "--state", "thermal:1"],
+    ["figure", "1", "--bin-width", "1e-10"],
+    ["figure", "1", "--max-tau", "6e-9"],
+], ids=["simulate_bin_width", "simulate_max_tau", "analyze_seed", "figure_state",
+        "figure_bin_width", "figure_max_tau"])
+def test_unread_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # each command takes only the flags it reads
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv", [["selftest"], ["selftest", "--quick"]])
 def test_removed_selftest_is_usage_error(capsys, argv):
     assert cli.main(argv) == 1
@@ -760,10 +811,24 @@ def test_removed_selftest_is_usage_error(capsys, argv):
 
 
 def test_readme_synopsis_lists_every_command():
+    # each command's synopsis line, with the indented lines that continue it,
+    # names exactly the parser's flags, and figure's its figure ids
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
-    listed = {line.split()[1] for line in block.splitlines()
-              if line.startswith("pulseg2 ")}
+    synopsis = {}
+    for line in filter(str.strip, block.splitlines()):
+        if line.startswith("pulseg2 "):
+            command = line.split()[1]
+            synopsis[command] = ""
+        synopsis[command] += line
     subparsers = next(action for action in cli._build_parser()._actions
-                      if action.dest == "command")
-    assert listed == set(subparsers.choices)
+                      if action.dest == "command").choices
+    assert synopsis.keys() == subparsers.keys()
+    for command, parser in subparsers.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings
+                 if flag != "--help" and flag.startswith("--")}
+        assert set(re.findall(r"--[a-z-]+", synopsis[command])) == flags, command
+    figure_id = next(action for action in subparsers["figure"]._actions
+                     if action.dest == "figure_id")
+    ids = re.search(r"\{([^}]*)\}", synopsis["figure"]).group(1).split(",")
+    assert ids == list(figure_id.choices)

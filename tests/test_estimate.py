@@ -12,6 +12,7 @@ from pulseg2 import modes as md
 from pulseg2 import simulate as sim
 from pulseg2 import states as st
 from pulseg2.errors import EstimationError
+from pulseg2.streams import _MAX_PULSES
 
 WIDTH = 1e-9
 PERIOD = 12.5e-9
@@ -131,6 +132,25 @@ class TestTauHistogram:
         assert est.tau_histogram(stream, 1.0, est._MAX_BINS).counts.size == est._MAX_BINS
         with pytest.raises(ValueError, match=f"more than {est._MAX_BINS}"):
             est.tau_histogram(stream, bin_width, max_tau)
+
+    @pytest.mark.parametrize("scope,pulse,times,max_tau,units", [
+        # a pulse index of 5e16, no sidecar pulse count
+        ("same_pulse", [0, 5 * 10**16], [0.0, 1e-9], 1e-15, 5 * 10**16 + 1),
+        # a 1000 s record cut into max_tau slices: 1e18, then inf, counted as 2**63
+        ("all_pairs", [-1, -1], [0.0, 1000.0], 1e-15, int(1000.0 / 1e-15)),
+        ("all_pairs", [-1, -1], [0.0, 1000.0], 1e-310, 2**63),
+    ], ids=["pulse_units", "time_units", "time_units_inf"])
+    def test_unit_count_above_the_bound_rejected(self, scope, pulse, times, max_tau,
+                                                 units):
+        # a unit index times 200 blocks would leave int64
+        stream = pg.ClickStream(np.array(pulse, np.int64), np.array(times), {})
+        with pytest.raises(ValueError, match=f"^{units} .* more than {_MAX_PULSES}$"):
+            est.tau_histogram(stream, max_tau / 10.0, max_tau, scope=scope)
+
+    def test_unit_count_at_the_bound_walks(self):
+        stream = pg.ClickStream(np.array([0, _MAX_PULSES - 1]), np.array([0.0, 1e-9]), {})
+        hist = est.tau_histogram(stream, 1e-16, 1e-15)
+        assert hist.block_clicks.tolist() == [1] + [0] * 198 + [1]
 
     def test_csv_export_with_expected_column(self, tmp_path):
         stream, _ = run_train(st.thermal(0.7), 5000, seed=5)

@@ -107,6 +107,22 @@ def test_bad_click_time_record_named(tmp_path, rows, record, message):
         read_stream(path)
 
 
+def test_csv_pulse_index_below_2_53_read_back_exactly(tmp_path):
+    # 2**53 - 1 is the largest index every float64 parse keeps exact
+    path = tmp_path / "s.csv"
+    path.write_text(f"pulse_index,time_seconds\n{2**53 - 1},1e-9\n")
+    assert int(read_stream(path).pulse_index[0]) == 2**53 - 1
+
+
+@pytest.mark.parametrize("index", [2**53, 2**53 + 1, -(2**53 + 1)])
+def test_csv_pulse_index_from_2_53_rejected(tmp_path, index):
+    # 2**53 + 1 parses as 2**53: the index would change without an error
+    path = tmp_path / "s.csv"
+    path.write_text(f"pulse_index,time_seconds\n0,1e-9\n{index},2e-9\n")
+    with pytest.raises(StreamFormatError, match=re.escape(f"{path}: record 1: ")):
+        read_stream(path)
+
+
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1e-9\n")
