@@ -1,33 +1,30 @@
 """Command-line front end.
 
-Subcommands: ``simulate`` (config in, stream files out), ``analyze``
+Subcommands: ``simulate`` (config in, stream files out) and ``analyze``
 (stream in, report JSON out, plus the pulsed histogram CSV with its
-analytic overlay or the stationary pc curve CSV), ``figure`` (the CSV
-datasets no other command writes: 1, count records; 4, eta(0)/N against
-pulse width).  Each command takes only the flags it reads; one INI file
-drives them all.  Exit codes: 0 success, 1 config/usage error, 2 I/O or
-stream format error (a simulated stream that fails its time-order check
-included; it leaves no sidecar), 3 estimation failure.
+analytic overlay or the stationary pc curve CSV).  Each command takes
+only the flags it reads; one INI file drives both.  Exit codes: 0
+success, 1 config/usage error, 2 I/O or stream format error (a simulated
+stream that fails its time-order check included; it leaves no sidecar),
+3 estimation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
 from . import estimate as _est
 from . import modes as _modes
 from . import simulate as _sim
 from . import states as _states
-from .config import ExperimentConfig, _read_settings
+from .config import ExperimentConfig, _read_settings, _whole
 from .errors import ConfigError, EstimationError, StreamFormatError
-from .streams import _write_json, _write_table, read_stream, sidecar_path, write_stream
+from .streams import (_MAX_PULSES, _write_json, _write_table, read_stream, sidecar_path,
+                      write_stream)
 
 __all__ = ["main", "entrypoint"]
 
@@ -38,28 +35,36 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _positive_float(text):
-    """argparse type of the estimator flags: a finite number > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+def _flag_type(parse, ok, rule):
+    """argparse type of a settings flag: the text ``parse``d and held to
+    ``ok``; either failure is the usage error "must be ``rule``"."""
+    def convert(text):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return convert
 
 
+_POSITIVE = _flag_type(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 # the settings flags, by name; each dest is the attribute it sets
 _FLAGS = {
     "--seed": {"type": int, "dest": "seed"},
-    "--pulses": {"type": int, "dest": "num_pulses", "help": "override pulse count"},
+    "--pulses": {"type": _flag_type(_whole, lambda n: 1 <= n <= _MAX_PULSES,
+                                    f"a whole number in [1, {_MAX_PULSES}]"),
+                 "dest": "num_pulses", "help": "override pulse count"},
     "--state": {"dest": "state_spec", "help": "state spec, e.g. thermal:0.5"},
     "--mode": {"dest": "mode_spec", "help": "mode spec, e.g. gauss:1e-9"},
-    "--bin-width": {"type": _positive_float, "dest": "bin_width"},
-    "--max-tau": {"type": _positive_float, "dest": "max_tau"},
+    "--bin-width": {"type": _POSITIVE, "dest": "bin_width"},
+    "--max-tau": {"type": _POSITIVE, "dest": "max_tau"},
+    "--sidecar": {"dest": "out_sidecar", "help": "metadata sidecar path"},
 }
 # the settings flags each command reads
 _READS = {
     "simulate": ("--seed", "--pulses", "--state", "--mode"),
-    "analyze": ("--pulses", "--state", "--mode", "--bin-width", "--max-tau"),
-    "figure": ("--seed", "--pulses", "--mode"),
+    "analyze": ("--sidecar", "--pulses", "--state", "--mode", "--bin-width", "--max-tau"),
 }
 
 
@@ -71,13 +76,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="experiment config file")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument("--out", help="output directory" if name == "figure"
-                       else "output path")
+        p.add_argument("--out", help="output path")
         if name == "analyze":
             p.add_argument("stream", help="click-stream file to analyze")
-            p.add_argument("--sidecar", help="metadata sidecar path")
-        if name == "figure":
-            p.add_argument("figure_id", choices=sorted(_FIGURES), help="figure number")
     return parser
 
 
@@ -109,7 +110,10 @@ def _cmd_analyze(args) -> int:
     # the keys a file or flag sets override the sidecar; defaults never do
     given = _settings(args)
     cfg = ExperimentConfig(**given).validate()
-    side = args.sidecar or sidecar_path(args.stream)
+    side = cfg.out_sidecar or sidecar_path(args.stream)
+    # only the default sidecar is optional
+    if cfg.out_sidecar and not os.path.exists(side):
+        raise StreamFormatError(f"{side}: no such sidecar")
     stream = read_stream(args.stream, sidecar=side)
     report_path = args.out or cfg.out_report
 
@@ -196,50 +200,9 @@ def _analyze_stationary(stream, cfg, given, report_path, side) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# figure datasets: each returns its table (file name, header, columns, formats)
-
-
-def _fig1(cfg):
-    """Counts per pulse slot for thermal vs coherent trains of equal mean."""
-    train = dataclasses.replace(cfg.train(), num_pulses=min(cfg.num_pulses, 400))
-    n = train.num_pulses
-    counts = [_sim.simulate_pulse_train(state, _sim.DetectorModel(), train, cfg.seed)
-              .counts_per_pulse(n)
-              for state in (_states.thermal(4.0), _states.coherent(4.0))]
-    t = (np.arange(n) + 0.5) * train.repetition_period
-    return ("figure1_count_records.csv", "time_seconds,counts_thermal,counts_coherent",
-            [t, *counts], ("%.12g", "%d", "%d"))
-
-
-def _fig4(cfg):
-    """Pulse-shape bunching ratio g2p/g2q = eta(0)/N versus pulse width."""
-    widths = np.geomspace(1e-12, cfg.repetition_period / 10.0, 25)
-    pulses = np.repeat([100, 10000, 1000000], widths.size)
-    widths = np.tile(widths, 3)
-    ratio = _modes.eta_gaussian(1.0, 0.0) / (widths * pulses)
-    return ("figure4_g2p_over_g2q.csv", "delta_tp_seconds,num_pulses,g2p_over_g2q",
-            [widths, pulses, ratio], ("%.12g", "%d", "%.12g"))
-
-
-_FIGURES = {"1": _fig1, "4": _fig4}
-
-
-def _cmd_figure(args) -> int:
-    # the table first: a failing figure leaves no directory behind
-    name, *table = _FIGURES[args.figure_id](ExperimentConfig(**_settings(args)).validate())
-    outdir = args.out or "figures"
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    _write_table(path, *table)
-    print(f"wrote {path}")
-    return 0
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "analyze": _cmd_analyze,
-    "figure": _cmd_figure,
 }
 
 

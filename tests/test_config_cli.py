@@ -72,10 +72,9 @@ class TestConfig:
 @pytest.mark.parametrize("argv,ini_seed,message", [
     (["simulate", "--seed", "-1"], 101, "[run] seed"),
     (["simulate"], -5, "[run] seed"),
-    (["figure", "1", "--seed", "-3"], 101, "[run] seed"),
     # analyze draws no random numbers, so it takes no --seed
     (["analyze", "stream.csv", "--seed", "-2"], 101, "unrecognized arguments: --seed"),
-], ids=["simulate_flag", "ini", "figure_flag", "analyze_flag"])
+], ids=["simulate_flag", "ini", "analyze_flag"])
 def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, argv, ini_seed,
                                        message):
     # analyze checks its settings before it reads the (here missing) stream
@@ -182,6 +181,54 @@ class TestSimulateCommand:
         head = [r for r in rows[1:] if int(r.split(",")[0]) < n]
         assert 0 < len(head) < len(rows) - 1
         assert head == short.read_text().splitlines()[1:]
+
+    def test_pulses_flag_parses_as_the_ini_key(self, tmp_path):
+        # `--pulses 2e4` reads as `[pulsed] num_pulses = 2e4` does
+        _, path = write_cfg(tmp_path)       # num_pulses = 20000
+        flag = tmp_path / "flag.csv"
+        assert cli.main(["simulate", "--config", path, "--pulses", "2e4",
+                         "--out", str(flag)]) == 0
+        assert cli.main(["simulate", "--config", path]) == 0
+        assert flag.read_bytes() == (tmp_path / "stream.csv").read_bytes()
+        assert json.loads((tmp_path / "flag.csv.meta.json").read_text())[
+            "train"]["num_pulses"] == 20000
+
+
+class TestSidecarPath:
+    """`analyze` reads the sidecar `[output] sidecar` or `--sidecar` names;
+    only the default `<stream>.meta.json` may be missing."""
+
+    @pytest.fixture
+    def named(self, tmp_path, monkeypatch):
+        # an INI that names both outputs and sets nothing else
+        monkeypatch.chdir(tmp_path)
+        Path("b.ini").write_text("[output]\nstream = s2.csv\nsidecar = side.json\n")
+        assert cli.main(["simulate", "--config", "b.ini", "--pulses", "2000"]) == 0
+        assert Path("side.json").exists() and not Path("s2.csv.meta.json").exists()
+
+    def test_ini_sidecar_is_read(self, named):
+        assert cli.main(["analyze", "s2.csv", "--config", "b.ini", "--out", "r.json"]) == 0
+        assert json.loads(Path("r.json").read_text())["N"] == 2000
+        header = Path("histogram.csv").read_text().splitlines()[0]
+        assert header == "tau_seconds,count,expected_analytic"
+
+    @pytest.mark.parametrize("argv,text", [
+        (["--sidecar", "nope.json"], ""),
+        ([], "[output]\nsidecar = nope.json\n"),
+    ], ids=["flag", "ini"])
+    def test_missing_named_sidecar_is_io_error(self, named, capsys, argv, text):
+        Path("c.ini").write_text(text)
+        assert cli.main(["analyze", "s2.csv", "--config", "c.ini", "--pulses", "2000",
+                         "--out", "r.json", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "nope.json" in err and "Traceback" not in err
+        assert not Path("r.json").exists()
+
+    def test_missing_default_sidecar_is_optional(self, named):
+        assert cli.main(["analyze", "s2.csv", "--pulses", "2000", "--mode", "gauss:1e-9",
+                         "--out", "r.json"]) == 0
+        assert json.loads(Path("r.json").read_text())["N"] == 2000
+        assert Path("histogram.csv").read_text().splitlines()[0] == "tau_seconds,count"
 
 
 class TestAnalyzeCommand:
@@ -575,6 +622,9 @@ class TestAnalyzeEstimatorSettings:
         ("--max-tau", "nan"),
         ("--bin-width", "1e-30"),       # 6e21 bins
         ("--max-tau", "1e300"),         # inf bins
+        ("--pulses", "1000.7"),
+        ("--pulses", "inf"),
+        ("--pulses", "6e16"),           # past the pulse bound
     ])
     def test_bad_flag_named(self, stream, tmp_path, capsys, flag, value):
         out = tmp_path / "report.json"
@@ -623,61 +673,13 @@ def test_python_dash_m_runs_the_cli():
 
 class TestFigureCommand:
     def test_unknown_figure_is_usage_error(self, tmp_path, capsys):
-        # the datasets of figures 2 and 3 are `simulate` then `analyze`
-        for figure in ("2", "3", "9", "one"):
+        # the command is gone: demos 03 and 02 write the datasets of figures
+        # 1 and 4, and figures 2 and 3 are `simulate` then `analyze`
+        for figure in ("1", "4"):
             assert cli.main(["figure", figure, "--out", str(tmp_path / "figs")]) == 1
             err = capsys.readouterr().err
             assert "invalid choice" in err and "Traceback" not in err
         assert not (tmp_path / "figs").exists()
-
-    def test_figure1_columns(self, tmp_path):
-        assert cli.main(["figure", "1", "--out", str(tmp_path), "--seed", "3"]) == 0
-        lines = (tmp_path / "figure1_count_records.csv").read_text().splitlines()
-        assert lines[0] == "time_seconds,counts_thermal,counts_coherent"
-        data = np.loadtxt(lines[1:], delimiter=",")
-        # same mean but thermal counts fluctuate more than coherent ones
-        assert data[:, 1].mean() == pytest.approx(data[:, 2].mean(), rel=0.2)
-        assert data[:, 1].var() > 1.5 * data[:, 2].var()
-
-    @pytest.mark.parametrize("figure,text,section", [
-        # figure 1 reads [pulsed]; a stationary config is still validated in full
-        ("1", "[run]\nkind = stationary\n[stationary]\nmean_rate = nan\n",
-         "[stationary]"),
-        ("1", "[run]\nkind = stationary\n[pulsed]\nrepetition_period = inf\n",
-         "[pulsed]"),
-    ], ids=["figure1_stationary", "figure1_pulsed"])
-    def test_bad_section_of_other_kind_is_config_error(self, tmp_path, capsys,
-                                                       figure, text, section):
-        path = tmp_path / "bad.ini"
-        path.write_text(text)
-        assert cli.main(["figure", figure, "--config", str(path),
-                         "--out", str(tmp_path / "figs")]) == 1
-        err = capsys.readouterr().err
-        assert section in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("argv,text", [
-        ([], "[pulsed]\nrepetition_period = inf\n"),
-        # validation builds [stationary] only; figure 1 then builds [pulsed]
-        ([], "[run]\nkind = stationary\n[pulsed]\nrepetition_period = inf\n"),
-        (["--max-tau", "1e-6"], ""),
-    ], ids=["bad_section", "bad_section_built_by_the_figure", "unread_flag"])
-    def test_failing_figure_leaves_no_directory(self, tmp_path, capsys, argv, text):
-        path = tmp_path / "given.ini"
-        path.write_text(text)
-        out = tmp_path / "figs"
-        assert cli.main(["figure", "1", "--config", str(path), "--out", str(out),
-                         *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and "Traceback" not in err
-        assert not out.exists()
-
-    def test_figure4_closed_form_column(self, tmp_path):
-        assert cli.main(["figure", "4", "--out", str(tmp_path)]) == 0
-        data = np.loadtxt(str(tmp_path / "figure4_g2p_over_g2q.csv"),
-                          delimiter=",", skiprows=1)
-        widths, pulses, ratio = data[:, 0], data[:, 1], data[:, 2]
-        expect = 1.0 / (np.sqrt(2 * np.pi) * widths * pulses)
-        np.testing.assert_allclose(ratio, expect, rtol=1e-10)
 
 
 class TestMalformedSidecar:
@@ -790,11 +792,7 @@ class TestExitCodes:
     ["simulate", "--bin-width", "1e-10"],
     ["simulate", "--max-tau", "6e-9"],
     ["analyze", "stream.csv", "--seed", "1"],
-    ["figure", "1", "--state", "thermal:1"],
-    ["figure", "1", "--bin-width", "1e-10"],
-    ["figure", "1", "--max-tau", "6e-9"],
-], ids=["simulate_bin_width", "simulate_max_tau", "analyze_seed", "figure_state",
-        "figure_bin_width", "figure_max_tau"])
+], ids=["simulate_bin_width", "simulate_max_tau", "analyze_seed"])
 def test_unread_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     # each command takes only the flags it reads
     monkeypatch.chdir(tmp_path)
@@ -812,7 +810,7 @@ def test_removed_selftest_is_usage_error(capsys, argv):
 
 def test_readme_synopsis_lists_every_command():
     # each command's synopsis line, with the indented lines that continue it,
-    # names exactly the parser's flags, and figure's its figure ids
+    # names exactly the parser's flags
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
     synopsis = {}
@@ -828,7 +826,3 @@ def test_readme_synopsis_lists_every_command():
         flags = {flag for action in parser._actions for flag in action.option_strings
                  if flag != "--help" and flag.startswith("--")}
         assert set(re.findall(r"--[a-z-]+", synopsis[command])) == flags, command
-    figure_id = next(action for action in subparsers["figure"]._actions
-                     if action.dest == "figure_id")
-    ids = re.search(r"\{([^}]*)\}", synopsis["figure"]).group(1).split(",")
-    assert ids == list(figure_id.choices)

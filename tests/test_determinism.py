@@ -93,7 +93,7 @@ RATIOS = {
                                                         2e-8, 5e-6, 3e-6),
 }
 
-MADE_WITH = {"pulseg2": "0.13.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.14.0", "numpy": "2.4.6"}
 
 DIGESTS = {
     "gauss-ideal": "30f65fcb08cae091003b449649efe6bb62fce5c81401405b0b651a9e92de830d",
