@@ -119,10 +119,7 @@ def _pair_counts(times, reach, unit_of, n_units, nbins, bin_of, passes=None):
     The walk takes `_PAIR_SLICE` first clicks at a time, each slice its
     own lag passes (at most ``passes`` of them); ``unit_of(i)`` is the
     unit of clicks i, and ``bin_of(i, j, dt)`` bins each pair, a bin
-    outside [0, nbins) dropping it.  Over `_MAX_PULSES` units a ValueError:
-    a unit index times the blocks would leave int64."""
-    if n_units > _MAX_PULSES:
-        raise ValueError(f"{n_units} pulse or time units, more than {_MAX_PULSES}")
+    outside [0, nbins) dropping it."""
     n_blocks = _blocks(0, n_units)[1]
     flat = np.zeros(n_blocks * nbins, dtype=np.int64)
     clicks = np.zeros(n_blocks, dtype=np.int64)
@@ -138,32 +135,31 @@ def _pair_counts(times, reach, unit_of, n_units, nbins, bin_of, passes=None):
     return flat.reshape(n_blocks, nbins), clicks
 
 
-def _linearized_sigma(grad, stats, weights=None):
+def _linearized_sigma(grad, stats):
     """One-sigma spread of R = f(T), T the column sums of ``stats``.
 
-    ``stats`` is (k, units) with one column per independent unit (a
-    pulse, a block of pulses, a time block), optionally ``weights``
-    copies of each column, and ``grad`` is the gradient of f at the
-    observed T.  The result, sqrt(sum_u w_u (grad . (x_u - x_mean))^2),
-    is the root of the delta-method (infinitesimal-jackknife) variance
-    that resampling the units estimates by Monte Carlo.  Fewer than two
-    units give inf.  A first statistic that counts pairs and sums to 0
-    gives grad[0], the value one pair gives (one count being the 63 %
-    Poisson upper limit on zero observed).
+    ``stats`` is (k, units), a column per `_blocks` block of pulses or of
+    time, and ``grad`` the gradient of f at the observed T.  The result,
+    sqrt(sum_u (grad . (x_u - x_mean))^2), is the root of the delta-method
+    (infinitesimal-jackknife) variance; fewer than two blocks give inf.  A
+    first statistic that counts pairs and sums to 0 gives grad[0], the value
+    one pair gives (one count: the 63 % Poisson upper limit on zero observed).
     """
-    w = np.ones(stats.shape[1]) if weights is None else weights
-    if not w @ stats[0]:
+    ones = np.ones(stats.shape[1])
+    if not ones @ stats[0]:
         return float(grad[0])
-    n_units = float(w.sum())
-    if n_units < 2:
+    if stats.shape[1] < 2:
         return math.inf
     proj = np.asarray(grad) @ stats
-    dev = proj - float(w @ proj) / n_units
-    return math.sqrt(float(w @ dev**2))
+    dev = proj - float(ones @ proj) / stats.shape[1]
+    return math.sqrt(float(ones @ dev**2))
 
 
 def _blocks(unit_index, n_units):
-    """Block of each unit index, at most 200 contiguous blocks, and their count."""
+    """Block of each unit index, at most 200 contiguous blocks, and their
+    count; over `_MAX_PULSES` units (index x 200 leaves int64), a ValueError."""
+    if n_units > _MAX_PULSES:
+        raise ValueError(f"{n_units} pulse or time units, more than {_MAX_PULSES}")
     n_blocks = min(200, n_units)
     return unit_index * n_blocks // n_units, n_blocks
 
@@ -335,51 +331,54 @@ def _check_pulse_range(p, n_pulses):
             f"for N = {n_pulses} pulses")
 
 
-def _click_number_histogram(pulse):
-    """Pulses by click number m (index m >= 1, int64), from the pulse index
-    of each click: the runs of equal sorted indices, `_PAIR_SLICE` at a time."""
+def _pn_block_rows(pulse, n_pulses):
+    """(2, blocks) float: each `_blocks` block's same-pulse pairs, sum m(m-1)/2
+    over its pulses' click numbers m, and its clicks, sum m.  Sorted (one
+    copy if jitter reordered them), a block's clicks run from its edge, its
+    first pulse, to the next; a running sum of m^2 over the runs of equal
+    indices, `_PAIR_SLICE` clicks at a time, is read at each edge."""
+    n_blocks = _blocks(0, n_pulses)[1]
     if np.any(pulse[1:] < pulse[:-1]):
         pulse = np.sort(pulse)
-    counts, start = [], 0                       # start: first click of the open run
-    for lo in range(1, pulse.size, _PAIR_SLICE):
-        hi = min(lo + _PAIR_SLICE, pulse.size)
-        starts = lo + np.flatnonzero(pulse[lo:hi] != pulse[lo - 1:hi - 1])
-        counts.append(np.bincount(np.diff(starts, prepend=start)))
-        start = starts[-1] if starts.size else start
-    counts.append(np.bincount([pulse.size - start]))
-    hist = np.zeros(max(c.size for c in counts), dtype=np.int64)
-    for c in counts:
-        hist[:c.size] += c
-    return hist
+    # block b's first pulse is the least u with u * n_blocks >= b * N
+    edge = np.searchsorted(pulse, -(-np.arange(n_blocks + 1) * n_pulses // n_blocks))
+    twice_pairs = np.zeros(n_blocks + 1, dtype=np.int64)  # sum m(m-1) before each edge
+    lo = total = 0                                 # sum m^2 before click lo
+    while lo < pulse.size:
+        # the slice ends with the run of click lo + _PAIR_SLICE - 1
+        hi = np.searchsorted(pulse, pulse[min(lo + _PAIR_SLICE, pulse.size) - 1], "right")
+        run = np.flatnonzero(pulse[lo + 1:hi] != pulse[lo:hi - 1])   # the runs' starts
+        run += lo + 1
+        at = (edge > lo) & (edge <= hi)           # each edge ends a run
+        closed = np.searchsorted(run, edge[at])
+        run = np.diff(run, prepend=lo, append=hi)                    # then their m
+        run *= run
+        np.cumsum(run, out=run)                   # then the running sum of m^2
+        twice_pairs[at] = total + run[closed] - edge[at]   # sum m^2 - sum m
+        lo, total = hi, total + run[-1]
+    return np.array([np.diff(twice_pairs) // 2, np.diff(edge)], dtype=float)
 
 
 def pn_histogram_g2q(stream: ClickStream, train):
-    """g2q from the per-pulse click-number histogram.
+    """g2q from the pulses' click numbers m.
 
     Independent loss rescales the first and second factorial moments by s
-    and s^2, so their ratio is the source g2q regardless of detector
-    efficiency.  The histogram is counted over the clicks' pulse indices
-    (the empty pulses are the rest of N), so it costs O(clicks), not
-    O(pulses), and scratch memory of a slice (plus one sorted copy of the
-    indices if jitter put them out of order).  The estimate is N F / M^2
-    with F the summed m(m-1) and M the summed m over the pulses' click
-    numbers m; its uncertainty is the linearized spread of that ratio over
-    independent pulses, whose pairs m(m-1)/2 and clicks m are the statistics.
-    """
+    and s^2, so their ratio N F / M^2 (F the summed m(m-1), M the summed m)
+    is the source g2q regardless of detector efficiency.  Both are counted
+    per pulse block in O(clicks) time (`_pn_block_rows`), the sigma is the
+    ratio's linearized spread over `tau_histogram`'s at most 200 pulse
+    blocks, and over `_MAX_PULSES` pulses a ValueError is raised."""
     n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
                 else int(train))
     p = stream.pulse_index
     if not p.size:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
     _check_pulse_range(p, n_pulses)
-    hist = _click_number_histogram(p).astype(float)
-    hist[0] = n_pulses - hist.sum()
-    nn = np.arange(hist.size, dtype=float)
-    pair_w = nn * (nn - 1.0)
-    pairs, clicks = pair_w @ hist, nn @ hist
+    stats = _pn_block_rows(p, n_pulses)
+    pairs, clicks = stats.sum(axis=1) * (2.0, 1.0)
     val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
     grad = (2.0 * n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
-    return val, _linearized_sigma(grad, np.vstack([pair_w / 2.0, nn]), hist)
+    return val, _linearized_sigma(grad, stats)
 
 
 def g2_sidepeak(stream: ClickStream, train, window: float,
@@ -578,7 +577,9 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     than an error; a pulse index outside [0, N) is an EstimationError,
     raised before the histogram is built.  A fitted width more than 10
     percent off a Gaussian mode hint is flagged ``width_mismatch``, since
-    the eta-corrected g2q scales linearly with the assumed width.
+    the eta-corrected g2q scales linearly with the assumed width.  A
+    sidecar detector dead time > 0, which biases every route low and which
+    no route corrects, is flagged ``dead_time_biased``.
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -593,6 +594,8 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         mode = _parse_sidecar_label(meta, "mode", _modes.parse_mode_spec, flags)
     if state is None:
         state = _parse_sidecar_label(meta, "state", _states.parse_state_spec, flags)
+    if (meta.get("detector", {}).get("dead_time") or 0) > 0:
+        flags.append("dead_time_biased")
 
     g2q_analytic = None
     if state is not None:

@@ -70,6 +70,8 @@ _SIDECAR_RULES = {
     **dict.fromkeys(("train.repetition_period", "stationary.spectral_bandwidth"),
                     ((int, float, _NULL), lambda v: math.isfinite(v) and v > 0,
                      "a finite number > 0 or null")),
+    "detector.dead_time": ((int, float, _NULL), lambda v: math.isfinite(v) and v >= 0,
+                           "a finite number >= 0 or null"),
 }
 
 @dataclass(frozen=True, eq=False)

@@ -701,6 +701,10 @@ class TestMalformedSidecar:
         (lambda m: {**m, "detector": "x"}, "detector"),
         (lambda m: {**m, "detector": {**m["detector"], "gain": 1.0}}, "gain"),
         (lambda m: {**m, "detector": {**m["detector"], "efficiency": 2}}, "efficiency"),
+        (lambda m: {**m, "detector": {**m["detector"], "dead_time": "2e-9"}},
+         "detector.dead_time"),
+        (lambda m: {**m, "detector": {**m["detector"], "dead_time": -1e-9}},
+         "detector.dead_time"),
         (lambda m: {**m, "train": {**m["train"], "num_pulses": 0}}, "train.num_pulses"),
         (lambda m: {**m, "train": {**m["train"], "num_pulses": 10**30}}, "train.num_pulses"),
         (lambda m: {**m, "kind": "stationary", "stationary": {"spectral_bandwidth": -1e6}},
@@ -712,7 +716,8 @@ class TestMalformedSidecar:
         (lambda m: {**m, "kind": "stationary", "stationary": {"spectral_bandwidth": 1e-310}},
          "stationary.spectral_bandwidth"),
     ], ids=["list", "train_null", "num_pulses_string", "detector_string",
-            "detector_unknown_key", "efficiency_above_one", "num_pulses_zero",
+            "detector_unknown_key", "efficiency_above_one", "dead_time_string",
+            "dead_time_negative", "num_pulses_zero",
             "num_pulses_huge", "bandwidth_negative", "bandwidth_nan", "bandwidth_tiny"])
     def test_exit_2_names_sidecar_and_key(self, stream, tmp_path, monkeypatch, capsys,
                                           edit, key):

@@ -83,7 +83,7 @@ HISTOGRAMS = {
     "start-stop-stationary": ("stationary-lorentzian", 5e-7, 2e-5, "start_stop"),
 }
 
-# (value, sigma) of the ratio routes that walk pairs
+# (value, sigma) of the ratio routes
 RATIOS = {
     "sidepeak-jitter": lambda: est.g2_sidepeak(_stream("gauss-jitter"), _TRAIN, 3e-9),
     "sidepeak-jitter-wide": lambda: est.g2_sidepeak(_stream("gauss-jitter"), _TRAIN,
@@ -91,9 +91,11 @@ RATIOS = {
     "sidepeak-dead": lambda: est.g2_sidepeak(_stream("gauss-dead"), _TRAIN, 0.4 * PERIOD),
     "g2-zero-stationary": lambda: est.stationary_g2_zero(_stream("stationary-gaussian"),
                                                         2e-8, 5e-6, 3e-6),
+    "pn-jitter": lambda: est.pn_histogram_g2q(_stream("gauss-jitter"), _TRAIN),
+    "pn-dead": lambda: est.pn_histogram_g2q(_stream("gauss-dead"), _TRAIN),
 }
 
-MADE_WITH = {"pulseg2": "0.14.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.15.0", "numpy": "2.4.6"}
 
 DIGESTS = {
     "gauss-ideal": "30f65fcb08cae091003b449649efe6bb62fce5c81401405b0b651a9e92de830d",
@@ -118,6 +120,8 @@ DIGESTS = {
     "sidepeak-jitter-wide": "39ffa3e0d7d381b4eec0aeb248438cf523226d225ba3fc102f50ef769cadc93d",
     "sidepeak-dead": "b4162b1c4654273e455849148e93dc695c7303d36d4231a4151035b417f8a8b7",
     "g2-zero-stationary": "dbfcc7b6cd0327bdfd2c3e13f6f9fec29d8dd389b4d1e5e3ff5d68605b6f2df8",
+    "pn-jitter": "773de5252b8758e30b25c1ce8d79e94c5f818e5d5755bbc8f9d606cd6c427d0f",
+    "pn-dead": "1dea61fc8e0ffbdd3217bbfbe7dd005590ff4201edcc8da8d442933ce0952f43",
 }
 
 

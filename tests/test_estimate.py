@@ -392,28 +392,48 @@ class TestPnHistogram:
 
     @staticmethod
     def reference(stream, n_pulses):
-        """The route with the click numbers from np.unique's counts."""
-        m = np.unique(stream.pulse_index, return_counts=True)[1]
-        hist = np.bincount(m).astype(float)
-        hist[0] = n_pulses - m.size
-        nn = np.arange(hist.size, dtype=float)
-        pair_w = nn * (nn - 1.0)
-        pairs, clicks = pair_w @ hist, nn @ hist
+        """The route over the `_blocks` pulse blocks, each block's pairs
+        sum m(m-1)/2 and clicks sum m from np.unique's click numbers m."""
+        pulses, m = np.unique(stream.pulse_index, return_counts=True)
+        block, n_blocks = est._blocks(pulses, n_pulses)
+        stats = np.array([np.bincount(block, m * (m - 1) // 2, n_blocks),
+                          np.bincount(block, m, n_blocks)])
+        pairs, clicks = 2.0 * stats[0].sum(), stats[1].sum()
         val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
         grad = (2.0 * n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
-        return val, est._linearized_sigma(grad, np.vstack([pair_w / 2.0, nn]), hist)
+        return val, est._linearized_sigma(grad, stats)
 
     @pytest.mark.parametrize("slice_len", [1, 7, 64, None])
-    @pytest.mark.parametrize("jitter", [0.0, 4e-9], ids=["sorted", "jittered"])
-    def test_runs_in_slices_match_unique_counts(self, monkeypatch, slice_len, jitter):
-        # 4 ns jitter reorders the pulse indices of a 12.5 ns train
-        train = sim.PulseTrainConfig(20000, PERIOD, MODE)
+    @pytest.mark.parametrize("n_pulses,jitter", [
+        (20000, 0.0), (20000, 4e-9), (150, 0.0), (150, 4e-9), (1237, 0.0), (1237, 4e-9),
+    ], ids=["sorted", "jittered", "150_sorted", "150_jittered", "1237_sorted",
+            "1237_jittered"])
+    def test_runs_in_slices_match_unique_counts(self, monkeypatch, slice_len, n_pulses,
+                                                jitter):
+        # 4 ns jitter reorders the pulse indices of a 12.5 ns train; 150
+        # pulses make 150 one-pulse blocks, and 1237 is no multiple of 200
+        train = sim.PulseTrainConfig(n_pulses, PERIOD, MODE)
         det = sim.DetectorModel(efficiency=0.5, timing_jitter_sigma=jitter)
-        stream = sim.simulate_pulse_train(st.thermal(2.0), det, train, seed=23)
+        state = st.thermal(2.0 if n_pulses == 20000 else 20.0)
+        stream = sim.simulate_pulse_train(state, det, train, seed=23)
         assert (np.any(np.diff(stream.pulse_index) < 0)) == (jitter > 0)
         if slice_len is not None:
             monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
-        assert est.pn_histogram_g2q(stream, train) == self.reference(stream, 20000)
+        assert est.pn_histogram_g2q(stream, train) == self.reference(stream, n_pulses)
+
+    def test_clicks_row_is_the_histogram_blocks(self):
+        # the sidecar's N gives the pn route and the eta route one set of blocks
+        stream, train = run_train(st.thermal(1.0), 30011, seed=29, s=0.5)
+        rows = est._pn_block_rows(stream.pulse_index, train.num_pulses)
+        assert rows.shape == (2, 200)
+        assert np.array_equal(rows[1], standard_hist(stream).block_clicks)
+
+    def test_pulse_count_above_the_bound_rejected(self):
+        stream = pg.ClickStream(np.array([0, 0, 1]), np.array([1e-9, 2e-9, 3e-8]),
+                                {"kind": "pulsed"})
+        with pytest.raises(ValueError, match="more than"):
+            est.pn_histogram_g2q(stream, _MAX_PULSES + 1)
+        assert est.pn_histogram_g2q(stream, _MAX_PULSES)[0] > 0
 
 
 class TestSidePeak:
@@ -460,17 +480,22 @@ class TestCoverage:
     """Pulls (estimate - truth) / sigma over seeds: calibrated sigmas give
     mean ~ 0 and standard deviation ~ 1, on the pn, side-peak and eta routes."""
 
-    @pytest.mark.parametrize("spec,truth", [("thermal:0.5", 2.0), ("coherent:1", 1.0)])
-    def test_pn_and_sidepeak_pulls(self, spec, truth):
+    # coherent:0.02 at 4e5 pulses leaves ~20 pairs a record, where the
+    # linearized sigmas are first trusted
+    @pytest.mark.parametrize("spec,truth,n", [("thermal:0.5", 2.0, 100000),
+                                              ("coherent:1", 1.0, 100000),
+                                              ("coherent:0.02", 1.0, 400000)],
+                             ids=["thermal:0.5-2.0", "coherent:1-1.0", "coherent:0.02-1.0"])
+    def test_pn_and_sidepeak_pulls(self, spec, truth, n):
         state = st.parse_state_spec(spec)
         pulls = {"pn": [], "sidepeak": [], "eta": []}
         for seed in range(400):
-            stream, train = run_train(state, 100000, seed=seed, s=0.5)
+            stream, train = run_train(state, n, seed=seed, s=0.5)
             val, sig = est.pn_histogram_g2q(stream, train)
             pulls["pn"].append((val - truth) / sig)
             val, sig = est.g2_sidepeak(stream, train, window=3e-9)
             pulls["sidepeak"].append((val - truth) / sig)
-            val, sig = est.recover_g2q_general(stream, standard_hist(stream), 100000, MODE)
+            val, sig = est.recover_g2q_general(stream, standard_hist(stream), n, MODE)
             pulls["eta"].append((val - truth) / sig)
         for route, p in pulls.items():
             assert abs(np.mean(p)) < 0.3, route
@@ -549,6 +574,20 @@ class TestAnalyzeStream:
         assert bias == pytest.approx(2.0 * math.sqrt(0.4), rel=1e-3)
         assert report.g2q_eta == pytest.approx(bias, rel=0.05)
 
+    @pytest.mark.parametrize("dead_time", [0.0, 2e-10])
+    def test_dead_time_flagged(self, dead_time):
+        # thermal:1 (g2q = 2): 0.2 ns of dead time drops the close pairs and
+        # reads both routes low, with no other flag to say so
+        train = sim.PulseTrainConfig(20000, PERIOD, MODE)
+        det = sim.DetectorModel(dead_time=dead_time)
+        stream = sim.simulate_pulse_train(st.thermal(1.0), det, train, seed=32)
+        report = est.analyze_stream(stream)
+        assert ("dead_time_biased" in report.flags) == (dead_time > 0)
+        if dead_time:
+            assert report.g2q_pn < 2.0 - 10 * report.g2q_pn_sigma
+        empty = pg.ClickStream(np.empty(0, np.int64), np.empty(0), stream.metadata)
+        assert ("dead_time_biased" in est.analyze_stream(empty).flags) == (dead_time > 0)
+
     def test_unparsed_sidecar_mode_label_flagged(self):
         # an API-built sampled mode is labelled "sampled:<array>"
         t = np.linspace(-8e-9, 8e-9, 1601)
@@ -576,7 +615,8 @@ def composed_report(stream, n, mode, bin_width, max_tau):
     the D(0) and g2p sigmas as delta-method spreads over the pulse blocks'
     shape-weighted pairs and clicks, the pn histogram from per-pulse
     counts and its sigma as the delta-method spread of N F / M^2 over
-    those pulses, eta(0) of a fitted width in closed form."""
+    the same pulse blocks' pairs and clicks, eta(0) of a fitted width in
+    closed form."""
     hist = est.tau_histogram(stream, bin_width, max_tau)
     fitted = est.fit_pulse_width(hist)
     hint = mode or md.gaussian_mode(fitted)
@@ -598,11 +638,13 @@ def composed_report(stream, n, mode, bin_width, max_tau):
     pair_w = nn * (nn - 1.0)
     pn = float((pair_w @ h) / n / ((nn @ h) / n) ** 2)
     f, mm = float(np.sum(m * (m - 1.0))), float(np.sum(m))
-    per_pulse = np.column_stack([m * (m - 1.0), m])
-    centred = per_pulse - per_pulse.mean(axis=0)
-    lin = centred @ np.array([n / mm**2, -2.0 * n * f / mm**3])
+    n_blocks = min(200, n)
+    block = np.arange(n) * n_blocks // n
+    per_block = np.array([np.bincount(block, m * (m - 1.0) / 2.0, n_blocks),
+                          np.bincount(block, m, n_blocks)])
+    pn_sigma = delta_sigma([2.0 * n / mm**2, -2.0 * n * f / mm**3], per_block)
     return dict(hist=hist, D0=(d0, sd), g2p=(g2p, g2p_sigma),
-                g2q_eta=(g2q_eta, g2q_eta_sigma), pn=(pn, math.sqrt(np.sum(lin**2))),
+                g2q_eta=(g2q_eta, g2q_eta_sigma), pn=(pn, pn_sigma),
                 eta0=eta0 if mode else md.eta_gaussian(fitted, 0.0))
 
 

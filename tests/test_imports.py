@@ -144,6 +144,14 @@ def test_removed_parameters_fields_and_slice_cap_are_gone():
     assert not hasattr(importlib.import_module("pulseg2.simulate"), "_SLICE_BLOCKS")
 
 
+def test_one_kind_of_sigma_unit():
+    # every sigma spreads over unweighted `_blocks` blocks: the pn route's
+    # per-pulse histogram and its weights are gone
+    est = importlib.import_module("pulseg2.estimate")
+    assert list(inspect.signature(est._linearized_sigma).parameters) == ["grad", "stats"]
+    assert not hasattr(est, "_click_number_histogram")
+
+
 @pytest.mark.parametrize("module", sorted(BENCHMARKED))
 def test_benchmarked_names_exist(module):
     mod = importlib.import_module(f"pulseg2.{module}")
