@@ -119,18 +119,20 @@ def _pair_counts(times, reach, unit_of, n_units, nbins, bin_of, passes=None):
     The walk takes `_PAIR_SLICE` first clicks at a time, each slice its
     own lag passes (at most ``passes`` of them); ``unit_of(i)`` is the
     unit of clicks i, and ``bin_of(i, j, dt)`` bins each pair, a bin
-    outside [0, nbins) dropping it."""
+    outside [0, nbins) dropping it.  A slice's blocks are found once, as
+    int32 offsets block * nbins (< 200 * `_MAX_BINS`) of the flat counts."""
     n_blocks = _blocks(0, n_units)[1]
     flat = np.zeros(n_blocks * nbins, dtype=np.int64)
     clicks = np.zeros(n_blocks, dtype=np.int64)
     for lo in range(0, times.size, _PAIR_SLICE):
         hi = min(lo + _PAIR_SLICE, times.size)
-        clicks += np.bincount(_blocks(unit_of(np.arange(lo, hi)), n_units)[0],
-                              minlength=n_blocks)
+        offset = _blocks(unit_of(np.arange(lo, hi)), n_units)[0]
+        clicks += np.bincount(offset, minlength=n_blocks)
+        offset = (offset * nbins).astype(np.int32)
         for i, j in itertools.islice(_pairs(times, reach, lo, hi), passes):
             k = bin_of(i, j, times[j] - times[i])
             keep = (k >= 0) & (k < nbins)
-            add = np.bincount(_blocks(unit_of(i[keep]), n_units)[0] * nbins + k[keep])
+            add = np.bincount(offset[i[keep] - lo] + k[keep])
             flat[:add.size] += add
     return flat.reshape(n_blocks, nbins), clicks
 
@@ -165,15 +167,15 @@ def _blocks(unit_index, n_units):
 
 
 def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
-                  scope: str = "same_pulse") -> TauHistogram:
+                  scope: str = "same_pulse", num_pulses: int | None = None) -> TauHistogram:
     """Histogram unordered pair time differences on tau in [0, max_tau).
 
     One time-sorted pair walk up to max_tau: ``all_pairs`` keeps every
     pair, ``start_stop`` the walk's first pass (each click with the next)
     and ``same_pulse`` the pairs sharing a pulse index (the D(tau)
     estimator), so a max_tau past the pulse walks cross-pulse pairs only to
-    drop them.  Counts are also kept per block: of pulses (the sidecar's
-    ``num_pulses``, else the largest index + 1) for ``same_pulse``, else
+    drop them.  Counts are also kept per block: of pulses (``num_pulses``,
+    else the sidecar's, else the largest index + 1) for ``same_pulse``, else
     of whole max_tau slices from the first click, the last taking the
     remainder, so a time block outlasts every lag.  An empty stream
     yields a valid all-zero histogram; over `_MAX_BINS` bins, or over
@@ -195,7 +197,7 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     times = stream.times
     if scope == "same_pulse":
         pulse = stream.pulse_index
-        num_pulses = stream.metadata.get("train", {}).get("num_pulses")
+        num_pulses = num_pulses or stream.metadata.get("train", {}).get("num_pulses")
         n_units = max(num_pulses or 1, int(pulse.max(initial=0)) + 1)
         unit_of = pulse.__getitem__
 
@@ -335,8 +337,8 @@ def _pn_block_rows(pulse, n_pulses):
     """(2, blocks) float: each `_blocks` block's same-pulse pairs, sum m(m-1)/2
     over its pulses' click numbers m, and its clicks, sum m.  Sorted (one
     copy if jitter reordered them), a block's clicks run from its edge, its
-    first pulse, to the next; a running sum of m^2 over the runs of equal
-    indices, `_PAIR_SLICE` clicks at a time, is read at each edge."""
+    first pulse, to the next; m^2 over the runs of equal indices is summed,
+    `_PAIR_SLICE` clicks at a time, between the edges in the slice."""
     n_blocks = _blocks(0, n_pulses)[1]
     if np.any(pulse[1:] < pulse[:-1]):
         pulse = np.sort(pulse)
@@ -350,12 +352,13 @@ def _pn_block_rows(pulse, n_pulses):
         run = np.flatnonzero(pulse[lo + 1:hi] != pulse[lo:hi - 1])   # the runs' starts
         run += lo + 1
         at = (edge > lo) & (edge <= hi)           # each edge ends a run
-        closed = np.searchsorted(run, edge[at])
+        # the runs before each edge, distinct and rising, at most all of them
+        cut, which = np.unique(np.searchsorted(run, edge[at]) + 1, return_inverse=True)
         run = np.diff(run, prepend=lo, append=hi)                    # then their m
-        run *= run
-        np.cumsum(run, out=run)                   # then the running sum of m^2
-        twice_pairs[at] = total + run[closed] - edge[at]   # sum m^2 - sum m
-        lo, total = hi, total + run[-1]
+        run *= run              # sums of m^2 up to each cut, the last over all runs
+        sums = np.cumsum(np.add.reduceat(run, np.append(0, cut[cut < run.size])))
+        twice_pairs[at] = total + sums[which] - edge[at]   # sum m^2 - sum m
+        lo, total = hi, total + sums[-1]
     return np.array([np.diff(twice_pairs) // 2, np.diff(edge)], dtype=float)
 
 
@@ -571,9 +574,9 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     flagged ``<key>_label_unparsed``.  One same-pulse histogram is built
     and D(0) is fitted once, with the mode as the shape hint, else the
     Gaussian of the fitted width; the fit also gives eta(0), and the D(0)
-    and g2p sigmas spread over its pulse blocks.  g2q_eta is g2p and its
-    sigma rescaled by N / eta(0); a histogram without pairs gives zeros
-    with sigma inf.  An empty stream produces a flagged report rather
+    and g2p sigmas spread over its blocks of the N that the pn route takes
+    too.  g2q_eta is g2p and its sigma rescaled by N / eta(0); a histogram
+    without pairs gives zeros with sigma inf.  An empty stream produces a flagged report rather
     than an error; a pulse index outside [0, N) is an EstimationError,
     raised before the histogram is built.  A fitted width more than 10
     percent off a Gaussian mode hint is flagged ``width_mismatch``, since
@@ -617,7 +620,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
                                   else _within_pulse_spread(stream))
         bin_width = bw if bin_width is None else bin_width
         max_tau = tau if max_tau is None else max_tau
-    hist = tau_histogram(stream, bin_width, max_tau, scope="same_pulse")
+    hist = tau_histogram(stream, bin_width, max_tau, "same_pulse", num_pulses)
 
     fitted = fit_pulse_width(hist)
     if (mode is not None and mode.kind == "gaussian" and math.isfinite(fitted)

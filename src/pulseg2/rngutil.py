@@ -10,17 +10,18 @@ on how much other work the run contains.
 A run over many blocks of one root re-keys one Philox per block
 (`block_generators`): the same stream as a new one, at a tenth of the cost.
 
-Six roots in all.  Root 0 drives the pulse blocks and the Poisson
+Seven roots in all.  Root 0 drives the pulse blocks and the Poisson
 control source, root 1 the powers of the stationary field noise
 (ceil(n / m) float32 standard exponentials per chunk of n cells, m = 4
-on the default Gaussian grid), root 2 its clicks (one Poisson total and
-its uniforms per field chunk), root 3 the timing jitter, root 4 the
+on the default Gaussian grid), root 2 its click candidates' counts (one
+Poisson count per 64 cells), root 3 the timing jitter, root 4 the
 arrival offsets of a pulse train (one stream over its clicks in block
 order, three uniforms per candidate: alias cell pick, place in the cell,
-acceptance) and root 5 the phases of the field noise (ceil(n / m)
-float32 uniforms per chunk).  The first five roots are those a
-five-root expansion of the same seed gives.  Pulse blocks are 2^17
-pulses, field chunks 2^20 cells.  Estimators draw none.
+acceptance), root 5 the phases of the field noise (ceil(n / m) float32
+uniforms per chunk) and root 6 its click candidates' places and
+acceptance uniforms.  The first k roots are those a k-root expansion of
+the same seed gives.  Pulse blocks are 2^17 pulses, field chunks 2^20
+cells.  Estimators draw none.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ __all__ = ["derive_roots", "block_generators", "block_generator"]
 
 
 def derive_roots(seed) -> np.ndarray:
-    """Expand a user seed into the six independent uint64 stream roots."""
-    return np.random.SeedSequence(seed).generate_state(6, dtype=np.uint64)
+    """Expand a user seed into the seven independent uint64 stream roots."""
+    return np.random.SeedSequence(seed).generate_state(7, dtype=np.uint64)
 
 
 def block_generators(root: np.uint64):

@@ -55,11 +55,11 @@ X ~ Exp(1) and U uniform (Box & Muller 1958), in float32, and filtered
 polyphase by numpy FFT overlap-add in complex64 (kernel transform
 computed once per run, convolution tail carried row to row), one row
 group of `_FIELD_GROUP` cells at a time in preallocated buffers.  Each
-chunk's powers and phases continue one Philox stream each, so the field
-does not depend on the group size.  |E|^2 goes into one float64 chunk
-buffer that every chunk reuses, and each chunk's clicks are one Poisson
-total placed through the cumulative intensity, summed in place in that
-buffer in float64.  The module needs numpy alone.
+group's float32 |E|^2 gives its clicks while in cache, thinned from
+candidates under each `_FIELD_BLOCK`-cell block's largest intensity.
+Each chunk's noise powers and phases and its candidates' counts and
+places continue one Philox stream each, so neither the field nor the
+clicks depend on the group size.  The module needs numpy alone.
 
 Determinism: all randomness flows from the seed through fixed-size work
 blocks (`rngutil`), so identical (seed, config, package version) gives a
@@ -71,6 +71,7 @@ longer train (or stationary record) are exactly the stream of the shorter one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -105,6 +106,8 @@ _ARRIVAL_ROWS = 1 << 14
 _FIELD_CHUNK = 1 << 20
 # cells per row group of the field filter; not part of the RNG layout
 _FIELD_GROUP = 1 << 16
+# cells per block of the stationary click draw, thinned under its largest intensity
+_FIELD_BLOCK = 64
 # FFT length of the overlap-add field filter, raised for kernels over 1/4 of it
 _FILTER_FFT = 1 << 12
 
@@ -488,12 +491,14 @@ def _field_decimation(cfg: StationaryThermalConfig, dt: float) -> int:
     return 1 << (int(math.pi * sigma_h / (6.0 * dt)).bit_length() - 1)
 
 
-def _polar_noise(power, phase, z):
-    """Fill complex64 ``z`` with circular Gaussian samples sqrt(2X) e^(2 pi i U)
-    (Box & Muller 1958): X ~ Exp(1) from ``power``, U ~ U[0, 1) from
-    ``phase``, each one float32 draw.  Re and Im are independent unit normals."""
-    radius = power.standard_exponential(z.size, dtype=np.float32)
-    angle = phase.random(z.size, dtype=np.float32)
+def _polar_noise(power, phase, z, count):
+    """Fill complex64 ``z`` with ``count`` circular Gaussian samples sqrt(2X)
+    e^(2 pi i U) in row order and zeros after (Box & Muller 1958): X ~ Exp(1)
+    from ``power``, U ~ U[0, 1) from ``phase``, each one float32 draw.  Re and
+    Im are independent unit normals."""
+    radius, angle = np.zeros((2,) + z.shape, np.float32)
+    power.standard_exponential(dtype=np.float32, out=radius.reshape(-1)[:count])
+    phase.random(dtype=np.float32, out=angle.reshape(-1)[:count])
     radius += radius
     np.sqrt(radius, out=radius)
     angle *= np.float32(2.0 * math.pi)
@@ -503,56 +508,50 @@ def _polar_noise(power, phase, z):
     z.imag *= radius
 
 
-def _field_intensity_chunks(kernel, m, roots, n_grid):
-    """Yield (first cell, [0, |E|^2 ...]) per chunk of the field grid.
+def _field_intensity_groups(kernel, m, roots, n_grid):
+    """Yield (chunk index, first cell, |E|^2) per row group of the field grid.
 
     The noise, one complex sample at every m-th cell and zeros between, is
     filtered by sqrt(m) times the kernel (polyphase interpolation; Crochiere
-    & Rabiner 1983).  A chunk is whole rows of step cells, step a multiple
-    of m, filtered in groups of `_FIELD_GROUP` cells (whole rows, at most
-    the chunk or the record rounded up to a row) in one complex64 (rows,
-    nfft) buffer.  A group's ceil(cells / m) samples are one `_polar_noise`
-    draw into a (rows, step / m) buffer, zero past the record, continuing
-    the chunk's generators (root 1 the powers, root 5 the phases), so n
-    cells draw ceil(n / m) of each whatever the group size.  Their FFT,
-    zero-padded to nfft / m and tiled m times, is the zero-stuffed row's;
-    it goes into the row heads, and the kernel product and inverse FFT run
-    in place.  Each row's outputs past step add into the next row's head,
-    across groups and chunks alike, and |E|^2, squared in float32, goes
-    into the float64 chunk buffer after its leading 0.  All chunks share
-    that one buffer: a chunk's values last until the next chunk is drawn,
-    and `_chunk_clicks` sums them in place.  E|E|^2 = 2 (unit-power kernel,
-    unit-variance noise).
+    & Rabiner 1983).  A chunk is whole rows of step cells, filtered in
+    groups of `_FIELD_GROUP` cells (whole rows, at most the chunk or the
+    record rounded up to a row) in one complex64 (rows, nfft) buffer.  A
+    group's ceil(cells / m) samples are one `_polar_noise` draw into the
+    row heads of a (rows, nfft / m) buffer with zero tails, continuing the
+    chunk's generators (root 1 the powers, root 5 the phases), so n cells
+    draw ceil(n / m) of each whatever the group size.  Their FFT, tiled m
+    times, is the zero-stuffed row's; it goes into the row heads, and the
+    kernel product and inverse FFT run in place.  Each row's outputs past
+    step add into the next row's head, across groups and chunks alike, and
+    |E|^2, squared and summed in float32, goes into one (rows, step) buffer,
+    zero past the record, that every group reuses.  E|E|^2 = 2.
     """
     taps = kernel.size
     nfft = max(_FILTER_FFT, 1 << (4 * taps).bit_length())
-    step = (nfft - taps + 1) // m * m
+    # the most cells that leave the tail, in whole blocks and noise samples
+    step = (nfft - taps + 1) // max(m, _FIELD_BLOCK) * max(m, _FIELD_BLOCK)
     chunk = max(_FIELD_CHUNK // step, 1) * step
     span = min(max(_FIELD_GROUP // step, 1) * step, chunk, -(-n_grid // step) * step)
     # the forward FFT's 1/(nfft/m), a power of two, is undone exactly here
     kernel_fft = np.fft.fft(kernel * (math.sqrt(m) * (nfft // m)), nfft)
     kernel_fft = kernel_fft.astype(np.complex64).reshape(m, -1)
     y = np.empty((span // step, nfft), np.complex64)
-    noise = np.empty((span // step, step // m), np.complex64)
-    cum = np.empty(-(-min(chunk, n_grid) // step) * step + 1)
+    noise = np.zeros((span // step, nfft // m), np.complex64)
+    intensity = np.empty((span // step, step), np.float32)
     carry = np.zeros(nfft - step, dtype=np.complex64)
     power_at, phase_at = block_generators(roots[1]), block_generators(roots[5])
     for c, lo in enumerate(range(0, n_grid, chunk)):
         length = min(chunk, n_grid - lo)
         power, phase = power_at(c), phase_at(c)
-        cum[0] = 0.0
         for start in range(0, length, span):
             cells = min(span, length - start)
             rows = -(-cells // step)
-            samples = noise[:rows].reshape(-1)
-            drawn = -(-cells // m)
-            _polar_noise(power, phase, samples[:drawn])
-            samples[drawn:] = 0
+            _polar_noise(power, phase, noise[:rows, :step // m], -(-cells // m))
             out = y[:rows]
             coarse = out[:, :nfft // m]
             # tiled m times: the zero-stuffed row's; norm="forward" keeps numpy's
             # complex64 loop, which its default unit factor does not pick
-            np.fft.fft(noise[:rows], nfft // m, norm="forward", out=coarse)
+            np.fft.fft(noise[:rows], norm="forward", out=coarse)
             np.multiply(coarse[:, None], kernel_fft[1:], out=out.reshape(rows, m, -1)[:, 1:])
             coarse *= kernel_fft[0]
             np.fft.ifft(out, out=out)
@@ -561,49 +560,61 @@ def _field_intensity_chunks(kernel, m, roots, n_grid):
             carry[:] = out[-1, step:]
             field = out[:, :step].view(np.float32)     # re, im interleaved
             np.square(field, out=field)
-            np.add(field[:, 0::2], field[:, 1::2],
-                   out=cum[1 + start:1 + start + rows * step].reshape(rows, step))
-        yield lo, cum[:length + 1]
+            np.add(field[:, 0::2], field[:, 1::2], out=intensity[:rows])
+            intensity[:rows].reshape(-1)[cells:] = 0
+            yield c, lo + start, intensity[:rows]
 
 
-def _chunk_clicks(cum, mean_per_cell, rng):
-    """Sorted click positions, in cells, for the rate mean_per_cell * I.
+def _group_clicks(intensity, lo, mean_per_cell, counts, places):
+    """Sorted click positions, in cells, for the rate mean_per_cell * I on
+    cells lo, lo + 1, ... (I >= 0, float32 or float64, in whole blocks).
 
-    ``cum`` is 0 followed by the cells' intensities I; it is summed in
-    place into cum = [0, cumsum(I)].  One Poisson total and sorted
-    uniforms on [0, sum I) inverted through cum are, in distribution, a
-    Poisson count per cell placed uniformly in it (Lewis & Shedler 1979).
-    Cell i takes cum[i] <= u < cum[i + 1], never a zero-intensity cell.
-    No clip is needed: u = r * sum I with r <= 1 - 2^-53 rounds below sum I.
-    """
-    np.cumsum(cum, out=cum)
-    u = np.sort(rng.random(rng.poisson(mean_per_cell * cum[-1]))) * cum[-1]
-    cell = np.searchsorted(cum, u, "right") - 1
-    left = cum[cell]
-    return cell + (u - left) / (cum[cell + 1] - left)
+    Thinning under each `_FIELD_BLOCK`-cell block's largest I, M (Lewis &
+    Shedler 1979): a Poisson(mean_per_cell * M * _FIELD_BLOCK) count of
+    candidates per block from ``counts``, each a row of two ``places``
+    uniforms, in cell floor(u0 * _FIELD_BLOCK) of its block (exact), at
+    lo + block start + u0 * _FIELD_BLOCK (one rounding, whatever the group),
+    kept when u1 M < I[cell]: each cell keeps a Poisson(mean_per_cell * I)
+    count placed uniformly in it, never one in a zero cell."""
+    flat = intensity.reshape(-1)
+    starts = np.arange(0, flat.size, _FIELD_BLOCK)
+    # non-negative floats order as their bits, whose integer maximum runs faster
+    bound = np.maximum.reduceat(flat.view(f"i{flat.itemsize}"), starts).view(flat.dtype)
+    k = counts.poisson(np.multiply(bound, mean_per_cell * _FIELD_BLOCK, dtype=np.float64))
+    first = np.repeat(starts, k)
+    u = places.random((first.size, 2))
+    pos = u[:, 0] * _FIELD_BLOCK
+    keep = u[:, 1] * np.repeat(bound, k) < flat[first + pos.astype(np.intp)]
+    pos = pos[keep] + (first[keep] + lo)
+    pos.sort()
+    return pos
 
 
 def _stationary_thermal_slices(cfg: StationaryThermalConfig, detector: DetectorModel,
                                seed):
-    """The record's stream as `_ordered_slices` of one field chunk each:
-    a chunk's clicks lie at or past its first cell, so at or past the
-    next chunk's start for every later one."""
+    """The record's stream as `_ordered_slices` of one field chunk each,
+    drawn group by group, continuing the chunk's root 2 and root 6 streams:
+    a chunk's clicks lie at or past its first cell, so at or past the next
+    chunk's start for every later one."""
     dt = cfg.field_timestep
     kernel = _field_kernel(cfg, dt)
     roots = derive_roots(seed)
-    scale = detector.efficiency * cfg.mean_rate / 2.0       # E|E|^2 = 2
+    mean_per_cell = detector.efficiency * cfg.mean_rate / 2.0 * dt     # E|E|^2 = 2
     n_grid = int(round(cfg.duration / dt))
-    chunks = _field_intensity_chunks(kernel, _field_decimation(cfg, dt), roots, n_grid)
+    groups = _field_intensity_groups(kernel, _field_decimation(cfg, dt), roots, n_grid)
+    counts_at, places_at = block_generators(roots[2]), block_generators(roots[6])
 
-    def raw(c, chunk):
-        lo, cum = chunk
-        times = _chunk_clicks(cum, scale * dt, block_generator(roots[2], c))
-        times += lo
-        times *= dt
-        hi = lo + cum.size - 1
-        return None, times, hi * dt if hi < n_grid else math.inf
-    slices = (raw(c, chunk) for c, chunk in enumerate(chunks))
-    return _ordered_slices(slices, detector, seed, "stationary", None, None,
+    def raw():
+        for c, chunk in itertools.groupby(groups, lambda group: group[0]):
+            counts, places = counts_at(c), places_at(c)
+            parts = []
+            for _, lo, intensity in chunk:
+                parts.append(_group_clicks(intensity, lo, mean_per_cell, counts, places))
+            times = np.concatenate(parts)
+            times *= dt
+            hi = lo + intensity.size
+            yield None, times, hi * dt if hi < n_grid else math.inf
+    return _ordered_slices(raw(), detector, seed, "stationary", None, None,
                            stationary=asdict(cfg))
 
 
@@ -613,8 +624,8 @@ def simulate_stationary_thermal(cfg: StationaryThermalConfig,
 
     The rate is |E(t)|^2, constant over each field timestep and scaled so
     its ensemble mean is efficiency * mean_rate; each field chunk draws
-    its clicks by `_chunk_clicks`, from root 2 keyed by the chunk index,
-    and is one slice of `_stationary_thermal_slices`.
+    its clicks by `_group_clicks`, from roots 2 and 6 keyed by the chunk
+    index, and is one slice of `_stationary_thermal_slices`.
     """
     return _gather(_stationary_thermal_slices(cfg, detector, seed))
 

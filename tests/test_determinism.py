@@ -95,7 +95,7 @@ RATIOS = {
     "pn-dead": lambda: est.pn_histogram_g2q(_stream("gauss-dead"), _TRAIN),
 }
 
-MADE_WITH = {"pulseg2": "0.15.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.16.0", "numpy": "2.4.6"}
 
 DIGESTS = {
     "gauss-ideal": "30f65fcb08cae091003b449649efe6bb62fce5c81401405b0b651a9e92de830d",
@@ -106,20 +106,20 @@ DIGESTS = {
     "hg3-ideal": "77eeaa5b9e9b64b17987bafc8d86a06e5022d6699e248f4acded5ce07617160b",
     "sampled-ideal": "5168b3c183bfde3738119cc56311f66e3b856f4daff6ed2cc888a28eea8d3189",
     "sampled-jitter-dead": "2062861204159f8392f350e682aa9b4c746bd65955795a7ddf6cf7709ddee7e2",
-    "stationary-gaussian": "fbed87148a1bb57b7a1a4673f27fe5b695ee7c86a6ea7dc6415b73ca0f1450df",
-    "stationary-lorentzian": "63e4b5542d0305ba990d46d8c92d94bd69a49db799bebd76e848bb0cf38d168b",
-    "stationary-jitter-dead": "dbafd0a0f2d3f63ee647cad7d1d5381c29942d117831cae7aea26063a5f598db",
+    "stationary-gaussian": "ac1ae4cd1e93c312cdf4b3ed05f14f4442fce4bbc6b47c5f2299ac5c0cda27c9",
+    "stationary-lorentzian": "ee4ea45ed87d9a38aa4cec86b77a3ee72a4f66d1a5e2fba51c43888084be33da",
+    "stationary-jitter-dead": "4412b276ae5f5815c40d3e36b6da5ee1d119d2574e27dcf8a7864470178ef6c3",
     "poisson": "2ca8c4c023df2b37b8314b63e6e89d063b05ec4c3bf6835bdb003bb53175b8b4",
     "same-pulse-default": "84b955df8a6eab74c19c6ec0d8f4dd13e7e130621ec252014eb1cddac634f755",
     "same-pulse-wide": "e830f49561defb6f462c0a178bd64fcf1370acc0e9a844477d932c19d27f20e4",
     "same-pulse-hg1": "9e8ef631046b642ec4694e699a487e96f2af7bc379952383d3880f9bdfd76466",
     "all-pairs-pulsed": "d6903ee4009ddf341e72b0eecba9bdfdfab01e11557b3ae8529f9e4be2a8701e",
-    "all-pairs-stationary": "2999f011e6460900bd91efe6d895b136bd4bb9eae2a40311f50b38432595939c",
-    "start-stop-stationary": "f35986c75fd0abc3a068751613b8b08db19c576bf96ec784185d1c6870ab5cfc",
+    "all-pairs-stationary": "dfaaf65fca0638e8d5ec42602aee22fccbf4daa806d0d88fe69a06090e99a4ff",
+    "start-stop-stationary": "3dfc4d43f6c76dc02839c767e1432f675eadf2b94b2d5826023f06788a5653fa",
     "sidepeak-jitter": "87e7a8336ad0594888a244414a220d6fb9120bb9aa0607e335a5fe660ff61fdc",
     "sidepeak-jitter-wide": "39ffa3e0d7d381b4eec0aeb248438cf523226d225ba3fc102f50ef769cadc93d",
     "sidepeak-dead": "b4162b1c4654273e455849148e93dc695c7303d36d4231a4151035b417f8a8b7",
-    "g2-zero-stationary": "dbfcc7b6cd0327bdfd2c3e13f6f9fec29d8dd389b4d1e5e3ff5d68605b6f2df8",
+    "g2-zero-stationary": "94b02e1748b6e9b2e09c5c555c14da6e80084bffed144f8c6b8c0e99a16c5406",
     "pn-jitter": "773de5252b8758e30b25c1ce8d79e94c5f818e5d5755bbc8f9d606cd6c427d0f",
     "pn-dead": "1dea61fc8e0ffbdd3217bbfbe7dd005590ff4201edcc8da8d442933ce0952f43",
 }

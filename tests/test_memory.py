@@ -148,21 +148,38 @@ def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
     assert traced_peak(calls[estimator]) <= 12 * 8 * est._PAIR_SLICE + 2 * counts + SLACK
 
 
-def test_stationary_simulation_holds_one_field_chunk():
-    # 1 s of light at 5e5 clicks/s: the filter's (16, 4096) complex64 rows
-    # (0.52 MB), the (16, 1000) complex64 noise buffer and a group's float32
-    # powers and phases (0.13 MB each), the one chunk buffer (1,048,001
-    # cells, 8.4 MB) and the clicks (4 MB) come to 13.2 MB; the traced
-    # peak is 15.0 MB against the bound's 15.7 MB.  A second chunk-sized
-    # array, a click-long index or a time sort of the finished clicks
-    # would pass the bound
-    cfg = sim.StationaryThermalConfig(1e6, 1e6, 1.0)
+# 1 s of benchmark light at 5e5 clicks/s
+STATIONARY = sim.StationaryThermalConfig(1e6, 1e6, 1.0)
+
+
+def test_sliced_stationary_simulation_holds_one_row_group(tmp_path):
+    # simulate-and-write, as `pulseg2 simulate` does: the filter's (16, 4096)
+    # complex64 rows (0.52 MB), the (16, 1024) complex64 noise buffer and a
+    # group's float32 powers and phases (0.13 MB each), the (16, 3968)
+    # float32 |E|^2 (0.25 MB), one chunk's ~25,000 clicks and the write's
+    # record slice; the traced peak is ~2.7 MB.  A chunk-long array of
+    # float64 cells (8.4 MB) or of the clicks would pass the bound
+    det = sim.DetectorModel(efficiency=0.5)
+    path = tmp_path / "s.bin"
+
+    def simulate_and_write():
+        return streams.write_stream(sim._stationary_thermal_slices(STATIONARY, det, 3),
+                                    path, fmt="binary")
+    peak = traced_peak(simulate_and_write)
+    assert simulate_and_write() > 450_000
+    assert peak <= 3 * 2**20
+
+
+def test_gathered_stationary_simulation_holds_the_clicks_twice():
+    # `simulate_stationary_thermal` holds every chunk's clicks and their
+    # concatenation (4 MB each) besides one row group's buffers; the traced
+    # peak is ~8.5 MB.  A chunk-long float64 array would pass the bound
     det = sim.DetectorModel(efficiency=0.5)
     tracemalloc.start()
     try:
-        stream = sim.simulate_stationary_thermal(cfg, det, seed=3)
+        stream = sim.simulate_stationary_thermal(STATIONARY, det, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert stream.n_clicks > 450_000
-    assert peak <= 15 * 2**20
+    assert peak <= 2 * 8 * stream.n_clicks + 2**20

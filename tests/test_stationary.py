@@ -138,9 +138,18 @@ class TestPoissonControl:
 
 
 def field_chunks(kernel, m, roots, n_grid):
-    """(first cell, |E|^2) of each chunk, copied out of the filter's one buffer."""
-    return [(lo, cum[1:].copy())
-            for lo, cum in sim._field_intensity_chunks(kernel, m, roots, n_grid)]
+    """(first cell, |E|^2) of each chunk, its row groups copied out of the
+    filter's one buffer, which holds zeros past the record."""
+    chunks = {}
+    for c, lo, part in sim._field_intensity_groups(kernel, m, roots, n_grid):
+        assert part.dtype == np.float32 and not np.any(part.reshape(-1)[n_grid - lo:])
+        chunks.setdefault(c, (lo, []))[1].append(part.reshape(-1)[:n_grid - lo].copy())
+    return [(lo, np.concatenate(parts)) for lo, parts in chunks.values()]
+
+
+def filter_step(kernel, m):
+    """Cells per row of the field filter, read off its first row group."""
+    return next(sim._field_intensity_groups(kernel, m, derive_roots(0), 1 << 30))[2].shape[1]
 
 
 def polar_noise(roots, c, count):
@@ -171,7 +180,8 @@ class TestPolarNoise:
     def noise(self, request):
         roots = derive_roots(request.param)
         z = np.empty(self.N, np.complex64)
-        sim._polar_noise(block_generator(roots[1], 0), block_generator(roots[5], 0), z)
+        sim._polar_noise(block_generator(roots[1], 0), block_generator(roots[5], 0), z,
+                         self.N)
         # the layout's draws, to float32 rounding of the angle and radius
         np.testing.assert_allclose(z, polar_noise(roots, 0, self.N), rtol=1e-6, atol=0)
         return z.real.astype(np.float64), z.imag.astype(np.float64)
@@ -189,11 +199,26 @@ class TestPolarNoise:
         phase = np.mod(np.arctan2(im, re), 2.0 * math.pi)
         assert stats.kstest(phase, "uniform", args=(0.0, 2.0 * math.pi)).pvalue > 1e-3
 
+    def test_zeros_after_the_count_in_row_order(self):
+        # a (rows, columns) view of a wider buffer, filled as the filter's
+        # noise rows are: the first samples in row order, zeros after
+        roots = derive_roots(3)
+        buffer = np.full((3, 8), 7 + 7j, np.complex64)
+        sim._polar_noise(block_generator(roots[1], 0), block_generator(roots[5], 0),
+                         buffer[:, :5], 12)
+        z = np.empty(12, np.complex64)
+        sim._polar_noise(block_generator(roots[1], 0), block_generator(roots[5], 0), z, 12)
+        assert np.array_equal(buffer[:, :5].reshape(-1)[:12], z)
+        assert not np.any(buffer[:, :5].reshape(-1)[12:]) and np.all(buffer[:, 5:] == 7 + 7j)
+
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7])
     def test_phase_root_leaves_the_first_five_roots(self, seed):
+        # seven roots: the click places' root 6 leaves the six before it
         roots = derive_roots(seed)
-        first = np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
-        assert roots.size == 6 and np.array_equal(roots[:5], first)
+        sequence = np.random.SeedSequence(seed)
+        assert roots.size == 7
+        assert np.array_equal(roots[:6], sequence.generate_state(6, dtype=np.uint64))
+        assert np.array_equal(roots[:5], sequence.generate_state(5, dtype=np.uint64))
 
 
 def convolved_intensity(chunks, kernel, roots):
@@ -254,12 +279,11 @@ def reference_intensity_chunks(kernel, roots, n_grid):
     """The filter in one batch per chunk and in double precision, the
     reference for the grouped one: each chunk's noise in one draw, then all
     its rows filtered at once."""
-    taps = kernel.size
-    nfft = max(sim._FILTER_FFT, 1 << (4 * taps).bit_length())
-    step = nfft - taps + 1
+    nfft = max(sim._FILTER_FFT, 1 << (4 * kernel.size).bit_length())
+    step = filter_step(kernel, 1)
     chunk = max(sim._FIELD_CHUNK // step, 1) * step
     kernel_fft = np.fft.fft(kernel, nfft)
-    carry = np.zeros(taps - 1, dtype=complex)
+    carry = np.zeros(nfft - step, dtype=complex)
     for c, lo in enumerate(range(0, n_grid, chunk)):
         length = min(chunk, n_grid - lo)
         noise = np.zeros((-(-length // step), step), complex)   # last row padded
@@ -268,8 +292,8 @@ def reference_intensity_chunks(kernel, roots, n_grid):
         del noise
         y *= kernel_fft
         np.fft.ifft(y, out=y)
-        y[1:, :taps - 1] += y[:-1, step:]
-        y[0, :taps - 1] += carry
+        y[1:, :nfft - step] += y[:-1, step:]
+        y[0, :nfft - step] += carry
         carry = y[-1, step:].copy()
         intensity = np.square(y[:, :step].real)
         intensity += np.square(y[:, :step].imag)
@@ -287,7 +311,7 @@ class TestGroupedFilter:
     @pytest.mark.parametrize("rows", [1, 7, "chunk", "beyond_chunk"])
     def test_groups_match_one_batch_filter(self, monkeypatch, shape, timestep, rows):
         kernel = field_kernel(shape, timestep)
-        step = max(sim._FILTER_FFT, 1 << (4 * kernel.size).bit_length()) - kernel.size + 1
+        step = filter_step(kernel, 1)
         monkeypatch.setattr(sim, "_FIELD_CHUNK", self.CHUNK)
         # the last chunk ends a third into a row, inside a group
         chunk = self.CHUNK // step * step
@@ -323,29 +347,36 @@ def test_short_record_allocates_one_row():
 
 
 class _TopUniform:
-    """A generator stand-in whose uniforms are all numpy's largest, 1 - 2^-53."""
+    """A generator stand-in: ``count`` candidates a block, and uniforms all
+    numpy's largest, 1 - 2^-53."""
 
     def __init__(self, count):
         self.count = count
 
     def poisson(self, lam):
-        return self.count
+        return np.full(lam.shape, self.count)
 
     def random(self, size):
         return np.full(size, 1.0 - 2.0**-53)
 
 
 class TestChunkClicks:
-    # a zero run, a ramp, zeros, a step and trailing zeros
+    """A chunk's clicks, drawn row group by row group by `_group_clicks`:
+    thinned from candidates under each block's largest intensity."""
+
+    # a zero run, a ramp, zeros, a step and trailing zeros, padded with
+    # zeros to whole blocks
     INTENSITY = np.concatenate([np.zeros(5), np.linspace(0.1, 2.0, 40), np.zeros(5),
-                                np.full(30, 0.5), np.full(30, 3.0), np.zeros(5)])
+                                np.full(30, 0.5), np.full(30, 3.0),
+                                np.zeros(5 + 2 * sim._FIELD_BLOCK - 115)]).astype(np.float32)
     MEAN_PER_CELL = 0.4
     SEEDS = 2000
 
     @pytest.fixture(scope="class")
     def draws(self):
-        return [sim._chunk_clicks(np.append(0.0, self.INTENSITY), self.MEAN_PER_CELL,
-                                  np.random.default_rng(seed))
+        return [sim._group_clicks(self.INTENSITY, 0, self.MEAN_PER_CELL,
+                                  np.random.default_rng([seed, 0]),
+                                  np.random.default_rng([seed, 1]))
                 for seed in range(self.SEEDS)]
 
     def test_sorted_and_never_in_zero_cells(self, draws):
@@ -356,7 +387,7 @@ class TestChunkClicks:
     def test_cell_totals_match_rate(self, draws):
         counts = sum(np.bincount(np.floor(pos).astype(np.int64),
                                  minlength=self.INTENSITY.size) for pos in draws)
-        lam = self.SEEDS * self.MEAN_PER_CELL * self.INTENSITY
+        lam = self.SEEDS * self.MEAN_PER_CELL * self.INTENSITY.astype(np.float64)
         live = lam > 0
         chi2 = float(np.sum((counts[live] - lam[live]) ** 2 / lam[live]))
         dof = int(live.sum())
@@ -384,23 +415,32 @@ class TestChunkClicks:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 3.0, 7.77, 1e6, 1e300])
     def test_largest_uniform_stays_in_last_live_cell(self, scale):
-        intensity = np.array([0.0, 2.0, 1.0, 0.0, 0.0]) * scale
-        pos = sim._chunk_clicks(np.append(0.0, intensity), 1.0, _TopUniform(3))
-        assert np.all((pos >= 2.0) & (pos <= 3.0))
+        # three blocks, live only in the second's last two cells: its top
+        # candidates' places (1 + u) * 64 round up to 128, the third block's
+        # first cell, which is 0; each stays in cell 127, its largest, and is
+        # kept, while the other blocks' top candidates fall in zero cells
+        block = sim._FIELD_BLOCK
+        intensity = np.zeros(3 * block)
+        intensity[2 * block - 2:2 * block] = np.array([1.0, 2.0]) * scale
+        pos = sim._group_clicks(intensity, 0, 1.0, _TopUniform(3), _TopUniform(3))
+        assert pos.size == 3
+        assert np.all((pos >= 2 * block - 1) & (pos <= 2 * block))
 
 
 def test_stationary_chunk_prefix_invariance(monkeypatch):
     # the clicks of the first k whole chunks of a longer record are the
     # stream of the k-chunk record, bit for bit, with the noise on the
-    # 4x coarser grid of the default Gaussian field
-    monkeypatch.setattr(sim, "_FIELD_CHUNK", 20000)
+    # 4x coarser grid of the default Gaussian field, and chunks of five
+    # rows in groups of three, so each chunk's generators run on across a
+    # group boundary
     cfg = field_config()
     dt = cfg.field_timestep
     m = sim._field_decimation(cfg, dt)
     assert m == 4
-    kernel = field_kernel("gaussian", None)
-    chunk = next(sim._field_intensity_chunks(kernel, m, derive_roots(0),
-                                             10**9))[1].size - 1
+    step = filter_step(field_kernel("gaussian", None), m)
+    monkeypatch.setattr(sim, "_FIELD_CHUNK", 5 * step)
+    monkeypatch.setattr(sim, "_FIELD_GROUP", 3 * step)
+    chunk = 5 * step
     short = thermal_stream(duration=3 * chunk * dt, seed=50)
     longer = thermal_stream(duration=5.5 * chunk * dt, seed=50)
     prefix = longer.times[longer.times < 3 * chunk * dt]
@@ -422,6 +462,9 @@ class TestFieldDecimation:
         taps = sim._field_kernel(cfg, dt).size
         assert m == want and m & (m - 1) == 0
         assert max(sim._FILTER_FFT, 1 << (4 * taps).bit_length()) % m == 0
+        # rows of whole noise samples and whole click blocks
+        step = filter_step(sim._field_kernel(cfg, dt), m)
+        assert step % m == 0 and step % sim._FIELD_BLOCK == 0
         if shape == "gaussian":
             # the largest power of two with m dt <= pi sigma_h / 6
             sigma_h = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
@@ -471,14 +514,19 @@ class TestPolyphaseFilter:
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_field_does_not_depend_on_group_size(self, monkeypatch, rows):
-        # 16-row chunks in groups of 1 or 7 rows, against one group per chunk
+        # 16-row chunks in groups of 1 or 7 rows, against one group per
+        # chunk: the field, and the clicks drawn from it, bit for bit
         kernel = field_kernel("gaussian", None)
         roots = derive_roots(29)
         monkeypatch.setattr(sim, "_FIELD_CHUNK", 1 << 16)
-        want = field_chunks(kernel, 4, roots, 150001)
-        group = rows * (sim._FILTER_FFT - kernel.size + 1)
-        monkeypatch.setattr(sim, "_FIELD_GROUP", group)
-        got = field_chunks(kernel, 4, roots, 150001)
+        n_grid = 150001
+        duration = n_grid * field_config().field_timestep
+        want = field_chunks(kernel, 4, roots, n_grid)
+        want_clicks = thermal_stream(duration=duration, seed=29)
+        monkeypatch.setattr(sim, "_FIELD_GROUP", rows * filter_step(kernel, 4))
+        got = field_chunks(kernel, 4, roots, n_grid)
         assert len(got) == len(want) == 3
         for (lo, part), (lo_ref, ref) in zip(got, want):
             assert lo == lo_ref and np.array_equal(part, ref)
+        clicks = thermal_stream(duration=duration, seed=29)
+        assert clicks.n_clicks > 1000 and np.array_equal(clicks.times, want_clicks.times)
