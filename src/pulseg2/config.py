@@ -1,17 +1,18 @@
 """Declarative experiment configuration.
 
 One INI-style file with flat key=value sections drives simulation and
-analysis; CLI flags override file values.  Parsing either succeeds with a
-fully validated `ExperimentConfig` or fails with a field-precise
-`ConfigError` naming the section and key.  Emit/parse round-trips are
-identity (floats are written with repr precision).
+analysis; CLI flags override file values, and ``;`` after whitespace
+starts a comment.  Each `ExperimentConfig` field declares its key once.
+Parsing either succeeds with a fully validated `ExperimentConfig` or fails
+with a field-precise `ConfigError` naming the section and key.  Emit/parse
+round-trips are identity (floats are written with repr precision).
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import modes as _modes
 from . import states as _states
@@ -32,30 +33,9 @@ def _whole(text):
     return int(value)
 
 
-# (section, key) -> (attribute, parser)
-_SCHEMA = {
-    ("run", "kind"): ("kind", str.strip),
-    ("run", "seed"): ("seed", int),
-    ("state", "spec"): ("state_spec", str.strip),
-    ("mode", "spec"): ("mode_spec", str.strip),
-    ("detector", "efficiency"): ("efficiency", float),
-    ("detector", "timing_jitter_sigma"): ("timing_jitter_sigma", float),
-    ("detector", "dead_time"): ("dead_time", float),
-    ("pulsed", "num_pulses"): ("num_pulses", _whole),
-    ("pulsed", "repetition_period"): ("repetition_period", float),
-    ("stationary", "mean_rate"): ("mean_rate", float),
-    ("stationary", "spectral_bandwidth"): ("spectral_bandwidth", float),
-    ("stationary", "duration"): ("duration", float),
-    ("stationary", "field_timestep"): ("field_timestep", _opt(float)),
-    ("stationary", "spectral_shape"): ("spectral_shape", str.strip),
-    ("estimator", "bin_width"): ("bin_width", _opt(float)),
-    ("estimator", "max_tau"): ("max_tau", _opt(float)),
-    ("output", "stream"): ("out_stream", str.strip),
-    ("output", "sidecar"): ("out_sidecar", _opt(str.strip)),
-    ("output", "report"): ("out_report", str.strip),
-    ("output", "histogram"): ("out_histogram", _opt(str.strip)),
-    ("output", "format"): ("stream_format", str.strip),
-}
+def _key(section, key, parse, default):
+    """A field that INI ``[section] key`` sets, read by ``parse``."""
+    return field(default=default, metadata={"ini": (section, key, parse)})
 
 
 def _read_settings(path) -> dict:
@@ -63,7 +43,7 @@ def _read_settings(path) -> dict:
 
     Keys the file leaves out are absent, unlike in `ExperimentConfig.from_file`.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -85,27 +65,31 @@ def _read_settings(path) -> dict:
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "pulsed"
-    seed: int = 1
-    state_spec: str = "coherent:1"
-    mode_spec: str = "gauss:1e-9"
-    efficiency: float = 1.0
-    timing_jitter_sigma: float = 0.0
-    dead_time: float = 0.0
-    num_pulses: int = 100000
-    repetition_period: float = 12.5e-9
-    mean_rate: float = 1e5
-    spectral_bandwidth: float = 1e6
-    duration: float = 1.0
-    field_timestep: float | None = None
-    spectral_shape: str = "gaussian"
-    bin_width: float | None = None
-    max_tau: float | None = None
-    out_stream: str = "stream.csv"
-    out_sidecar: str | None = None
-    out_report: str = "report.json"
-    out_histogram: str | None = "histogram.csv"
-    stream_format: str = "csv"
+    kind: str = _key("run", "kind", str.strip, "pulsed")
+    seed: int = _key("run", "seed", int, 1)
+    state_spec: str = _key("state", "spec", str.strip, "coherent:1")
+    mode_spec: str = _key("mode", "spec", str.strip, "gauss:1e-9")
+    efficiency: float = _key("detector", "efficiency", float, DetectorModel.efficiency)
+    timing_jitter_sigma: float = _key("detector", "timing_jitter_sigma", float,
+                                      DetectorModel.timing_jitter_sigma)
+    dead_time: float = _key("detector", "dead_time", float, DetectorModel.dead_time)
+    num_pulses: int = _key("pulsed", "num_pulses", _whole, 100000)
+    repetition_period: float = _key("pulsed", "repetition_period", float, 12.5e-9)
+    mean_rate: float = _key("stationary", "mean_rate", float, 1e5)
+    spectral_bandwidth: float = _key("stationary", "spectral_bandwidth", float, 1e6)
+    duration: float = _key("stationary", "duration", float, 1.0)
+    field_timestep: float | None = _key("stationary", "field_timestep", _opt(float),
+                                        StationaryThermalConfig.field_timestep)
+    spectral_shape: str = _key("stationary", "spectral_shape", str.strip,
+                               StationaryThermalConfig.spectral_shape)
+    bin_width: float | None = _key("estimator", "bin_width", _opt(float), None)
+    max_tau: float | None = _key("estimator", "max_tau", _opt(float), None)
+    out_stream: str = _key("output", "stream", str.strip, "stream.csv")
+    out_sidecar: str | None = _key("output", "sidecar", _opt(str.strip), None)
+    out_report: str = _key("output", "report", str.strip, "report.json")
+    out_histogram: str | None = _key("output", "histogram", _opt(str.strip),
+                                     "histogram.csv")
+    stream_format: str = _key("output", "format", str.strip, "csv")
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -175,3 +159,8 @@ class ExperimentConfig:
             except (ValueError, OSError) as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
         return self._built[key]
+
+
+# (section, key) -> (attribute, parser), in field order
+_SCHEMA = {f.metadata["ini"][:2]: (f.name, f.metadata["ini"][2])
+           for f in fields(ExperimentConfig) if f.metadata}

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "StreamFormatError", "EstimationError"]
+
 
 class ConfigError(ValueError):
     """Invalid configuration file, spec string or CLI usage."""

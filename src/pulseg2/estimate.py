@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -174,12 +174,12 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     pair, ``start_stop`` the walk's first pass (each click with the next)
     and ``same_pulse`` the pairs sharing a pulse index (the D(tau)
     estimator), so a max_tau past the pulse walks cross-pulse pairs only to
-    drop them.  Counts are also kept per block: of pulses (``num_pulses``,
-    else the sidecar's, else the largest index + 1) for ``same_pulse``, else
-    of whole max_tau slices from the first click, the last taking the
-    remainder, so a time block outlasts every lag.  An empty stream
-    yields a valid all-zero histogram; over `_MAX_BINS` bins, or over
-    `_MAX_PULSES` pulses or max_tau slices, a ValueError.
+    drop them.  Counts are also kept per block: of N pulses (``num_pulses``,
+    else the sidecar's, else the largest index + 1; an index outside [0, N)
+    is an EstimationError) for ``same_pulse``, else of whole max_tau slices
+    from the first click, the last taking the remainder, so a time block
+    outlasts every lag.  An empty stream yields a valid all-zero histogram;
+    over `_MAX_BINS` bins, or over `_MAX_PULSES` pulses or slices, a ValueError.
     """
     if scope not in ("same_pulse", "all_pairs", "start_stop"):
         raise ValueError("scope must be 'same_pulse', 'all_pairs' or 'start_stop'")
@@ -197,8 +197,9 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     times = stream.times
     if scope == "same_pulse":
         pulse = stream.pulse_index
-        num_pulses = num_pulses or stream.metadata.get("train", {}).get("num_pulses")
-        n_units = max(num_pulses or 1, int(pulse.max(initial=0)) + 1)
+        n_units = (num_pulses or stream.metadata.get("train", {}).get("num_pulses")
+                   or int(pulse.max(initial=0)) + 1)
+        _check_pulse_range(pulse, n_units)
         unit_of = pulse.__getitem__
 
         def bin_of(i, j, dt):
@@ -517,7 +518,7 @@ def stationary_conditional_probability(stream: ClickStream, bin_width: float,
                                        hist.block_counts)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CoherenceReport:
     """Every coherence measure recovered from one pulsed stream.
 
@@ -528,21 +529,21 @@ class CoherenceReport:
     same-pulse histogram the report was computed from (None for an empty
     stream), and ``state`` and ``mode`` the objects it was analyzed with,
     given or parsed from the sidecar (None if neither); none of the three
-    is part of the JSON.
+    compares or is in the JSON, which holds the rest in field order.
     """
 
-    N: int
-    Ip: float
-    D0_per_second: float
-    D0_sigma: float
-    eta0_per_second: float | None = None
-    g2p: float | None = None
-    g2p_sigma: float | None = None
+    g2q_analytic: float | None = None
     g2q_eta: float | None = None
     g2q_eta_sigma: float | None = None
     g2q_pn: float | None = None
     g2q_pn_sigma: float | None = None
-    g2q_analytic: float | None = None
+    g2p: float | None = None
+    g2p_sigma: float | None = None
+    eta0_per_second: float | None = None
+    Ip: float
+    N: int
+    D0_per_second: float
+    D0_sigma: float
     fitted_width_seconds: float | None = None
     flags: list = field(default_factory=list)
     histogram: TauHistogram | None = field(default=None, repr=False, compare=False)
@@ -550,12 +551,8 @@ class CoherenceReport:
     mode: _modes.TemporalMode | None = field(default=None, repr=False, compare=False)
 
     def to_json(self, path=None) -> str:
-        keys = ("g2q_analytic", "g2q_eta", "g2q_eta_sigma", "g2q_pn", "g2q_pn_sigma",
-                "g2p", "g2p_sigma", "eta0_per_second", "Ip", "N", "D0_per_second",
-                "D0_sigma", "fitted_width_seconds")
-        values = {key: getattr(self, key) for key in keys}
-        values["flags"] = list(self.flags)
-        return _write_json(values, path)
+        return _write_json({f.name: getattr(self, f.name) for f in fields(self)
+                            if f.compare}, path)
 
 
 def _pulsed_binning(width):
@@ -579,8 +576,8 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     without pairs gives zeros with sigma inf.  An empty stream produces a flagged report rather
     than an error; a pulse index outside [0, N) is an EstimationError,
     raised before the histogram is built.  A fitted width more than 10
-    percent off a Gaussian mode hint is flagged ``width_mismatch``, since
-    the eta-corrected g2q scales linearly with the assumed width.  A
+    percent off a ``gauss:`` or ``hg:0:`` hint is flagged ``width_mismatch``,
+    since the eta-corrected g2q scales linearly with the assumed width.  A
     sidecar detector dead time > 0, which biases every route low and which
     no route corrects, is flagged ``dead_time_biased``.
     """
@@ -623,8 +620,8 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     hist = tau_histogram(stream, bin_width, max_tau, "same_pulse", num_pulses)
 
     fitted = fit_pulse_width(hist)
-    if (mode is not None and mode.kind == "gaussian" and math.isfinite(fitted)
-            and abs(fitted - mode.width) > 0.1 * mode.width):
+    if (mode is not None and mode.kind != "sampled" and mode.order == 0
+            and math.isfinite(fitted) and abs(fitted - mode.width) > 0.1 * mode.width):
         flags.append("width_mismatch")
 
     if mode is None:

@@ -12,6 +12,7 @@ import pytest
 
 import pulseg2 as pg
 import pulseg2.cli as cli
+import pulseg2.config as config
 from pulseg2 import estimate as est
 from pulseg2 import modes as md
 from pulseg2 import simulate as sim
@@ -411,7 +412,8 @@ class TestAnalyzeCommand:
         assert str(bare) in capsys.readouterr().err
 
     def test_stationary_stream_summary(self, tmp_path):
-        cfg, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5,
+        # ~1e5 clicks: g2(0) has s.d. ~0.05, so the band is ~7 s.d.
+        cfg, path = write_cfg(tmp_path, kind="stationary", mean_rate=1e6,
                               duration=0.2, num_pulses=1000)
         assert cli.main(["simulate", "--config", path]) == 0
         assert cli.main(["analyze", str(tmp_path / "stream.csv"),
@@ -831,3 +833,17 @@ def test_readme_synopsis_lists_every_command():
         flags = {flag for action in parser._actions for flag in action.option_strings
                  if flag != "--help" and flag.startswith("--")}
         assert set(re.findall(r"--[a-z-]+", synopsis[command])) == flags, command
+
+
+def test_readme_config_example_sets_every_key(tmp_path):
+    # the INI block under "Config file", its inline and indented comments
+    # included, sets every (section, key) of the schema and validates
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("### Config file", 1)[1].split("```ini", 1)[1]
+                    .split("```", 1)[0])
+    values = config._read_settings(path)
+    assert {key for key, (attr, _) in config._SCHEMA.items() if attr in values} \
+        == config._SCHEMA.keys()
+    assert values["seed"] == 42 and values["state_spec"] == "thermal:0.5"
+    ExperimentConfig(**values).validate()

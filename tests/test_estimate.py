@@ -105,6 +105,21 @@ class TestTauHistogram:
         with pytest.raises(ValueError, match="pulsed"):
             est.tau_histogram(stream, 1e-8, 1e-6, scope="same_pulse")
 
+    @pytest.mark.parametrize("source", ["given", "sidecar"])
+    def test_same_pulse_index_past_n_rejected(self, source):
+        # an N below the largest index + 1 is an EstimationError naming N,
+        # as in the pn route, not blocks widened to the indices
+        stream, _ = run_train(st.coherent(0.5), 2000, seed=4)
+        assert stream.pulse_index.max() >= 1000
+        if source == "sidecar":
+            stream = pg.ClickStream(stream.pulse_index, stream.times,
+                                    {"kind": "pulsed", "train": {"num_pulses": 1000}})
+        given = 1000 if source == "given" else None
+        with pytest.raises(EstimationError, match="N = 1000 pulses"):
+            est.tau_histogram(stream, 5e-11, 6e-9, num_pulses=given)
+        with pytest.raises(EstimationError, match="N = 1000 pulses"):
+            est.pn_histogram_g2q(stream, 1000)
+
     def test_scope_alias(self):
         # the all_pairs_within_max_tau alias is gone; it is one more unknown scope
         stream, _ = run_train(st.coherent(0.5), 1000, seed=4)
@@ -591,6 +606,10 @@ class TestAnalyzeStream:
         bias = 2.0 * top / bot  # peak-height ratio of the shapes times overlap
         assert bias == pytest.approx(2.0 * math.sqrt(0.4), rel=1e-3)
         assert report.g2q_eta == pytest.approx(bias, rel=0.05)
+        # hg:0 is the same mode: the same width check, flag and bias
+        hg0 = est.analyze_stream(stream, mode=md.hermite_gauss_mode(0, 2.0 * WIDTH))
+        assert "width_mismatch" in hg0.flags
+        assert hg0.g2q_eta == pytest.approx(report.g2q_eta, rel=1e-6)
 
     @pytest.mark.parametrize("dead_time", [0.0, 2e-10])
     def test_dead_time_flagged(self, dead_time):

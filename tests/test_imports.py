@@ -62,11 +62,11 @@ def test_workload_paths_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == ""
 
 
-MODULES = ["states", "modes", "simulate", "estimate", "streams", "rngutil", "config", "cli"]
+MODULES = ["states", "modes", "simulate", "estimate", "streams", "errors", "rngutil",
+           "config", "cli"]
 
-# names of the modules the package re-exports, minus the ones kept module-only
-REEXPORTED = ["states", "modes", "simulate", "estimate", "streams"]
-MODULE_ONLY = {"modes": {"amplitude"}, "streams": {"sidecar_path"}}
+# the modules whose every `__all__` name the package re-exports
+REEXPORTED = ["states", "modes", "simulate", "estimate", "streams", "errors"]
 
 REMOVED = {
     "states": ["sample_photon_number", "apply_loss"],
@@ -98,7 +98,7 @@ def test_all_names_resolve(module):
 def test_package_reexports_module_names(module):
     mod = importlib.import_module(f"pulseg2.{module}")
     missing = {name for name in mod.__all__ if getattr(pg, name, None) is not getattr(mod, name)}
-    assert missing == MODULE_ONLY.get(module, set())
+    assert missing == set()
 
 
 @pytest.mark.parametrize("module", sorted(REMOVED))
