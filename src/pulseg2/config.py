@@ -5,13 +5,16 @@ analysis; CLI flags override file values, and ``;`` after whitespace
 starts a comment.  Each `ExperimentConfig` field declares its key once.
 Parsing either succeeds with a fully validated `ExperimentConfig` or fails
 with a field-precise `ConfigError` naming the section and key.  Emit/parse
-round-trips are identity (floats are written with repr precision).
+round-trips are identity (floats are written with repr precision); a
+string value that could not make the trip (a newline, a ``;`` after
+whitespace, whitespace at either end) fails validation.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 from . import modes as _modes
@@ -115,6 +118,14 @@ class ExperimentConfig:
             raise ConfigError(f"[run] seed: must be an integer >= 0, got {self.seed!r}")
         if self.stream_format not in ("csv", "binary"):
             raise ConfigError("[output] format: must be 'csv' or 'binary'")
+        # a value that `to_file` would write and `from_file` read back changed
+        for (section, key), (attr, _) in _SCHEMA.items():
+            value = getattr(self, attr)
+            if isinstance(value, str) and (value != value.strip()
+                                           or re.search(r"[\r\n]|\s;", value)):
+                raise ConfigError(f"[{section}] {key}: must not hold a newline, a ';' "
+                                  "after whitespace or whitespace at either end, "
+                                  f"got {value!r}")
         for attr in ("bin_width", "max_tau"):
             value = getattr(self, attr)
             if value is not None and not (math.isfinite(value) and value > 0):

@@ -87,22 +87,23 @@ class TauHistogram:
         _write_table(path, head, cols, fmt)
 
 
-# first clicks per slice of the pair walk: its scratch memory is this
-# many indices, whatever the click count
-_PAIR_SLICE = 1 << 16
+# first clicks per window of the pair walk, and clicks per piece of the
+# photon-number count: their scratch memory is a few arrays this long,
+# whatever the click count (2^15 walks as fast as 2^16 and holds half)
+_PAIR_SLICE = 1 << 15
 # bins of a pair histogram; its (<= 200 blocks, bins) counts stay <= 26 MB
 _MAX_BINS = 1 << 14
 
 
-def _pairs(times, reach, lo=0, hi=None):
+def _pairs(times, reach, n=None):
     """Yield ``(first, second)`` index arrays of click pairs, one lag at a time.
 
-    The pairs are every i < j of the sorted ``times`` with lo <= i < hi
-    and times[j] < times[i] + reach.  Pass d keeps the clicks of pass
+    The pairs are every i < j of the sorted ``times`` with i < n (default
+    all) and times[j] < times[i] + reach.  Pass d keeps the clicks of pass
     d - 1 with times[i + d] < times[i] + reach and yields their pairs
-    (i, i + d), so memory stays O(hi - lo) per pass.
+    (i, i + d), so memory stays O(n) per pass.
     """
-    first = np.arange(lo, times.size if hi is None else hi, dtype=np.int64)
+    first = np.arange(times.size if n is None else n, dtype=np.int64)
     for d in itertools.count(1):
         if first.size and first[-1] + d == times.size:     # no click d places on
             first = first[:-1]
@@ -112,27 +113,57 @@ def _pairs(times, reach, lo=0, hi=None):
         yield first, first + d
 
 
-def _pair_counts(times, reach, unit_of, n_units, nbins, bin_of, passes=None):
+def _windows(stream, reach, pulsed):
+    """Yield ``(pulse, times, n)``: the stream's next `_PAIR_SLICE` first
+    clicks (the last window fewer), then every later click within
+    ``reach`` of the last of them.  ``pulse`` holds the window's pulse
+    indices if ``pulsed``, else it is None.
+
+    The stream's slices come in pieces of `_PAIR_SLICE` clicks.  A window
+    is the tail carried from the last piece plus as many new pieces as it
+    takes to read one click beyond reach (or the stream's end), so no pair
+    of its first clicks reaches past it: the walk over the window finds
+    the pairs the walk over the whole stream finds."""
+    size = _PAIR_SLICE
+    t = np.empty(0)
+    p = np.empty(0, dtype=np.int64) if pulsed else None
+    pieces = ((pulse[lo:lo + size] if pulsed else None, times[lo:lo + size])
+              for pulse, times in stream._slices() for lo in range(0, times.size, size))
+    for pulse, times in pieces:
+        t = np.concatenate([t, times])
+        p = np.concatenate([p, pulse]) if pulsed else None
+        lo = 0
+        while t.size - lo > size and t[-1] >= t[lo + size - 1] + reach:
+            end = lo + size + np.searchsorted(t[lo + size:], t[lo + size - 1] + reach)
+            yield p[lo:end] if pulsed else None, t[lo:end], size
+            lo += size
+        t, p = t[lo:], p[lo:] if pulsed else None
+    for lo in range(0, t.size, size):
+        yield p[lo:] if pulsed else None, t[lo:], min(size, t.size - lo)
+
+
+def _pair_counts(stream, reach, n_units, nbins, bin_of, passes=None, unit_of=None):
     """Counts of the `_pairs` within ``reach`` per `_blocks` block of the
     first click's unit, (blocks, bins) int64, and each block's clicks.
 
-    The walk takes `_PAIR_SLICE` first clicks at a time, each slice its
-    own lag passes (at most ``passes`` of them); ``unit_of(i)`` is the
-    unit of clicks i, and ``bin_of(i, j, dt)`` bins each pair, a bin
-    outside [0, nbins) dropping it.  A slice's blocks are found once, as
-    int32 offsets block * nbins (< 200 * `_MAX_BINS`) of the flat counts."""
+    The walk takes a `_windows` window at a time, each its own lag passes
+    (at most ``passes`` of them).  A first click's unit is its pulse index,
+    or with ``unit_of`` given, ``unit_of(times)`` of the first clicks'
+    times, and then no pulse index is read (``pulse`` is None);
+    ``bin_of(pulse, i, j, dt)`` bins each pair, a bin outside [0, nbins)
+    dropping it.  A window's blocks are found once, as int32 offsets
+    block * nbins (< 200 * `_MAX_BINS`) of the flat counts."""
     n_blocks = _blocks(0, n_units)[1]
     flat = np.zeros(n_blocks * nbins, dtype=np.int64)
     clicks = np.zeros(n_blocks, dtype=np.int64)
-    for lo in range(0, times.size, _PAIR_SLICE):
-        hi = min(lo + _PAIR_SLICE, times.size)
-        offset = _blocks(unit_of(np.arange(lo, hi)), n_units)[0]
+    for pulse, times, n in _windows(stream, reach, unit_of is None):
+        offset = _blocks(pulse[:n] if unit_of is None else unit_of(times[:n]), n_units)[0]
         clicks += np.bincount(offset, minlength=n_blocks)
         offset = (offset * nbins).astype(np.int32)
-        for i, j in itertools.islice(_pairs(times, reach, lo, hi), passes):
-            k = bin_of(i, j, times[j] - times[i])
+        for i, j in itertools.islice(_pairs(times, reach, n), passes):
+            k = bin_of(pulse, i, j, times[j] - times[i])
             keep = (k >= 0) & (k < nbins)
-            add = np.bincount(offset[i[keep] - lo] + k[keep])
+            add = np.bincount(offset[i[keep]] + k[keep])
             flat[:add.size] += add
     return flat.reshape(n_blocks, nbins), clicks
 
@@ -192,35 +223,34 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
                          f"{bins:.3g} bins, more than {_MAX_BINS}")
     nbins = max(math.ceil(bins), 1)
     edges = np.arange(nbins + 1) * bin_width
-    if scope == "same_pulse" and stream.n_clicks and stream.pulse_index.min() < 0:
-        raise ValueError("same_pulse scope requires a pulsed stream")
-    times = stream.times
     if scope == "same_pulse":
-        pulse = stream.pulse_index
+        span = stream._pulse_span
+        if span and span[0] < 0:
+            raise ValueError("same_pulse scope requires a pulsed stream")
         n_units = (num_pulses or stream.metadata.get("train", {}).get("num_pulses")
-                   or int(pulse.max(initial=0)) + 1)
-        _check_pulse_range(pulse, n_units)
-        unit_of = pulse.__getitem__
+                   or (span[1] if span else 0) + 1)
+        _check_pulse_range(stream, n_units)
+        unit_of = None
 
-        def bin_of(i, j, dt):
+        def bin_of(pulse, i, j, dt):
             return np.where(pulse[j] == pulse[i], (dt / bin_width).astype(np.int64), -1)
     else:
         # times are sorted: the last click's max_tau slice is the largest;
         # an inf slice count stays an int for the `_pair_counts` bound
-        t0, t1 = (times[0], times[-1]) if times.size else (0.0, 0.0)
+        t0, t1 = stream._time_span()
         n_units = max(int(min(float(t1 - t0) / max_tau, 2.0**63)), 1)
 
-        def unit_of(i):
-            unit = ((times[i] - t0) / max_tau).astype(np.int64)
+        def unit_of(times):
+            unit = ((times - t0) / max_tau).astype(np.int64)
             return np.minimum(unit, n_units - 1, out=unit)
 
-        def bin_of(i, j, dt):
+        def bin_of(pulse, i, j, dt):
             return (dt / bin_width).astype(np.int64)
 
     # one bin of slack past the top edge: the bin index decides
-    block_counts, block_clicks = _pair_counts(times, edges[-1] + bin_width, unit_of,
-                                              n_units, nbins, bin_of,
-                                              1 if scope == "start_stop" else None)
+    block_counts, block_clicks = _pair_counts(stream, edges[-1] + bin_width, n_units,
+                                              nbins, bin_of,
+                                              1 if scope == "start_stop" else None, unit_of)
     return TauHistogram(edges, block_counts.sum(axis=0), scope, block_counts, block_clicks)
 
 
@@ -326,41 +356,68 @@ def recover_g2q_general(stream: ClickStream, hist: TauHistogram,
     return scale * val, scale * sigma
 
 
-def _check_pulse_range(p, n_pulses):
+def _check_pulse_range(stream, n_pulses):
     """Raise EstimationError unless every pulse index lies in [0, n_pulses)."""
-    if p.size and (p.min() < 0 or p.max() >= n_pulses):
+    span = stream._pulse_span
+    if span and (span[0] < 0 or span[1] >= n_pulses):
         raise EstimationError(
-            f"pulse indices span [{p.min()}, {p.max()}], outside [0, N) "
+            f"pulse indices span [{span[0]}, {span[1]}], outside [0, N) "
             f"for N = {n_pulses} pulses")
 
 
-def _pn_block_rows(pulse, n_pulses):
+def _pn_block_rows(stream, n_pulses):
     """(2, blocks) float: each `_blocks` block's same-pulse pairs, sum m(m-1)/2
-    over its pulses' click numbers m, and its clicks, sum m.  Sorted (one
-    copy if jitter reordered them), a block's clicks run from its edge, its
-    first pulse, to the next; m^2 over the runs of equal indices is summed,
-    `_PAIR_SLICE` clicks at a time, between the edges in the slice."""
+    over its pulses' click numbers m, and its clicks, sum m.
+
+    The m are the lengths of the runs of equal pulse indices.  Read a slice
+    at a time, the indices below the next slice's least are counted, in
+    pieces of about `_PAIR_SLICE` clicks that end with a run, and the rest
+    are held back with that slice, sorted if jitter reordered them.  An
+    index at or below one already counted is an EstimationError naming its
+    record, as its pulse's m would otherwise be split."""
     n_blocks = _blocks(0, n_pulses)[1]
-    if np.any(pulse[1:] < pulse[:-1]):
-        pulse = np.sort(pulse)
     # block b's first pulse is the least u with u * n_blocks >= b * N
-    edge = np.searchsorted(pulse, -(-np.arange(n_blocks + 1) * n_pulses // n_blocks))
-    twice_pairs = np.zeros(n_blocks + 1, dtype=np.int64)  # sum m(m-1) before each edge
-    lo = total = 0                                 # sum m^2 before click lo
-    while lo < pulse.size:
-        # the slice ends with the run of click lo + _PAIR_SLICE - 1
-        hi = np.searchsorted(pulse, pulse[min(lo + _PAIR_SLICE, pulse.size) - 1], "right")
-        run = np.flatnonzero(pulse[lo + 1:hi] != pulse[lo:hi - 1])   # the runs' starts
-        run += lo + 1
-        at = (edge > lo) & (edge <= hi)           # each edge ends a run
-        # the runs before each edge, distinct and rising, at most all of them
-        cut, which = np.unique(np.searchsorted(run, edge[at]) + 1, return_inverse=True)
-        run = np.diff(run, prepend=lo, append=hi)                    # then their m
-        run *= run              # sums of m^2 up to each cut, the last over all runs
-        sums = np.cumsum(np.add.reduceat(run, np.append(0, cut[cut < run.size])))
-        twice_pairs[at] = total + sums[which] - edge[at]   # sum m^2 - sum m
-        lo, total = hi, total + sums[-1]
-    return np.array([np.diff(twice_pairs) // 2, np.diff(edge)], dtype=float)
+    first = -(-np.arange(n_blocks + 1) * n_pulses // n_blocks)
+    rows = np.zeros((2, n_blocks))
+
+    def count(p):                   # sorted indices, their runs all whole
+        lo = 0
+        while lo < p.size:
+            hi = np.searchsorted(p, p[min(lo + _PAIR_SLICE, p.size) - 1], "right")
+            q = p[lo:hi]
+            bound = np.flatnonzero(q[1:] != q[:-1])
+            bound += 1
+            bound = np.concatenate(([0], bound, [q.size]))    # the runs' starts and end
+            square = np.diff(bound) ** 2                      # their m^2
+            edge = np.searchsorted(q, first)        # each block's first click,
+            run = np.searchsorted(bound, edge)      # a run's start or the end
+            full = np.flatnonzero(edge[1:] > edge[:-1])       # the blocks with clicks
+            clicks = edge[full + 1] - edge[full]
+            rows[:, full] += (np.add.reduceat(square, run[full]) - clicks) // 2, clicks
+            lo = hi
+
+    held, counted, record = np.empty(0, dtype=np.int64), None, 0
+    for pulse, times in stream._slices():
+        if pulse is None:           # stationary sentinels alone: in no block
+            record += times.size
+            continue
+        low = pulse.min()
+        if counted is not None and low <= counted:
+            bad = np.argmax(pulse <= counted)
+            raise EstimationError(
+                f"record {record + bad}: pulse index {pulse[bad]} comes after the "
+                f"clicks of pulse {counted} were counted; the photon-number route "
+                "takes pulse indices out of order by less than one read slice")
+        cut = np.searchsorted(held, low)
+        if cut:
+            count(held[:cut])
+            counted = held[cut - 1]
+        held = np.concatenate([held[cut:], pulse])
+        if np.any(held[1:] < held[:-1]):
+            held.sort()
+        record += pulse.size
+    count(held)
+    return rows
 
 
 def pn_histogram_g2q(stream: ClickStream, train):
@@ -374,11 +431,14 @@ def pn_histogram_g2q(stream: ClickStream, train):
     blocks, and over `_MAX_PULSES` pulses a ValueError is raised."""
     n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
                 else int(train))
-    p = stream.pulse_index
-    if not p.size:
+    if not stream.n_clicks:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
-    _check_pulse_range(p, n_pulses)
-    stats = _pn_block_rows(p, n_pulses)
+    _check_pulse_range(stream, n_pulses)
+    return _pn_ratio(_pn_block_rows(stream, n_pulses), n_pulses)
+
+
+def _pn_ratio(stats, n_pulses):
+    """pn_histogram_g2q's value and sigma from its `_pn_block_rows`."""
     pairs, clicks = stats.sum(axis=1) * (2.0, 1.0)
     val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
     grad = (2.0 * n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
@@ -408,20 +468,20 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     if n_pulses < n_side + 1:
         raise EstimationError(
             f"train of {n_pulses} pulses is too short for {n_side} side peaks")
-    p = stream.pulse_index
-    if p.size and p.min() < 0:
+    span = stream._pulse_span
+    if span and span[0] < 0:
         raise ValueError("g2_sidepeak requires a pulsed stream")
-    _check_pulse_range(p, n_pulses)
+    _check_pulse_range(stream, n_pulses)
 
-    def peak_of(i, j, dt):
+    def peak_of(p, i, j, dt):
         # row 0 the central peak, of same-pulse pairs only; row k side peak k
         k = np.round(dt / period).astype(np.int64)
         keep = (np.abs(dt - k * period) < window) & ((k > 0) | (p[j] == p[i]))
         return np.where(keep, k, -1)
 
     # one window of slack past the last side-peak window
-    counts = _pair_counts(stream.times, n_side * period + 2.0 * window, p.__getitem__,
-                          n_pulses, n_side + 1, peak_of)[0]
+    counts = _pair_counts(stream, n_side * period + 2.0 * window, n_pulses, n_side + 1,
+                          peak_of)[0]
     stats = np.ascontiguousarray(counts.T, dtype=float)
 
     corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))
@@ -611,7 +671,10 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
                                g2q_analytic=g2q_analytic, flags=flags, state=state,
                                mode=mode)
 
-    _check_pulse_range(stream.pulse_index, num_pulses)
+    # the photon-number count first: a binary stream's first walk checks
+    # its times and finds the pulse index span the range check reads
+    pn_rows = _pn_block_rows(stream, num_pulses)
+    _check_pulse_range(stream, num_pulses)
     if bin_width is None or max_tau is None:
         bw, tau = _pulsed_binning(mode.width if mode is not None
                                   else _within_pulse_spread(stream))
@@ -631,7 +694,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     g2q_eta_val = (None, None) if eta0 is None else \
         tuple(num_pulses / eta0 * v for v in g2p_val)
 
-    g2q_pn, g2q_pn_sigma = pn_histogram_g2q(stream, num_pulses)
+    g2q_pn, g2q_pn_sigma = _pn_ratio(pn_rows, num_pulses)
 
     return CoherenceReport(
         N=int(num_pulses), Ip=float(total),
@@ -645,15 +708,40 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
 
 
 def _within_pulse_spread(stream: ClickStream) -> float:
-    """Crude width scale from within-pulse click offsets (fallback binning)."""
+    """Crude width scale from within-pulse click offsets (fallback binning):
+    their `np.std` times sqrt(2), each sum `_pairwise_sum` over the slices."""
     period = stream.metadata.get("train", {}).get("repetition_period")
     if period is None:
         raise EstimationError("cannot choose a bin width: pass bin_width")
-    offsets = stream.times - (stream.pulse_index + 0.5) * period
-    spread = float(np.std(offsets))
+
+    def total(f):
+        return _pairwise_sum((f(t - (p + 0.5) * period) for p, t in stream._slices()),
+                             stream.n_clicks)
+    mean = total(lambda x: x) / stream.n_clicks
+    spread = math.sqrt(total(lambda x: (x - mean) ** 2) / stream.n_clicks)
     if not spread > 0:
         raise EstimationError("cannot choose a bin width: pass bin_width")
     return spread * math.sqrt(2.0)
+
+
+def _pairwise_sum(parts, n) -> float:
+    """The sum of the ``n`` float64 values that the arrays ``parts`` hold in
+    turn, bit for bit `np.add.reduce`'s over all of them: numpy sums 128
+    values or fewer at once and splits more in two, the first part's size
+    half rounded down to a multiple of 8.  A part of this tree that lies
+    within the held values is summed by numpy; one that does not is split
+    the same way, down to 128 values, which wait for the next array."""
+    parts, held, base = iter(parts), np.empty(0), 0   # values [base, base + held.size)
+
+    def tree(a, m):
+        nonlocal held, base
+        while a + m > base + held.size and (m <= 128 or a >= base + held.size):
+            held, base = np.concatenate([held[a - base:], next(parts)]), a
+        if a + m <= base + held.size:
+            return float(np.add.reduce(held[a - base:a - base + m]))
+        half = m // 2 - m // 2 % 8
+        return tree(a, half) + tree(a + half, m - half)
+    return tree(0, n)
 
 
 def _parse_sidecar_label(meta, key, parse, flags):

@@ -17,14 +17,23 @@ CSV       header ``pulse_index,time_seconds``; stationary records write -1.
 binary    packed little-endian records (u64 pulse index, f64 time);
           stationary records store 2**64 - 1 as the index sentinel.
           Both directions go `_IO_SLICE` records at a time through one
-          slice-sized record buffer, so besides the stream (or the
-          written slice) they hold one slice (1 MiB); the bytes do not
-          depend on the slice.  The read allocates an index array only
-          once a record is not the sentinel.
+          slice-sized record buffer (1 MiB); the bytes do not depend on
+          the slice.  `read_stream` gathers the slices into the stream's
+          arrays, allocating an index array only once a record is not
+          the sentinel.  `pulseg2 analyze` holds no such array: it opens
+          a binary stream as a `_StreamFile`, whose records each
+          estimator walks a slice at a time, their times checked to be
+          finite and nondecreasing across the slices.
 sidecar   JSON next to either format with the seed, the full generating
           configuration, the package version and the counted
           ``n_clicks``, default path ``<stream>.meta.json``; written
           after the records, so a failed write leaves none.
+
+The estimators read a stream only through ``n_clicks``, ``metadata``,
+`_slices` (the pulse indices, or None for stationary ones, and the times
+of a slice of records) and the spans of its indices and times, so a
+`ClickStream`, which yields views of its arrays, and a `_StreamFile`
+take one path through them.  A CSV stream is always read whole.
 
 Every CSV table and JSON document the package writes goes through
 `_write_table` or `_write_json`, and every CSV table it reads through
@@ -34,6 +43,7 @@ Every CSV table and JSON document the package writes goes through
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -74,8 +84,22 @@ _SIDECAR_RULES = {
                            "a finite number >= 0 or null"),
 }
 
+class _Records:
+    """What the estimators read of a stream: ``metadata``, ``n_clicks``,
+    `_slices`, `_time_span` and `_pulse_span` (the least and greatest
+    pulse index, -1 for a stationary click, None without clicks), and
+    from these whether the stream is pulsed."""
+
+    @property
+    def is_pulsed(self) -> bool:
+        kind = self.metadata.get("kind")
+        if kind is not None:
+            return kind == "pulsed"
+        return bool(self.n_clicks) and self._pulse_span[0] >= 0
+
+
 @dataclass(frozen=True, eq=False)
-class ClickStream:
+class ClickStream(_Records):
     """Time-ordered detection records plus generating metadata."""
 
     pulse_index: np.ndarray
@@ -100,13 +124,6 @@ class ClickStream:
     def n_clicks(self) -> int:
         return self.times.size
 
-    @property
-    def is_pulsed(self) -> bool:
-        kind = self.metadata.get("kind")
-        if kind is not None:
-            return kind == "pulsed"
-        return bool(self.n_clicks) and bool(np.all(self.pulse_index >= 0))
-
     def counts_per_pulse(self, num_pulses: int) -> np.ndarray:
         """Clicks per pulse, including empty pulses (length ``num_pulses``)."""
         if self.n_clicks and (self.pulse_index.min() < 0
@@ -114,8 +131,81 @@ class ClickStream:
             raise ValueError("pulse indices outside [0, num_pulses)")
         return np.bincount(self.pulse_index, minlength=num_pulses)
 
+    @functools.cached_property
+    def _pulse_span(self) -> tuple[int, int] | None:
+        p = self.pulse_index
+        return (int(p.min()), int(p.max())) if p.size else None
+
+    def _slices(self):
+        """Views of the pulse indices and times, `_IO_SLICE` records at a time."""
+        for lo in range(0, self.n_clicks, _IO_SLICE):
+            yield self.pulse_index[lo:lo + _IO_SLICE], self.times[lo:lo + _IO_SLICE]
+
+    def _time_span(self):
+        """The first and last click times; (0, 0) without clicks."""
+        return (self.times[0], self.times[-1]) if self.n_clicks else (0.0, 0.0)
+
     def __repr__(self):
         return f"ClickStream(n_clicks={self.n_clicks}, kind={self.metadata.get('kind')!r})"
+
+
+class _StreamFile(_Records):
+    """A binary stream on disk, its records read `_IO_SLICE` at a time each
+    time an estimator walks them, so that no click-long array is held.  Its
+    record count, from the file size, passes ``check_count`` first."""
+
+    def __init__(self, path, metadata, check_count):
+        size = os.path.getsize(path)
+        if size % _BINARY_DTYPE.itemsize:
+            raise StreamFormatError(
+                f"{path}: {size} bytes is not a whole number of "
+                f"{_BINARY_DTYPE.itemsize}-byte records")
+        self.path, self.metadata, self._checked = path, metadata, False
+        self.n_clicks = size // _BINARY_DTYPE.itemsize
+        check_count(self.n_clicks)
+
+    def _slices(self):
+        """The pulse indices, None for a slice of stationary sentinels alone,
+        and the times, as `_records` yields them.  Until one walk has read
+        them all, times that are not finite and nondecreasing, across
+        slices too, end it in a `_time_fault`; that walk keeps the span of
+        the pulse indices."""
+        check, last, spans = not self._checked, -math.inf, []
+        for pulse, t in _records(self.path, self.n_clicks):
+            if check:
+                # ordered between finite ends, all are finite: a nan fails the order
+                if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and last <= t[0]
+                        and (t[1:] >= t[:-1]).all()):
+                    raise self._fault()
+                last = t[-1]
+                spans.append((pulse.min(), pulse.max()))
+            yield (pulse if pulse[0] != -1 or (pulse != -1).any() else None), t
+        if check:
+            self._span = (int(min(s[0] for s in spans)), int(max(s[1] for s in spans))
+                          ) if spans else None
+            self._checked = True
+
+    @property
+    def _pulse_span(self) -> tuple[int, int] | None:
+        if not self._checked:
+            for _ in self._slices():
+                pass
+        return self._span
+
+    def _time_span(self):
+        """The first and last click times, read from the end records."""
+        if not self.n_clicks:
+            return 0.0, 0.0
+        with open(self.path, "rb") as fh:
+            first = np.fromfile(fh, _BINARY_DTYPE, 1)
+            fh.seek(-_BINARY_DTYPE.itemsize, os.SEEK_END)
+            ends = np.append(first, np.fromfile(fh, _BINARY_DTYPE, 1))["time_seconds"]
+        if not (np.isfinite(ends).all() and ends[0] <= ends[1]):
+            raise self._fault()
+        return ends[0], ends[1]
+
+    def _fault(self) -> StreamFormatError:
+        return _time_fault(self.path, (t for _, t in _records(self.path, self.n_clicks)))
 
 
 def sidecar_path(path) -> str:
@@ -231,32 +321,42 @@ def _read_table(path, columns: str, header: str | None = None) -> np.ndarray:
     return rows
 
 
-def _read_binary(path, check_count) -> tuple[np.ndarray | None, np.ndarray]:
-    """The pulse indices and times of a binary stream; its record count,
-    from the file size, passes ``check_count`` before a record is read.
-    The indices are None until a record is not the stationary sentinel."""
-    size = os.path.getsize(path)
-    if size % _BINARY_DTYPE.itemsize:
-        raise StreamFormatError(
-            f"{path}: {size} bytes is not a whole number of "
-            f"{_BINARY_DTYPE.itemsize}-byte records")
-    n = size // _BINARY_DTYPE.itemsize
-    check_count(n)
-    idx, t = None, np.empty(n)
+def _records(path, n):
+    """The pulse indices (an int64 view) and times of a binary stream's
+    ``n`` records, `_IO_SLICE` at a time, as views of one record buffer
+    that the next slice overwrites; nothing is checked but the length."""
     rec = np.empty(min(n, _IO_SLICE), dtype=_BINARY_DTYPE)
     with open(path, "rb") as fh:
         for lo in range(0, n, _IO_SLICE):
             part = rec[:min(_IO_SLICE, n - lo)]
             if fh.readinto(part.view(np.uint8)) != part.nbytes:
                 raise StreamFormatError(f"{path}: file shorter than {n} records")
-            pulse = part["pulse_index"].view(np.int64)
-            if idx is None and np.any(pulse != -1):
-                idx = np.empty(n, dtype=np.int64)
-                idx[:lo] = -1
-            if idx is not None:
-                idx[lo:lo + part.size] = pulse
-            t[lo:lo + part.size] = part["time_seconds"]
-    return idx, t
+            yield part["pulse_index"].view(np.int64), part["time_seconds"]
+
+
+def _checked(path, pulse_index, times, metadata) -> ClickStream:
+    """`_stream` of arrays read from ``path``, a bad time a `_time_fault`."""
+    try:
+        return _stream(pulse_index, times, metadata)
+    except ValueError as exc:
+        raise _time_fault(path, [times]) from exc
+
+
+def _time_fault(path, parts) -> StreamFormatError:
+    """The error of a stream whose times, the arrays ``parts`` in turn, are
+    not all finite and nondecreasing: it names the first non-finite time,
+    else the later click of the largest step back."""
+    lo, last, worst, at = 0, None, 0.0, 0
+    for t in parts:
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            return StreamFormatError(f"{path}: record {lo + bad[0]}: "
+                                     "click times must be finite")
+        step = np.diff(t) if last is None else np.diff(t, prepend=last)
+        if step.size and step.min() < worst:
+            worst, at = step.min(), lo + np.argmin(step) + (last is None)
+        lo, last = lo + t.size, t[-1] if t.size else last
+    return StreamFormatError(f"{path}: record {at}: click times must be nondecreasing")
 
 
 def _check_sidecar(meta, side) -> None:
@@ -271,8 +371,10 @@ def _check_sidecar(meta, side) -> None:
             raise StreamFormatError(f"{side}: {key} must be {name}, got {json.dumps(value)}")
 
 
-def read_stream(path, sidecar: str | None = None) -> ClickStream:
-    """Read a stream written by `write_stream`; the sidecar is optional."""
+def _open_stream(path, sidecar: str | None = None) -> _Records:
+    """The stream at ``path``: a binary one as a `_StreamFile`, a CSV one
+    read whole into a `ClickStream`.  Either record count must match a
+    sidecar ``n_clicks`` before a record is read."""
     path = str(path)
     meta = {}
     side = sidecar or sidecar_path(path)
@@ -293,25 +395,37 @@ def read_stream(path, sidecar: str | None = None) -> ClickStream:
                 f"n_clicks = {meta['n_clicks']}")
 
     if fmt == "binary":
-        idx, t = _read_binary(path, check_count)
-    else:
-        try:
-            rows = _read_table(path, _HEADER, header=_HEADER)
-        except ValueError as exc:
-            raise StreamFormatError(str(exc)) from exc
-        pulse, t = rows[:, 0], rows[:, 1]
-        bad = [0] if rows.shape[1] != 2 else np.flatnonzero(
-            (pulse != np.round(pulse)) | ~(np.abs(pulse) < 2.0**53))
-        if len(bad):
-            raise StreamFormatError(f"{path}: record {bad[0]}: expected 2 columns, "
-                                    "the first an integer of magnitude below 2**53")
-        idx = None if np.all(pulse == -1) else pulse.astype(np.int64)
-        check_count(t.size)
+        return _StreamFile(path, meta, check_count)
     try:
-        return _stream(idx, t, meta)
+        rows = _read_table(path, _HEADER, header=_HEADER)
     except ValueError as exc:
-        # the first non-finite time, else the later click of the largest step back
-        finite = np.isfinite(t)
-        bad = (np.argmin(finite) if not finite.all()
-               else np.argmin(np.diff(t)) + 1 if t.size > 1 else 0)
-        raise StreamFormatError(f"{path}: record {bad}: {exc}") from exc
+        raise StreamFormatError(str(exc)) from exc
+    pulse, t = rows[:, 0], rows[:, 1]
+    bad = [0] if rows.shape[1] != 2 else np.flatnonzero(
+        (pulse != np.round(pulse)) | ~(np.abs(pulse) < 2.0**53))
+    if len(bad):
+        raise StreamFormatError(f"{path}: record {bad[0]}: expected 2 columns, "
+                                "the first an integer of magnitude below 2**53")
+    check_count(t.size)
+    return _checked(path, None if np.all(pulse == -1) else pulse.astype(np.int64), t, meta)
+
+
+def read_stream(path, sidecar: str | None = None) -> ClickStream:
+    """Read a stream written by `write_stream`; the sidecar is optional.  A
+    binary stream's `_records` are gathered into two arrays, the indices
+    allocated only once a record is not the stationary sentinel."""
+    stream = _open_stream(path, sidecar)
+    if isinstance(stream, ClickStream):
+        return stream
+    n, lo = stream.n_clicks, 0
+    idx, t = None, np.empty(n)
+    for pulse, times in _records(stream.path, n):
+        if idx is None and np.any(pulse != -1):
+            idx = np.empty(n, dtype=np.int64)
+            idx[:lo] = -1
+        if idx is not None:
+            idx[lo:lo + times.size] = pulse
+        t[lo:lo + times.size] = times
+        lo += times.size
+        del pulse, times        # views of the record buffer, freed with the loop
+    return _checked(stream.path, idx, t, stream.metadata)

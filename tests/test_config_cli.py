@@ -69,6 +69,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[state\] spec"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("attr,value,where", [
+        ("out_stream", "run ;1.csv", "[output] stream"),
+        ("out_report", "run\tfinal;1.json", None),
+        ("out_sidecar", "side\n.json", "[output] sidecar"),
+        ("out_histogram", "hist\r.csv", "[output] histogram"),
+        ("mode_spec", " gauss:1e-9", "[mode] spec"),
+        ("state_spec", "coherent:1 ", "[state] spec"),
+    ], ids=["semicolon_after_space", "semicolon_after_tab_kept", "newline",
+            "carriage_return", "leading_space", "trailing_space"])
+    def test_value_that_cannot_round_trip_named(self, tmp_path, attr, value, where):
+        # `from_file` cuts a value at a ';' after whitespace, reads a newline
+        # as the end of the value and strips both ends
+        cfg = ExperimentConfig(**{attr: value})
+        if where is None:
+            cfg.validate().to_file(tmp_path / "ok.ini")
+            assert ExperimentConfig.from_file(tmp_path / "ok.ini") == cfg
+            return
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            cfg.validate()
+
 
 @pytest.mark.parametrize("argv,ini_seed,message", [
     (["simulate", "--seed", "-1"], 101, "[run] seed"),

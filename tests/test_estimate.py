@@ -439,7 +439,7 @@ class TestPnHistogram:
     def test_clicks_row_is_the_histogram_blocks(self):
         # the sidecar's N gives the pn route and the eta route one set of blocks
         stream, train = run_train(st.thermal(1.0), 30011, seed=29, s=0.5)
-        rows = est._pn_block_rows(stream.pulse_index, train.num_pulses)
+        rows = est._pn_block_rows(stream, train.num_pulses)
         assert rows.shape == (2, 200)
         assert np.array_equal(rows[1], standard_hist(stream).block_clicks)
 
@@ -453,7 +453,7 @@ class TestPnHistogram:
                               {"kind": "pulsed"})
         assert bare.pulse_index.max() == 30009
         report = est.analyze_stream(bare, num_pulses=30011, mode=MODE)
-        rows = est._pn_block_rows(bare.pulse_index, 30011)
+        rows = est._pn_block_rows(bare, 30011)
         assert report.N == 30011
         assert np.array_equal(report.histogram.block_clicks, rows[1])
         assert not np.array_equal(standard_hist(bare).block_clicks, rows[1])
@@ -794,3 +794,81 @@ class TestStationaryCurve:
         with pytest.raises(ValueError, match="max_tau"):
             est.stationary_g2_zero(stream, 1e-7, math.inf, 1e-6)
 
+
+
+class TestSlicedStreams:
+    """A binary stream on disk, read a slice at a time, against the same
+    stream in memory: every count, value and sigma is the same."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sliced")
+        jittered = sim.simulate_pulse_train(
+            st.thermal(1.0), sim.DetectorModel(efficiency=0.8, timing_jitter_sigma=4e-9),
+            sim.PulseTrainConfig(4000, PERIOD, MODE), seed=31)
+        light = sim.StationaryThermalConfig(2e5, 1e6, 0.02, spectral_shape="lorentzian")
+        stationary = sim.simulate_stationary_thermal(light, sim.DetectorModel(efficiency=0.5),
+                                                     seed=32)
+        streams = {"jittered": jittered, "stationary": stationary}
+        for name, stream in streams.items():
+            pg.write_stream(stream, out / f"{name}.bin", fmt="binary")
+        return {name: (stream, out / f"{name}.bin") for name, stream in streams.items()}
+
+    @staticmethod
+    def outcomes(stream, train=None):
+        """Every estimator's arrays and values on ``stream``."""
+        out = []
+        if train is not None:
+            for scope in ("same_pulse", "all_pairs", "start_stop"):
+                hist = est.tau_histogram(stream, 1e-10, 4 * PERIOD, scope, train.num_pulses)
+                out += [hist.counts, hist.block_counts, hist.block_clicks]
+            report = est.analyze_stream(stream)
+            out += [report.to_json(), report.histogram.block_counts,
+                    est.g2_sidepeak(stream, train, 3e-9), est.pn_histogram_g2q(stream, train),
+                    est._within_pulse_spread(stream)]
+        else:
+            curve = est.stationary_conditional_probability(stream, 2e-8, 5e-6)
+            out += [curve.pc, curve.block_counts, curve.g2_zero(3e-6),
+                    est.stationary_g2_zero(stream, 2e-8, 5e-6, 3e-6)]
+        return out
+
+    @pytest.mark.parametrize("name", ["jittered", "stationary"])
+    @pytest.mark.parametrize("slice_len", [7, 64, 1000])
+    def test_sliced_file_gives_the_in_memory_results(self, monkeypatch, files, name,
+                                                     slice_len):
+        stream, path = files[name]
+        train = (sim.PulseTrainConfig(4000, PERIOD, MODE) if name == "jittered" else None)
+        want = self.outcomes(stream, train)
+        monkeypatch.setattr(pg.streams, "_IO_SLICE", slice_len)
+        monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+        for got in (self.outcomes(pg.streams._open_stream(path), train),
+                    self.outcomes(stream, train)):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    def test_within_pulse_spread_is_numpys(self, monkeypatch, files):
+        # the sums follow numpy's pairwise tree across the slices
+        stream = files["jittered"][0]
+        offsets = stream.times - (stream.pulse_index + 0.5) * PERIOD
+        for slice_len in (7, 129, 1 << 16):
+            monkeypatch.setattr(pg.streams, "_IO_SLICE", slice_len)
+            assert est._within_pulse_spread(stream) == float(np.std(offsets)) * math.sqrt(2)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 1000, 4099, 100003])
+    def test_pairwise_sum_is_add_reduce(self, n):
+        x = np.random.default_rng(n).standard_normal(n) * 1e3 + 1e6
+        for cut in (1, 7, 128, 1000, n):
+            parts = (x[i:i + cut] for i in range(0, n, cut))
+            assert est._pairwise_sum(parts, n) == float(np.add.reduce(x))
+
+    def test_index_behind_a_counted_pulse_named(self, monkeypatch):
+        # read 4 records at a time, pulse 1 is counted once the second slice
+        # starts at pulse 2, and its last click comes in the third: its m
+        # would split, so the pn route refuses
+        pulse = np.array([0, 0, 1, 2, 2, 3, 3, 3, 1, 4])
+        stream = pg.ClickStream(pulse, np.arange(10) * 1e-9, {"kind": "pulsed"})
+        monkeypatch.setattr(pg.streams, "_IO_SLICE", 4)
+        with pytest.raises(EstimationError, match="record 8: pulse index 1 comes after"):
+            est.pn_histogram_g2q(stream, 5)
+        monkeypatch.setattr(pg.streams, "_IO_SLICE", 8)    # within one slice: sorted
+        assert est._pn_block_rows(stream, 5).tolist() == [[1, 1, 1, 3, 0], [2, 2, 2, 3, 1]]

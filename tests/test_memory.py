@@ -1,5 +1,6 @@
 """Memory guards: each stage holds the stream once plus slice-sized scratch,
-and the sliced simulate-and-write not even the stream.
+and the sliced simulate-and-write and the sliced analysis of a binary
+stream not even the stream.
 
 tracemalloc sees numpy's array buffers, so a traced peak is the arrays a
 call holds at once.  The stream here has ~1e6 clicks (16 MB of records);
@@ -7,12 +8,14 @@ a single whole-stream temporary (8 MB) breaks every bound below except
 the read's, whose bound is the two output arrays plus one slice.
 """
 
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from pulseg2 import cli
 from pulseg2 import estimate as est
 from pulseg2 import modes as md
 from pulseg2 import simulate as sim
@@ -146,6 +149,33 @@ def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
     }
     counts = 200 * 50 * 8
     assert traced_peak(calls[estimator]) <= 12 * 8 * est._PAIR_SLICE + 2 * counts + SLACK
+
+
+@pytest.mark.parametrize("kind", ["pulsed", "stationary"])
+def test_binary_analysis_holds_no_click_long_array(monkeypatch, tmp_path, pulsed, kind):
+    # `pulseg2 analyze` reads the records a slice at a time: one record
+    # buffer, the photon-number route's held indices (one slice of them),
+    # a few arrays of one walk window and the counts of at most 200 blocks
+    # (and their sum); no term grows with the ~1e6 clicks
+    stream = (pulsed[0] if kind == "pulsed"
+              else sim.simulate_stationary_poisson(1e6, 1.0, seed=5))
+    assert stream.n_clicks > 990_000
+    streams.write_stream(stream, tmp_path / "s.bin", fmt="binary")
+    monkeypatch.chdir(tmp_path)
+    args = ["analyze", "s.bin", "--out", "r.json"]
+    nbins = 120                                     # bins of 1/20 over 6 widths
+    if kind == "stationary":
+        args += ["--bin-width", "2e-8", "--max-tau", "5e-6"]
+        nbins = 250
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+
+    def analyze():
+        assert cli.main(args) == 0
+    peak = traced_peak(analyze)
+    record = streams._BINARY_DTYPE.itemsize
+    bound = (12 * 8 * est._PAIR_SLICE + (record + 8) * streams._IO_SLICE
+             + 3 * 200 * nbins * 8 + SLACK)
+    assert peak <= bound < stream.n_clicks * 8
 
 
 # 1 s of benchmark light at 5e5 clicks/s

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pulseg2 as pg
+from pulseg2 import cli, streams
+from pulseg2 import estimate as est
 from pulseg2.errors import StreamFormatError
 from pulseg2.streams import _IO_SLICE, ClickStream, read_stream, sidecar_path, write_stream
 
@@ -196,3 +200,153 @@ def test_one_column_table_names_its_path(tmp_path, parse, prefix, text, message)
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         parse(f"{prefix}{path}")
+
+
+# ---------------------------------------------------------------------------
+# `pulseg2 analyze` reads a binary stream slice by slice
+
+
+def _pulsed(state, n_pulses, seed, **detector):
+    train = pg.PulseTrainConfig(n_pulses, 12.5e-9, pg.gaussian_mode(1e-9))
+    return pg.simulate_pulse_train(state, pg.DetectorModel(**detector), train, seed=seed)
+
+
+def _stationary(shape, seed):
+    light = pg.StationaryThermalConfig(2e5, 1e6, 0.02, spectral_shape=shape)
+    return pg.simulate_stationary_thermal(light, pg.DetectorModel(efficiency=0.5), seed=seed)
+
+
+# each stream, the sidecar keys to drop and the flags analyze then needs
+STREAMS = {
+    "sparse": (lambda: _pulsed(pg.coherent(0.1), 20000, 1, efficiency=0.5), (), ()),
+    "dense": (lambda: _pulsed(pg.thermal(3.0), 2000, 2, efficiency=0.5), (), ()),
+    # 4 ns of jitter reorders the indices of neighbouring pulses
+    "jittered": (lambda: _pulsed(pg.thermal(1.0), 5000, 3, efficiency=0.8,
+                                 timing_jitter_sigma=4e-9), (), ()),
+    "dead_time": (lambda: _pulsed(pg.thermal(3.0), 2000, 4, efficiency=0.5,
+                                  dead_time=2e-9), (), ()),
+    "no_sidecar_n": (lambda: _pulsed(pg.coherent(0.5), 5000, 5), ("num_pulses",),
+                     ("--pulses", "5000")),
+    # no mode: the binning comes from the within-pulse spread
+    "no_mode": (lambda: _pulsed(pg.thermal(1.0), 5000, 6), ("mode",), ()),
+    "gaussian": (lambda: _stationary("gaussian", 7), (), ()),
+    "lorentzian": (lambda: _stationary("lorentzian", 8), (), ()),
+    "poisson": (lambda: pg.simulate_stationary_poisson(2e5, 0.01, seed=9), (),
+                ("--bin-width", "2e-7")),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STREAMS))
+def written(request, tmp_path_factory):
+    """The stream as CSV and as binary, with its flags."""
+    make, dropped, flags = STREAMS[request.param]
+    stream = make()
+    assert stream.n_clicks > 1000
+    assert np.any(np.diff(stream.pulse_index) < 0) == (request.param == "jittered")
+    out = tmp_path_factory.mktemp(request.param)
+    paths = [out / "s.csv", out / "s.bin"]
+    for path in paths:
+        write_stream(stream, path, fmt="csv" if path.suffix == ".csv" else "binary")
+        side = Path(sidecar_path(path))
+        meta = json.loads(side.read_text())
+        for key in dropped:
+            meta.get("train", {}).pop(key, None)
+            meta.pop(key, None)
+        side.write_text(json.dumps(meta))
+    return paths, flags
+
+
+def analyze_outputs(path, workdir, flags):
+    """The bytes of every file `pulseg2 analyze` writes for ``path``."""
+    workdir.mkdir()
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        assert cli.main(["analyze", str(path), "--out", "report.json", *flags]) == 0
+    finally:
+        os.chdir(here)
+    return {f.name: f.read_bytes() for f in workdir.iterdir()}
+
+
+@pytest.mark.parametrize("slice_len", [7, 64, 1000])
+def test_sliced_analysis_writes_the_in_memory_bytes(monkeypatch, tmp_path, written,
+                                                    slice_len):
+    # the reference: the CSV stream read whole, its walk one window long
+    (csv, binary), flags = written
+    want = analyze_outputs(csv, tmp_path / "whole", flags)
+    assert "report.json" in want and len(want) == 2
+    assert analyze_outputs(binary, tmp_path / "binary", flags) == want
+    monkeypatch.setattr(streams, "_IO_SLICE", slice_len)
+    monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+    for path in (binary, csv):
+        assert analyze_outputs(path, tmp_path / f"sliced{path.suffix}", flags) == want
+
+
+def _records_with(tmp_path, change):
+    """A pulsed binary stream of 300 clicks whose times ``change`` edits."""
+    stream = ClickStream(np.arange(300) // 3, np.arange(300) * 1e-9,
+                         {"kind": "pulsed", "train": {"num_pulses": 100,
+                                                      "repetition_period": 3e-9}})
+    path = tmp_path / "s.bin"
+    write_stream(stream, path, fmt="binary")
+    rec = np.fromfile(path, streams._BINARY_DTYPE)
+    change(rec["time_seconds"])
+    rec.tofile(path)
+    return path
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda t: t.__setitem__(150, np.nan), "record 150: click times must be finite"),
+    (lambda t: t.__setitem__(299, -np.inf), "record 299: click times must be finite"),
+    # a step back across two slices, then one within a slice that is larger
+    (lambda t: t.__setitem__(64, 60e-9), "record 64: click times must be nondecreasing"),
+    (lambda t: (t.__setitem__(64, 60e-9), t.__setitem__(200, 150e-9)),
+     "record 200: click times must be nondecreasing"),
+    # a step back in the first slice, a non-finite time later: the time
+    (lambda t: (t.__setitem__(5, 0.0), t.__setitem__(250, np.inf)),
+     "record 250: click times must be finite"),
+], ids=["nan_later_slice", "inf_last", "step_back_across_slices", "larger_step_later",
+        "step_then_inf"])
+def test_bad_time_in_a_later_slice_exits_2_as_the_read_does(monkeypatch, tmp_path, capsys,
+                                                           change, message):
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    path = _records_with(tmp_path, change)
+    with pytest.raises(StreamFormatError) as whole:
+        read_stream(path)
+    assert str(whole.value) == f"{path}: {message}"
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", str(path), "--out", "r.json", "--mode", "gauss:1e-10"]) == 2
+    assert capsys.readouterr().err == f"i/o error: {path}: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("cut,message", [
+    (8, "4792 bytes is not a whole number of 16-byte records"),
+    (16, "299 records, but the sidecar"),
+], ids=["part_record", "whole_record"])
+def test_truncated_file_exits_2(monkeypatch, tmp_path, capsys, cut, message):
+    path = _records_with(tmp_path, lambda t: None)
+    with open(path, "r+b") as fh:
+        fh.truncate(300 * 16 - cut)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", str(path), "--out", "r.json"]) == 2
+    assert capsys.readouterr().err.startswith(f"i/o error: {path}: {message}")
+
+
+@pytest.mark.parametrize("index,span", [(-1, "[-1, 3]"), (7, "[0, 7]"), (-5, "[-5, 3]")],
+                         ids=["sentinels", "past_n", "negative_mid_slice"])
+def test_pulse_index_outside_the_train_exits_3(monkeypatch, tmp_path, capsys, index, span):
+    # a pulsed binary stream whose later slices hold the stationary sentinel,
+    # an index past N, or one negative index inside a slice fails the range
+    # check the first walk feeds
+    pulse = np.where(np.arange(300) < 100, np.arange(300) // 25, index)
+    if index == -5:
+        pulse = np.arange(300) // 75
+        pulse[150] = index
+    stream = ClickStream(pulse, np.arange(300) * 1e-9, {"kind": "pulsed"})
+    write_stream(stream, tmp_path / "s.bin", fmt="binary")
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "s.bin", "--pulses", "5", "--mode", "gauss:1e-10",
+                     "--out", "r.json"]) == 3
+    assert f"pulse indices span {span}, outside [0, N) for N = 5" in capsys.readouterr().err
