@@ -4,10 +4,10 @@ One INI-style file with flat key=value sections drives simulation and
 analysis; CLI flags override file values, and ``;`` after whitespace
 starts a comment.  Each `ExperimentConfig` field declares its key once.
 Parsing either succeeds with a fully validated `ExperimentConfig` or fails
-with a field-precise `ConfigError` naming the section and key.  Emit/parse
-round-trips are identity (floats are written with repr precision); a
-string value that could not make the trip (a newline, a ``;`` after
-whitespace, whitespace at either end) fails validation.
+with a field-precise `ConfigError` naming the section and key.  A ``%`` is
+literal.  Emit/parse round-trips are identity (floats are written with repr
+precision); a string value that could not make the trip (a newline, a ``;``
+after whitespace, whitespace at either end) fails validation.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _read_settings(path) -> dict:
 
     Keys the file leaves out are absent, unlike in `ExperimentConfig.from_file`.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -100,7 +100,7 @@ class ExperimentConfig:
         return cls(**_read_settings(path)).validate()
 
     def to_file(self, path) -> None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for (section, key), (attr, _) in _SCHEMA.items():
             if not parser.has_section(section):
                 parser.add_section(section)

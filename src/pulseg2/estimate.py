@@ -87,9 +87,9 @@ class TauHistogram:
         _write_table(path, head, cols, fmt)
 
 
-# first clicks per window of the pair walk, and clicks per piece of the
-# photon-number count: their scratch memory is a few arrays this long,
-# whatever the click count (2^15 walks as fast as 2^16 and holds half)
+# first clicks per window of the time-ordered pair walk, and clicks per
+# piece of whole pulses of the pulse-ordered one: their scratch memory is
+# a few arrays this long (2^15 walks as fast as 2^16 and holds half)
 _PAIR_SLICE = 1 << 15
 # bins of a pair histogram; its (<= 200 blocks, bins) counts stay <= 26 MB
 _MAX_BINS = 1 << 14
@@ -101,7 +101,8 @@ def _pairs(times, reach, n=None):
     The pairs are every i < j of the sorted ``times`` with i < n (default
     all) and times[j] < times[i] + reach.  Pass d keeps the clicks of pass
     d - 1 with times[i + d] < times[i] + reach and yields their pairs
-    (i, i + d), so memory stays O(n) per pass.
+    (i, i + d), so memory stays O(n) per pass.  Pulse indices in pulse
+    order as ``times`` and reach 1 give the pairs that share a pulse.
     """
     first = np.arange(times.size if n is None else n, dtype=np.int64)
     for d in itertools.count(1):
@@ -142,29 +143,32 @@ def _windows(stream, reach, pulsed):
         yield p[lo:] if pulsed else None, t[lo:], min(size, t.size - lo)
 
 
-def _pair_counts(stream, reach, n_units, nbins, bin_of, passes=None, unit_of=None):
+def _pair_counts(windows, reach, n_units, nbins, bin_of, passes=None, unit_of=None,
+                 by_pulse=False):
     """Counts of the `_pairs` within ``reach`` per `_blocks` block of the
     first click's unit, (blocks, bins) int64, and each block's clicks.
 
-    The walk takes a `_windows` window at a time, each its own lag passes
-    (at most ``passes`` of them).  A first click's unit is its pulse index,
+    The walk takes a `_windows` (or `_pulse_runs`) window at a time, each
+    its own lag passes (at most ``passes`` of them) over the times (or with
+    ``by_pulse`` the pulse indices).  A first click's unit is its pulse index,
     or with ``unit_of`` given, ``unit_of(times)`` of the first clicks'
     times, and then no pulse index is read (``pulse`` is None);
     ``bin_of(pulse, i, j, dt)`` bins each pair, a bin outside [0, nbins)
     dropping it.  A window's blocks are found once, as int32 offsets
-    block * nbins (< 200 * `_MAX_BINS`) of the flat counts."""
+    block * nbins (< 200 * (`_MAX_BINS` + 1)) of the flat counts."""
     n_blocks = _blocks(0, n_units)[1]
     flat = np.zeros(n_blocks * nbins, dtype=np.int64)
     clicks = np.zeros(n_blocks, dtype=np.int64)
-    for pulse, times, n in _windows(stream, reach, unit_of is None):
+    for pulse, times, n in windows:
         offset = _blocks(pulse[:n] if unit_of is None else unit_of(times[:n]), n_units)[0]
         clicks += np.bincount(offset, minlength=n_blocks)
         offset = (offset * nbins).astype(np.int32)
-        for i, j in itertools.islice(_pairs(times, reach, n), passes):
+        for i, j in itertools.islice(_pairs(pulse if by_pulse else times, reach, n), passes):
             k = bin_of(pulse, i, j, times[j] - times[i])
             keep = (k >= 0) & (k < nbins)
             add = np.bincount(offset[i[keep]] + k[keep])
             flat[:add.size] += add
+        pulse = times = add = None  # hold no window array while the next is made
     return flat.reshape(n_blocks, nbins), clicks
 
 
@@ -201,17 +205,22 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
                   scope: str = "same_pulse", num_pulses: int | None = None) -> TauHistogram:
     """Histogram unordered pair time differences on tau in [0, max_tau).
 
-    One time-sorted pair walk up to max_tau: ``all_pairs`` keeps every
-    pair, ``start_stop`` the walk's first pass (each click with the next)
-    and ``same_pulse`` the pairs sharing a pulse index (the D(tau)
-    estimator), so a max_tau past the pulse walks cross-pulse pairs only to
-    drop them.  Counts are also kept per block: of N pulses (``num_pulses``,
-    else the sidecar's, else the largest index + 1; an index outside [0, N)
-    is an EstimationError) for ``same_pulse``, else of whole max_tau slices
-    from the first click, the last taking the remainder, so a time block
-    outlasts every lag.  An empty stream yields a valid all-zero histogram;
-    over `_MAX_BINS` bins, or over `_MAX_PULSES` pulses or slices, a ValueError.
+    ``all_pairs`` keeps every pair of a time-sorted walk up to max_tau,
+    ``start_stop`` its first pass (each click with the next); ``same_pulse``
+    (the D(tau) estimator) walks the clicks in pulse order and visits no
+    cross-pulse pair.  Counts are also kept per block: of N pulses
+    (``num_pulses``, else the sidecar's, else the largest index + 1; an
+    index outside [0, N) is an EstimationError) for ``same_pulse``, else of
+    whole max_tau slices from the first click, the last taking the
+    remainder, so a time block outlasts every lag.  An empty stream yields
+    a valid all-zero histogram; over `_MAX_BINS` bins, or over `_MAX_PULSES`
+    pulses or slices, a ValueError.
     """
+    return _histogram(stream, bin_width, max_tau, scope, num_pulses)[0]
+
+
+def _histogram(stream, bin_width, max_tau, scope, num_pulses):
+    """`tau_histogram` and, if ``same_pulse``, each block's pairs at any lag."""
     if scope not in ("same_pulse", "all_pairs", "start_stop"):
         raise ValueError("scope must be 'same_pulse', 'all_pairs' or 'start_stop'")
     for name, value in (("bin_width", bin_width), ("max_tau", max_tau)):
@@ -223,17 +232,15 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
                          f"{bins:.3g} bins, more than {_MAX_BINS}")
     nbins = max(math.ceil(bins), 1)
     edges = np.arange(nbins + 1) * bin_width
+    pairs = None
     if scope == "same_pulse":
-        span = stream._pulse_span
+        n_units = num_pulses or stream.metadata.get("train", {}).get("num_pulses")
+        # read only if needed: it costs a binary file a walk of its own
+        span = None if n_units and stream.is_pulsed else stream._pulse_span
         if span and span[0] < 0:
             raise ValueError("same_pulse scope requires a pulsed stream")
-        n_units = (num_pulses or stream.metadata.get("train", {}).get("num_pulses")
-                   or (span[1] if span else 0) + 1)
-        _check_pulse_range(stream, n_units)
-        unit_of = None
-
-        def bin_of(pulse, i, j, dt):
-            return np.where(pulse[j] == pulse[i], (dt / bin_width).astype(np.int64), -1)
+        block_counts, pairs, block_clicks = _same_pulse_counts(
+            stream, n_units or (span[1] if span else 0) + 1, bin_width, nbins)
     else:
         # times are sorted: the last click's max_tau slice is the largest;
         # an inf slice count stays an int for the `_pair_counts` bound
@@ -247,11 +254,60 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
         def bin_of(pulse, i, j, dt):
             return (dt / bin_width).astype(np.int64)
 
-    # one bin of slack past the top edge: the bin index decides
-    block_counts, block_clicks = _pair_counts(stream, edges[-1] + bin_width, n_units,
-                                              nbins, bin_of,
-                                              1 if scope == "start_stop" else None, unit_of)
-    return TauHistogram(edges, block_counts.sum(axis=0), scope, block_counts, block_clicks)
+        reach = edges[-1] + bin_width   # one bin of slack: the bin index decides
+        block_counts, block_clicks = _pair_counts(
+            _windows(stream, reach, False), reach, n_units, nbins, bin_of,
+            1 if scope == "start_stop" else None, unit_of)
+    hist = TauHistogram(edges, block_counts.sum(axis=0), scope, block_counts, block_clicks)
+    return hist, pairs
+
+
+def _pulse_runs(stream, n_pulses):
+    """Yield `_pair_counts` windows of the clicks in pulse order, each pulse's
+    in time order.  Read a slice at a time, the clicks below the next
+    slice's least index are yielded, the rest held back with that slice,
+    sorted stably by index if jitter reordered them.  An index outside
+    [0, n_pulses) is `_check_pulse_range`'s EstimationError; one at or below
+    a pulse already yielded is an EstimationError naming its record."""
+    def pieces(p, t):   # `_PAIR_SLICE` first clicks, then the rest of the last pulse
+        for lo in range(0, p.size, _PAIR_SLICE):
+            end = np.searchsorted(p, p[min(lo + _PAIR_SLICE, p.size) - 1], "right")
+            yield p[lo:end], t[lo:end], min(_PAIR_SLICE, p.size - lo)
+
+    held_p, held_t, done, record = np.empty(0, dtype=np.int64), np.empty(0), None, 0
+    for pulse, times in stream._slices():
+        low = -1 if pulse is None else pulse.min()      # None: stationary sentinels
+        if low < 0 or pulse.max() >= n_pulses:
+            _check_pulse_range(stream, n_pulses)
+        if done is not None and low <= done:
+            bad = np.argmax(pulse <= done)
+            raise EstimationError(
+                f"record {record + bad}: pulse index {pulse[bad]} comes after the "
+                f"clicks of pulse {done} were counted; the photon-number route "
+                "takes pulse indices out of order by less than one read slice")
+        cut = np.searchsorted(held_p, low)
+        if cut:
+            yield from pieces(held_p[:cut], held_t[:cut])
+            done = held_p[cut - 1]
+        held_p = np.concatenate([held_p[cut:], pulse])
+        held_t = np.concatenate([held_t[cut:], times])
+        if np.any(held_p[1:] < held_p[:-1]):
+            order = np.argsort(held_p, kind="stable")
+            held_p, held_t = held_p[order], held_t[order]
+        record += pulse.size
+    yield from pieces(held_p, held_t)
+
+
+def _same_pulse_counts(stream, n_pulses, bin_width=math.inf, nbins=0):
+    """Each pulse block's same-pulse pairs in ``nbins`` bins of ``bin_width``
+    ((blocks, nbins) int64), its pairs at any lag (sum m(m-1)/2) and its
+    clicks (sum m): one `_pulse_runs` walk, a column more past the bins."""
+    def bin_of(pulse, i, j, dt):    # clipped before the cast: no reach bounds dt
+        return np.minimum(dt / bin_width, nbins).astype(np.int64)
+
+    counts, clicks = _pair_counts(_pulse_runs(stream, n_pulses), 1, n_pulses, nbins + 1,
+                                  bin_of, by_pulse=True)
+    return np.ascontiguousarray(counts[:, :nbins]), counts.sum(axis=1), clicks
 
 
 def fit_pulse_width(hist: TauHistogram) -> float:
@@ -365,80 +421,25 @@ def _check_pulse_range(stream, n_pulses):
             f"for N = {n_pulses} pulses")
 
 
-def _pn_block_rows(stream, n_pulses):
-    """(2, blocks) float: each `_blocks` block's same-pulse pairs, sum m(m-1)/2
-    over its pulses' click numbers m, and its clicks, sum m.
-
-    The m are the lengths of the runs of equal pulse indices.  Read a slice
-    at a time, the indices below the next slice's least are counted, in
-    pieces of about `_PAIR_SLICE` clicks that end with a run, and the rest
-    are held back with that slice, sorted if jitter reordered them.  An
-    index at or below one already counted is an EstimationError naming its
-    record, as its pulse's m would otherwise be split."""
-    n_blocks = _blocks(0, n_pulses)[1]
-    # block b's first pulse is the least u with u * n_blocks >= b * N
-    first = -(-np.arange(n_blocks + 1) * n_pulses // n_blocks)
-    rows = np.zeros((2, n_blocks))
-
-    def count(p):                   # sorted indices, their runs all whole
-        lo = 0
-        while lo < p.size:
-            hi = np.searchsorted(p, p[min(lo + _PAIR_SLICE, p.size) - 1], "right")
-            q = p[lo:hi]
-            bound = np.flatnonzero(q[1:] != q[:-1])
-            bound += 1
-            bound = np.concatenate(([0], bound, [q.size]))    # the runs' starts and end
-            square = np.diff(bound) ** 2                      # their m^2
-            edge = np.searchsorted(q, first)        # each block's first click,
-            run = np.searchsorted(bound, edge)      # a run's start or the end
-            full = np.flatnonzero(edge[1:] > edge[:-1])       # the blocks with clicks
-            clicks = edge[full + 1] - edge[full]
-            rows[:, full] += (np.add.reduceat(square, run[full]) - clicks) // 2, clicks
-            lo = hi
-
-    held, counted, record = np.empty(0, dtype=np.int64), None, 0
-    for pulse, times in stream._slices():
-        if pulse is None:           # stationary sentinels alone: in no block
-            record += times.size
-            continue
-        low = pulse.min()
-        if counted is not None and low <= counted:
-            bad = np.argmax(pulse <= counted)
-            raise EstimationError(
-                f"record {record + bad}: pulse index {pulse[bad]} comes after the "
-                f"clicks of pulse {counted} were counted; the photon-number route "
-                "takes pulse indices out of order by less than one read slice")
-        cut = np.searchsorted(held, low)
-        if cut:
-            count(held[:cut])
-            counted = held[cut - 1]
-        held = np.concatenate([held[cut:], pulse])
-        if np.any(held[1:] < held[:-1]):
-            held.sort()
-        record += pulse.size
-    count(held)
-    return rows
-
-
 def pn_histogram_g2q(stream: ClickStream, train):
     """g2q from the pulses' click numbers m.
 
     Independent loss rescales the first and second factorial moments by s
     and s^2, so their ratio N F / M^2 (F the summed m(m-1), M the summed m)
     is the source g2q regardless of detector efficiency.  Both are counted
-    per pulse block in O(clicks) time (`_pn_block_rows`), the sigma is the
-    ratio's linearized spread over `tau_histogram`'s at most 200 pulse
+    per pulse block in O(clicks) time (`_same_pulse_counts`), the sigma is
+    the ratio's linearized spread over `tau_histogram`'s at most 200 pulse
     blocks, and over `_MAX_PULSES` pulses a ValueError is raised."""
     n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
                 else int(train))
     if not stream.n_clicks:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
-    _check_pulse_range(stream, n_pulses)
-    return _pn_ratio(_pn_block_rows(stream, n_pulses), n_pulses)
+    return _pn_ratio(*_same_pulse_counts(stream, n_pulses)[1:], n_pulses)
 
 
-def _pn_ratio(stats, n_pulses):
-    """pn_histogram_g2q's value and sigma from its `_pn_block_rows`."""
+def _pn_ratio(pairs, clicks, n_pulses):
+    """pn_histogram_g2q's value and sigma from each block's pairs and clicks."""
+    stats = np.vstack([pairs, clicks]).astype(float)
     pairs, clicks = stats.sum(axis=1) * (2.0, 1.0)
     val = float(pairs / n_pulses / (clicks / n_pulses) ** 2)
     grad = (2.0 * n_pulses / clicks**2, -2.0 * n_pulses * pairs / clicks**3)
@@ -479,8 +480,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
         keep = (np.abs(dt - k * period) < window) & ((k > 0) | (p[j] == p[i]))
         return np.where(keep, k, -1)
 
-    # one window of slack past the last side-peak window
-    counts = _pair_counts(stream, n_side * period + 2.0 * window, n_pulses, n_side + 1,
+    reach = n_side * period + 2.0 * window     # one window of slack past the last
+    counts = _pair_counts(_windows(stream, reach, True), reach, n_pulses, n_side + 1,
                           peak_of)[0]
     stats = np.ascontiguousarray(counts.T, dtype=float)
 
@@ -628,18 +629,19 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
 
     Missing arguments are filled from the stream's sidecar metadata; a
     sidecar mode or state label that does not parse is skipped and
-    flagged ``<key>_label_unparsed``.  One same-pulse histogram is built
-    and D(0) is fitted once, with the mode as the shape hint, else the
-    Gaussian of the fitted width; the fit also gives eta(0), and the D(0)
-    and g2p sigmas spread over its blocks of the N that the pn route takes
-    too.  g2q_eta is g2p and its sigma rescaled by N / eta(0); a histogram
-    without pairs gives zeros with sigma inf.  An empty stream produces a flagged report rather
-    than an error; a pulse index outside [0, N) is an EstimationError,
-    raised before the histogram is built.  A fitted width more than 10
-    percent off a ``gauss:`` or ``hg:0:`` hint is flagged ``width_mismatch``,
-    since the eta-corrected g2q scales linearly with the assumed width.  A
-    sidecar detector dead time > 0, which biases every route low and which
-    no route corrects, is flagged ``dead_time_biased``.
+    flagged ``<key>_label_unparsed``.  One walk builds the same-pulse
+    histogram and the pn route's rows, and D(0) is fitted once, with the
+    mode as the shape hint, else the Gaussian of the fitted width; the fit
+    also gives eta(0), and the D(0) and g2p sigmas spread over the blocks of
+    N that the pn route takes too.  g2q_eta is g2p and its sigma rescaled by
+    N / eta(0); a histogram without pairs gives zeros with sigma inf.  An
+    empty stream produces a flagged report rather than an error; a pulse
+    index outside [0, N) is an EstimationError, raised as the walk reads
+    its slice.  A fitted width more than 10 percent off a ``gauss:`` or
+    ``hg:0:`` hint is flagged ``width_mismatch``, since the eta-corrected
+    g2q scales linearly with the assumed width.  A sidecar detector dead
+    time > 0, which biases every route low and which no route corrects, is
+    flagged ``dead_time_biased``.
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -671,16 +673,12 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
                                g2q_analytic=g2q_analytic, flags=flags, state=state,
                                mode=mode)
 
-    # the photon-number count first: a binary stream's first walk checks
-    # its times and finds the pulse index span the range check reads
-    pn_rows = _pn_block_rows(stream, num_pulses)
-    _check_pulse_range(stream, num_pulses)
     if bin_width is None or max_tau is None:
         bw, tau = _pulsed_binning(mode.width if mode is not None
                                   else _within_pulse_spread(stream))
         bin_width = bw if bin_width is None else bin_width
         max_tau = tau if max_tau is None else max_tau
-    hist = tau_histogram(stream, bin_width, max_tau, "same_pulse", num_pulses)
+    hist, pn_pairs = _histogram(stream, bin_width, max_tau, "same_pulse", num_pulses)
 
     fitted = fit_pulse_width(hist)
     if (mode is not None and mode.kind != "sampled" and mode.order == 0
@@ -694,7 +692,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     g2q_eta_val = (None, None) if eta0 is None else \
         tuple(num_pulses / eta0 * v for v in g2p_val)
 
-    g2q_pn, g2q_pn_sigma = _pn_ratio(pn_rows, num_pulses)
+    g2q_pn, g2q_pn_sigma = _pn_ratio(pn_pairs, hist.block_clicks, num_pulses)
 
     return CoherenceReport(
         N=int(num_pulses), Ip=float(total),

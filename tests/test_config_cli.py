@@ -69,6 +69,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[state\] spec"):
             ExperimentConfig.from_file(path)
 
+    def test_percent_is_literal(self, tmp_path, monkeypatch):
+        # no interpolation: a '%' round-trips and names the stream file
+        cfg = ExperimentConfig(out_stream="run%1.csv")
+        cfg.validate().to_file(tmp_path / "p.ini")
+        assert ExperimentConfig.from_file(tmp_path / "p.ini") == cfg
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.ini").write_text("[pulsed]\nnum_pulses = 100\n"
+                                        "[output]\nstream = run%1.csv\n")
+        assert cli.main(["simulate", "--config", "s.ini"]) == 0
+        assert (tmp_path / "run%1.csv").exists()
+
     @pytest.mark.parametrize("attr,value,where", [
         ("out_stream", "run ;1.csv", "[output] stream"),
         ("out_report", "run\tfinal;1.json", None),

@@ -435,13 +435,16 @@ class TestPnHistogram:
         if slice_len is not None:
             monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
         assert est.pn_histogram_g2q(stream, train) == self.reference(stream, n_pulses)
+        # the report's one walk gives the same rows
+        report = est.analyze_stream(stream, mode=MODE)
+        assert (report.g2q_pn, report.g2q_pn_sigma) == self.reference(stream, n_pulses)
 
     def test_clicks_row_is_the_histogram_blocks(self):
         # the sidecar's N gives the pn route and the eta route one set of blocks
         stream, train = run_train(st.thermal(1.0), 30011, seed=29, s=0.5)
-        rows = est._pn_block_rows(stream, train.num_pulses)
-        assert rows.shape == (2, 200)
-        assert np.array_equal(rows[1], standard_hist(stream).block_clicks)
+        counts, pairs, clicks = est._same_pulse_counts(stream, train.num_pulses)
+        assert counts.shape == (200, 0) and pairs.shape == clicks.shape == (200,)
+        assert np.array_equal(clicks, standard_hist(stream).block_clicks)
 
     def test_report_blocks_both_routes_by_its_n(self):
         # no sidecar N and a last click in pulse 30,009 of 30,011: the
@@ -453,10 +456,10 @@ class TestPnHistogram:
                               {"kind": "pulsed"})
         assert bare.pulse_index.max() == 30009
         report = est.analyze_stream(bare, num_pulses=30011, mode=MODE)
-        rows = est._pn_block_rows(bare, 30011)
+        clicks = est._same_pulse_counts(bare, 30011)[2]
         assert report.N == 30011
-        assert np.array_equal(report.histogram.block_clicks, rows[1])
-        assert not np.array_equal(standard_hist(bare).block_clicks, rows[1])
+        assert np.array_equal(report.histogram.block_clicks, clicks)
+        assert not np.array_equal(standard_hist(bare).block_clicks, clicks)
 
     def test_pulse_count_above_the_bound_rejected(self):
         stream = pg.ClickStream(np.array([0, 0, 1]), np.array([1e-9, 2e-9, 3e-8]),
@@ -870,5 +873,8 @@ class TestSlicedStreams:
         monkeypatch.setattr(pg.streams, "_IO_SLICE", 4)
         with pytest.raises(EstimationError, match="record 8: pulse index 1 comes after"):
             est.pn_histogram_g2q(stream, 5)
+        with pytest.raises(EstimationError, match="record 8: pulse index 1 comes after"):
+            est.tau_histogram(stream, 1e-9, 5e-9, num_pulses=5)
         monkeypatch.setattr(pg.streams, "_IO_SLICE", 8)    # within one slice: sorted
-        assert est._pn_block_rows(stream, 5).tolist() == [[1, 1, 1, 3, 0], [2, 2, 2, 3, 1]]
+        _, pairs, clicks = est._same_pulse_counts(stream, 5)
+        assert [pairs.tolist(), clicks.tolist()] == [[1, 1, 1, 3, 0], [2, 2, 2, 3, 1]]

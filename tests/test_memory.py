@@ -136,7 +136,7 @@ def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):
     assert peak <= SLACK
 
 
-@pytest.mark.parametrize("estimator", ["all_pairs", "sidepeak", "pn"])
+@pytest.mark.parametrize("estimator", ["all_pairs", "same_pulse", "sidepeak", "pn"])
 def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
     # a walk pass holds a few slice-long index, time and bin arrays, and the
     # counts of at most 200 blocks; nothing of the click count
@@ -144,6 +144,7 @@ def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
     stream, train = pulsed
     calls = {
         "all_pairs": lambda: est.tau_histogram(stream, 1e-9, 4 * PERIOD, "all_pairs"),
+        "same_pulse": lambda: est.tau_histogram(stream, 1e-9, 4 * PERIOD, "same_pulse"),
         "sidepeak": lambda: est.g2_sidepeak(stream, train, 3e-9),
         "pn": lambda: est.pn_histogram_g2q(stream, train),
     }

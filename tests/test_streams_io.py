@@ -282,6 +282,24 @@ def test_sliced_analysis_writes_the_in_memory_bytes(monkeypatch, tmp_path, writt
         assert analyze_outputs(path, tmp_path / f"sliced{path.suffix}", flags) == want
 
 
+def test_pulsed_analysis_reads_the_binary_stream_once(monkeypatch, tmp_path):
+    # one pulse-ordered walk gives the histogram and the photon-number rows,
+    # and checks the pulse range and the times as it reads
+    stream = STREAMS["jittered"][0]()
+    write_stream(stream, tmp_path / "s.bin", fmt="binary")
+    reads, records = [], streams._records
+
+    def counted(*args):
+        reads.append(args)
+        return records(*args)
+
+    monkeypatch.setattr(streams, "_records", counted)
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "s.bin", "--mode", "gauss:1e-9", "--out", "r.json"]) == 0
+    assert len(reads) == 1
+
+
 def _records_with(tmp_path, change):
     """A pulsed binary stream of 300 clicks whose times ``change`` edits."""
     stream = ClickStream(np.arange(300) // 3, np.arange(300) * 1e-9,
