@@ -25,7 +25,6 @@ from .config import ExperimentConfig, _read_settings, _whole
 from .errors import ConfigError, EstimationError, StreamFormatError
 from .streams import (_MAX_PULSES, _open_stream, _write_json, _write_table, sidecar_path,
                       write_stream)
-from .streams import read_stream  # noqa: F401  (perfbench wraps this name here)
 
 __all__ = ["main", "entrypoint"]
 

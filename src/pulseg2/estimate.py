@@ -114,13 +114,14 @@ def _pairs(times, reach, n=None):
         yield first, first + d
 
 
-def _windows(stream, reach, pulsed):
-    """Yield ``(pulse, times, n)``: the stream's next `_PAIR_SLICE` first
-    clicks (the last window fewer), then every later click within
-    ``reach`` of the last of them.  ``pulse`` holds the window's pulse
-    indices if ``pulsed``, else it is None.
+def _windows(slices, reach, pulsed):
+    """Yield ``(pulse, times, n)``: the next `_PAIR_SLICE` first clicks of
+    the ``slices`` (a stream's `_slices`, or its `_pulse_slices`; the last
+    window fewer), then every later click within ``reach`` of the last of
+    them.  ``pulse`` holds the window's pulse indices if ``pulsed``, else
+    it is None.
 
-    The stream's slices come in pieces of `_PAIR_SLICE` clicks.  A window
+    The slices come in pieces of `_PAIR_SLICE` clicks.  A window
     is the tail carried from the last piece plus as many new pieces as it
     takes to read one click beyond reach (or the stream's end), so no pair
     of its first clicks reaches past it: the walk over the window finds
@@ -129,7 +130,7 @@ def _windows(stream, reach, pulsed):
     t = np.empty(0)
     p = np.empty(0, dtype=np.int64) if pulsed else None
     pieces = ((pulse[lo:lo + size] if pulsed else None, times[lo:lo + size])
-              for pulse, times in stream._slices() for lo in range(0, times.size, size))
+              for pulse, times in slices for lo in range(0, times.size, size))
     for pulse, times in pieces:
         t = np.concatenate([t, times])
         p = np.concatenate([p, pulse]) if pulsed else None
@@ -212,9 +213,11 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     (``num_pulses``, else the sidecar's, else the largest index + 1; an
     index outside [0, N) is an EstimationError) for ``same_pulse``, else of
     whole max_tau slices from the first click, the last taking the
-    remainder, so a time block outlasts every lag.  An empty stream yields
-    a valid all-zero histogram; over `_MAX_BINS` bins, or over `_MAX_PULSES`
-    pulses or slices, a ValueError.
+    remainder, so a time block outlasts every lag.  ``same_pulse`` takes
+    only a stream that `is_pulsed` (an empty one by its sidecar's kind),
+    else a ValueError.  An empty stream yields a valid all-zero histogram;
+    over `_MAX_BINS` bins, or over `_MAX_PULSES` pulses or slices, a
+    ValueError.
     """
     return _histogram(stream, bin_width, max_tau, scope, num_pulses)[0]
 
@@ -234,13 +237,13 @@ def _histogram(stream, bin_width, max_tau, scope, num_pulses):
     edges = np.arange(nbins + 1) * bin_width
     pairs = None
     if scope == "same_pulse":
-        n_units = num_pulses or stream.metadata.get("train", {}).get("num_pulses")
-        # read only if needed: it costs a binary file a walk of its own
-        span = None if n_units and stream.is_pulsed else stream._pulse_span
-        if span and span[0] < 0:
+        if not stream.is_pulsed:
             raise ValueError("same_pulse scope requires a pulsed stream")
+        n_units = num_pulses or stream.metadata.get("train", {}).get("num_pulses")
+        if not n_units:     # the span costs a binary file a walk of its own
+            n_units = max((stream._pulse_span or (0, 0))[1], 0) + 1
         block_counts, pairs, block_clicks = _same_pulse_counts(
-            stream, n_units or (span[1] if span else 0) + 1, bin_width, nbins)
+            stream, n_units, bin_width, nbins)
     else:
         # times are sorted: the last click's max_tau slice is the largest;
         # an inf slice count stays an int for the `_pair_counts` bound
@@ -256,29 +259,39 @@ def _histogram(stream, bin_width, max_tau, scope, num_pulses):
 
         reach = edges[-1] + bin_width   # one bin of slack: the bin index decides
         block_counts, block_clicks = _pair_counts(
-            _windows(stream, reach, False), reach, n_units, nbins, bin_of,
+            _windows(stream._slices(), reach, False), reach, n_units, nbins, bin_of,
             1 if scope == "start_stop" else None, unit_of)
     hist = TauHistogram(edges, block_counts.sum(axis=0), scope, block_counts, block_clicks)
     return hist, pairs
 
 
+def _pulse_slices(stream, n_pulses):
+    """The stream's `_slices`, each checked as it comes: an index outside
+    [0, n_pulses) is an EstimationError naming the span of all of them."""
+    for pulse, times in stream._slices():
+        if pulse.min() < 0 or pulse.max() >= n_pulses:
+            span = stream._pulse_span
+            raise EstimationError(
+                f"pulse indices span [{span[0]}, {span[1]}], outside [0, N) "
+                f"for N = {n_pulses} pulses")
+        yield pulse, times
+
+
 def _pulse_runs(stream, n_pulses):
     """Yield `_pair_counts` windows of the clicks in pulse order, each pulse's
-    in time order.  Read a slice at a time, the clicks below the next
-    slice's least index are yielded, the rest held back with that slice,
-    sorted stably by index if jitter reordered them.  An index outside
-    [0, n_pulses) is `_check_pulse_range`'s EstimationError; one at or below
-    a pulse already yielded is an EstimationError naming its record."""
+    in time order.  Read a slice at a time (`_pulse_slices`), the clicks
+    below the next slice's least index are yielded, the rest held back with
+    that slice, sorted stably by index if jitter reordered them.  An index
+    at or below a pulse already yielded is an EstimationError naming its
+    record."""
     def pieces(p, t):   # `_PAIR_SLICE` first clicks, then the rest of the last pulse
         for lo in range(0, p.size, _PAIR_SLICE):
             end = np.searchsorted(p, p[min(lo + _PAIR_SLICE, p.size) - 1], "right")
             yield p[lo:end], t[lo:end], min(_PAIR_SLICE, p.size - lo)
 
     held_p, held_t, done, record = np.empty(0, dtype=np.int64), np.empty(0), None, 0
-    for pulse, times in stream._slices():
-        low = -1 if pulse is None else pulse.min()      # None: stationary sentinels
-        if low < 0 or pulse.max() >= n_pulses:
-            _check_pulse_range(stream, n_pulses)
+    for pulse, times in _pulse_slices(stream, n_pulses):
+        low = pulse.min()
         if done is not None and low <= done:
             bad = np.argmax(pulse <= done)
             raise EstimationError(
@@ -412,15 +425,6 @@ def recover_g2q_general(stream: ClickStream, hist: TauHistogram,
     return scale * val, scale * sigma
 
 
-def _check_pulse_range(stream, n_pulses):
-    """Raise EstimationError unless every pulse index lies in [0, n_pulses)."""
-    span = stream._pulse_span
-    if span and (span[0] < 0 or span[1] >= n_pulses):
-        raise EstimationError(
-            f"pulse indices span [{span[0]}, {span[1]}], outside [0, N) "
-            f"for N = {n_pulses} pulses")
-
-
 def pn_histogram_g2q(stream: ClickStream, train):
     """g2q from the pulses' click numbers m.
 
@@ -469,10 +473,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
     if n_pulses < n_side + 1:
         raise EstimationError(
             f"train of {n_pulses} pulses is too short for {n_side} side peaks")
-    span = stream._pulse_span
-    if span and span[0] < 0:
+    if not stream.is_pulsed:
         raise ValueError("g2_sidepeak requires a pulsed stream")
-    _check_pulse_range(stream, n_pulses)
 
     def peak_of(p, i, j, dt):
         # row 0 the central peak, of same-pulse pairs only; row k side peak k
@@ -481,8 +483,8 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
         return np.where(keep, k, -1)
 
     reach = n_side * period + 2.0 * window     # one window of slack past the last
-    counts = _pair_counts(_windows(stream, reach, True), reach, n_pulses, n_side + 1,
-                          peak_of)[0]
+    windows = _windows(_pulse_slices(stream, n_pulses), reach, True)
+    counts = _pair_counts(windows, reach, n_pulses, n_side + 1, peak_of)[0]
     stats = np.ascontiguousarray(counts.T, dtype=float)
 
     corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))

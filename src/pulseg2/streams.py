@@ -22,18 +22,23 @@ binary    packed little-endian records (u64 pulse index, f64 time);
           arrays, allocating an index array only once a record is not
           the sentinel.  `pulseg2 analyze` holds no such array: it opens
           a binary stream as a `_StreamFile`, whose records each
-          estimator walks a slice at a time, their times checked to be
-          finite and nondecreasing across the slices.
+          estimator walks a slice at a time.
 sidecar   JSON next to either format with the seed, the full generating
           configuration, the package version and the counted
           ``n_clicks``, default path ``<stream>.meta.json``; written
           after the records, so a failed write leaves none.
 
 The estimators read a stream only through ``n_clicks``, ``metadata``,
-`_slices` (the pulse indices, or None for stationary ones, and the times
-of a slice of records) and the spans of its indices and times, so a
+`_slices` (the pulse indices, -1 for a stationary click, and the times of
+a slice of records), `_time_span` (the first and last times) and
+`_pulse_span` (the least and greatest index, a walk of its own), so a
 `ClickStream`, which yields views of its arrays, and a `_StreamFile`
 take one path through them.  A CSV stream is always read whole.
+
+Every time is checked once, by one rule (`_bad_time`): a `ClickStream`
+checks its array when it is made, a `_StreamFile` each slice as a walk
+reads it.  The first record whose time is not finite or lies below the
+one before it is named in the error.
 
 Every CSV table and JSON document the package writes goes through
 `_write_table` or `_write_json`, and every CSV table it reads through
@@ -84,11 +89,25 @@ _SIDECAR_RULES = {
                            "a finite number >= 0 or null"),
 }
 
+
+def _bad_time(t, last=-math.inf, offset=0) -> str | None:
+    """The error text naming the first record of the times ``t`` (numbered
+    from ``offset``) that is not finite or lies below the one before it,
+    ``last`` before the first; None if every time is good."""
+    # ordered between finite ends, all are finite: a nan fails the order
+    if not t.size or (math.isfinite(t[0]) and math.isfinite(t[-1]) and last <= t[0]
+                      and (t[1:] >= t[:-1]).all()):
+        return None
+    bad = ~np.isfinite(t)
+    i = int(np.argmax(bad | (t < np.append(last, t[:-1]))))
+    return (f"record {offset + i}: click times must be "
+            f"{'finite' if bad[i] else 'nondecreasing'}")
+
+
 class _Records:
     """What the estimators read of a stream: ``metadata``, ``n_clicks``,
-    `_slices`, `_time_span` and `_pulse_span` (the least and greatest
-    pulse index, -1 for a stationary click, None without clicks), and
-    from these whether the stream is pulsed."""
+    `_slices`, `_time_span` and `_pulse_span`, and from these whether the
+    stream is pulsed."""
 
     @property
     def is_pulsed(self) -> bool:
@@ -96,6 +115,14 @@ class _Records:
         if kind is not None:
             return kind == "pulsed"
         return bool(self.n_clicks) and self._pulse_span[0] >= 0
+
+    @functools.cached_property
+    def _pulse_span(self) -> tuple[int, int] | None:
+        """The least and greatest pulse index, -1 for a stationary click,
+        None without clicks: a walk of its own over the `_slices`."""
+        spans = [(pulse.min(), pulse.max()) for pulse, _ in self._slices()]
+        return (int(min(s[0] for s in spans)), int(max(s[1] for s in spans))
+                ) if spans else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +138,8 @@ class ClickStream(_Records):
         t = np.asarray(self.times, dtype=float)
         if idx.shape != t.shape or idx.ndim != 1:
             raise ValueError("pulse_index and times must be matching 1-D arrays")
-        if t.size and not np.all(np.isfinite(t)):
-            raise ValueError("click times must be finite")
-        if t.size > 1 and np.any(t[1:] < t[:-1]):
-            raise ValueError("click times must be nondecreasing")
+        if bad := _bad_time(t):
+            raise ValueError(bad)
         idx.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "pulse_index", idx)
@@ -131,11 +156,6 @@ class ClickStream(_Records):
             raise ValueError("pulse indices outside [0, num_pulses)")
         return np.bincount(self.pulse_index, minlength=num_pulses)
 
-    @functools.cached_property
-    def _pulse_span(self) -> tuple[int, int] | None:
-        p = self.pulse_index
-        return (int(p.min()), int(p.max())) if p.size else None
-
     def _slices(self):
         """Views of the pulse indices and times, `_IO_SLICE` records at a time."""
         for lo in range(0, self.n_clicks, _IO_SLICE):
@@ -151,61 +171,43 @@ class ClickStream(_Records):
 
 class _StreamFile(_Records):
     """A binary stream on disk, its records read `_IO_SLICE` at a time each
-    time an estimator walks them, so that no click-long array is held.  Its
-    record count, from the file size, passes ``check_count`` first."""
+    time an estimator walks them, so that no click-long array is held.
+    Opening it reads its record count from the file size and no record."""
 
-    def __init__(self, path, metadata, check_count):
+    def __init__(self, path, metadata):
         size = os.path.getsize(path)
         if size % _BINARY_DTYPE.itemsize:
             raise StreamFormatError(
                 f"{path}: {size} bytes is not a whole number of "
                 f"{_BINARY_DTYPE.itemsize}-byte records")
-        self.path, self.metadata, self._checked = path, metadata, False
+        self.path, self.metadata = path, metadata
         self.n_clicks = size // _BINARY_DTYPE.itemsize
-        check_count(self.n_clicks)
 
     def _slices(self):
-        """The pulse indices, None for a slice of stationary sentinels alone,
-        and the times, as `_records` yields them.  Until one walk has read
-        them all, times that are not finite and nondecreasing, across
-        slices too, end it in a `_time_fault`; that walk keeps the span of
-        the pulse indices."""
-        check, last, spans = not self._checked, -math.inf, []
+        """The pulse indices (the stationary sentinel as -1) and the times,
+        as `_records` yields them; the first record whose time `_bad_time`
+        finds, across slices too, ends the walk in a StreamFormatError."""
+        lo, last = 0, -math.inf
         for pulse, t in _records(self.path, self.n_clicks):
-            if check:
-                # ordered between finite ends, all are finite: a nan fails the order
-                if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and last <= t[0]
-                        and (t[1:] >= t[:-1]).all()):
-                    raise self._fault()
-                last = t[-1]
-                spans.append((pulse.min(), pulse.max()))
-            yield (pulse if pulse[0] != -1 or (pulse != -1).any() else None), t
-        if check:
-            self._span = (int(min(s[0] for s in spans)), int(max(s[1] for s in spans))
-                          ) if spans else None
-            self._checked = True
-
-    @property
-    def _pulse_span(self) -> tuple[int, int] | None:
-        if not self._checked:
-            for _ in self._slices():
-                pass
-        return self._span
+            if bad := _bad_time(t, last, lo):
+                raise StreamFormatError(f"{self.path}: {bad}")
+            lo, last = lo + t.size, t[-1]
+            yield pulse, t
 
     def _time_span(self):
-        """The first and last click times, read from the end records."""
+        """The first and last click times, read from the end records; if
+        these are out of order or not finite, a checking walk names the
+        first bad record."""
         if not self.n_clicks:
             return 0.0, 0.0
         with open(self.path, "rb") as fh:
             first = np.fromfile(fh, _BINARY_DTYPE, 1)
             fh.seek(-_BINARY_DTYPE.itemsize, os.SEEK_END)
             ends = np.append(first, np.fromfile(fh, _BINARY_DTYPE, 1))["time_seconds"]
-        if not (np.isfinite(ends).all() and ends[0] <= ends[1]):
-            raise self._fault()
+        if _bad_time(ends):
+            for _ in self._slices():
+                pass
         return ends[0], ends[1]
-
-    def _fault(self) -> StreamFormatError:
-        return _time_fault(self.path, (t for _, t in _records(self.path, self.n_clicks)))
 
 
 def sidecar_path(path) -> str:
@@ -335,28 +337,11 @@ def _records(path, n):
 
 
 def _checked(path, pulse_index, times, metadata) -> ClickStream:
-    """`_stream` of arrays read from ``path``, a bad time a `_time_fault`."""
+    """`_stream` of arrays read from ``path``, a bad time's error named with it."""
     try:
         return _stream(pulse_index, times, metadata)
     except ValueError as exc:
-        raise _time_fault(path, [times]) from exc
-
-
-def _time_fault(path, parts) -> StreamFormatError:
-    """The error of a stream whose times, the arrays ``parts`` in turn, are
-    not all finite and nondecreasing: it names the first non-finite time,
-    else the later click of the largest step back."""
-    lo, last, worst, at = 0, None, 0.0, 0
-    for t in parts:
-        bad = np.flatnonzero(~np.isfinite(t))
-        if bad.size:
-            return StreamFormatError(f"{path}: record {lo + bad[0]}: "
-                                     "click times must be finite")
-        step = np.diff(t) if last is None else np.diff(t, prepend=last)
-        if step.size and step.min() < worst:
-            worst, at = step.min(), lo + np.argmin(step) + (last is None)
-        lo, last = lo + t.size, t[-1] if t.size else last
-    return StreamFormatError(f"{path}: record {at}: click times must be nondecreasing")
+        raise StreamFormatError(f"{path}: {exc}") from exc
 
 
 def _check_sidecar(meta, side) -> None:
@@ -395,7 +380,9 @@ def _open_stream(path, sidecar: str | None = None) -> _Records:
                 f"n_clicks = {meta['n_clicks']}")
 
     if fmt == "binary":
-        return _StreamFile(path, meta, check_count)
+        stream = _StreamFile(path, meta)
+        check_count(stream.n_clicks)
+        return stream
     try:
         rows = _read_table(path, _HEADER, header=_HEADER)
     except ValueError as exc:

@@ -21,6 +21,10 @@ from pulseg2.config import ExperimentConfig
 from pulseg2.errors import ConfigError
 
 
+# a pulsed stream without a sidecar
+PULSED_CSV = "pulse_index,time_seconds\n0,1e-9\n1,2e-9\n"
+
+
 def write_cfg(tmp_path, **overrides):
     cfg = ExperimentConfig(
         kind="pulsed", seed=101, state_spec="coherent:1", mode_spec="gauss:1e-9",
@@ -494,6 +498,24 @@ class TestAnalyzeCommand:
         assert "no baseline pairs" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("write,flags,message", [
+        (lambda path: pg.write_stream(sim.simulate_stationary_poisson(2e5, 0.001, seed=1),
+                                      path), [], "needs --bin-width"),
+        (lambda path: path.write_text(PULSED_CSV), [], "number of pulses unknown"),
+        (lambda path: path.write_text(PULSED_CSV), ["--pulses", "2000"],
+         "cannot choose a bin width"),
+    ], ids=["poisson_control", "pulsed_without_n", "pulsed_without_mode_or_period"])
+    def test_unknown_binning_or_pulse_count_exits_3(self, tmp_path, capsys, write, flags,
+                                                    message):
+        # the Poisson control has no bandwidth; a pulsed CSV stream alone has
+        # no N, and given N, no mode or repetition period for the bins
+        path = tmp_path / "s.csv"
+        write(path)
+        assert cli.main(["analyze", str(path), "--out", str(tmp_path / "r.json"), *flags]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("max_tau", ["1e-15", "1e-310"])
     def test_stationary_slice_count_past_the_bound_is_config_error(self, tmp_path, capsys,
                                                                     max_tau):
@@ -576,6 +598,12 @@ class TestAnalyzeState:
         assert cli.main(["analyze", "stream.csv", *extra, "--out", "r.json"]) == 0
         report = json.loads((stream / "r.json").read_text())
         assert report["g2q_analytic"] == pytest.approx(g2q, rel=1e-12)
+
+    def test_vacuum_state_flagged(self, stream, monkeypatch):
+        monkeypatch.chdir(stream)
+        assert cli.main(["analyze", "stream.csv", "--state", "fock:0", "--out", "r.json"]) == 0
+        report = json.loads((stream / "r.json").read_text())
+        assert report["g2q_analytic"] is None and "source_state_vacuum" in report["flags"]
 
     def test_bad_state_flag_is_config_error(self, stream, monkeypatch, capsys):
         monkeypatch.chdir(stream)
@@ -748,15 +776,19 @@ class TestMalformedSidecar:
         # passes the rule, but the bins of 1/(50 B) it sets are inf
         (lambda m: {**m, "kind": "stationary", "stationary": {"spectral_bandwidth": 1e-310}},
          "stationary.spectral_bandwidth"),
+        # text, not an object: written as it is
+        (lambda m: json.dumps(m)[:-1], "invalid sidecar JSON"),
     ], ids=["list", "train_null", "num_pulses_string", "detector_string",
             "detector_unknown_key", "efficiency_above_one", "dead_time_string",
             "dead_time_negative", "num_pulses_zero",
-            "num_pulses_huge", "bandwidth_negative", "bandwidth_nan", "bandwidth_tiny"])
+            "num_pulses_huge", "bandwidth_negative", "bandwidth_nan", "bandwidth_tiny",
+            "invalid_json"])
     def test_exit_2_names_sidecar_and_key(self, stream, tmp_path, monkeypatch, capsys,
                                           edit, key):
         meta = json.loads(Path(str(stream) + ".meta.json").read_text())
         bad = tmp_path / "bad.meta.json"
-        bad.write_text(json.dumps(edit(meta)))
+        text = edit(meta)
+        bad.write_text(text if isinstance(text, str) else json.dumps(text))
         monkeypatch.chdir(tmp_path)
         assert cli.main(["analyze", str(stream), "--sidecar", str(bad),
                          "--out", "report.json"]) == 2

@@ -502,6 +502,12 @@ class TestSidePeak:
         with pytest.raises(EstimationError, match="side"):
             est.g2_sidepeak(stream, train, window=3e-9, n_side=3)
 
+    def test_stationary_stream_rejected(self):
+        stream = sim.simulate_stationary_poisson(2e5, 0.01, seed=27)
+        train = sim.PulseTrainConfig(1000, PERIOD, MODE)
+        with pytest.raises(ValueError, match="requires a pulsed stream"):
+            est.g2_sidepeak(stream, train, window=3e-9)
+
     def test_index_beyond_train_names_n(self):
         stream, _ = run_train(st.coherent(1.0), 5000, seed=22)
         short = sim.PulseTrainConfig(1000, PERIOD, MODE)

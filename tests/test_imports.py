@@ -84,7 +84,7 @@ BENCHMARKED = {
     "simulate": ["simulate_pulse_train", "simulate_stationary_thermal",
                  "_PULSE_BLOCK", "_FIELD_CHUNK"],
     "streams": ["read_stream", "write_stream", "sidecar_path"],
-    "cli": ["read_stream", "write_stream", "main"],
+    "cli": ["write_stream", "main"],
 }
 
 

@@ -360,6 +360,17 @@ def test_dead_time_filter_rounds_as_the_walk(last, dead):
     assert np.array_equal(got[0], want[0])
 
 
+def test_dead_time_end_steps_down_when_the_sum_rounds_up():
+    # last + dead lands one ulp above the smallest t with t - last >= dead
+    last, dead = 9.378398401958933e-09, 3.822793335511966e-08
+    end = sim._dead_time_end(np.array([last]), dead)[0]
+    below = np.nextafter(end, -np.inf)
+    assert end < last + dead
+    assert end - last >= dead and below - last < dead
+    _, kept, _ = sim._dead_time_filter(None, np.array([last, below, end]), dead)
+    assert kept.tolist() == [last, end]
+
+
 @pytest.mark.parametrize("dead", [0.5, 1.0, 3.0, 1e-9])
 @pytest.mark.parametrize("carried", [-1.0, 2.0, 2.5, 4.0])
 def test_dead_time_filter_carries_the_last_kept_time(dead, carried):

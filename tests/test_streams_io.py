@@ -147,6 +147,16 @@ def test_unsorted_times_rejected():
         ClickStream(np.array([0, 1]), np.array([2.0, 1.0]), {})
 
 
+@pytest.mark.parametrize("times,message", [
+    ([1.0, 0.5, np.nan, 2.0], "record 1: click times must be nondecreasing"),
+    ([1.0, np.inf, 0.5], "record 1: click times must be finite"),
+    ([-np.inf, 1.0], "record 0: click times must be finite"),
+], ids=["step_before_nan", "inf_before_step", "minus_inf_first"])
+def test_first_bad_time_named(times, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClickStream(np.zeros(len(times), np.int64), np.array(times), {})
+
+
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         ClickStream(np.array([0]), np.array([1.0, 2.0]), {})
@@ -300,6 +310,30 @@ def test_pulsed_analysis_reads_the_binary_stream_once(monkeypatch, tmp_path):
     assert len(reads) == 1
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """The calls of `streams._records`, one per walk over a binary file."""
+    calls, records = [], streams._records
+
+    def counted(*args):
+        calls.append(args)
+        return records(*args)
+
+    monkeypatch.setattr(streams, "_records", counted)
+    return calls
+
+
+def test_side_peaks_read_the_binary_stream_once(monkeypatch, tmp_path, reads):
+    # the range check rides on the pair walk: no walk of its own for the span
+    stream = STREAMS["jittered"][0]()
+    write_stream(stream, tmp_path / "s.bin", fmt="binary")
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    train = pg.PulseTrainConfig(5000, 12.5e-9, pg.gaussian_mode(1e-9))
+    got = est.g2_sidepeak(streams._open_stream(tmp_path / "s.bin"), train, 3e-9)
+    assert len(reads) == 1
+    assert got == est.g2_sidepeak(stream, train, 3e-9)
+
+
 def _records_with(tmp_path, change):
     """A pulsed binary stream of 300 clicks whose times ``change`` edits."""
     stream = ClickStream(np.arange(300) // 3, np.arange(300) * 1e-9,
@@ -316,15 +350,14 @@ def _records_with(tmp_path, change):
 @pytest.mark.parametrize("change,message", [
     (lambda t: t.__setitem__(150, np.nan), "record 150: click times must be finite"),
     (lambda t: t.__setitem__(299, -np.inf), "record 299: click times must be finite"),
-    # a step back across two slices, then one within a slice that is larger
+    # a step back across two slices; with several faults, the first is named
     (lambda t: t.__setitem__(64, 60e-9), "record 64: click times must be nondecreasing"),
     (lambda t: (t.__setitem__(64, 60e-9), t.__setitem__(200, 150e-9)),
-     "record 200: click times must be nondecreasing"),
-    # a step back in the first slice, a non-finite time later: the time
+     "record 64: click times must be nondecreasing"),
     (lambda t: (t.__setitem__(5, 0.0), t.__setitem__(250, np.inf)),
-     "record 250: click times must be finite"),
-], ids=["nan_later_slice", "inf_last", "step_back_across_slices", "larger_step_later",
-        "step_then_inf"])
+     "record 5: click times must be nondecreasing"),
+], ids=["nan_later_slice", "inf_last", "step_back_across_slices", "first_of_two_steps",
+        "step_before_inf"])
 def test_bad_time_in_a_later_slice_exits_2_as_the_read_does(monkeypatch, tmp_path, capsys,
                                                            change, message):
     monkeypatch.setattr(streams, "_IO_SLICE", 64)
@@ -336,6 +369,36 @@ def test_bad_time_in_a_later_slice_exits_2_as_the_read_does(monkeypatch, tmp_pat
     assert cli.main(["analyze", str(path), "--out", "r.json", "--mode", "gauss:1e-10"]) == 2
     assert capsys.readouterr().err == f"i/o error: {path}: {message}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_bad_time_ends_the_walk_that_reads_it(monkeypatch, tmp_path, capsys, reads):
+    # the first walk names the record as it reads it: no second read
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    path = _records_with(tmp_path, lambda t: t.__setitem__(100, np.nan))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", str(path), "--out", "r.json", "--mode", "gauss:1e-10"]) == 2
+    assert capsys.readouterr().err == (f"i/o error: {path}: record 100: "
+                                       "click times must be finite\n")
+    assert len(reads) == 1
+
+
+def test_stationary_bad_last_time_exits_2(monkeypatch, tmp_path, capsys, reads):
+    # the end records give the all-pairs walk its time blocks; a bad one
+    # starts the checking walk, which names it before any pair is walked
+    stream = ClickStream(np.full(300, -1), np.arange(300) * 1e-9,
+                         {"kind": "stationary", "stationary": {"spectral_bandwidth": 1e6}})
+    path = tmp_path / "s.bin"
+    write_stream(stream, path, fmt="binary")
+    rec = np.fromfile(path, streams._BINARY_DTYPE)
+    rec["time_seconds"][-1] = np.nan
+    rec.tofile(path)
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    monkeypatch.setattr(est, "_pairs", None)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", str(path), "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == (f"i/o error: {path}: record 299: "
+                                       "click times must be finite\n")
+    assert len(reads) == 1 and not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("cut,message", [
