@@ -35,7 +35,7 @@ from . import modes as _modes
 from . import simulate as _simulate
 from . import states as _states
 from .errors import EstimationError
-from .streams import _MAX_PULSES, ClickStream, _write_json, _write_table
+from .streams import _MAX_PULSES, ClickStream, _bad_pulse, _write_json, _write_table
 
 __all__ = [
     "TauHistogram",
@@ -194,8 +194,10 @@ def _linearized_sigma(grad, stats):
 
 
 def _blocks(unit_index, n_units):
-    """Block of each unit index, at most 200 contiguous blocks, and their
-    count; over `_MAX_PULSES` units (index x 200 leaves int64), a ValueError."""
+    """Block of each unit index, at most 200 contiguous blocks, and their count;
+    every walk's N passes here: one not an integer in [1, `_MAX_PULSES`] is a ValueError."""
+    if not isinstance(n_units, (int, np.integer)) or n_units < 1:
+        raise ValueError(f"{n_units} pulse or time units: N must be an integer >= 1")
     if n_units > _MAX_PULSES:
         raise ValueError(f"{n_units} pulse or time units, more than {_MAX_PULSES}")
     n_blocks = min(200, n_units)
@@ -210,14 +212,14 @@ def tau_histogram(stream: ClickStream, bin_width: float, max_tau: float,
     ``start_stop`` its first pass (each click with the next); ``same_pulse``
     (the D(tau) estimator) walks the clicks in pulse order and visits no
     cross-pulse pair.  Counts are also kept per block: of N pulses
-    (``num_pulses``, else the sidecar's, else the largest index + 1; an
-    index outside [0, N) is an EstimationError) for ``same_pulse``, else of
-    whole max_tau slices from the first click, the last taking the
-    remainder, so a time block outlasts every lag.  ``same_pulse`` takes
-    only a stream that `is_pulsed` (an empty one by its sidecar's kind),
-    else a ValueError.  An empty stream yields a valid all-zero histogram;
-    over `_MAX_BINS` bins, or over `_MAX_PULSES` pulses or slices, a
-    ValueError.
+    (``num_pulses``, else the sidecar's, else the largest index + 1 found by
+    a walk of its own; an index outside [0, N) is an EstimationError naming
+    its record) for ``same_pulse``, else of whole max_tau slices from the
+    first click, the last taking the remainder, so a time block outlasts
+    every lag.  ``same_pulse`` takes only a stream that `is_pulsed` (an
+    empty one by its sidecar's kind), else a ValueError.  An empty stream
+    yields a valid all-zero histogram; over `_MAX_BINS` bins, an N not an
+    integer >= 1, or over `_MAX_PULSES` pulses or slices, a ValueError.
     """
     return _histogram(stream, bin_width, max_tau, scope, num_pulses)[0]
 
@@ -239,15 +241,16 @@ def _histogram(stream, bin_width, max_tau, scope, num_pulses):
     if scope == "same_pulse":
         if not stream.is_pulsed:
             raise ValueError("same_pulse scope requires a pulsed stream")
-        n_units = num_pulses or stream.metadata.get("train", {}).get("num_pulses")
-        if not n_units:     # the span costs a binary file a walk of its own
-            n_units = max((stream._pulse_span or (0, 0))[1], 0) + 1
+        n_units = (stream.metadata.get("train", {}).get("num_pulses")
+                   if num_pulses is None else num_pulses)
+        if n_units is None:
+            n_units = max([0] + [int(pulse.max()) for pulse, _ in stream._slices()]) + 1
         block_counts, pairs, block_clicks = _same_pulse_counts(
             stream, n_units, bin_width, nbins)
     else:
         # times are sorted: the last click's max_tau slice is the largest;
         # an inf slice count stays an int for the `_pair_counts` bound
-        t0, t1 = stream._time_span()
+        t0, t1 = stream._ends()[1:]
         n_units = max(int(min(float(t1 - t0) / max_tau, 2.0**63)), 1)
 
         def unit_of(times):
@@ -266,14 +269,13 @@ def _histogram(stream, bin_width, max_tau, scope, num_pulses):
 
 
 def _pulse_slices(stream, n_pulses):
-    """The stream's `_slices`, each checked as it comes: an index outside
-    [0, n_pulses) is an EstimationError naming the span of all of them."""
+    """The stream's `_slices`, each checked as it comes: the first index outside
+    [0, n_pulses) is an EstimationError naming its record (`_bad_pulse`)."""
+    record = 0
     for pulse, times in stream._slices():
-        if pulse.min() < 0 or pulse.max() >= n_pulses:
-            span = stream._pulse_span
-            raise EstimationError(
-                f"pulse indices span [{span[0]}, {span[1]}], outside [0, N) "
-                f"for N = {n_pulses} pulses")
+        if bad := _bad_pulse(pulse, n_pulses, record):
+            raise EstimationError(bad)
+        record += pulse.size
         yield pulse, times
 
 
@@ -433,9 +435,8 @@ def pn_histogram_g2q(stream: ClickStream, train):
     is the source g2q regardless of detector efficiency.  Both are counted
     per pulse block in O(clicks) time (`_same_pulse_counts`), the sigma is
     the ratio's linearized spread over `tau_histogram`'s at most 200 pulse
-    blocks, and over `_MAX_PULSES` pulses a ValueError is raised."""
-    n_pulses = (train.num_pulses if isinstance(train, _simulate.PulseTrainConfig)
-                else int(train))
+    blocks, and an N not an integer in [1, `_MAX_PULSES`] is a ValueError."""
+    n_pulses = train.num_pulses if isinstance(train, _simulate.PulseTrainConfig) else train
     if not stream.n_clicks:
         raise EstimationError("g2q from photon numbers undefined: no clicks")
     return _pn_ratio(*_same_pulse_counts(stream, n_pulses)[1:], n_pulses)
@@ -542,8 +543,6 @@ class ConditionalProbabilityCurve:
         if excess[0] <= 0 or below.size == 0:
             return math.nan
         j = int(below[0])
-        if j == 0:
-            return float(self.tau[0])
         frac = (excess[j - 1] - half) / (excess[j - 1] - excess[j])
         return 2.0 * float(self.tau[j - 1] + frac * (self.tau[j] - self.tau[j - 1]))
 

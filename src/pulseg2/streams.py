@@ -30,15 +30,17 @@ sidecar   JSON next to either format with the seed, the full generating
 
 The estimators read a stream only through ``n_clicks``, ``metadata``,
 `_slices` (the pulse indices, -1 for a stationary click, and the times of
-a slice of records), `_time_span` (the first and last times) and
-`_pulse_span` (the least and greatest index, a walk of its own), so a
-`ClickStream`, which yields views of its arrays, and a `_StreamFile`
-take one path through them.  A CSV stream is always read whole.
+a slice of records) and `_ends` (the first record's index, the first and
+last times), so a `ClickStream`, which yields views of its arrays, and a
+`_StreamFile` take one path through them.  Without a sidecar ``kind``, a
+stream is pulsed if its first index is not the sentinel.  A CSV stream is
+always read whole.
 
 Every time is checked once, by one rule (`_bad_time`): a `ClickStream`
 checks its array when it is made, a `_StreamFile` each slice as a walk
 reads it.  The first record whose time is not finite or lies below the
-one before it is named in the error.
+one before it is named in the error, as `_bad_pulse` names the first
+index outside a train of N pulses for the walks and counts that take N.
 
 Every CSV table and JSON document the package writes goes through
 `_write_table` or `_write_json`, and every CSV table it reads through
@@ -48,7 +50,6 @@ Every CSV table and JSON document the package writes goes through
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -104,25 +105,26 @@ def _bad_time(t, last=-math.inf, offset=0) -> str | None:
             f"{'finite' if bad[i] else 'nondecreasing'}")
 
 
+def _bad_pulse(pulse, n, offset=0) -> str | None:
+    """The error text naming the first record of the pulse indices ``pulse``
+    (numbered from ``offset``) outside [0, ``n``); None if all lie in it."""
+    if not pulse.size or (pulse.min() >= 0 and pulse.max() < n):
+        return None
+    i = int(np.argmax((pulse < 0) | (pulse >= n)))
+    return f"record {offset + i}: pulse index {pulse[i]} outside [0, N) for N = {n} pulses"
+
+
 class _Records:
     """What the estimators read of a stream: ``metadata``, ``n_clicks``,
-    `_slices`, `_time_span` and `_pulse_span`, and from these whether the
-    stream is pulsed."""
+    `_slices` and `_ends`, and from these whether the stream is pulsed."""
 
     @property
     def is_pulsed(self) -> bool:
+        """The sidecar ``kind``, else whether the first index is not the sentinel."""
         kind = self.metadata.get("kind")
         if kind is not None:
             return kind == "pulsed"
-        return bool(self.n_clicks) and self._pulse_span[0] >= 0
-
-    @functools.cached_property
-    def _pulse_span(self) -> tuple[int, int] | None:
-        """The least and greatest pulse index, -1 for a stationary click,
-        None without clicks: a walk of its own over the `_slices`."""
-        spans = [(pulse.min(), pulse.max()) for pulse, _ in self._slices()]
-        return (int(min(s[0] for s in spans)), int(max(s[1] for s in spans))
-                ) if spans else None
+        return bool(self.n_clicks) and self._ends()[0] >= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +152,9 @@ class ClickStream(_Records):
         return self.times.size
 
     def counts_per_pulse(self, num_pulses: int) -> np.ndarray:
-        """Clicks per pulse, including empty pulses (length ``num_pulses``)."""
-        if self.n_clicks and (self.pulse_index.min() < 0
-                              or self.pulse_index.max() >= num_pulses):
-            raise ValueError("pulse indices outside [0, num_pulses)")
+        """Clicks per pulse, including empty pulses; a `_bad_pulse` ValueError."""
+        if bad := _bad_pulse(self.pulse_index, num_pulses):
+            raise ValueError(bad)
         return np.bincount(self.pulse_index, minlength=num_pulses)
 
     def _slices(self):
@@ -161,9 +162,10 @@ class ClickStream(_Records):
         for lo in range(0, self.n_clicks, _IO_SLICE):
             yield self.pulse_index[lo:lo + _IO_SLICE], self.times[lo:lo + _IO_SLICE]
 
-    def _time_span(self):
-        """The first and last click times; (0, 0) without clicks."""
-        return (self.times[0], self.times[-1]) if self.n_clicks else (0.0, 0.0)
+    def _ends(self):
+        """The first pulse index, first and last times; (-1, 0, 0) without clicks."""
+        return ((int(self.pulse_index[0]), self.times[0], self.times[-1]) if self.n_clicks
+                else (-1, 0.0, 0.0))
 
     def __repr__(self):
         return f"ClickStream(n_clicks={self.n_clicks}, kind={self.metadata.get('kind')!r})"
@@ -194,20 +196,18 @@ class _StreamFile(_Records):
             lo, last = lo + t.size, t[-1]
             yield pulse, t
 
-    def _time_span(self):
-        """The first and last click times, read from the end records; if
-        these are out of order or not finite, a checking walk names the
-        first bad record."""
+    def _ends(self):
+        """The first pulse index (the sentinel as -1), first and last times, read
+        from the end records; if these times are out of order or not finite, a
+        checking walk names the first bad record."""
         if not self.n_clicks:
-            return 0.0, 0.0
-        with open(self.path, "rb") as fh:
-            first = np.fromfile(fh, _BINARY_DTYPE, 1)
-            fh.seek(-_BINARY_DTYPE.itemsize, os.SEEK_END)
-            ends = np.append(first, np.fromfile(fh, _BINARY_DTYPE, 1))["time_seconds"]
-        if _bad_time(ends):
+            return -1, 0.0, 0.0
+        ends = np.concatenate([np.fromfile(self.path, _BINARY_DTYPE, 1, offset=k) for k in
+                               (0, (self.n_clicks - 1) * _BINARY_DTYPE.itemsize)])
+        if _bad_time(ends["time_seconds"]):
             for _ in self._slices():
                 pass
-        return ends[0], ends[1]
+        return int(ends["pulse_index"].view(np.int64)[0]), *ends["time_seconds"]
 
 
 def sidecar_path(path) -> str:

@@ -504,7 +504,13 @@ class TestAnalyzeCommand:
         (lambda path: path.write_text(PULSED_CSV), [], "number of pulses unknown"),
         (lambda path: path.write_text(PULSED_CSV), ["--pulses", "2000"],
          "cannot choose a bin width"),
-    ], ids=["poisson_control", "pulsed_without_n", "pulsed_without_mode_or_period"])
+        # every click at its pulse's centre: the offsets have no spread
+        (lambda path: pg.write_stream(pg.ClickStream(
+            [0, 0, 1], (np.array([0, 0, 1]) + 0.5) * 12.5e-9,
+            {"kind": "pulsed", "train": {"num_pulses": 2, "repetition_period": 12.5e-9}}),
+            path), [], "cannot choose a bin width"),
+    ], ids=["poisson_control", "pulsed_without_n", "pulsed_without_mode_or_period",
+            "zero_offset_spread"])
     def test_unknown_binning_or_pulse_count_exits_3(self, tmp_path, capsys, write, flags,
                                                     message):
         # the Poisson control has no bandwidth; a pulsed CSV stream alone has
@@ -850,6 +856,7 @@ class TestExitCodes:
         ("[pulsed]\nnum_pulses = 1000.7\n", "[pulsed] num_pulses"),
         # a pulse index times 200 blocks would leave int64
         ("[pulsed]\nnum_pulses = 1e17\n", "num_pulses must be an integer in [1, "),
+        ("[output]\nformat = xml\n", "[output] format"),
     ])
     def test_non_finite_value_named(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.ini"

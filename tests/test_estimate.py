@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -162,6 +163,20 @@ class TestTauHistogram:
         with pytest.raises(ValueError, match=f"^{units} .* more than {_MAX_PULSES}$"):
             est.tau_histogram(stream, max_tau / 10.0, max_tau, scope=scope)
 
+    @pytest.mark.parametrize("n", [0, -5, 2.5, 10**30])
+    @pytest.mark.parametrize("call", [
+        lambda stream, n: est.tau_histogram(stream, 5e-11, 6e-9, num_pulses=n),
+        lambda stream, n: est.pn_histogram_g2q(stream, n),
+        lambda stream, n: est.analyze_stream(stream, num_pulses=n, mode=MODE),
+    ], ids=["tau_histogram", "pn_histogram_g2q", "analyze_stream"])
+    def test_pulse_count_outside_the_bound_named(self, call, n):
+        # every walk's N is checked once, where its blocks are made: an N of
+        # 0 no longer falls back to the sidecar's, nor a fraction to its floor
+        stream, _ = run_train(st.coherent(0.5), 20000, seed=4)
+        rule = f"more than {_MAX_PULSES}" if n == 10**30 else "N must be an integer >= 1"
+        with pytest.raises(ValueError, match=re.escape(f"{n} pulse or time units") + ".*" + rule):
+            call(stream, n)
+
     def test_unit_count_at_the_bound_walks(self):
         stream = pg.ClickStream(np.array([0, _MAX_PULSES - 1]), np.array([0.0, 1e-9]), {})
         hist = est.tau_histogram(stream, 1e-16, 1e-15)
@@ -241,6 +256,12 @@ class TestEstimateD0:
         assert hist.counts.sum() > 0
         assert est.estimate_D0(hist, hint) == (0.0, math.inf)
         assert est.g2p(stream, hist, hint) == (0.0, math.inf)
+
+    def test_degenerate_fit_shape_rejected(self):
+        # a 1 fs hint's eta underflows to 0 at every bin centre: no shape to fit
+        stream, _ = run_train(st.thermal(1.0), 2000, seed=7)
+        with pytest.raises(EstimationError, match="degenerate fit shape"):
+            est.estimate_D0(standard_hist(stream), md.gaussian_mode(1e-15))
 
     def test_requires_same_pulse_scope(self):
         stream, _ = run_train(st.coherent(1.0), 1000, seed=8)
@@ -508,6 +529,11 @@ class TestSidePeak:
         with pytest.raises(ValueError, match="requires a pulsed stream"):
             est.g2_sidepeak(stream, train, window=3e-9)
 
+    def test_train_config_required(self):
+        stream, _ = run_train(st.coherent(1.0), 1000, seed=25)
+        with pytest.raises(TypeError, match="PulseTrainConfig"):
+            est.g2_sidepeak(stream, 1000, window=3e-9)
+
     def test_index_beyond_train_names_n(self):
         stream, _ = run_train(st.coherent(1.0), 5000, seed=22)
         short = sim.PulseTrainConfig(1000, PERIOD, MODE)
@@ -596,6 +622,11 @@ class TestAnalyzeStream:
         assert report.Ip == 0.0
         assert report.g2p is None
         json.loads(report.to_json())  # serializable with nulls
+
+    def test_stationary_stream_rejected(self):
+        stream = sim.simulate_stationary_poisson(2e5, 0.01, seed=27)
+        with pytest.raises(ValueError, match="handles pulsed streams"):
+            est.analyze_stream(stream, num_pulses=1000, mode=MODE)
 
     def test_wrong_width_hint_flags_and_biases(self):
         from scipy.integrate import quad

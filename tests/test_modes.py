@@ -142,6 +142,22 @@ class TestSampledValidation:
         with pytest.raises(ValueError, match="coarse"):
             md.sampled_mode(t, v)
 
+    @pytest.mark.parametrize("t,v,message", [
+        (np.arange(5.0), np.ones(5), "at least 9 samples"),
+        (np.arange(9.0)[::-1], np.ones(9), "strictly increasing"),
+        (np.arange(9.0), np.r_[np.ones(8), np.nan], "finite"),
+        # one lit sample at t = 0: the profile has no width
+        (np.linspace(-1, 1, 11), np.eye(11)[5], "degenerate intensity profile"),
+    ], ids=["too_few", "decreasing", "nan_sample", "one_sample_lit"])
+    def test_bad_samples_named(self, t, v, message):
+        with pytest.raises(ValueError, match=message):
+            md.sampled_mode(t, v.astype(complex))
+
+    @pytest.mark.parametrize("order", [-1, 1.5, md._MAX_HG_ORDER + 1])
+    def test_hg_order_out_of_range(self, order):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            md.hermite_gauss_mode(order, 1.0)
+
     def test_zero_energy_rejected(self):
         t = np.linspace(-1, 1, 51)
         with pytest.raises(ValueError):

@@ -558,6 +558,18 @@ def test_non_finite_config_rejected(make, name):
         make()
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: sim.PulseTrainConfig(100, -1e-9, MODE), "repetition_period must be positive"),
+    (lambda: sim.StationaryThermalConfig(-1.0, 1e6, 1.0), "rate must be >= 0"),
+    (lambda: sim.StationaryThermalConfig(2e5, 1e6, 0.0), "duration positive"),
+    (lambda: sim.simulate_stationary_poisson(-1.0, 1.0, seed=0), "rate must be >= 0"),
+    (lambda: sim.simulate_stationary_poisson(1e5, 0.0, seed=0), "duration positive"),
+], ids=["period", "thermal_rate", "thermal_duration", "poisson_rate", "poisson_duration"])
+def test_out_of_range_config_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestAnalyticCurves:
     def test_pair_density_identity(self):
         # D(tau) must equal Ip^2 g2q eta(tau) / N bin for bin

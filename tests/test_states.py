@@ -217,6 +217,27 @@ class TestSpecGrammar:
             st.parse_state_spec(bad)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda path: st.QuantumState("custom", [[0.5, 0.5]], "l"), "nonempty 1-D"),
+    (lambda path: st.QuantumState("custom", [1.5, -0.5], "l"), "finite and nonnegative"),
+    (lambda path: st.QuantumState("custom", [0.5, 0.2], "l"), "sum to one"),
+    (lambda path: st.thermal(-1.0), "finite and >= 0"),
+    (lambda path: st.fock(-1), "nonnegative integer"),
+    (lambda path: st.mixture([1.0], [st.fock(1), st.fock(2)]), "one weight per component"),
+    (lambda path: st.mixture([-1.0, 2.0], [st.fock(1), st.fock(2)]), "positive sum"),
+    (lambda path: st.from_pn([0.5, np.nan]), "nonempty and finite"),
+    (lambda path: st.g2q_from_pn([-0.5, 1.5]), "finite and nonnegative"),
+    (lambda path: st.binomial_loss_pn([1.0], 1.5), "survival"),
+    (lambda path: (path.write_text("n,P_n\n-1,1\n"), st.parse_state_spec(f"pn:{path}")),
+     "nonnegative integers"),
+], ids=["not_1d", "negative_entry", "unnormalized", "negative_thermal_mean",
+        "negative_fock", "weight_count", "negative_weight", "nan_pn", "negative_g2_pn",
+        "survival_above_1", "negative_photon_number"])
+def test_out_of_range_input_named(tmp_path, make, message):
+    with pytest.raises(ValueError, match=message):
+        make(tmp_path / "pn.csv")
+
+
 def test_apply_loss_matches_binomial_oracle():
     # thin fock(3) by hand: P(m) = C(3,m) s^m (1-s)^(3-m)
     s = 0.4

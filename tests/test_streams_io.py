@@ -66,6 +66,22 @@ def test_empty_stream_round_trip(tmp_path):
     assert back.n_clicks == 0
 
 
+def test_empty_binary_stream_gives_an_empty_all_pairs_histogram(tmp_path, reads):
+    # no end records to read: one time block from 0, and the one walk reads nothing
+    write_stream(ClickStream(np.empty(0, np.int64), np.empty(0), {"kind": "stationary"}),
+                 tmp_path / "empty.bin", fmt="binary")
+    stream = streams._open_stream(tmp_path / "empty.bin")
+    hist = est.tau_histogram(stream, 1e-9, 1e-8, scope="all_pairs")
+    assert hist.is_empty and hist.block_clicks.tolist() == [0]
+    assert stream._ends() == (-1, 0.0, 0.0) and len(reads) == 1
+
+
+def test_unknown_stream_format_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown stream format 'xml'"):
+        write_stream(small_stream(), tmp_path / "s.xml", fmt="xml")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("text", [
     "pulse_index,time_seconds\n\n0,1e-9\n1,2e-8\n",
     "pulse_index,time_seconds\n0,1e-9\n\n1,2e-8\n",
@@ -168,6 +184,14 @@ def test_counts_per_pulse_checks_range():
         stream.counts_per_pulse(2)
     counts = stream.counts_per_pulse(5)
     assert counts.tolist() == [1, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_counts_per_pulse_names_the_first_bad_record(index):
+    stream = ClickStream(np.array([0, 1, index, 7]), np.arange(4.0), {"kind": "pulsed"})
+    with pytest.raises(ValueError) as err:
+        stream.counts_per_pulse(4)
+    assert str(err.value) == f"record 2: pulse index {index} outside [0, N) for N = 4 pulses"
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -414,12 +438,13 @@ def test_truncated_file_exits_2(monkeypatch, tmp_path, capsys, cut, message):
     assert capsys.readouterr().err.startswith(f"i/o error: {path}: {message}")
 
 
-@pytest.mark.parametrize("index,span", [(-1, "[-1, 3]"), (7, "[0, 7]"), (-5, "[-5, 3]")],
+@pytest.mark.parametrize("index,record", [(-1, 100), (7, 100), (-5, 150)],
                          ids=["sentinels", "past_n", "negative_mid_slice"])
-def test_pulse_index_outside_the_train_exits_3(monkeypatch, tmp_path, capsys, index, span):
+def test_pulse_index_outside_the_train_exits_3(monkeypatch, tmp_path, capsys, reads, index,
+                                               record):
     # a pulsed binary stream whose later slices hold the stationary sentinel,
     # an index past N, or one negative index inside a slice fails the range
-    # check the first walk feeds
+    # check the first walk feeds, which names the first bad record
     pulse = np.where(np.arange(300) < 100, np.arange(300) // 25, index)
     if index == -5:
         pulse = np.arange(300) // 75
@@ -430,4 +455,51 @@ def test_pulse_index_outside_the_train_exits_3(monkeypatch, tmp_path, capsys, in
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", "s.bin", "--pulses", "5", "--mode", "gauss:1e-10",
                      "--out", "r.json"]) == 3
-    assert f"pulse indices span {span}, outside [0, N) for N = 5" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"estimation error: record {record}: pulse index "
+                                       f"{index} outside [0, N) for N = 5 pulses\n")
+    assert len(reads) == 1
+
+
+def _sidecarless(tmp_path, pulse):
+    """A binary stream of the indices ``pulse``, 1 ns apart, with no sidecar."""
+    write_stream(ClickStream(pulse, np.arange(pulse.size) * 1e-9, {}), tmp_path / "s.bin",
+                 fmt="binary")
+    os.remove(tmp_path / "s.bin.meta.json")
+    return "s.bin"
+
+
+def test_sidecarless_stream_is_read_once(monkeypatch, tmp_path, reads):
+    # the kind comes from the first record: the pulsed walk is the only read
+    path = _sidecarless(tmp_path, np.arange(300) // 3)
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", path, "--pulses", "100", "--mode", "gauss:1e-10",
+                     "--out", "r.json"]) == 0
+    assert len(reads) == 1
+    assert json.loads((tmp_path / "r.json").read_text())["N"] == 100
+
+
+@pytest.mark.parametrize("first,pulsed", [(0, True), (-1, False)])
+def test_kind_from_the_first_record(tmp_path, reads, first, pulsed):
+    # a stream that starts with the sentinel stays stationary; no walk decides
+    pulse = np.arange(300) // 3
+    pulse[0] = first
+    assert streams._open_stream(tmp_path / _sidecarless(tmp_path, pulse)).is_pulsed == pulsed
+    assert not reads
+
+
+@pytest.mark.parametrize("binning", [[], ["--bin-width", "1e-10"]],
+                         ids=["default_binning", "bin_width"])
+def test_sentinel_after_a_pulse_index_exits_3(monkeypatch, tmp_path, capsys, binning):
+    # pulsed by its first record, the stream fails the index rule where it
+    # holds the stationary sentinel, rather than being analyzed as stationary
+    pulse = np.arange(300) // 3
+    pulse[200] = -1
+    path = _sidecarless(tmp_path, pulse)
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", path, "--pulses", "100", "--mode", "gauss:1e-10",
+                     "--out", "r.json", *binning]) == 3
+    assert capsys.readouterr().err == ("estimation error: record 200: pulse index -1 "
+                                       "outside [0, N) for N = 100 pulses\n")
+    assert not (tmp_path / "r.json").exists()
