@@ -193,6 +193,7 @@ def _analyze_stationary(stream, cfg, given, report_path, side) -> int:
         "g2_zero_sigma": g2_sigma,
         "excess_fwhm_seconds": curve.excess_fwhm(base_from),
         "total_clicks": curve.total_clicks,
+        "flags": _est._detector_flags(stream.metadata),
     }, report_path)
     curve_path = os.path.splitext(report_path)[0] + "_pc.csv"
     _write_table(curve_path, "tau_seconds,pc_per_second", [curve.tau, curve.pc])

@@ -93,6 +93,8 @@ class TauHistogram:
 _PAIR_SLICE = 1 << 15
 # bins of a pair histogram; its (<= 200 blocks, bins) counts stay <= 26 MB
 _MAX_BINS = 1 << 14
+# most within-pulse offsets the fallback width samples (<= 0.5 MB of them)
+_SPREAD_SAMPLE = 1 << 16
 
 
 def _pairs(times, reach, n=None):
@@ -630,19 +632,20 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
 
     Missing arguments are filled from the stream's sidecar metadata; a
     sidecar mode or state label that does not parse is skipped and
-    flagged ``<key>_label_unparsed``.  One walk builds the same-pulse
-    histogram and the pn route's rows, and D(0) is fitted once, with the
-    mode as the shape hint, else the Gaussian of the fitted width; the fit
-    also gives eta(0), and the D(0) and g2p sigmas spread over the blocks of
-    N that the pn route takes too.  g2q_eta is g2p and its sigma rescaled by
-    N / eta(0); a histogram without pairs gives zeros with sigma inf.  An
-    empty stream produces a flagged report rather than an error; a pulse
-    index outside [0, N) is an EstimationError, raised as the walk reads
-    its slice.  A fitted width more than 10 percent off a ``gauss:`` or
-    ``hg:0:`` hint is flagged ``width_mismatch``, since the eta-corrected
-    g2q scales linearly with the assumed width.  A sidecar detector dead
-    time > 0, which biases every route low and which no route corrects, is
-    flagged ``dead_time_biased``.
+    flagged ``<key>_label_unparsed``.  Unset bins follow the mode's width,
+    else, with no mode, the `_within_pulse_spread` of one strided walk.
+    One walk builds the same-pulse histogram and the pn route's rows, and
+    D(0) is fitted once, with the mode as the shape hint, else the Gaussian
+    of the fitted width; the fit also gives eta(0), and the D(0) and g2p
+    sigmas spread over the blocks of N that the pn route takes too.
+    g2q_eta is g2p and its sigma rescaled by N / eta(0); a histogram
+    without pairs gives zeros with sigma inf.  An empty stream produces a
+    flagged report rather than an error, once its N passes the one N rule
+    (`_blocks`); a pulse index outside [0, N) is an EstimationError, raised
+    as the walk reads its slice.  A fitted width more than 10 percent off a
+    ``gauss:`` or ``hg:0:`` hint is flagged ``width_mismatch``, since the
+    eta-corrected g2q scales linearly with the assumed width.  A sidecar
+    detector dead time > 0 is flagged ``dead_time_biased`` (`_detector_flags`).
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -657,8 +660,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         mode = _parse_sidecar_label(meta, "mode", _modes.parse_mode_spec, flags)
     if state is None:
         state = _parse_sidecar_label(meta, "state", _states.parse_state_spec, flags)
-    if (meta.get("detector", {}).get("dead_time") or 0) > 0:
-        flags.append("dead_time_biased")
+    flags += _detector_flags(meta)
 
     g2q_analytic = None
     if state is not None:
@@ -669,6 +671,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
 
     total = stream.n_clicks
     if total == 0:
+        _blocks(0, num_pulses)      # no walk holds N to the N rule here
         flags.append("empty_stream")
         return CoherenceReport(N=num_pulses, Ip=0.0, D0_per_second=0.0, D0_sigma=math.inf,
                                g2q_analytic=g2q_analytic, flags=flags, state=state,
@@ -708,39 +711,28 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
 
 def _within_pulse_spread(stream: ClickStream) -> float:
     """Crude width scale from within-pulse click offsets (fallback binning):
-    their `np.std` times sqrt(2), each sum `_pairwise_sum` over the slices."""
+    sqrt(2) times the `np.std` of the offset of every k-th record, k the
+    least that keeps at most `_SPREAD_SAMPLE` of them.  The sample goes by
+    record number, not by read slice, so one walk of any slicing gives the
+    same bits; a stream of at most `_SPREAD_SAMPLE` clicks samples each."""
     period = stream.metadata.get("train", {}).get("repetition_period")
     if period is None:
         raise EstimationError("cannot choose a bin width: pass bin_width")
-
-    def total(f):
-        return _pairwise_sum((f(t - (p + 0.5) * period) for p, t in stream._slices()),
-                             stream.n_clicks)
-    mean = total(lambda x: x) / stream.n_clicks
-    spread = math.sqrt(total(lambda x: (x - mean) ** 2) / stream.n_clicks)
+    k, lo, parts = max(-(-stream.n_clicks // _SPREAD_SAMPLE), 1), 0, []
+    for p, t in stream._slices():
+        first = -lo % k
+        parts.append(t[first::k] - (p[first::k] + 0.5) * period)
+        lo += t.size
+    spread = float(np.std(np.concatenate(parts)))
     if not spread > 0:
         raise EstimationError("cannot choose a bin width: pass bin_width")
     return spread * math.sqrt(2.0)
 
 
-def _pairwise_sum(parts, n) -> float:
-    """The sum of the ``n`` float64 values that the arrays ``parts`` hold in
-    turn, bit for bit `np.add.reduce`'s over all of them: numpy sums 128
-    values or fewer at once and splits more in two, the first part's size
-    half rounded down to a multiple of 8.  A part of this tree that lies
-    within the held values is summed by numpy; one that does not is split
-    the same way, down to 128 values, which wait for the next array."""
-    parts, held, base = iter(parts), np.empty(0), 0   # values [base, base + held.size)
-
-    def tree(a, m):
-        nonlocal held, base
-        while a + m > base + held.size and (m <= 128 or a >= base + held.size):
-            held, base = np.concatenate([held[a - base:], next(parts)]), a
-        if a + m <= base + held.size:
-            return float(np.add.reduce(held[a - base:a - base + m]))
-        half = m // 2 - m // 2 % 8
-        return tree(a, half) + tree(a + half, m - half)
-    return tree(0, n)
+def _detector_flags(meta):
+    """``dead_time_biased`` for a sidecar detector dead time > 0, which biases
+    every pulsed route and the stationary g2(0) low and which none corrects."""
+    return ["dead_time_biased"] if (meta.get("detector", {}).get("dead_time") or 0) > 0 else []
 
 
 def _parse_sidecar_label(meta, key, parse, flags):

@@ -458,6 +458,21 @@ class TestAnalyzeCommand:
         curve = (tmp_path / "summary_pc.csv").read_text().splitlines()
         assert curve[0] == "tau_seconds,pc_per_second"
 
+    @pytest.mark.parametrize("dead_time", [0.0, 5e-8])
+    def test_stationary_dead_time_flagged(self, tmp_path, dead_time):
+        # 50 ns of dead time empties bin 0 (20 ns at 1 MHz): g2(0) reads 0
+        _, path = write_cfg(tmp_path, kind="stationary", mean_rate=1e6, duration=0.05,
+                            dead_time=dead_time)
+        assert cli.main(["simulate", "--config", path]) == 0
+        assert cli.main(["analyze", str(tmp_path / "stream.csv"),
+                         "--out", str(tmp_path / "r.json")]) == 0
+        summary = json.loads((tmp_path / "r.json").read_text())
+        assert list(summary) == ["pc_peak_per_second", "pc_baseline_per_second", "g2_zero",
+                                 "g2_zero_sigma", "excess_fwhm_seconds", "total_clicks",
+                                 "flags"]
+        assert summary["flags"] == (["dead_time_biased"] if dead_time else [])
+        assert (summary["g2_zero"] == 0.0) == (dead_time > 0)
+
     @pytest.mark.parametrize("ini,bin_width", [
         ("", 2e-8),
         ("[stationary]\nspectral_bandwidth = 2e5\n", 1e-7),

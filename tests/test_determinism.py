@@ -95,7 +95,7 @@ RATIOS = {
     "pn-dead": lambda: est.pn_histogram_g2q(_stream("gauss-dead"), _TRAIN),
 }
 
-MADE_WITH = {"pulseg2": "0.17.0", "numpy": "2.4.6"}
+MADE_WITH = {"pulseg2": "0.18.0", "numpy": "2.4.6"}
 
 DIGESTS = {
     "gauss-ideal": "30f65fcb08cae091003b449649efe6bb62fce5c81401405b0b651a9e92de830d",

@@ -168,7 +168,11 @@ class TestTauHistogram:
         lambda stream, n: est.tau_histogram(stream, 5e-11, 6e-9, num_pulses=n),
         lambda stream, n: est.pn_histogram_g2q(stream, n),
         lambda stream, n: est.analyze_stream(stream, num_pulses=n, mode=MODE),
-    ], ids=["tau_histogram", "pn_histogram_g2q", "analyze_stream"])
+        # no walk runs on an empty stream, so its report checks N itself
+        lambda stream, n: est.analyze_stream(
+            pg.ClickStream(stream.pulse_index[:0], stream.times[:0], stream.metadata),
+            num_pulses=n),
+    ], ids=["tau_histogram", "pn_histogram_g2q", "analyze_stream", "analyze_empty_stream"])
     def test_pulse_count_outside_the_bound_named(self, call, n):
         # every walk's N is checked once, where its blocks are made: an N of
         # 0 no longer falls back to the sidecar's, nor a fraction to its floor
@@ -618,7 +622,8 @@ class TestAnalyzeStream:
                                 {"kind": "pulsed", "train": {"num_pulses": 100,
                                                              "repetition_period": PERIOD}})
         report = est.analyze_stream(stream)
-        assert "empty_stream" in report.flags
+        assert report.N == 100 and report.flags == ["empty_stream"]
+        assert est.analyze_stream(stream, num_pulses=100).N == 100
         assert report.Ip == 0.0
         assert report.g2p is None
         json.loads(report.to_json())  # serializable with nulls
@@ -887,19 +892,17 @@ class TestSlicedStreams:
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
     def test_within_pulse_spread_is_numpys(self, monkeypatch, files):
-        # the sums follow numpy's pairwise tree across the slices
-        stream = files["jittered"][0]
+        # every offset, then every k-th record's: numpy's bits at any slicing
+        stream, path = files["jittered"]
         offsets = stream.times - (stream.pulse_index + 0.5) * PERIOD
-        for slice_len in (7, 129, 1 << 16):
-            monkeypatch.setattr(pg.streams, "_IO_SLICE", slice_len)
-            assert est._within_pulse_spread(stream) == float(np.std(offsets)) * math.sqrt(2)
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 1000, 4099, 100003])
-    def test_pairwise_sum_is_add_reduce(self, n):
-        x = np.random.default_rng(n).standard_normal(n) * 1e3 + 1e6
-        for cut in (1, 7, 128, 1000, n):
-            parts = (x[i:i + cut] for i in range(0, n, cut))
-            assert est._pairwise_sum(parts, n) == float(np.add.reduce(x))
+        k = -(-stream.n_clicks // 1000)
+        assert k > 1
+        for sample, want in ((est._SPREAD_SAMPLE, offsets), (1000, offsets[::k])):
+            monkeypatch.setattr(est, "_SPREAD_SAMPLE", sample)
+            for slice_len in (7, 129, 1 << 16):
+                monkeypatch.setattr(pg.streams, "_IO_SLICE", slice_len)
+                for s in (stream, pg.streams._open_stream(path)):
+                    assert est._within_pulse_spread(s) == float(np.std(want)) * math.sqrt(2)
 
     def test_index_behind_a_counted_pulse_named(self, monkeypatch):
         # read 4 records at a time, pulse 1 is counted once the second slice

@@ -263,16 +263,21 @@ STREAMS = {
                      ("--pulses", "5000")),
     # no mode: the binning comes from the within-pulse spread
     "no_mode": (lambda: _pulsed(pg.thermal(1.0), 5000, 6), ("mode",), ()),
+    # the same stream, its spread from a strided sample (`SPREAD_SAMPLE`)
+    "no_mode_strided": (lambda: _pulsed(pg.thermal(1.0), 5000, 6), ("mode",), ()),
     "gaussian": (lambda: _stationary("gaussian", 7), (), ()),
     "lorentzian": (lambda: _stationary("lorentzian", 8), (), ()),
     "poisson": (lambda: pg.simulate_stationary_poisson(2e5, 0.01, seed=9), (),
                 ("--bin-width", "2e-7")),
 }
 
+# the `estimate._SPREAD_SAMPLE` a stream is analyzed with, below its clicks
+SPREAD_SAMPLE = {"no_mode_strided": 1000}
+
 
 @pytest.fixture(scope="module", params=sorted(STREAMS))
 def written(request, tmp_path_factory):
-    """The stream as CSV and as binary, with its flags."""
+    """The stream as CSV and as binary, its flags and its `SPREAD_SAMPLE`."""
     make, dropped, flags = STREAMS[request.param]
     stream = make()
     assert stream.n_clicks > 1000
@@ -287,7 +292,7 @@ def written(request, tmp_path_factory):
             meta.get("train", {}).pop(key, None)
             meta.pop(key, None)
         side.write_text(json.dumps(meta))
-    return paths, flags
+    return paths, flags, SPREAD_SAMPLE.get(request.param)
 
 
 def analyze_outputs(path, workdir, flags):
@@ -306,7 +311,9 @@ def analyze_outputs(path, workdir, flags):
 def test_sliced_analysis_writes_the_in_memory_bytes(monkeypatch, tmp_path, written,
                                                     slice_len):
     # the reference: the CSV stream read whole, its walk one window long
-    (csv, binary), flags = written
+    (csv, binary), flags, spread_sample = written
+    if spread_sample:
+        monkeypatch.setattr(est, "_SPREAD_SAMPLE", spread_sample)
     want = analyze_outputs(csv, tmp_path / "whole", flags)
     assert "report.json" in want and len(want) == 2
     assert analyze_outputs(binary, tmp_path / "binary", flags) == want
@@ -332,6 +339,23 @@ def test_pulsed_analysis_reads_the_binary_stream_once(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", "s.bin", "--mode", "gauss:1e-9", "--out", "r.json"]) == 0
     assert len(reads) == 1
+
+
+def test_hintless_pulsed_analysis_reads_the_binary_stream_twice(monkeypatch, tmp_path,
+                                                                reads):
+    # with no mode, one strided walk gives the fallback width before the pair walk
+    stream = STREAMS["jittered"][0]()
+    write_stream(stream, tmp_path / "s.bin", fmt="binary")
+    side = Path(sidecar_path(tmp_path / "s.bin"))
+    meta = json.loads(side.read_text())
+    del meta["mode"]
+    side.write_text(json.dumps(meta))
+    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    monkeypatch.setattr(est, "_SPREAD_SAMPLE", 1000)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "s.bin", "--out", "r.json"]) == 0
+    assert "width_fitted_from_histogram" in json.loads(Path("r.json").read_text())["flags"]
+    assert len(reads) == 2
 
 
 @pytest.fixture
