@@ -101,19 +101,21 @@ def _pairs(times, reach, n=None):
     """Yield ``(first, second)`` index arrays of click pairs, one lag at a time.
 
     The pairs are every i < j of the sorted ``times`` with i < n (default
-    all) and times[j] < times[i] + reach.  Pass d keeps the clicks of pass
-    d - 1 with times[i + d] < times[i] + reach and yields their pairs
-    (i, i + d), so memory stays O(n) per pass.  Pulse indices in pulse
-    order as ``times`` and reach 1 give the pairs that share a pulse.
+    all) and times[j] < times[i] + reach.  Pass 1 compares two contiguous
+    slices, times[1:] against times[:-1] + reach; pass d > 1 keeps the
+    clicks of pass d - 1 with times[i + d] < times[i] + reach.  Each yields
+    its pairs (i, i + d), so memory stays O(n) per pass.  Pulse indices in
+    pulse order as ``times`` and reach 1 give the pairs that share a pulse.
     """
-    first = np.arange(times.size if n is None else n, dtype=np.int64)
-    for d in itertools.count(1):
-        if first.size and first[-1] + d == times.size:     # no click d places on
+    m = min(times.size if n is None else n, times.size - 1)
+    first = np.flatnonzero(times[1:m + 1] < times[:m] + reach)
+    d = 1
+    while first.size:
+        yield first, first + d
+        d += 1
+        if first[-1] + d == times.size:     # no click d places on
             first = first[:-1]
         first = first[times[first + d] < times[first] + reach]
-        if not first.size:
-            return
-        yield first, first + d
 
 
 def _windows(slices, reach, pulsed):
@@ -146,33 +148,33 @@ def _windows(slices, reach, pulsed):
         yield p[lo:] if pulsed else None, t[lo:], min(size, t.size - lo)
 
 
-def _pair_counts(windows, reach, n_units, nbins, bin_of, passes=None, unit_of=None,
+def _pair_counts(windows, reach, n_units, ncols, bin_of, passes=None, unit_of=None,
                  by_pulse=False):
     """Counts of the `_pairs` within ``reach`` per `_blocks` block of the
-    first click's unit, (blocks, bins) int64, and each block's clicks.
+    first click's unit, (blocks, ncols) int64, and each block's clicks.
 
     The walk takes a `_windows` (or `_pulse_runs`) window at a time, each
     its own lag passes (at most ``passes`` of them) over the times (or with
     ``by_pulse`` the pulse indices).  A first click's unit is its pulse index,
     or with ``unit_of`` given, ``unit_of(times)`` of the first clicks'
     times, and then no pulse index is read (``pulse`` is None);
-    ``bin_of(pulse, i, j, dt)`` bins each pair, a bin outside [0, nbins)
-    dropping it.  A window's blocks are found once, as int32 offsets
-    block * nbins (< 200 * (`_MAX_BINS` + 1)) of the flat counts."""
+    ``bin_of(pulse, i, j, dt)`` gives each pair a column in [0, ncols), the
+    pairs outside a caller's bins the last.  A window's blocks are found
+    once, as int32 offsets (block - lowest) * ncols (< 200 * (`_MAX_BINS` +
+    1)) of the flat counts, so a pass counts only the blocks it spans."""
     n_blocks = _blocks(0, n_units)[1]
-    flat = np.zeros(n_blocks * nbins, dtype=np.int64)
+    flat = np.zeros(n_blocks * ncols, dtype=np.int64)
     clicks = np.zeros(n_blocks, dtype=np.int64)
     for pulse, times, n in windows:
         offset = _blocks(pulse[:n] if unit_of is None else unit_of(times[:n]), n_units)[0]
         clicks += np.bincount(offset, minlength=n_blocks)
-        offset = (offset * nbins).astype(np.int32)
+        base = offset.min() * ncols     # the window's lowest block, not always its first
+        offset = (offset * ncols - base).astype(np.int32)
         for i, j in itertools.islice(_pairs(pulse if by_pulse else times, reach, n), passes):
-            k = bin_of(pulse, i, j, times[j] - times[i])
-            keep = (k >= 0) & (k < nbins)
-            add = np.bincount(offset[i[keep]] + k[keep])
-            flat[:add.size] += add
+            add = np.bincount(offset[i] + bin_of(pulse, i, j, times[j] - times[i]))
+            flat[base:base + add.size] += add
         pulse = times = add = None  # hold no window array while the next is made
-    return flat.reshape(n_blocks, nbins), clicks
+    return flat.reshape(n_blocks, ncols), clicks
 
 
 def _linearized_sigma(grad, stats):
@@ -259,13 +261,14 @@ def _histogram(stream, bin_width, max_tau, scope, num_pulses):
             unit = ((times - t0) / max_tau).astype(np.int64)
             return np.minimum(unit, n_units - 1, out=unit)
 
-        def bin_of(pulse, i, j, dt):
-            return (dt / bin_width).astype(np.int64)
+        def bin_of(pulse, i, j, dt):    # past max_tau: the overflow column
+            return np.minimum(dt / bin_width, nbins).astype(np.int64)
 
         reach = edges[-1] + bin_width   # one bin of slack: the bin index decides
         block_counts, block_clicks = _pair_counts(
-            _windows(stream._slices(), reach, False), reach, n_units, nbins, bin_of,
+            _windows(stream._slices(), reach, False), reach, n_units, nbins + 1, bin_of,
             1 if scope == "start_stop" else None, unit_of)
+        block_counts = np.ascontiguousarray(block_counts[:, :nbins])
     hist = TauHistogram(edges, block_counts.sum(axis=0), scope, block_counts, block_clicks)
     return hist, pairs
 
@@ -480,15 +483,16 @@ def g2_sidepeak(stream: ClickStream, train, window: float,
         raise ValueError("g2_sidepeak requires a pulsed stream")
 
     def peak_of(p, i, j, dt):
-        # row 0 the central peak, of same-pulse pairs only; row k side peak k
+        # column 0 the central peak, of same-pulse pairs only; column k side peak
+        # k; every other pair, peak n_side + 1's at period / 2 too, the dropped last
         k = np.round(dt / period).astype(np.int64)
         keep = (np.abs(dt - k * period) < window) & ((k > 0) | (p[j] == p[i]))
-        return np.where(keep, k, -1)
+        return np.where(keep, k, n_side + 1)
 
     reach = n_side * period + 2.0 * window     # one window of slack past the last
     windows = _windows(_pulse_slices(stream, n_pulses), reach, True)
-    counts = _pair_counts(windows, reach, n_pulses, n_side + 1, peak_of)[0]
-    stats = np.ascontiguousarray(counts.T, dtype=float)
+    counts = _pair_counts(windows, reach, n_pulses, n_side + 2, peak_of)[0]
+    stats = np.ascontiguousarray(counts[:, :n_side + 1].T, dtype=float)
 
     corr = n_pulses / (n_pulses - np.arange(1, n_side + 1, dtype=float))
     totals = stats.sum(axis=1)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from pulseg2 import estimate as est
@@ -276,6 +276,13 @@ TINY = {
     "pairs_in_two_blocks": _tiny(
         [5e-9, 5.05e-9, 5e-9 + PERIOD, 5e-9 + 3 * PERIOD, 5e-9 + 4 * PERIOD],
         [0, 0, 1, 3, 4]),
+    # gaps in the last bin of max_tau = 2 periods (bins of 0.1 ns), then one
+    # bin past it, which the walk's reach still pairs
+    "one_bin_past_max_tau": _tiny([5e-9, 29.95e-9, 55e-9], [0, 2, 4]),
+    # at a window of period / 2, clicks 3.75 periods apart pass the window
+    # test of peak n_side + 1 = 4 within the walk's reach of 4 periods
+    "one_peak_past_the_last": _tiny(
+        [5e-9, 5.1e-9, 5e-9 + PERIOD, 5e-9 + 3.75 * PERIOD], [0, 0, 1, 4]),
 }
 
 
@@ -357,9 +364,12 @@ def test_sidepeak_sigma_matches_bootstrap(jittered_thermal):
 
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_sidepeak_tiny_streams(name):
+    # 10 pulses are 10 one-pulse blocks: a pair counted one column past the
+    # last side peak would land in the next block's central peak
     train = sim.PulseTrainConfig(10, PERIOD, md.gaussian_mode(1e-10))
-    _assert_same_outcome(_outcome(est.g2_sidepeak, TINY[name], train, 3e-9),
-                         _outcome(_sidepeak_ref_sigma, TINY[name], train, 3e-9))
+    for window in (3e-9, PERIOD / 2):
+        _assert_same_outcome(_outcome(est.g2_sidepeak, TINY[name], train, window),
+                             _outcome(_sidepeak_ref_sigma, TINY[name], train, window))
 
 
 @pytest.mark.parametrize("args", [
@@ -432,6 +442,20 @@ def test_sliced_walk_jittered_thermal(monkeypatch, jittered_thermal, slice_len):
                             _sidepeak_ref_sigma(stream, train, 3e-9))
 
 
+def test_sliced_sidepeak_window_starting_above_its_lowest_block(monkeypatch):
+    # 200 pulses are 200 one-pulse blocks, and 6 ns of jitter puts a later
+    # pulse's click first in some 7-click window: its block offsets must
+    # start from the window's least block, not from its first click's
+    train = sim.PulseTrainConfig(200, PERIOD, md.gaussian_mode(1e-9))
+    det = sim.DetectorModel(efficiency=0.5, timing_jitter_sigma=6e-9)
+    stream = sim.simulate_pulse_train(st.thermal(3.0), det, train, seed=24)
+    p = stream.pulse_index
+    assert any(p[lo] > p[lo:lo + 7].min() for lo in range(0, p.size, 7))
+    monkeypatch.setattr(est, "_PAIR_SLICE", 7)
+    _assert_value_and_sigma(est.g2_sidepeak(stream, train, 3e-9),
+                            _sidepeak_ref_sigma(stream, train, 3e-9))
+
+
 @pytest.mark.parametrize("slice_len", [7, 64])
 def test_sliced_walk_stationary(monkeypatch, stationary_stream, slice_len):
     monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
@@ -445,9 +469,9 @@ def test_sliced_walk_stationary(monkeypatch, stationary_stream, slice_len):
 # the enumerator against brute force
 
 
-def _enumerated(keys, reach):
+def _enumerated(keys, reach, n=None):
     got = []
-    for first, second in est._pairs(keys, reach):
+    for first, second in est._pairs(keys, reach, n):
         assert np.all(second - first == second[0] - first[0])   # one lag a pass
         got.extend(zip(first.tolist(), second.tolist()))
     assert len(got) == len(set(got))
@@ -455,10 +479,18 @@ def _enumerated(keys, reach):
 
 
 @settings(max_examples=200, deadline=None)
-@given(hs.lists(hs.integers(0, 30), max_size=40), hs.integers(0, 12))
-def test_pairs_within_reach_match_brute_force(values, reach):
-    # integer-valued times make t[i] + reach exact, ties included
+@given(hs.lists(hs.integers(0, 30), max_size=40).flatmap(
+    lambda v: hs.tuples(hs.just(v), hs.integers(0, len(v)))), hs.integers(0, 12))
+@example(([], 0), 3)
+@example(([4], 0), 3)
+@example(([4], 1), 3)
+@example(([4, 5], 1), 3)
+@example(([4, 5], 2), 3)
+def test_pairs_within_reach_match_brute_force(values_and_n, reach):
+    # integer-valued times make t[i] + reach exact, ties included; the first
+    # clicks are the first n, any number from none to every click
+    values, n = values_and_n
     t = np.sort(np.asarray(values, dtype=float))
-    want = {(i, j) for i in range(t.size) for j in range(i + 1, t.size)
+    want = {(i, j) for i in range(n) for j in range(i + 1, t.size)
             if t[j] < t[i] + reach}
-    assert _enumerated(t, float(reach)) == want
+    assert _enumerated(t, float(reach), n) == want
