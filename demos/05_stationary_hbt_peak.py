@@ -22,15 +22,19 @@ stream = pg.simulate_stationary_thermal(cfg, pg.DetectorModel(), seed=21)
 print(f"simulated {stream.n_clicks} clicks over {DURATION} s "
       f"(Cox process driven by |E(t)|^2)")
 
-curve = pg.stationary_conditional_probability(stream, 1 / (50 * BW), 5 / BW)
-base = curve.baseline(3 / BW)
-print(f"baseline rate : {base:.4g} 1/s (mean detected rate {RATE:.4g})")
-print(f"peak/baseline : {curve.g2_zero(3 / BW)[0]:.3f} (chaotic light: 2)")
-print(f"excess fwhm   : {curve.excess_fwhm(3 / BW):.3e} s (correlation time {1 / BW:.0e} s)")
+# the library's stationary report: bins of 1/(50 BW) out to 5/BW, baseline from 3/BW
+report = pg.analyze_stationary(stream)
+curve = report.curve
+print(f"baseline rate : {report.pc_baseline_per_second:.4g} 1/s "
+      f"(mean detected rate {RATE:.4g})")
+print(f"peak/baseline : {report.g2_zero:.3f} +- {report.g2_zero_sigma:.3f} (chaotic light: 2)")
+print(f"excess fwhm   : {report.excess_fwhm_seconds:.3e} s "
+      f"(correlation time {1 / BW:.0e} s)")
 
+# the control's sidecar has no bandwidth: pass it, for the same bins
 control = pg.simulate_stationary_poisson(RATE, DURATION, seed=22)
-flat = pg.stationary_conditional_probability(control, 1 / (50 * BW), 5 / BW)
-print(f"poisson control peak/baseline: {flat.g2_zero(3 / BW)[0]:.3f} (flat: 1)")
+flat = pg.analyze_stationary(control, spectral_bandwidth=BW)
+print(f"poisson control peak/baseline: {flat.g2_zero:.3f} (flat: 1)")
 
 print()
 print("key contrast with pulses: measuring a stationary source longer")
@@ -43,12 +47,12 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    g2 = curve.pc / base
+    g2 = curve.pc / report.pc_baseline_per_second
     ref = 1 + np.exp(-np.pi * curve.tau**2 * BW**2)
     fig, ax = plt.subplots(figsize=(6.5, 4))
     ax.plot(curve.tau * 1e6, g2, label="estimated g2(tau)")
     ax.plot(curve.tau * 1e6, ref, "k--", label="1 + |g1|^2 (chaotic field)")
-    ax.plot(flat.tau * 1e6, flat.pc / flat.baseline(3 / BW), alpha=0.6,
+    ax.plot(flat.curve.tau * 1e6, flat.curve.pc / flat.pc_baseline_per_second, alpha=0.6,
             label="poisson control")
     ax.set_xlabel("tau (us)")
     ax.set_ylabel("g2")

@@ -2,11 +2,13 @@
 
 Subcommands: ``simulate`` (config in, stream files out) and ``analyze``
 (stream in, report JSON out, plus the pulsed histogram CSV with its
-analytic overlay or the stationary pc curve CSV).  Each command takes
-only the flags it reads; one INI file drives both.  Exit codes: 0
-success, 1 config/usage error, 2 I/O or stream format error (a simulated
-stream that fails its time-order check included; it leaves no sidecar),
-3 estimation failure.
+analytic overlay or the stationary pc curve CSV).  ``analyze`` is one
+library call per light, `estimate.analyze_stream` or
+`estimate.analyze_stationary`, which hold the default binning and the
+flags, and then the writes.  Each command takes only the flags it reads;
+one INI file drives both.  Exit codes: 0 success, 1 config/usage error,
+2 I/O or stream format error (a simulated stream that fails its
+time-order check included; it leaves no sidecar), 3 estimation failure.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from . import simulate as _sim
 from . import states as _states
 from .config import ExperimentConfig, _read_settings, _whole
 from .errors import ConfigError, EstimationError, StreamFormatError
-from .streams import (_MAX_PULSES, _open_stream, _write_json, _write_table, sidecar_path,
-                      write_stream)
+from .streams import _MAX_PULSES, _open_stream, _write_table, sidecar_path, write_stream
 
 __all__ = ["main", "entrypoint"]
 
@@ -116,22 +117,33 @@ def _cmd_analyze(args) -> int:
         raise StreamFormatError(f"{side}: no such sidecar")
     stream = _open_stream(args.stream, sidecar=side)
     report_path = args.out or cfg.out_report
-
-    if not stream.is_pulsed:
-        return _analyze_stationary(stream, cfg, given, report_path, side)
-
+    pulsed = stream.is_pulsed
+    bandwidth = (cfg.stationary().spectral_bandwidth
+                 if not pulsed and "spectral_bandwidth" in given else None)
     try:
-        report = _est.analyze_stream(
-            stream, num_pulses=given.get("num_pulses"),
-            mode=cfg.mode() if "mode_spec" in given else None,
-            state=cfg.state() if "state_spec" in given else None,
-            bin_width=cfg.bin_width, max_tau=cfg.max_tau)
+        if pulsed:
+            report = _est.analyze_stream(
+                stream, num_pulses=given.get("num_pulses"),
+                mode=cfg.mode() if "mode_spec" in given else None,
+                state=cfg.state() if "state_spec" in given else None,
+                bin_width=cfg.bin_width, max_tau=cfg.max_tau)
+        else:
+            report = _est.analyze_stationary(stream, cfg.bin_width, cfg.max_tau, bandwidth)
     except ValueError as exc:
-        # tau_histogram's: a bin width and max tau that each pass but no histogram holds
-        raise ConfigError("--bin-width / --max-tau ([estimator] bin_width / "
-                          f"[estimator] max_tau): {exc}") from exc
-    # the histogram first: a bad sidecar detector then leaves no report behind
-    if cfg.out_histogram and report.histogram is not None:
+        # a bin width and max tau that each pass but that no histogram holds
+        if not (pulsed or given.keys() & {"spectral_bandwidth", "bin_width", "max_tau"}):
+            # a binning the sidecar's bandwidth alone set
+            raise StreamFormatError(f"{side}: stationary.spectral_bandwidth: {exc}") from exc
+        keys = "[estimator] bin_width / [estimator] max_tau" + (
+            "" if pulsed else " / [stationary] spectral_bandwidth")
+        raise ConfigError(f"--bin-width / --max-tau ({keys}): {exc}") from exc
+    # the CSV first: a bad sidecar detector (the overlay's) then leaves no report
+    if not pulsed:
+        curve_path = os.path.splitext(report_path)[0] + "_pc.csv"
+        _write_table(curve_path, "tau_seconds,pc_per_second",
+                     [report.curve.tau, report.curve.pc])
+        print(f"wrote curve to {curve_path}")
+    elif cfg.out_histogram and report.histogram is not None:
         report.histogram.to_csv(cfg.out_histogram,
                                 expected=_expected_counts(stream, report, given, side))
     report.to_json(report_path)
@@ -164,53 +176,10 @@ def _expected_counts(stream, report, given, side):
     return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
-def _analyze_stationary(stream, cfg, given, report_path, side) -> int:
-    """Binning that ``cfg`` leaves unset, for spectral bandwidth B: bins of
-    1/(50 B) out to 5/B, the baseline from 3/B; no B: 500 bins, the
-    baseline from the middle on."""
-    bandwidth = (cfg.stationary().spectral_bandwidth if "spectral_bandwidth" in given
-                 else stream.metadata.get("stationary", {}).get("spectral_bandwidth"))
-    if not bandwidth and cfg.bin_width is None:
-        raise EstimationError("stationary analysis needs --bin-width "
-                              "(bandwidth unknown)")
-    bin_width = cfg.bin_width or 1.0 / (50.0 * bandwidth)
-    max_tau = cfg.max_tau or (5.0 / bandwidth if bandwidth else 500.0 * bin_width)
-    base_from = 3.0 / bandwidth if bandwidth else max_tau / 2.0
-    try:
-        curve = _est.stationary_conditional_probability(stream, bin_width, max_tau)
-        g2_zero, g2_sigma = curve.g2_zero(base_from)
-    except ValueError as exc:
-        binning = (f"bin width {bin_width:g} s, max tau {max_tau:g} s, "
-                   f"baseline from {base_from:g} s: {exc}")
-        if given.keys() & {"spectral_bandwidth", "bin_width", "max_tau"}:
-            raise ConfigError(binning) from exc
-        # a binning the sidecar's bandwidth alone set
-        raise StreamFormatError(f"{side}: stationary.spectral_bandwidth: {binning}") from exc
-    _write_json({
-        "pc_peak_per_second": float(curve.pc[0]),
-        "pc_baseline_per_second": curve.baseline(base_from),
-        "g2_zero": g2_zero,
-        "g2_zero_sigma": g2_sigma,
-        "excess_fwhm_seconds": curve.excess_fwhm(base_from),
-        "total_clicks": curve.total_clicks,
-        "flags": _est._detector_flags(stream.metadata),
-    }, report_path)
-    curve_path = os.path.splitext(report_path)[0] + "_pc.csv"
-    _write_table(curve_path, "tau_seconds,pc_per_second", [curve.tau, curve.pc])
-    print(f"wrote report to {report_path} and curve to {curve_path}")
-    return 0
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return {"simulate": _cmd_simulate, "analyze": _cmd_analyze}[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -52,6 +52,8 @@ __all__ = [
     "stationary_conditional_probability",
     "stationary_g2_zero",
     "analyze_stream",
+    "StationaryReport",
+    "analyze_stationary",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -353,8 +355,10 @@ def _eta_route(hist: TauHistogram, mode_hint, total):
     the pulse blocks' shares of it sum to it, and both sigmas are the
     linearized spreads over the blocks' (share, clicks).  An all-zero
     histogram (eta(0) only with a hint), or a D(0) of exactly 0, gives
-    zeros with sigma inf.
+    zeros with sigma inf; an Ip of 0 is an EstimationError.
     """
+    if total == 0:
+        raise EstimationError("g2p undefined: stream has no clicks")
     if hist.pairing_scope != "same_pulse":
         raise ValueError("estimate_D0 requires a same_pulse histogram")
     if hist.is_empty:
@@ -397,10 +401,7 @@ def g2p(stream: ClickStream, hist: TauHistogram,
     in `estimate_D0`; the sigma spreads the ratio over the pulse blocks'
     D(0) shares and clicks together, so it carries their correlation.
     """
-    total = stream.n_clicks
-    if total == 0:
-        raise EstimationError("g2p undefined: stream has no clicks")
-    return _eta_route(hist, mode_hint, total)[1]
+    return _eta_route(hist, mode_hint, stream.n_clicks)[1]
 
 
 def recover_g2q_gaussian(stream: ClickStream, hist: TauHistogram,
@@ -425,11 +426,10 @@ def recover_g2q_general(stream: ClickStream, hist: TauHistogram,
                         num_pulses: int, mode: _modes.TemporalMode):
     """g2q for an arbitrary known mode: N g2p / eta(0) = N D(0) / (Ip^2 eta(0)).
 
-    Value and uncertainty are those of `g2p` rescaled by N / eta(0).
+    Value and uncertainty are those of `g2p` rescaled by N / eta(0), all from one fit.
     """
-    val, sigma = g2p(stream, hist, mode)
-    scale = num_pulses / float(_modes.eta_numeric(mode, 0.0))
-    return scale * val, scale * sigma
+    _, g2p_val, eta0 = _eta_route(hist, mode, stream.n_clicks)
+    return tuple(num_pulses / eta0 * v for v in g2p_val)
 
 
 def pn_histogram_g2q(stream: ClickStream, train):
@@ -623,9 +623,22 @@ class CoherenceReport:
                             if f.compare}, path)
 
 
-def _pulsed_binning(width):
-    """Default (bin width, max_tau) of a pulsed histogram for pulse width dt_p."""
-    return width / 20.0, 6.0 * width
+@dataclass(kw_only=True)
+class StationaryReport:
+    """Every measure `analyze_stationary` reads off one stationary stream's
+    pc(tau) ``curve``, which neither compares nor is in the JSON: that holds
+    the rest in field order, written by `CoherenceReport`'s ``to_json``."""
+
+    pc_peak_per_second: float
+    pc_baseline_per_second: float
+    g2_zero: float
+    g2_zero_sigma: float
+    excess_fwhm_seconds: float
+    total_clicks: int
+    flags: list = field(default_factory=list)
+    curve: ConditionalProbabilityCurve = field(repr=False, compare=False)
+
+    to_json = CoherenceReport.to_json
 
 
 def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
@@ -636,9 +649,9 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
 
     Missing arguments are filled from the stream's sidecar metadata; a
     sidecar mode or state label that does not parse is skipped and
-    flagged ``<key>_label_unparsed``.  Unset bins follow the mode's width,
-    else, with no mode, the `_within_pulse_spread` of one strided walk.
-    One walk builds the same-pulse histogram and the pn route's rows, and
+    flagged ``<key>_label_unparsed``.  Unset bins are dt_p/20 out to 6 dt_p,
+    dt_p the mode's width, else the `_within_pulse_spread` of one strided
+    walk.  One walk builds the same-pulse histogram and the pn route's rows, and
     D(0) is fitted once, with the mode as the shape hint, else the Gaussian
     of the fitted width; the fit also gives eta(0), and the D(0) and g2p
     sigmas spread over the blocks of N that the pn route takes too.
@@ -654,7 +667,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     meta = stream.metadata
     if not stream.is_pulsed:
         raise ValueError("analyze_stream handles pulsed streams; use "
-                         "stationary_conditional_probability for stationary runs")
+                         "analyze_stationary for stationary runs")
     if num_pulses is None:
         num_pulses = meta.get("train", {}).get("num_pulses")
     if num_pulses is None:
@@ -682,10 +695,9 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
                                mode=mode)
 
     if bin_width is None or max_tau is None:
-        bw, tau = _pulsed_binning(mode.width if mode is not None
-                                  else _within_pulse_spread(stream))
-        bin_width = bw if bin_width is None else bin_width
-        max_tau = tau if max_tau is None else max_tau
+        width = mode.width if mode is not None else _within_pulse_spread(stream)
+        bin_width = width / 20.0 if bin_width is None else bin_width
+        max_tau = 6.0 * width if max_tau is None else max_tau
     hist, pn_pairs = _histogram(stream, bin_width, max_tau, "same_pulse", num_pulses)
 
     fitted = fit_pulse_width(hist)
@@ -731,6 +743,40 @@ def _within_pulse_spread(stream: ClickStream) -> float:
     if not spread > 0:
         raise EstimationError("cannot choose a bin width: pass bin_width")
     return spread * math.sqrt(2.0)
+
+
+def analyze_stationary(stream: ClickStream, bin_width: float | None = None,
+                       max_tau: float | None = None,
+                       spectral_bandwidth: float | None = None) -> StationaryReport:
+    """Run the full stationary estimation pipeline on one stream.
+
+    Unset bins follow the spectral bandwidth B (``spectral_bandwidth``, else
+    the sidecar's): 1/(50 B) wide out to 5/B, the baseline from 3/B.  With
+    no B, ``bin_width`` is needed (else an EstimationError), max tau is 500
+    bins and the baseline its second half.  One all-pairs walk gives the
+    curve and g2(0); a binning without a histogram or baseline bins is a
+    ValueError naming all three.  Dead time > 0 is flagged ``dead_time_biased``."""
+    if stream.is_pulsed:
+        raise ValueError("analyze_stationary handles stationary streams; use "
+                         "analyze_stream for pulsed runs")
+    bandwidth = (stream.metadata.get("stationary", {}).get("spectral_bandwidth")
+                 if spectral_bandwidth is None else spectral_bandwidth)
+    if not bandwidth and bin_width is None:
+        raise EstimationError("stationary analysis needs --bin-width (bandwidth unknown)")
+    bin_width = 1.0 / (50.0 * bandwidth) if bin_width is None else bin_width
+    if max_tau is None:
+        max_tau = 5.0 / bandwidth if bandwidth else 500.0 * bin_width
+    base_from = 3.0 / bandwidth if bandwidth else max_tau / 2.0
+    try:
+        curve = stationary_conditional_probability(stream, bin_width, max_tau)
+        g2_zero, g2_sigma = curve.g2_zero(base_from)
+    except ValueError as exc:
+        raise ValueError(f"bin width {bin_width:g} s, max tau {max_tau:g} s, "
+                         f"baseline from {base_from:g} s: {exc}") from exc
+    return StationaryReport(
+        pc_peak_per_second=float(curve.pc[0]), pc_baseline_per_second=curve.baseline(base_from),
+        g2_zero=g2_zero, g2_zero_sigma=g2_sigma, excess_fwhm_seconds=curve.excess_fwhm(base_from),
+        total_clicks=curve.total_clicks, flags=_detector_flags(stream.metadata), curve=curve)
 
 
 def _detector_flags(meta):

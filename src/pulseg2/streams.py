@@ -81,6 +81,8 @@ _NULL = type(None)
 _SIDECAR_RULES = {
     **dict.fromkeys(("train", "detector", "stationary"), (dict, None, "an object")),
     **dict.fromkeys(("state", "mode"), ((str, _NULL), None, "a string or null")),
+    **{key: ((str, _NULL), names.__contains__, f"{names[0]!r}, {names[1]!r} or null")
+       for key, names in (("kind", ("pulsed", "stationary")), ("format", ("csv", "binary")))},
     "train.num_pulses": ((int, _NULL), lambda v: 1 <= v <= _MAX_PULSES,
                          f"an integer in [1, {_MAX_PULSES}] or null"),
     **dict.fromkeys(("train.repetition_period", "stationary.spectral_bandwidth"),

@@ -556,6 +556,69 @@ class TestAnalyzeCommand:
         assert "baseline from 3e-06 s" in capsys.readouterr().err
 
 
+class TestAnalyzeStationary:
+    """`estimate.analyze_stationary` is the stationary report `pulseg2 analyze`
+    writes, as `analyze_stream` is the pulsed one."""
+
+    @pytest.mark.parametrize("settings,ini,kwargs,flags", [
+        ({}, "", {}, []),
+        ({"spectral_shape": "lorentzian"}, "", {}, []),
+        ({}, "[stationary]\nspectral_bandwidth = 2e5\n", {"spectral_bandwidth": 2e5}, []),
+        (None, "[estimator]\nbin_width = 1e-7\n", {"bin_width": 1e-7}, []),
+        ({"dead_time": 5e-8}, "", {}, ["dead_time_biased"]),
+    ], ids=["sidecar_gaussian", "sidecar_lorentzian", "bandwidth_given", "poisson_bin_width",
+            "dead_time"])
+    def test_library_report_is_the_cli_report(self, tmp_path, settings, ini, kwargs, flags):
+        stream_path = tmp_path / "stream.csv"
+        if settings is None:    # the Poisson control: its sidecar has no bandwidth
+            pg.write_stream(sim.simulate_stationary_poisson(2e5, 0.05, seed=5), stream_path)
+        else:
+            _, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5, duration=0.05,
+                                **settings)
+            assert cli.main(["simulate", "--config", path]) == 0
+        (tmp_path / "a.ini").write_text(ini)
+        assert cli.main(["analyze", str(stream_path), "--config", str(tmp_path / "a.ini"),
+                         "--out", str(tmp_path / "r.json")]) == 0
+        report = est.analyze_stationary(pg.read_stream(stream_path), **kwargs)
+        assert report.to_json() == (tmp_path / "r.json").read_text()
+        assert report.flags == flags
+        rows = (tmp_path / "r_pc.csv").read_text().splitlines()
+        assert rows == ["tau_seconds,pc_per_second"] + [
+            "%.12g,%.12g" % row for row in zip(report.curve.tau, report.curve.pc)]
+
+    def test_each_light_refuses_the_other(self):
+        train = sim.PulseTrainConfig(100, 12.5e-9, md.gaussian_mode(1e-9))
+        pulsed = sim.simulate_pulse_train(st.coherent(1.0), sim.DetectorModel(), train, seed=1)
+        flat = sim.simulate_stationary_poisson(2e5, 0.01, seed=1)
+        with pytest.raises(ValueError, match="use analyze_stream for pulsed"):
+            est.analyze_stationary(pulsed)
+        with pytest.raises(ValueError, match="use analyze_stationary for stationary"):
+            est.analyze_stream(flat, num_pulses=100)
+
+    def test_binning_errors_name_the_binning(self):
+        stream = sim.simulate_stationary_thermal(
+            sim.StationaryThermalConfig(mean_rate=2e5, spectral_bandwidth=1e6,
+                                        duration=0.02), sim.DetectorModel(), seed=2)
+        with pytest.raises(ValueError, match=r"^bin width 2e-08 s, max tau 2e-06 s, "
+                                             r"baseline from 3e-06 s: no bins"):
+            est.analyze_stationary(stream, max_tau=2e-6)
+        flat = sim.simulate_stationary_poisson(2e5, 0.01, seed=3)
+        with pytest.raises(pg.EstimationError, match="bandwidth unknown"):
+            est.analyze_stationary(flat)
+        assert est.analyze_stationary(flat, spectral_bandwidth=1e6).curve.bin_width == 2e-8
+
+    def test_binning_config_error_names_the_flags_and_keys(self, tmp_path, capsys):
+        _, path = write_cfg(tmp_path, kind="stationary", mean_rate=2e5, duration=0.02)
+        assert cli.main(["simulate", "--config", path]) == 0
+        assert cli.main(["analyze", str(tmp_path / "stream.csv"), "--max-tau", "2e-6",
+                         "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --bin-width / --max-tau ([estimator] bin_width / [estimator] "
+            "max_tau / [stationary] spectral_bandwidth): bin width 2e-08 s, max tau 2e-06 s, "
+            "baseline from 3e-06 s: no bins beyond tau_from\n")
+        assert not any(tmp_path.glob("r*"))
+
+
 class TestAnalyzeConfigAndSidecar:
     """An analyze config fills in only the keys it sets; the sidecar the rest."""
 
@@ -799,11 +862,15 @@ class TestMalformedSidecar:
          "stationary.spectral_bandwidth"),
         # text, not an object: written as it is
         (lambda m: json.dumps(m)[:-1], "invalid sidecar JSON"),
+        # once read as stationary light (kind) or as a CSV stream (format)
+        (lambda m: {**m, "kind": "Pulsed"}, "kind"),
+        (lambda m: {**m, "kind": 5}, "kind"),
+        (lambda m: {**m, "format": "xml"}, "format"),
     ], ids=["list", "train_null", "num_pulses_string", "detector_string",
             "detector_unknown_key", "efficiency_above_one", "dead_time_string",
             "dead_time_negative", "num_pulses_zero",
             "num_pulses_huge", "bandwidth_negative", "bandwidth_nan", "bandwidth_tiny",
-            "invalid_json"])
+            "invalid_json", "kind_capitalized", "kind_number", "format_unknown"])
     def test_exit_2_names_sidecar_and_key(self, stream, tmp_path, monkeypatch, capsys,
                                           edit, key):
         meta = json.loads(Path(str(stream) + ".meta.json").read_text())

@@ -19,6 +19,7 @@ WIDTH = 1e-9
 PERIOD = 12.5e-9
 MODE = md.gaussian_mode(WIDTH)
 IDEAL = sim.DetectorModel()
+SAMPLED_T = np.arange(-6e-9, 6e-9, 1e-11)     # a sampled mode's grid, width/50 fine
 
 
 def run_train(state, n, seed, s=1.0, mode=MODE, period=PERIOD):
@@ -377,6 +378,18 @@ class TestG2qRecovery:
         hist = est.tau_histogram(stream, 1e-10, 8e-9)
         val, sig = est.recover_g2q_general(stream, hist, n, mode)
         assert abs(val - 1.0) < max(3.5 * sig, 0.05)
+
+    @pytest.mark.parametrize("mode", [
+        MODE, md.gaussian_mode(WIDTH, center=3e-10), md.hermite_gauss_mode(3, WIDTH),
+        md.sampled_mode(SAMPLED_T, np.exp(-SAMPLED_T**2 / (2 * WIDTH**2))),
+    ], ids=["gauss", "gauss_off_centre", "hg3", "sampled"])
+    def test_recovery_takes_the_reports_eta0(self, mode):
+        # one evaluation of eta gives the fit shape and eta(0), in both
+        n = 20000
+        stream, _ = run_train(st.thermal(1.0), n, seed=19, period=40e-9, mode=mode)
+        report = est.analyze_stream(stream, mode=mode)
+        assert est.recover_g2q_general(stream, report.histogram, n, mode) == \
+            (report.g2q_eta, report.g2q_eta_sigma)
 
     def test_error_paths(self):
         stream = pg.ClickStream(np.empty(0, np.int64), np.empty(0), {"kind": "pulsed"})
