@@ -131,14 +131,13 @@ class ExperimentConfig:
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"[estimator] {attr}: must be a finite number > 0, "
                                   f"got {value!r}")
-        # build every module-level object so bad values fail at load time
+        # build every module-level object so bad values fail at load time;
+        # one INI drives both commands, so both lights' whatever the kind
         self.state()
         self.mode()
         self.detector()
-        if self.kind == "pulsed":
-            self.train()
-        else:
-            self.stationary()
+        self.train()
+        self.stationary()
         return self
 
     def state(self) -> _states.QuantumState:

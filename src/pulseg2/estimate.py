@@ -91,8 +91,10 @@ class TauHistogram:
 
 # first clicks per window of the time-ordered pair walk, and clicks per
 # piece of whole pulses of the pulse-ordered one: their scratch memory is
-# a few arrays this long (2^15 walks as fast as 2^16 and holds half)
-_PAIR_SLICE = 1 << 15
+# a few arrays this long (2^14 holds half of 2^15 and walks within a few
+# per cent of it: the stationary benchmark stream's all-pairs walk took
+# 33.3 vs 32.2 ms, +3 %, and 52 vs 56 ms in two sets of 30 runs, 2 vCPUs)
+_PAIR_SLICE = 1 << 14
 # bins of a pair histogram; its (<= 200 blocks, bins) counts stay <= 26 MB
 _MAX_BINS = 1 << 14
 # most within-pulse offsets the fallback width samples (<= 0.5 MB of them)

@@ -185,7 +185,8 @@ class StationaryThermalConfig:
         _require_finite(vars(self), "mean_rate", "spectral_bandwidth", "duration",
                         "field_timestep")
         if self.mean_rate < 0 or self.spectral_bandwidth <= 0 or self.duration <= 0:
-            raise ValueError("rate must be >= 0, bandwidth and duration positive")
+            raise ValueError("mean_rate must be >= 0, spectral_bandwidth and duration "
+                             "positive")
         limit = 1.0 / (20.0 * self.spectral_bandwidth)
         if self.field_timestep is None:
             object.__setattr__(self, "field_timestep", limit)

@@ -17,7 +17,7 @@ CSV       header ``pulse_index,time_seconds``; stationary records write -1.
 binary    packed little-endian records (u64 pulse index, f64 time);
           stationary records store 2**64 - 1 as the index sentinel.
           Both directions go `_IO_SLICE` records at a time through one
-          slice-sized record buffer (1 MiB); the bytes do not depend on
+          slice-sized record buffer (512 KiB); the bytes do not depend on
           the slice.  `read_stream` gathers the slices into the stream's
           arrays, allocating an index array only once a record is not
           the sentinel.  `pulseg2 analyze` holds no such array: it opens
@@ -37,10 +37,11 @@ stream is pulsed if its first index is not the sentinel.  A CSV stream is
 always read whole.
 
 Every time is checked once, by one rule (`_bad_time`): a `ClickStream`
-checks its array when it is made, a `_StreamFile` each slice as a walk
-reads it.  The first record whose time is not finite or lies below the
-one before it is named in the error, as `_bad_pulse` names the first
-index outside a train of N pulses for the walks and counts that take N.
+checks its array a slice at a time when it is made, a `_StreamFile` each
+slice as a walk reads it.  The first record whose time is not finite or
+lies below the one before it is named in the error, as `_bad_pulse`
+names the first index outside a train of N pulses for the walks and
+counts that take N.
 
 Every CSV table and JSON document the package writes goes through
 `_write_table` or `_write_json`, and every CSV table it reads through
@@ -72,7 +73,7 @@ __all__ = [
 _HEADER = "pulse_index,time_seconds"
 _BINARY_DTYPE = np.dtype([("pulse_index", "<u8"), ("time_seconds", "<f8")])
 # records per slice of the binary write and read
-_IO_SLICE = 1 << 16
+_IO_SLICE = 1 << 15
 # a pulse index times the estimators' at most 200 pulse blocks stays an int64
 _MAX_PULSES = (2**63 - 1) // 200
 # the sidecar keys the readers use: the JSON types each may have, the test
@@ -96,15 +97,20 @@ _SIDECAR_RULES = {
 def _bad_time(t, last=-math.inf, offset=0) -> str | None:
     """The error text naming the first record of the times ``t`` (numbered
     from ``offset``) that is not finite or lies below the one before it,
-    ``last`` before the first; None if every time is good."""
-    # ordered between finite ends, all are finite: a nan fails the order
-    if not t.size or (math.isfinite(t[0]) and math.isfinite(t[-1]) and last <= t[0]
-                      and (t[1:] >= t[:-1]).all()):
-        return None
-    bad = ~np.isfinite(t)
-    i = int(np.argmax(bad | (t < np.append(last, t[:-1]))))
-    return (f"record {offset + i}: click times must be "
-            f"{'finite' if bad[i] else 'nondecreasing'}")
+    ``last`` before the first; None if every time is good.  The times are
+    compared `_IO_SLICE` at a time, so the check holds one slice of mask."""
+    for lo in range(0, t.size, _IO_SLICE):
+        part = t[lo:lo + _IO_SLICE]
+        # ordered between finite ends, all are finite: a nan fails the order
+        if (math.isfinite(part[0]) and math.isfinite(part[-1]) and last <= part[0]
+                and (part[1:] >= part[:-1]).all()):
+            last = part[-1]
+            continue
+        bad = ~np.isfinite(part)
+        i = int(np.argmax(bad | (part < np.append(last, part[:-1]))))
+        return (f"record {offset + lo + i}: click times must be "
+                f"{'finite' if bad[i] else 'nondecreasing'}")
+    return None
 
 
 def _bad_pulse(pulse, n, offset=0) -> str | None:

@@ -946,6 +946,23 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,text,key", [
+        (["analyze", "p.csv"], "[stationary]\nmean_rate = -5\n", "[stationary]: mean_rate"),
+        (["simulate"], "[run]\nkind = stationary\n[pulsed]\nrepetition_period = -1\n",
+         "[pulsed]: repetition_period"),
+    ], ids=["analyze_pulsed", "simulate_stationary"])
+    def test_other_lights_key_is_checked(self, tmp_path, capsys, monkeypatch, argv, text,
+                                         key):
+        # one INI drives both commands, so each checks both lights' keys
+        # whatever the kind, before it reads or writes a stream
+        monkeypatch.chdir(tmp_path)
+        Path("p.csv").write_text(PULSED_CSV)
+        Path("bad.ini").write_text(text)
+        assert cli.main([*argv, "--config", "bad.ini", "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not Path("out").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--bin-width", "1e-10"],

@@ -52,27 +52,46 @@ def test_binary_write_holds_one_slice(pulsed, tmp_path):
     assert peak <= streams._IO_SLICE * streams._BINARY_DTYPE.itemsize + SLACK
 
 
-def test_binary_read_holds_the_stream_and_one_slice(pulsed, tmp_path):
+# the shipped read slice and a small one: at either, a click-long temporary
+# (a byte per click, 1 MB) outgrows the slice term of a bound
+IO_SLICES = [streams._IO_SLICE, 1 << 12]
+
+
+def test_building_a_stream_holds_one_slice_of_scratch(monkeypatch):
+    # the time-order check compares one slice at a time: its mask is a byte
+    # per record of one slice, never of the ~1e6 clicks
+    times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 10**6))
+    pulse = np.arange(times.size)
+    for io_slice in IO_SLICES:
+        monkeypatch.setattr(streams, "_IO_SLICE", io_slice)
+        assert traced_peak(streams.ClickStream, pulse, times, {}) <= io_slice + SLACK
+
+
+def test_binary_read_holds_the_stream_and_one_slice(monkeypatch, pulsed, tmp_path):
     stream = pulsed[0]
     path = tmp_path / "s.bin"
     streams.write_stream(stream, path, fmt="binary")
-    peak = traced_peak(streams.read_stream, path)
     record = streams._BINARY_DTYPE.itemsize
-    assert peak <= (stream.n_clicks + streams._IO_SLICE) * record + SLACK
+    for io_slice in IO_SLICES:
+        monkeypatch.setattr(streams, "_IO_SLICE", io_slice)
+        peak = traced_peak(streams.read_stream, path)
+        assert peak <= (stream.n_clicks + streams._IO_SLICE) * record + SLACK
 
 
-def test_stationary_binary_read_holds_the_times_and_one_slice(tmp_path):
+def test_stationary_binary_read_holds_the_times_and_one_slice(monkeypatch, tmp_path):
     # the -1 index is a zero-stride view: no click-long index array, only
     # the times, one slice of records and its sentinel test (a byte each)
     stream = sim.simulate_stationary_poisson(1e6, 1.0, seed=5)
     path = tmp_path / "s.bin"
     streams.write_stream(stream, path, fmt="binary")
-    peak = traced_peak(streams.read_stream, path)
-    back = streams.read_stream(path)
-    assert back.n_clicks > 990_000 and back.pulse_index.strides == (0,)
-    assert np.array_equal(back.times, stream.times) and np.all(back.pulse_index == -1)
     record = streams._BINARY_DTYPE.itemsize
-    assert peak <= stream.n_clicks * 8 + streams._IO_SLICE * (record + 1) + SLACK
+    for io_slice in IO_SLICES:
+        monkeypatch.setattr(streams, "_IO_SLICE", io_slice)
+        peak = traced_peak(streams.read_stream, path)
+        back = streams.read_stream(path)
+        assert back.n_clicks > 990_000 and back.pulse_index.strides == (0,)
+        assert np.array_equal(back.times, stream.times) and np.all(back.pulse_index == -1)
+        assert peak <= stream.n_clicks * 8 + streams._IO_SLICE * (record + 1) + SLACK
 
 
 # the arrival sampler's candidate rows and the row-long temporaries of one draw
@@ -137,10 +156,10 @@ def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):
 
 
 @pytest.mark.parametrize("estimator", ["all_pairs", "same_pulse", "sidepeak", "pn"])
-def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
-    # a walk pass holds a few slice-long index, time and bin arrays, and the
-    # counts of at most 200 blocks; nothing of the click count
-    monkeypatch.setattr(est, "_PAIR_SLICE", 1 << 14)
+def test_pair_walk_scratch_follows_the_slice(pulsed, estimator):
+    # a walk pass holds a few slice-long index, time and bin arrays, the
+    # pulse-ordered walk one read slice of indices and times besides, and
+    # the counts of at most 200 blocks; nothing of the click count
     stream, train = pulsed
     calls = {
         "all_pairs": lambda: est.tau_histogram(stream, 1e-9, 4 * PERIOD, "all_pairs"),
@@ -149,7 +168,8 @@ def test_pair_walk_scratch_follows_the_slice(monkeypatch, pulsed, estimator):
         "pn": lambda: est.pn_histogram_g2q(stream, train),
     }
     counts = 200 * 50 * 8
-    assert traced_peak(calls[estimator]) <= 12 * 8 * est._PAIR_SLICE + 2 * counts + SLACK
+    bound = 8 * 8 * est._PAIR_SLICE + 16 * streams._IO_SLICE + 2 * counts + SLACK
+    assert traced_peak(calls[estimator]) <= bound
 
 
 @pytest.mark.parametrize("kind", ["pulsed", "stationary"])
