@@ -44,8 +44,10 @@ print()
 print("=== time-difference histogram vs analytic density ===")
 state = pg.thermal(1.0)
 stream = pg.simulate_pulse_train(state, det, train, seed=8)
-hist = pg.tau_histogram(stream, WIDTH / 20.0, 6.0 * WIDTH)
-expected = pg.analytic_D(state, det, mode, N, hist.centers) * hist.bin_width
+# the report's histogram (bins of width/20 out to 6 widths) and its analytic
+# overlay D(tau) * bin_width, both from the stream's own light
+report = pg.analyze_stream(stream)
+hist, expected = report.histogram, report.expected
 worst = np.max(np.abs(hist.counts - expected) / np.sqrt(np.maximum(expected, 1)))
 print(f"pairs collected: {hist.counts.sum()}")
 print(f"worst bin deviation: {worst:.2f} standard errors")

@@ -4,8 +4,8 @@ Subcommands: ``simulate`` (config in, stream files out) and ``analyze``
 (stream in, report JSON out, plus the pulsed histogram CSV with its
 analytic overlay or the stationary pc curve CSV).  ``analyze`` is one
 library call per light, `estimate.analyze_stream` or
-`estimate.analyze_stationary`, which hold the default binning and the
-flags, and then the writes.  Each command takes only the flags it reads;
+`estimate.analyze_stationary`, which hold the default binning, the flags
+and the overlay, and then the writes.  Each command takes only its flags;
 one INI file drives both.  Exit codes: 0 success, 1 config/usage error,
 2 I/O or stream format error (a simulated stream that fails its
 time-order check included; it leaves no sidecar), 3 estimation failure.
@@ -20,9 +20,7 @@ import os
 import sys
 
 from . import estimate as _est
-from . import modes as _modes
 from . import simulate as _sim
-from . import states as _states
 from .config import ExperimentConfig, _read_settings, _whole
 from .errors import ConfigError, EstimationError, StreamFormatError
 from .streams import _MAX_PULSES, _open_stream, _write_table, sidecar_path, write_stream
@@ -137,43 +135,18 @@ def _cmd_analyze(args) -> int:
         keys = "[estimator] bin_width / [estimator] max_tau" + (
             "" if pulsed else " / [stationary] spectral_bandwidth")
         raise ConfigError(f"--bin-width / --max-tau ({keys}): {exc}") from exc
-    # the CSV first: a bad sidecar detector (the overlay's) then leaves no report
     if not pulsed:
         curve_path = os.path.splitext(report_path)[0] + "_pc.csv"
         _write_table(curve_path, "tau_seconds,pc_per_second",
                      [report.curve.tau, report.curve.pc])
         print(f"wrote curve to {curve_path}")
     elif cfg.out_histogram and report.histogram is not None:
-        report.histogram.to_csv(cfg.out_histogram,
-                                expected=_expected_counts(stream, report, given, side))
+        report.histogram.to_csv(cfg.out_histogram, expected=report.expected)
     report.to_json(report_path)
     print(f"wrote report to {report_path}")
     for line in json.loads(report.to_json()).items():
         print(f"  {line[0]} = {line[1]}")
     return 0
-
-
-def _expected_counts(stream, report, given, side):
-    """Analytic overlay column when the generating config is in the sidecar.
-
-    Each sidecar label is parsed at most once: the report holds the state
-    and mode `analyze_stream` parsed from it, or the ones a key or flag gave,
-    which stand for it when their spec is the label's text."""
-    meta = stream.metadata
-    n = meta.get("train", {}).get("num_pulses")
-    state, mode = (
-        getattr(report, key) if given.get(f"{key}_spec", meta.get(key)) == meta.get(key)
-        else _est._parse_sidecar_label(meta, key, parse, [])
-        for key, parse in (("state", _states.parse_state_spec),
-                           ("mode", _modes.parse_mode_spec)))
-    if state is None or mode is None or n is None:
-        return None
-    try:
-        detector = _sim.DetectorModel(**meta.get("detector", {}))
-    except (TypeError, ValueError) as exc:
-        raise StreamFormatError(f"{side}: detector: {exc}") from exc
-    hist = report.histogram
-    return _sim.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
 def main(argv=None) -> int:

@@ -597,9 +597,10 @@ class CoherenceReport:
     route, ``g2q_analytic`` the exact value when the source state is
     known.  g2p and D0 carry units of 1/seconds.  ``histogram`` is the
     same-pulse histogram the report was computed from (None for an empty
-    stream), and ``state`` and ``mode`` the objects it was analyzed with,
-    given or parsed from the sidecar (None if neither); none of the three
-    compares or is in the JSON, which holds the rest in field order.
+    stream), ``expected`` its analytic counts for the sidecar's light, and
+    ``state`` and ``mode`` the objects it was analyzed with, given or parsed
+    from the sidecar (None if neither); none of the four compares or is in
+    the JSON, which holds the rest in field order.
     """
 
     g2q_analytic: float | None = None
@@ -617,6 +618,7 @@ class CoherenceReport:
     fitted_width_seconds: float | None = None
     flags: list = field(default_factory=list)
     histogram: TauHistogram | None = field(default=None, repr=False, compare=False)
+    expected: np.ndarray | None = field(default=None, repr=False, compare=False)
     state: _states.QuantumState | None = field(default=None, repr=False, compare=False)
     mode: _modes.TemporalMode | None = field(default=None, repr=False, compare=False)
 
@@ -665,6 +667,8 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     ``gauss:`` or ``hg:0:`` hint is flagged ``width_mismatch``, since the
     eta-corrected g2q scales linearly with the assumed width.  A sidecar
     detector dead time > 0 is flagged ``dead_time_biased`` (`_detector_flags`).
+    ``expected`` (`_expected_counts`) models the sidecar's light: a hint or
+    ``num_pulses`` changes its bins, not it, unless the hint has its label.
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -675,10 +679,13 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     if num_pulses is None:
         raise EstimationError("number of pulses unknown: pass num_pulses")
     flags = []
-    if mode is None:
-        mode = _parse_sidecar_label(meta, "mode", _modes.parse_mode_spec, flags)
-    if state is None:
-        state = _parse_sidecar_label(meta, "state", _states.parse_state_spec, flags)
+    # the sidecar's light, which the overlay models: a hint of its label stands in
+    own_mode, own_state = (
+        hint if hint is not None and hint.label == meta.get(key) else
+        _parse_sidecar_label(meta, key, parse, flags if hint is None else [])
+        for key, hint, parse in (("mode", mode, _modes.parse_mode_spec),
+                                 ("state", state, _states.parse_state_spec)))
+    mode, state = mode or own_mode, state or own_state
     flags += _detector_flags(meta)
 
     g2q_analytic = None
@@ -724,7 +731,21 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         g2q_pn=g2q_pn, g2q_pn_sigma=g2q_pn_sigma,
         g2q_analytic=g2q_analytic,
         fitted_width_seconds=fitted if math.isfinite(fitted) else None,
-        flags=flags, histogram=hist, state=state, mode=mode)
+        flags=flags, histogram=hist, state=state, mode=mode,
+        expected=_expected_counts(meta, own_state, own_mode, hist))
+
+
+def _expected_counts(meta, state, mode, hist):
+    """D(tau) * bin_width in ``hist``'s bins for the sidecar's light, N and
+    detector; None if one is missing or (in memory only) does not build."""
+    n = meta.get("train", {}).get("num_pulses")
+    if state is None or mode is None or n is None:
+        return None
+    try:
+        detector = _simulate.DetectorModel(**meta.get("detector", {}))
+    except (TypeError, ValueError):
+        return None
+    return _simulate.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
 def _within_pulse_spread(stream: ClickStream) -> float:
@@ -764,7 +785,8 @@ def analyze_stationary(stream: ClickStream, bin_width: float | None = None,
     bandwidth = (stream.metadata.get("stationary", {}).get("spectral_bandwidth")
                  if spectral_bandwidth is None else spectral_bandwidth)
     if not bandwidth and bin_width is None:
-        raise EstimationError("stationary analysis needs --bin-width (bandwidth unknown)")
+        raise EstimationError("cannot choose a bin width: pass bin_width or "
+                              "spectral_bandwidth (bandwidth unknown)")
     bin_width = 1.0 / (50.0 * bandwidth) if bin_width is None else bin_width
     if max_tau is None:
         max_tau = 5.0 / bandwidth if bandwidth else 500.0 * bin_width

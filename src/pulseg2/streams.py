@@ -80,7 +80,9 @@ _MAX_PULSES = (2**63 - 1) // 200
 # a non-null value must pass, and both by name
 _NULL = type(None)
 _SIDECAR_RULES = {
-    **dict.fromkeys(("train", "detector", "stationary"), (dict, None, "an object")),
+    **dict.fromkeys(("train", "stationary"), (dict, None, "an object")),
+    "detector": (dict, {"efficiency", "timing_jitter_sigma", "dead_time"}.issuperset,
+                 "an object of efficiency, timing_jitter_sigma and dead_time alone"),
     **dict.fromkeys(("state", "mode"), ((str, _NULL), None, "a string or null")),
     **{key: ((str, _NULL), names.__contains__, f"{names[0]!r}, {names[1]!r} or null")
        for key, names in (("kind", ("pulsed", "stationary")), ("format", ("csv", "binary")))},
@@ -89,8 +91,10 @@ _SIDECAR_RULES = {
     **dict.fromkeys(("train.repetition_period", "stationary.spectral_bandwidth"),
                     ((int, float, _NULL), lambda v: math.isfinite(v) and v > 0,
                      "a finite number > 0 or null")),
-    "detector.dead_time": ((int, float, _NULL), lambda v: math.isfinite(v) and v >= 0,
-                           "a finite number >= 0 or null"),
+    # not null: each builds the `DetectorModel` of the analytic overlay
+    "detector.efficiency": ((int, float), lambda v: 0 <= v <= 1, "a finite number in [0, 1]"),
+    **dict.fromkeys(("detector.timing_jitter_sigma", "detector.dead_time"),
+                    ((int, float), lambda v: 0 <= v < math.inf, "a finite number >= 0")),
 }
 
 

@@ -423,6 +423,25 @@ class TestAnalyzeCommand:
                                   md.gaussian_mode(1e-9), 20000, hist.centers)
         np.testing.assert_allclose(data[:, 2], expected * hist.bin_width, rtol=1e-11)
 
+    @pytest.mark.parametrize("flags,kwargs", [
+        ([], {}),
+        (["--mode", "gauss:1.05e-9"], {"mode": md.gaussian_mode(1.05e-9)}),
+        (["--pulses", "30000"], {"num_pulses": 30000}),
+    ], ids=["sidecar", "off_hint", "pulses"])
+    def test_histogram_overlay_is_the_reports(self, tmp_path, monkeypatch, flags, kwargs):
+        # the CSV's overlay column is `analyze_stream`'s `expected`, written as it is
+        _, path = write_cfg(tmp_path, state_spec="thermal:0.5")
+        assert cli.main(["simulate", "--config", path]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", "stream.csv", *flags]) == 0
+        stream = pg.read_stream("stream.csv")
+        expected = est.analyze_stream(stream, **kwargs).expected
+        rows = Path("histogram.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [f"{v:.12g}" for v in expected]
+        # an N override leaves the overlay as the sidecar's N set it
+        assert np.array_equal(
+            expected, est.analyze_stream(stream, mode=kwargs.get("mode")).expected)
+
     @pytest.mark.parametrize("edit", [
         lambda train: {**train, "num_pulses": None},
         lambda train: {k: v for k, v in train.items() if k != "num_pulses"},
@@ -515,7 +534,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("write,flags,message", [
         (lambda path: pg.write_stream(sim.simulate_stationary_poisson(2e5, 0.001, seed=1),
-                                      path), [], "needs --bin-width"),
+                                      path), [], "pass bin_width or spectral_bandwidth"),
         (lambda path: path.write_text(PULSED_CSV), [], "number of pulses unknown"),
         (lambda path: path.write_text(PULSED_CSV), ["--pulses", "2000"],
          "cannot choose a bin width"),
@@ -884,6 +903,43 @@ class TestMalformedSidecar:
         assert str(bad) in err and key in err
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "histogram.csv").exists()
+
+
+class TestMalformedSidecarDetector:
+    """A malformed sidecar detector exits 2 naming the sidecar and the key on
+    a stream that writes no overlay too: a stationary one, and a pulsed one
+    analyzed without a histogram file."""
+
+    @pytest.fixture(scope="class")
+    def streams(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("detector")
+        _, pulsed = write_cfg(tmp_path, num_pulses=2000, out_histogram=None)
+        stationary = tmp_path / "stationary.ini"
+        stationary.write_text("[run]\nkind = stationary\n[stationary]\nduration = 0.01\n"
+                              f"[output]\nstream = {tmp_path / 'stationary.csv'}\n")
+        for ini in (pulsed, stationary):
+            assert cli.main(["simulate", "--config", str(ini)]) == 0
+        return {"pulsed": (tmp_path / "stream.csv", pulsed),
+                "stationary": (tmp_path / "stationary.csv", stationary)}
+
+    @pytest.mark.parametrize("kind", ["pulsed", "stationary"])
+    @pytest.mark.parametrize("detector,key", [
+        ({"gain": 1.0}, "gain"),
+        ({"efficiency": 2}, "detector.efficiency"),
+        ({"timing_jitter_sigma": -1e-10}, "detector.timing_jitter_sigma"),
+    ], ids=["unknown_key", "efficiency_above_one", "jitter_negative"])
+    def test_exit_2_names_sidecar_and_key(self, streams, tmp_path, monkeypatch, capsys,
+                                          kind, detector, key):
+        stream, ini = streams[kind]
+        meta = json.loads(Path(str(stream) + ".meta.json").read_text())
+        bad = tmp_path / "bad.meta.json"
+        bad.write_text(json.dumps({**meta, "detector": {**meta["detector"], **detector}}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", str(stream), "--config", str(ini), "--sidecar", str(bad),
+                         "--out", "report.json"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
+        assert sorted(os.listdir(tmp_path)) == ["bad.meta.json"]
 
 
 class TestUndecodableConfig:

@@ -683,6 +683,23 @@ class TestAnalyzeStream:
         empty = pg.ClickStream(np.empty(0, np.int64), np.empty(0), stream.metadata)
         assert ("dead_time_biased" in est.analyze_stream(empty).flags) == (dead_time > 0)
 
+    def test_overlay_models_the_sidecar_light(self):
+        # D(tau) * bin_width for the stream's own light and N, whatever state
+        # or N the report is given
+        stream, _ = run_train(st.thermal(0.5), 20000, seed=33, s=0.5)
+        report = est.analyze_stream(stream)
+        hist = report.histogram
+        assert np.array_equal(report.expected, sim.analytic_D(
+            st.thermal(0.5), sim.DetectorModel(efficiency=0.5), MODE, 20000,
+            hist.centers) * hist.bin_width)
+        hinted = est.analyze_stream(stream, state=st.coherent(1.0), num_pulses=30000)
+        assert np.array_equal(hinted.expected, report.expected)
+        # an in-memory detector that does not build gives none, and no flag
+        bad = pg.ClickStream(stream.pulse_index, stream.times,
+                             {**stream.metadata, "detector": {"gain": 1.0}})
+        broken = est.analyze_stream(bad)
+        assert broken.expected is None and broken.flags == report.flags
+
     def test_unparsed_sidecar_mode_label_flagged(self):
         # an API-built sampled mode is labelled "sampled:<array>"
         t = np.linspace(-8e-9, 8e-9, 1601)
@@ -692,6 +709,7 @@ class TestAnalyzeStream:
         report = est.analyze_stream(stream)
         assert "mode_label_unparsed" in report.flags
         assert "width_fitted_from_histogram" in report.flags
+        assert report.expected is None
         assert abs(report.g2q_eta - 1.0) < 4 * report.g2q_eta_sigma
 
     def test_round_trip_from_disk(self, tmp_path):

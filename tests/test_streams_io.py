@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -527,3 +528,10 @@ def test_sentinel_after_a_pulse_index_exits_3(monkeypatch, tmp_path, capsys, bin
     assert capsys.readouterr().err == ("estimation error: record 200: pulse index -1 "
                                        "outside [0, N) for N = 100 pulses\n")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_sidecar_detector_rules_cover_the_detector_model():
+    # every sidecar that passes the rules builds the overlay's `DetectorModel`
+    names = {f.name for f in dataclasses.fields(pg.DetectorModel)}
+    assert streams._SIDECAR_RULES["detector"][1].__self__ == names
+    assert all(f"detector.{name}" in streams._SIDECAR_RULES for name in names)
