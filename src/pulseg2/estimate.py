@@ -265,16 +265,20 @@ def _histogram(stream, bin_width, max_tau, scope, num_pulses):
             unit = ((times - t0) / max_tau).astype(np.int64)
             return np.minimum(unit, n_units - 1, out=unit)
 
-        def bin_of(pulse, i, j, dt):    # past max_tau: the overflow column
-            return np.minimum(dt / bin_width, nbins).astype(np.int64)
-
         reach = edges[-1] + bin_width   # one bin of slack: the bin index decides
         block_counts, block_clicks = _pair_counts(
-            _windows(stream._slices(), reach, False), reach, n_units, nbins + 1, bin_of,
-            1 if scope == "start_stop" else None, unit_of)
+            _windows(stream._slices(), reach, False), reach, n_units, nbins + 1,
+            _clipped_bins(bin_width, nbins), 1 if scope == "start_stop" else None, unit_of)
         block_counts = np.ascontiguousarray(block_counts[:, :nbins])
     hist = TauHistogram(edges, block_counts.sum(axis=0), scope, block_counts, block_clicks)
     return hist, pairs
+
+
+def _clipped_bins(bin_width, nbins):
+    """`_pair_counts`' ``bin_of`` for ``nbins`` bins of ``bin_width``: a pair
+    past them goes to the overflow column ``nbins``, its bin clipped before
+    the cast, since no reach bounds a same-pulse pair's dt."""
+    return lambda pulse, i, j, dt: np.minimum(dt / bin_width, nbins).astype(np.int64)
 
 
 def _pulse_slices(stream, n_pulses):
@@ -326,11 +330,8 @@ def _same_pulse_counts(stream, n_pulses, bin_width=math.inf, nbins=0):
     """Each pulse block's same-pulse pairs in ``nbins`` bins of ``bin_width``
     ((blocks, nbins) int64), its pairs at any lag (sum m(m-1)/2) and its
     clicks (sum m): one `_pulse_runs` walk, a column more past the bins."""
-    def bin_of(pulse, i, j, dt):    # clipped before the cast: no reach bounds dt
-        return np.minimum(dt / bin_width, nbins).astype(np.int64)
-
     counts, clicks = _pair_counts(_pulse_runs(stream, n_pulses), 1, n_pulses, nbins + 1,
-                                  bin_of, by_pulse=True)
+                                  _clipped_bins(bin_width, nbins), by_pulse=True)
     return np.ascontiguousarray(counts[:, :nbins]), counts.sum(axis=1), clicks
 
 
@@ -597,10 +598,9 @@ class CoherenceReport:
     route, ``g2q_analytic`` the exact value when the source state is
     known.  g2p and D0 carry units of 1/seconds.  ``histogram`` is the
     same-pulse histogram the report was computed from (None for an empty
-    stream), ``expected`` its analytic counts for the sidecar's light, and
-    ``state`` and ``mode`` the objects it was analyzed with, given or parsed
-    from the sidecar (None if neither); none of the four compares or is in
-    the JSON, which holds the rest in field order.
+    stream) and ``expected`` its analytic counts for the sidecar's light
+    (None if unknown); neither compares or is in the JSON, which holds the
+    rest in field order.
     """
 
     g2q_analytic: float | None = None
@@ -619,8 +619,6 @@ class CoherenceReport:
     flags: list = field(default_factory=list)
     histogram: TauHistogram | None = field(default=None, repr=False, compare=False)
     expected: np.ndarray | None = field(default=None, repr=False, compare=False)
-    state: _states.QuantumState | None = field(default=None, repr=False, compare=False)
-    mode: _modes.TemporalMode | None = field(default=None, repr=False, compare=False)
 
     def to_json(self, path=None) -> str:
         return _write_json({f.name: getattr(self, f.name) for f in fields(self)
@@ -669,6 +667,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
     detector dead time > 0 is flagged ``dead_time_biased`` (`_detector_flags`).
     ``expected`` (`_expected_counts`) models the sidecar's light: a hint or
     ``num_pulses`` changes its bins, not it, unless the hint has its label.
+    The report keeps neither the mode nor the state it analyzed with.
     """
     meta = stream.metadata
     if not stream.is_pulsed:
@@ -700,8 +699,7 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         _blocks(0, num_pulses)      # no walk holds N to the N rule here
         flags.append("empty_stream")
         return CoherenceReport(N=num_pulses, Ip=0.0, D0_per_second=0.0, D0_sigma=math.inf,
-                               g2q_analytic=g2q_analytic, flags=flags, state=state,
-                               mode=mode)
+                               g2q_analytic=g2q_analytic, flags=flags)
 
     if bin_width is None or max_tau is None:
         width = mode.width if mode is not None else _within_pulse_spread(stream)
@@ -731,20 +729,15 @@ def analyze_stream(stream: ClickStream, num_pulses: int | None = None,
         g2q_pn=g2q_pn, g2q_pn_sigma=g2q_pn_sigma,
         g2q_analytic=g2q_analytic,
         fitted_width_seconds=fitted if math.isfinite(fitted) else None,
-        flags=flags, histogram=hist, state=state, mode=mode,
-        expected=_expected_counts(meta, own_state, own_mode, hist))
+        flags=flags, histogram=hist, expected=_expected_counts(meta, own_state, own_mode, hist))
 
 
 def _expected_counts(meta, state, mode, hist):
-    """D(tau) * bin_width in ``hist``'s bins for the sidecar's light, N and
-    detector; None if one is missing or (in memory only) does not build."""
+    """D(tau) * bin_width in ``hist``'s bins for the sidecar's light, N and detector, or None."""
     n = meta.get("train", {}).get("num_pulses")
     if state is None or mode is None or n is None:
         return None
-    try:
-        detector = _simulate.DetectorModel(**meta.get("detector", {}))
-    except (TypeError, ValueError):
-        return None
+    detector = _simulate.DetectorModel(**meta.get("detector", {}))
     return _simulate.analytic_D(state, detector, mode, n, hist.centers) * hist.bin_width
 
 
@@ -806,7 +799,7 @@ def analyze_stationary(stream: ClickStream, bin_width: float | None = None,
 def _detector_flags(meta):
     """``dead_time_biased`` for a sidecar detector dead time > 0, which biases
     every pulsed route and the stationary g2(0) low and which none corrects."""
-    return ["dead_time_biased"] if (meta.get("detector", {}).get("dead_time") or 0) > 0 else []
+    return ["dead_time_biased"] if meta.get("detector", {}).get("dead_time", 0) > 0 else []
 
 
 def _parse_sidecar_label(meta, key, parse, flags):

@@ -36,12 +36,13 @@ last times), so a `ClickStream`, which yields views of its arrays, and a
 stream is pulsed if its first index is not the sentinel.  A CSV stream is
 always read whole.
 
-Every time is checked once, by one rule (`_bad_time`): a `ClickStream`
-checks its array a slice at a time when it is made, a `_StreamFile` each
-slice as a walk reads it.  The first record whose time is not finite or
-lies below the one before it is named in the error, as `_bad_pulse`
-names the first index outside a train of N pulses for the walks and
-counts that take N.
+Three rules, one idiom: `_bad_time`, `_bad_pulse` and `_bad_meta` each
+give the text naming the first fault (a time not finite or below the one
+before it, a pulse index outside a train of N pulses, a metadata key that
+breaks its `_SIDECAR_RULES` entry) or None, and each caller raises its own
+error with it.  A `ClickStream` checks its times, a slice at a time, and
+its metadata when it is made, a `_StreamFile` each slice as a walk reads
+it, and `_open_stream` the sidecar before it reads a record.
 
 Every CSV table and JSON document the package writes goes through
 `_write_table` or `_write_json`, and every CSV table it reads through
@@ -76,8 +77,8 @@ _BINARY_DTYPE = np.dtype([("pulse_index", "<u8"), ("time_seconds", "<f8")])
 _IO_SLICE = 1 << 15
 # a pulse index times the estimators' at most 200 pulse blocks stays an int64
 _MAX_PULSES = (2**63 - 1) // 200
-# the sidecar keys the readers use: the JSON types each may have, the test
-# a non-null value must pass, and both by name
+# the metadata keys read (`_bad_meta`): the JSON types each may have, the
+# test a non-null value must pass, and both by name
 _NULL = type(None)
 _SIDECAR_RULES = {
     **dict.fromkeys(("train", "stationary"), (dict, None, "an object")),
@@ -95,6 +96,7 @@ _SIDECAR_RULES = {
     "detector.efficiency": ((int, float), lambda v: 0 <= v <= 1, "a finite number in [0, 1]"),
     **dict.fromkeys(("detector.timing_jitter_sigma", "detector.dead_time"),
                     ((int, float), lambda v: 0 <= v < math.inf, "a finite number >= 0")),
+    "n_clicks": (int, lambda v: v >= 0, "an integer >= 0"),
 }
 
 
@@ -126,6 +128,21 @@ def _bad_pulse(pulse, n, offset=0) -> str | None:
     return f"record {offset + i}: pulse index {pulse[i]} outside [0, N) for N = {n} pulses"
 
 
+def _bad_meta(meta) -> str | None:
+    """The error text naming the first key of the metadata ``meta`` that
+    breaks its `_SIDECAR_RULES` entry; None if every key keeps its rule."""
+    if not isinstance(meta, dict):
+        return f"must be a JSON object, not {type(meta).__name__}"
+    for key, (kind, test, name) in _SIDECAR_RULES.items():
+        section, _, leaf = key.rpartition(".")
+        table = meta.get(section, {}) if section else meta
+        value = table.get(leaf)
+        if leaf in table and (isinstance(value, bool) or not isinstance(value, kind)
+                              or test and value is not None and not test(value)):
+            return f"{key} must be {name}, got {json.dumps(value, default=repr)}"
+    return None
+
+
 class _Records:
     """What the estimators read of a stream: ``metadata``, ``n_clicks``,
     `_slices` and `_ends`, and from these whether the stream is pulsed."""
@@ -133,10 +150,8 @@ class _Records:
     @property
     def is_pulsed(self) -> bool:
         """The sidecar ``kind``, else whether the first index is not the sentinel."""
-        kind = self.metadata.get("kind")
-        if kind is not None:
-            return kind == "pulsed"
-        return bool(self.n_clicks) and self._ends()[0] >= 0
+        kind = self.metadata.get("kind")   # checked: "pulsed", "stationary" or None
+        return kind == "pulsed" if kind else bool(self.n_clicks) and self._ends()[0] >= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +169,8 @@ class ClickStream(_Records):
             raise ValueError("pulse_index and times must be matching 1-D arrays")
         if bad := _bad_time(t):
             raise ValueError(bad)
+        if bad := _bad_meta(self.metadata):
+            raise ValueError(f"metadata: {bad}")
         idx.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "pulse_index", idx)
@@ -356,18 +373,6 @@ def _checked(path, pulse_index, times, metadata) -> ClickStream:
         raise StreamFormatError(f"{path}: {exc}") from exc
 
 
-def _check_sidecar(meta, side) -> None:
-    if not isinstance(meta, dict):
-        raise StreamFormatError(f"{side}: the sidecar must be a JSON object")
-    for key, (kind, test, name) in _SIDECAR_RULES.items():
-        section, _, leaf = key.rpartition(".")
-        table = meta.get(section, {}) if section else meta
-        value = table.get(leaf)
-        if leaf in table and (isinstance(value, bool) or not isinstance(value, kind)
-                              or test and value is not None and not test(value)):
-            raise StreamFormatError(f"{side}: {key} must be {name}, got {json.dumps(value)}")
-
-
 def _open_stream(path, sidecar: str | None = None) -> _Records:
     """The stream at ``path``: a binary one as a `_StreamFile`, a CSV one
     read whole into a `ClickStream`.  Either record count must match a
@@ -382,7 +387,8 @@ def _open_stream(path, sidecar: str | None = None) -> _Records:
         pass
     except json.JSONDecodeError as exc:
         raise StreamFormatError(f"{side}: invalid sidecar JSON: {exc}") from exc
-    _check_sidecar(meta, side)
+    if bad := _bad_meta(meta):
+        raise StreamFormatError(f"{side}: {bad}")
     fmt = meta.get("format") or ("binary" if path.endswith(".bin") else "csv")
 
     def check_count(n):

@@ -694,11 +694,10 @@ class TestAnalyzeStream:
             hist.centers) * hist.bin_width)
         hinted = est.analyze_stream(stream, state=st.coherent(1.0), num_pulses=30000)
         assert np.array_equal(hinted.expected, report.expected)
-        # an in-memory detector that does not build gives none, and no flag
-        bad = pg.ClickStream(stream.pulse_index, stream.times,
-                             {**stream.metadata, "detector": {"gain": 1.0}})
-        broken = est.analyze_stream(bad)
-        assert broken.expected is None and broken.flags == report.flags
+        # an in-memory detector the sidecar rules refuse builds no stream
+        with pytest.raises(ValueError, match="metadata: detector must be"):
+            pg.ClickStream(stream.pulse_index, stream.times,
+                           {**stream.metadata, "detector": {"gain": 1.0}})
 
     def test_unparsed_sidecar_mode_label_flagged(self):
         # an API-built sampled mode is labelled "sampled:<array>"

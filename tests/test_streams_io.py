@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 import pulseg2 as pg
 from pulseg2 import cli, streams
@@ -215,6 +217,67 @@ def test_sidecar_click_count_checked(tmp_path, fmt):
     side.write_text(json.dumps(meta))
     with pytest.raises(StreamFormatError, match="n_clicks"):
         read_stream(path)
+
+
+@pytest.mark.parametrize("meta,message", [
+    (None, "metadata: must be a JSON object, not NoneType"),
+    ({"detector": {"dead_time": "x"}}, 'metadata: detector.dead_time must be .*, got "x"'),
+    ({"kind": "Pulsed"}, 'metadata: kind must be .*, got "Pulsed"'),
+    ({"train": {"num_pulses": "5"}}, 'metadata: train.num_pulses must be .*, got "5"'),
+], ids=["none", "dead_time_string", "kind_capitalized", "num_pulses_string"])
+def test_in_memory_metadata_held_to_the_sidecar_rules(meta, message):
+    with pytest.raises(ValueError, match=message):
+        ClickStream(np.arange(3), np.arange(3.0), meta)
+
+
+@pytest.mark.parametrize("n_clicks", ["3", True, -1, 1.5],
+                         ids=["string", "true", "negative", "fraction"])
+def test_sidecar_click_count_rule_exits_2(monkeypatch, tmp_path, capsys, n_clicks):
+    stream = ClickStream(np.arange(3), np.arange(3.0) * 1e-9,
+                         {"kind": "pulsed", "train": {"num_pulses": 3}})
+    path = tmp_path / "s.csv"
+    write_stream(stream, path)
+    bad = tmp_path / "bad.meta.json"
+    bad.write_text(json.dumps({**stream.metadata, "n_clicks": n_clicks}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", str(path), "--sidecar", str(bad), "--out", "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: n_clicks must be an integer >= 0, got {json.dumps(n_clicks)}" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+_JSON = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers() | hs.floats(allow_nan=False, allow_infinity=False)
+    | hs.text(max_size=4) | hs.sampled_from(["pulsed", "stationary", "csv", "binary"]),
+    lambda inner: hs.lists(inner, max_size=3) | hs.dictionaries(hs.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_LEAVES = ["num_pulses", "repetition_period", "spectral_bandwidth", "efficiency",
+           "timing_jitter_sigma", "dead_time"]
+_META = hs.dictionaries(
+    hs.sampled_from(["train", "stationary", "detector", "state", "mode", "kind", "format",
+                     "n_clicks", "seed"]) | hs.text(max_size=4),
+    _JSON | hs.dictionaries(hs.sampled_from(_LEAVES) | hs.text(max_size=4), _JSON, max_size=4),
+    max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(meta=_META, fmt=hs.sampled_from(["csv", "binary"]))
+@example(meta={"kind": "Pulsed"}, fmt="csv")
+@example(meta={"detector": {"dead_time": "x"}}, fmt="binary")
+@example(meta={"n_clicks": True}, fmt="csv")
+@example(meta={"train": {"num_pulses": 2, "repetition_period": 1e-8}, "n_clicks": 7},
+         fmt="binary")
+def test_stream_metadata_is_refused_or_read_back(tmp_path_factory, meta, fmt):
+    # no stream holds metadata that its own sidecar would fail
+    try:
+        stream = ClickStream(np.arange(3), np.arange(3.0), meta)
+    except ValueError as exc:
+        assert str(exc).startswith("metadata: ")
+        return
+    path = tmp_path_factory.getbasetemp() / "property.stream"
+    write_stream(stream, path, fmt=fmt)
+    assert read_stream(path).metadata == {**meta, "format": fmt, "n_clicks": 3}
 
 
 @pytest.mark.parametrize("parse,prefix,text,message", [
