@@ -35,7 +35,8 @@ from . import modes as _modes
 from . import simulate as _simulate
 from . import states as _states
 from .errors import EstimationError
-from .streams import _MAX_PULSES, ClickStream, _bad_pulse, _write_json, _write_table
+from .streams import (_MAX_PULSES, _SLICE, ClickStream, _bad_pulse, _write_json,
+                      _write_table)
 
 __all__ = [
     "TauHistogram",
@@ -89,12 +90,6 @@ class TauHistogram:
         _write_table(path, head, cols, fmt)
 
 
-# first clicks per window of the time-ordered pair walk, and clicks per
-# piece of whole pulses of the pulse-ordered one: their scratch memory is
-# a few arrays this long (2^14 holds half of 2^15 and walks within a few
-# per cent of it: the stationary benchmark stream's all-pairs walk took
-# 33.3 vs 32.2 ms, +3 %, and 52 vs 56 ms in two sets of 30 runs, 2 vCPUs)
-_PAIR_SLICE = 1 << 14
 # bins of a pair histogram; its (<= 200 blocks, bins) counts stay <= 26 MB
 _MAX_BINS = 1 << 14
 # most within-pulse offsets the fallback width samples (<= 0.5 MB of them)
@@ -123,33 +118,29 @@ def _pairs(times, reach, n=None):
 
 
 def _windows(slices, reach, pulsed):
-    """Yield ``(pulse, times, n)``: the next `_PAIR_SLICE` first clicks of
-    the ``slices`` (a stream's `_slices`, or its `_pulse_slices`; the last
+    """Yield ``(pulse, times, n)``: the next `_SLICE` first clicks of the
+    ``slices`` (a stream's `_slices`, or its `_pulse_slices`; the last
     window fewer), then every later click within ``reach`` of the last of
     them.  ``pulse`` holds the window's pulse indices if ``pulsed``, else
     it is None.
 
-    The slices come in pieces of `_PAIR_SLICE` clicks.  A window
-    is the tail carried from the last piece plus as many new pieces as it
-    takes to read one click beyond reach (or the stream's end), so no pair
-    of its first clicks reaches past it: the walk over the window finds
-    the pairs the walk over the whole stream finds."""
-    size = _PAIR_SLICE
+    A window is the tail carried from the last slice plus as many new
+    slices as it takes to read one click beyond reach (or the stream's
+    end), so no pair of its first clicks reaches past it: the walk over
+    the window finds the pairs the walk over the whole stream finds."""
     t = np.empty(0)
     p = np.empty(0, dtype=np.int64) if pulsed else None
-    pieces = ((pulse[lo:lo + size] if pulsed else None, times[lo:lo + size])
-              for pulse, times in slices for lo in range(0, times.size, size))
-    for pulse, times in pieces:
+    for pulse, times in slices:
         t = np.concatenate([t, times])
         p = np.concatenate([p, pulse]) if pulsed else None
         lo = 0
-        while t.size - lo > size and t[-1] >= t[lo + size - 1] + reach:
-            end = lo + size + np.searchsorted(t[lo + size:], t[lo + size - 1] + reach)
-            yield p[lo:end] if pulsed else None, t[lo:end], size
-            lo += size
+        while t.size - lo > _SLICE and t[-1] >= (edge := t[lo + _SLICE - 1] + reach):
+            end = lo + _SLICE + np.searchsorted(t[lo + _SLICE:], edge)
+            yield p[lo:end] if pulsed else None, t[lo:end], _SLICE
+            lo += _SLICE
         t, p = t[lo:], p[lo:] if pulsed else None
-    for lo in range(0, t.size, size):
-        yield p[lo:] if pulsed else None, t[lo:], min(size, t.size - lo)
+    for lo in range(0, t.size, _SLICE):
+        yield p[lo:] if pulsed else None, t[lo:], min(_SLICE, t.size - lo)
 
 
 def _pair_counts(windows, reach, n_units, ncols, bin_of, passes=None, unit_of=None,
@@ -296,13 +287,17 @@ def _pulse_runs(stream, n_pulses):
     """Yield `_pair_counts` windows of the clicks in pulse order, each pulse's
     in time order.  Read a slice at a time (`_pulse_slices`), the clicks
     below the next slice's least index are yielded, the rest held back with
-    that slice, sorted stably by index if jitter reordered them.  An index
-    at or below a pulse already yielded is an EstimationError naming its
-    record."""
-    def pieces(p, t):   # `_PAIR_SLICE` first clicks, then the rest of the last pulse
-        for lo in range(0, p.size, _PAIR_SLICE):
-            end = np.searchsorted(p, p[min(lo + _PAIR_SLICE, p.size) - 1], "right")
-            yield p[lo:end], t[lo:end], min(_PAIR_SLICE, p.size - lo)
+    that slice, sorted stably by index if jitter reordered them.
+
+    The walk's contract: pulse indices out of order by less than one
+    `_SLICE`.  A click is taken if it comes fewer than `_SLICE` records
+    after the first click of a later pulse; an index at or below a pulse
+    already yielded (so below every index of the slice read before its
+    own) is an EstimationError naming its record."""
+    def pieces(p, t):   # `_SLICE` first clicks, then the rest of the last pulse
+        for lo in range(0, p.size, _SLICE):
+            end = np.searchsorted(p, p[min(lo + _SLICE, p.size) - 1], "right")
+            yield p[lo:end], t[lo:end], min(_SLICE, p.size - lo)
 
     held_p, held_t, done, record = np.empty(0, dtype=np.int64), np.empty(0), None, 0
     for pulse, times in _pulse_slices(stream, n_pulses):

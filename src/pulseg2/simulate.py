@@ -23,7 +23,7 @@ per train, re-keyed per block) it
    alias table.
 
 Every source yields its clicks in slices, whole pulse blocks until the
-slice holds `_SLICE_CLICKS` clicks or one field chunk each, to one
+slice holds `_SLICE` clicks or one field chunk each, to one
 finisher (`_ordered_slices`): optional Gaussian timing jitter, a stable
 time sort of the slice after the clicks held back from the slice before,
 the emission of the clicks that no later slice can precede,
@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -82,7 +83,7 @@ from . import states as _states
 from ._version import __version__
 from .errors import StreamFormatError
 from .rngutil import block_generator, block_generators, derive_roots
-from .streams import _MAX_PULSES, ClickStream, _stream
+from .streams import _MAX_PULSES, _SLICE, ClickStream, _stream
 
 __all__ = [
     "DetectorModel",
@@ -96,13 +97,8 @@ __all__ = [
 ]
 
 _PULSE_BLOCK = 1 << 17
-# a slice of the stream ends at the first pulse block at which it holds
-# _SLICE_CLICKS clicks; not part of the RNG layout
-_SLICE_CLICKS = 1 << 14
 # clicks held back at a slice boundary, in jitter sigmas (see `_ordered_slices`)
 _JITTER_MARGIN = 40.0
-# candidate rows per draw of the arrival sampler; not part of the RNG layout
-_ARRIVAL_ROWS = 1 << 14
 _FIELD_CHUNK = 1 << 20
 # cells per row group of the field filter; not part of the RNG layout
 _FIELD_GROUP = 1 << 16
@@ -112,11 +108,21 @@ _FIELD_BLOCK = 64
 _FILTER_FFT = 1 << 12
 
 
-def _require_finite(values, *names):
+def _number(name, value):
+    """``value`` as the Python number the sidecar's JSON writes (an integer
+    as an int, a numpy scalar too); a bool, None, or any other value that
+    is not a finite real number is a ValueError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
+def _hold_numbers(config, *names):
+    """Hold each named field of the frozen ``config`` as its `_number`."""
     for name in names:
-        value = values[name]
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(config, name, _number(name, getattr(config, name)))
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ class DetectorModel:
     dead_time: float = 0.0
 
     def __post_init__(self):
-        _require_finite(vars(self), "efficiency", "timing_jitter_sigma", "dead_time")
+        _hold_numbers(self, "efficiency", "timing_jitter_sigma", "dead_time")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.timing_jitter_sigma < 0 or self.dead_time < 0:
@@ -153,9 +159,10 @@ class PulseTrainConfig:
     mode: _modes.TemporalMode
 
     def __post_init__(self):
-        _require_finite(vars(self), "num_pulses", "repetition_period")
+        _hold_numbers(self, "num_pulses", "repetition_period")
         if not 1 <= self.num_pulses <= _MAX_PULSES or self.num_pulses != int(self.num_pulses):
             raise ValueError(f"num_pulses must be an integer in [1, {_MAX_PULSES}]")
+        object.__setattr__(self, "num_pulses", int(self.num_pulses))
         if not self.repetition_period > 0:
             raise ValueError("repetition_period must be positive")
         spread = self.mode.width * math.sqrt(2.0 * self.mode.order + 1.0)
@@ -182,15 +189,15 @@ class StationaryThermalConfig:
     spectral_shape: str = "gaussian"
 
     def __post_init__(self):
-        _require_finite(vars(self), "mean_rate", "spectral_bandwidth", "duration",
-                        "field_timestep")
+        _hold_numbers(self, "mean_rate", "spectral_bandwidth", "duration")
         if self.mean_rate < 0 or self.spectral_bandwidth <= 0 or self.duration <= 0:
             raise ValueError("mean_rate must be >= 0, spectral_bandwidth and duration "
                              "positive")
         limit = 1.0 / (20.0 * self.spectral_bandwidth)
         if self.field_timestep is None:
             object.__setattr__(self, "field_timestep", limit)
-        elif not 0 < self.field_timestep <= limit * (1 + 1e-12):
+        _hold_numbers(self, "field_timestep")
+        if not 0 < self.field_timestep <= limit * (1 + 1e-12):
             raise ValueError(
                 f"field_timestep must be <= 1/(20*bandwidth) = {limit:g}")
         if self.duration * self.spectral_bandwidth < 10.0:
@@ -248,10 +255,10 @@ def _arrival_sampler(mode, rng):
     in O(1) from `_alias_table` (u0 n is the column, clamped to n - 1 as
     n (1 - 2^-53) may round to n, and its fraction the coin), a uniform
     place in it, acceptance against |v|^2.
-    Rows are drawn in order, _ARRIVAL_ROWS at a time, and accepted rows
-    left over from one draw serve the next: photon k takes the k-th
-    accepted row, so the offsets do not depend on _ARRIVAL_ROWS or on how
-    the photons are split between draws."""
+    Rows are drawn in order, `_SLICE` at a time, and accepted rows left
+    over from one draw serve the next: photon k takes the k-th accepted
+    row, so the offsets do not depend on `_SLICE` (not part of the RNG
+    layout) or on how the photons are split between draws."""
     t, step, bound = _arrival_envelope(mode)
     mass = bound * step
     prob, alias = _alias_table(mass)
@@ -265,7 +272,7 @@ def _arrival_sampler(mode, rng):
         out[:filled] = surplus[:filled]
         surplus = surplus[filled:]
         while filled < count:
-            u = rng.random((_ARRIVAL_ROWS, 3))
+            u = rng.random((_SLICE, 3))
             x = u[:, 0] * n
             column = np.minimum(x.astype(np.intp), n - 1)
             cell = np.where(x - column < prob[column], column, alias[column])
@@ -294,11 +301,11 @@ def _pulse_train_slices(state, detector, train, seed):
     """The train's stream as `_ordered_slices` of whole pulse blocks.
 
     A slice draws its blocks' pulse indices in turn until it holds
-    `_SLICE_CLICKS` clicks, so it holds fewer than that many plus one
-    block's; then the next offsets of the train's one arrival sampler and
-    its times in place in them.  A later slice's pulses start at its first
-    pulse, so none of its times lies below that pulse's slot center plus
-    the sampler's earliest offset.
+    `_SLICE` clicks (not part of the RNG layout), so it holds fewer than
+    that many plus one block's; then the next offsets of the train's one
+    arrival sampler and its times in place in them.  A later slice's
+    pulses start at its first pulse, so none of its times lies below that
+    pulse's slot center plus the sampler's earliest offset.
     """
     pmf = _states.binomial_loss_pn(state.pn, detector.efficiency)
     cdf = np.cumsum(pmf)
@@ -313,7 +320,7 @@ def _pulse_train_slices(state, detector, train, seed):
             hi = min(lo + _PULSE_BLOCK, n)
             blocks.append(_pulse_block(cdf, lo, hi, block_rng(lo // _PULSE_BLOCK)))
             clicks += blocks[-1].size
-            if hi < n and clicks < _SLICE_CLICKS:
+            if hi < n and clicks < _SLICE:
                 continue
             pulse_idx = np.concatenate(blocks)
             blocks, clicks = [], 0
@@ -321,7 +328,7 @@ def _pulse_train_slices(state, detector, train, seed):
             times += (pulse_idx + 0.5) * period
             yield pulse_idx, times, earliest + (hi + 0.5) * period if hi < n else math.inf
     return _ordered_slices(raw(), detector, seed, "pulsed", state.label, train.mode.label,
-                           train={"num_pulses": int(n), "repetition_period": period})
+                           train={"num_pulses": n, "repetition_period": period})
 
 
 def simulate_pulse_train(state: _states.QuantumState, detector: DetectorModel,
@@ -635,7 +642,7 @@ def simulate_stationary_poisson(mean_rate: float, duration: float, seed,
                                 detector: DetectorModel | None = None) -> ClickStream:
     """Constant-rate control source (no intensity fluctuations, flat g2):
     one slice of uniform times, sorted alone."""
-    _require_finite(locals(), "mean_rate", "duration")
+    mean_rate, duration = _number("mean_rate", mean_rate), _number("duration", duration)
     if mean_rate < 0 or duration <= 0:
         raise ValueError("rate must be >= 0 and duration positive")
     detector = detector or DetectorModel()

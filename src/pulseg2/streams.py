@@ -16,8 +16,8 @@ CSV       header ``pulse_index,time_seconds``; stationary records write -1.
           magnitude 2**53 or more is an error, as float parsing may round it.
 binary    packed little-endian records (u64 pulse index, f64 time);
           stationary records store 2**64 - 1 as the index sentinel.
-          Both directions go `_IO_SLICE` records at a time through one
-          slice-sized record buffer (512 KiB); the bytes do not depend on
+          Both directions go `_SLICE` records at a time through one
+          slice-sized record buffer (256 KiB); the bytes do not depend on
           the slice.  `read_stream` gathers the slices into the stream's
           arrays, allocating an index array only once a record is not
           the sentinel.  `pulseg2 analyze` holds no such array: it opens
@@ -73,8 +73,11 @@ __all__ = [
 
 _HEADER = "pulse_index,time_seconds"
 _BINARY_DTYPE = np.dtype([("pulse_index", "<u8"), ("time_seconds", "<f8")])
-# records per slice of the binary write and read
-_IO_SLICE = 1 << 15
+# the one slice size: records per slice of the binary write and read, of a
+# stream's `_slices` and of the time-order check, first clicks per window of
+# the pair walk, and the simulator's click budget per slice and arrival rows
+# per draw; no output depends on it
+_SLICE = 1 << 14
 # a pulse index times the estimators' at most 200 pulse blocks stays an int64
 _MAX_PULSES = (2**63 - 1) // 200
 # the metadata keys read (`_bad_meta`): the JSON types each may have, the
@@ -104,9 +107,9 @@ def _bad_time(t, last=-math.inf, offset=0) -> str | None:
     """The error text naming the first record of the times ``t`` (numbered
     from ``offset``) that is not finite or lies below the one before it,
     ``last`` before the first; None if every time is good.  The times are
-    compared `_IO_SLICE` at a time, so the check holds one slice of mask."""
-    for lo in range(0, t.size, _IO_SLICE):
-        part = t[lo:lo + _IO_SLICE]
+    compared `_SLICE` at a time, so the check holds one slice of mask."""
+    for lo in range(0, t.size, _SLICE):
+        part = t[lo:lo + _SLICE]
         # ordered between finite ends, all are finite: a nan fails the order
         if (math.isfinite(part[0]) and math.isfinite(part[-1]) and last <= part[0]
                 and (part[1:] >= part[:-1]).all()):
@@ -187,9 +190,9 @@ class ClickStream(_Records):
         return np.bincount(self.pulse_index, minlength=num_pulses)
 
     def _slices(self):
-        """Views of the pulse indices and times, `_IO_SLICE` records at a time."""
-        for lo in range(0, self.n_clicks, _IO_SLICE):
-            yield self.pulse_index[lo:lo + _IO_SLICE], self.times[lo:lo + _IO_SLICE]
+        """Views of the pulse indices and times, `_SLICE` records at a time."""
+        for lo in range(0, self.n_clicks, _SLICE):
+            yield self.pulse_index[lo:lo + _SLICE], self.times[lo:lo + _SLICE]
 
     def _ends(self):
         """The first pulse index, first and last times; (-1, 0, 0) without clicks."""
@@ -201,7 +204,7 @@ class ClickStream(_Records):
 
 
 class _StreamFile(_Records):
-    """A binary stream on disk, its records read `_IO_SLICE` at a time each
+    """A binary stream on disk, its records read `_SLICE` at a time each
     time an estimator walks them, so that no click-long array is held.
     Opening it reads its record count from the file size and no record."""
 
@@ -253,12 +256,18 @@ def _stream(pulse_index, times, metadata) -> ClickStream:
 
 def _write_table(path, header: str, columns, fmt="%.12g") -> None:
     """Write a CSV table: the ``header`` line, then one row per entry of the
-    ``columns`` (an empty column writes the header alone).  ``columns``
-    may also be an iterator of column lists, whose rows follow in turn."""
+    ``columns`` (an empty column writes the header alone), each field in
+    its ``fmt`` (one for all, or one per column).  ``columns`` may also be
+    an iterator of column lists, whose rows follow in turn.  The rows go
+    `_SLICE` at a time through Python numbers, an integer column exact."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for part in columns if iter(columns) is columns else [columns]:
-            np.savetxt(fh, np.column_stack(part), fmt=fmt, delimiter=",")
+            part = [np.asarray(c) for c in part]
+            row = ",".join([fmt] * len(part) if isinstance(fmt, str) else fmt) + "\n"
+            for lo in range(0, part[0].size, _SLICE):
+                fields = (c[lo:lo + _SLICE].tolist() for c in part)
+                fh.write("".join(row % r for r in zip(*fields, strict=True)))
             del part
 
 
@@ -302,11 +311,11 @@ def write_stream(stream: ClickStream | Iterable[ClickStream], path, fmt: str = "
     if fmt == "csv":
         _write_table(path, _HEADER, columns(), fmt=("%d", "%.17g"))
     else:
-        rec = np.empty(_IO_SLICE, dtype=_BINARY_DTYPE)
+        rec = np.empty(_SLICE, dtype=_BINARY_DTYPE)
         with open(path, "wb") as fh:
             for pulse, times in columns():
-                for lo in range(0, times.size, _IO_SLICE):
-                    out = rec[:min(_IO_SLICE, times.size - lo)]
+                for lo in range(0, times.size, _SLICE):
+                    out = rec[:min(_SLICE, times.size - lo)]
                     out["pulse_index"] = pulse[lo:lo + out.size].view(np.uint64)
                     out["time_seconds"] = times[lo:lo + out.size]
                     fh.write(out.view(np.uint8))
@@ -354,12 +363,12 @@ def _read_table(path, columns: str, header: str | None = None) -> np.ndarray:
 
 def _records(path, n):
     """The pulse indices (an int64 view) and times of a binary stream's
-    ``n`` records, `_IO_SLICE` at a time, as views of one record buffer
+    ``n`` records, `_SLICE` at a time, as views of one record buffer
     that the next slice overwrites; nothing is checked but the length."""
-    rec = np.empty(min(n, _IO_SLICE), dtype=_BINARY_DTYPE)
+    rec = np.empty(min(n, _SLICE), dtype=_BINARY_DTYPE)
     with open(path, "rb") as fh:
-        for lo in range(0, n, _IO_SLICE):
-            part = rec[:min(_IO_SLICE, n - lo)]
+        for lo in range(0, n, _SLICE):
+            part = rec[:min(_SLICE, n - lo)]
             if fh.readinto(part.view(np.uint8)) != part.nbytes:
                 raise StreamFormatError(f"{path}: file shorter than {n} records")
             yield part["pulse_index"].view(np.int64), part["time_seconds"]

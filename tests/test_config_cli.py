@@ -160,10 +160,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("kind", ["pulsed", "stationary"])
     def test_sliced_write_is_the_whole_stream_written(self, tmp_path, monkeypatch, fmt,
                                                       kind):
-        # slices of one pulse block (3 of them, a one-click budget each) or
-        # one field chunk (2), jittered and dead-time filtered, written as
-        # they come
-        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1)
+        # slices of one pulse block (3 of them, ~65,000 clicks against a
+        # 2^10 budget each) or one field chunk (2), jittered and dead-time
+        # filtered, written as they come
+        monkeypatch.setattr(sim, "_SLICE", 1 << 10)
         cfg, path = write_cfg(tmp_path, kind=kind, num_pulses=3 * sim._PULSE_BLOCK - 7,
                               mean_rate=2e5, duration=0.06, stream_format=fmt,
                               timing_jitter_sigma=2e-9, dead_time=1e-9)
@@ -187,7 +187,7 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path, "--pulses", "100"]) == 0
         side = tmp_path / "stream.csv.meta.json"
         assert side.exists()
-        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1)
+        monkeypatch.setattr(sim, "_SLICE", 1 << 10)
         monkeypatch.setattr(sim, "_JITTER_MARGIN", 0.0)
         assert cli.main(["simulate", "--config", path]) == 2
         assert "precedes" in capsys.readouterr().err

@@ -464,14 +464,16 @@ class TestPnHistogram:
     def test_runs_in_slices_match_unique_counts(self, monkeypatch, slice_len, n_pulses,
                                                 jitter):
         # 4 ns jitter reorders the pulse indices of a 12.5 ns train; 150
-        # pulses make 150 one-pulse blocks, and 1237 is no multiple of 200
+        # pulses make 150 one-pulse blocks, and 1237 is no multiple of 200.
+        # The walk alone takes the small slice: read at one, the jittered
+        # streams would lag by more than a slice (`_pulse_runs`)
         train = sim.PulseTrainConfig(n_pulses, PERIOD, MODE)
         det = sim.DetectorModel(efficiency=0.5, timing_jitter_sigma=jitter)
         state = st.thermal(2.0 if n_pulses == 20000 else 20.0)
         stream = sim.simulate_pulse_train(state, det, train, seed=23)
         assert (np.any(np.diff(stream.pulse_index) < 0)) == (jitter > 0)
         if slice_len is not None:
-            monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+            monkeypatch.setattr(est, "_SLICE", slice_len)
         assert est.pn_histogram_g2q(stream, train) == self.reference(stream, n_pulses)
         # the report's one walk gives the same rows
         report = est.analyze_stream(stream, mode=MODE)
@@ -909,19 +911,17 @@ class TestSlicedStreams:
 
     @pytest.mark.parametrize("name", ["jittered", "stationary"])
     @pytest.mark.parametrize("slice_len", [7, 64, 1000])
-    def test_sliced_file_gives_the_in_memory_results(self, monkeypatch, files, name,
-                                                     slice_len):
+    def test_sliced_file_gives_the_in_memory_results(self, set_slice, files, name, slice_len):
         stream, path = files[name]
         train = (sim.PulseTrainConfig(4000, PERIOD, MODE) if name == "jittered" else None)
         want = self.outcomes(stream, train)
-        monkeypatch.setattr(pg.streams, "_IO_SLICE", slice_len)
-        monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+        set_slice(slice_len)
         for got in (self.outcomes(pg.streams._open_stream(path), train),
                     self.outcomes(stream, train)):
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
-    def test_within_pulse_spread_is_numpys(self, monkeypatch, files):
+    def test_within_pulse_spread_is_numpys(self, monkeypatch, set_slice, files):
         # every offset, then every k-th record's: numpy's bits at any slicing
         stream, path = files["jittered"]
         offsets = stream.times - (stream.pulse_index + 0.5) * PERIOD
@@ -930,21 +930,40 @@ class TestSlicedStreams:
         for sample, want in ((est._SPREAD_SAMPLE, offsets), (1000, offsets[::k])):
             monkeypatch.setattr(est, "_SPREAD_SAMPLE", sample)
             for slice_len in (7, 129, 1 << 16):
-                monkeypatch.setattr(pg.streams, "_IO_SLICE", slice_len)
+                set_slice(slice_len)
                 for s in (stream, pg.streams._open_stream(path)):
                     assert est._within_pulse_spread(s) == float(np.std(want)) * math.sqrt(2)
 
-    def test_index_behind_a_counted_pulse_named(self, monkeypatch):
+    def test_index_behind_a_counted_pulse_named(self, set_slice):
         # read 4 records at a time, pulse 1 is counted once the second slice
         # starts at pulse 2, and its last click comes in the third: its m
         # would split, so the pn route refuses
         pulse = np.array([0, 0, 1, 2, 2, 3, 3, 3, 1, 4])
         stream = pg.ClickStream(pulse, np.arange(10) * 1e-9, {"kind": "pulsed"})
-        monkeypatch.setattr(pg.streams, "_IO_SLICE", 4)
+        set_slice(4)
         with pytest.raises(EstimationError, match="record 8: pulse index 1 comes after"):
             est.pn_histogram_g2q(stream, 5)
         with pytest.raises(EstimationError, match="record 8: pulse index 1 comes after"):
             est.tau_histogram(stream, 1e-9, 5e-9, num_pulses=5)
-        monkeypatch.setattr(pg.streams, "_IO_SLICE", 8)    # within one slice: sorted
+        set_slice(8)    # within one slice: sorted
         _, pairs, clicks = est._same_pulse_counts(stream, 5)
         assert [pairs.tolist(), clicks.tolist()] == [[1, 1, 1, 3, 0], [2, 2, 2, 3, 1]]
+
+    def test_index_lagging_by_less_than_a_slice_is_taken(self, set_slice):
+        # read 4 records at a time, pulse 1's last click (record 6) comes 3
+        # records after pulse 2's first: less than one slice, so the walk
+        # counts the clicks of the stream with the same pulses in order
+        unit = 2.0**-30             # exact time differences: no bin edge moves
+        lagging = pg.ClickStream(np.array([0, 0, 1, 2, 2, 3, 1, 3, 3, 4]),
+                                 np.arange(10) * unit, {"kind": "pulsed"})
+        in_order = pg.ClickStream(np.array([0, 0, 1, 1, 2, 2, 3, 3, 3, 4]),
+                                  np.array([0, 1, 2, 6, 7, 8, 9, 11, 12, 13]) * unit,
+                                  {"kind": "pulsed"})
+        set_slice(4)
+
+        def outcomes(stream):
+            hist = est.tau_histogram(stream, unit, 8 * unit, num_pulses=5)
+            return [hist.counts, hist.block_counts, hist.block_clicks,
+                    est.pn_histogram_g2q(stream, 5)]
+        for a, b in zip(outcomes(lagging), outcomes(in_order), strict=True):
+            assert np.array_equal(a, b)

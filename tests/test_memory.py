@@ -49,58 +49,60 @@ def traced_peak(fn, *args, **kwargs):
 def test_binary_write_holds_one_slice(pulsed, tmp_path):
     path = tmp_path / "s.bin"
     peak = traced_peak(streams.write_stream, pulsed[0], path, fmt="binary")
-    assert peak <= streams._IO_SLICE * streams._BINARY_DTYPE.itemsize + SLACK
+    assert peak <= streams._SLICE * streams._BINARY_DTYPE.itemsize + SLACK
 
 
-# the shipped read slice and a small one: at either, a click-long temporary
+# the shipped slice and a small one: at either, a click-long temporary
 # (a byte per click, 1 MB) outgrows the slice term of a bound
-IO_SLICES = [streams._IO_SLICE, 1 << 12]
+SLICES = [streams._SLICE, 1 << 12]
 
 
-def test_building_a_stream_holds_one_slice_of_scratch(monkeypatch):
+def test_building_a_stream_holds_one_slice_of_scratch(set_slice):
     # the time-order check compares one slice at a time: its mask is a byte
     # per record of one slice, never of the ~1e6 clicks
     times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 10**6))
     pulse = np.arange(times.size)
-    for io_slice in IO_SLICES:
-        monkeypatch.setattr(streams, "_IO_SLICE", io_slice)
-        assert traced_peak(streams.ClickStream, pulse, times, {}) <= io_slice + SLACK
+    for n in SLICES:
+        set_slice(n)
+        assert traced_peak(streams.ClickStream, pulse, times, {}) <= n + SLACK
 
 
-def test_binary_read_holds_the_stream_and_one_slice(monkeypatch, pulsed, tmp_path):
+def test_binary_read_holds_the_stream_and_one_slice(set_slice, pulsed, tmp_path):
     stream = pulsed[0]
     path = tmp_path / "s.bin"
     streams.write_stream(stream, path, fmt="binary")
     record = streams._BINARY_DTYPE.itemsize
-    for io_slice in IO_SLICES:
-        monkeypatch.setattr(streams, "_IO_SLICE", io_slice)
+    for n in SLICES:
+        set_slice(n)
         peak = traced_peak(streams.read_stream, path)
-        assert peak <= (stream.n_clicks + streams._IO_SLICE) * record + SLACK
+        assert peak <= (stream.n_clicks + n) * record + SLACK
 
 
-def test_stationary_binary_read_holds_the_times_and_one_slice(monkeypatch, tmp_path):
+def test_stationary_binary_read_holds_the_times_and_one_slice(set_slice, tmp_path):
     # the -1 index is a zero-stride view: no click-long index array, only
     # the times, one slice of records and its sentinel test (a byte each)
     stream = sim.simulate_stationary_poisson(1e6, 1.0, seed=5)
     path = tmp_path / "s.bin"
     streams.write_stream(stream, path, fmt="binary")
     record = streams._BINARY_DTYPE.itemsize
-    for io_slice in IO_SLICES:
-        monkeypatch.setattr(streams, "_IO_SLICE", io_slice)
+    for n in SLICES:
+        set_slice(n)
         peak = traced_peak(streams.read_stream, path)
         back = streams.read_stream(path)
         assert back.n_clicks > 990_000 and back.pulse_index.strides == (0,)
         assert np.array_equal(back.times, stream.times) and np.all(back.pulse_index == -1)
-        assert peak <= stream.n_clicks * 8 + streams._IO_SLICE * (record + 1) + SLACK
+        assert peak <= stream.n_clicks * 8 + n * (record + 1) + SLACK
 
 
 # the arrival sampler's candidate rows and the row-long temporaries of one draw
-ROWS = 16 * 8 * sim._ARRIVAL_ROWS
+ROWS = 16 * 8 * streams._SLICE
+# the write's record buffer
+IO = streams._SLICE * streams._BINARY_DTYPE.itemsize
 
 
 def test_sliced_simulate_and_write_holds_a_few_slices(tmp_path):
     # ~1e6 clicks (15.5 MB of records), ~13,000 a block, in slices of two
-    # blocks, the first at which a slice holds _SLICE_CLICKS, jittered and
+    # blocks, the first at which a slice holds _SLICE clicks, jittered and
     # dead-time filtered: a few slice-long arrays, the record buffer and
     # the arrival rows, nothing of the stream
     train = sim.PulseTrainConfig(10**7, PERIOD, md.gaussian_mode(1e-9))
@@ -113,14 +115,13 @@ def test_sliced_simulate_and_write_holds_a_few_slices(tmp_path):
     peak = traced_peak(simulate_and_write)
     clicks = simulate_and_write()
     assert clicks > 900_000
-    slice_clicks = (sim._SLICE_CLICKS + 0.1 * sim._PULSE_BLOCK) * 1.05
-    io = streams._IO_SLICE * streams._BINARY_DTYPE.itemsize
-    assert peak <= 6 * 8 * slice_clicks + io + ROWS + SLACK < clicks * 16 / 2
+    slice_clicks = (streams._SLICE + 0.1 * sim._PULSE_BLOCK) * 1.05
+    assert peak <= 6 * 8 * slice_clicks + IO + ROWS + SLACK < clicks * 16 / 2
 
 
 def test_dense_train_slices_hold_the_click_budget(tmp_path):
     # thermal:3 at s = 0.5 makes ~1.5 clicks per pulse, ~197,000 per block,
-    # so each block ends a slice at _SLICE_CLICKS, and the 2 ns dead time
+    # so each block ends a slice at _SLICE clicks, and the 2 ns dead time
     # filter and the write hold a few arrays of one block's clicks
     train = sim.PulseTrainConfig(2 * 10**6, PERIOD, md.gaussian_mode(1e-9))
     det = sim.DetectorModel(efficiency=0.5, dead_time=2e-9)
@@ -131,9 +132,8 @@ def test_dense_train_slices_hold_the_click_budget(tmp_path):
                                     path, fmt="binary")
     peak = traced_peak(simulate_and_write)
     assert simulate_and_write() > 1_000_000
-    slice_clicks = (sim._SLICE_CLICKS + 1.5 * sim._PULSE_BLOCK) * 1.05
-    io = streams._IO_SLICE * streams._BINARY_DTYPE.itemsize
-    assert peak <= 6 * 8 * slice_clicks + io + ROWS + SLACK
+    slice_clicks = (streams._SLICE + 1.5 * sim._PULSE_BLOCK) * 1.05
+    assert peak <= 6 * 8 * slice_clicks + IO + ROWS + SLACK
 
 
 def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):
@@ -157,9 +157,10 @@ def test_binary_read_checks_the_sidecar_count_first(pulsed, tmp_path):
 
 @pytest.mark.parametrize("estimator", ["all_pairs", "same_pulse", "sidepeak", "pn"])
 def test_pair_walk_scratch_follows_the_slice(pulsed, estimator):
-    # a walk pass holds a few slice-long index, time and bin arrays, the
-    # pulse-ordered walk one read slice of indices and times besides, and
-    # the counts of at most 200 blocks; nothing of the click count
+    # a walk pass holds a few slice-long index, time and bin arrays (8 of
+    # 8 bytes a first click), the pulse-ordered walk its held read slice of
+    # indices and times besides (16 bytes a record), and the counts of at
+    # most 200 blocks; nothing of the click count
     stream, train = pulsed
     calls = {
         "all_pairs": lambda: est.tau_histogram(stream, 1e-9, 4 * PERIOD, "all_pairs"),
@@ -168,14 +169,15 @@ def test_pair_walk_scratch_follows_the_slice(pulsed, estimator):
         "pn": lambda: est.pn_histogram_g2q(stream, train),
     }
     counts = 200 * 50 * 8
-    bound = 8 * 8 * est._PAIR_SLICE + 16 * streams._IO_SLICE + 2 * counts + SLACK
+    held_slice = 16 * streams._SLICE
+    bound = 8 * 8 * streams._SLICE + held_slice + 2 * counts + SLACK
     assert traced_peak(calls[estimator]) <= bound
 
 
 @pytest.mark.parametrize("kind", ["pulsed", "stationary"])
 def test_binary_analysis_holds_no_click_long_array(monkeypatch, tmp_path, pulsed, kind):
     # `pulseg2 analyze` reads the records a slice at a time: one record
-    # buffer, the photon-number route's held indices (one slice of them),
+    # buffer, the photon-number route's held read slice of indices,
     # a few arrays of one walk window and the counts of at most 200 blocks
     # (and their sum); no term grows with the ~1e6 clicks
     stream = (pulsed[0] if kind == "pulsed"
@@ -194,8 +196,8 @@ def test_binary_analysis_holds_no_click_long_array(monkeypatch, tmp_path, pulsed
         assert cli.main(args) == 0
     peak = traced_peak(analyze)
     record = streams._BINARY_DTYPE.itemsize
-    bound = (12 * 8 * est._PAIR_SLICE + (record + 8) * streams._IO_SLICE
-             + 3 * 200 * nbins * 8 + SLACK)
+    # per slice: 12 walk arrays of 8 bytes, the record buffer and the held indices
+    bound = (12 * 8 + record + 8) * streams._SLICE + 3 * 200 * nbins * 8 + SLACK
     assert peak <= bound < stream.n_clicks * 8
 
 

@@ -24,6 +24,7 @@ from pulseg2 import estimate as est
 from pulseg2 import modes as md
 from pulseg2 import simulate as sim
 from pulseg2 import states as st
+from pulseg2 import streams
 from pulseg2.errors import EstimationError
 from pulseg2.streams import ClickStream
 
@@ -425,16 +426,17 @@ def _assert_start_stop_match(stream, bin_width, max_tau):
     hist = est.tau_histogram(stream, bin_width, max_tau, scope="start_stop")
     assert np.array_equal(hist.counts, np.histogram(np.diff(stream.times), hist.bin_edges)[0])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(est, "_PAIR_SLICE", stream.n_clicks + 1)
+        for module in (streams, est):
+            mp.setattr(module, "_SLICE", stream.n_clicks + 1)
         whole = est.tau_histogram(stream, bin_width, max_tau, scope="start_stop")
     assert np.array_equal(hist.block_counts, whole.block_counts)
     assert np.array_equal(hist.block_clicks, whole.block_clicks)
 
 
 @pytest.mark.parametrize("slice_len", [7, 64])
-def test_sliced_walk_jittered_thermal(monkeypatch, jittered_thermal, slice_len):
+def test_sliced_walk_jittered_thermal(set_slice, jittered_thermal, slice_len):
     # adjacent pulses interleave, so pairs cross every slice boundary
-    monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+    set_slice(slice_len)
     stream, train = jittered_thermal
     _assert_histograms_match(stream, 2e-10, 4 * PERIOD)
     _assert_start_stop_match(stream, 2e-10, 4 * PERIOD)
@@ -442,7 +444,7 @@ def test_sliced_walk_jittered_thermal(monkeypatch, jittered_thermal, slice_len):
                             _sidepeak_ref_sigma(stream, train, 3e-9))
 
 
-def test_sliced_sidepeak_window_starting_above_its_lowest_block(monkeypatch):
+def test_sliced_sidepeak_window_starting_above_its_lowest_block(set_slice):
     # 200 pulses are 200 one-pulse blocks, and 6 ns of jitter puts a later
     # pulse's click first in some 7-click window: its block offsets must
     # start from the window's least block, not from its first click's
@@ -451,14 +453,14 @@ def test_sliced_sidepeak_window_starting_above_its_lowest_block(monkeypatch):
     stream = sim.simulate_pulse_train(st.thermal(3.0), det, train, seed=24)
     p = stream.pulse_index
     assert any(p[lo] > p[lo:lo + 7].min() for lo in range(0, p.size, 7))
-    monkeypatch.setattr(est, "_PAIR_SLICE", 7)
+    set_slice(7)
     _assert_value_and_sigma(est.g2_sidepeak(stream, train, 3e-9),
                             _sidepeak_ref_sigma(stream, train, 3e-9))
 
 
 @pytest.mark.parametrize("slice_len", [7, 64])
-def test_sliced_walk_stationary(monkeypatch, stationary_stream, slice_len):
-    monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+def test_sliced_walk_stationary(set_slice, stationary_stream, slice_len):
+    set_slice(slice_len)
     _assert_histograms_match(stationary_stream, 2e-8, 5e-6, scopes=("all_pairs",))
     _assert_start_stop_match(stationary_stream, 2e-8, 5e-6)
     _assert_value_and_sigma(est.stationary_g2_zero(stationary_stream, 2e-8, 5e-6, 3e-6),

@@ -271,7 +271,7 @@ class TestArrivalSampler:
         # 50,000 offsets take 4 chunks of 2^14 rows or about 100 of 2^9
         root = derive_roots(41)[4]
         want = sim._arrival_sampler(HG1, block_generator(root, 0))[0](50000)
-        monkeypatch.setattr(sim, "_ARRIVAL_ROWS", 1 << 9)
+        monkeypatch.setattr(sim, "_SLICE", 1 << 9)
         got = sim._arrival_sampler(HG1, block_generator(root, 0))[0](50000)
         assert np.array_equal(got, want)
 
@@ -286,7 +286,7 @@ class TestArrivalSampler:
 
     def test_sparse_train_peak_allocation(self):
         # the sparse benchmark train (2e7 pulses, ~2e5 clicks): the arrival
-        # rows stay at _ARRIVAL_ROWS, not _PULSE_BLOCK (9.3 MB against 16.5 MB)
+        # rows stay at _SLICE, not _PULSE_BLOCK (9.3 MB against 16.5 MB)
         train = sim.PulseTrainConfig(20_000_000, PERIOD, md.parse_mode_spec("hg:1:5e-10"))
         det = sim.DetectorModel(efficiency=0.5)
         tracemalloc.start()
@@ -393,18 +393,21 @@ class TestSlices:
     """The sliced stream is the whole train sorted at once."""
 
     def _train(self, monkeypatch, clicks, detector):
-        # a slice ends at the first block at which it holds ``clicks`` clicks
-        monkeypatch.setattr(sim, "_SLICE_CLICKS", clicks)
+        # a slice ends at the first block at which it holds ``clicks`` clicks;
+        # the arrival sampler draws as many rows at a time, stream unchanged
+        monkeypatch.setattr(sim, "_SLICE", clicks)
         train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
         return sim.simulate_pulse_train(st.thermal(2.0), detector, train, seed=13)
 
     @pytest.mark.parametrize("jitter", [0.0, 0.4e-9, sim._PULSE_BLOCK * PERIOD],
                              ids=["ideal", "jitter", "slice-wide"])
     def test_one_block_slices_give_the_one_slice_stream(self, monkeypatch, jitter):
-        # 300,000 pulses are 3 blocks; the widest jitter is one block's span
+        # 300,000 pulses are 3 blocks of ~157,000 clicks, so a 2^10 budget
+        # ends a slice at every block and 2^19 holds them all; the widest
+        # jitter is one block's span
         det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=jitter, dead_time=1.5e-9)
-        whole = self._train(monkeypatch, 1 << 62, det)
-        sliced = self._train(monkeypatch, 1, det)
+        whole = self._train(monkeypatch, 1 << 19, det)
+        sliced = self._train(monkeypatch, 1 << 10, det)
         assert sliced.n_clicks == whole.n_clicks > 150_000
         assert np.array_equal(sliced.pulse_index, whole.pulse_index)
         assert np.array_equal(sliced.times, whole.times)
@@ -415,8 +418,8 @@ class TestSlices:
         # ~157,000 clicks per block: a slice ends after the first block that
         # brings it to the budget, and the stream stays the one-slice one
         det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=0.4e-9, dead_time=1.5e-9)
-        whole = self._train(monkeypatch, 1 << 62, det)
-        monkeypatch.setattr(sim, "_SLICE_CLICKS", clicks)
+        whole = self._train(monkeypatch, 1 << 19, det)
+        monkeypatch.setattr(sim, "_SLICE", clicks)
         train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
         parts = list(sim._pulse_train_slices(st.thermal(2.0), det, train, 13))
         assert len(parts) == slices
@@ -427,7 +430,7 @@ class TestSlices:
     def test_slices_are_the_global_stable_sort(self, monkeypatch):
         # the whole train's clicks in generation order, jittered, stably
         # sorted and filtered at once, as the simulator did before slices
-        monkeypatch.setattr(sim, "_SLICE_CLICKS", 1)
+        monkeypatch.setattr(sim, "_SLICE", 1 << 10)      # a slice a block
         det = sim.DetectorModel(efficiency=0.6, timing_jitter_sigma=0.4e-9, dead_time=1.5e-9)
         train = sim.PulseTrainConfig(300_000, PERIOD, MODE)
         roots = derive_roots(13)
@@ -458,7 +461,8 @@ class TestSlices:
         # the last click emitted: the slices raise instead of reordering
         monkeypatch.setattr(sim, "_JITTER_MARGIN", 0.0)
         with pytest.raises(pg.StreamFormatError, match="precedes"):
-            self._train(monkeypatch, 1, sim.DetectorModel(timing_jitter_sigma=5 * PERIOD))
+            self._train(monkeypatch, 1 << 10,
+                        sim.DetectorModel(timing_jitter_sigma=5 * PERIOD))
 
     def test_stationary_chunks_are_slices(self):
         # 0.06 s of field is two chunks, each one slice; a 5 us dead time
@@ -555,6 +559,58 @@ class TestDetectorValidation:
 ])
 def test_non_finite_config_rejected(make, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make()
+
+
+def _pulsed(detector, train):
+    return sim.simulate_pulse_train(st.coherent(1.0), detector, train, seed=4)
+
+
+def _stationary(cfg):
+    return sim.simulate_stationary_thermal(cfg, IDEAL, seed=4)
+
+
+TRAIN = sim.PulseTrainConfig(2000, PERIOD, MODE)
+
+
+@pytest.mark.parametrize("simulate,given,held", [
+    # a run given numpy scalars, and the run of the Python numbers it holds
+    (_pulsed, (sim.DetectorModel(np.float32(0.5), np.float64(1e-10), np.int64(0)), TRAIN),
+     (sim.DetectorModel(0.5, 1e-10, 0), TRAIN)),
+    (_pulsed, (IDEAL, sim.PulseTrainConfig(np.int64(1000), np.float32(12.5e-9), MODE)),
+     (IDEAL, sim.PulseTrainConfig(1000, float(np.float32(12.5e-9)), MODE))),
+    (_stationary, (sim.StationaryThermalConfig(np.float32(1e5), np.float64(1e6),
+                                               np.float32(1e-3)),),
+     (sim.StationaryThermalConfig(1e5, 1e6, float(np.float32(1e-3))),)),
+], ids=["DetectorModel", "PulseTrainConfig", "StationaryThermalConfig"])
+def test_numpy_scalar_fields_write_plain_json_numbers(tmp_path, simulate, given, held):
+    # each numeric field is held as a Python int or float, so the stream is
+    # the one of those numbers and its sidecar writes them and reads back
+    values = [v for config in given for v in vars(config).values()]
+    assert not any(isinstance(v, np.generic) for v in values)
+    assert given == held
+    sides = []
+    for run in (given, held):
+        stream = simulate(*run)
+        path = tmp_path / f"{len(sides)}.bin"
+        pg.write_stream(stream, path, fmt="binary")
+        back = pg.read_stream(path)
+        assert back.n_clicks == stream.n_clicks > 0
+        assert np.array_equal(back.times, stream.times)
+        sides.append(Path(pg.sidecar_path(path)).read_text())
+    assert sides[0] == sides[1]
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: sim.DetectorModel(efficiency=True), "efficiency"),
+    (lambda: sim.DetectorModel(dead_time=None), "dead_time"),
+    (lambda: sim.PulseTrainConfig(np.bool_(True), PERIOD, MODE), "num_pulses"),
+    (lambda: sim.StationaryThermalConfig(1e5, 1e6, 1.0, field_timestep=False),
+     "field_timestep"),
+], ids=["DetectorModel", "DetectorModel-None", "PulseTrainConfig", "StationaryThermalConfig"])
+def test_fields_that_are_not_numbers_refused(make, name):
+    # a bool or None is no number, whatever a comparison would make of it
+    with pytest.raises(ValueError, match=f"{name} must be a number, got"):
         make()
 
 

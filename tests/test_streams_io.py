@@ -13,7 +13,7 @@ import pulseg2 as pg
 from pulseg2 import cli, streams
 from pulseg2 import estimate as est
 from pulseg2.errors import StreamFormatError
-from pulseg2.streams import _IO_SLICE, ClickStream, read_stream, sidecar_path, write_stream
+from pulseg2.streams import _SLICE, ClickStream, read_stream, sidecar_path, write_stream
 
 
 def small_stream():
@@ -49,7 +49,7 @@ def test_stationary_sentinel_round_trip(tmp_path):
 def test_readers_hold_the_sentinel_as_a_view(tmp_path, fmt):
     # all -1: a zero-stride view; a record past the first binary slice that
     # is not the sentinel makes a whole index array, -1 before it
-    n = _IO_SLICE + 10
+    n = _SLICE + 10
     for tail in (-1, 7):
         idx = np.full(n, -1, dtype=np.int64)
         idx[-3:] = tail
@@ -142,6 +142,16 @@ def test_csv_pulse_index_from_2_53_rejected(tmp_path, index):
     # 2**53 + 1 parses as 2**53: the index would change without an error
     path = tmp_path / "s.csv"
     path.write_text(f"pulse_index,time_seconds\n0,1e-9\n{index},2e-9\n")
+    with pytest.raises(StreamFormatError, match=re.escape(f"{path}: record 1: ")):
+        read_stream(path)
+
+
+def test_csv_writer_keeps_a_pulse_index_from_2_53_exact(tmp_path):
+    # the writer formats the index column as Python ints, not through
+    # float64, so 2**53 + 1 is written as it is and the reader refuses it
+    path = tmp_path / "s.csv"
+    write_stream(ClickStream([0, 2**53 + 1], [1e-9, 2e-9], {}), path)
+    assert path.read_text().splitlines()[2] == f"{2**53 + 1},2.0000000000000001e-09"
     with pytest.raises(StreamFormatError, match=re.escape(f"{path}: record 1: ")):
         read_stream(path)
 
@@ -372,8 +382,8 @@ def analyze_outputs(path, workdir, flags):
 
 
 @pytest.mark.parametrize("slice_len", [7, 64, 1000])
-def test_sliced_analysis_writes_the_in_memory_bytes(monkeypatch, tmp_path, written,
-                                                    slice_len):
+def test_sliced_analysis_writes_the_in_memory_bytes(monkeypatch, set_slice, tmp_path,
+                                                    written, slice_len):
     # the reference: the CSV stream read whole, its walk one window long
     (csv, binary), flags, spread_sample = written
     if spread_sample:
@@ -381,13 +391,12 @@ def test_sliced_analysis_writes_the_in_memory_bytes(monkeypatch, tmp_path, writt
     want = analyze_outputs(csv, tmp_path / "whole", flags)
     assert "report.json" in want and len(want) == 2
     assert analyze_outputs(binary, tmp_path / "binary", flags) == want
-    monkeypatch.setattr(streams, "_IO_SLICE", slice_len)
-    monkeypatch.setattr(est, "_PAIR_SLICE", slice_len)
+    set_slice(slice_len)
     for path in (binary, csv):
         assert analyze_outputs(path, tmp_path / f"sliced{path.suffix}", flags) == want
 
 
-def test_pulsed_analysis_reads_the_binary_stream_once(monkeypatch, tmp_path):
+def test_pulsed_analysis_reads_the_binary_stream_once(monkeypatch, set_slice, tmp_path):
     # one pulse-ordered walk gives the histogram and the photon-number rows,
     # and checks the pulse range and the times as it reads
     stream = STREAMS["jittered"][0]()
@@ -399,14 +408,14 @@ def test_pulsed_analysis_reads_the_binary_stream_once(monkeypatch, tmp_path):
         return records(*args)
 
     monkeypatch.setattr(streams, "_records", counted)
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", "s.bin", "--mode", "gauss:1e-9", "--out", "r.json"]) == 0
     assert len(reads) == 1
 
 
-def test_hintless_pulsed_analysis_reads_the_binary_stream_twice(monkeypatch, tmp_path,
-                                                                reads):
+def test_hintless_pulsed_analysis_reads_the_binary_stream_twice(monkeypatch, set_slice,
+                                                                tmp_path, reads):
     # with no mode, one strided walk gives the fallback width before the pair walk
     stream = STREAMS["jittered"][0]()
     write_stream(stream, tmp_path / "s.bin", fmt="binary")
@@ -414,7 +423,7 @@ def test_hintless_pulsed_analysis_reads_the_binary_stream_twice(monkeypatch, tmp
     meta = json.loads(side.read_text())
     del meta["mode"]
     side.write_text(json.dumps(meta))
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     monkeypatch.setattr(est, "_SPREAD_SAMPLE", 1000)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", "s.bin", "--out", "r.json"]) == 0
@@ -435,11 +444,11 @@ def reads(monkeypatch):
     return calls
 
 
-def test_side_peaks_read_the_binary_stream_once(monkeypatch, tmp_path, reads):
+def test_side_peaks_read_the_binary_stream_once(set_slice, tmp_path, reads):
     # the range check rides on the pair walk: no walk of its own for the span
     stream = STREAMS["jittered"][0]()
     write_stream(stream, tmp_path / "s.bin", fmt="binary")
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     train = pg.PulseTrainConfig(5000, 12.5e-9, pg.gaussian_mode(1e-9))
     got = est.g2_sidepeak(streams._open_stream(tmp_path / "s.bin"), train, 3e-9)
     assert len(reads) == 1
@@ -470,9 +479,9 @@ def _records_with(tmp_path, change):
      "record 5: click times must be nondecreasing"),
 ], ids=["nan_later_slice", "inf_last", "step_back_across_slices", "first_of_two_steps",
         "step_before_inf"])
-def test_bad_time_in_a_later_slice_exits_2_as_the_read_does(monkeypatch, tmp_path, capsys,
-                                                           change, message):
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+def test_bad_time_in_a_later_slice_exits_2_as_the_read_does(monkeypatch, set_slice, tmp_path,
+                                                           capsys, change, message):
+    set_slice(64)
     path = _records_with(tmp_path, change)
     with pytest.raises(StreamFormatError) as whole:
         read_stream(path)
@@ -483,9 +492,10 @@ def test_bad_time_in_a_later_slice_exits_2_as_the_read_does(monkeypatch, tmp_pat
     assert not (tmp_path / "r.json").exists()
 
 
-def test_bad_time_ends_the_walk_that_reads_it(monkeypatch, tmp_path, capsys, reads):
+def test_bad_time_ends_the_walk_that_reads_it(monkeypatch, set_slice, tmp_path, capsys,
+                                              reads):
     # the first walk names the record as it reads it: no second read
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     path = _records_with(tmp_path, lambda t: t.__setitem__(100, np.nan))
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", str(path), "--out", "r.json", "--mode", "gauss:1e-10"]) == 2
@@ -494,7 +504,7 @@ def test_bad_time_ends_the_walk_that_reads_it(monkeypatch, tmp_path, capsys, rea
     assert len(reads) == 1
 
 
-def test_stationary_bad_last_time_exits_2(monkeypatch, tmp_path, capsys, reads):
+def test_stationary_bad_last_time_exits_2(monkeypatch, set_slice, tmp_path, capsys, reads):
     # the end records give the all-pairs walk its time blocks; a bad one
     # starts the checking walk, which names it before any pair is walked
     stream = ClickStream(np.full(300, -1), np.arange(300) * 1e-9,
@@ -504,7 +514,7 @@ def test_stationary_bad_last_time_exits_2(monkeypatch, tmp_path, capsys, reads):
     rec = np.fromfile(path, streams._BINARY_DTYPE)
     rec["time_seconds"][-1] = np.nan
     rec.tofile(path)
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     monkeypatch.setattr(est, "_pairs", None)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", str(path), "--out", "r.json"]) == 2
@@ -528,8 +538,8 @@ def test_truncated_file_exits_2(monkeypatch, tmp_path, capsys, cut, message):
 
 @pytest.mark.parametrize("index,record", [(-1, 100), (7, 100), (-5, 150)],
                          ids=["sentinels", "past_n", "negative_mid_slice"])
-def test_pulse_index_outside_the_train_exits_3(monkeypatch, tmp_path, capsys, reads, index,
-                                               record):
+def test_pulse_index_outside_the_train_exits_3(monkeypatch, set_slice, tmp_path, capsys, reads,
+                                               index, record):
     # a pulsed binary stream whose later slices hold the stationary sentinel,
     # an index past N, or one negative index inside a slice fails the range
     # check the first walk feeds, which names the first bad record
@@ -539,7 +549,7 @@ def test_pulse_index_outside_the_train_exits_3(monkeypatch, tmp_path, capsys, re
         pulse[150] = index
     stream = ClickStream(pulse, np.arange(300) * 1e-9, {"kind": "pulsed"})
     write_stream(stream, tmp_path / "s.bin", fmt="binary")
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", "s.bin", "--pulses", "5", "--mode", "gauss:1e-10",
                      "--out", "r.json"]) == 3
@@ -556,10 +566,10 @@ def _sidecarless(tmp_path, pulse):
     return "s.bin"
 
 
-def test_sidecarless_stream_is_read_once(monkeypatch, tmp_path, reads):
+def test_sidecarless_stream_is_read_once(monkeypatch, set_slice, tmp_path, reads):
     # the kind comes from the first record: the pulsed walk is the only read
     path = _sidecarless(tmp_path, np.arange(300) // 3)
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", path, "--pulses", "100", "--mode", "gauss:1e-10",
                      "--out", "r.json"]) == 0
@@ -578,13 +588,14 @@ def test_kind_from_the_first_record(tmp_path, reads, first, pulsed):
 
 @pytest.mark.parametrize("binning", [[], ["--bin-width", "1e-10"]],
                          ids=["default_binning", "bin_width"])
-def test_sentinel_after_a_pulse_index_exits_3(monkeypatch, tmp_path, capsys, binning):
+def test_sentinel_after_a_pulse_index_exits_3(monkeypatch, set_slice, tmp_path, capsys,
+                                              binning):
     # pulsed by its first record, the stream fails the index rule where it
     # holds the stationary sentinel, rather than being analyzed as stationary
     pulse = np.arange(300) // 3
     pulse[200] = -1
     path = _sidecarless(tmp_path, pulse)
-    monkeypatch.setattr(streams, "_IO_SLICE", 64)
+    set_slice(64)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analyze", path, "--pulses", "100", "--mode", "gauss:1e-10",
                      "--out", "r.json", *binning]) == 3
